@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 
@@ -62,32 +63,43 @@ class ModeSpinBasis:
         return divmod(index, self.spins_b)
 
 
-def _as_unitary(u: np.ndarray, dim: int, name: str) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValidationError(f"{name} must have shape ({dim}, {dim}), got {u.shape}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+def _as_unitary(u, name: str):
+    """Square complex unitary, dense or scipy.sparse (kept as CSR), frozen.
+
+    The check forms u^dagger u in the matrix's own format, so a sparse
+    layer is checked in O(nnz).
+    """
+    if sparse.issparse(u):
+        u = sparse.csr_array(u, dtype=np.complex128, copy=True)
+        u.sum_duplicates()
+        frozen = (u.data, u.indices, u.indptr)
+    else:
+        u = np.array(u, dtype=np.complex128)
+        frozen = (u,)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {u.shape}")
+    err = float(abs(u.conj().T @ u - sparse.eye_array(u.shape[0])).max())
     if err > UNITARITY_TOL:
         raise ValidationError(f"{name} is not unitary: max deviation {err:.3e}")
-    u = u.copy()
-    u.flags.writeable = False
+    for arr in frozen:
+        arr.flags.writeable = False
     return u
 
 
 class CircuitLayer:
     """One evolution layer: per-particle unitaries, then a diagonal phase coupling.
 
-    The coupling is a real phase table over the joint flattened basis; only
-    phase-diagonal couplings are representable, by construction.
+    The unitaries may be dense arrays or scipy.sparse matrices (walk layers
+    are sparse); every product below works with either.  The coupling is a
+    real phase table over the joint flattened basis; only phase-diagonal
+    couplings are representable, by construction.
     """
 
     def __init__(self, u_a, u_b, phases=None):
-        u_a = np.asarray(u_a, dtype=np.complex128)
-        u_b = np.asarray(u_b, dtype=np.complex128)
-        self.dim_a = u_a.shape[0]
-        self.dim_b = u_b.shape[0]
-        self.u_a = _as_unitary(u_a, self.dim_a, "u_a")
-        self.u_b = _as_unitary(u_b, self.dim_b, "u_b")
+        self.u_a = _as_unitary(u_a, "u_a")
+        self.u_b = _as_unitary(u_b, "u_b")
+        self.dim_a = self.u_a.shape[0]
+        self.dim_b = self.u_b.shape[0]
         if phases is None:
             self.phases = None
         else:
@@ -138,16 +150,17 @@ class JointState:
     layer: int = 0
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        # A private C-ordered copy: any input layout is accepted, and the
+        # checks below read contiguous memory.
+        amps = np.array(self.amps, dtype=np.complex128, order="C")
         expected = (self.basis.dim_a, self.basis.dim_b)
         if amps.shape != expected:
             raise ValidationError(f"amplitudes must have shape {expected}, got {amps.shape}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitudes contain non-finite entries")
         norm_err = abs(float(np.vdot(amps, amps).real) - 1.0)
         if norm_err > NORM_TOL:
             raise ValidationError(f"state is not normalized: |norm^2 - 1| = {norm_err:.3e}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -223,7 +236,7 @@ def dense_unitary(layers, basis: ModeSpinBasis) -> np.ndarray:
     dim = basis.dim_a * basis.dim_b
     total = np.eye(dim, dtype=np.complex128)
     for layer in layers:
-        step = np.kron(layer.u_a, layer.u_b)
+        step = sparse.kron(layer.u_a, layer.u_b).toarray()
         factor = layer.coupling_factor()
         if factor is not None:
             step = factor.reshape(dim, 1) * step

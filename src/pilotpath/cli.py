@@ -66,7 +66,7 @@ def _out_dir(scn: dict, args: argparse.Namespace, command: str) -> str:
     return exports.ensure_dir(os.path.join(base, scn["name"], command))
 
 
-def _walk_history(system, record_joint=True, record_states=False):
+def _walk_history(system, record_joint=True):
     return run_walk(
         system.state0,
         system.grid,
@@ -75,7 +75,6 @@ def _walk_history(system, record_joint=True, record_states=False):
         system.n_layers,
         couplings=system.couplings,
         record_joint=record_joint,
-        record_states=record_states,
     )
 
 

@@ -15,9 +15,11 @@ equation in the refinement limit.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .circuit import CircuitLayer, JointState, ModeSpinBasis
 from .errors import DegenerateDensityError, ValidationError
@@ -193,95 +195,52 @@ def phase_matrices(grid: LatticeGrid, mass: float, charge: float, potential: Pot
 
 
 class WalkStep:
-    """One-body split-step layer: on-site phase rotation, then chirality shift."""
+    """One-body split-step layer: on-site phase rotation, then chirality shift.
+
+    The layer is held as one sparse (4N, 4N) CSR matrix, the product of the
+    block-diagonal CHIRAL_V, the shift permutation and the block-diagonal
+    CHIRAL_V^dagger . phase_x.  Phase rotations only mix the spinor pairs
+    (0, 3) and (1, 2), which are exactly the pairs a chirality doublet spans,
+    so every column has at most four nonzeros: one doublet, two sites.
+    """
 
     def __init__(self, grid: LatticeGrid, phase_mats: np.ndarray):
         phase_mats = np.asarray(phase_mats, dtype=np.complex128)
         if phase_mats.shape != (grid.n_sites, SPINOR_DIM, SPINOR_DIM):
             raise ValidationError("phase matrices must have shape (n_sites, 4, 4)")
         self.grid = grid
-        self.phase_mats = phase_mats
-        self.phase_mats.flags.writeable = False
-
-    def _shift(self, chi: np.ndarray, axis: int) -> np.ndarray:
-        """Move chirality components one site along the given axis."""
-        out = np.empty_like(chi)
-        idx_plus = [0, 1]
-        idx_minus = [2, 3]
-        if self.grid.boundary == "periodic":
-            for c in idx_plus:
-                out[_col(axis, c)] = np.roll(chi[_col(axis, c)], 1, axis=axis)
-            for c in idx_minus:
-                out[_col(axis, c)] = np.roll(chi[_col(axis, c)], -1, axis=axis)
-            return out
-        # Reflecting walls exchange the paired chirality components at the
-        # edges; the map is a permutation of amplitudes, hence exactly unitary.
-        for plus, minus in ((0, 2), (1, 3)):
-            p = chi[_col(axis, plus)]
-            m = chi[_col(axis, minus)]
-            new_p = np.empty_like(p)
-            new_m = np.empty_like(m)
-            sl_from = _axslice(axis, 0, -1)
-            sl_to = _axslice(axis, 1, None)
-            new_p[sl_to] = p[sl_from]
-            new_p[_axslice(axis, 0, 1)] = m[_axslice(axis, 0, 1)]
-            new_m[_axslice(axis, 0, -1)] = m[_axslice(axis, 1, None)]
-            new_m[_axslice(axis, -1, None)] = p[_axslice(axis, -1, None)]
-            out[_col(axis, plus)] = new_p
-            out[_col(axis, minus)] = new_m
-        return out
-
-    def apply_one_body(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.einsum("xab,xb->xa", self.phase_mats, psi)
-        chi = np.einsum("sa,xa->xs", CHIRAL_V.conj().T, psi)
-        chi = self._shift(chi, axis=0)
-        return np.einsum("as,xs->xa", CHIRAL_V, chi)
-
-    def apply_first(self, amps: np.ndarray) -> np.ndarray:
-        """Act on the first particle of a joint (dim_a, dim_b) amplitude block."""
-        n = self.grid.n_sites
-        t = amps.reshape(n, SPINOR_DIM, -1)
-        t = np.einsum("xab,xbk->xak", self.phase_mats, t)
-        chi = np.einsum("sa,xak->xsk", CHIRAL_V.conj().T, t)
-        chi = self._shift(chi, axis=0)
-        t = np.einsum("as,xsk->xak", CHIRAL_V, chi)
-        return t.reshape(amps.shape)
-
-    def apply_second(self, amps: np.ndarray) -> np.ndarray:
-        """Act on the second particle of a joint (dim_a, dim_b) amplitude block."""
-        n = self.grid.n_sites
-        t = amps.reshape(-1, n, SPINOR_DIM)
-        t = np.einsum("yab,kyb->kya", self.phase_mats, t)
-        chi = np.einsum("sb,kyb->kys", CHIRAL_V.conj().T, t)
-        chi = self._shift(chi, axis=1)
-        t = np.einsum("bs,kys->kyb", CHIRAL_V, chi)
-        return t.reshape(amps.shape)
-
-    def dense(self) -> np.ndarray:
-        """Dense (4N, 4N) matrix of the step, built column-by-column."""
-        n = self.grid.n_sites
-        dim = n * SPINOR_DIM
-        out = np.empty((dim, dim), dtype=np.complex128)
-        basis_vec = np.zeros((n, SPINOR_DIM), dtype=np.complex128)
-        for col in range(dim):
-            basis_vec.reshape(-1)[col] = 1.0
-            out[:, col] = self.apply_one_body(basis_vec).reshape(-1)
-            basis_vec.reshape(-1)[col] = 0.0
-        return out
+        to_chiral = _block_diagonal(CHIRAL_V.conj().T @ phase_mats)
+        from_chiral = _block_diagonal(np.broadcast_to(CHIRAL_V, phase_mats.shape))
+        self.matrix = (from_chiral @ _shift_permutation(grid) @ to_chiral).tocsr()
+        self.matrix.sort_indices()
+        for arr in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
+            arr.flags.writeable = False
 
 
-def _col(axis: int, c: int):
-    # Index helper selecting chirality column c with the site axis in front.
-    if axis == 0:
-        return (slice(None), c)
-    return (slice(None), slice(None), c)
+def _block_diagonal(blocks: np.ndarray) -> sparse.csr_array:
+    """CSR matrix with the given (n, 4, 4) blocks along its diagonal."""
+    n = blocks.shape[0]
+    dim = n * SPINOR_DIM
+    out = sparse.bsr_array((blocks, np.arange(n), np.arange(n + 1)), shape=(dim, dim)).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
-def _axslice(axis: int, lo, hi):
-    sl = slice(lo, hi)
-    if axis == 0:
-        return (sl,)
-    return (slice(None), sl)
+def _shift_permutation(grid: LatticeGrid) -> sparse.csr_array:
+    """Permutation moving each chirality component one site along its sign."""
+    n = grid.n_sites
+    site = np.repeat(np.arange(n), SPINOR_DIM)
+    comp = np.tile(np.arange(SPINOR_DIM), n)
+    to = site + np.asarray(CHIRAL_SIGNS)[comp]
+    if grid.boundary == "periodic":
+        dest = (to % n) * SPINOR_DIM + comp
+    else:
+        # A component leaving the lattice comes back on the same site as its
+        # reflection partner (0 <-> 2, 1 <-> 3), so the map stays a permutation.
+        off = (to < 0) | (to >= n)
+        dest = np.where(off, site * SPINOR_DIM + (comp ^ 2), to * SPINOR_DIM + comp)
+    dim = n * SPINOR_DIM
+    return sparse.csr_array((np.ones(dim), (dest, np.arange(dim))), shape=(dim, dim))
 
 
 def build_dirac_step(
@@ -308,8 +267,7 @@ def evolve_two_body(
         raise ValidationError("both steps must be built on the same grid")
     if state.basis != step1.grid.basis():
         raise ValidationError("state basis does not match the step grid")
-    amps = step1.apply_first(state.amps)
-    amps = step2.apply_second(amps)
+    amps = step1.matrix @ state.amps @ step2.matrix.T
     if coupling_phases is not None:
         phases = np.asarray(coupling_phases, dtype=np.float64)
         if phases.shape != amps.shape:
@@ -352,6 +310,31 @@ def _tensor4(state: JointState, grid: LatticeGrid) -> np.ndarray:
     return state.amps.reshape(n, SPINOR_DIM, n, SPINOR_DIM)
 
 
+def _site_probabilities(t: np.ndarray) -> np.ndarray:
+    """Joint (x1, x2) probability table, spinors summed: |A|^2 computed once.
+
+    Sums re^2 + im^2 over the float view, whose last axis interleaves the
+    real and imaginary parts of the second particle's spinor.
+    """
+    parts = t.view(np.float64)
+    return np.einsum("xayb,xayb->xy", parts, parts)
+
+
+def _velocity_bilinear(t: np.ndarray, particle: int, sites: str) -> np.ndarray:
+    """psi^dagger ALPHA1 psi on one particle's spinor index, summed onto `sites`.
+
+    ALPHA1 is the spinor exchange matrix, so the contraction pairs the tensor
+    with its own spinor-reversed view.  `sites` names the kept site axes:
+    "x", "y" or "xy".
+    """
+    flipped = t[:, ::-1] if particle == 1 else t[..., ::-1]
+    j = np.einsum(f"xayb,xayb->{sites}", t.conj(), flipped)
+    resid = float(np.max(np.abs(j.imag)))
+    if resid > 1e-12:
+        raise ValidationError(f"current bilinear acquired an imaginary residue {resid:.3e}")
+    return j.real
+
+
 def dirac_currents(state: JointState, grid: LatticeGrid):
     """Pointwise two-body bilinears (density, current along x1, current along x2).
 
@@ -361,40 +344,30 @@ def dirac_currents(state: JointState, grid: LatticeGrid):
     t = _tensor4(state, grid)
     scale_d = 1.0 / (grid.dx * grid.dx)
     scale_j = (grid.dx / grid.dt) * scale_d
-    density = np.einsum("xayb,xayb->xy", t.conj(), t).real * scale_d
-    jx1 = np.einsum("xayb,ac,xcyb->xy", t.conj(), ALPHA1, t) * scale_j
-    jx2 = np.einsum("xayb,bd,xayd->xy", t.conj(), ALPHA1, t) * scale_j
-    resid = max(np.max(np.abs(jx1.imag)), np.max(np.abs(jx2.imag)))
-    if resid > 1e-12:
-        raise ValidationError(f"current bilinears acquired imaginary residue {resid:.3e}")
-    return density, jx1.real, jx2.real
+    density = _site_probabilities(t) * scale_d
+    jx1 = _velocity_bilinear(t, 1, "xy") * scale_j
+    jx2 = _velocity_bilinear(t, 2, "xy") * scale_j
+    return density, jx1, jx2
+
+
+def _marginal_fields(state: JointState, grid: LatticeGrid):
+    """Both particles' CurrentFields plus the joint site table they share."""
+    t = _tensor4(state, grid)
+    scale_d = 1.0 / grid.dx
+    scale_j = (grid.dx / grid.dt) * scale_d
+    joint = _site_probabilities(t)
+    fields = tuple(
+        CurrentField(grid, rho * scale_d, _velocity_bilinear(t, particle, sites) * scale_j, layer=state.layer)
+        for particle, sites, rho in ((1, "x", joint.sum(axis=1)), (2, "y", joint.sum(axis=0)))
+    )
+    return fields, joint
 
 
 def marginal_currents(state: JointState, grid: LatticeGrid, particle: int = 1) -> CurrentField:
     """Partner-summed density and current for the requested particle."""
     if particle not in (1, 2):
         raise ValidationError("particle must be 1 or 2")
-    t = _tensor4(state, grid)
-    scale_d = 1.0 / grid.dx
-    scale_j = (grid.dx / grid.dt) * scale_d
-    if particle == 1:
-        j0 = np.einsum("xayb,xayb->x", t.conj(), t).real * scale_d
-        j1 = np.einsum("xayb,ac,xcyb->x", t.conj(), ALPHA1, t) * scale_j
-    else:
-        j0 = np.einsum("xayb,xayb->y", t.conj(), t).real * scale_d
-        j1 = np.einsum("xayb,bd,xayd->y", t.conj(), ALPHA1, t) * scale_j
-    if np.max(np.abs(j1.imag)) > 1e-12:
-        raise ValidationError("marginal current acquired an imaginary residue")
-    return CurrentField(grid, j0, j1.real, layer=state.layer)
-
-
-def one_body_currents(psi: np.ndarray, grid: LatticeGrid):
-    """Density/current pair of a single-particle spinor field, same scaling."""
-    scale_d = 1.0 / grid.dx
-    scale_j = (grid.dx / grid.dt) * scale_d
-    j0 = np.einsum("xa,xa->x", psi.conj(), psi).real * scale_d
-    j1 = (np.einsum("xa,ab,xb->x", psi.conj(), ALPHA1, psi) * scale_j).real
-    return j0, j1
+    return _marginal_fields(state, grid)[0][particle - 1]
 
 
 def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -451,7 +424,7 @@ class WalkHistory:
     current2: np.ndarray
     joint: np.ndarray | None
     final_state: JointState
-    states: list[JointState] | None = None
+    states: dict[int, JointState] = field(default_factory=dict)
 
     def current_field(self, particle: int, layer: int) -> CurrentField:
         j0 = self.density1[layer] if particle == 1 else self.density2[layer]
@@ -476,12 +449,13 @@ def run_walk(
     n_layers: int,
     couplings: dict[int, np.ndarray] | None = None,
     record_joint: bool = True,
-    record_states: bool = False,
+    keep_states: Iterable[int] = (),
 ) -> WalkHistory:
     """Evolve a joint state and record per-layer marginal tables.
 
     couplings maps a layer index (0-based) to a joint phase table applied
-    after that layer's per-particle steps.
+    after that layer's per-particle steps.  keep_states names the layers
+    (0 through n_layers) whose joint states the history keeps.
     """
     seq1 = _steps_per_layer(steps1, n_layers)
     seq2 = _steps_per_layer(steps2, n_layers)
@@ -489,30 +463,32 @@ def run_walk(
     for k in couplings:
         if not 0 <= int(k) < n_layers:
             raise ValidationError(f"coupling layer index {k} out of range")
+    keep_states = {int(k) for k in keep_states}
+    for k in keep_states:
+        if not 0 <= k <= n_layers:
+            raise ValidationError(f"kept state layer {k} out of range")
     n = grid.n_sites
     density1 = np.empty((n_layers + 1, n))
     current1 = np.empty((n_layers + 1, n))
     density2 = np.empty((n_layers + 1, n))
     current2 = np.empty((n_layers + 1, n))
     joint = np.empty((n_layers + 1, n, n)) if record_joint else None
-    states = [state0] if record_states else None
+    states = {}
 
     state = state0
     for layer in range(n_layers + 1):
-        cur1 = marginal_currents(state, grid, 1)
-        cur2 = marginal_currents(state, grid, 2)
+        (cur1, cur2), site_table = _marginal_fields(state, grid)
         density1[layer] = cur1.j0
         current1[layer] = cur1.j1
         density2[layer] = cur2.j0
         current2[layer] = cur2.j1
         if record_joint:
-            t = _tensor4(state, grid)
-            joint[layer] = np.einsum("xayb,xayb->xy", t.conj(), t).real / (grid.dx * grid.dx)
+            joint[layer] = site_table / (grid.dx * grid.dx)
+        if layer in keep_states:
+            states[layer] = state
         if layer == n_layers:
             break
         state = evolve_two_body(state, seq1[layer], seq2[layer], couplings.get(layer))
-        if record_states:
-            states.append(state)
     return WalkHistory(
         grid=grid,
         n_layers=n_layers,
@@ -529,18 +505,11 @@ def run_walk(
 def to_circuit_layers(
     steps1, steps2, n_layers: int, couplings: dict[int, np.ndarray] | None = None
 ) -> list[CircuitLayer]:
-    """Dense CircuitLayer view of a walk, for path conditioning and oracles."""
+    """CircuitLayer view of a walk on the steps' own sparse matrices."""
     seq1 = _steps_per_layer(steps1, n_layers)
     seq2 = _steps_per_layer(steps2, n_layers)
     couplings = couplings or {}
-    dense1: dict[int, np.ndarray] = {}
-    dense2: dict[int, np.ndarray] = {}
-    layers = []
-    for t in range(n_layers):
-        u1 = dense1.setdefault(id(seq1[t]), seq1[t].dense())
-        u2 = dense2.setdefault(id(seq2[t]), seq2[t].dense())
-        layers.append(CircuitLayer(u1, u2, couplings.get(t)))
-    return layers
+    return [CircuitLayer(seq1[t].matrix, seq2[t].matrix, couplings.get(t)) for t in range(n_layers)]
 
 
 # ----------------------------------------------------------------------------

@@ -108,6 +108,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     GammaSet().validate()
     report.add("gamma_algebra", 0.0, 0.0, "anticommutation table holds exactly")
 
+    mid = system.n_layers // 2
     history = run_walk(
         system.state0,
         grid,
@@ -116,7 +117,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         system.n_layers,
         couplings=system.couplings,
         record_joint=True,
-        record_states=True,
+        keep_states=(mid, mid + 1),
     )
     norms = history.density1.sum(axis=1) * grid.dx
     report.add("unitarity_drift", float(np.abs(norms - 1.0).max()), 1e-10)
@@ -153,7 +154,6 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         )
         report.add("no_signaling", gap, 1e-12, note)
 
-    mid = system.n_layers // 2
     residual = continuity_residual(history.states[mid], history.states[mid + 1], grid, particle=1)
     report.add(
         "continuity_residual",

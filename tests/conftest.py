@@ -8,6 +8,7 @@ matrix and applies the factors from either side.
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.stats import unitary_group
 
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis
@@ -55,6 +56,11 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def dense(u) -> np.ndarray:
+    """A layer factor as a dense array; walk layers hold scipy.sparse matrices."""
+    return u.toarray() if scipy.sparse.issparse(u) else np.asarray(u)
+
+
 def kron_evolve(
     layers: list[CircuitLayer], psi1: np.ndarray, psi2: np.ndarray
 ) -> np.ndarray:
@@ -65,7 +71,7 @@ def kron_evolve(
     d1, d2 = psi1.shape[0], psi2.shape[0]
     vec = np.kron(psi1, psi2)
     for layer in layers:
-        step = np.kron(layer.u_a, layer.u_b)
+        step = np.kron(dense(layer.u_a), dense(layer.u_b))
         if layer.phases is not None:
             step = np.exp(1j * layer.phases).reshape(-1)[:, None] * step
         vec = step @ vec

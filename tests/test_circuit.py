@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pilotpath.circuit import (
     CircuitLayer,
@@ -44,6 +45,10 @@ def test_layer_rejects_non_unitary():
         CircuitLayer(bad, good)
     with pytest.raises(ValidationError):
         CircuitLayer(good, bad)
+    with pytest.raises(ValidationError):
+        CircuitLayer(good, scipy.sparse.csr_array(bad))
+    with pytest.raises(ValidationError):
+        CircuitLayer(good, scipy.sparse.csr_array(np.ones((4, 3))))
 
 
 def test_layer_rejects_bad_phase_tables():
@@ -71,6 +76,18 @@ def test_joint_state_requires_unit_norm():
     amps[0, 0] = 0.7
     with pytest.raises(ValidationError):
         JointState(basis, amps)
+
+
+def test_joint_state_accepts_non_contiguous_amplitudes():
+    basis = ModeSpinBasis(2, 1, 3, 1)
+    for amps in (np.asfortranarray(np.ones((2, 3))), np.ones((3, 2)).T):
+        state = JointState(basis, amps / 6**0.5)
+        assert state.amps.flags.c_contiguous
+        assert np.array_equal(state.amps, amps / 6**0.5)
+    stray = np.ones((3, 2), dtype=np.complex128)
+    stray[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointState(basis, stray.T / 6**0.5)
 
 
 def test_joint_state_amps_are_immutable():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from pilotpath.circuit import JointState
 from pilotpath.dirac import (
@@ -15,6 +16,7 @@ from pilotpath.dirac import (
     GammaSet,
     LatticeGrid,
     PotentialField,
+    WalkStep,
     bloch_step_matrix,
     build_dirac_step,
     continuity_residual,
@@ -30,14 +32,68 @@ from pilotpath.dirac import (
     to_circuit_layers,
 )
 from pilotpath.errors import ValidationError
-from pilotpath.circuit import evolve_circuit
+from pilotpath.circuit import dense_unitary, evolve_circuit
 
-from conftest import make_rng, spinor_field
+from conftest import kron_evolve, make_rng, random_state_vector, spinor_field
 
 
 def joint_from_fields(grid, psi1, psi2):
     amps = np.outer(psi1.reshape(-1), psi2.reshape(-1))
     return JointState(grid.basis(), amps / np.linalg.norm(amps))
+
+
+def hop(step, psi):
+    """One step of a single-particle (n_sites, 4) spinor field."""
+    return (step.matrix @ psi.reshape(-1)).reshape(psi.shape)
+
+
+def split_step_oracle(grid, phase_mats):
+    """Dense step matrix built column by column with plain loops.
+
+    Each basis spinor gets its site's phase rotation, goes to the chirality
+    basis, moves one site along its chirality sign (periodic wrap, or a
+    reflecting wall that hands it to its reflection partner on the same
+    site), and comes back.
+    """
+    n = grid.n_sites
+    partner = {0: 2, 1: 3, 2: 0, 3: 1}
+    out = np.zeros((4 * n, 4 * n), dtype=complex)
+    for col in range(4 * n):
+        psi = np.zeros((n, 4), dtype=complex)
+        psi[col // 4, col % 4] = 1.0
+        chi = np.array([CHIRAL_V.conj().T @ (phase_mats[x] @ psi[x]) for x in range(n)])
+        moved = np.zeros_like(chi)
+        for x in range(n):
+            for c in range(4):
+                to = x + CHIRAL_SIGNS[c]
+                if 0 <= to < n:
+                    moved[to, c] += chi[x, c]
+                elif grid.boundary == "periodic":
+                    moved[to % n, c] += chi[x, c]
+                else:
+                    moved[x, partner[c]] += chi[x, c]
+        out[:, col] = np.array([CHIRAL_V @ moved[x] for x in range(n)]).reshape(-1)
+    return out
+
+
+def currents_oracle(state, grid):
+    """Three-operand ALPHA1 contractions: joint tables and both marginals."""
+    n = grid.n_sites
+    t = state.amps.reshape(n, 4, n, 4)
+    scale_d = 1.0 / grid.dx
+    scale_j = (grid.dx / grid.dt) * scale_d
+    joint = (
+        np.einsum("xayb,xayb->xy", t.conj(), t).real * scale_d**2,
+        np.einsum("xayb,ac,xcyb->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
+        np.einsum("xayb,bd,xayd->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
+    )
+    marginals = (
+        np.einsum("xayb,xayb->x", t.conj(), t).real * scale_d,
+        np.einsum("xayb,ac,xcyb->x", t.conj(), ALPHA1, t) * scale_j,
+        np.einsum("xayb,xayb->y", t.conj(), t).real * scale_d,
+        np.einsum("xayb,bd,xayd->y", t.conj(), ALPHA1, t) * scale_j,
+    )
+    return joint, marginals
 
 
 # ----------------------------------------------------------------------------
@@ -129,8 +185,21 @@ def test_step_dense_matrix_is_unitary():
         grid = LatticeGrid(7, 1.0, 0.9, boundary=boundary)
         pot = PotentialField(rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7))
         step = build_dirac_step(grid, 0.4, 0.8, pot)
-        dense = step.dense()
+        dense = step.matrix.toarray()
         assert np.max(np.abs(dense.conj().T @ dense - np.eye(28))) < 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+def test_sparse_step_matches_the_split_step_oracle(boundary):
+    rng = make_rng(41)
+    grid = LatticeGrid(9, 1.0, 0.85, boundary=boundary)
+    pot = PotentialField(rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9))
+    mats = phase_matrices(grid, 0.45, 0.9, pot)
+    step = WalkStep(grid, mats)
+    assert np.max(np.abs(step.matrix.toarray() - split_step_oracle(grid, mats))) <= 1e-14
+    assert np.max(np.diff(step.matrix.tocsc().indptr)) <= 4
+    gram = step.matrix.conj().T @ step.matrix - scipy.sparse.eye_array(36)
+    assert abs(gram).max() <= 1e-12
 
 
 def test_massless_unit_ratio_walk_translates_exactly():
@@ -139,11 +208,11 @@ def test_massless_unit_ratio_walk_translates_exactly():
     step = build_dirac_step(grid, 0.0, 0.0)
     prof = gaussian_profile(grid, 7.0, 1.5)
     psi = spinor_field(prof, NAMED_SPINORS["chirality+"]).reshape(16, 4)
-    moved = step.apply_one_body(psi)
+    moved = hop(step, psi)
     expected = np.roll(psi, 1, axis=0)
     assert np.max(np.abs(moved - expected)) < 1e-13
     psi_m = spinor_field(prof, NAMED_SPINORS["chirality-"]).reshape(16, 4)
-    assert np.max(np.abs(step.apply_one_body(psi_m) - np.roll(psi_m, -1, axis=0))) < 1e-13
+    assert np.max(np.abs(hop(step, psi_m) - np.roll(psi_m, -1, axis=0))) < 1e-13
 
 
 def test_unitarity_drift_over_500_layers():
@@ -154,7 +223,7 @@ def test_unitarity_drift_over_500_layers():
     psi = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
     psi = psi / np.linalg.norm(psi)
     for _ in range(500):
-        psi = step.apply_one_body(psi)
+        psi = hop(step, psi)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
@@ -167,7 +236,7 @@ def test_reflecting_walls_turn_a_packet_around():
     x = grid.positions()
     means = []
     for _ in range(14):
-        psi = step.apply_one_body(psi)
+        psi = hop(step, psi)
         means.append(float(np.sum(x * np.sum(np.abs(psi) ** 2, axis=1))))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     # heads right, hits the wall at site 23, comes back left
@@ -223,7 +292,7 @@ def test_coupling_phases_entangle_a_product_start():
 # Currents
 
 
-def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, record_states=False):
+def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=()):
     rng = make_rng(seed)
     grid = LatticeGrid(n_sites, 1.0, 0.8)
     step1 = build_dirac_step(grid, mass, 0.0)
@@ -234,7 +303,7 @@ def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, record_states=False)
         spinor_field(gaussian_profile(grid, x[n_sites // 3], 1.4, 0.5), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, x[2 * n_sites // 3], 1.4), NAMED_SPINORS["chirality-"]),
     )
-    return grid, run_walk(state, grid, step1, step2, n_layers, record_states=record_states)
+    return grid, run_walk(state, grid, step1, step2, n_layers, keep_states=keep_states)
 
 
 def test_joint_density_normalization_and_positivity():
@@ -247,23 +316,27 @@ def test_joint_density_normalization_and_positivity():
 
 
 def test_marginal_currents_match_direct_contraction():
-    grid, hist = walk_history()
-    state = hist.final_state
-    n = grid.n_sites
-    t = state.amps.reshape(n, 4, n, 4)
-    scale_d = 1.0 / grid.dx**2
-    scale_j = (grid.dx / grid.dt) * scale_d
-    for particle in (1, 2):
-        cur = marginal_currents(state, grid, particle)
-        if particle == 1:
-            ref_j0 = np.einsum("xayb,xayb->x", t.conj(), t).real * scale_d * grid.dx
-            ref_j1 = np.einsum("xayb,ac,xcyb->x", t.conj(), ALPHA1, t).real * scale_j * grid.dx
-        else:
-            ref_j0 = np.einsum("xayb,xayb->y", t.conj(), t).real * scale_d * grid.dx
-            ref_j1 = np.einsum("xayb,bc,xayc->y", t.conj(), ALPHA1, t).real * scale_j * grid.dx
-        assert np.max(np.abs(cur.j0 - ref_j0)) < 1e-12
-        assert np.max(np.abs(cur.j1 - ref_j1)) < 1e-12
-        assert abs(np.sum(cur.j0) * grid.dx - 1.0) < 1e-10
+    """The exchange-matrix currents agree with the three-operand contractions
+    on entangled states pushed through coupled layers, for both particles."""
+    assert np.array_equal(ALPHA1, np.eye(4)[::-1])
+    rng = make_rng(83)
+    grid = LatticeGrid(10, 1.0, 0.8)
+    pot = PotentialField(rng.uniform(-0.5, 0.5, 10), rng.uniform(-0.5, 0.5, 10))
+    step1 = build_dirac_step(grid, 0.3, 1.0, pot)
+    step2 = build_dirac_step(grid, 0.6, -1.0, pot)
+    state = JointState(grid.basis(), random_state_vector(40 * 40, rng).reshape(40, 40))
+    for _ in range(4):
+        state = evolve_two_body(state, step1, step2, rng.uniform(-np.pi, np.pi, (40, 40)))
+        assert np.linalg.svd(state.amps, compute_uv=False)[1] > 1e-2
+        (ref_d, ref_jx1, ref_jx2), ref_marginals = currents_oracle(state, grid)
+        d, jx1, jx2 = dirac_currents(state, grid)
+        for got, want in ((d, ref_d), (jx1, ref_jx1), (jx2, ref_jx2)):
+            assert np.max(np.abs(got - want)) <= 1e-13
+        cur1 = marginal_currents(state, grid, 1)
+        cur2 = marginal_currents(state, grid, 2)
+        for got, want in zip((cur1.j0, cur1.j1, cur2.j0, cur2.j1), ref_marginals):
+            assert np.max(np.abs(got - want)) <= 1e-13
+        assert abs(np.sum(cur2.j0) * grid.dx - 1.0) < 1e-10
 
 
 def test_current_speed_is_bounded_by_the_lattice_ratio():
@@ -285,7 +358,7 @@ def test_continuity_residual_shrinks_under_refinement():
             spinor_field(gaussian_profile(grid, 5.0, 1.8, 0.9), NAMED_SPINORS["chirality+"]),
             spinor_field(gaussian_profile(grid, 11.0, 1.8, -0.9), NAMED_SPINORS["chirality-"]),
         )
-        hist = run_walk(state, grid, step, step, steps + 1, record_states=True)
+        hist = run_walk(state, grid, step, step, steps + 1, keep_states=(steps, steps + 1))
         rep = continuity_residual(hist.states[steps], hist.states[steps + 1], grid, 1)
         resids.append(rep)
     assert resids[1].full < resids[0].full
@@ -293,7 +366,7 @@ def test_continuity_residual_shrinks_under_refinement():
 
 
 def test_continuity_rejects_non_consecutive_states():
-    grid, hist = walk_history(record_states=True)
+    grid, hist = walk_history(keep_states=(0, 2))
     with pytest.raises(ValidationError):
         continuity_residual(hist.states[0], hist.states[2], grid, 1)
 
@@ -313,7 +386,7 @@ def test_bloch_matrix_is_unitary_and_matches_the_dense_step():
         wave = np.exp(1j * k * grid.positions())
         for spinor in (NAMED_SPINORS["up"], NAMED_SPINORS["chirality+"]):
             psi = wave[:, None] * spinor[None, :] / np.sqrt(12)
-            moved = step.apply_one_body(psi)
+            moved = hop(step, psi)
             expected = wave[:, None] * (bloch @ spinor)[None, :] / np.sqrt(12)
             assert np.max(np.abs(moved - expected)) < 1e-13
 
@@ -338,7 +411,7 @@ def test_positive_energy_packet_moves_with_its_momentum():
 
     m0 = mean(psi)
     for _ in range(12):
-        psi = step.apply_one_body(psi)
+        psi = hop(step, psi)
     assert mean(psi) > m0 + 0.5
 
 
@@ -347,13 +420,17 @@ def test_positive_energy_packet_moves_with_its_momentum():
 
 
 def test_run_walk_records_shapes_and_options():
-    grid, hist = walk_history(n_layers=5, record_states=True)
+    grid, hist = walk_history(n_layers=5, keep_states=range(6))
     assert hist.density1.shape == (6, 12)
     assert hist.joint.shape == (6, 12, 12)
     assert len(hist.states) == 6
+    assert [hist.states[k].layer for k in range(6)] == list(range(6))
     assert hist.final_state.layer == 5
-    _, lean = walk_history(n_layers=5)
-    assert lean.states is None
+    _, lean = walk_history(n_layers=5, keep_states=[2])
+    assert list(lean.states) == [2]
+    assert np.array_equal(lean.states[2].amps, hist.states[2].amps)
+    with pytest.raises(ValidationError):
+        walk_history(n_layers=5, keep_states=[6])
 
 
 def test_run_walk_rejects_out_of_range_coupling_layers():
@@ -385,3 +462,10 @@ def test_circuit_view_of_a_walk_reproduces_the_final_state():
     layers = to_circuit_layers(step1, step2, 3, couplings)
     via_circuit = evolve_circuit(JointState(grid.basis(), state0.amps), layers)
     assert np.max(np.abs(via_circuit.amps - hist.final_state.amps)) < 1e-12
+    psi1, psi2 = (gaussian_profile(grid, c, 1.1) for c in (2.0, 6.0))
+    psi1 = spinor_field(psi1, NAMED_SPINORS["chirality+"])
+    psi2 = spinor_field(psi2, NAMED_SPINORS["down"])
+    via_kron = kron_evolve(layers, psi1 / np.linalg.norm(psi1), psi2 / np.linalg.norm(psi2))
+    assert np.max(np.abs(via_kron - hist.final_state.amps)) < 1e-12
+    via_dense = dense_unitary(layers, grid.basis()) @ state0.amps.reshape(-1)
+    assert np.max(np.abs(via_dense.reshape(32, 32) - hist.final_state.amps)) < 1e-12
