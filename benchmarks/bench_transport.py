@@ -1,9 +1,10 @@
-"""Compare the two trajectory-transport backends on one workload.
+"""Time the trajectory-transport kernel on one synthetic workload.
 
-The hot loop of the whole package is batch transport of trajectory
-ensembles through layered velocity tables.  This script times the numba
-kernel against the vectorized numpy fallback on identical inputs, checks
-that the two backends agree bit for bit, and reports the speedup.
+Batch transport of trajectory ensembles through layered velocity tables is
+done by kernels.transport.  This script builds a drift field with a thin
+band of node-masked sites, transports a uniform ensemble through it, and
+reports the best wall time over a few repeats and the throughput in
+M substeps/s (trajectories x layers x substeps per second).
 
 Run:  python3 benchmarks/bench_transport.py [--count N] [--substeps K]
 """
@@ -27,16 +28,6 @@ def synth_tables(n_layers: int, n_sites: int, seed: int):
     return values, masks
 
 
-def run_backend(fn, values, masks, x0, substeps, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn(values, masks, x0, 0.0, 1.0, float(values.shape[1]), True, 0.5, substeps, True)
-        best = min(best, time.perf_counter() - start)
-    return out, best
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200_000, help="trajectories")
@@ -52,29 +43,15 @@ def main() -> int:
     steps = args.count * args.layers * args.substeps
 
     print(f"workload: {args.count} trajectories x {args.layers} layers x {args.substeps} substeps")
-    print(f"configured backend: {kernels.backend_name()}")
-
-    (rec_np, frz_np), t_np = run_backend(
-        kernels.transport_numpy, values, masks, x0, args.substeps, args.repeats
-    )
-    print(f"numpy : {t_np:8.3f} s  ({steps / t_np / 1e6:7.1f} M substeps/s)")
-
-    try:
-        # warm the JIT outside the timed region
-        kernels.transport_numba(values, masks, x0[:8], 0.0, 1.0, float(args.sites), True, 0.5, 2, True)
-    except RuntimeError as exc:
-        print(f"numba : unavailable ({exc})")
-        return 0
-
-    (rec_nb, frz_nb), t_nb = run_backend(
-        kernels.transport_numba, values, masks, x0, args.substeps, args.repeats
-    )
-    print(f"numba : {t_nb:8.3f} s  ({steps / t_nb / 1e6:7.1f} M substeps/s)")
-    print(f"speedup: {t_np / t_nb:.1f}x")
-
-    same = np.array_equal(rec_np, rec_nb) and np.array_equal(frz_np, frz_nb)
-    print(f"bit-identical records and freeze flags: {same}")
-    return 0 if same else 1
+    best = np.inf
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        kernels.transport(
+            values, masks, x0, 0.0, 1.0, float(args.sites), True, 0.5, args.substeps, True
+        )
+        best = min(best, time.perf_counter() - start)
+    print(f"transport: {best:8.3f} s  ({steps / best / 1e6:7.1f} M substeps/s)")
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import exports, kernels
+from . import exports
 from . import paths as pp
 from .errors import DegenerateDensityError, PilotPathError, ResourceCapError, ValidationError
 from .dirac import run_walk
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="artifact root (default pilotpath-out)")
-        p.add_argument("--threads", type=int, default=None, help="cap kernel threads")
         p.add_argument(
             "--path-cap", type=int, default=None, help="override the endpoint pair cap"
         )
@@ -405,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = args.threads if args.threads is not None else _env("THREADS")
-        if threads is not None:
-            kernels.set_threads(int(threads))
         scn = _resolve_scenario_arg(args.scenario)
         scn = _apply_overrides(scn, args)
         return COMMANDS[args.command](scn, args)

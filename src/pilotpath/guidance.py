@@ -21,43 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dirac import CurrentField, LatticeGrid, WalkHistory
+from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 
 NODE_EPS_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """Guidance velocities at one layer, with node-masked sites."""
-
-    values: np.ndarray
-    node_mask: np.ndarray
-    eps_node: float
-    layer: int = 0
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.node_mask.shape or self.values.ndim != 1:
-            raise ValidationError("values and node_mask must be matching 1D tables")
-        if not np.all(np.isfinite(self.values[~self.node_mask])):
-            raise ValidationError("velocity must be finite outside masked nodes")
-
-
-def velocity_field(current: CurrentField, eps_node: float | None = None) -> VelocityField:
-    """Pointwise j1/j0 with sites below the node threshold masked.
-
-    eps_node is an absolute density threshold; by default it is 1e-9 of the
-    field's peak density.
-    """
-    j0 = current.j0
-    if eps_node is None:
-        eps_node = NODE_EPS_REL * float(np.max(j0))
-    mask = j0 < eps_node
-    if np.all(mask):
-        raise DegenerateDensityError("every site is below the node threshold")
-    values = np.zeros_like(j0)
-    np.divide(current.j1, j0, out=values, where=~mask)
-    return VelocityField(values=values, node_mask=mask, eps_node=float(eps_node), layer=current.layer)
 
 
 @dataclass(frozen=True)
@@ -124,21 +91,6 @@ def velocity_stack(
 
 
 @dataclass
-class Trajectory:
-    """One transported position history, recorded at every substep."""
-
-    positions: np.ndarray
-    times: np.ndarray
-    direction: str
-    particle: int
-    frozen_step: int
-
-    @property
-    def flagged(self) -> bool:
-        return self.frozen_step >= 0
-
-
-@dataclass
 class EnsembleRun:
     """A batch of trajectories transported through one field stack."""
 
@@ -157,15 +109,6 @@ class EnsembleRun:
     @property
     def n_flagged(self) -> int:
         return int(np.sum(self.frozen >= 0))
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            positions=self.positions[i].copy(),
-            times=self.times.copy(),
-            direction=self.direction,
-            particle=self.particle,
-            frozen_step=int(self.frozen[i]),
-        )
 
     def layer_positions(self, layer: int, n_layers: int) -> np.ndarray:
         """Positions of all trajectories when the run passes the given layer."""
@@ -192,7 +135,8 @@ def integrate_batch(
     """Transport a batch of positions through the whole stack.
 
     Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  Deterministic; bit-equal across backends.
+    negated time increment.  Deterministic: the same inputs give the same
+    positions and freeze indices bit for bit.
     """
     forward = _check_direction(direction)
     if substeps < 1:
@@ -238,16 +182,6 @@ def integrate_batch(
         substeps=substeps,
         seed=seed,
     )
-
-
-def integrate(
-    stack: VelocityStack, x0: float, direction: str = "forward", substeps: int = 4
-) -> Trajectory:
-    """Transport a single position; rejects starts inside masked regions."""
-    run = integrate_batch(stack, np.array([float(x0)]), direction, substeps)
-    if run.frozen[0] == 0:
-        raise ValidationError("start position sits in a node-masked region")
-    return run.trajectory(0)
 
 
 # ----------------------------------------------------------------------------

@@ -1,17 +1,9 @@
-"""Ensemble transport kernels.
+"""Ensemble transport kernel.
 
-Moving thousands of trajectories through a per-layer velocity-field stack is
-the package's hot loop.  Two interchangeable implementations live here: a
-numba-compiled per-trajectory kernel parallelized over trajectories, and a
-vectorized numpy fallback.  Both evaluate the same floating-point
-expressions in the same order, so their outputs are required to be
-bit-identical; the test suite asserts exactly that.
+Moves a batch of trajectories through a per-layer velocity-field stack,
+vectorized over trajectories with numpy.
 
-Backend selection: numba when importable, unless the environment variable
-PILOTPATH_NO_NUMBA is set to a nonempty value.  Both entry points stay
-importable either way so benchmarks can compare them.
-
-Conventions shared by both implementations:
+Conventions:
   - classical 4th-order one-step integration, fixed substeps per layer;
   - velocity interpolated linearly in space between neighboring sites and
     linearly in time between the two bracketing layer tables;
@@ -24,35 +16,26 @@ Conventions shared by both implementations:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_USE_NUMBA = not os.environ.get("PILOTPATH_NO_NUMBA")
-if _USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:
-        _USE_NUMBA = False
-
-__all__ = [
-    "transport",
-    "transport_numpy",
-    "transport_numba",
-    "backend_name",
-    "set_threads",
-]
+__all__ = ["transport"]
 
 
-def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def set_threads(n: int) -> None:
-    """Limit the numba thread pool; no effect on the numpy backend."""
-    if _USE_NUMBA and n > 0:
-        numba.set_num_threads(n)
+def _interp(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, periodic):
+    u = (x - x_min) / dx
+    base = np.floor(u)
+    frac = u - base
+    i0 = base.astype(np.int64)
+    if periodic:
+        ia = i0 % n_sites
+        ib = (i0 + 1) % n_sites
+    else:
+        ia = np.minimum(np.maximum(i0, 0), n_sites - 1)
+        ib = np.minimum(np.maximum(i0 + 1, 0), n_sites - 1)
+    bad = mask_a[ia] | mask_a[ib] | mask_b[ia] | mask_b[ib]
+    va = row_a[ia] + frac * (row_a[ib] - row_a[ia])
+    vb = row_b[ia] + frac * (row_b[ib] - row_b[ia])
+    return va + wt * (vb - va), bad
 
 
 def transport(
@@ -77,35 +60,6 @@ def transport(
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if _USE_NUMBA:
-        return transport_numba(
-            values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward
-        )
-    return transport_numpy(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward)
-
-
-# ----------------------------------------------------------------------------
-# numpy implementation (vectorized over trajectories)
-
-
-def _interp_numpy(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, periodic):
-    u = (x - x_min) / dx
-    base = np.floor(u)
-    frac = u - base
-    i0 = base.astype(np.int64)
-    if periodic:
-        ia = i0 % n_sites
-        ib = (i0 + 1) % n_sites
-    else:
-        ia = np.minimum(np.maximum(i0, 0), n_sites - 1)
-        ib = np.minimum(np.maximum(i0 + 1, 0), n_sites - 1)
-    bad = mask_a[ia] | mask_a[ib] | mask_b[ia] | mask_b[ib]
-    va = row_a[ia] + frac * (row_a[ib] - row_a[ia])
-    vb = row_b[ia] + frac * (row_b[ib] - row_b[ia])
-    return va + wt * (vb - va), bad
-
-
-def transport_numpy(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
     n_layers = values.shape[0] - 1
     n_sites = values.shape[1]
     n = x0.shape[0]
@@ -128,21 +82,13 @@ def transport_numpy(values, masks, x0, x_min, dx, extent, periodic, dt, substeps
             wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
             wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
             wt_full = wt0 + (inv_sub if forward else -inv_sub)
-            k1, b1 = _interp_numpy(
-                row_a, row_b, mask_a, mask_b, x, wt0, x_min, dx, n_sites, periodic
-            )
+            k1, b1 = _interp(row_a, row_b, mask_a, mask_b, x, wt0, x_min, dx, n_sites, periodic)
             x2 = x + 0.5 * h * k1
-            k2, b2 = _interp_numpy(
-                row_a, row_b, mask_a, mask_b, x2, wt_half, x_min, dx, n_sites, periodic
-            )
+            k2, b2 = _interp(row_a, row_b, mask_a, mask_b, x2, wt_half, x_min, dx, n_sites, periodic)
             x3 = x + 0.5 * h * k2
-            k3, b3 = _interp_numpy(
-                row_a, row_b, mask_a, mask_b, x3, wt_half, x_min, dx, n_sites, periodic
-            )
+            k3, b3 = _interp(row_a, row_b, mask_a, mask_b, x3, wt_half, x_min, dx, n_sites, periodic)
             x4 = x + h * k3
-            k4, b4 = _interp_numpy(
-                row_a, row_b, mask_a, mask_b, x4, wt_full, x_min, dx, n_sites, periodic
-            )
+            k4, b4 = _interp(row_a, row_b, mask_a, mask_b, x4, wt_full, x_min, dx, n_sites, periodic)
             xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if periodic:
                 xn = x_min + ((xn - x_min) % extent)
@@ -156,105 +102,3 @@ def transport_numpy(values, masks, x0, x_min, dx, extent, periodic, dt, substeps
             x = np.where(move, xn, x)
             records[:, rec] = x
     return records, frozen
-
-
-# ----------------------------------------------------------------------------
-# numba implementation (parallel over trajectories)
-
-if _USE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _interp_nb(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, periodic):
-        u = (x - x_min) / dx
-        base = np.floor(u)
-        frac = u - base
-        i0 = np.int64(base)
-        if periodic:
-            ia = i0 % n_sites
-            ib = (i0 + 1) % n_sites
-        else:
-            ia = min(max(i0, 0), n_sites - 1)
-            ib = min(max(i0 + 1, 0), n_sites - 1)
-        bad = mask_a[ia] or mask_a[ib] or mask_b[ia] or mask_b[ib]
-        va = row_a[ia] + frac * (row_a[ib] - row_a[ia])
-        vb = row_b[ia] + frac * (row_b[ib] - row_b[ia])
-        return va + wt * (vb - va), bad
-
-    @njit(cache=True, parallel=True)
-    def _transport_nb(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
-        n_layers = values.shape[0] - 1
-        n_sites = values.shape[1]
-        n = x0.shape[0]
-        n_rec = n_layers * substeps + 1
-        records = np.empty((n, n_rec), dtype=np.float64)
-        frozen = np.full(n, -1, dtype=np.int64)
-        h = (dt / substeps) if forward else -(dt / substeps)
-        inv_sub = 1.0 / substeps
-        for i in prange(n):
-            x = x0[i]
-            records[i, 0] = x
-            fro = np.int64(-1)
-            rec = 0
-            for seg in range(n_layers):
-                t = seg if forward else n_layers - 1 - seg
-                row_a = values[t]
-                row_b = values[t + 1]
-                mask_a = masks[t]
-                mask_b = masks[t + 1]
-                for s in range(substeps):
-                    rec += 1
-                    if fro >= 0:
-                        records[i, rec] = x
-                        continue
-                    wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
-                    wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
-                    wt_full = wt0 + (inv_sub if forward else -inv_sub)
-                    k1, b1 = _interp_nb(
-                        row_a, row_b, mask_a, mask_b, x, wt0, x_min, dx, n_sites, periodic
-                    )
-                    x2 = x + 0.5 * h * k1
-                    k2, b2 = _interp_nb(
-                        row_a, row_b, mask_a, mask_b, x2, wt_half, x_min, dx, n_sites, periodic
-                    )
-                    x3 = x + 0.5 * h * k2
-                    k3, b3 = _interp_nb(
-                        row_a, row_b, mask_a, mask_b, x3, wt_half, x_min, dx, n_sites, periodic
-                    )
-                    x4 = x + h * k3
-                    k4, b4 = _interp_nb(
-                        row_a, row_b, mask_a, mask_b, x4, wt_full, x_min, dx, n_sites, periodic
-                    )
-                    xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    if periodic:
-                        xn = x_min + ((xn - x_min) % extent)
-                    else:
-                        xn = min(max(xn, x_min), x_min + (n_sites - 1) * dx)
-                    if b1 or b2 or b3 or b4:
-                        fro = rec - 1
-                        records[i, rec] = x
-                    else:
-                        x = xn
-                        records[i, rec] = x
-            frozen[i] = fro
-        return records, frozen
-
-    def transport_numba(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
-        return _transport_nb(
-            np.ascontiguousarray(values, dtype=np.float64),
-            np.ascontiguousarray(masks, dtype=np.bool_),
-            np.ascontiguousarray(x0, dtype=np.float64),
-            float(x_min),
-            float(dx),
-            float(extent),
-            bool(periodic),
-            float(dt),
-            int(substeps),
-            bool(forward),
-        )
-
-else:
-
-    def transport_numba(*args, **kwargs):
-        raise RuntimeError(
-            "numba backend unavailable (not installed or PILOTPATH_NO_NUMBA is set)"
-        )

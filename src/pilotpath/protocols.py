@@ -57,14 +57,6 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     )
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Definite positions of both particles at one layer."""
-
-    positions: tuple[float, float]
-    layer: int
-
-
 # ----------------------------------------------------------------------------
 # Retrocausal run and superdeterministic replay
 
@@ -80,12 +72,6 @@ class RetroResult:
     runs: dict[int, EnsembleRun]
     ks: dict[int, np.ndarray]
     stacks: dict[int, VelocityStack]
-    n_layers: int
-
-    def configuration(self, i: int) -> Configuration:
-        return Configuration(
-            positions=(float(self.final_x1[i]), float(self.final_x2[i])), layer=self.n_layers
-        )
 
     def initial_positions(self, particle: int) -> np.ndarray:
         """Layer-0 endpoints of the backward trajectories."""
@@ -122,7 +108,6 @@ def retro_run(
         runs=runs,
         ks=ks,
         stacks=stacks,
-        n_layers=history.n_layers,
     )
 
 

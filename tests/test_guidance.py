@@ -5,7 +5,6 @@ import pytest
 
 from pilotpath.circuit import JointState
 from pilotpath.dirac import (
-    CurrentField,
     LatticeGrid,
     NAMED_SPINORS,
     build_dirac_step,
@@ -14,16 +13,15 @@ from pilotpath.dirac import (
 )
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
+    NODE_EPS_REL,
     EnsembleRun,
     VelocityStack,
     cell_edges,
     equivariance_test,
-    integrate,
     integrate_batch,
     ks_statistic,
     sample_density,
     sample_joint_density,
-    velocity_field,
     velocity_stack,
 )
 
@@ -50,19 +48,19 @@ def test_velocity_field_masks_node_sites():
     j0 = np.array([0.5, 0.3, 0.15, 0.05, 0.0, 0.0, 0.0, 0.0])
     j0 = j0 / (j0.sum() * grid.dx)
     j1 = np.full(8, 0.1)
-    field = velocity_field(CurrentField(grid, j0, j1))
-    assert np.array_equal(field.node_mask, j0 < field.eps_node)
-    assert np.all(field.values[field.node_mask] == 0.0)
-    unmasked = ~field.node_mask
-    assert np.max(np.abs(field.values[unmasked] - j1[unmasked] / j0[unmasked])) < 1e-15
+    stack = VelocityStack.from_tables(j0[None, :], j1[None, :], grid)
+    mask, values = stack.masks[0], stack.values[0]
+    assert np.array_equal(mask, j0 < NODE_EPS_REL * np.max(j0))
+    assert np.all(values[mask] == 0.0)
+    unmasked = ~mask
+    assert np.max(np.abs(values[unmasked] - j1[unmasked] / j0[unmasked])) < 1e-15
 
 
 def test_velocity_field_rejects_fully_masked_layers():
     grid = LatticeGrid(4, 1.0, 1.0)
-    j0 = np.full(4, 0.25)
-    field = CurrentField(grid, j0, np.zeros(4))
+    density = np.stack([np.full(4, 0.25), np.zeros(4)])
     with pytest.raises(DegenerateDensityError):
-        velocity_field(field, eps_node=1.0)
+        VelocityStack.from_tables(density, np.zeros((2, 4)), grid)
 
 
 def test_stack_from_tables_validates_shapes():
@@ -78,9 +76,13 @@ def test_velocity_stack_matches_per_layer_fields():
     stack = velocity_stack(hist, 1)
     assert stack.n_layers == hist.n_layers
     for layer in (0, 3, hist.n_layers):
-        field = velocity_field(hist.current_field(1, layer), eps_node=stack.eps_node)
-        assert np.array_equal(stack.masks[layer], field.node_mask)
-        assert np.max(np.abs(stack.values[layer] - field.values)) < 1e-15
+        j0 = hist.density1[layer]
+        j1 = hist.current1[layer]
+        mask = j0 < stack.eps_node
+        assert np.array_equal(stack.masks[layer], mask)
+        expected = np.zeros_like(j0)
+        expected[~mask] = j1[~mask] / j0[~mask]
+        assert np.max(np.abs(stack.values[layer] - expected)) < 1e-15
 
 
 def test_scaled_stack_only_scales_values():
@@ -134,9 +136,6 @@ def test_trajectory_and_run_bookkeeping():
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
     assert run.positions.shape == (2, 17)
-    traj = run.trajectory(0)
-    assert traj.positions.shape == (17,)
-    assert not traj.flagged
     assert np.array_equal(run.layer_positions(0, 4), run.positions[:, 0])
     assert np.array_equal(run.layer_positions(3, 4), run.positions[:, 12])
 
@@ -149,18 +148,6 @@ def test_backward_run_reads_layers_in_reverse():
     # record 0 is the final layer; layer k sits at record (4 - k) * substeps
     assert np.array_equal(run.layer_positions(4, 4), run.positions[:, 0])
     assert np.array_equal(run.layer_positions(0, 4), run.positions[:, 16])
-
-
-def test_single_start_in_a_node_region_is_rejected():
-    grid, hist = smooth_history()
-    # raise the node threshold so the packet tail is masked
-    stack = velocity_stack(hist, 1, eps_rel=1e-2)
-    assert stack.masks[0][int((19.0 - grid.x_min) / grid.dx)]
-    with pytest.raises(ValidationError):
-        integrate(stack, 19.0, "forward", 4)
-    # a start under the packet works and returns a single trajectory
-    traj = integrate(stack, 7.0, "forward", 4)
-    assert traj.positions.shape == (stack.n_layers * 4 + 1,)
 
 
 def test_periodic_starts_are_canonicalized():

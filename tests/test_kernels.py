@@ -1,4 +1,7 @@
-"""Transport kernels: the numba and numpy paths must agree bit for bit."""
+"""Transport kernel: bit identity with a per-trajectory reference, and its
+conventions (records, freezing, wrapping, clamping)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +9,6 @@ import pytest
 from pilotpath import kernels
 
 from conftest import make_rng
-
-needs_numba = pytest.mark.skipif(
-    kernels.backend_name() != "numba",
-    reason="numba backend unavailable or disabled via PILOTPATH_NO_NUMBA",
-)
 
 
 def random_stack(rng, n_layers=6, n_sites=24, masked_fraction=0.0):
@@ -21,23 +19,87 @@ def random_stack(rng, n_layers=6, n_sites=24, masked_fraction=0.0):
     return values, masks
 
 
+def _interp_ref(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, periodic):
+    u = (x - x_min) / dx
+    base = float(math.floor(u))
+    frac = u - base
+    i0 = int(base)
+    if periodic:
+        ia = i0 % n_sites
+        ib = (i0 + 1) % n_sites
+    else:
+        ia = min(max(i0, 0), n_sites - 1)
+        ib = min(max(i0 + 1, 0), n_sites - 1)
+    bad = mask_a[ia] or mask_a[ib] or mask_b[ia] or mask_b[ib]
+    va = row_a[ia] + frac * (row_a[ib] - row_a[ia])
+    vb = row_b[ia] + frac * (row_b[ib] - row_b[ia])
+    return va + wt * (vb - va), bad
+
+
+def transport_reference(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
+    """Plain-Python port of the transport loop, one trajectory at a time,
+    on Python floats with scalar floor, modulo and clamping."""
+    values = [[float(v) for v in row] for row in values]
+    masks = [[bool(m) for m in row] for row in masks]
+    n_layers = len(values) - 1
+    n_sites = len(values[0])
+    n_rec = n_layers * substeps + 1
+    records = np.empty((len(x0), n_rec), dtype=np.float64)
+    frozen = np.full(len(x0), -1, dtype=np.int64)
+    h = (dt / substeps) if forward else -(dt / substeps)
+    inv_sub = 1.0 / substeps
+    for i, x in enumerate(float(v) for v in x0):
+        row = [x]
+        fro = -1
+        rec = 0
+        for seg in range(n_layers):
+            t = seg if forward else n_layers - 1 - seg
+            fields = (values[t], values[t + 1], masks[t], masks[t + 1])
+            for s in range(substeps):
+                rec += 1
+                if fro >= 0:
+                    row.append(x)
+                    continue
+                wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
+                wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
+                wt_full = wt0 + (inv_sub if forward else -inv_sub)
+                k1, b1 = _interp_ref(*fields, x, wt0, x_min, dx, n_sites, periodic)
+                x2 = x + 0.5 * h * k1
+                k2, b2 = _interp_ref(*fields, x2, wt_half, x_min, dx, n_sites, periodic)
+                x3 = x + 0.5 * h * k2
+                k3, b3 = _interp_ref(*fields, x3, wt_half, x_min, dx, n_sites, periodic)
+                x4 = x + h * k3
+                k4, b4 = _interp_ref(*fields, x4, wt_full, x_min, dx, n_sites, periodic)
+                xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if periodic:
+                    xn = x_min + ((xn - x_min) % extent)
+                else:
+                    xn = min(max(xn, x_min), x_min + (n_sites - 1) * dx)
+                if b1 or b2 or b3 or b4:
+                    fro = rec - 1
+                else:
+                    x = xn
+                row.append(x)
+        records[i] = row
+        frozen[i] = fro
+    return records, frozen
+
+
 def run_both(values, masks, x0, periodic=True, dt=0.5, substeps=4, forward=True):
     args = (values, masks, x0, 0.0, 1.0, float(values.shape[1]), periodic, dt, substeps, forward)
-    return kernels.transport_numpy(*args), kernels.transport_numba(*args)
+    return kernels.transport(*args), transport_reference(*args)
 
 
-@needs_numba
 @pytest.mark.parametrize("seed", range(5))
 def test_backends_are_bit_identical_on_smooth_fields(seed):
     rng = make_rng(3000 + seed)
     values, masks = random_stack(rng)
     x0 = rng.uniform(0.0, 24.0, 64)
-    (rec_np, fro_np), (rec_nb, fro_nb) = run_both(values, masks, x0)
-    assert np.array_equal(rec_np, rec_nb)
-    assert np.array_equal(fro_np, fro_nb)
+    (rec_np, fro_np), (rec_ref, fro_ref) = run_both(values, masks, x0)
+    assert np.array_equal(rec_np, rec_ref)
+    assert np.array_equal(fro_np, fro_ref)
 
 
-@needs_numba
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_backends_are_bit_identical_with_node_masks(forward, periodic):
@@ -45,11 +107,11 @@ def test_backends_are_bit_identical_with_node_masks(forward, periodic):
     rng = make_rng(3100)
     values, masks = random_stack(rng, masked_fraction=0.08)
     x0 = rng.uniform(0.0, 24.0, 128)
-    (rec_np, fro_np), (rec_nb, fro_nb) = run_both(
+    (rec_np, fro_np), (rec_ref, fro_ref) = run_both(
         values, masks, x0, periodic=periodic, forward=forward
     )
-    assert np.array_equal(rec_np, rec_nb)
-    assert np.array_equal(fro_np, fro_nb)
+    assert np.array_equal(rec_np, rec_ref)
+    assert np.array_equal(fro_np, fro_ref)
     assert np.count_nonzero(fro_np >= 0) > 0  # the case actually froze some
 
 
@@ -57,7 +119,7 @@ def test_numpy_backend_records_every_substep():
     rng = make_rng(3200)
     values, masks = random_stack(rng, n_layers=3)
     x0 = rng.uniform(0.0, 24.0, 8)
-    records, frozen = kernels.transport_numpy(
+    records, frozen = kernels.transport(
         values, masks, x0, 0.0, 1.0, 24.0, True, 0.5, 4, True
     )
     assert records.shape == (8, 13)
@@ -71,7 +133,7 @@ def test_frozen_trajectories_hold_their_position():
     masks = np.zeros((5, 16), dtype=bool)
     masks[2, 6:10] = True  # a node wall appears at layer 2
     x0 = np.linspace(1.0, 9.0, 20)
-    records, frozen = kernels.transport_numpy(
+    records, frozen = kernels.transport(
         values, masks, x0, 0.0, 1.0, 16.0, True, 1.0, 2, True
     )
     hit = frozen >= 0
@@ -86,7 +148,7 @@ def test_constant_field_transports_linearly():
     values = np.full((4, 32), 0.5)
     masks = np.zeros((4, 32), dtype=bool)
     x0 = np.array([3.0, 10.0, 25.0])
-    records, frozen = kernels.transport_numpy(
+    records, frozen = kernels.transport(
         values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, True
     )
     assert np.all(frozen == -1)
@@ -98,7 +160,7 @@ def test_backward_transport_reverses_the_constant_drift():
     values = np.full((4, 32), 0.5)
     masks = np.zeros((4, 32), dtype=bool)
     x0 = np.array([8.0, 16.0])
-    records, _ = kernels.transport_numpy(
+    records, _ = kernels.transport(
         values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, False
     )
     assert np.max(np.abs(records[:, -1] - (x0 - 1.5))) < 1e-12
@@ -107,7 +169,7 @@ def test_backward_transport_reverses_the_constant_drift():
 def test_bounded_domain_clamps_to_edge_sites():
     values = np.full((3, 10), 2.0)
     masks = np.zeros((3, 10), dtype=bool)
-    records, frozen = kernels.transport_numpy(
+    records, frozen = kernels.transport(
         np.ascontiguousarray(values),
         masks,
         np.array([8.5]),
@@ -121,29 +183,3 @@ def test_bounded_domain_clamps_to_edge_sites():
     )
     assert np.all(frozen == -1)
     assert records[0, -1] == 9.0  # last site position, not the cell edge
-
-
-def test_set_threads_is_safe_on_any_backend():
-    kernels.set_threads(1)
-    kernels.set_threads(0)
-
-
-@needs_numba
-def test_disabled_backend_raises():
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "import pilotpath.kernels as k\n"
-        "assert k.backend_name() == 'numpy'\n"
-        "try:\n"
-        "    k.transport_numba()\n"
-        "except RuntimeError:\n"
-        "    print('raised')\n"
-    )
-    env = dict(os.environ, PILOTPATH_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0 and "raised" in out.stdout

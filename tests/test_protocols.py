@@ -91,9 +91,6 @@ def test_retro_endpoints_and_configurations(no_overlap):
         assert np.array_equal(
             retro.initial_positions(particle), retro.runs[particle].positions[:, -1]
         )
-    cfg = retro.configuration(7)
-    assert cfg.layer == history.n_layers
-    assert cfg.positions == (float(retro.final_x1[7]), float(retro.final_x2[7]))
 
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
