@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exports
 from . import paths as pp
-from .errors import DegenerateDensityError, PilotPathError, ResourceCapError, ValidationError
+from .errors import PilotPathError, ValidationError
 from .dirac import run_walk
 from .guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
 from .protocols import (

@@ -426,11 +426,6 @@ class WalkHistory:
     final_state: JointState
     states: dict[int, JointState] = field(default_factory=dict)
 
-    def current_field(self, particle: int, layer: int) -> CurrentField:
-        j0 = self.density1[layer] if particle == 1 else self.density2[layer]
-        j1 = self.current1[layer] if particle == 1 else self.current2[layer]
-        return CurrentField(self.grid, j0, j1, layer=layer)
-
 
 def _steps_per_layer(steps, n_layers: int) -> list[WalkStep]:
     if isinstance(steps, WalkStep):

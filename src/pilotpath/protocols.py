@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
@@ -192,6 +191,8 @@ class _UnionFind:
 
 def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
     """Connected components of a support mask, merged across periodic seams."""
+    from scipy import ndimage
+
     labels, n = ndimage.label(mask)
     if not periodic or n < 2:
         return labels, int(labels.max())
@@ -357,17 +358,17 @@ def _projection_tables(joint: TrackGraph, axis: int):
     return tables
 
 
-def _reachable(edges_by_layer, start_layer, start_comp, end_layer, end_comp) -> bool:
-    frontier = {start_comp}
-    for t in range(start_layer, end_layer):
-        step = edges_by_layer.get(t, {})
-        nxt = set()
-        for c in frontier:
-            nxt |= step.get(c, set())
-        frontier = nxt
-        if not frontier:
-            return False
-    return end_comp in frontier
+def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Descendant closure of the branch graph.
+
+    Node (t, c) has index offset[t] + c; reach[u, v] says v is u itself or
+    a descendant of u along the graph's edges.
+    """
+    offset = np.concatenate([[0], np.cumsum(np.asarray(joint.n_components) + 1)])
+    reach = np.eye(int(offset[-1]), dtype=bool)
+    for (t, a), (_, b) in sorted(joint.edges, reverse=True):
+        reach[offset[t] + a] |= reach[offset[t + 1] + b]
+    return offset, reach
 
 
 def detect_crossings(
@@ -383,70 +384,62 @@ def detect_crossings(
     graph; such events must be bridged by at least one ambiguous layer
     (projections overlapping), and transitions violating that are counted
     separately as consistency violations.
+
+    One pass over the layers, vectorised over trajectories: each
+    trajectory carries its last labeled layer and world, whether an
+    ambiguous layer came since, and whether it ever crossed.
     """
     joint = tracks.joint
     n_layers = joint.n_layers
-    edges_by_layer: dict[int, dict[int, set[int]]] = {}
-    for (t, a), (_, b) in joint.edges:
-        edges_by_layer.setdefault(t, {}).setdefault(a, set()).add(b)
+    # Component labels are numbered per layer, so world identity across
+    # layers is decided by graph reachability alone, never by comparing
+    # label integers from different layers.
+    offset, reach = _reachability(joint)
 
     events: list[CrossingEvent] = []
     violations = 0
     crossed = 0
     ambiguous_counts = 0
     total_counts = 0
-    n_traj = 0
-    reach_cache: dict[tuple[int, int, int, int], bool] = {}
 
     for particle, run in runs.items():
         proj = _projection_tables(joint, axis=particle - 1)
-        n_traj = max(n_traj, run.n_trajectories)
-        # per-layer site indices for the whole batch
-        sites = np.empty((run.n_trajectories, n_layers + 1), dtype=np.int64)
+        n = run.n_trajectories
+        last_node = np.zeros(n, dtype=np.int64)
+        last_c = np.zeros(n, dtype=np.int64)
+        labeled = np.zeros(n, dtype=bool)
+        bridged = np.zeros(n, dtype=bool)
+        traj_crossed = np.zeros(n, dtype=bool)
         for t in range(n_layers + 1):
-            sites[:, t] = _site_of(run.layer_positions(t, n_layers), grid)
-        counts = np.empty_like(sites)
-        labels = np.empty_like(sites)
-        for t in range(n_layers + 1):
+            site = _site_of(run.layer_positions(t, n_layers), grid)
             tab = proj[t]
-            counts[:, t] = tab[sites[:, t]].sum(axis=1)
-            labels[:, t] = np.argmax(tab[sites[:, t]], axis=1)
-        ambiguous_counts += int(np.sum(counts > 1))
-        total_counts += counts.size
-        single = counts == 1
-
-        # Component labels are numbered per layer, so world identity across
-        # layers is decided by graph reachability alone, never by comparing
-        # label integers from different layers.
-        traj_crossed = np.zeros(run.n_trajectories, dtype=bool)
-        for i in range(run.n_trajectories):
-            last_t = -1
-            last_c = 0
-            for t in range(n_layers + 1):
-                if not single[i, t]:
-                    continue
-                c = int(labels[i, t])
-                if last_t >= 0:
-                    key = (last_t, last_c, t, c)
-                    hit = reach_cache.get(key)
-                    if hit is None:
-                        hit = _reachable(edges_by_layer, last_t, last_c, t, c)
-                        reach_cache[key] = hit
-                    if not hit:
-                        events.append(
-                            CrossingEvent(
-                                layer=t,
-                                particle=particle,
-                                trajectory=i,
-                                from_branch=last_c,
-                                to_branch=c,
-                            )
-                        )
-                        traj_crossed[i] = True
-                        if not np.any(counts[i, last_t : t + 1] > 1):
-                            violations += 1
-                last_t, last_c = t, c
-        crossed += int(np.sum(traj_crossed))
+            count = tab.sum(axis=1)[site]
+            c = np.argmax(tab, axis=1)[site]
+            ambiguous = count > 1
+            ambiguous_counts += int(np.count_nonzero(ambiguous))
+            total_counts += n
+            bridged |= ambiguous
+            single = count == 1
+            node = offset[t] + c
+            event = single & labeled
+            event[event] = ~reach[last_node[event], node[event]]
+            for i in np.flatnonzero(event):
+                events.append(
+                    CrossingEvent(
+                        layer=t,
+                        particle=particle,
+                        trajectory=int(i),
+                        from_branch=int(last_c[i]),
+                        to_branch=int(c[i]),
+                    )
+                )
+            violations += int(np.count_nonzero(event & ~bridged))
+            traj_crossed |= event
+            last_node[single] = node[single]
+            last_c[single] = c[single]
+            labeled |= single
+            bridged[single] = False
+        crossed += int(np.count_nonzero(traj_crossed))
 
     total_traj = sum(run.n_trajectories for run in runs.values())
     return CrossingReport(

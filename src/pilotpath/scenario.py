@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .circuit import CircuitLayer, JointState, ModeSpinBasis
 from .dirac import (
@@ -370,6 +369,8 @@ def build_circuit(scenario: dict) -> CircuitSystem:
     spec = scenario["layers"]
     layers: list[CircuitLayer] = []
     if isinstance(spec, dict) and "random" in spec:
+        from scipy.stats import unitary_group
+
         cfg = spec["random"]
         rng = stream_rng(int(scenario["seed"]), STREAM_SCENARIO_BUILD)
         scale = float(cfg.get("coupling_scale", 0.0))

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pilotpath
 from pilotpath import cli
 from pilotpath.errors import DegenerateDensityError
 
@@ -242,3 +245,17 @@ def test_resolved_echo_reproduces_the_run(scenario_file, tmp_path):
     with open(out2 / "cli-unit" / "evolve" / "currents1.csv", "rb") as fh:
         second = fh.read()
     assert first == second
+
+
+def test_import_leaves_scipy_stats_and_ndimage_unloaded():
+    """They are imported where circuits are drawn and tracks labelled, so
+    commands that never use them do not pay their import time."""
+    probe = (
+        "import sys, pilotpath, pilotpath.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -342,10 +342,9 @@ def test_marginal_currents_match_direct_contraction():
 def test_current_speed_is_bounded_by_the_lattice_ratio():
     grid, hist = walk_history()
     vmax = grid.dx / grid.dt
-    for layer in range(hist.n_layers + 1):
-        for particle in (1, 2):
-            cur = hist.current_field(particle, layer)
-            assert np.all(np.abs(cur.j1) <= vmax * cur.j0 + 1e-12)
+    for j0, j1 in ((hist.density1, hist.current1), (hist.density2, hist.current2)):
+        assert j0.shape == j1.shape == (hist.n_layers + 1, grid.n_sites)
+        assert np.all(np.abs(j1) <= vmax * j0 + 1e-12)
 
 
 def test_continuity_residual_shrinks_under_refinement():

@@ -16,7 +16,6 @@ from pilotpath.guidance import (
     NODE_EPS_REL,
     EnsembleRun,
     VelocityStack,
-    cell_edges,
     equivariance_test,
     integrate_batch,
     ks_statistic,

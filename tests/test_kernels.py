@@ -2,9 +2,12 @@
 conventions (records, freezing, wrapping, clamping)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotpath import kernels
 
@@ -183,3 +186,48 @@ def test_bounded_domain_clamps_to_edge_sites():
     )
     assert np.all(frozen == -1)
     assert records[0, -1] == 9.0  # last site position, not the cell edge
+
+
+@st.composite
+def transport_cases(draw):
+    """Random stacks, masks, substeps, directions and boundaries.  Bounded
+    starts reach three extents beyond the grid on either side, so the end
+    cells of the clamp are hit; periodic starts lie on the ring."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_layers = draw(st.integers(1, 4))
+    n_sites = draw(st.integers(2, 12))
+    periodic = draw(st.booleans())
+    x_min = draw(st.sampled_from([0.0, -3.25, 7.5]))
+    dx = draw(st.sampled_from([1.0, 0.5, 0.3]))
+    dt = draw(st.sampled_from([0.5, 1.0]))
+    values = rng.normal(scale=2.0 * dx / dt, size=(n_layers + 1, n_sites))
+    masks = rng.random((n_layers + 1, n_sites)) < draw(st.sampled_from([0.0, 0.05, 0.2]))
+    extent = n_sites * dx
+    n = draw(st.integers(1, 24))
+    if periodic:
+        x0 = x_min + rng.uniform(0.0, extent, n)
+    else:
+        x0 = x_min + rng.uniform(-3.0 * extent, 4.0 * extent, n)
+    args = (values, masks, x0, x_min, dx, extent, periodic, dt)
+    return args + (draw(st.integers(1, 4)), draw(st.booleans()))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(case=transport_cases(), chunk=st.sampled_from([1, 5, 8192]))
+def test_transport_properties(case, chunk):
+    values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
+    with mock.patch.object(kernels, "CHUNK", chunk):
+        records, frozen = kernels.transport(*case)
+    ref_records, ref_frozen = transport_reference(*case)
+    assert np.array_equal(records, ref_records)
+    assert np.array_equal(frozen, ref_frozen)
+    assert np.array_equal(records[:, 0], x0)
+    moved = records[frozen != 0, 1:]
+    if periodic:
+        assert np.all((records >= x_min) & (records <= x_min + extent))
+    else:
+        hi = x_min + (values.shape[1] - 1) * dx
+        assert np.all((moved >= x_min) & (moved <= hi))
+    # held from the freeze index on; frozen at 0 means never moved at all
+    for i in np.flatnonzero(frozen >= 0):
+        assert np.all(records[i, frozen[i] :] == records[i, frozen[i]])

@@ -6,7 +6,12 @@ import pytest
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk
 from pilotpath.errors import ValidationError
+from pilotpath.guidance import EnsembleRun, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
+    STREAM_FORWARD_SAMPLE,
+    CrossingEvent,
+    TrackGraph,
+    TrackSet,
     build_tracks,
     detect_crossings,
     retro_run,
@@ -223,3 +228,193 @@ def test_reconverging_branches_are_crossed(recombination):
     for event in report.events:
         assert event.from_branch != event.to_branch or event.particle in (1, 2)
         assert 0 <= event.layer <= history.n_layers
+
+
+# ----------------------------------------------------------------------------
+# Crossing oracle: the per-trajectory loop, one layer and one trajectory at a
+# time, with breadth-first reachability over the joint branch graph.
+
+
+def _reachable_ref(edges, start_layer, start_comp, end_layer, end_comp):
+    frontier = {start_comp}
+    for t in range(start_layer, end_layer):
+        frontier = {b for (s, a), (_, b) in edges if s == t and a in frontier}
+        if not frontier:
+            return False
+    return end_comp in frontier
+
+
+def crossings_reference(runs, tracks, grid):
+    """Returns (events, violations, crossing_fraction, ambiguous_fraction,
+    n_trajectories) as detect_crossings defines them."""
+    joint = tracks.joint
+    n_layers = joint.n_layers
+    events = []
+    violations = crossed = ambiguous = total = 0
+    for particle, run in runs.items():
+        axis = particle - 1
+        # column c: sites inside component c's projection; column 0 stays empty
+        proj = [
+            np.stack([(lab == c).any(axis=1 - axis) & (c > 0) for c in range(k + 1)], axis=1)
+            for lab, k in zip(joint.labels, joint.n_components)
+        ]
+        for i in range(run.n_trajectories):
+            counts, labels = [], []
+            for t in range(n_layers + 1):
+                x = float(run.layer_positions(t, n_layers)[i])
+                site = int(np.floor((x - grid.x_min) / grid.dx + 0.5))
+                if grid.boundary == "periodic":
+                    site %= grid.n_sites
+                else:
+                    site = min(max(site, 0), grid.n_sites - 1)
+                row = proj[t][site]
+                counts.append(int(row.sum()))
+                labels.append(int(np.argmax(row)))
+            ambiguous += sum(c > 1 for c in counts)
+            total += len(counts)
+            last_t, last_c, hit_any = -1, 0, False
+            for t in range(n_layers + 1):
+                if counts[t] != 1:
+                    continue
+                c = labels[t]
+                if last_t >= 0 and not _reachable_ref(joint.edges, last_t, last_c, t, c):
+                    events.append(CrossingEvent(t, particle, i, last_c, c))
+                    hit_any = True
+                    if not any(n > 1 for n in counts[last_t : t + 1]):
+                        violations += 1
+                last_t, last_c = t, c
+            crossed += hit_any
+    n_traj = sum(run.n_trajectories for run in runs.values())
+    events.sort(key=lambda e: (e.particle, e.trajectory, e.layer))
+    return events, violations, crossed / n_traj, ambiguous / total, n_traj
+
+
+def assert_matches_reference(runs, tracks, grid):
+    report = detect_crossings(runs, tracks, grid)
+    events, violations, crossing_fraction, ambiguous_fraction, n_traj = crossings_reference(
+        runs, tracks, grid
+    )
+    assert report.events == events
+    assert report.violations == violations
+    assert report.crossing_fraction == crossing_fraction
+    assert report.ambiguous_fraction == ambiguous_fraction
+    assert report.n_trajectories == n_traj
+    return report
+
+
+@pytest.mark.parametrize("seed", [4242, 1729, 7])
+def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
+    _, system, history = recombination
+    tracks = build_tracks(history)
+    rng = stream_rng(seed, STREAM_FORWARD_SAMPLE)
+    x1, x2 = sample_joint_density(history.joint[0], system.grid, 300, rng)
+    runs = {
+        particle: integrate_batch(velocity_stack(history, particle), x0, "forward", 4)
+        for particle, x0 in ((1, x1), (2, x2))
+    }
+    report = assert_matches_reference(runs, tracks, system.grid)
+    assert len(report.events) > 0
+
+
+def test_crossings_match_the_reference_on_backward_runs(recombination):
+    scn, system, history = recombination
+    tracks = build_tracks(history)
+    retro = retro_run(history, scn["seed"], count=200, substeps=4)
+    assert_matches_reference(retro.runs, tracks, system.grid)
+
+
+def _blocks(n_sites, *blocks):
+    """Joint label table: component c covers rows x cols of blocks[c - 1]."""
+    lab = np.zeros((n_sites, n_sites), dtype=np.int64)
+    for c, (rows, cols) in enumerate(blocks, start=1):
+        lab[rows, cols] = c
+    return lab
+
+
+def hand_built_tracks(n_sites=8):
+    """Splits at layer 1, keeps two branches through layer 5 and merges them
+    at layer 6.  Along particle 1's axis the branches overlap on sites 3-4 at
+    layer 2 (ambiguous) and leave sites 3-4 uncovered at layers 3-4."""
+    lo, hi, every = slice(0, 4), slice(4, 8), slice(0, 8)
+    layers = [
+        _blocks(n_sites, (every, every)),
+        _blocks(n_sites, (lo, lo), (hi, hi)),
+        _blocks(n_sites, (slice(0, 5), slice(0, 3)), (slice(3, 8), slice(5, 8))),
+        _blocks(n_sites, (slice(0, 3), lo), (slice(5, 8), hi)),
+        _blocks(n_sites, (slice(0, 3), lo), (slice(5, 8), hi)),
+        _blocks(n_sites, (lo, lo), (hi, hi)),
+        _blocks(n_sites, (every, every)),
+        _blocks(n_sites, (every, every)),
+    ]
+    edges = [((0, 1), (1, 1)), ((0, 1), (1, 2))]
+    edges += [((t, c), (t + 1, c)) for t in range(1, 5) for c in (1, 2)]
+    edges += [((5, 1), (6, 1)), ((5, 2), (6, 1)), ((6, 1), (7, 1))]
+    joint = TrackGraph(
+        name="joint",
+        threshold_rel=0.5,
+        labels=layers,
+        n_components=[int(lab.max()) for lab in layers],
+        edges=edges,
+        loop_edges=[((5, 2), (6, 1))],
+    )
+    return TrackSet(joint=joint, marginal={}, threshold_rel=0.5)
+
+
+def site_run(sites, particle, direction="forward"):
+    """A one-substep run whose trajectories sit on the given sites per layer."""
+    positions = np.asarray(sites, dtype=np.float64)
+    if direction == "backward":
+        positions = positions[:, ::-1]
+    n_rec = positions.shape[1]
+    return EnsembleRun(
+        positions=positions,
+        frozen=np.full(positions.shape[0], -1),
+        times=np.arange(n_rec, dtype=np.float64),
+        direction=direction,
+        particle=particle,
+        substeps=1,
+    )
+
+
+def test_crossings_on_a_hand_built_branch_graph():
+    grid = LatticeGrid(8, 1.0, 1.0)
+    tracks = hand_built_tracks()
+    runs = {
+        1: site_run(
+            [
+                [0, 0, 0, 0, 0, 0, 0, 0],  # stays on branch 1
+                [0, 1, 3, 6, 6, 6, 6, 6],  # bridged crossing 1 -> 2
+                [0, 1, 1, 6, 6, 6, 6, 6],  # unbridged crossing: a violation
+                [0, 1, 1, 3, 4, 6, 6, 6],  # two unlabelled layers, no bridge
+                [0, 1, 3, 3, 4, 6, 6, 6],  # gap with an ambiguous layer in it
+                [0, 6, 6, 6, 6, 6, 0, 0],  # branch 2 reconverges into 1
+                [3, 3, 1, 7, 1, 1, 1, 1],  # crosses there and back, unbridged
+                [0, 1, 3, 1, 6, 6, 6, 6],  # the bridge ends at the next label
+                [0, 1, 1, 3, 4, 1, 1, 1],  # same branch across a two-layer gap
+            ],
+            particle=1,
+        ),
+        2: site_run(
+            [
+                [0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 1, 1, 7, 7, 7, 7, 7],  # unbridged along particle 2's axis
+            ],
+            particle=2,
+            direction="backward",
+        ),
+    }
+    report = assert_matches_reference(runs, tracks, grid)
+    keys = [(e.particle, e.trajectory, e.layer, e.from_branch, e.to_branch) for e in report.events]
+    assert keys == [
+        (1, 1, 3, 1, 2),
+        (1, 2, 3, 1, 2),
+        (1, 3, 5, 1, 2),
+        (1, 4, 5, 1, 2),
+        (1, 6, 3, 1, 2),
+        (1, 6, 4, 2, 1),
+        (1, 7, 4, 1, 2),
+        (2, 1, 3, 1, 2),
+    ]
+    assert report.violations == 6
+    assert report.crossing_fraction == 7 / 11
+    assert report.n_trajectories == 11
