@@ -7,123 +7,4 @@ ensembles along the resulting velocity field, and analyses branch
 structure of the joint and marginal densities.
 """
 
-from .circuit import (
-    CircuitLayer,
-    JointState,
-    ModeSpinBasis,
-    evolve_circuit,
-    marginal_probability,
-)
-from .dirac import (
-    GammaSet,
-    LatticeGrid,
-    PotentialField,
-    WalkStep,
-    build_dirac_step,
-    continuity_residual,
-    gaussian_profile,
-    marginal_currents,
-    positive_energy_packet,
-    run_walk,
-    spinor_from_spec,
-    to_circuit_layers,
-)
-from .errors import (
-    DegenerateDensityError,
-    PilotPathError,
-    ResourceCapError,
-    ValidationError,
-)
-from .guidance import (
-    EnsembleRun,
-    VelocityStack,
-    equivariance_test,
-    integrate_batch,
-    ks_statistic,
-    sample_density,
-    sample_joint_density,
-    velocity_stack,
-)
-from .paths import (
-    PathCaps,
-    PathContext,
-    PathEnsemble,
-    direct_state,
-    enumerate_all,
-    overlap_table,
-    path_sum_current,
-    path_sum_density,
-    path_sum_marginal,
-)
-from .protocols import (
-    build_tracks,
-    detect_crossings,
-    retro_run,
-    stream_rng,
-    superdet_replay,
-)
-from .scenario import (
-    build_circuit,
-    build_walk,
-    bundled_scenario,
-    load_scenario,
-    resolve_scenario,
-    validate_scenario,
-)
-from .verify import run_verification
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CircuitLayer",
-    "DegenerateDensityError",
-    "EnsembleRun",
-    "GammaSet",
-    "JointState",
-    "LatticeGrid",
-    "ModeSpinBasis",
-    "PathCaps",
-    "PathContext",
-    "PathEnsemble",
-    "PilotPathError",
-    "PotentialField",
-    "ResourceCapError",
-    "ValidationError",
-    "VelocityStack",
-    "WalkStep",
-    "build_circuit",
-    "build_dirac_step",
-    "build_tracks",
-    "build_walk",
-    "bundled_scenario",
-    "continuity_residual",
-    "detect_crossings",
-    "direct_state",
-    "enumerate_all",
-    "equivariance_test",
-    "evolve_circuit",
-    "gaussian_profile",
-    "integrate_batch",
-    "ks_statistic",
-    "load_scenario",
-    "marginal_currents",
-    "marginal_probability",
-    "overlap_table",
-    "path_sum_current",
-    "path_sum_density",
-    "path_sum_marginal",
-    "positive_energy_packet",
-    "resolve_scenario",
-    "retro_run",
-    "run_verification",
-    "run_walk",
-    "sample_density",
-    "sample_joint_density",
-    "spinor_from_spec",
-    "stream_rng",
-    "superdet_replay",
-    "to_circuit_layers",
-    "validate_scenario",
-    "velocity_stack",
-    "__version__",
-]

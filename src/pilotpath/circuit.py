@@ -47,20 +47,10 @@ class ModeSpinBasis:
             raise ValidationError("particle-A (mode, spin) out of range")
         return mode * self.spins_a + spin
 
-    def flat_b(self, mode: int, spin: int) -> int:
-        if not (0 <= mode < self.modes_b and 0 <= spin < self.spins_b):
-            raise ValidationError("particle-B (mode, spin) out of range")
-        return mode * self.spins_b + spin
-
     def unflat_a(self, index: int) -> tuple[int, int]:
         if not 0 <= index < self.dim_a:
             raise ValidationError("particle-A flat index out of range")
         return divmod(index, self.spins_a)
-
-    def unflat_b(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.dim_b:
-            raise ValidationError("particle-B flat index out of range")
-        return divmod(index, self.spins_b)
 
 
 def _as_unitary(u, name: str):
@@ -124,23 +114,6 @@ class CircuitLayer:
         return np.exp(1j * self.phases)
 
 
-def inverse_layers(layers) -> list[CircuitLayer]:
-    """Layer sequence undoing the given circuit.
-
-    Each layer acts as (phases after unitaries), so its inverse needs the
-    conjugate phases first; that is expressed as two standard layers, a
-    phase-only undo followed by the adjoint unitaries.
-    """
-    undo: list[CircuitLayer] = []
-    for layer in reversed(list(layers)):
-        eye_a = np.eye(layer.dim_a)
-        eye_b = np.eye(layer.dim_b)
-        if layer.phases is not None:
-            undo.append(CircuitLayer(eye_a, eye_b, -layer.phases))
-        undo.append(CircuitLayer(layer.u_a.conj().T, layer.u_b.conj().T))
-    return undo
-
-
 @dataclass(frozen=True)
 class JointState:
     """Pure two-particle state over the flattened joint basis."""
@@ -172,9 +145,6 @@ class JointState:
         psi_b = np.asarray(psi_b, dtype=np.complex128).reshape(basis.dim_b)
         return cls(basis, np.outer(psi_a, psi_b), layer=layer)
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
     def tensor4(self) -> np.ndarray:
         """View indexed (location_a, spin_a, location_b, spin_b)."""
         b = self.basis
@@ -196,15 +166,12 @@ def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
     return JointState(b, amps, layer=state.layer + 1)
 
 
-def evolve_circuit(state0: JointState, layers, keep_history: bool = False):
-    """Fold apply_layer over the circuit; optionally keep every intermediate state."""
-    history = [state0]
+def evolve_circuit(state0: JointState, layers) -> JointState:
+    """Fold apply_layer over the circuit."""
     state = state0
     for layer in layers:
         state = apply_layer(state, layer)
-        if keep_history:
-            history.append(state)
-    return history if keep_history else state
+    return state
 
 
 def marginal_probability(state: JointState, particle: str, mode: int | None = None):
@@ -226,19 +193,3 @@ def marginal_probability(state: JointState, particle: str, mode: int | None = No
     if not 0 <= int(mode) < n_modes:
         raise ValidationError(f"mode {mode} out of range for {n_modes} modes")
     return float(table[int(mode)])
-
-
-def dense_unitary(layers, basis: ModeSpinBasis) -> np.ndarray:
-    """Full joint-space matrix of the circuit, for oracle comparisons.
-
-    Joint flat index is i * dim_b + j, matching kron(u_a, u_b) ordering.
-    """
-    dim = basis.dim_a * basis.dim_b
-    total = np.eye(dim, dtype=np.complex128)
-    for layer in layers:
-        step = sparse.kron(layer.u_a, layer.u_b).toarray()
-        factor = layer.coupling_factor()
-        if factor is not None:
-            step = factor.reshape(dim, 1) * step
-        total = step @ total
-    return total

@@ -71,16 +71,12 @@ MINKOWSKI_SIGNS = (1.0, -1.0, -1.0, -1.0)
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The Dirac-representation gamma matrices plus identity."""
+    """The Dirac-representation gamma matrices."""
 
     gamma0: np.ndarray = field(default_factory=lambda: GAMMA0)
     gamma1: np.ndarray = field(default_factory=lambda: GAMMA1)
     gamma2: np.ndarray = field(default_factory=lambda: GAMMA2)
     gamma3: np.ndarray = field(default_factory=lambda: GAMMA3)
-
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(SPINOR_DIM, dtype=np.complex128)
 
     def all(self) -> list[np.ndarray]:
         return [self.gamma0, self.gamma1, self.gamma2, self.gamma3]

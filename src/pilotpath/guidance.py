@@ -47,16 +47,6 @@ class VelocityStack:
     def n_layers(self) -> int:
         return self.values.shape[0] - 1
 
-    def scaled(self, factor: float) -> "VelocityStack":
-        """Same masks, velocities multiplied; used as a falsification control."""
-        return VelocityStack(
-            values=self.values * factor,
-            masks=self.masks,
-            grid=self.grid,
-            particle=self.particle,
-            eps_node=self.eps_node,
-        )
-
     @classmethod
     def from_tables(
         cls,

@@ -20,7 +20,6 @@ resource caps; it never truncates silently.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from scipy import sparse
 
 from .circuit import CircuitLayer, JointState, ModeSpinBasis
 from .dirac import ALPHA1, SPINOR_DIM, LatticeGrid
-from .errors import DegenerateDensityError, PilotPathError, ResourceCapError, ValidationError
+from .errors import PilotPathError, ResourceCapError, ValidationError
 
 OVERLAP_DIAG_TOL = 1e-12
 OVERLAP_HERM_TOL = 1e-13
@@ -41,39 +40,6 @@ class PathCaps:
 
     pair_cap: int = 2_000_000
     memory_cap_bytes: int = 512 * 2**20
-
-
-@dataclass(frozen=True)
-class Path:
-    """One basis path of the first particle: (location, spin) per layer."""
-
-    steps: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def endpoint(self) -> tuple[int, int]:
-        return self.steps[-1]
-
-
-@dataclass
-class PathBundle:
-    """All nonzero-amplitude paths sharing one endpoint at one layer."""
-
-    endpoint: tuple[int, int]
-    layer: int
-    paths: list[Path]
-    amplitudes: np.ndarray
-    path_ids: np.ndarray
-
-
-@dataclass
-class ConditionalUnitary:
-    """Dense partner-particle evolution operator conditioned on one path."""
-
-    matrix: np.ndarray
-    path: Path
 
 
 class PathContext:
@@ -143,22 +109,8 @@ class PathContext:
         rot = np.exp(-1j * np.angle(psi1[lead]))
         return cls(layers, state.basis, psi1 * rot, psi2 * np.conj(rot), grid, prune_tol)
 
-    def swapped(self) -> "PathContext":
-        """Same system with the roles of the two particles exchanged."""
-        flipped = []
-        for layer in self.layers:
-            phases = None if layer.phases is None else layer.phases.T
-            flipped.append(CircuitLayer(layer.u_b, layer.u_a, phases))
-        basis = ModeSpinBasis(
-            self.basis.modes_b, self.basis.spins_b, self.basis.modes_a, self.basis.spins_a
-        )
-        return PathContext(flipped, basis, self.psi2, self.psi1, self.grid, self.prune_tol)
-
     def initial_state(self) -> JointState:
         return JointState.from_product(self.basis, self.psi1, self.psi2)
-
-    def flat_endpoint(self, endpoint: tuple[int, int]) -> int:
-        return self.basis.flat_a(*endpoint)
 
     def density_scale(self) -> float:
         return 1.0 if self.grid is None else 1.0 / self.grid.dx
@@ -236,19 +188,6 @@ class PathEnsemble:
                 if hi > lo:
                     self._groups[g] = order[lo:hi]
         return self._groups
-
-    def steps_of(self, path_id: int) -> np.ndarray:
-        """Flat endpoint sequence of one path, layer 0 through n."""
-        seq = np.empty(self.n_layers + 1, dtype=np.int64)
-        a = int(path_id)
-        for r in range(self.n_layers, -1, -1):
-            seq[r] = self.levels[r].endpoints[a]
-            a = int(self.levels[r].parents[a])
-        return seq
-
-    def to_path(self, path_id: int) -> Path:
-        basis = self.context.basis
-        return Path(tuple(basis.unflat_a(int(z)) for z in self.steps_of(path_id)))
 
     def reconstruct_rows(self) -> np.ndarray:
         """Amplitude-weighted partner-state sums per endpoint.
@@ -369,89 +308,6 @@ def enumerate_all(
             f"endpoint pair count {ensemble.pair_count} exceeds the cap {caps.pair_cap}"
         )
     return ensemble
-
-
-def enumerate_paths(
-    context: PathContext,
-    endpoint: tuple[int, int],
-    n: int | None = None,
-    caps: PathCaps | None = None,
-    ensemble: PathEnsemble | None = None,
-) -> PathBundle:
-    """Materialized bundle of every nonzero path ending at one point."""
-    if ensemble is None:
-        ensemble = enumerate_all(context, n, caps)
-    flat = context.flat_endpoint(endpoint)
-    ids = ensemble.group_indices().get(flat, np.empty(0, dtype=np.int64))
-    if ids.shape[0] > 100_000:
-        raise ResourceCapError(
-            f"{ids.shape[0]} paths at one endpoint is beyond the materialization limit"
-        )
-    return PathBundle(
-        endpoint=endpoint,
-        layer=ensemble.n_layers,
-        paths=[ensemble.to_path(int(i)) for i in ids],
-        amplitudes=ensemble.amps[ids].copy(),
-        path_ids=ids.copy(),
-    )
-
-
-def _validate_path(context: PathContext, path: Path) -> list[int]:
-    if len(path) == 0 or len(path) > context.n_layers + 1:
-        raise ValidationError("path length does not fit the layer stack")
-    flat = []
-    for loc, spin in path.steps:
-        flat.append(context.basis.flat_a(int(loc), int(spin)))
-    return flat
-
-
-def conditional_unitary(context: PathContext, path: Path) -> ConditionalUnitary:
-    """Partner-particle operator given the first particle walks this path.
-
-    Per layer: the shared one-body layer first, then the diagonal phase
-    column picked out by the path's post-transition point.  Independent of
-    the path wherever the couplings vanish.
-    """
-    flat = _validate_path(context, path)
-    d2 = context.basis.dim_b
-    mat = np.eye(d2, dtype=np.complex128)
-    for r in range(1, len(flat)):
-        layer = context.layers[r - 1]
-        mat = layer.u_b @ mat
-        factor = layer.coupling_factor()
-        if factor is not None:
-            mat = factor[flat[r], :][:, None] * mat
-    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d2)))
-    if defect > 1e-12:
-        raise PilotPathError(f"conditional operator lost unitarity by {defect:.3e}")
-    return ConditionalUnitary(matrix=mat, path=path)
-
-
-def pair_overlap(context: PathContext, path_p: Path, path_q: Path):
-    """Overlap of the two paths' partner states, with per-layer increments.
-
-    Returns (overlap, increments) where increments[r-1] is the change of the
-    truncated overlap from layer r-1 to r; one plus their sum telescopes
-    back to the full overlap.
-    """
-    flat_p = _validate_path(context, path_p)
-    flat_q = _validate_path(context, path_q)
-    if len(flat_p) != len(flat_q):
-        raise ValidationError("paths must share the same layer count")
-    vp = context.psi2.copy()
-    vq = context.psi2.copy()
-    partial = [np.vdot(vp, vq)]
-    for r in range(1, len(flat_p)):
-        layer = context.layers[r - 1]
-        vp = layer.u_b @ vp
-        vq = layer.u_b @ vq
-        factor = layer.coupling_factor()
-        if factor is not None:
-            vp = vp * factor[flat_p[r], :]
-            vq = vq * factor[flat_q[r], :]
-        partial.append(np.vdot(vp, vq))
-    partial = np.array(partial)
-    return partial[-1], np.diff(partial)
 
 
 # ----------------------------------------------------------------------------
@@ -629,128 +485,4 @@ def path_sum_current(ensemble: PathEnsemble, location: int | None = None) -> Pat
         value=float(value[location]),
         diagonal_term=float(diag_term[location]),
         imag_residue=resid,
-    )
-
-
-# ----------------------------------------------------------------------------
-# Wavepacket-mode conditioning
-
-
-@dataclass(frozen=True)
-class ModeDictionary:
-    """Orthonormal spatial wavepacket profiles used as coarse path labels."""
-
-    profiles: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.profiles, dtype=np.complex128)
-        if w.ndim != 2 or w.shape[1] < 1:
-            raise ValidationError("profiles must be a (n_sites, n_modes) array")
-        defect = np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1])))
-        if defect > 1e-10:
-            raise ValidationError(f"profiles are not orthonormal (defect {defect:.3e})")
-        object.__setattr__(self, "profiles", w)
-        w.flags.writeable = False
-
-    @property
-    def n_modes(self) -> int:
-        return self.profiles.shape[1]
-
-    @classmethod
-    def position_basis(cls, n_sites: int) -> "ModeDictionary":
-        return cls(np.eye(n_sites, dtype=np.complex128))
-
-    @classmethod
-    def from_profiles(cls, profiles: list[np.ndarray]) -> "ModeDictionary":
-        return cls(np.stack([np.asarray(p, dtype=np.complex128) for p in profiles], axis=1))
-
-
-@dataclass
-class ModeProjection:
-    """Density and current rebuilt from wavepacket-mode paths."""
-
-    j0: np.ndarray
-    j1: np.ndarray
-    captured_norm: float
-    complete: bool
-    n_modes: int
-
-
-def mode_projected_sum(
-    context: PathContext,
-    dictionary: ModeDictionary,
-    n: int | None = None,
-    caps: PathCaps | None = None,
-) -> ModeProjection:
-    """Path sums with wavepacket labels instead of site labels.
-
-    The layers and the initial factor are compressed onto the dictionary
-    span (mode index times spinor index); couplings must act diagonally on
-    that span, i.e. each coupling phase must be constant over every
-    profile's support.  If the initial factor leaks outside the span the
-    captured-norm fraction is reported and a warning is issued; the sums
-    then cover the captured component only.
-    """
-    if context.grid is None or context.basis.spins_a != SPINOR_DIM:
-        raise ValidationError("mode projection needs lattice mode with 4-spinors")
-    w = dictionary.profiles
-    n_sites = context.basis.modes_a
-    if w.shape[0] != n_sites:
-        raise ValidationError("profiles do not match the lattice size")
-    m = dictionary.n_modes
-    wide = np.kron(w, np.eye(SPINOR_DIM, dtype=np.complex128))
-
-    psi1_proj = wide.conj().T @ context.psi1
-    captured = float(np.vdot(psi1_proj, psi1_proj).real)
-    complete = captured >= 1.0 - 1e-10
-    if captured < 1e-12:
-        raise DegenerateDensityError("mode dictionary captures none of the initial norm")
-    if not complete:
-        warnings.warn(
-            f"mode dictionary captures only {captured:.6f} of the initial norm",
-            stacklevel=2,
-        )
-
-    proj_layers = []
-    for t, layer in enumerate(context.layers[: context.n_layers if n is None else n]):
-        u_proj = wide.conj().T @ layer.u_a @ wide
-        defect = np.max(np.abs(u_proj.conj().T @ u_proj - np.eye(m * SPINOR_DIM)))
-        if defect > 1e-10:
-            raise ValidationError(
-                f"layer {t}: dictionary span is not closed under the dynamics "
-                f"(unitarity defect {defect:.3e})"
-            )
-        phases_proj = None
-        if layer.phases is not None:
-            c = np.exp(1j * layer.phases)
-            proj = np.einsum("ap,ak,aq->pqk", wide.conj(), c, wide)
-            diag = np.einsum("ppk->pk", proj)
-            embed = np.einsum("pk,pq->pqk", diag, np.eye(m * SPINOR_DIM))
-            off_mass = float(np.max(np.abs(proj - embed)))
-            mod_off = float(np.max(np.abs(np.abs(diag) - 1.0)))
-            if off_mass > 1e-12 or mod_off > 1e-12:
-                raise ValidationError(
-                    f"layer {t}: couplings are not diagonal over the dictionary "
-                    f"(off-diagonal {off_mass:.3e}, modulus defect {mod_off:.3e})"
-                )
-            phases_proj = np.angle(diag)
-        proj_layers.append(CircuitLayer(u_proj, layer.u_b, phases_proj))
-
-    sub_basis = ModeSpinBasis(m, SPINOR_DIM, context.basis.modes_b, context.basis.spins_b)
-    nrm = np.sqrt(captured)
-    sub_context = PathContext(
-        proj_layers, sub_basis, psi1_proj / nrm, context.psi2, grid=None, prune_tol=context.prune_tol
-    )
-    sub = enumerate_all(sub_context, n=len(proj_layers), caps=caps)
-    rows = sub.reconstruct_rows().reshape(m, SPINOR_DIM, context.basis.dim_b) * nrm
-    spatial = np.einsum("xq,qak->xak", w, rows)
-    scale_d = context.density_scale()
-    scale_j = context.current_scale()
-    j0 = np.einsum("xak,xak->x", spatial.conj(), spatial).real * scale_d
-    j1c = np.einsum("xak,ac,xck->x", spatial.conj(), ALPHA1, spatial) * scale_j
-    resid = float(np.max(np.abs(j1c.imag)))
-    if resid > 1e-12:
-        raise PilotPathError(f"mode-projected current left imaginary residue {resid:.3e}")
-    return ModeProjection(
-        j0=j0, j1=j1c.real, captured_norm=captured, complete=complete, n_modes=m
     )

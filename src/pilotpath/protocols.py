@@ -72,10 +72,6 @@ class RetroResult:
     ks: dict[int, np.ndarray]
     stacks: dict[int, VelocityStack]
 
-    def initial_positions(self, particle: int) -> np.ndarray:
-        """Layer-0 endpoints of the backward trajectories."""
-        return self.runs[particle].positions[:, -1]
-
 
 def retro_run(
     history: WalkHistory, seed: int, count: int = 10_000, substeps: int = 4
@@ -238,12 +234,6 @@ class TrackGraph:
     def n_layers(self) -> int:
         return len(self.labels) - 1
 
-    def successors(self, layer: int, comp: int) -> set[int]:
-        return {b for (t, a), (_, b) in self.edges if t == layer and a == comp}
-
-    def label_at(self, layer: int, idx) -> np.ndarray:
-        return self.labels[layer][idx]
-
 
 @dataclass
 class TrackSet:
@@ -316,20 +306,15 @@ def build_tracks(history: WalkHistory, threshold_rel: float = TRACK_THRESHOLD_RE
 # World membership and crossing detection
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    """One trajectory's change of world branch inside an overlap window."""
-
-    layer: int
-    particle: int
-    trajectory: int
-    from_branch: int
-    to_branch: int
+EVENT_COLUMNS = ("layer", "particle", "trajectory", "from_branch", "to_branch")
 
 
 @dataclass
 class CrossingReport:
-    events: list[CrossingEvent]
+    """Crossing statistics; events has one int64 row per world-branch change,
+    columns EVENT_COLUMNS, ordered by particle, trajectory, layer."""
+
+    events: np.ndarray
     crossing_fraction: float
     violations: int
     n_trajectories: int
@@ -396,7 +381,7 @@ def detect_crossings(
     # label integers from different layers.
     offset, reach = _reachability(joint)
 
-    events: list[CrossingEvent] = []
+    events = [np.empty((0, len(EVENT_COLUMNS)), dtype=np.int64)]
     violations = 0
     crossed = 0
     ambiguous_counts = 0
@@ -423,16 +408,12 @@ def detect_crossings(
             node = offset[t] + c
             event = single & labeled
             event[event] = ~reach[last_node[event], node[event]]
-            for i in np.flatnonzero(event):
-                events.append(
-                    CrossingEvent(
-                        layer=t,
-                        particle=particle,
-                        trajectory=int(i),
-                        from_branch=int(last_c[i]),
-                        to_branch=int(c[i]),
-                    )
+            i = np.flatnonzero(event)
+            events.append(
+                np.stack(
+                    [np.full_like(i, t), np.full_like(i, particle), i, last_c[i], c[i]], axis=1
                 )
+            )
             violations += int(np.count_nonzero(event & ~bridged))
             traj_crossed |= event
             last_node[single] = node[single]
@@ -441,9 +422,11 @@ def detect_crossings(
             bridged[single] = False
         crossed += int(np.count_nonzero(traj_crossed))
 
+    events = np.concatenate(events)
+    events = events[np.lexsort((events[:, 0], events[:, 2], events[:, 1]))]
     total_traj = sum(run.n_trajectories for run in runs.values())
     return CrossingReport(
-        events=sorted(events, key=lambda e: (e.particle, e.trajectory, e.layer)),
+        events=events,
         crossing_fraction=crossed / total_traj if total_traj else 0.0,
         violations=violations,
         n_trajectories=total_traj,

@@ -36,7 +36,6 @@ from pilotpath.paths import (
     direct_state,
     enumerate_all,
     overlap_table,
-    pair_overlap,
     path_sum_current,
     path_sum_density,
     path_sum_marginal,
@@ -60,6 +59,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
+from oracles import pair_overlap, scaled, to_path
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -274,8 +274,8 @@ def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
                 rebuilt = 1.0 + group.increments.sum(axis=0)
                 worst_tele = max(worst_tele, float(np.abs(rebuilt - group.overlaps).max()))
             if not spot_done and k > 1:
-                p = ens.to_path(int(group.path_ids[0]))
-                q = ens.to_path(int(group.path_ids[1]))
+                p = to_path(ens, int(group.path_ids[0]))
+                q = to_path(ens, int(group.path_ids[1]))
                 val_pq, _ = pair_overlap(ctx, p, q)
                 val_qp, _ = pair_overlap(ctx, q, p)
                 worst_spot = max(
@@ -384,7 +384,7 @@ def test_forward_transport_equivariance(bundled_runs, capsys):
         flagged += run.n_flagged
         density = history.density1 if particle == 1 else history.density2
         worst = max(worst, float(np.max(equivariance_test(run, density, grid))))
-    control_run = integrate_batch(stack1.scaled(0.5), x1, "forward", substeps)
+    control_run = integrate_batch(scaled(stack1, 0.5), x1, "forward", substeps)
     control = float(np.max(equivariance_test(control_run, history.density1, grid)))
     ok = worst < 0.02 and control > 0.05 and flagged == 0
     announce(

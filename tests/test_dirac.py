@@ -32,9 +32,10 @@ from pilotpath.dirac import (
     to_circuit_layers,
 )
 from pilotpath.errors import ValidationError
-from pilotpath.circuit import dense_unitary, evolve_circuit
+from pilotpath.circuit import evolve_circuit
 
 from conftest import kron_evolve, make_rng, random_state_vector, spinor_field
+from oracles import dense_unitary
 
 
 def joint_from_fields(grid, psi1, psi2):

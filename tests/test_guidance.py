@@ -25,6 +25,7 @@ from pilotpath.guidance import (
 )
 
 from conftest import make_rng, spinor_field
+from oracles import scaled
 
 
 def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
@@ -87,7 +88,7 @@ def test_velocity_stack_matches_per_layer_fields():
 def test_scaled_stack_only_scales_values():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 2)
-    half = stack.scaled(0.5)
+    half = scaled(stack, 0.5)
     assert np.array_equal(half.masks, stack.masks)
     assert np.max(np.abs(half.values - 0.5 * stack.values)) == 0.0
 
@@ -279,6 +280,6 @@ def test_halved_velocities_fail_the_same_comparison():
     stack = velocity_stack(hist, 1)
     rng = make_rng(71)
     x0 = sample_density(hist.density1[0], grid, 4000, rng)
-    run = integrate_batch(stack.scaled(0.5), x0, "forward", 4)
+    run = integrate_batch(scaled(stack, 0.5), x0, "forward", 4)
     ks = equivariance_test(run, hist.density1, grid)
     assert float(np.max(ks)) > 0.05

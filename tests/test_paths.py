@@ -1,51 +1,24 @@
 """Path decomposition: enumeration, overlap tables, reconstruction sums."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from pilotpath.circuit import CircuitLayer, ModeSpinBasis, marginal_probability
-from pilotpath.dirac import (
-    LatticeGrid,
-    NAMED_SPINORS,
-    PotentialField,
-    build_dirac_step,
-    gaussian_profile,
-    marginal_currents,
-    to_circuit_layers,
-)
-from pilotpath.errors import (
-    DegenerateDensityError,
-    PilotPathError,
-    ResourceCapError,
-    ValidationError,
-)
+from pilotpath.dirac import PotentialField, marginal_currents
+from pilotpath.errors import ResourceCapError, ValidationError
 from pilotpath.paths import (
-    ModeDictionary,
-    Path,
     PathCaps,
     PathContext,
-    conditional_unitary,
     direct_state,
     enumerate_all,
-    enumerate_paths,
-    mode_projected_sum,
     overlap_table,
-    pair_overlap,
     path_sum_current,
     path_sum_density,
     path_sum_marginal,
 )
 
-from conftest import (
-    make_rng,
-    random_layers,
-    random_state_vector,
-    small_walk_context,
-    spinor_field,
-    truncated_profile,
-)
+from conftest import make_rng, random_layers, random_state_vector, small_walk_context
+from oracles import Path, conditional_unitary, pair_overlap, steps_of, to_path
 
 
 def circuit_context(seed, modes_a=3, modes_b=2, n=3, coupling_scale=0.8):
@@ -95,15 +68,6 @@ def test_context_accepts_product_joint_starts():
     assert np.max(np.abs(ctx.initial_state().amps - np.outer(psi1, psi2))) < 1e-12
 
 
-def test_swapped_context_exchanges_the_particles():
-    ctx = circuit_context(4, modes_a=3, modes_b=2)
-    sw = ctx.swapped()
-    assert sw.basis.modes_a == 2 and sw.basis.modes_b == 3
-    ref = direct_state(ctx).amps
-    ref_sw = direct_state(sw).amps
-    assert np.max(np.abs(ref_sw - ref.T)) < 1e-12
-
-
 # ----------------------------------------------------------------------------
 # Enumeration
 
@@ -144,11 +108,11 @@ def test_path_steps_connect_start_to_endpoint():
     ensemble = enumerate_all(ctx)
     start_points = set(np.flatnonzero(np.abs(ctx.psi1) > 0.0))
     for pid in range(0, ensemble.n_paths, 7):
-        seq = ensemble.steps_of(pid)
+        seq = steps_of(ensemble, pid)
         assert seq.shape == (4,)
         assert int(seq[0]) in start_points
         assert int(seq[-1]) == int(ensemble.endpoints[pid])
-        path = ensemble.to_path(pid)
+        path = to_path(ensemble, pid)
         assert len(path) == 4
 
 
@@ -162,16 +126,6 @@ def test_enumeration_respects_the_memory_cap():
     ctx = circuit_context(10, modes_a=3, modes_b=2, n=3)
     with pytest.raises(ResourceCapError):
         enumerate_all(ctx, caps=PathCaps(memory_cap_bytes=4096), keep_levels=True)
-
-
-def test_bundle_materialization_limit():
-    ctx = circuit_context(11, modes_a=2, modes_b=2, n=2)
-    ensemble = enumerate_all(ctx)
-    counts = ensemble.endpoint_counts()
-    endpoint = ctx.basis.unflat_a(int(np.argmax(counts)))
-    bundle = enumerate_paths(ctx, endpoint, ensemble=ensemble)
-    assert len(bundle.paths) == counts.max()
-    assert np.max(np.abs(bundle.amplitudes)) > 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -282,7 +236,7 @@ def test_pair_overlap_agrees_with_the_table():
     for a in range(min(3, ids.shape[0])):
         for b in range(min(3, ids.shape[0])):
             value, increments = pair_overlap(
-                ctx, ensemble.to_path(int(ids[a])), ensemble.to_path(int(ids[b]))
+                ctx, to_path(ensemble, int(ids[a])), to_path(ensemble, int(ids[b]))
             )
             assert abs(value - group.overlaps[a, b]) < 1e-12
             assert abs(1.0 + increments.sum() - value) < 1e-12
@@ -306,7 +260,7 @@ def test_single_coupling_overlap_has_the_hand_value():
     ensemble = enumerate_all(ctx)
     table = overlap_table(ensemble)
     group = table.group((0, 0), basis)
-    routes = {tuple(ensemble.steps_of(int(i))): k for k, i in enumerate(group.path_ids)}
+    routes = {tuple(steps_of(ensemble, int(i))): k for k, i in enumerate(group.path_ids)}
     a = routes[(0, 0, 0)]
     b = routes[(0, 1, 0)]
     expected = 0.25 + 0.25j * np.sqrt(3.0)
@@ -341,138 +295,13 @@ def test_conditional_unitary_tracks_one_path():
     ctx = circuit_context(33, modes_a=2, modes_b=2, n=2)
     ensemble = enumerate_all(ctx)
     pid = 0
-    cond = conditional_unitary(ctx, ensemble.to_path(pid))
-    assert np.max(np.abs(cond.matrix.conj().T @ cond.matrix - np.eye(4))) < 1e-12
+    cond = conditional_unitary(ctx, to_path(ensemble, pid))
+    assert np.max(np.abs(cond.conj().T @ cond - np.eye(4))) < 1e-12
     # partner state of the path equals the conditional operator on psi2
-    assert np.max(np.abs(cond.matrix @ ctx.psi2 - ensemble.partner_states[pid])) < 1e-12
+    assert np.max(np.abs(cond @ ctx.psi2 - ensemble.partner_states[pid])) < 1e-12
 
 
 def test_conditional_unitary_rejects_paths_of_wrong_length():
     ctx = circuit_context(34, n=2)
     with pytest.raises(ValidationError):
         conditional_unitary(ctx, Path(steps=((0, 0), (0, 0), (0, 0), (0, 0))))
-
-
-# ----------------------------------------------------------------------------
-# Wavepacket-mode conditioning
-
-
-def plane_wave(grid, winding):
-    k = 2.0 * np.pi * winding / grid.extent
-    return np.exp(1j * k * grid.positions()) / np.sqrt(grid.n_sites)
-
-
-def two_mode_walk(n_sites=16, n_layers=2, mass=0.4, coupled=False):
-    """Free walk carried by two momentum modes.
-
-    The shift acts on each plane wave as a pure phase and the free mass
-    rotation is site-independent, so the span of the two modes (times all
-    spinors) is invariant: a two-profile dictionary built on them is closed
-    under the dynamics.
-    """
-    grid = LatticeGrid(n_sites, 1.0, 1.0)
-    step = build_dirac_step(grid, mass, 0.0)
-    w1 = plane_wave(grid, 1)
-    w2 = plane_wave(grid, 3)
-    psi1 = (
-        spinor_field(w1, NAMED_SPINORS["chirality+"])
-        + spinor_field(w2, NAMED_SPINORS["chirality-"])
-    ) / np.sqrt(2.0)
-    psi2 = spinor_field(gaussian_profile(grid, 8.0, 1.5), NAMED_SPINORS["up"])
-    couplings = None
-    if coupled:
-        # plane waves are supported everywhere, so a diagonal coupling must
-        # be constant across the whole first-particle index per b-point
-        col = np.linspace(-0.9, 1.3, n_sites * 4)
-        table = np.tile(col, (n_sites * 4, 1))
-        couplings = {1: table}
-    layers = to_circuit_layers(step, step, n_layers, couplings)
-    return grid, layers, psi1, psi2, (w1, w2)
-
-
-def test_position_dictionary_reproduces_plain_sums():
-    grid, layers, psi1, psi2, _ = two_mode_walk()
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    proj = mode_projected_sum(ctx, ModeDictionary.position_basis(grid.n_sites))
-    assert proj.complete and proj.n_modes == grid.n_sites
-    ensemble = enumerate_all(ctx)
-    dens = path_sum_density(ensemble)
-    cur = path_sum_current(ensemble)
-    assert np.max(np.abs(proj.j0 - dens.total)) < 1e-10
-    assert np.max(np.abs(proj.j1 - cur.value)) < 1e-10
-
-
-def test_momentum_dictionary_reproduces_the_engine_density():
-    grid, layers, psi1, psi2, (w1, w2) = two_mode_walk()
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    dictionary = ModeDictionary.from_profiles([w1, w2])
-    proj = mode_projected_sum(ctx, dictionary)
-    assert proj.complete
-    assert abs(proj.captured_norm - 1.0) < 1e-10
-    state = direct_state(ctx)
-    ref = marginal_currents(state, ctx.grid, 1)
-    assert np.max(np.abs(proj.j0 - ref.j0)) < 1e-10
-    assert np.max(np.abs(proj.j1 - ref.j1)) < 1e-10
-
-
-def test_incomplete_dictionary_reports_captured_norm():
-    grid, layers, psi1, psi2, (w1, w2) = two_mode_walk()
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        proj = mode_projected_sum(ctx, ModeDictionary.from_profiles([w1]))
-    assert not proj.complete
-    assert abs(proj.captured_norm - 0.5) < 1e-10
-    assert any("captures only" in str(w.message) for w in caught)
-
-
-def test_dictionary_must_be_closed_under_the_dynamics():
-    rng = make_rng(40)
-    grid = LatticeGrid(12, 1.0, 1.0)
-    # position-anchored profiles are not shift-invariant, so the walk
-    # leaves their span on the first layer
-    step = build_dirac_step(grid, 0.8, 0.0)
-    layers = to_circuit_layers(step, step, 2)
-    g_l = truncated_profile(grid, 3, 1)
-    g_r = truncated_profile(grid, 9, 1)
-    psi1 = spinor_field(g_l, NAMED_SPINORS["chirality+"])
-    psi2 = spinor_field(gaussian_profile(grid, 6.0, 1.2), NAMED_SPINORS["up"])
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    with pytest.raises(ValidationError):
-        mode_projected_sum(ctx, ModeDictionary.from_profiles([g_l, g_r]))
-
-
-def test_couplings_must_be_diagonal_over_the_dictionary():
-    grid, layers, psi1, psi2, (w1, w2) = two_mode_walk(coupled=True)
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    # constant-over-support phases pass and stay exact
-    proj = mode_projected_sum(ctx, ModeDictionary.from_profiles([w1, w2]))
-    state = direct_state(ctx)
-    ref = marginal_currents(state, ctx.grid, 1)
-    assert np.max(np.abs(proj.j0 - ref.j0)) < 1e-10
-    # a phase that varies across the support does not
-    n = grid.n_sites
-    ramp = np.arange(n * 4, dtype=np.float64)[:, None] * np.ones((1, n * 4))
-    bad_layers = [layers[0], CircuitLayer(layers[1].u_a, layers[1].u_b, 0.05 * ramp)]
-    bad_ctx = PathContext(bad_layers, grid.basis(), psi1, psi2, grid=grid)
-    with pytest.raises(ValidationError):
-        mode_projected_sum(bad_ctx, ModeDictionary.from_profiles([w1, w2]))
-
-
-def test_dictionary_validation():
-    with pytest.raises(ValidationError):
-        ModeDictionary(np.ones((8, 2)))  # not orthonormal
-    with pytest.raises(ValidationError):
-        mode_projected_sum(
-            circuit_context(41), ModeDictionary.position_basis(3)
-        )  # circuit contexts have no lattice
-
-
-def test_orthogonal_start_yields_no_captured_mass():
-    grid, layers, psi1, psi2, _ = two_mode_walk()
-    ctx = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
-    stray = plane_wave(grid, 6)  # mode the start has no weight on
-    with pytest.raises(DegenerateDensityError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mode_projected_sum(ctx, ModeDictionary.from_profiles([stray]))

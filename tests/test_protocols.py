@@ -8,8 +8,8 @@ from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_wa
 from pilotpath.errors import ValidationError
 from pilotpath.guidance import EnsembleRun, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
+    EVENT_COLUMNS,
     STREAM_FORWARD_SAMPLE,
-    CrossingEvent,
     TrackGraph,
     TrackSet,
     build_tracks,
@@ -92,10 +92,12 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
 def test_retro_endpoints_and_configurations(no_overlap):
     scn, system, history = no_overlap
     retro = retro_run(history, scn["seed"], count=50, substeps=4)
-    for particle in (1, 2):
-        assert np.array_equal(
-            retro.initial_positions(particle), retro.runs[particle].positions[:, -1]
-        )
+    for particle, final in ((1, retro.final_x1), (2, retro.final_x2)):
+        run = retro.runs[particle]
+        assert run.direction == "backward"
+        assert run.positions.shape == (50, history.n_layers * 4 + 1)
+        # the backward run starts from the final-layer draws
+        assert np.max(np.abs(run.positions[:, 0] - final)) < 1e-12
 
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
@@ -185,18 +187,21 @@ def test_graph_accessor_methods(recombination):
     tracks = build_tracks(history)
     m1 = tracks.marginal[1]
     assert m1.n_layers == history.n_layers
+
+    def successors(layer, comp):
+        return {b for (t, a), (_, b) in m1.edges if t == layer and a == comp}
+
     split = next(t for t in range(len(m1.n_components) - 1) if m1.n_components[t + 1] == 2)
-    assert m1.successors(split, 1) == {1, 2}
+    assert successors(split, 1) == {1, 2}
     merge = next(
         t
         for t in range(split, len(m1.n_components) - 1)
         if m1.n_components[t] == 2 and m1.n_components[t + 1] == 1
     )
-    assert m1.successors(merge, 1) == {1}
-    assert m1.successors(merge, 2) == {1}
+    assert successors(merge, 1) == {1}
+    assert successors(merge, 2) == {1}
     assert m1.labels[0].shape == (system.grid.n_sites,)
     assert tracks.joint.labels[0].shape == (system.grid.n_sites, system.grid.n_sites)
-    assert m1.label_at(0, 3) == m1.labels[0][3]
 
 
 # ----------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def test_disjoint_branches_never_cross(no_overlap):
     tracks = build_tracks(history)
     retro = retro_run(history, scn["seed"], count=400, substeps=4)
     report = detect_crossings(retro.runs, tracks, system.grid)
-    assert report.events == []
+    assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
     assert report.violations == 0
     # both particles' ensembles are classified
@@ -223,11 +228,11 @@ def test_reconverging_branches_are_crossed(recombination):
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
     assert 0.0 < report.ambiguous_fraction < 1.0
-    keys = [(e.particle, e.trajectory, e.layer) for e in report.events]
-    assert keys == sorted(keys)
-    for event in report.events:
-        assert event.from_branch != event.to_branch or event.particle in (1, 2)
-        assert 0 <= event.layer <= history.n_layers
+    layer, particle, trajectory = report.events[:, 0], report.events[:, 1], report.events[:, 2]
+    order = np.lexsort((layer, trajectory, particle))
+    assert np.array_equal(order, np.arange(len(order)))
+    assert set(np.unique(particle)) <= {1, 2}
+    assert np.all((0 <= layer) & (layer <= history.n_layers))
 
 
 # ----------------------------------------------------------------------------
@@ -278,14 +283,15 @@ def crossings_reference(runs, tracks, grid):
                     continue
                 c = labels[t]
                 if last_t >= 0 and not _reachable_ref(joint.edges, last_t, last_c, t, c):
-                    events.append(CrossingEvent(t, particle, i, last_c, c))
+                    events.append((t, particle, i, last_c, c))
                     hit_any = True
                     if not any(n > 1 for n in counts[last_t : t + 1]):
                         violations += 1
                 last_t, last_c = t, c
             crossed += hit_any
     n_traj = sum(run.n_trajectories for run in runs.values())
-    events.sort(key=lambda e: (e.particle, e.trajectory, e.layer))
+    events.sort(key=lambda e: (e[1], e[2], e[0]))
+    events = np.array(events, dtype=np.int64).reshape(-1, len(EVENT_COLUMNS))
     return events, violations, crossed / n_traj, ambiguous / total, n_traj
 
 
@@ -294,7 +300,8 @@ def assert_matches_reference(runs, tracks, grid):
     events, violations, crossing_fraction, ambiguous_fraction, n_traj = crossings_reference(
         runs, tracks, grid
     )
-    assert report.events == events
+    assert report.events.dtype == np.int64
+    assert np.array_equal(report.events, events)
     assert report.violations == violations
     assert report.crossing_fraction == crossing_fraction
     assert report.ambiguous_fraction == ambiguous_fraction
@@ -404,17 +411,18 @@ def test_crossings_on_a_hand_built_branch_graph():
         ),
     }
     report = assert_matches_reference(runs, tracks, grid)
-    keys = [(e.particle, e.trajectory, e.layer, e.from_branch, e.to_branch) for e in report.events]
-    assert keys == [
-        (1, 1, 3, 1, 2),
-        (1, 2, 3, 1, 2),
-        (1, 3, 5, 1, 2),
-        (1, 4, 5, 1, 2),
-        (1, 6, 3, 1, 2),
-        (1, 6, 4, 2, 1),
-        (1, 7, 4, 1, 2),
-        (2, 1, 3, 1, 2),
+    # columns: layer, particle, trajectory, from_branch, to_branch
+    expected = [
+        (3, 1, 1, 1, 2),
+        (3, 1, 2, 1, 2),
+        (5, 1, 3, 1, 2),
+        (5, 1, 4, 1, 2),
+        (3, 1, 6, 1, 2),
+        (4, 1, 6, 2, 1),
+        (4, 1, 7, 1, 2),
+        (3, 2, 1, 1, 2),
     ]
+    assert np.array_equal(report.events, np.array(expected))
     assert report.violations == 6
     assert report.crossing_fraction == 7 / 11
     assert report.n_trajectories == 11
