@@ -3,8 +3,9 @@
 Each particle carries a (location, spin) index pair; a layer applies one
 unitary per particle followed by a diagonal phase coupling on the joint
 basis.  States are dense complex tensors stored as (dim_a, dim_b) matrices
-over the flattened per-particle indices.  All operations are pure; amplitude
-arrays are frozen so states behave as immutable snapshots.
+over the flattened per-particle indices, or as pairs of branch factors
+whose product is that matrix.  All operations are pure; amplitude arrays
+are frozen so states behave as immutable snapshots.
 """
 
 from __future__ import annotations
@@ -149,6 +150,53 @@ class JointState:
         """View indexed (location_a, spin_a, location_b, spin_b)."""
         b = self.basis
         return self.amps.reshape(b.modes_a, b.spins_a, b.modes_b, b.spins_b)
+
+
+def branch_norm_sq(left: np.ndarray, right: np.ndarray | None) -> float:
+    """|left @ right.T|^2 from the two factors' Gram matrices, without the product."""
+    if right is None:
+        return float(np.vdot(left, left).real)
+    return float(((left.conj().T @ left) * (right.conj().T @ right)).sum().real)
+
+
+@dataclass(frozen=True)
+class BranchState:
+    """Pure two-particle state held as branch factors: amps = left @ right.T.
+
+    Column i of left (dim_a, r) and of right (dim_b, r) are branch i's
+    one-particle factors.  right=None stands for the identity, so left is
+    then the full (dim_a, dim_b) amplitude matrix: the form of dense starts
+    and of states after a coupling layer.
+    """
+
+    basis: ModeSpinBasis
+    left: np.ndarray
+    right: np.ndarray | None = None
+    layer: int = 0
+
+    def __post_init__(self) -> None:
+        left = np.array(self.left, dtype=np.complex128, order="C")
+        right = None if self.right is None else np.array(self.right, dtype=np.complex128, order="C")
+        b = self.basis
+        width = b.dim_b if right is None else right.shape[-1]
+        if left.shape != (b.dim_a, width) or (right is not None and right.shape != (b.dim_b, width)):
+            raise ValidationError(
+                f"branch factors must have shapes ({b.dim_a}, r) and ({b.dim_b}, r), got "
+                f"{left.shape} and {None if right is None else right.shape}"
+            )
+        for arr in (left,) if right is None else (left, right):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("branch factors contain non-finite entries")
+            arr.flags.writeable = False
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        norm_err = abs(branch_norm_sq(left, right) - 1.0)
+        if norm_err > NORM_TOL:
+            raise ValidationError(f"state is not normalized: |norm^2 - 1| = {norm_err:.3e}")
+
+    @classmethod
+    def from_joint(cls, state: JointState) -> "BranchState":
+        return cls(state.basis, state.amps, None, state.layer)
 
 
 def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:

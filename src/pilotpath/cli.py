@@ -66,7 +66,7 @@ def _out_dir(scn: dict, args: argparse.Namespace, command: str) -> str:
     return exports.ensure_dir(os.path.join(base, scn["name"], command))
 
 
-def _walk_history(system, record_joint=True):
+def _walk_history(system, record_joint=()):
     return run_walk(
         system.state0,
         system.grid,
@@ -104,7 +104,7 @@ def _forward_runs(scn, system, history):
 def cmd_evolve(scn: dict, args) -> int:
     _require_walk(scn, "evolve")
     system = build_walk(scn)
-    history = _walk_history(system, record_joint=False)
+    history = _walk_history(system)
     out = _out_dir(scn, args, "evolve")
     x = system.grid.positions()
     exports.write_currents_csv(os.path.join(out, "currents1.csv"), history.density1, history.current1, x)
@@ -211,7 +211,7 @@ def cmd_currents(scn: dict, args) -> int:
 def cmd_guide(scn: dict, args) -> int:
     _require_walk(scn, "guide")
     system = build_walk(scn)
-    history = _walk_history(system)
+    history = _walk_history(system, record_joint={0})
     runs = _forward_runs(scn, system, history)
     out = _out_dir(scn, args, "guide")
     report = {}
@@ -238,7 +238,7 @@ def cmd_guide(scn: dict, args) -> int:
 def cmd_retro(scn: dict, args) -> int:
     _require_walk(scn, "retro")
     system = build_walk(scn)
-    history = _walk_history(system)
+    history = _walk_history(system, record_joint={system.n_layers})
     retro = retro_run(
         history,
         int(scn["seed"]),
@@ -268,7 +268,7 @@ def cmd_retro(scn: dict, args) -> int:
 def cmd_superdet(scn: dict, args) -> int:
     _require_walk(scn, "superdet")
     system = build_walk(scn)
-    history = _walk_history(system)
+    history = _walk_history(system, record_joint={system.n_layers})
     retro = retro_run(
         history,
         int(scn["seed"]),
@@ -303,7 +303,7 @@ def cmd_superdet(scn: dict, args) -> int:
 def cmd_tracks(scn: dict, args) -> int:
     _require_walk(scn, "tracks")
     system = build_walk(scn)
-    history = _walk_history(system)
+    history = _walk_history(system, record_joint=range(system.n_layers + 1))
     tracks = build_tracks(history, float(scn["protocol"]["track_threshold_rel"]))
     runs = _forward_runs(scn, system, history)
     crossings = detect_crossings(runs, tracks, system.grid)

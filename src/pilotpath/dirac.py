@@ -11,6 +11,9 @@ Densities and currents are exposed in continuum normalization: the marginal
 density integrates to one with weight dx, and the spatial current carries a
 dx/dt factor so that the density/current pair satisfies the continuity
 equation in the refinement limit.
+
+Runs hold the joint state as branch factors, A = L @ R.T, and step each
+factor with its own particle's layer; see run_walk.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis
+from .circuit import BranchState, CircuitLayer, JointState, ModeSpinBasis
 from .errors import DegenerateDensityError, ValidationError
 
 SPINOR_DIM = 4
@@ -248,30 +251,6 @@ def build_dirac_step(
     return WalkStep(grid, phase_matrices(grid, mass, charge, potential))
 
 
-def evolve_two_body(
-    state: JointState,
-    step1: WalkStep,
-    step2: WalkStep,
-    coupling_phases: np.ndarray | None = None,
-) -> JointState:
-    """One joint layer: each particle's step independently, then optional phases.
-
-    The two-body generator has no interaction term, so correlations evolve
-    only through the initial state unless explicit phase couplings are given.
-    """
-    if step1.grid != step2.grid:
-        raise ValidationError("both steps must be built on the same grid")
-    if state.basis != step1.grid.basis():
-        raise ValidationError("state basis does not match the step grid")
-    amps = step1.matrix @ state.amps @ step2.matrix.T
-    if coupling_phases is not None:
-        phases = np.asarray(coupling_phases, dtype=np.float64)
-        if phases.shape != amps.shape:
-            raise ValidationError("coupling phase table must match the joint state shape")
-        amps = amps * np.exp(1j * phases)
-    return JointState(state.basis, amps, layer=state.layer + 1)
-
-
 # ----------------------------------------------------------------------------
 # Densities and currents
 
@@ -290,6 +269,8 @@ class CurrentField:
         j1 = np.asarray(self.j1, dtype=np.float64)
         if j0.shape != (self.grid.n_sites,) or j1.shape != (self.grid.n_sites,):
             raise ValidationError("current tables must be per-site 1D arrays")
+        if not (np.all(np.isfinite(j0)) and np.all(np.isfinite(j1))):
+            raise ValidationError("current tables must be finite")
         if np.min(j0) < -1e-12:
             raise ValidationError("density must be nonnegative")
         total = float(np.sum(j0) * self.grid.dx)
@@ -324,7 +305,10 @@ def _velocity_bilinear(t: np.ndarray, particle: int, sites: str) -> np.ndarray:
     "x", "y" or "xy".
     """
     flipped = t[:, ::-1] if particle == 1 else t[..., ::-1]
-    j = np.einsum(f"xayb,xayb->{sites}", t.conj(), flipped)
+    return _real_current(np.einsum(f"xayb,xayb->{sites}", t.conj(), flipped))
+
+
+def _real_current(j: np.ndarray) -> np.ndarray:
     resid = float(np.max(np.abs(j.imag)))
     if resid > 1e-12:
         raise ValidationError(f"current bilinear acquired an imaginary residue {resid:.3e}")
@@ -346,24 +330,60 @@ def dirac_currents(state: JointState, grid: LatticeGrid):
     return density, jx1, jx2
 
 
-def _marginal_fields(state: JointState, grid: LatticeGrid):
-    """Both particles' CurrentFields plus the joint site table they share."""
-    t = _tensor4(state, grid)
+def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid, layer: int) -> CurrentField:
+    """One particle's CurrentField from its own factor and its partner's.
+
+    The joint state is own @ partner.T, own of shape (4N, r) over this
+    particle's (site, spinor) rows.  Summing the partner out leaves only the
+    partner's r x r Gram matrix G = partner.T @ conj(partner): the density
+    sums conj(own) * (own @ G), and the current pairs conj(own) with the
+    spinor-reversed own @ G, because ALPHA1 is the exchange matrix.
+    partner=None is the identity, whose Gram matrix is the identity.
+    """
+    n = grid.n_sites
     scale_d = 1.0 / grid.dx
     scale_j = (grid.dx / grid.dt) * scale_d
-    joint = _site_probabilities(t)
-    fields = tuple(
-        CurrentField(grid, rho * scale_d, _velocity_bilinear(t, particle, sites) * scale_j, layer=state.layer)
-        for particle, sites, rho in ((1, "x", joint.sum(axis=1)), (2, "y", joint.sum(axis=0)))
+    weighted = own if partner is None else own @ (partner.T @ partner.conj())
+    f = own.reshape(n, SPINOR_DIM, -1).conj()
+    w = weighted.reshape(n, SPINOR_DIM, -1)
+    rho = np.einsum("xai,xai->x", f, w).real
+    j = _real_current(np.einsum("xai,xai->x", f, w[:, ::-1]))
+    return CurrentField(grid, rho * scale_d, j * scale_j, layer=layer)
+
+
+def _marginal_fields(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid, layer: int):
+    """Both particles' CurrentFields of the state left @ right.T.
+
+    Particle 2 sees the transposed state right @ left.T; with right=None
+    (the identity) that is left.T against the identity.
+    """
+    sides = ((left, None), (left.T, None)) if right is None else ((left, right), (right, left))
+    return tuple(_particle_field(own, partner, grid, layer) for own, partner in sides)
+
+
+def _joint_table(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid) -> np.ndarray:
+    """Joint (x1, x2) probability table of left @ right.T, spinors summed.
+
+    For factors, |sum_i L_i R_i|^2 summed over both spinors expands into r^2
+    rank-one products of spinor-summed one-particle tables
+    P[x, i, j] = sum_a F[x, a, i] conj(F[x, a, j]).
+    """
+    n = grid.n_sites
+    if right is None:
+        return _site_probabilities(left.reshape(n, SPINOR_DIM, n, SPINOR_DIM))
+    p1, p2 = (
+        np.einsum("xai,xaj->xij", f, f.conj()).reshape(n, -1)
+        for f in (left.reshape(n, SPINOR_DIM, -1), right.reshape(n, SPINOR_DIM, -1))
     )
-    return fields, joint
+    return (p1 @ p2.T).real
 
 
 def marginal_currents(state: JointState, grid: LatticeGrid, particle: int = 1) -> CurrentField:
     """Partner-summed density and current for the requested particle."""
     if particle not in (1, 2):
         raise ValidationError("particle must be 1 or 2")
-    return _marginal_fields(state, grid)[0][particle - 1]
+    own = state.amps if particle == 1 else state.amps.T
+    return _particle_field(own, None, grid, state.layer)
 
 
 def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -410,7 +430,11 @@ def continuity_residual(
 
 @dataclass
 class WalkHistory:
-    """Per-layer marginal tables (and optionally joint densities) of one run."""
+    """Per-layer marginal tables of one run, plus the requested joint data.
+
+    joint maps a recorded layer to its (n_sites, n_sites) joint density
+    table and states maps a kept layer to its joint state.
+    """
 
     grid: LatticeGrid
     n_layers: int
@@ -418,8 +442,7 @@ class WalkHistory:
     current1: np.ndarray
     density2: np.ndarray
     current2: np.ndarray
-    joint: np.ndarray | None
-    final_state: JointState
+    joint: dict[int, np.ndarray] = field(default_factory=dict)
     states: dict[int, JointState] = field(default_factory=dict)
 
 
@@ -432,54 +455,87 @@ def _steps_per_layer(steps, n_layers: int) -> list[WalkStep]:
     return steps
 
 
+def _amplitudes(left: np.ndarray, right: np.ndarray | None) -> np.ndarray:
+    return left if right is None else left @ right.T
+
+
+def _layer_set(layers: Iterable[int], n_layers: int, what: str) -> set[int]:
+    out = {int(k) for k in layers}
+    for k in out:
+        if not 0 <= k <= n_layers:
+            raise ValidationError(f"{what} layer {k} out of range")
+    return out
+
+
 def run_walk(
-    state0: JointState,
+    state0: BranchState | JointState,
     grid: LatticeGrid,
     steps1,
     steps2,
     n_layers: int,
     couplings: dict[int, np.ndarray] | None = None,
-    record_joint: bool = True,
+    record_joint: Iterable[int] = (),
     keep_states: Iterable[int] = (),
 ) -> WalkHistory:
     """Evolve a joint state and record per-layer marginal tables.
 
-    couplings maps a layer index (0-based) to a joint phase table applied
-    after that layer's per-particle steps.  keep_states names the layers
-    (0 through n_layers) whose joint states the history keeps.
+    The state is evolved as branch factors, left <- U1 @ left and
+    right <- U2 @ right, so an r-branch start costs O(r N) per layer.  A
+    dense start, and every layer after a coupling, carries the full
+    amplitude matrix as left against the identity and evolves as
+    U1 @ A @ U2.T.  couplings maps a layer index (0-based) to a joint phase
+    table applied after that layer's per-particle steps.  record_joint and
+    keep_states name the layers (0 through n_layers) whose joint density
+    tables and joint states the history keeps.
     """
     seq1 = _steps_per_layer(steps1, n_layers)
     seq2 = _steps_per_layer(steps2, n_layers)
+    if any(step.grid != grid for step in seq1 + seq2):
+        raise ValidationError("every step must be built on the run's grid")
+    if isinstance(state0, JointState):
+        state0 = BranchState.from_joint(state0)
+    if state0.basis != grid.basis():
+        raise ValidationError("state basis does not match the step grid")
     couplings = couplings or {}
     for k in couplings:
         if not 0 <= int(k) < n_layers:
             raise ValidationError(f"coupling layer index {k} out of range")
-    keep_states = {int(k) for k in keep_states}
-    for k in keep_states:
-        if not 0 <= k <= n_layers:
-            raise ValidationError(f"kept state layer {k} out of range")
+        if np.shape(couplings[k]) != (state0.basis.dim_a, state0.basis.dim_b):
+            raise ValidationError("coupling phase table must match the joint state shape")
+    record_joint = _layer_set(record_joint, n_layers, "joint table")
+    keep_states = _layer_set(keep_states, n_layers, "kept state")
     n = grid.n_sites
     density1 = np.empty((n_layers + 1, n))
     current1 = np.empty((n_layers + 1, n))
     density2 = np.empty((n_layers + 1, n))
     current2 = np.empty((n_layers + 1, n))
-    joint = np.empty((n_layers + 1, n, n)) if record_joint else None
+    joint = {}
     states = {}
 
-    state = state0
+    left, right = state0.left, state0.right
     for layer in range(n_layers + 1):
-        (cur1, cur2), site_table = _marginal_fields(state, grid)
+        cur1, cur2 = _marginal_fields(left, right, grid, layer)
         density1[layer] = cur1.j0
         current1[layer] = cur1.j1
         density2[layer] = cur2.j0
         current2[layer] = cur2.j1
-        if record_joint:
-            joint[layer] = site_table / (grid.dx * grid.dx)
+        if layer in record_joint:
+            joint[layer] = _joint_table(left, right, grid) / (grid.dx * grid.dx)
         if layer in keep_states:
-            states[layer] = state
+            states[layer] = JointState(state0.basis, _amplitudes(left, right), layer=layer)
         if layer == n_layers:
             break
-        state = evolve_two_body(state, seq1[layer], seq2[layer], couplings.get(layer))
+        step1, step2 = seq1[layer].matrix, seq2[layer].matrix
+        if right is None:
+            # U1 @ A @ U2.T as two left products on C-ordered operands: scipy's
+            # dense @ sparse path ravels a Fortran-ordered transpose and hands
+            # back a Fortran-ordered result, which costs more than these copies.
+            left = np.ascontiguousarray((step2 @ np.ascontiguousarray((step1 @ left).T)).T)
+        else:
+            left, right = step1 @ left, step2 @ right
+        if layer in couplings:
+            phases = np.asarray(couplings[layer], dtype=np.float64)
+            left, right = _amplitudes(left, right) * np.exp(1j * phases), None
     return WalkHistory(
         grid=grid,
         n_layers=n_layers,
@@ -488,7 +544,6 @@ def run_walk(
         density2=density2,
         current2=current2,
         joint=joint,
-        final_state=state,
         states=states,
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis
+from .circuit import BranchState, CircuitLayer, JointState, ModeSpinBasis
 from .dirac import ALPHA1, SPINOR_DIM, LatticeGrid
 from .errors import PilotPathError, ResourceCapError, ValidationError
 
@@ -89,22 +89,36 @@ class PathContext:
     @classmethod
     def from_joint_state(
         cls,
-        state: JointState,
+        state: BranchState | JointState,
         layers: list[CircuitLayer],
         grid: LatticeGrid | None = None,
         prune_tol: float = 0.0,
     ) -> "PathContext":
-        """Extract product factors from a joint start; reject entangled ones."""
-        u, s, vh = np.linalg.svd(state.amps)
+        """Extract product factors from a joint start; reject entangled ones.
+
+        Branch factors are first reduced by QR, left = Q1 C1 and
+        right = Q2 C2, so the singular values come from the r x r core
+        C1 @ C2.T instead of the full amplitude matrix.  A dense start (right
+        is the identity) is its own core.
+        """
+        if isinstance(state, JointState):
+            state = BranchState.from_joint(state)
+        q1 = q2 = None
+        core = state.left
+        if state.right is not None:
+            q1, c1 = np.linalg.qr(state.left)
+            q2, c2 = np.linalg.qr(state.right)
+            core = c1 @ c2.T
+        u, s, vh = np.linalg.svd(core)
         if s.shape[0] > 1 and s[1] > PRODUCT_RANK_TOL * s[0]:
             raise ValidationError(
                 "path conditioning needs a product initial state; "
                 f"second singular value is {s[1]:.3e}"
             )
-        # numpy svd convention: amps[j, k] = u[j, 0] * s[0] * vh[0, k], and
+        # numpy svd convention: core[j, k] = u[j, 0] * s[0] * vh[0, k], and
         # amps[j, k] = psi1[j] * psi2[k], so vh's row is psi2 as stored.
-        psi1 = u[:, 0]
-        psi2 = s[0] * vh[0, :]
+        psi1 = u[:, 0] if q1 is None else q1 @ u[:, 0]
+        psi2 = s[0] * (vh[0, :] if q2 is None else q2 @ vh[0, :])
         lead = int(np.argmax(np.abs(psi1)))
         rot = np.exp(-1j * np.angle(psi1[lead]))
         return cls(layers, state.basis, psi1 * rot, psi2 * np.conj(rot), grid, prune_tol)

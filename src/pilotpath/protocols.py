@@ -82,11 +82,11 @@ def retro_run(
     joint correlations enter only through the final-layer draw.  Per-layer
     KS distances against the recorded marginal stacks are returned.
     """
-    if history.joint is None:
-        raise ValidationError("retro run needs a history recorded with record_joint=True")
+    if history.n_layers not in history.joint:
+        raise ValidationError("retro run needs the final layer's joint table; record it with record_joint")
     grid = history.grid
     rng = stream_rng(seed, STREAM_FINAL_SAMPLE)
-    x1, x2 = sample_joint_density(history.joint[-1], grid, count, rng)
+    x1, x2 = sample_joint_density(history.joint[history.n_layers], grid, count, rng)
     stacks = {1: velocity_stack(history, 1), 2: velocity_stack(history, 2)}
     runs = {}
     ks = {}
@@ -244,15 +244,13 @@ class TrackSet:
     threshold_rel: float
 
 
-def _build_graph(
-    stacks: np.ndarray, name: str, threshold_rel: float, periodic: bool
-) -> TrackGraph:
+def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> TrackGraph:
+    """Branch graph of one density table per layer (any sequence of arrays)."""
     if not 0.0 < threshold_rel < 1.0:
         raise ValidationError("track threshold must lie strictly between 0 and 1")
     labels = []
     counts = []
-    for t in range(stacks.shape[0]):
-        table = stacks[t]
+    for t, table in enumerate(tables):
         peak = float(table.max())
         if peak <= 0.0:
             raise DegenerateDensityError(f"{name}: layer {t} density has no support")
@@ -291,10 +289,11 @@ def build_tracks(history: WalkHistory, threshold_rel: float = TRACK_THRESHOLD_RE
     particle configuration square; marginal components on each particle's
     axis.
     """
-    if history.joint is None:
-        raise ValidationError("track analysis needs a history recorded with record_joint=True")
+    layers = range(history.n_layers + 1)
+    if any(t not in history.joint for t in layers):
+        raise ValidationError("track analysis needs the joint table of every layer; record them with record_joint")
     periodic = history.grid.boundary == "periodic"
-    joint = _build_graph(history.joint, "joint", threshold_rel, periodic)
+    joint = _build_graph([history.joint[t] for t in layers], "joint", threshold_rel, periodic)
     marginal = {
         1: _build_graph(history.density1, "marginal-1", threshold_rel, periodic),
         2: _build_graph(history.density2, "marginal-2", threshold_rel, periodic),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis
+from .circuit import BranchState, CircuitLayer, ModeSpinBasis, branch_norm_sq
 from .dirac import (
     LatticeGrid,
     PotentialField,
@@ -230,17 +230,17 @@ def _weight(value) -> complex:
     return complex(value)
 
 
-def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[float, float]) -> JointState:
-    basis = grid.basis()
-    amps = np.zeros((basis.dim_a, basis.dim_b), dtype=np.complex128)
-    for branch in branches:
-        p1 = build_packet(grid, branch["packet1"], masses[0]).reshape(-1)
-        p2 = build_packet(grid, branch["packet2"], masses[1]).reshape(-1)
-        amps += _weight(branch.get("weight", 1.0)) * np.outer(p1, p2)
-    norm = np.linalg.norm(amps)
-    if norm < 0.1:
+def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[float, float]) -> BranchState:
+    """The weighted branch sum as branch factors: weights ride on the left factor."""
+    left = np.stack(
+        [_weight(b.get("weight", 1.0)) * build_packet(grid, b["packet1"], masses[0]).reshape(-1) for b in branches],
+        axis=1,
+    )
+    right = np.stack([build_packet(grid, b["packet2"], masses[1]).reshape(-1) for b in branches], axis=1)
+    norm_sq = branch_norm_sq(left, right)
+    if norm_sq < 0.1**2:
         raise ValidationError("initial branches nearly cancel; state is degenerate")
-    return JointState(basis, amps / norm)
+    return BranchState(grid.basis(), left / np.sqrt(norm_sq), right)
 
 
 # ----------------------------------------------------------------------------
@@ -298,7 +298,7 @@ class WalkSystem:
 
     scenario: dict
     grid: LatticeGrid
-    state0: JointState
+    state0: BranchState
     step1: WalkStep
     step2: WalkStep
     couplings: dict[int, np.ndarray]

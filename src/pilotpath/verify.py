@@ -108,6 +108,15 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     GammaSet().validate()
     report.add("gamma_algebra", 0.0, 0.0, "anticommutation table holds exactly")
 
+    # Altering what happens to the second particle must leave the first
+    # particle's marginal untouched.  The marginal is read as the row sums of
+    # each run's own joint tables, not from the first particle's factor and
+    # its partner's Gram matrix, which no partner step can change.  With
+    # coupling layers present only alterations after the last coupling are
+    # marginal-preserving (a coupling is an interaction, not signaling), so
+    # the alteration window shrinks accordingly.
+    first_safe = (max(system.couplings) + 1) if system.couplings else 0
+    every_layer = range(system.n_layers + 1) if first_safe < system.n_layers else ()
     mid = system.n_layers // 2
     history = run_walk(
         system.state0,
@@ -116,7 +125,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         system.step2,
         system.n_layers,
         couplings=system.couplings,
-        record_joint=True,
+        record_joint=every_layer,
         keep_states=(mid, mid + 1),
     )
     norms = history.density1.sum(axis=1) * grid.dx
@@ -124,15 +133,9 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     norms2 = history.density2.sum(axis=1) * grid.dx
     report.add("marginal_normalization", float(np.abs(norms2 - 1.0).max()), 1e-10)
 
-    # Altering what happens to the second particle must leave the first
-    # particle's marginal density untouched.  With coupling layers present
-    # only alterations after the last coupling are marginal-preserving (a
-    # coupling is an interaction, not signaling), so the alteration window
-    # shrinks accordingly.
     p2 = scn["particles"][1]
     alt_potential = PotentialField.barrier(grid, 0.83, grid.x_min + 0.25 * grid.extent, grid.x_min + 0.6 * grid.extent)
     alt_step2 = WalkStep(grid, phase_matrices(grid, float(p2["mass"]), 1.0, alt_potential))
-    first_safe = (max(system.couplings) + 1) if system.couplings else 0
     if first_safe >= system.n_layers:
         report.skip("no_signaling", "a coupling acts at the final layer; no local-change window")
     else:
@@ -144,9 +147,12 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
             steps2,
             system.n_layers,
             couplings=system.couplings,
-            record_joint=False,
+            record_joint=every_layer,
         )
-        gap = float(np.abs(history.density1 - alt_history.density1).max())
+        gap = max(
+            float(np.abs(history.joint[t].sum(axis=1) - alt_history.joint[t].sum(axis=1)).max())
+            for t in every_layer
+        ) * grid.dx
         note = (
             "second particle's potential replaced on every layer"
             if first_safe == 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from pilotpath.circuit import CircuitLayer, ModeSpinBasis
+from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis
 from pilotpath.errors import PilotPathError, ValidationError
 from pilotpath.guidance import VelocityStack
 
@@ -137,6 +137,37 @@ def inverse_layers(layers) -> list[CircuitLayer]:
             undo.append(CircuitLayer(eye_a, eye_b, -layer.phases))
         undo.append(CircuitLayer(layer.u_a.conj().T, layer.u_b.conj().T))
     return undo
+
+
+# ----------------------------------------------------------------------------
+# Dense walks
+
+
+def evolve_two_body(state: JointState, step1, step2, coupling_phases=None) -> JointState:
+    """One walk layer on the full amplitude matrix: U1 @ A @ U2.T, then phases."""
+    amps = step1.matrix @ state.amps @ step2.matrix.T
+    if coupling_phases is not None:
+        amps = amps * np.exp(1j * np.asarray(coupling_phases, dtype=np.float64))
+    return JointState(state.basis, amps, layer=state.layer + 1)
+
+
+def dense_walk(state0: JointState, steps1, steps2, couplings=None) -> list[JointState]:
+    """The joint state at every layer of a walk, each layer evolved densely."""
+    couplings = couplings or {}
+    states = [state0]
+    for t, (step1, step2) in enumerate(zip(steps1, steps2)):
+        states.append(evolve_two_body(states[-1], step1, step2, couplings.get(t)))
+    return states
+
+
+def svd_product_factors(amps: np.ndarray):
+    """(psi1, psi2, singular values) of a joint amplitude matrix by full SVD,
+    with psi1's largest entry made real and positive."""
+    u, s, vh = np.linalg.svd(amps)
+    psi1 = u[:, 0]
+    psi2 = s[0] * vh[0, :]
+    rot = np.exp(-1j * np.angle(psi1[int(np.argmax(np.abs(psi1)))]))
+    return psi1 * rot, psi2 * np.conj(rot), s
 
 
 # ----------------------------------------------------------------------------

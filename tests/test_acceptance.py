@@ -18,7 +18,6 @@ from pilotpath.dirac import (
     PotentialField,
     build_dirac_step,
     continuity_residual,
-    evolve_two_body,
     gaussian_profile,
     marginal_currents,
     run_walk,
@@ -59,7 +58,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
-from oracles import pair_overlap, scaled, to_path
+from oracles import evolve_two_body, pair_overlap, scaled, to_path
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -193,6 +192,7 @@ def bundled_runs():
                 system.step2,
                 system.n_layers,
                 system.couplings,
+                record_joint=range(system.n_layers + 1),
             )
             retro = retro_run(
                 history,
@@ -498,7 +498,7 @@ def test_engine_no_signaling_under_entanglement(capsys):
         for _ in range(2):
             potential = PotentialField(rng.uniform(-1.0, 1.0, 12), rng.uniform(-1.0, 1.0, 12))
             step2 = build_dirac_step(grid, mass2, 1.0, potential)
-            histories.append(run_walk(state, grid, step1, step2, 6, record_joint=False))
+            histories.append(run_walk(state, grid, step1, step2, 6))
         h_a, h_b = histories
         worst = max(
             worst,

@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse
 
 from pilotpath.circuit import (
+    BranchState,
     CircuitLayer,
     JointState,
     ModeSpinBasis,
     apply_layer,
+    branch_norm_sq,
     evolve_circuit,
     marginal_probability,
 )
@@ -91,6 +93,32 @@ def test_joint_state_amps_are_immutable():
     state = product_joint(basis, random_state_vector(4, make_rng(1)), random_state_vector(4, make_rng(2)))
     with pytest.raises(ValueError):
         state.amps[0, 0] = 0.0
+
+
+def test_branch_state_validates_and_freezes_its_factors():
+    rng = make_rng(4)
+    basis = ModeSpinBasis(3, 2, 2, 2)
+    left = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    right = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    norm = np.sqrt(branch_norm_sq(left, right))
+    assert abs(norm - np.linalg.norm(left @ right.T)) < 1e-12
+    state = BranchState(basis, left / norm, right, layer=3)
+    assert state.layer == 3 and state.left.flags.c_contiguous
+    with pytest.raises(ValueError):
+        state.right[0, 0] = 0.0
+    dense = BranchState.from_joint(JointState(basis, (left @ right.T) / norm))
+    assert dense.right is None and dense.left.shape == (6, 4)
+    bad = right.copy()
+    bad[1, 1] = np.inf
+    for args, match in (
+        ((left / norm, right[:, :1]), "shapes"),
+        ((left[:4] / norm, right), "shapes"),
+        ((left / norm, bad), "non-finite"),
+        ((left, right), "normalized"),
+        ((np.ones((6, 2)), None), "shapes"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            BranchState(basis, *args)
 
 
 def test_from_product_matches_outer_product():

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pilotpath.circuit import JointState
+from pilotpath.circuit import BranchState, JointState, branch_norm_sq
 from pilotpath.dirac import (
     ALPHA1,
     CHIRAL_SIGNS,
     CHIRAL_V,
+    CurrentField,
     GAMMA0,
     GAMMA1,
     NAMED_SPINORS,
@@ -21,7 +24,6 @@ from pilotpath.dirac import (
     build_dirac_step,
     continuity_residual,
     dirac_currents,
-    evolve_two_body,
     gaussian_profile,
     marginal_currents,
     phase_matrices,
@@ -31,11 +33,13 @@ from pilotpath.dirac import (
     spinor_from_spec,
     to_circuit_layers,
 )
-from pilotpath.errors import ValidationError
+from pilotpath import dirac
 from pilotpath.circuit import evolve_circuit
+from pilotpath.errors import ValidationError
+from pilotpath.scenario import build_walk, bundled_scenario
 
 from conftest import kron_evolve, make_rng, random_state_vector, spinor_field
-from oracles import dense_unitary
+from oracles import dense_unitary, dense_walk, evolve_two_body
 
 
 def joint_from_fields(grid, psi1, psi2):
@@ -253,8 +257,11 @@ def test_two_body_step_requires_matching_grids():
         spinor_field(gaussian_profile(grid_a, 3.0, 1.0), NAMED_SPINORS["up"]),
         spinor_field(gaussian_profile(grid_a, 5.0, 1.0), NAMED_SPINORS["up"]),
     )
-    with pytest.raises(ValidationError):
-        evolve_two_body(state, build_dirac_step(grid_a, 0.1, 0.0), build_dirac_step(grid_b, 0.1, 0.0))
+    with pytest.raises(ValidationError, match="run's grid"):
+        run_walk(state, grid_a, build_dirac_step(grid_a, 0.1, 0.0), build_dirac_step(grid_b, 0.1, 0.0), 1)
+    grid_c = LatticeGrid(6, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="state basis"):
+        run_walk(state, grid_c, build_dirac_step(grid_c, 0.1, 0.0), build_dirac_step(grid_c, 0.1, 0.0), 1)
 
 
 def test_uncoupled_evolution_preserves_product_form():
@@ -268,9 +275,8 @@ def test_uncoupled_evolution_preserves_product_form():
         spinor_field(gaussian_profile(grid, 3.0, 1.2), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, 7.0, 1.2), NAMED_SPINORS["down"]),
     )
-    for _ in range(10):
-        state = evolve_two_body(state, step1, step2)
-    s = np.linalg.svd(state.amps, compute_uv=False)
+    final = run_walk(state, grid, step1, step2, 10, keep_states={10}).states[10]
+    s = np.linalg.svd(final.amps, compute_uv=False)
     assert s[1] < 1e-12
 
 
@@ -284,7 +290,7 @@ def test_coupling_phases_entangle_a_product_start():
     )
     rng = make_rng(29)
     phases = rng.uniform(-np.pi, np.pi, (24, 24))
-    coupled = evolve_two_body(state, step, step, coupling_phases=phases)
+    coupled = run_walk(state, grid, step, step, 1, couplings={0: phases}, keep_states={1}).states[1]
     s = np.linalg.svd(coupled.amps, compute_uv=False)
     assert s[1] > 1e-3
 
@@ -293,7 +299,7 @@ def test_coupling_phases_entangle_a_product_start():
 # Currents
 
 
-def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=()):
+def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=(), record_joint=()):
     rng = make_rng(seed)
     grid = LatticeGrid(n_sites, 1.0, 0.8)
     step1 = build_dirac_step(grid, mass, 0.0)
@@ -304,12 +310,12 @@ def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=()):
         spinor_field(gaussian_profile(grid, x[n_sites // 3], 1.4, 0.5), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, x[2 * n_sites // 3], 1.4), NAMED_SPINORS["chirality-"]),
     )
-    return grid, run_walk(state, grid, step1, step2, n_layers, keep_states=keep_states)
+    return grid, run_walk(state, grid, step1, step2, n_layers, record_joint=record_joint, keep_states=keep_states)
 
 
 def test_joint_density_normalization_and_positivity():
-    grid, hist = walk_history()
-    state = hist.final_state
+    grid, hist = walk_history(keep_states=[6])
+    state = hist.states[6]
     d, jx1, jx2 = dirac_currents(state, grid)
     assert abs(np.sum(d) * grid.dx * grid.dx - 1.0) < 1e-10
     assert np.min(d) > -1e-12
@@ -338,6 +344,22 @@ def test_marginal_currents_match_direct_contraction():
         for got, want in zip((cur1.j0, cur1.j1, cur2.j0, cur2.j1), ref_marginals):
             assert np.max(np.abs(got - want)) <= 1e-13
         assert abs(np.sum(cur2.j0) * grid.dx - 1.0) < 1e-10
+
+
+def test_current_field_rejects_non_finite_tables():
+    grid = LatticeGrid(4, 0.5, 0.5)
+    flat = np.full(4, 0.5)
+    zeros = np.zeros(4)
+    CurrentField(grid, flat, zeros)
+    for j0, j1 in (
+        (np.full(4, np.nan), zeros),
+        (np.array([np.inf, 0.5, 0.5, 0.5]), zeros),
+        (flat, np.array([0.0, np.inf, 0.0, 0.0])),
+        (flat, np.array([0.0, 0.0, -np.inf, 0.0])),
+        (flat, np.full(4, np.nan)),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            CurrentField(grid, j0, j1)
 
 
 def test_current_speed_is_bounded_by_the_lattice_ratio():
@@ -420,17 +442,23 @@ def test_positive_energy_packet_moves_with_its_momentum():
 
 
 def test_run_walk_records_shapes_and_options():
-    grid, hist = walk_history(n_layers=5, keep_states=range(6))
+    grid, hist = walk_history(n_layers=5, keep_states=range(6), record_joint=range(6))
     assert hist.density1.shape == (6, 12)
-    assert hist.joint.shape == (6, 12, 12)
+    assert sorted(hist.joint) == list(range(6))
+    assert all(table.shape == (12, 12) for table in hist.joint.values())
     assert len(hist.states) == 6
     assert [hist.states[k].layer for k in range(6)] == list(range(6))
-    assert hist.final_state.layer == 5
-    _, lean = walk_history(n_layers=5, keep_states=[2])
+    _, lean = walk_history(n_layers=5, keep_states=[2], record_joint=[5])
     assert list(lean.states) == [2]
+    assert list(lean.joint) == [5]
     assert np.array_equal(lean.states[2].amps, hist.states[2].amps)
+    assert np.array_equal(lean.joint[5], hist.joint[5])
+    _, bare = walk_history(n_layers=5)
+    assert bare.joint == {} and bare.states == {}
     with pytest.raises(ValidationError):
         walk_history(n_layers=5, keep_states=[6])
+    with pytest.raises(ValidationError):
+        walk_history(n_layers=5, record_joint=[-1])
 
 
 def test_run_walk_rejects_out_of_range_coupling_layers():
@@ -443,6 +471,84 @@ def test_run_walk_rejects_out_of_range_coupling_layers():
     )
     with pytest.raises(ValidationError):
         run_walk(state, grid, step, step, 3, couplings={3: np.zeros((24, 24))})
+
+
+@st.composite
+def branch_walks(draw):
+    """Random r-branch starts (r = 1, 2, 3) on small periodic or reflecting
+    grids, random steps per layer, and phase couplings at random layers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sites = draw(st.integers(2, 7))
+    boundary = draw(st.sampled_from(["periodic", "reflecting"]))
+    grid = LatticeGrid(n_sites, draw(st.sampled_from([1.0, 0.5])), 0.5, boundary=boundary)
+    n_layers = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    dim = 4 * n_sites
+    left, right = (rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r)) for _ in range(2))
+    left /= np.sqrt(branch_norm_sq(left, right))
+    state0 = BranchState(grid.basis(), left, right)
+
+    def step():
+        pot = PotentialField(rng.uniform(-0.8, 0.8, n_sites), rng.uniform(-0.8, 0.8, n_sites))
+        return build_dirac_step(grid, float(rng.uniform(0.0, 0.6)), float(rng.uniform(-1.0, 1.0)), pot)
+
+    steps1 = [step() for _ in range(n_layers)]
+    steps2 = [step() for _ in range(n_layers)]
+    coupled = draw(st.sets(st.integers(0, n_layers - 1), max_size=2))
+    couplings = {t: rng.uniform(-np.pi, np.pi, (dim, dim)) for t in sorted(coupled)}
+    record = draw(st.sets(st.integers(0, n_layers)))
+    keep = draw(st.sets(st.integers(0, n_layers)))
+    return grid, state0, steps1, steps2, couplings, record, keep
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=branch_walks())
+def test_branch_walk_matches_the_dense_oracle(case):
+    """Factored evolution, and its switch to the full matrix at a coupling,
+    reproduce the dense U1 @ A @ U2.T walk: marginals at every layer, joint
+    tables and kept states where requested."""
+    grid, state0, steps1, steps2, couplings, record, keep = case
+    n_layers = len(steps1)
+    hist = run_walk(state0, grid, steps1, steps2, n_layers, couplings, record_joint=record, keep_states=keep)
+    dense = dense_walk(JointState(grid.basis(), state0.left @ state0.right.T), steps1, steps2, couplings)
+    assert sorted(hist.joint) == sorted(record) and sorted(hist.states) == sorted(keep)
+    for t, state in enumerate(dense):
+        (joint, _, _), marginals = currents_oracle(state, grid)
+        got = (hist.density1[t], hist.current1[t], hist.density2[t], hist.current2[t])
+        for g, want in zip(got, marginals):
+            assert np.max(np.abs(g - want)) <= 1e-13
+        if t in record:
+            assert np.max(np.abs(hist.joint[t] - joint)) <= 1e-13
+        if t in keep:
+            assert hist.states[t].layer == t
+            assert np.max(np.abs(hist.states[t].amps - state.amps)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "name", ["free-packet", "recombination", "entangled-mirror", "no-overlap", "barrier", "spin-singlet"]
+)
+def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, monkeypatch):
+    """Branch starts stay factored: the (4N, 4N) amplitude matrix is formed
+    once per kept state and never for marginals or joint tables."""
+    system = build_walk(bundled_scenario(name))
+    assert not system.couplings and system.state0.right is not None
+    formed = []
+
+    def amplitudes(left, right):
+        formed.append(left.shape)
+        return left @ right.T
+
+    def dense_table(t):
+        raise AssertionError("dense joint table built from a factored state")
+
+    monkeypatch.setattr(dirac, "_amplitudes", amplitudes)
+    monkeypatch.setattr(dirac, "_site_probabilities", dense_table)
+    n = system.n_layers
+    hist = run_walk(
+        system.state0, system.grid, system.step1, system.step2, n, record_joint=range(n + 1), keep_states={n // 2}
+    )
+    assert formed == [(4 * system.grid.n_sites, system.state0.right.shape[1])]
+    assert sorted(hist.joint) == list(range(n + 1)) and list(hist.states) == [n // 2]
 
 
 def test_circuit_view_of_a_walk_reproduces_the_final_state():
@@ -458,14 +564,15 @@ def test_circuit_view_of_a_walk_reproduces_the_final_state():
         spinor_field(gaussian_profile(grid, 2.0, 1.1), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, 6.0, 1.1), NAMED_SPINORS["down"]),
     )
-    hist = run_walk(state0, grid, step1, step2, 3, couplings=couplings)
+    hist = run_walk(state0, grid, step1, step2, 3, couplings=couplings, keep_states={3})
+    final = hist.states[3]
     layers = to_circuit_layers(step1, step2, 3, couplings)
     via_circuit = evolve_circuit(JointState(grid.basis(), state0.amps), layers)
-    assert np.max(np.abs(via_circuit.amps - hist.final_state.amps)) < 1e-12
+    assert np.max(np.abs(via_circuit.amps - final.amps)) < 1e-12
     psi1, psi2 = (gaussian_profile(grid, c, 1.1) for c in (2.0, 6.0))
     psi1 = spinor_field(psi1, NAMED_SPINORS["chirality+"])
     psi2 = spinor_field(psi2, NAMED_SPINORS["down"])
     via_kron = kron_evolve(layers, psi1 / np.linalg.norm(psi1), psi2 / np.linalg.norm(psi2))
-    assert np.max(np.abs(via_kron - hist.final_state.amps)) < 1e-12
+    assert np.max(np.abs(via_kron - final.amps)) < 1e-12
     via_dense = dense_unitary(layers, grid.basis()) @ state0.amps.reshape(-1)
-    assert np.max(np.abs(via_dense.reshape(32, 32) - hist.final_state.amps)) < 1e-12
+    assert np.max(np.abs(via_dense.reshape(32, 32) - final.amps)) < 1e-12

@@ -36,7 +36,7 @@ def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
     psi2 = spinor_field(gaussian_profile(grid, 16.0, sigma, -momentum), NAMED_SPINORS["chirality-"])
     amps = np.outer(psi1, psi2)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    return grid, run_walk(state, grid, step, step, n_layers)
+    return grid, run_walk(state, grid, step, step, n_layers, record_joint={3})
 
 
 # ----------------------------------------------------------------------------

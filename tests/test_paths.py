@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from pilotpath.circuit import CircuitLayer, ModeSpinBasis, marginal_probability
+from pilotpath.circuit import (
+    BranchState,
+    CircuitLayer,
+    JointState,
+    ModeSpinBasis,
+    branch_norm_sq,
+    marginal_probability,
+)
 from pilotpath.dirac import PotentialField, marginal_currents
 from pilotpath.errors import ResourceCapError, ValidationError
 from pilotpath.paths import (
@@ -18,7 +25,7 @@ from pilotpath.paths import (
 )
 
 from conftest import make_rng, random_layers, random_state_vector, small_walk_context
-from oracles import Path, conditional_unitary, pair_overlap, steps_of, to_path
+from oracles import Path, conditional_unitary, pair_overlap, steps_of, svd_product_factors, to_path
 
 
 def circuit_context(seed, modes_a=3, modes_b=2, n=3, coupling_scale=0.8):
@@ -47,7 +54,6 @@ def test_context_rejects_entangled_joint_starts():
     layers = random_layers(basis, 1, rng)
     amps = np.zeros((4, 4), dtype=np.complex128)
     amps[0, 0] = amps[1, 1] = 1.0 / np.sqrt(2)
-    from pilotpath.circuit import JointState
 
     with pytest.raises(ValidationError):
         PathContext.from_joint_state(JointState(basis, amps), layers)
@@ -59,13 +65,55 @@ def test_context_accepts_product_joint_starts():
     layers = random_layers(basis, 1, rng)
     psi1 = random_state_vector(4, rng)
     psi2 = random_state_vector(4, rng)
-    from pilotpath.circuit import JointState
 
     ctx = PathContext.from_joint_state(JointState(basis, np.outer(psi1, psi2)), layers)
     # factors recovered up to a shared phase; their product exactly
     assert abs(abs(np.vdot(ctx.psi1, psi1)) - 1.0) < 1e-12
     assert abs(abs(np.vdot(ctx.psi2, psi2)) - 1.0) < 1e-12
     assert np.max(np.abs(ctx.initial_state().amps - np.outer(psi1, psi2))) < 1e-12
+
+
+def test_factored_product_check_accepts_branches_sharing_a_packet():
+    """Two branches with the same first-particle packet form a product; the
+    QR-and-core check recovers the factors the full SVD would."""
+    rng = make_rng(4)
+    basis = ModeSpinBasis(3, 2, 3, 2)
+    layers = random_layers(basis, 1, rng)
+    a, b, c = random_state_vector(6, rng), random_state_vector(6, rng), random_state_vector(6, rng)
+    left = np.stack([0.6 * a, 0.8j * a], axis=1)
+    right = np.stack([b, c], axis=1)
+    left /= np.sqrt(branch_norm_sq(left, right))
+    ctx = PathContext.from_joint_state(BranchState(basis, left, right), layers)
+    psi1, psi2, s = svd_product_factors(left @ right.T)
+    assert s[1] <= 1e-12 * s[0]
+    assert np.max(np.abs(ctx.psi1 - psi1 / np.linalg.norm(psi1))) < 1e-12
+    assert np.max(np.abs(ctx.psi2 - psi2 / np.linalg.norm(psi2))) < 1e-12
+    assert np.max(np.abs(ctx.initial_state().amps - left @ right.T)) < 1e-12
+
+
+def _entangled_branches(basis, rng):
+    """(a x c + b x d) / sqrt(2) with a, b and c, d orthonormal pairs."""
+    ab = np.linalg.qr(rng.normal(size=(basis.dim_a, 2)) + 1j * rng.normal(size=(basis.dim_a, 2)))[0]
+    cd = np.linalg.qr(rng.normal(size=(basis.dim_b, 2)) + 1j * rng.normal(size=(basis.dim_b, 2)))[0]
+    return ab / np.sqrt(2.0), cd
+
+
+def test_factored_product_check_rejects_entangled_branches():
+    rng = make_rng(5)
+    basis = ModeSpinBasis(3, 2, 3, 2)
+    left, right = _entangled_branches(basis, rng)
+    s = svd_product_factors(left @ right.T)[2]
+    assert f"{s[1]:.3e}" == "7.071e-01"
+    with pytest.raises(ValidationError, match=r"product initial state; second singular value is 7\.071e-01"):
+        PathContext.from_joint_state(BranchState(basis, left, right), random_layers(basis, 1, rng))
+
+
+def test_dense_entangled_start_is_rejected_the_same_way():
+    rng = make_rng(5)
+    basis = ModeSpinBasis(3, 2, 3, 2)
+    left, right = _entangled_branches(basis, rng)
+    with pytest.raises(ValidationError, match=r"product initial state; second singular value is 7\.071e-01"):
+        PathContext.from_joint_state(JointState(basis, left @ right.T), random_layers(basis, 1, rng))
 
 
 # ----------------------------------------------------------------------------

@@ -25,7 +25,13 @@ def scenario_history(name):
     scn = bundled_scenario(name)
     system = build_walk(scn)
     history = run_walk(
-        system.state0, system.grid, system.step1, system.step2, system.n_layers, system.couplings
+        system.state0,
+        system.grid,
+        system.step1,
+        system.step2,
+        system.n_layers,
+        system.couplings,
+        record_joint=range(system.n_layers + 1),
     )
     return scn, system, history
 
@@ -71,9 +77,9 @@ def test_retro_needs_recorded_joint_tables(no_overlap):
         system.step2,
         system.n_layers,
         system.couplings,
-        record_joint=False,
+        record_joint=range(system.n_layers),
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="final layer's joint table"):
         retro_run(history, scn["seed"], count=10)
 
 
@@ -122,7 +128,7 @@ def test_motionless_state_replays_exactly():
     psi = np.kron(np.full(16, 0.25), NAMED_SPINORS["up"])
     amps = np.outer(psi, psi)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    history = run_walk(state, grid, step, step, 6)
+    history = run_walk(state, grid, step, step, 6, record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
     retro = retro_run(history, 99, count=150, substeps=4)
     replay = superdet_replay(retro)
@@ -163,9 +169,9 @@ def test_tracks_need_recorded_joint_tables(no_overlap):
         system.step2,
         system.n_layers,
         system.couplings,
-        record_joint=False,
+        record_joint=range(1, system.n_layers + 1),
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="joint table of every layer"):
         build_tracks(history)
 
 

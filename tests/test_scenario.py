@@ -253,7 +253,7 @@ def test_complex_branch_weights():
     p = build_packet(grid, packet, 0.2).reshape(-1)
     expected = 1j * np.outer(p, p)
     expected = expected / np.linalg.norm(expected)
-    assert np.max(np.abs(state.amps - expected)) < 1e-12
+    assert np.max(np.abs(state.left @ state.right.T - expected)) < 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_build_walk_produces_a_runnable_system():
     scn = resolve_scenario(walk_raw())
     system = build_walk(scn)
     assert system.grid.n_sites == 16
-    assert abs(np.linalg.norm(system.state0.amps) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(system.state0.left @ system.state0.right.T) - 1.0) < 1e-12
     assert system.n_layers == 3
     assert system.caps.pair_cap == 2_000_000
     context = system.path_context(2)
