@@ -172,7 +172,6 @@ class BranchState:
     basis: ModeSpinBasis
     left: np.ndarray
     right: np.ndarray | None = None
-    layer: int = 0
 
     def __post_init__(self) -> None:
         left = np.array(self.left, dtype=np.complex128, order="C")
@@ -196,7 +195,7 @@ class BranchState:
 
     @classmethod
     def from_joint(cls, state: JointState) -> "BranchState":
-        return cls(state.basis, state.amps, None, state.layer)
+        return cls(state.basis, state.amps)
 
 
 def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:

@@ -486,13 +486,16 @@ def run_walk(
     U1 @ A @ U2.T.  couplings maps a layer index (0-based) to a joint phase
     table applied after that layer's per-particle steps.  record_joint and
     keep_states name the layers (0 through n_layers) whose joint density
-    tables and joint states the history keeps.
+    tables and joint states the history keeps.  Layers are numbered from 0
+    at state0, so a JointState start must be at layer 0.
     """
     seq1 = _steps_per_layer(steps1, n_layers)
     seq2 = _steps_per_layer(steps2, n_layers)
     if any(step.grid != grid for step in seq1 + seq2):
         raise ValidationError("every step must be built on the run's grid")
     if isinstance(state0, JointState):
+        if state0.layer != 0:
+            raise ValidationError(f"run_walk starts at layer 0, got a state at layer {state0.layer}")
         state0 = BranchState.from_joint(state0)
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
@@ -527,10 +530,7 @@ def run_walk(
             break
         step1, step2 = seq1[layer].matrix, seq2[layer].matrix
         if right is None:
-            # U1 @ A @ U2.T as two left products on C-ordered operands: scipy's
-            # dense @ sparse path ravels a Fortran-ordered transpose and hands
-            # back a Fortran-ordered result, which costs more than these copies.
-            left = np.ascontiguousarray((step2 @ np.ascontiguousarray((step1 @ left).T)).T)
+            left = np.ascontiguousarray(step1 @ left @ step2.T)
         else:
             left, right = step1 @ left, step2 @ right
         if layer in couplings:

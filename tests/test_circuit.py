@@ -102,8 +102,8 @@ def test_branch_state_validates_and_freezes_its_factors():
     right = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     norm = np.sqrt(branch_norm_sq(left, right))
     assert abs(norm - np.linalg.norm(left @ right.T)) < 1e-12
-    state = BranchState(basis, left / norm, right, layer=3)
-    assert state.layer == 3 and state.left.flags.c_contiguous
+    state = BranchState(basis, left / norm, right)
+    assert state.left.flags.c_contiguous
     with pytest.raises(ValueError):
         state.right[0, 0] = 0.0
     dense = BranchState.from_joint(JointState(basis, (left @ right.T) / norm))

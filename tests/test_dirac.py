@@ -264,6 +264,20 @@ def test_two_body_step_requires_matching_grids():
         run_walk(state, grid_c, build_dirac_step(grid_c, 0.1, 0.0), build_dirac_step(grid_c, 0.1, 0.0), 1)
 
 
+def test_run_walk_rejects_a_start_past_layer_zero():
+    grid = LatticeGrid(8, 1.0, 1.0)
+    state = joint_from_fields(
+        grid,
+        spinor_field(gaussian_profile(grid, 3.0, 1.0), NAMED_SPINORS["up"]),
+        spinor_field(gaussian_profile(grid, 5.0, 1.0), NAMED_SPINORS["up"]),
+    )
+    step = build_dirac_step(grid, 0.1, 0.0)
+    later = JointState(state.basis, state.amps, layer=2)
+    with pytest.raises(ValidationError, match="starts at layer 0, got a state at layer 2"):
+        run_walk(later, grid, step, step, 1)
+    assert run_walk(state, grid, step, step, 1, keep_states={1}).states[1].layer == 1
+
+
 def test_uncoupled_evolution_preserves_product_form():
     rng = make_rng(23)
     grid = LatticeGrid(10, 1.0, 0.8)
