@@ -2,8 +2,8 @@
 
 Each particle carries a (location, spin) index pair; a layer applies one
 unitary per particle followed by a diagonal phase coupling on the joint
-basis.  States are dense complex tensors stored as (dim_a, dim_b) matrices
-over the flattened per-particle indices, or as pairs of branch factors
+basis.  A state is a (dim_a, dim_b) amplitude matrix over the flattened
+per-particle indices, held either whole or as a pair of branch factors
 whose product is that matrix.  All operations are pure; amplitude arrays
 are frozen so states behave as immutable snapshots.
 """
@@ -115,28 +115,54 @@ class CircuitLayer:
         return np.exp(1j * self.phases)
 
 
+def branch_norm_sq(left: np.ndarray, right: np.ndarray | None) -> float:
+    """|left @ right.T|^2 from the two factors' Gram matrices, without the product."""
+    if right is None:
+        return float(np.vdot(left, left).real)
+    return float(((left.conj().T @ left) * (right.conj().T @ right)).sum().real)
+
+
 @dataclass(frozen=True)
 class JointState:
-    """Pure two-particle state over the flattened joint basis."""
+    """Pure two-particle state held as branch factors: amps = left @ right.T.
+
+    Column i of left (dim_a, r) and of right (dim_b, r) are branch i's
+    one-particle factors.  right=None stands for the identity, so left is
+    then the full (dim_a, dim_b) amplitude matrix: the form of dense starts
+    and of states after a coupling layer.
+    """
 
     basis: ModeSpinBasis
-    amps: np.ndarray
+    left: np.ndarray
+    right: np.ndarray | None = None
     layer: int = 0
 
     def __post_init__(self) -> None:
-        # A private C-ordered copy: any input layout is accepted, and the
+        # Private C-ordered copies: any input layout is accepted, and the
         # checks below read contiguous memory.
-        amps = np.array(self.amps, dtype=np.complex128, order="C")
-        expected = (self.basis.dim_a, self.basis.dim_b)
-        if amps.shape != expected:
-            raise ValidationError(f"amplitudes must have shape {expected}, got {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValidationError("amplitudes contain non-finite entries")
-        norm_err = abs(float(np.vdot(amps, amps).real) - 1.0)
+        left = np.array(self.left, dtype=np.complex128, order="C")
+        right = None if self.right is None else np.array(self.right, dtype=np.complex128, order="C")
+        b = self.basis
+        width = b.dim_b if right is None else right.shape[-1]
+        if left.shape != (b.dim_a, width) or (right is not None and right.shape != (b.dim_b, width)):
+            raise ValidationError(
+                f"amplitude factors must have shapes ({b.dim_a}, r) and ({b.dim_b}, r), got "
+                f"{left.shape} and {None if right is None else right.shape}"
+            )
+        for arr in (left,) if right is None else (left, right):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("amplitudes contain non-finite entries")
+            arr.flags.writeable = False
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        norm_err = abs(branch_norm_sq(left, right) - 1.0)
         if norm_err > NORM_TOL:
             raise ValidationError(f"state is not normalized: |norm^2 - 1| = {norm_err:.3e}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The (dim_a, dim_b) amplitude matrix; formed on each read of a factored state."""
+        return self.left if self.right is None else self.left @ self.right.T
 
     @classmethod
     def from_product(
@@ -152,62 +178,28 @@ class JointState:
         return self.amps.reshape(b.modes_a, b.spins_a, b.modes_b, b.spins_b)
 
 
-def branch_norm_sq(left: np.ndarray, right: np.ndarray | None) -> float:
-    """|left @ right.T|^2 from the two factors' Gram matrices, without the product."""
-    if right is None:
-        return float(np.vdot(left, left).real)
-    return float(((left.conj().T @ left) * (right.conj().T @ right)).sum().real)
-
-
-@dataclass(frozen=True)
-class BranchState:
-    """Pure two-particle state held as branch factors: amps = left @ right.T.
-
-    Column i of left (dim_a, r) and of right (dim_b, r) are branch i's
-    one-particle factors.  right=None stands for the identity, so left is
-    then the full (dim_a, dim_b) amplitude matrix: the form of dense starts
-    and of states after a coupling layer.
-    """
-
-    basis: ModeSpinBasis
-    left: np.ndarray
-    right: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        left = np.array(self.left, dtype=np.complex128, order="C")
-        right = None if self.right is None else np.array(self.right, dtype=np.complex128, order="C")
-        b = self.basis
-        width = b.dim_b if right is None else right.shape[-1]
-        if left.shape != (b.dim_a, width) or (right is not None and right.shape != (b.dim_b, width)):
-            raise ValidationError(
-                f"branch factors must have shapes ({b.dim_a}, r) and ({b.dim_b}, r), got "
-                f"{left.shape} and {None if right is None else right.shape}"
-            )
-        for arr in (left,) if right is None else (left, right):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("branch factors contain non-finite entries")
-            arr.flags.writeable = False
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        norm_err = abs(branch_norm_sq(left, right) - 1.0)
-        if norm_err > NORM_TOL:
-            raise ValidationError(f"state is not normalized: |norm^2 - 1| = {norm_err:.3e}")
-
-    @classmethod
-    def from_joint(cls, state: JointState) -> "BranchState":
-        return cls(state.basis, state.amps)
-
-
 def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
-    """Apply the per-particle unitaries, then the diagonal coupling phase."""
+    """Apply the per-particle unitaries, then the diagonal coupling phase.
+
+    A factored state steps each factor with its own particle's unitary,
+    u_a @ left and u_b @ right.  A coupling multiplies the full amplitude
+    matrix, so the state leaves a coupled layer dense; a dense state steps
+    as u_a @ A @ u_b.T.
+    """
     b = state.basis
     if (layer.dim_a, layer.dim_b) != (b.dim_a, b.dim_b):
         raise ValidationError(
             f"layer dims ({layer.dim_a}, {layer.dim_b}) do not match state "
             f"dims ({b.dim_a}, {b.dim_b})"
         )
-    amps = layer.u_a @ state.amps @ layer.u_b.T
     factor = layer.coupling_factor()
+    if state.right is None:
+        amps = layer.u_a @ state.left @ layer.u_b.T
+    else:
+        left, right = layer.u_a @ state.left, layer.u_b @ state.right
+        if factor is None:
+            return JointState(b, left, right, layer=state.layer + 1)
+        amps = left @ right.T
     if factor is not None:
         amps = amps * factor
     return JointState(b, amps, layer=state.layer + 1)

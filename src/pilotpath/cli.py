@@ -23,7 +23,7 @@ import numpy as np
 from . import exports
 from . import paths as pp
 from .errors import PilotPathError, ValidationError
-from .dirac import run_walk
+from .dirac import marginal_currents, run_walk
 from .guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
 from .protocols import (
     STREAM_FORWARD_SAMPLE,
@@ -67,15 +67,7 @@ def _out_dir(scn: dict, args: argparse.Namespace, command: str) -> str:
 
 
 def _walk_history(system, record_joint=()):
-    return run_walk(
-        system.state0,
-        system.grid,
-        system.step1,
-        system.step2,
-        system.n_layers,
-        couplings=system.couplings,
-        record_joint=record_joint,
-    )
+    return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
 
 
 def _require_walk(scn: dict, command: str) -> None:
@@ -93,7 +85,7 @@ def _forward_runs(scn, system, history):
     runs = {}
     for particle, x0 in ((1, x1), (2, x2)):
         stack = velocity_stack(history, particle, eps)
-        runs[particle] = integrate_batch(stack, x0, "forward", substeps, seed=int(scn["seed"]))
+        runs[particle] = integrate_batch(stack, x0, "forward", substeps)
     return runs
 
 
@@ -171,8 +163,6 @@ def cmd_currents(scn: dict, args) -> int:
     marginal = pp.path_sum_marginal(ensemble)
 
     direct = pp.direct_state(context, n)
-    from .dirac import marginal_currents
-
     field = marginal_currents(direct, context.grid, 1)
     basis = context.basis
     rows = direct.amps.reshape(basis.modes_a, basis.spins_a, -1)

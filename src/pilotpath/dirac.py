@@ -12,8 +12,9 @@ density integrates to one with weight dx, and the spatial current carries a
 dx/dt factor so that the density/current pair satisfies the continuity
 equation in the refinement limit.
 
-Runs hold the joint state as branch factors, A = L @ R.T, and step each
-factor with its own particle's layer; see run_walk.
+A run is a fold of circuit.apply_layer over the walk's CircuitLayers, so a
+branch-factored state A = L @ R.T steps each factor with its own particle's
+layer; see run_walk.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .circuit import BranchState, CircuitLayer, JointState, ModeSpinBasis
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, apply_layer
 from .errors import DegenerateDensityError, ValidationError
 
 SPINOR_DIM = 4
@@ -32,8 +33,6 @@ SPINOR_DIM = 4
 GAMMA0 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 def _off_block(sigma: np.ndarray) -> np.ndarray:
@@ -44,8 +43,6 @@ def _off_block(sigma: np.ndarray) -> np.ndarray:
 
 
 GAMMA1 = _off_block(_SX)
-GAMMA2 = _off_block(_SY)
-GAMMA3 = _off_block(_SZ)
 
 # Velocity matrix along the lattice axis; its diagonal vanishes identically,
 # which is what makes the reconstructed spatial current a pure cross term.
@@ -66,46 +63,8 @@ CHIRAL_V = np.array(
 )
 CHIRAL_SIGNS = (1, 1, -1, -1)
 
-for _m in (GAMMA0, GAMMA1, GAMMA2, GAMMA3, ALPHA1, CHIRAL_V):
+for _m in (GAMMA0, GAMMA1, ALPHA1, CHIRAL_V):
     _m.flags.writeable = False
-
-MINKOWSKI_SIGNS = (1.0, -1.0, -1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The Dirac-representation gamma matrices."""
-
-    gamma0: np.ndarray = field(default_factory=lambda: GAMMA0)
-    gamma1: np.ndarray = field(default_factory=lambda: GAMMA1)
-    gamma2: np.ndarray = field(default_factory=lambda: GAMMA2)
-    gamma3: np.ndarray = field(default_factory=lambda: GAMMA3)
-
-    def all(self) -> list[np.ndarray]:
-        return [self.gamma0, self.gamma1, self.gamma2, self.gamma3]
-
-    def velocity(self, i: int) -> np.ndarray:
-        if i not in (1, 2, 3):
-            raise ValidationError("spatial index must be 1, 2, or 3")
-        return self.gamma0 @ self.all()[i]
-
-    def validate(self) -> None:
-        """Check the anticommutation table and the diagonal structure."""
-        mats = self.all()
-        if np.max(np.abs(self.gamma0 - np.diag(np.diag(self.gamma0)))) != 0.0:
-            raise ValidationError("gamma0 must be diagonal")
-        if list(np.diag(self.gamma0).real) != [1.0, 1.0, -1.0, -1.0]:
-            raise ValidationError("gamma0 diagonal must be (+1, +1, -1, -1)")
-        for mu in range(4):
-            for nu in range(4):
-                anti = mats[mu] @ mats[nu] + mats[nu] @ mats[mu]
-                want = 2.0 * MINKOWSKI_SIGNS[mu] * np.eye(SPINOR_DIM) if mu == nu else 0.0
-                if np.max(np.abs(anti - want)) > 1e-14:
-                    raise ValidationError(f"anticommutator ({mu},{nu}) violated")
-        for i in (1, 2, 3):
-            if np.max(np.abs(np.diag(self.velocity(i)))) != 0.0:
-                raise ValidationError(f"gamma0 @ gamma{i} must have an exactly zero diagonal")
-
 
 @dataclass(frozen=True)
 class LatticeGrid:
@@ -262,7 +221,6 @@ class CurrentField:
     grid: LatticeGrid
     j0: np.ndarray
     j1: np.ndarray
-    layer: int = 0
 
     def __post_init__(self) -> None:
         j0 = np.asarray(self.j0, dtype=np.float64)
@@ -330,7 +288,7 @@ def dirac_currents(state: JointState, grid: LatticeGrid):
     return density, jx1, jx2
 
 
-def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid, layer: int) -> CurrentField:
+def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid) -> CurrentField:
     """One particle's CurrentField from its own factor and its partner's.
 
     The joint state is own @ partner.T, own of shape (4N, r) over this
@@ -348,17 +306,17 @@ def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGr
     w = weighted.reshape(n, SPINOR_DIM, -1)
     rho = np.einsum("xai,xai->x", f, w).real
     j = _real_current(np.einsum("xai,xai->x", f, w[:, ::-1]))
-    return CurrentField(grid, rho * scale_d, j * scale_j, layer=layer)
+    return CurrentField(grid, rho * scale_d, j * scale_j)
 
 
-def _marginal_fields(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid, layer: int):
+def _marginal_fields(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid):
     """Both particles' CurrentFields of the state left @ right.T.
 
     Particle 2 sees the transposed state right @ left.T; with right=None
     (the identity) that is left.T against the identity.
     """
     sides = ((left, None), (left.T, None)) if right is None else ((left, right), (right, left))
-    return tuple(_particle_field(own, partner, grid, layer) for own, partner in sides)
+    return tuple(_particle_field(own, partner, grid) for own, partner in sides)
 
 
 def _joint_table(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid) -> np.ndarray:
@@ -383,7 +341,7 @@ def marginal_currents(state: JointState, grid: LatticeGrid, particle: int = 1) -
     if particle not in (1, 2):
         raise ValidationError("particle must be 1 or 2")
     own = state.amps if particle == 1 else state.amps.T
-    return _particle_field(own, None, grid, state.layer)
+    return _particle_field(own, None, grid)
 
 
 def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -392,13 +350,10 @@ def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    """Max-norm continuity residuals with the refinement metadata attached."""
+    """Max-norm continuity residuals of the two-body and marginal laws."""
 
     full: float
     marginal: float
-    dx: float
-    dt: float
-    layer: int
 
 
 def continuity_residual(
@@ -415,13 +370,7 @@ def continuity_residual(
     cur_t = marginal_currents(state_t, grid, particle)
     cur_n = marginal_currents(state_next, grid, particle)
     marg = (cur_n.j0 - cur_t.j0) / grid.dt + _centered_gradient(cur_t.j1, grid.dx)
-    return ContinuityReport(
-        full=float(np.max(np.abs(full))),
-        marginal=float(np.max(np.abs(marg))),
-        dx=grid.dx,
-        dt=grid.dt,
-        layer=state_t.layer,
-    )
+    return ContinuityReport(full=float(np.max(np.abs(full))), marginal=float(np.max(np.abs(marg))))
 
 
 # ----------------------------------------------------------------------------
@@ -455,10 +404,6 @@ def _steps_per_layer(steps, n_layers: int) -> list[WalkStep]:
     return steps
 
 
-def _amplitudes(left: np.ndarray, right: np.ndarray | None) -> np.ndarray:
-    return left if right is None else left @ right.T
-
-
 def _layer_set(layers: Iterable[int], n_layers: int, what: str) -> set[int]:
     out = {int(k) for k in layers}
     for k in out:
@@ -468,43 +413,26 @@ def _layer_set(layers: Iterable[int], n_layers: int, what: str) -> set[int]:
 
 
 def run_walk(
-    state0: BranchState | JointState,
+    state0: JointState,
     grid: LatticeGrid,
-    steps1,
-    steps2,
-    n_layers: int,
-    couplings: dict[int, np.ndarray] | None = None,
+    layers: list[CircuitLayer],
     record_joint: Iterable[int] = (),
     keep_states: Iterable[int] = (),
 ) -> WalkHistory:
-    """Evolve a joint state and record per-layer marginal tables.
+    """Evolve a joint state through the layers and record per-layer marginal tables.
 
-    The state is evolved as branch factors, left <- U1 @ left and
-    right <- U2 @ right, so an r-branch start costs O(r N) per layer.  A
-    dense start, and every layer after a coupling, carries the full
-    amplitude matrix as left against the identity and evolves as
-    U1 @ A @ U2.T.  couplings maps a layer index (0-based) to a joint phase
-    table applied after that layer's per-particle steps.  record_joint and
-    keep_states name the layers (0 through n_layers) whose joint density
+    Each layer is one apply_layer, so a branch-factored start costs O(r N)
+    per uncoupled layer and goes on dense from its first coupling.
+    Marginals are read from the factors at every layer.  record_joint and
+    keep_states name the layers (0 through len(layers)) whose joint density
     tables and joint states the history keeps.  Layers are numbered from 0
-    at state0, so a JointState start must be at layer 0.
+    at state0, so the start must be at layer 0.
     """
-    seq1 = _steps_per_layer(steps1, n_layers)
-    seq2 = _steps_per_layer(steps2, n_layers)
-    if any(step.grid != grid for step in seq1 + seq2):
-        raise ValidationError("every step must be built on the run's grid")
-    if isinstance(state0, JointState):
-        if state0.layer != 0:
-            raise ValidationError(f"run_walk starts at layer 0, got a state at layer {state0.layer}")
-        state0 = BranchState.from_joint(state0)
+    if state0.layer != 0:
+        raise ValidationError(f"run_walk starts at layer 0, got a state at layer {state0.layer}")
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
-    couplings = couplings or {}
-    for k in couplings:
-        if not 0 <= int(k) < n_layers:
-            raise ValidationError(f"coupling layer index {k} out of range")
-        if np.shape(couplings[k]) != (state0.basis.dim_a, state0.basis.dim_b):
-            raise ValidationError("coupling phase table must match the joint state shape")
+    n_layers = len(layers)
     record_joint = _layer_set(record_joint, n_layers, "joint table")
     keep_states = _layer_set(keep_states, n_layers, "kept state")
     n = grid.n_sites
@@ -515,27 +443,19 @@ def run_walk(
     joint = {}
     states = {}
 
-    left, right = state0.left, state0.right
+    state = state0
     for layer in range(n_layers + 1):
-        cur1, cur2 = _marginal_fields(left, right, grid, layer)
+        cur1, cur2 = _marginal_fields(state.left, state.right, grid)
         density1[layer] = cur1.j0
         current1[layer] = cur1.j1
         density2[layer] = cur2.j0
         current2[layer] = cur2.j1
         if layer in record_joint:
-            joint[layer] = _joint_table(left, right, grid) / (grid.dx * grid.dx)
+            joint[layer] = _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx)
         if layer in keep_states:
-            states[layer] = JointState(state0.basis, _amplitudes(left, right), layer=layer)
-        if layer == n_layers:
-            break
-        step1, step2 = seq1[layer].matrix, seq2[layer].matrix
-        if right is None:
-            left = np.ascontiguousarray(step1 @ left @ step2.T)
-        else:
-            left, right = step1 @ left, step2 @ right
-        if layer in couplings:
-            phases = np.asarray(couplings[layer], dtype=np.float64)
-            left, right = _amplitudes(left, right) * np.exp(1j * phases), None
+            states[layer] = state
+        if layer < n_layers:
+            state = apply_layer(state, layers[layer])
     return WalkHistory(
         grid=grid,
         n_layers=n_layers,
@@ -551,11 +471,31 @@ def run_walk(
 def to_circuit_layers(
     steps1, steps2, n_layers: int, couplings: dict[int, np.ndarray] | None = None
 ) -> list[CircuitLayer]:
-    """CircuitLayer view of a walk on the steps' own sparse matrices."""
+    """The walk's layers as CircuitLayers on the steps' own sparse matrices.
+
+    couplings maps a layer index (0-based) to a joint phase table applied
+    after that layer's per-particle steps.  Uncoupled layers with the same
+    pair of steps share one CircuitLayer, since each construction checks
+    both unitaries.
+    """
     seq1 = _steps_per_layer(steps1, n_layers)
     seq2 = _steps_per_layer(steps2, n_layers)
+    if len({step.grid for step in seq1 + seq2}) > 1:
+        raise ValidationError("every step must be built on the run's grid")
     couplings = couplings or {}
-    return [CircuitLayer(seq1[t].matrix, seq2[t].matrix, couplings.get(t)) for t in range(n_layers)]
+    for k in couplings:
+        if not 0 <= int(k) < n_layers:
+            raise ValidationError(f"coupling layer index {k} out of range")
+    shared: dict[tuple[WalkStep, WalkStep], CircuitLayer] = {}
+    layers = []
+    for t, (step1, step2) in enumerate(zip(seq1, seq2)):
+        if t in couplings:
+            layers.append(CircuitLayer(step1.matrix, step2.matrix, couplings[t]))
+            continue
+        if (step1, step2) not in shared:
+            shared[step1, step2] = CircuitLayer(step1.matrix, step2.matrix)
+        layers.append(shared[step1, step2])
+    return layers
 
 
 # ----------------------------------------------------------------------------

@@ -34,7 +34,6 @@ class VelocityStack:
     values: np.ndarray
     masks: np.ndarray
     grid: LatticeGrid
-    particle: int
     eps_node: float
 
     def __post_init__(self) -> None:
@@ -53,7 +52,6 @@ class VelocityStack:
         density: np.ndarray,
         current: np.ndarray,
         grid: LatticeGrid,
-        particle: int = 1,
         eps_rel: float = NODE_EPS_REL,
     ) -> "VelocityStack":
         density = np.asarray(density, dtype=np.float64)
@@ -66,7 +64,7 @@ class VelocityStack:
             raise DegenerateDensityError("a layer has every site below the node threshold")
         values = np.zeros_like(density)
         np.divide(current, density, out=values, where=~masks)
-        return cls(values=values, masks=masks, grid=grid, particle=particle, eps_node=eps_abs)
+        return cls(values=values, masks=masks, grid=grid, eps_node=eps_abs)
 
 
 def velocity_stack(
@@ -74,9 +72,9 @@ def velocity_stack(
 ) -> VelocityStack:
     """Field stack of one particle's marginal flow over a recorded run."""
     if particle == 1:
-        return VelocityStack.from_tables(history.density1, history.current1, history.grid, 1, eps_rel)
+        return VelocityStack.from_tables(history.density1, history.current1, history.grid, eps_rel)
     if particle == 2:
-        return VelocityStack.from_tables(history.density2, history.current2, history.grid, 2, eps_rel)
+        return VelocityStack.from_tables(history.density2, history.current2, history.grid, eps_rel)
     raise ValidationError("particle must be 1 or 2")
 
 
@@ -86,11 +84,8 @@ class EnsembleRun:
 
     positions: np.ndarray
     frozen: np.ndarray
-    times: np.ndarray
     direction: str
-    particle: int
     substeps: int
-    seed: int | None = None
 
     @property
     def n_trajectories(self) -> int:
@@ -120,7 +115,6 @@ def integrate_batch(
     x0: np.ndarray,
     direction: str = "forward",
     substeps: int = 4,
-    seed: int | None = None,
 ) -> EnsembleRun:
     """Transport a batch of positions through the whole stack.
 
@@ -157,21 +151,7 @@ def integrate_batch(
         substeps,
         forward,
     )
-    n_rec = positions.shape[1]
-    step = grid.dt / substeps
-    if forward:
-        times = step * np.arange(n_rec)
-    else:
-        times = stack.n_layers * grid.dt - step * np.arange(n_rec)
-    return EnsembleRun(
-        positions=positions,
-        frozen=frozen,
-        times=times,
-        direction=direction,
-        particle=stack.particle,
-        substeps=substeps,
-        seed=seed,
-    )
+    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
 
 
 # ----------------------------------------------------------------------------

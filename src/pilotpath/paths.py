@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .circuit import BranchState, CircuitLayer, JointState, ModeSpinBasis
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, evolve_circuit
 from .dirac import ALPHA1, SPINOR_DIM, LatticeGrid
 from .errors import PilotPathError, ResourceCapError, ValidationError
 
@@ -89,7 +89,7 @@ class PathContext:
     @classmethod
     def from_joint_state(
         cls,
-        state: BranchState | JointState,
+        state: JointState,
         layers: list[CircuitLayer],
         grid: LatticeGrid | None = None,
         prune_tol: float = 0.0,
@@ -101,8 +101,6 @@ class PathContext:
         C1 @ C2.T instead of the full amplitude matrix.  A dense start (right
         is the identity) is its own core.
         """
-        if isinstance(state, JointState):
-            state = BranchState.from_joint(state)
         q1 = q2 = None
         core = state.left
         if state.right is not None:
@@ -138,12 +136,7 @@ class PathContext:
 def direct_state(context: PathContext, n: int | None = None) -> JointState:
     """Reference joint state after n layers, evolved without path machinery."""
     n = context.n_layers if n is None else int(n)
-    state = context.initial_state()
-    from .circuit import apply_layer
-
-    for layer in context.layers[:n]:
-        state = apply_layer(state, layer)
-    return state
+    return evolve_circuit(context.initial_state(), context.layers[:n])
 
 
 @dataclass

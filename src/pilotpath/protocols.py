@@ -64,7 +64,6 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 class RetroResult:
     """Backward ensembles anchored at the final layer."""
 
-    seed: int
     substeps: int
     final_x1: np.ndarray
     final_x2: np.ndarray
@@ -91,12 +90,11 @@ def retro_run(
     runs = {}
     ks = {}
     for particle, x0 in ((1, x1), (2, x2)):
-        run = integrate_batch(stacks[particle], x0, "backward", substeps, seed=seed)
+        run = integrate_batch(stacks[particle], x0, "backward", substeps)
         density = history.density1 if particle == 1 else history.density2
         runs[particle] = run
         ks[particle] = equivariance_test(run, density, grid)
     return RetroResult(
-        seed=seed,
         substeps=substeps,
         final_x1=x1,
         final_x2=x2,
@@ -140,9 +138,7 @@ def superdet_replay(retro: RetroResult) -> ReplayResult:
     for particle, back in retro.runs.items():
         stack = retro.stacks[particle]
         grid = stack.grid
-        fwd = integrate_batch(
-            stack, back.positions[:, -1].copy(), "forward", retro.substeps, seed=retro.seed
-        )
+        fwd = integrate_batch(stack, back.positions[:, -1].copy(), "forward", retro.substeps)
         runs[particle] = fwd
         # Backward record k sits at the same time as forward record n_rec-1-k.
         gaps = _periodic_gap(

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BranchState, CircuitLayer, ModeSpinBasis, branch_norm_sq
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, branch_norm_sq
 from .dirac import (
     LatticeGrid,
     PotentialField,
-    WalkStep,
     build_dirac_step,
     gaussian_profile,
     positive_energy_packet,
@@ -230,7 +229,7 @@ def _weight(value) -> complex:
     return complex(value)
 
 
-def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[float, float]) -> BranchState:
+def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[float, float]) -> JointState:
     """The weighted branch sum as branch factors: weights ride on the left factor."""
     left = np.stack(
         [_weight(b.get("weight", 1.0)) * build_packet(grid, b["packet1"], masses[0]).reshape(-1) for b in branches],
@@ -240,7 +239,7 @@ def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[f
     norm_sq = branch_norm_sq(left, right)
     if norm_sq < 0.1**2:
         raise ValidationError("initial branches nearly cancel; state is degenerate")
-    return BranchState(grid.basis(), left / np.sqrt(norm_sq), right)
+    return JointState(grid.basis(), left / np.sqrt(norm_sq), right)
 
 
 # ----------------------------------------------------------------------------
@@ -298,18 +297,18 @@ class WalkSystem:
 
     scenario: dict
     grid: LatticeGrid
-    state0: BranchState
-    step1: WalkStep
-    step2: WalkStep
-    couplings: dict[int, np.ndarray]
-    n_layers: int
+    state0: JointState
+    layers: list[CircuitLayer]
     caps: PathCaps
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
 
     def path_context(self, layer: int | None = None) -> PathContext:
         """Path conditioning over the first `layer` layers (product starts only)."""
         n = self.scenario["paths"]["layer"] if layer is None else layer
-        layers = to_circuit_layers(self.step1, self.step2, n, self.couplings)
-        return PathContext.from_joint_state(self.state0, layers, grid=self.grid)
+        return PathContext.from_joint_state(self.state0, self.layers[:n], grid=self.grid)
 
 
 def build_walk(scenario: dict) -> WalkSystem:
@@ -326,7 +325,8 @@ def build_walk(scenario: dict) -> WalkSystem:
     step1 = build_dirac_step(grid, masses[0], float(p1["charge"]), build_potential(grid, p1["potential"]))
     step2 = build_dirac_step(grid, masses[1], float(p2["charge"]), build_potential(grid, p2["potential"]))
     state0 = build_initial_state(grid, scenario["initial"]["branches"], masses)
-    couplings = build_couplings(grid, scenario.get("couplings", []), int(scenario["n_layers"]))
+    n_layers = int(scenario["n_layers"])
+    couplings = build_couplings(grid, scenario.get("couplings", []), n_layers)
     caps = PathCaps(
         pair_cap=int(scenario["paths"]["pair_cap"]),
         memory_cap_bytes=int(scenario["paths"]["memory_cap_mb"]) * 2**20,
@@ -335,10 +335,7 @@ def build_walk(scenario: dict) -> WalkSystem:
         scenario=scenario,
         grid=grid,
         state0=state0,
-        step1=step1,
-        step2=step2,
-        couplings=couplings,
-        n_layers=int(scenario["n_layers"]),
+        layers=to_circuit_layers(step1, step2, n_layers, couplings),
         caps=caps,
     )
 

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paths as pp
-from .circuit import evolve_circuit, marginal_probability
-from .dirac import (
-    GammaSet,
-    PotentialField,
-    WalkStep,
-    continuity_residual,
-    phase_matrices,
-    run_walk,
-)
+from .circuit import CircuitLayer, evolve_circuit, marginal_probability
+from .dirac import PotentialField, WalkStep, continuity_residual, phase_matrices, run_walk
 from .errors import ResourceCapError, ValidationError
 from .guidance import (
     equivariance_test,
@@ -104,9 +97,7 @@ def _verify_paths(report: VerifyReport, context, n_window: int, caps, with_curre
 
 def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     grid = system.grid
-
-    GammaSet().validate()
-    report.add("gamma_algebra", 0.0, 0.0, "anticommutation table holds exactly")
+    n_layers = system.n_layers
 
     # Altering what happens to the second particle must leave the first
     # particle's marginal density untouched.  Each run reads that marginal
@@ -115,17 +106,9 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # With coupling layers present only alterations after the last coupling
     # are marginal-preserving (a coupling is an interaction, not signaling),
     # so the alteration window shrinks accordingly.
-    first_safe = (max(system.couplings) + 1) if system.couplings else 0
-    mid = system.n_layers // 2
-    history = run_walk(
-        system.state0,
-        grid,
-        system.step1,
-        system.step2,
-        system.n_layers,
-        couplings=system.couplings,
-        keep_states=(mid, mid + 1),
-    )
+    first_safe = max((t + 1 for t, layer in enumerate(system.layers) if layer.phases is not None), default=0)
+    mid = n_layers // 2
+    history = run_walk(system.state0, grid, system.layers, keep_states=(mid, mid + 1))
     norms = history.density1.sum(axis=1) * grid.dx
     report.add("unitarity_drift", float(np.abs(norms - 1.0).max()), 1e-10)
     norms2 = history.density2.sum(axis=1) * grid.dx
@@ -134,18 +117,13 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     p2 = scn["particles"][1]
     alt_potential = PotentialField.barrier(grid, 0.83, grid.x_min + 0.25 * grid.extent, grid.x_min + 0.6 * grid.extent)
     alt_step2 = WalkStep(grid, phase_matrices(grid, float(p2["mass"]), 1.0, alt_potential))
-    if first_safe >= system.n_layers:
+    if first_safe >= n_layers:
         report.skip("no_signaling", "a coupling acts at the final layer; no local-change window")
     else:
-        steps2 = [system.step2] * first_safe + [alt_step2] * (system.n_layers - first_safe)
-        alt_history = run_walk(
-            system.state0,
-            grid,
-            system.step1,
-            steps2,
-            system.n_layers,
-            couplings=system.couplings,
-        )
+        # Layers from first_safe on are uncoupled, so their u_a is the first
+        # particle's own step.
+        alt = CircuitLayer(system.layers[-1].u_a, alt_step2.matrix)
+        alt_history = run_walk(system.state0, grid, system.layers[:first_safe] + [alt] * (n_layers - first_safe))
         gap = float(np.abs(history.density1 - alt_history.density1).max())
         note = (
             "second particle's potential replaced on every layer"
@@ -231,8 +209,6 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     # unitary is always a marginal-preserving alteration.
     rng = stream_rng(int(scn["seed"]), 3)
     from scipy.stats import unitary_group
-
-    from .circuit import CircuitLayer
 
     last = context.layers[-1]
     alt_last = CircuitLayer(

@@ -180,6 +180,5 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
         values=stack.values * factor,
         masks=stack.masks,
         grid=stack.grid,
-        particle=stack.particle,
         eps_node=stack.eps_node,
     )

@@ -185,15 +185,7 @@ def bundled_runs():
         if name not in cache:
             scn = bundled_scenario(name)
             system = build_walk(scn)
-            history = run_walk(
-                system.state0,
-                system.grid,
-                system.step1,
-                system.step2,
-                system.n_layers,
-                system.couplings,
-                record_joint=range(system.n_layers + 1),
-            )
+            history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
             retro = retro_run(
                 history,
                 int(scn["seed"]),
@@ -498,7 +490,7 @@ def test_engine_no_signaling_under_entanglement(capsys):
         for _ in range(2):
             potential = PotentialField(rng.uniform(-1.0, 1.0, 12), rng.uniform(-1.0, 1.0, 12))
             step2 = build_dirac_step(grid, mass2, 1.0, potential)
-            histories.append(run_walk(state, grid, step1, step2, 6))
+            histories.append(run_walk(state, grid, to_circuit_layers(step1, step2, 6)))
         h_a, h_b = histories
         worst = max(
             worst,

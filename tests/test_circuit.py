@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse
 
 from pilotpath.circuit import (
-    BranchState,
     CircuitLayer,
     JointState,
     ModeSpinBasis,
@@ -102,12 +101,14 @@ def test_branch_state_validates_and_freezes_its_factors():
     right = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     norm = np.sqrt(branch_norm_sq(left, right))
     assert abs(norm - np.linalg.norm(left @ right.T)) < 1e-12
-    state = BranchState(basis, left / norm, right)
+    state = JointState(basis, left / norm, right)
     assert state.left.flags.c_contiguous
     with pytest.raises(ValueError):
         state.right[0, 0] = 0.0
-    dense = BranchState.from_joint(JointState(basis, (left @ right.T) / norm))
+    assert np.array_equal(state.amps, state.left @ state.right.T)
+    dense = JointState(basis, (left @ right.T) / norm)
     assert dense.right is None and dense.left.shape == (6, 4)
+    assert dense.amps is dense.left
     bad = right.copy()
     bad[1, 1] = np.inf
     for args, match in (
@@ -118,7 +119,7 @@ def test_branch_state_validates_and_freezes_its_factors():
         ((np.ones((6, 2)), None), "shapes"),
     ):
         with pytest.raises(ValidationError, match=match):
-            BranchState(basis, *args)
+            JointState(basis, *args)
 
 
 def test_from_product_matches_outer_product():

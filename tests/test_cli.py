@@ -87,6 +87,8 @@ def test_paths_layer_flag_limits_the_window(scenario_file, tmp_path):
     assert run_cli(["paths", "--scenario", scenario_file, "--layer", "1"], out) == 0
     summary = read_json(out, "cli-unit", "paths", "paths_summary.json")
     assert summary["window_layers"] == 1
+    # the window cannot reach past the scenario's own 3 layers
+    assert run_cli(["paths", "--scenario", scenario_file, "--layer", "4"], out) == 2
 
 
 def test_currents_command_matches_direct_evolution(scenario_file, tmp_path):
@@ -220,15 +222,17 @@ def test_out_root_environment_variable(scenario_file, tmp_path, monkeypatch):
 
 
 def test_reruns_are_byte_identical(scenario_file, tmp_path):
+    """Every command, run twice, writes the same files with the same bytes."""
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
     for out in (out1, out2):
-        assert run_cli(["evolve", "--scenario", scenario_file], out) == 0
-        assert run_cli(["retro", "--scenario", scenario_file], out) == 0
+        for command in cli.COMMANDS:
+            assert run_cli([command, "--scenario", scenario_file], out) == 0, command
     a = artifact_bytes(out1)
     b = artifact_bytes(out2)
     assert a.keys() == b.keys()
-    assert len(a) == 8
+    assert {name.split(os.sep)[1] for name in a} == set(cli.COMMANDS)
+    assert len(a) == 25
     for name in a:
         assert a[name] == b[name], name
 

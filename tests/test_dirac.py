@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotpath.circuit import BranchState, JointState, branch_norm_sq
+from pilotpath.circuit import JointState, branch_norm_sq
 from pilotpath.dirac import (
     ALPHA1,
     CHIRAL_SIGNS,
@@ -16,7 +16,6 @@ from pilotpath.dirac import (
     GAMMA0,
     GAMMA1,
     NAMED_SPINORS,
-    GammaSet,
     LatticeGrid,
     PotentialField,
     WalkStep,
@@ -106,7 +105,29 @@ def currents_oracle(state, grid):
 
 
 def test_gamma_anticommutators():
-    GammaSet().validate()
+    """The Dirac-representation gammas: {g_mu, g_nu} = 2 eta_mu_nu with
+    eta = diag(+1, -1, -1, -1), g0 = diag(1, 1, -1, -1), and every velocity
+    matrix g0 @ g_i with an exactly zero diagonal."""
+
+    def off_block(sigma):
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, 2:] = sigma
+        out[2:, :2] = -sigma
+        return out
+
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    gammas = [GAMMA0, GAMMA1, off_block(sy), off_block(sz)]
+    assert np.array_equal(GAMMA0, np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(GAMMA1, off_block(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    minkowski = (1.0, -1.0, -1.0, -1.0)
+    for mu in range(4):
+        for nu in range(4):
+            anti = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
+            want = 2.0 * minkowski[mu] * np.eye(4) if mu == nu else np.zeros((4, 4))
+            assert np.max(np.abs(anti - want)) <= 1e-14, (mu, nu)
+    for g in gammas[1:]:
+        assert np.max(np.abs(np.diag(GAMMA0 @ g))) == 0.0
 
 
 def test_velocity_matrix_has_zero_diagonal():
@@ -258,10 +279,12 @@ def test_two_body_step_requires_matching_grids():
         spinor_field(gaussian_profile(grid_a, 5.0, 1.0), NAMED_SPINORS["up"]),
     )
     with pytest.raises(ValidationError, match="run's grid"):
-        run_walk(state, grid_a, build_dirac_step(grid_a, 0.1, 0.0), build_dirac_step(grid_b, 0.1, 0.0), 1)
+        layers = to_circuit_layers(build_dirac_step(grid_a, 0.1, 0.0), build_dirac_step(grid_b, 0.1, 0.0), 1)
+        run_walk(state, grid_a, layers)
     grid_c = LatticeGrid(6, 1.0, 1.0)
+    step_c = build_dirac_step(grid_c, 0.1, 0.0)
     with pytest.raises(ValidationError, match="state basis"):
-        run_walk(state, grid_c, build_dirac_step(grid_c, 0.1, 0.0), build_dirac_step(grid_c, 0.1, 0.0), 1)
+        run_walk(state, grid_c, to_circuit_layers(step_c, step_c, 1))
 
 
 def test_run_walk_rejects_a_start_past_layer_zero():
@@ -272,10 +295,11 @@ def test_run_walk_rejects_a_start_past_layer_zero():
         spinor_field(gaussian_profile(grid, 5.0, 1.0), NAMED_SPINORS["up"]),
     )
     step = build_dirac_step(grid, 0.1, 0.0)
+    layers = to_circuit_layers(step, step, 1)
     later = JointState(state.basis, state.amps, layer=2)
     with pytest.raises(ValidationError, match="starts at layer 0, got a state at layer 2"):
-        run_walk(later, grid, step, step, 1)
-    assert run_walk(state, grid, step, step, 1, keep_states={1}).states[1].layer == 1
+        run_walk(later, grid, layers)
+    assert run_walk(state, grid, layers, keep_states={1}).states[1].layer == 1
 
 
 def test_uncoupled_evolution_preserves_product_form():
@@ -289,7 +313,7 @@ def test_uncoupled_evolution_preserves_product_form():
         spinor_field(gaussian_profile(grid, 3.0, 1.2), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, 7.0, 1.2), NAMED_SPINORS["down"]),
     )
-    final = run_walk(state, grid, step1, step2, 10, keep_states={10}).states[10]
+    final = run_walk(state, grid, to_circuit_layers(step1, step2, 10), keep_states={10}).states[10]
     s = np.linalg.svd(final.amps, compute_uv=False)
     assert s[1] < 1e-12
 
@@ -304,7 +328,7 @@ def test_coupling_phases_entangle_a_product_start():
     )
     rng = make_rng(29)
     phases = rng.uniform(-np.pi, np.pi, (24, 24))
-    coupled = run_walk(state, grid, step, step, 1, couplings={0: phases}, keep_states={1}).states[1]
+    coupled = run_walk(state, grid, to_circuit_layers(step, step, 1, {0: phases}), keep_states={1}).states[1]
     s = np.linalg.svd(coupled.amps, compute_uv=False)
     assert s[1] > 1e-3
 
@@ -324,7 +348,8 @@ def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=(), reco
         spinor_field(gaussian_profile(grid, x[n_sites // 3], 1.4, 0.5), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, x[2 * n_sites // 3], 1.4), NAMED_SPINORS["chirality-"]),
     )
-    return grid, run_walk(state, grid, step1, step2, n_layers, record_joint=record_joint, keep_states=keep_states)
+    layers = to_circuit_layers(step1, step2, n_layers)
+    return grid, run_walk(state, grid, layers, record_joint=record_joint, keep_states=keep_states)
 
 
 def test_joint_density_normalization_and_positivity():
@@ -394,7 +419,7 @@ def test_continuity_residual_shrinks_under_refinement():
             spinor_field(gaussian_profile(grid, 5.0, 1.8, 0.9), NAMED_SPINORS["chirality+"]),
             spinor_field(gaussian_profile(grid, 11.0, 1.8, -0.9), NAMED_SPINORS["chirality-"]),
         )
-        hist = run_walk(state, grid, step, step, steps + 1, keep_states=(steps, steps + 1))
+        hist = run_walk(state, grid, to_circuit_layers(step, step, steps + 1), keep_states=(steps, steps + 1))
         rep = continuity_residual(hist.states[steps], hist.states[steps + 1], grid, 1)
         resids.append(rep)
     assert resids[1].full < resids[0].full
@@ -483,8 +508,8 @@ def test_run_walk_rejects_out_of_range_coupling_layers():
         spinor_field(gaussian_profile(grid, 2.0, 0.9), NAMED_SPINORS["up"]),
         spinor_field(gaussian_profile(grid, 4.0, 0.9), NAMED_SPINORS["up"]),
     )
-    with pytest.raises(ValidationError):
-        run_walk(state, grid, step, step, 3, couplings={3: np.zeros((24, 24))})
+    with pytest.raises(ValidationError, match="coupling layer index 3 out of range"):
+        run_walk(state, grid, to_circuit_layers(step, step, 3, {3: np.zeros((24, 24))}))
 
 
 @st.composite
@@ -500,7 +525,7 @@ def branch_walks(draw):
     dim = 4 * n_sites
     left, right = (rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r)) for _ in range(2))
     left /= np.sqrt(branch_norm_sq(left, right))
-    state0 = BranchState(grid.basis(), left, right)
+    state0 = JointState(grid.basis(), left, right)
 
     def step():
         pot = PotentialField(rng.uniform(-0.8, 0.8, n_sites), rng.uniform(-0.8, 0.8, n_sites))
@@ -523,7 +548,8 @@ def test_branch_walk_matches_the_dense_oracle(case):
     tables and kept states where requested."""
     grid, state0, steps1, steps2, couplings, record, keep = case
     n_layers = len(steps1)
-    hist = run_walk(state0, grid, steps1, steps2, n_layers, couplings, record_joint=record, keep_states=keep)
+    layers = to_circuit_layers(steps1, steps2, n_layers, couplings)
+    hist = run_walk(state0, grid, layers, record_joint=record, keep_states=keep)
     dense = dense_walk(JointState(grid.basis(), state0.left @ state0.right.T), steps1, steps2, couplings)
     assert sorted(hist.joint) == sorted(record) and sorted(hist.states) == sorted(keep)
     for t, state in enumerate(dense):
@@ -536,33 +562,62 @@ def test_branch_walk_matches_the_dense_oracle(case):
         if t in keep:
             assert hist.states[t].layer == t
             assert np.max(np.abs(hist.states[t].amps - state.amps)) <= 1e-13
+    # The circuit engine's fold from the same factored start lands on the
+    # same final state.
+    final = evolve_circuit(state0, layers)
+    assert final.layer == n_layers
+    assert (final.right is None) == bool(couplings)
+    assert np.max(np.abs(final.amps - dense[-1].amps)) <= 1e-13
 
 
 @pytest.mark.parametrize(
     "name", ["free-packet", "recombination", "entangled-mirror", "no-overlap", "barrier", "spin-singlet"]
 )
 def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, monkeypatch):
-    """Branch starts stay factored: the (4N, 4N) amplitude matrix is formed
-    once per kept state and never for marginals or joint tables."""
+    """Branch starts stay factored: run_walk never reads JointState.amps, so
+    the (4N, 4N) amplitude matrix is formed for neither marginals, joint
+    tables nor kept states, and the kept states are still branch factors."""
     system = build_walk(bundled_scenario(name))
-    assert not system.couplings and system.state0.right is not None
-    formed = []
+    assert system.state0.right is not None
+    assert all(layer.phases is None for layer in system.layers)
 
-    def amplitudes(left, right):
-        formed.append(left.shape)
-        return left @ right.T
+    def amps(state):
+        raise AssertionError("run_walk read the joint amplitude matrix")
 
     def dense_table(t):
         raise AssertionError("dense joint table built from a factored state")
 
-    monkeypatch.setattr(dirac, "_amplitudes", amplitudes)
-    monkeypatch.setattr(dirac, "_site_probabilities", dense_table)
     n = system.n_layers
-    hist = run_walk(
-        system.state0, system.grid, system.step1, system.step2, n, record_joint=range(n + 1), keep_states={n // 2}
-    )
-    assert formed == [(4 * system.grid.n_sites, system.state0.right.shape[1])]
-    assert sorted(hist.joint) == list(range(n + 1)) and list(hist.states) == [n // 2]
+    keep = {0, n // 2, n}
+    with monkeypatch.context() as patch:
+        patch.setattr(JointState, "amps", property(amps))
+        patch.setattr(dirac, "_site_probabilities", dense_table)
+        hist = run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1), keep_states=keep)
+    assert sorted(hist.joint) == list(range(n + 1)) and set(hist.states) == keep
+    shape = system.state0.right.shape
+    for t, state in hist.states.items():
+        assert state.layer == t
+        assert state.left.shape == shape and state.right.shape == shape
+    assert hist.states[0] is system.state0
+
+
+def test_to_circuit_layers_shares_uncoupled_layers():
+    """Uncoupled layers with the same pair of steps are one CircuitLayer
+    object; each coupled layer, and each new pair of steps, is its own."""
+    grid = LatticeGrid(6, 1.0, 1.0)
+    step1 = build_dirac_step(grid, 0.2, 0.0)
+    step2 = build_dirac_step(grid, 0.4, 0.0)
+    other = build_dirac_step(grid, 0.6, 0.0)
+    phases = np.zeros((24, 24))
+    layers = to_circuit_layers(step1, [step2, step2, step2, other, step2, step2], 6, {1: phases, 2: phases})
+    assert [layer.phases is None for layer in layers] == [True, False, False, True, True, True]
+    assert layers[0] is layers[4] is layers[5]
+    assert len({id(layer) for layer in layers}) == 4
+    assert layers[1] is not layers[2]
+    assert layers[3].u_b.nnz == other.matrix.nnz and layers[3] is not layers[0]
+    assert to_circuit_layers(step1, step2, 0) == []
+    with pytest.raises(ValidationError, match="run's grid"):
+        to_circuit_layers(step1, build_dirac_step(LatticeGrid(6, 1.0, 0.5), 0.4, 0.0), 2)
 
 
 def test_circuit_view_of_a_walk_reproduces_the_final_state():
@@ -578,9 +633,9 @@ def test_circuit_view_of_a_walk_reproduces_the_final_state():
         spinor_field(gaussian_profile(grid, 2.0, 1.1), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, 6.0, 1.1), NAMED_SPINORS["down"]),
     )
-    hist = run_walk(state0, grid, step1, step2, 3, couplings=couplings, keep_states={3})
-    final = hist.states[3]
     layers = to_circuit_layers(step1, step2, 3, couplings)
+    hist = run_walk(state0, grid, layers, keep_states={3})
+    final = hist.states[3]
     via_circuit = evolve_circuit(JointState(grid.basis(), state0.amps), layers)
     assert np.max(np.abs(via_circuit.amps - final.amps)) < 1e-12
     psi1, psi2 = (gaussian_profile(grid, c, 1.1) for c in (2.0, 6.0))

@@ -10,6 +10,7 @@ from pilotpath.dirac import (
     build_dirac_step,
     gaussian_profile,
     run_walk,
+    to_circuit_layers,
 )
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
@@ -36,7 +37,7 @@ def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
     psi2 = spinor_field(gaussian_profile(grid, 16.0, sigma, -momentum), NAMED_SPINORS["chirality-"])
     amps = np.outer(psi1, psi2)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    return grid, run_walk(state, grid, step, step, n_layers, record_joint={3})
+    return grid, run_walk(state, grid, to_circuit_layers(step, step, n_layers), record_joint={3})
 
 
 # ----------------------------------------------------------------------------
@@ -68,7 +69,7 @@ def test_stack_from_tables_validates_shapes():
     with pytest.raises(ValidationError):
         VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid)
     with pytest.raises(ValidationError):
-        VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid, particle=1, eps_node=0.0)
+        VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid, eps_node=0.0)
 
 
 def test_velocity_stack_matches_per_layer_fields():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pilotpath.circuit import (
-    BranchState,
     CircuitLayer,
     JointState,
     ModeSpinBasis,
@@ -83,7 +82,7 @@ def test_factored_product_check_accepts_branches_sharing_a_packet():
     left = np.stack([0.6 * a, 0.8j * a], axis=1)
     right = np.stack([b, c], axis=1)
     left /= np.sqrt(branch_norm_sq(left, right))
-    ctx = PathContext.from_joint_state(BranchState(basis, left, right), layers)
+    ctx = PathContext.from_joint_state(JointState(basis, left, right), layers)
     psi1, psi2, s = svd_product_factors(left @ right.T)
     assert s[1] <= 1e-12 * s[0]
     assert np.max(np.abs(ctx.psi1 - psi1 / np.linalg.norm(psi1))) < 1e-12
@@ -105,7 +104,7 @@ def test_factored_product_check_rejects_entangled_branches():
     s = svd_product_factors(left @ right.T)[2]
     assert f"{s[1]:.3e}" == "7.071e-01"
     with pytest.raises(ValidationError, match=r"product initial state; second singular value is 7\.071e-01"):
-        PathContext.from_joint_state(BranchState(basis, left, right), random_layers(basis, 1, rng))
+        PathContext.from_joint_state(JointState(basis, left, right), random_layers(basis, 1, rng))
 
 
 def test_dense_entangled_start_is_rejected_the_same_way():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilotpath.circuit import JointState
-from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk
+from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
 from pilotpath.guidance import EnsembleRun, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
@@ -24,15 +24,7 @@ from pilotpath.scenario import build_walk, bundled_scenario
 def scenario_history(name):
     scn = bundled_scenario(name)
     system = build_walk(scn)
-    history = run_walk(
-        system.state0,
-        system.grid,
-        system.step1,
-        system.step2,
-        system.n_layers,
-        system.couplings,
-        record_joint=range(system.n_layers + 1),
-    )
+    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
     return scn, system, history
 
 
@@ -70,15 +62,7 @@ def test_streams_of_one_seed_are_independent():
 
 def test_retro_needs_recorded_joint_tables(no_overlap):
     scn, system, _ = no_overlap
-    history = run_walk(
-        system.state0,
-        system.grid,
-        system.step1,
-        system.step2,
-        system.n_layers,
-        system.couplings,
-        record_joint=range(system.n_layers),
-    )
+    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers))
     with pytest.raises(ValidationError, match="final layer's joint table"):
         retro_run(history, scn["seed"], count=10)
 
@@ -128,7 +112,7 @@ def test_motionless_state_replays_exactly():
     psi = np.kron(np.full(16, 0.25), NAMED_SPINORS["up"])
     amps = np.outer(psi, psi)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    history = run_walk(state, grid, step, step, 6, record_joint={6})
+    history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
     retro = retro_run(history, 99, count=150, substeps=4)
     replay = superdet_replay(retro)
@@ -162,15 +146,7 @@ def test_track_threshold_is_validated(no_overlap):
 
 def test_tracks_need_recorded_joint_tables(no_overlap):
     scn, system, _ = no_overlap
-    history = run_walk(
-        system.state0,
-        system.grid,
-        system.step1,
-        system.step2,
-        system.n_layers,
-        system.couplings,
-        record_joint=range(1, system.n_layers + 1),
-    )
+    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(1, system.n_layers + 1))
     with pytest.raises(ValidationError, match="joint table of every layer"):
         build_tracks(history)
 
@@ -373,18 +349,15 @@ def hand_built_tracks(n_sites=8):
     return TrackSet(joint=joint, marginal={}, threshold_rel=0.5)
 
 
-def site_run(sites, particle, direction="forward"):
+def site_run(sites, direction="forward"):
     """A one-substep run whose trajectories sit on the given sites per layer."""
     positions = np.asarray(sites, dtype=np.float64)
     if direction == "backward":
         positions = positions[:, ::-1]
-    n_rec = positions.shape[1]
     return EnsembleRun(
         positions=positions,
         frozen=np.full(positions.shape[0], -1),
-        times=np.arange(n_rec, dtype=np.float64),
         direction=direction,
-        particle=particle,
         substeps=1,
     )
 
@@ -405,14 +378,12 @@ def test_crossings_on_a_hand_built_branch_graph():
                 [0, 1, 3, 1, 6, 6, 6, 6],  # the bridge ends at the next label
                 [0, 1, 1, 3, 4, 1, 1, 1],  # same branch across a two-layer gap
             ],
-            particle=1,
         ),
         2: site_run(
             [
                 [0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 1, 1, 7, 7, 7, 7, 7],  # unbridged along particle 2's axis
             ],
-            particle=2,
             direction="backward",
         ),
     }
