@@ -69,6 +69,10 @@ def _as_unitary(u, name: str):
         frozen = (u,)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {u.shape}")
+    # frozen[0] holds every stored entry.  Checked first, because a NaN
+    # deviation would compare False against the tolerance below.
+    if not np.all(np.isfinite(frozen[0])):
+        raise ValidationError(f"{name} contains non-finite entries")
     err = float(abs(u.conj().T @ u - sparse.eye_array(u.shape[0])).max())
     if err > UNITARITY_TOL:
         raise ValidationError(f"{name} is not unitary: max deviation {err:.3e}")
@@ -165,12 +169,10 @@ class JointState:
         return self.left if self.right is None else self.left @ self.right.T
 
     @classmethod
-    def from_product(
-        cls, basis: ModeSpinBasis, psi_a, psi_b, layer: int = 0
-    ) -> "JointState":
+    def from_product(cls, basis: ModeSpinBasis, psi_a, psi_b) -> "JointState":
         psi_a = np.asarray(psi_a, dtype=np.complex128).reshape(basis.dim_a)
         psi_b = np.asarray(psi_b, dtype=np.complex128).reshape(basis.dim_b)
-        return cls(basis, np.outer(psi_a, psi_b), layer=layer)
+        return cls(basis, np.outer(psi_a, psi_b))
 
     def tensor4(self) -> np.ndarray:
         """View indexed (location_a, spin_a, location_b, spin_b)."""
@@ -213,22 +215,9 @@ def evolve_circuit(state0: JointState, layers) -> JointState:
     return state
 
 
-def marginal_probability(state: JointState, particle: str, mode: int | None = None):
-    """Mode-occupancy marginal P(particle = mode), spin and partner summed out.
-
-    With mode=None the full probability table over modes is returned.
-    """
-    if particle not in ("a", "b", "A", "B"):
+def marginal_probability(state: JointState, particle: str) -> np.ndarray:
+    """Mode-occupancy table of one particle ('a' or 'b'), spin and partner summed out."""
+    if particle not in ("a", "b"):
         raise ValidationError("particle must be 'a' or 'b'")
-    t = state.tensor4()
-    probs = np.abs(t) ** 2
-    if particle in ("a", "A"):
-        table = probs.sum(axis=(1, 2, 3))
-    else:
-        table = probs.sum(axis=(0, 1, 3))
-    if mode is None:
-        return table
-    n_modes = table.shape[0]
-    if not 0 <= int(mode) < n_modes:
-        raise ValidationError(f"mode {mode} out of range for {n_modes} modes")
-    return float(table[int(mode)])
+    probs = np.abs(state.tensor4()) ** 2
+    return probs.sum(axis=(1, 2, 3) if particle == "a" else (0, 1, 3))

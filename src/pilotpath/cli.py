@@ -130,13 +130,13 @@ def _path_ensemble(scn: dict, args):
         if args.layer is not None:
             n = args.layer
         caps = csys.caps
-    ensemble = pp.enumerate_all(context, n, caps=caps, keep_levels=True)
+    ensemble = pp.enumerate_all(context, n, caps=caps)
     return context, ensemble, n
 
 
 def cmd_paths(scn: dict, args) -> int:
     context, ensemble, n = _path_ensemble(scn, args)
-    table = pp.overlap_table(ensemble, with_increments=True)
+    table = pp.overlap_table(ensemble)
     out = _out_dir(scn, args, "paths")
     exports.write_overlap_csv(os.path.join(out, "overlaps.csv"), ensemble, table)
     counts = ensemble.endpoint_counts()
@@ -164,9 +164,7 @@ def cmd_currents(scn: dict, args) -> int:
 
     direct = pp.direct_state(context, n)
     field = marginal_currents(direct, context.grid, 1)
-    basis = context.basis
-    rows = direct.amps.reshape(basis.modes_a, basis.spins_a, -1)
-    direct_marginal = np.einsum("jsk,jsk->j", rows.conj(), rows).real
+    direct_marginal = pp.mode_marginal(direct.amps, context.basis)
     gap_density = float(np.abs(density.total - field.j0).max())
     gap_current = float(np.abs(current.value - field.j1).max())
     gap_marginal = float(np.abs(marginal - direct_marginal).max())
@@ -225,16 +223,22 @@ def cmd_guide(scn: dict, args) -> int:
     return 0
 
 
-def cmd_retro(scn: dict, args) -> int:
-    _require_walk(scn, "retro")
-    system = build_walk(scn)
+def _retro(scn: dict, system):
+    """Backward ensembles anchored at the final layer, at the scenario's node threshold."""
     history = _walk_history(system, record_joint={system.n_layers})
-    retro = retro_run(
+    return retro_run(
         history,
         int(scn["seed"]),
         count=int(scn["protocol"]["count"]),
         substeps=int(scn["protocol"]["substeps"]),
+        eps_rel=float(scn["protocol"]["eps_node_rel"]),
     )
+
+
+def cmd_retro(scn: dict, args) -> int:
+    _require_walk(scn, "retro")
+    system = build_walk(scn)
+    retro = _retro(scn, system)
     out = _out_dir(scn, args, "retro")
     report = {"count": int(scn["protocol"]["count"]), "substeps": retro.substeps}
     for particle in (1, 2):
@@ -258,13 +262,7 @@ def cmd_retro(scn: dict, args) -> int:
 def cmd_superdet(scn: dict, args) -> int:
     _require_walk(scn, "superdet")
     system = build_walk(scn)
-    history = _walk_history(system, record_joint={system.n_layers})
-    retro = retro_run(
-        history,
-        int(scn["seed"]),
-        count=int(scn["protocol"]["count"]),
-        substeps=int(scn["protocol"]["substeps"]),
-    )
+    retro = _retro(scn, system)
     replay = superdet_replay(retro)
     out = _out_dir(scn, args, "superdet")
     report = {

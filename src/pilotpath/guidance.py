@@ -257,9 +257,7 @@ def ks_statistic(samples: np.ndarray, density: np.ndarray, grid: LatticeGrid) ->
     return float(max(d_plus, d_minus))
 
 
-def equivariance_test(
-    run: EnsembleRun, density_stack: np.ndarray, grid: LatticeGrid, layers=None
-) -> np.ndarray:
+def equivariance_test(run: EnsembleRun, density_stack: np.ndarray, grid: LatticeGrid) -> np.ndarray:
     """KS distance between the ensemble and the density at each layer.
 
     The ensemble should have been sampled from the density at its starting
@@ -267,9 +265,8 @@ def equivariance_test(
     """
     density_stack = np.asarray(density_stack, dtype=np.float64)
     n_layers = density_stack.shape[0] - 1
-    layer_list = list(range(n_layers + 1)) if layers is None else list(layers)
-    out = np.empty(len(layer_list))
-    for k, layer in enumerate(layer_list):
+    out = np.empty(n_layers + 1)
+    for layer in range(n_layers + 1):
         pos = run.layer_positions(layer, n_layers)
-        out[k] = ks_statistic(pos, density_stack[layer], grid)
+        out[layer] = ks_statistic(pos, density_stack[layer], grid)
     return out

@@ -57,7 +57,6 @@ class PathContext:
         psi1: np.ndarray,
         psi2: np.ndarray,
         grid: LatticeGrid | None = None,
-        prune_tol: float = 0.0,
     ):
         psi1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
         psi2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
@@ -71,14 +70,11 @@ class PathContext:
                 raise ValidationError(f"layer {t} does not match the basis dimensions")
         if grid is not None and basis.dim_a != grid.n_sites * SPINOR_DIM:
             raise ValidationError("grid does not match the first particle's dimension")
-        if prune_tol < 0.0:
-            raise ValidationError("prune_tol must be nonnegative")
         self.layers = list(layers)
         self.basis = basis
         self.psi1 = psi1 / n1
         self.psi2 = psi2 / n2
         self.grid = grid
-        self.prune_tol = float(prune_tol)
         self.psi1.flags.writeable = False
         self.psi2.flags.writeable = False
 
@@ -92,7 +88,6 @@ class PathContext:
         state: JointState,
         layers: list[CircuitLayer],
         grid: LatticeGrid | None = None,
-        prune_tol: float = 0.0,
     ) -> "PathContext":
         """Extract product factors from a joint start; reject entangled ones.
 
@@ -119,7 +114,7 @@ class PathContext:
         psi2 = s[0] * (vh[0, :] if q2 is None else q2 @ vh[0, :])
         lead = int(np.argmax(np.abs(psi1)))
         rot = np.exp(-1j * np.angle(psi1[lead]))
-        return cls(layers, state.basis, psi1 * rot, psi2 * np.conj(rot), grid, prune_tol)
+        return cls(layers, state.basis, psi1 * rot, psi2 * np.conj(rot), grid)
 
     def initial_state(self) -> JointState:
         return JointState.from_product(self.basis, self.psi1, self.psi2)
@@ -145,29 +140,22 @@ class LevelRecord:
 
     endpoints: np.ndarray
     parents: np.ndarray
-    amps: np.ndarray | None = None
-    partner_states: np.ndarray | None = None
+    partner_states: np.ndarray
 
 
 class PathEnsemble:
-    """Exhaustive path decomposition after a fixed number of layers."""
+    """Exhaustive path decomposition after a fixed number of layers.
 
-    def __init__(
-        self,
-        context: PathContext,
-        n_layers: int,
-        levels: list[LevelRecord],
-        amps: np.ndarray,
-        partner_states: np.ndarray,
-        keep_levels: bool,
-    ):
+    Every level's frontier is kept; amps are the final paths' amplitudes.
+    """
+
+    def __init__(self, context: PathContext, n_layers: int, levels: list[LevelRecord], amps: np.ndarray):
         self.context = context
         self.n_layers = n_layers
         self.levels = levels
         self.endpoints = levels[-1].endpoints
         self.amps = amps
-        self.partner_states = partner_states
-        self.keep_levels = keep_levels
+        self.partner_states = levels[-1].partner_states
         self._groups: dict[int, np.ndarray] | None = None
         self._rows: np.ndarray | None = None
 
@@ -222,24 +210,7 @@ class PathEnsemble:
         return out
 
 
-def _column_structure(u, prune_tol: float) -> sparse.csc_array:
-    """CSC copy of a one-body layer keeping only entries above prune_tol.
-
-    Row indices come out ascending within each column, which fixes the
-    successor order of every path.
-    """
-    u = sparse.csc_array(u, copy=True)
-    u.data[np.abs(u.data) <= prune_tol] = 0.0
-    u.eliminate_zeros()
-    return u
-
-
-def enumerate_all(
-    context: PathContext,
-    n: int | None = None,
-    caps: PathCaps | None = None,
-    keep_levels: bool = False,
-) -> PathEnsemble:
+def enumerate_all(context: PathContext, n: int | None = None, caps: PathCaps | None = None) -> PathEnsemble:
     """Breadth-first exhaustive enumeration of the first particle's paths.
 
     Level by level, every path is extended along all transitions with a
@@ -253,22 +224,18 @@ def enumerate_all(
         raise ValidationError(f"layer count {n} outside 0..{context.n_layers}")
     caps = caps or PathCaps()
     d2 = context.basis.dim_b
-    start = np.flatnonzero(np.abs(context.psi1) > context.prune_tol).astype(np.int32)
-    levels = [
-        LevelRecord(
-            endpoints=start,
-            parents=np.full(start.shape[0], -1, dtype=np.int32),
-            amps=context.psi1[start].copy(),
-            partner_states=np.repeat(context.psi2[None, :], start.shape[0], axis=0),
-        )
-    ]
-    amps = levels[0].amps
-    partner = levels[0].partner_states
-    bytes_kept = partner.nbytes if keep_levels else 0
+    start = np.flatnonzero(context.psi1).astype(np.int32)
+    amps = context.psi1[start]
+    partner = np.repeat(context.psi2[None, :], start.shape[0], axis=0)
+    levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partner)]
+    bytes_kept = partner.nbytes
 
     for t in range(n):
         layer = context.layers[t]
-        cols = _column_structure(layer.u_a, context.prune_tol)
+        # A CSC copy without stored zeros: row indices ascend within each
+        # column, which fixes the successor order of every path.
+        cols = sparse.csc_array(layer.u_a, copy=True)
+        cols.eliminate_zeros()
         counts = np.diff(cols.indptr).astype(np.int64)[levels[-1].endpoints]
         total = int(counts.sum())
         # A path always has at least one successor, so the frontier never
@@ -290,26 +257,18 @@ def enumerate_all(
         column_start = cols.indptr[levels[-1].endpoints] - (np.cumsum(counts) - counts)
         pos = np.repeat(column_start, counts) + np.arange(total)
         new_endpoints = cols.indices[pos].astype(np.int32)
-        new_amps = amps[parent_idx] * cols.data[pos]
+        amps = amps[parent_idx] * cols.data[pos]
         pushed = partner @ layer.u_b.T
         # A sparse u_b returns the product Fortran-ordered; take gathers its
         # rows about twice as fast as fancy indexing does.
-        new_partner = np.take(pushed, parent_idx, axis=0)
+        partner = np.take(pushed, parent_idx, axis=0)
         factor = layer.coupling_factor()
         if factor is not None:
-            new_partner = new_partner * factor[new_endpoints, :]
-        rec = LevelRecord(endpoints=new_endpoints, parents=parent_idx.astype(np.int32))
-        if keep_levels:
-            rec.amps = new_amps
-            rec.partner_states = new_partner
-            bytes_kept += new_partner.nbytes
-        levels.append(rec)
-        amps = new_amps
-        partner = new_partner
+            partner = partner * factor[new_endpoints, :]
+        levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partner))
+        bytes_kept += partner.nbytes
 
-    levels[-1].amps = amps
-    levels[-1].partner_states = partner
-    ensemble = PathEnsemble(context, n, levels, amps, partner, keep_levels)
+    ensemble = PathEnsemble(context, n, levels, amps)
     if ensemble.pair_count > caps.pair_cap:
         raise ResourceCapError(
             f"endpoint pair count {ensemble.pair_count} exceeds the cap {caps.pair_cap}"
@@ -328,7 +287,7 @@ class OverlapGroup:
     endpoint: tuple[int, int]
     path_ids: np.ndarray
     overlaps: np.ndarray
-    increments: np.ndarray | None = None
+    increments: np.ndarray
 
 
 @dataclass
@@ -373,43 +332,29 @@ def _ancestor_matrix(ensemble: PathEnsemble, ids: np.ndarray) -> np.ndarray:
     return anc
 
 
-def overlap_table(
-    ensemble: PathEnsemble,
-    endpoint: tuple[int, int] | None = None,
-    with_increments: bool = False,
-) -> OverlapTable:
+def overlap_table(ensemble: PathEnsemble) -> OverlapTable:
     """Gram matrices of partner states, grouped by path endpoint.
 
-    with_increments also returns the per-layer changes of the truncated
-    overlaps (needs an ensemble enumerated with keep_levels=True) and
-    checks that one plus their sum telescopes to the final overlap.
+    Each group also carries the per-layer changes of the truncated
+    overlaps, checked to telescope: one plus their sum is the final overlap.
     """
-    if with_increments and not ensemble.keep_levels:
-        raise ValidationError("increments need an ensemble enumerated with keep_levels=True")
     basis = ensemble.context.basis
-    groups = ensemble.group_indices()
-    wanted = groups.keys() if endpoint is None else [basis.flat_a(*endpoint)]
     out: dict[int, OverlapGroup] = {}
-    for g in wanted:
-        if g not in groups:
-            continue
-        ids = groups[g]
+    for g, ids in ensemble.group_indices().items():
         phi = ensemble.partner_states[ids]
         raw = phi.conj() @ phi.T
-        increments = None
-        if with_increments:
-            anc = _ancestor_matrix(ensemble, ids)
-            increments = np.empty((ensemble.n_layers, ids.shape[0], ids.shape[0]), dtype=np.complex128)
-            prev = None
-            for r in range(ensemble.n_layers + 1):
-                phi_r = ensemble.levels[r].partner_states[anc[r]]
-                gram_r = phi_r.conj() @ phi_r.T
-                if r > 0:
-                    increments[r - 1] = gram_r - prev
-                prev = gram_r
-            resid = np.max(np.abs(1.0 + increments.sum(axis=0) - raw))
-            if resid > 1e-12:
-                raise PilotPathError(f"overlap increments fail to telescope by {resid:.3e}")
+        anc = _ancestor_matrix(ensemble, ids)
+        increments = np.empty((ensemble.n_layers, ids.shape[0], ids.shape[0]), dtype=np.complex128)
+        prev = None
+        for r in range(ensemble.n_layers + 1):
+            phi_r = ensemble.levels[r].partner_states[anc[r]]
+            gram_r = phi_r.conj() @ phi_r.T
+            if r > 0:
+                increments[r - 1] = gram_r - prev
+            prev = gram_r
+        resid = np.max(np.abs(1.0 + increments.sum(axis=0) - raw))
+        if resid > 1e-12:
+            raise PilotPathError(f"overlap increments fail to telescope by {resid:.3e}")
         gram = _settle_gram(raw, f"endpoint {basis.unflat_a(g)}")
         out[g] = OverlapGroup(
             endpoint=basis.unflat_a(g), path_ids=ids.copy(), overlaps=gram, increments=increments
@@ -425,28 +370,32 @@ def overlap_table(
 class PathDensity:
     """Endpoint density split into its path-diagonal and cross parts."""
 
-    total: np.ndarray | float
-    diagonal: np.ndarray | float
-    cross: np.ndarray | float
+    total: np.ndarray
+    diagonal: np.ndarray
+    cross: np.ndarray
 
 
 @dataclass
 class PathCurrent:
     """Reconstructed spatial current with its vanishing diagonal made explicit."""
 
-    value: np.ndarray | float
-    diagonal_term: np.ndarray | float
+    value: np.ndarray
+    diagonal_term: np.ndarray
     imag_residue: float
+
+
+def mode_marginal(amps: np.ndarray, basis: ModeSpinBasis) -> np.ndarray:
+    """First-particle mode probabilities of a (dim_a, dim_b) amplitude matrix."""
+    rows = amps.reshape(basis.modes_a, basis.spins_a, basis.dim_b)
+    return np.einsum("jsk,jsk->j", rows.conj(), rows).real
 
 
 def path_sum_marginal(ensemble: PathEnsemble) -> np.ndarray:
     """Mode occupation probabilities rebuilt from the decomposition."""
-    basis = ensemble.context.basis
-    rows = ensemble.reconstruct_rows().reshape(basis.modes_a, basis.spins_a, basis.dim_b)
-    return np.einsum("jsk,jsk->j", rows.conj(), rows).real
+    return mode_marginal(ensemble.reconstruct_rows(), ensemble.context.basis)
 
 
-def path_sum_density(ensemble: PathEnsemble, location: int | None = None) -> PathDensity:
+def path_sum_density(ensemble: PathEnsemble) -> PathDensity:
     """Endpoint density as diagonal-plus-cross path sums.
 
     The diagonal part sums |amplitude|^2 and is nonnegative by construction;
@@ -455,18 +404,12 @@ def path_sum_density(ensemble: PathEnsemble, location: int | None = None) -> Pat
     """
     basis = ensemble.context.basis
     scale = ensemble.context.density_scale()
-    rows = ensemble.reconstruct_rows().reshape(basis.modes_a, basis.spins_a, basis.dim_b)
-    total = np.einsum("jsk,jsk->j", rows.conj(), rows).real * scale
+    total = path_sum_marginal(ensemble) * scale
     diag = ensemble.diagonal_weights().reshape(basis.modes_a, basis.spins_a).sum(axis=1) * scale
-    cross = total - diag
-    if location is None:
-        return PathDensity(total=total, diagonal=diag, cross=cross)
-    return PathDensity(
-        total=float(total[location]), diagonal=float(diag[location]), cross=float(cross[location])
-    )
+    return PathDensity(total=total, diagonal=diag, cross=total - diag)
 
 
-def path_sum_current(ensemble: PathEnsemble, location: int | None = None) -> PathCurrent:
+def path_sum_current(ensemble: PathEnsemble) -> PathCurrent:
     """Spatial current rebuilt from cross-endpoint path pairs.
 
     The velocity matrix has a vanishing diagonal, so same-spin pairs drop
@@ -485,11 +428,4 @@ def path_sum_current(ensemble: PathEnsemble, location: int | None = None) -> Pat
         raise PilotPathError(f"current reconstruction left imaginary residue {resid:.3e}")
     weights = ensemble.diagonal_weights().reshape(basis.modes_a, SPINOR_DIM)
     diag_term = weights @ np.diagonal(ALPHA1).real * scale
-    value = cur.real
-    if location is None:
-        return PathCurrent(value=value, diagonal_term=diag_term, imag_residue=resid)
-    return PathCurrent(
-        value=float(value[location]),
-        diagonal_term=float(diag_term[location]),
-        imag_residue=resid,
-    )
+    return PathCurrent(value=cur.real, diagonal_term=diag_term, imag_residue=resid)

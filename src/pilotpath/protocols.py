@@ -35,6 +35,7 @@ import numpy as np
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import (
+    NODE_EPS_REL,
     EnsembleRun,
     VelocityStack,
     equivariance_test,
@@ -73,20 +74,25 @@ class RetroResult:
 
 
 def retro_run(
-    history: WalkHistory, seed: int, count: int = 10_000, substeps: int = 4
+    history: WalkHistory,
+    seed: int,
+    count: int = 10_000,
+    substeps: int = 4,
+    eps_rel: float = NODE_EPS_REL,
 ) -> RetroResult:
     """Sample the final joint density, transport each particle backward.
 
-    Each particle follows the velocity field of its own marginal flow; the
-    joint correlations enter only through the final-layer draw.  Per-layer
-    KS distances against the recorded marginal stacks are returned.
+    Each particle follows the velocity field of its own marginal flow, with
+    sites below eps_rel times the peak density masked as nodes; the joint
+    correlations enter only through the final-layer draw.  Per-layer KS
+    distances against the recorded marginal stacks are returned.
     """
     if history.n_layers not in history.joint:
         raise ValidationError("retro run needs the final layer's joint table; record it with record_joint")
     grid = history.grid
     rng = stream_rng(seed, STREAM_FINAL_SAMPLE)
     x1, x2 = sample_joint_density(history.joint[history.n_layers], grid, count, rng)
-    stacks = {1: velocity_stack(history, 1), 2: velocity_stack(history, 2)}
+    stacks = {p: velocity_stack(history, p, eps_rel) for p in (1, 2)}
     runs = {}
     ks = {}
     for particle, x0 in ((1, x1), (2, x2)):

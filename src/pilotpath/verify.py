@@ -69,16 +69,16 @@ class VerifyReport:
 
 
 def _verify_paths(report: VerifyReport, context, n_window: int, caps, with_current: bool) -> None:
-    ens = pp.enumerate_all(context, n_window, caps=caps, keep_levels=True)
+    ens = pp.enumerate_all(context, n_window, caps=caps)
     direct = pp.direct_state(context, n_window)
     resid = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
     report.add("path_equivalence", resid, 1e-10, f"{ens.n_paths} paths over {n_window} layers")
 
-    table = pp.overlap_table(ens, with_increments=True)
+    table = pp.overlap_table(ens)
     worst_tele = 0.0
     worst_mag = 0.0
     for grp in table.groups.values():
-        if grp.increments is not None and grp.overlaps.shape[0] > 1:
+        if grp.overlaps.shape[0] > 1:
             rebuilt = 1.0 + grp.increments.sum(axis=0)
             worst_tele = max(worst_tele, float(np.abs(rebuilt - grp.overlaps).max()))
         worst_mag = max(worst_mag, float(np.abs(grp.overlaps).max()))

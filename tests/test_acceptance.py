@@ -173,7 +173,7 @@ def _walk_cases():
 def path_cases():
     cases = _circuit_cases() + _walk_cases()
     for case in cases:
-        case["ensemble"] = enumerate_all(case["context"], case["n"], caps=CAPS, keep_levels=True)
+        case["ensemble"] = enumerate_all(case["context"], case["n"], caps=CAPS)
     return cases
 
 
@@ -254,7 +254,7 @@ def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
     total_pairs = 0
     for case in path_cases:
         ctx, ens = case["context"], case["ensemble"]
-        table = overlap_table(ens, with_increments=True)
+        table = overlap_table(ens)
         spot_done = False
         for group in table.groups.values():
             k = group.overlaps.shape[0]
@@ -262,7 +262,7 @@ def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
             assert np.array_equal(np.diagonal(group.overlaps), np.ones(k, dtype=complex))
             assert np.array_equal(group.overlaps, group.overlaps.conj().T)
             worst_excess = max(worst_excess, float(np.abs(group.overlaps).max()) - 1.0)
-            if group.increments is not None and k > 1:
+            if k > 1:
                 rebuilt = 1.0 + group.increments.sum(axis=0)
                 worst_tele = max(worst_tele, float(np.abs(rebuilt - group.overlaps).max()))
             if not spot_done and k > 1:

@@ -125,6 +125,26 @@ def test_guide_retro_superdet_and_tracks(scenario_file, tmp_path):
     assert tracks["crossings"]["violations"] == 0
 
 
+def test_retro_and_superdet_use_the_scenario_node_threshold(scenario_file, tmp_path):
+    """A high eps_node_rel masks the density tails, and backward runs flag
+    the trajectories that meet them, as forward runs do."""
+    with open(scenario_file, encoding="utf-8") as fh:
+        scn = json.load(fh)
+    scn["protocol"]["eps_node_rel"] = 0.3
+    high = tmp_path / "high.json"
+    high.write_text(json.dumps(scn), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("guide", "retro", "superdet"):
+        assert run_cli([command, "--scenario", str(high)], out) == 0, command
+    guide = read_json(out, "cli-unit", "guide", "guide_summary.json")
+    assert guide["particle1"]["flagged"] > 0
+    retro = read_json(out, "cli-unit", "retro", "retro_report.json")
+    assert retro["particle1"]["flagged"] > 0
+    assert retro["particle2"]["flagged"] > 0
+    sup = read_json(out, "cli-unit", "superdet", "superdet_report.json")
+    assert sup["total_excluded"] > 0
+
+
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["verify", "--scenario", scenario_file], out) == 0
@@ -175,6 +195,23 @@ def test_path_cap_override_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert payload["error"] == "ResourceCapError"
+
+
+def test_non_finite_circuit_unitary_exits_2(tmp_path, capsys):
+    scn = {
+        "engine": "circuit",
+        "name": "nan-layer",
+        "seed": 7,
+        "basis": {"modes_a": 1, "spins_a": 2, "modes_b": 1, "spins_b": 2},
+        "layers": [{"u_a": [[float("nan"), 0.0], [0.0, 1.0]], "u_b": [[1.0, 0.0], [0.0, 1.0]]}],
+        "initial": {"psi1": {"basis_point": 0}, "psi2": {"basis_point": 1}},
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert payload["error"] == "ValidationError"
+    assert "non-finite" in payload["message"]
 
 
 def test_degenerate_density_exits_4(scenario_file, tmp_path, capsys, monkeypatch):

@@ -172,7 +172,7 @@ def test_enumeration_respects_the_pair_cap():
 def test_enumeration_respects_the_memory_cap():
     ctx = circuit_context(10, modes_a=3, modes_b=2, n=3)
     with pytest.raises(ResourceCapError):
-        enumerate_all(ctx, caps=PathCaps(memory_cap_bytes=4096), keep_levels=True)
+        enumerate_all(ctx, caps=PathCaps(memory_cap_bytes=4096))
 
 
 # ----------------------------------------------------------------------------
@@ -199,8 +199,7 @@ def test_marginal_and_density_sums_match_the_direct_state():
     assert np.max(np.abs(dens.total - ref_total)) < 1e-10
     assert np.max(np.abs(dens.total - dens.diagonal - dens.cross)) < 1e-14
     assert np.min(dens.diagonal) >= 0.0
-    at_two = path_sum_density(ensemble, location=2)
-    assert abs(at_two.total - ref_total[2]) < 1e-10
+    assert abs(path_sum_density(ensemble).total[2] - ref_total[2]) < 1e-10
 
 
 def test_interference_lives_entirely_in_the_cross_term():
@@ -226,7 +225,7 @@ def test_current_reconstruction_matches_the_lattice_engine():
     assert np.max(np.abs(cur.diagonal_term)) == 0.0
     assert cur.imag_residue <= 1e-12
     mid = ctx.grid.n_sites // 2
-    assert abs(path_sum_current(ensemble, location=mid).value - ref.j1[mid]) < 1e-10
+    assert abs(path_sum_current(ensemble).value[mid] - ref.j1[mid]) < 1e-10
 
 
 def test_current_reconstruction_requires_lattice_mode():
@@ -241,8 +240,8 @@ def test_current_reconstruction_requires_lattice_mode():
 
 def overlap_fixture(seed=30):
     ctx = circuit_context(seed, modes_a=2, modes_b=2, n=3)
-    ensemble = enumerate_all(ctx, keep_levels=True)
-    return ctx, ensemble, overlap_table(ensemble, with_increments=True)
+    ensemble = enumerate_all(ctx)
+    return ctx, ensemble, overlap_table(ensemble)
 
 
 def test_overlap_gram_structure():
@@ -268,10 +267,17 @@ def test_overlap_increments_telescope():
 
 
 def test_increments_require_kept_levels():
+    """A default enumeration keeps every level, so every group has increments."""
     ctx = circuit_context(31, modes_a=2, modes_b=2, n=2)
     ensemble = enumerate_all(ctx)
-    with pytest.raises(ValidationError):
-        overlap_table(ensemble, with_increments=True)
+    assert len(ensemble.levels) == ctx.n_layers + 1
+    for level in ensemble.levels:
+        assert level.partner_states.shape == (level.endpoints.shape[0], ctx.basis.dim_b)
+    table = overlap_table(ensemble)
+    assert table.groups.keys() == ensemble.group_indices().keys()
+    for group in table.groups.values():
+        k = group.path_ids.shape[0]
+        assert group.increments.shape == (ctx.n_layers, k, k)
 
 
 def test_pair_overlap_agrees_with_the_table():
