@@ -139,7 +139,6 @@ class JointState:
     basis: ModeSpinBasis
     left: np.ndarray
     right: np.ndarray | None = None
-    layer: int = 0
 
     def __post_init__(self) -> None:
         # Private C-ordered copies: any input layout is accepted, and the
@@ -200,11 +199,11 @@ def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
     else:
         left, right = layer.u_a @ state.left, layer.u_b @ state.right
         if factor is None:
-            return JointState(b, left, right, layer=state.layer + 1)
+            return JointState(b, left, right)
         amps = left @ right.T
     if factor is not None:
         amps = amps * factor
-    return JointState(b, amps, layer=state.layer + 1)
+    return JointState(b, amps)
 
 
 def evolve_circuit(state0: JointState, layers) -> JointState:

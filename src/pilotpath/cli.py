@@ -118,24 +118,16 @@ def cmd_evolve(scn: dict, args) -> int:
 
 
 def _path_ensemble(scn: dict, args):
-    if scn["engine"] == "walk":
-        system = build_walk(scn)
-        n = scn["paths"]["layer"] if args.layer is None else args.layer
-        context = system.path_context(n)
-        caps = system.caps
-    else:
-        csys = build_circuit(scn)
-        context = csys.context
-        n = len(context.layers) if scn["paths"]["layer"] is None else int(scn["paths"]["layer"])
-        if args.layer is not None:
-            n = args.layer
-        caps = csys.caps
-    ensemble = pp.enumerate_all(context, n, caps=caps)
-    return context, ensemble, n
+    """Paths over --layer layers, else the scenario's paths.layer (every layer
+    of a circuit when it has none)."""
+    system = build_walk(scn) if scn["engine"] == "walk" else build_circuit(scn)
+    context = system.path_context(scn["paths"]["layer"] if args.layer is None else args.layer)
+    return context, pp.enumerate_all(context, system.caps)
 
 
 def cmd_paths(scn: dict, args) -> int:
-    context, ensemble, n = _path_ensemble(scn, args)
+    context, ensemble = _path_ensemble(scn, args)
+    n = context.n_layers
     table = pp.overlap_table(ensemble)
     out = _out_dir(scn, args, "paths")
     exports.write_overlap_csv(os.path.join(out, "overlaps.csv"), ensemble, table)
@@ -157,13 +149,14 @@ def cmd_paths(scn: dict, args) -> int:
 
 def cmd_currents(scn: dict, args) -> int:
     _require_walk(scn, "currents")
-    context, ensemble, n = _path_ensemble(scn, args)
+    context, ensemble = _path_ensemble(scn, args)
+    n = context.n_layers
     density = pp.path_sum_density(ensemble)
     current = pp.path_sum_current(ensemble)
     marginal = pp.path_sum_marginal(ensemble)
 
-    direct = pp.direct_state(context, n)
-    field = marginal_currents(direct, context.grid, 1)
+    direct = pp.direct_state(context)
+    field = marginal_currents(direct, context.grid)
     direct_marginal = pp.mode_marginal(direct.amps, context.basis)
     gap_density = float(np.abs(density.total - field.j0).max())
     gap_current = float(np.abs(current.value - field.j1).max())

@@ -255,15 +255,14 @@ def _site_probabilities(t: np.ndarray) -> np.ndarray:
     return np.einsum("xayb,xayb->xy", parts, parts)
 
 
-def _velocity_bilinear(t: np.ndarray, particle: int, sites: str) -> np.ndarray:
-    """psi^dagger ALPHA1 psi on one particle's spinor index, summed onto `sites`.
+def _velocity_bilinear(t: np.ndarray, particle: int) -> np.ndarray:
+    """psi^dagger ALPHA1 psi on one particle's spinor index, per (x1, x2) site pair.
 
     ALPHA1 is the spinor exchange matrix, so the contraction pairs the tensor
-    with its own spinor-reversed view.  `sites` names the kept site axes:
-    "x", "y" or "xy".
+    with its own spinor-reversed view.
     """
     flipped = t[:, ::-1] if particle == 1 else t[..., ::-1]
-    return _real_current(np.einsum(f"xayb,xayb->{sites}", t.conj(), flipped))
+    return _real_current(np.einsum("xayb,xayb->xy", t.conj(), flipped))
 
 
 def _real_current(j: np.ndarray) -> np.ndarray:
@@ -283,8 +282,8 @@ def dirac_currents(state: JointState, grid: LatticeGrid):
     scale_d = 1.0 / (grid.dx * grid.dx)
     scale_j = (grid.dx / grid.dt) * scale_d
     density = _site_probabilities(t) * scale_d
-    jx1 = _velocity_bilinear(t, 1, "xy") * scale_j
-    jx2 = _velocity_bilinear(t, 2, "xy") * scale_j
+    jx1 = _velocity_bilinear(t, 1) * scale_j
+    jx2 = _velocity_bilinear(t, 2) * scale_j
     return density, jx1, jx2
 
 
@@ -336,12 +335,9 @@ def _joint_table(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid) 
     return (p1 @ p2.T).real
 
 
-def marginal_currents(state: JointState, grid: LatticeGrid, particle: int = 1) -> CurrentField:
-    """Partner-summed density and current for the requested particle."""
-    if particle not in (1, 2):
-        raise ValidationError("particle must be 1 or 2")
-    own = state.amps if particle == 1 else state.amps.T
-    return _particle_field(own, None, grid)
+def marginal_currents(state: JointState, grid: LatticeGrid) -> CurrentField:
+    """Partner-summed density and current of the first particle."""
+    return _particle_field(state.amps, None, grid)
 
 
 def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -356,19 +352,23 @@ class ContinuityReport:
     marginal: float
 
 
-def continuity_residual(
-    state_t: JointState, state_next: JointState, grid: LatticeGrid, particle: int = 1
-) -> ContinuityReport:
-    """Forward-time, centered-space residual of the two-body and marginal laws."""
-    if state_next.layer != state_t.layer + 1:
-        raise ValidationError("states must be consecutive layers of one run")
+def continuity_residual(history: WalkHistory, layer: int) -> ContinuityReport:
+    """Forward-time, centered-space residual of the two-body and first-particle
+    marginal laws between the history's kept states at layer and layer + 1."""
+    if layer not in history.states or layer + 1 not in history.states:
+        raise ValidationError(
+            f"continuity at layer {layer} needs the states of layers {layer} and "
+            f"{layer + 1}; keep them with keep_states"
+        )
+    grid = history.grid
+    state_t, state_next = history.states[layer], history.states[layer + 1]
     d_t, jx1_t, jx2_t = dirac_currents(state_t, grid)
     d_n, _, _ = dirac_currents(state_next, grid)
     full = (d_n - d_t) / grid.dt
     full += _centered_gradient(jx1_t, grid.dx, axis=0)
     full += _centered_gradient(jx2_t, grid.dx, axis=1)
-    cur_t = marginal_currents(state_t, grid, particle)
-    cur_n = marginal_currents(state_next, grid, particle)
+    cur_t = marginal_currents(state_t, grid)
+    cur_n = marginal_currents(state_next, grid)
     marg = (cur_n.j0 - cur_t.j0) / grid.dt + _centered_gradient(cur_t.j1, grid.dx)
     return ContinuityReport(full=float(np.max(np.abs(full))), marginal=float(np.max(np.abs(marg))))
 
@@ -395,15 +395,6 @@ class WalkHistory:
     states: dict[int, JointState] = field(default_factory=dict)
 
 
-def _steps_per_layer(steps, n_layers: int) -> list[WalkStep]:
-    if isinstance(steps, WalkStep):
-        return [steps] * n_layers
-    steps = list(steps)
-    if len(steps) != n_layers:
-        raise ValidationError(f"expected {n_layers} steps, got {len(steps)}")
-    return steps
-
-
 def _layer_set(layers: Iterable[int], n_layers: int, what: str) -> set[int]:
     out = {int(k) for k in layers}
     for k in out:
@@ -425,11 +416,8 @@ def run_walk(
     per uncoupled layer and goes on dense from its first coupling.
     Marginals are read from the factors at every layer.  record_joint and
     keep_states name the layers (0 through len(layers)) whose joint density
-    tables and joint states the history keeps.  Layers are numbered from 0
-    at state0, so the start must be at layer 0.
+    tables and joint states the history keeps, numbered from 0 at state0.
     """
-    if state0.layer != 0:
-        raise ValidationError(f"run_walk starts at layer 0, got a state at layer {state0.layer}")
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
     n_layers = len(layers)
@@ -469,33 +457,25 @@ def run_walk(
 
 
 def to_circuit_layers(
-    steps1, steps2, n_layers: int, couplings: dict[int, np.ndarray] | None = None
+    step1: WalkStep, step2: WalkStep, n_layers: int, couplings: dict[int, np.ndarray] | None = None
 ) -> list[CircuitLayer]:
-    """The walk's layers as CircuitLayers on the steps' own sparse matrices.
+    """The walk's n_layers layers as CircuitLayers on the steps' own sparse matrices.
 
     couplings maps a layer index (0-based) to a joint phase table applied
-    after that layer's per-particle steps.  Uncoupled layers with the same
-    pair of steps share one CircuitLayer, since each construction checks
-    both unitaries.
+    after that layer's per-particle steps.  Uncoupled layers share one
+    CircuitLayer, since each construction checks both unitaries.
     """
-    seq1 = _steps_per_layer(steps1, n_layers)
-    seq2 = _steps_per_layer(steps2, n_layers)
-    if len({step.grid for step in seq1 + seq2}) > 1:
+    if step1.grid != step2.grid:
         raise ValidationError("every step must be built on the run's grid")
     couplings = couplings or {}
     for k in couplings:
         if not 0 <= int(k) < n_layers:
             raise ValidationError(f"coupling layer index {k} out of range")
-    shared: dict[tuple[WalkStep, WalkStep], CircuitLayer] = {}
-    layers = []
-    for t, (step1, step2) in enumerate(zip(seq1, seq2)):
-        if t in couplings:
-            layers.append(CircuitLayer(step1.matrix, step2.matrix, couplings[t]))
-            continue
-        if (step1, step2) not in shared:
-            shared[step1, step2] = CircuitLayer(step1.matrix, step2.matrix)
-        layers.append(shared[step1, step2])
-    return layers
+    uncoupled = CircuitLayer(step1.matrix, step2.matrix)
+    return [
+        CircuitLayer(step1.matrix, step2.matrix, couplings[t]) if t in couplings else uncoupled
+        for t in range(n_layers)
+    ]
 
 
 # ----------------------------------------------------------------------------

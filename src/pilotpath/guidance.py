@@ -24,8 +24,6 @@ from . import kernels
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 
-NODE_EPS_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class VelocityStack:
@@ -52,7 +50,7 @@ class VelocityStack:
         density: np.ndarray,
         current: np.ndarray,
         grid: LatticeGrid,
-        eps_rel: float = NODE_EPS_REL,
+        eps_rel: float,
     ) -> "VelocityStack":
         density = np.asarray(density, dtype=np.float64)
         current = np.asarray(current, dtype=np.float64)
@@ -67,10 +65,9 @@ class VelocityStack:
         return cls(values=values, masks=masks, grid=grid, eps_node=eps_abs)
 
 
-def velocity_stack(
-    history: WalkHistory, particle: int = 1, eps_rel: float = NODE_EPS_REL
-) -> VelocityStack:
-    """Field stack of one particle's marginal flow over a recorded run."""
+def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> VelocityStack:
+    """Field stack of one particle's marginal flow over a recorded run; sites
+    below eps_rel times the run's peak density are masked as nodes."""
     if particle == 1:
         return VelocityStack.from_tables(history.density1, history.current1, history.grid, eps_rel)
     if particle == 2:
@@ -113,8 +110,8 @@ def _check_direction(direction: str) -> bool:
 def integrate_batch(
     stack: VelocityStack,
     x0: np.ndarray,
-    direction: str = "forward",
-    substeps: int = 4,
+    direction: str,
+    substeps: int,
 ) -> EnsembleRun:
     """Transport a batch of positions through the whole stack.
 

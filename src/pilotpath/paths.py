@@ -38,8 +38,8 @@ PRODUCT_RANK_TOL = 1e-12
 class PathCaps:
     """Hard limits that turn combinatorial blowup into explicit errors."""
 
-    pair_cap: int = 2_000_000
-    memory_cap_bytes: int = 512 * 2**20
+    pair_cap: int
+    memory_cap_bytes: int
 
 
 class PathContext:
@@ -62,6 +62,9 @@ class PathContext:
         psi2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
         if psi1.shape[0] != basis.dim_a or psi2.shape[0] != basis.dim_b:
             raise ValidationError("initial factors do not match the basis dimensions")
+        # Checked entrywise first: a NaN norm would compare False against zero.
+        if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
+            raise ValidationError("initial factors contain non-finite entries")
         n1, n2 = np.linalg.norm(psi1), np.linalg.norm(psi2)
         if n1 == 0.0 or n2 == 0.0:
             raise ValidationError("initial factors must be nonzero")
@@ -128,10 +131,9 @@ class PathContext:
         return (self.grid.dx / self.grid.dt) / self.grid.dx
 
 
-def direct_state(context: PathContext, n: int | None = None) -> JointState:
-    """Reference joint state after n layers, evolved without path machinery."""
-    n = context.n_layers if n is None else int(n)
-    return evolve_circuit(context.initial_state(), context.layers[:n])
+def direct_state(context: PathContext) -> JointState:
+    """Reference joint state after the context's layers, evolved without path machinery."""
+    return evolve_circuit(context.initial_state(), context.layers)
 
 
 @dataclass
@@ -144,14 +146,14 @@ class LevelRecord:
 
 
 class PathEnsemble:
-    """Exhaustive path decomposition after a fixed number of layers.
+    """Exhaustive path decomposition over every layer of its context.
 
     Every level's frontier is kept; amps are the final paths' amplitudes.
     """
 
-    def __init__(self, context: PathContext, n_layers: int, levels: list[LevelRecord], amps: np.ndarray):
+    def __init__(self, context: PathContext, levels: list[LevelRecord], amps: np.ndarray):
         self.context = context
-        self.n_layers = n_layers
+        self.n_layers = context.n_layers
         self.levels = levels
         self.endpoints = levels[-1].endpoints
         self.amps = amps
@@ -204,13 +206,15 @@ class PathEnsemble:
         """Per-endpoint sum of |amplitude|^2 times partner-state norm."""
         d1 = self.context.basis.dim_a
         out = np.zeros(d1)
-        norms = np.einsum("pk,pk->p", self.partner_states.conj(), self.partner_states).real
+        # re^2 + im^2 over the float view: no conjugated copy of every partner.
+        parts = self.partner_states.view(np.float64)
+        norms = np.einsum("pk,pk->p", parts, parts)
         w = np.abs(self.amps) ** 2 * norms
         np.add.at(out, self.endpoints, w)
         return out
 
 
-def enumerate_all(context: PathContext, n: int | None = None, caps: PathCaps | None = None) -> PathEnsemble:
+def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
     """Breadth-first exhaustive enumeration of the first particle's paths.
 
     Level by level, every path is extended along all transitions with a
@@ -219,10 +223,6 @@ def enumerate_all(context: PathContext, n: int | None = None, caps: PathCaps | N
     the path's new point.  Deterministic: successors are emitted in
     ascending basis order for each parent.
     """
-    n = context.n_layers if n is None else int(n)
-    if not 0 <= n <= context.n_layers:
-        raise ValidationError(f"layer count {n} outside 0..{context.n_layers}")
-    caps = caps or PathCaps()
     d2 = context.basis.dim_b
     start = np.flatnonzero(context.psi1).astype(np.int32)
     amps = context.psi1[start]
@@ -230,8 +230,7 @@ def enumerate_all(context: PathContext, n: int | None = None, caps: PathCaps | N
     levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partner)]
     bytes_kept = partner.nbytes
 
-    for t in range(n):
-        layer = context.layers[t]
+    for t, layer in enumerate(context.layers):
         # A CSC copy without stored zeros: row indices ascend within each
         # column, which fixes the successor order of every path.
         cols = sparse.csc_array(layer.u_a, copy=True)
@@ -268,7 +267,7 @@ def enumerate_all(context: PathContext, n: int | None = None, caps: PathCaps | N
         levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partner))
         bytes_kept += partner.nbytes
 
-    ensemble = PathEnsemble(context, n, levels, amps)
+    ensemble = PathEnsemble(context, levels, amps)
     if ensemble.pair_count > caps.pair_cap:
         raise ResourceCapError(
             f"endpoint pair count {ensemble.pair_count} exceeds the cap {caps.pair_cap}"

@@ -35,7 +35,6 @@ import numpy as np
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import (
-    NODE_EPS_REL,
     EnsembleRun,
     VelocityStack,
     equivariance_test,
@@ -46,8 +45,6 @@ from .guidance import (
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
-
-TRACK_THRESHOLD_REL = 1e-4
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -73,13 +70,7 @@ class RetroResult:
     stacks: dict[int, VelocityStack]
 
 
-def retro_run(
-    history: WalkHistory,
-    seed: int,
-    count: int = 10_000,
-    substeps: int = 4,
-    eps_rel: float = NODE_EPS_REL,
-) -> RetroResult:
+def retro_run(history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float) -> RetroResult:
     """Sample the final joint density, transport each particle backward.
 
     Each particle follows the velocity field of its own marginal flow, with
@@ -206,12 +197,10 @@ def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]
     for a, b in seams:
         if a > 0 and b > 0:
             uf.union(int(a), int(b))
-    roots = sorted({uf.find(c) for c in range(1, n + 1)})
+    # Merged components are numbered in sorted-root order, from 1.
+    roots, index = np.unique([uf.find(c) for c in range(1, n + 1)], return_inverse=True)
     remap = np.zeros(n + 1, dtype=np.int64)
-    for new, root in enumerate(roots, start=1):
-        for c in range(1, n + 1):
-            if uf.find(c) == root:
-                remap[c] = new
+    remap[1:] = index + 1
     return remap[labels], len(roots)
 
 
@@ -283,7 +272,7 @@ def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> Tra
     )
 
 
-def build_tracks(history: WalkHistory, threshold_rel: float = TRACK_THRESHOLD_REL) -> TrackSet:
+def build_tracks(history: WalkHistory, threshold_rel: float) -> TrackSet:
     """Branch graphs of the joint density and of both marginal densities.
 
     Components are supports above threshold_rel times the layer's peak,

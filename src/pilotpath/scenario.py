@@ -291,6 +291,23 @@ def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict
 # Built systems
 
 
+def _path_caps(scenario: dict) -> PathCaps:
+    return PathCaps(
+        pair_cap=int(scenario["paths"]["pair_cap"]),
+        memory_cap_bytes=int(scenario["paths"]["memory_cap_mb"]) * 2**20,
+    )
+
+
+def _path_window(layers: list[CircuitLayer], n: int | None) -> list[CircuitLayer]:
+    """The first n layers; every layer when n is None."""
+    if n is None:
+        return layers
+    n = int(n)
+    if not 0 <= n <= len(layers):
+        raise ValidationError(f"layer count {n} outside 0..{len(layers)}")
+    return layers[:n]
+
+
 @dataclass
 class WalkSystem:
     """Everything a walk scenario run needs, constructed and validated."""
@@ -305,10 +322,10 @@ class WalkSystem:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def path_context(self, layer: int | None = None) -> PathContext:
-        """Path conditioning over the first `layer` layers (product starts only)."""
-        n = self.scenario["paths"]["layer"] if layer is None else layer
-        return PathContext.from_joint_state(self.state0, self.layers[:n], grid=self.grid)
+    def path_context(self, n: int | None) -> PathContext:
+        """Path conditioning over the first n layers, or all of them when n
+        is None (product starts only)."""
+        return PathContext.from_joint_state(self.state0, _path_window(self.layers, n), grid=self.grid)
 
 
 def build_walk(scenario: dict) -> WalkSystem:
@@ -327,24 +344,29 @@ def build_walk(scenario: dict) -> WalkSystem:
     state0 = build_initial_state(grid, scenario["initial"]["branches"], masses)
     n_layers = int(scenario["n_layers"])
     couplings = build_couplings(grid, scenario.get("couplings", []), n_layers)
-    caps = PathCaps(
-        pair_cap=int(scenario["paths"]["pair_cap"]),
-        memory_cap_bytes=int(scenario["paths"]["memory_cap_mb"]) * 2**20,
-    )
     return WalkSystem(
         scenario=scenario,
         grid=grid,
         state0=state0,
         layers=to_circuit_layers(step1, step2, n_layers, couplings),
-        caps=caps,
+        caps=_path_caps(scenario),
     )
 
 
 @dataclass
 class CircuitSystem:
+    """Everything a circuit scenario run needs: layers and product-start factors."""
+
     scenario: dict
-    context: PathContext
+    basis: ModeSpinBasis
+    layers: list[CircuitLayer]
+    psi1: np.ndarray
+    psi2: np.ndarray
     caps: PathCaps
+
+    def path_context(self, n: int | None) -> PathContext:
+        """Path conditioning over the first n layers, or all of them when n is None."""
+        return PathContext(_path_window(self.layers, n), self.basis, self.psi1, self.psi2)
 
 
 def _vector_from_spec(spec, dim: int, what: str) -> np.ndarray:
@@ -389,9 +411,8 @@ def build_circuit(scenario: dict) -> CircuitSystem:
     init = scenario["initial"]
     psi1 = _vector_from_spec(init["psi1"], basis.dim_a, "psi1")
     psi2 = _vector_from_spec(init["psi2"], basis.dim_b, "psi2")
-    context = PathContext(layers, basis, psi1, psi2)
-    caps = PathCaps(
-        pair_cap=int(scenario["paths"]["pair_cap"]),
-        memory_cap_bytes=int(scenario["paths"]["memory_cap_mb"]) * 2**20,
-    )
-    return CircuitSystem(scenario=scenario, context=context, caps=caps)
+    system = CircuitSystem(scenario, basis, layers, psi1, psi2, _path_caps(scenario))
+    # Checks the start factors and every layer against the basis, whatever
+    # window a command asks for later.
+    system.path_context(None)
+    return system

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import paths as pp
 from .circuit import CircuitLayer, evolve_circuit, marginal_probability
-from .dirac import PotentialField, WalkStep, continuity_residual, phase_matrices, run_walk
+from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
 from .guidance import (
     equivariance_test,
@@ -68,11 +68,11 @@ class VerifyReport:
         }
 
 
-def _verify_paths(report: VerifyReport, context, n_window: int, caps, with_current: bool) -> None:
-    ens = pp.enumerate_all(context, n_window, caps=caps)
-    direct = pp.direct_state(context, n_window)
+def _verify_paths(report: VerifyReport, context, caps, with_current: bool) -> None:
+    ens = pp.enumerate_all(context, caps)
+    direct = pp.direct_state(context)
     resid = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
-    report.add("path_equivalence", resid, 1e-10, f"{ens.n_paths} paths over {n_window} layers")
+    report.add("path_equivalence", resid, 1e-10, f"{ens.n_paths} paths over {context.n_layers} layers")
 
     table = pp.overlap_table(ens)
     worst_tele = 0.0
@@ -116,7 +116,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
 
     p2 = scn["particles"][1]
     alt_potential = PotentialField.barrier(grid, 0.83, grid.x_min + 0.25 * grid.extent, grid.x_min + 0.6 * grid.extent)
-    alt_step2 = WalkStep(grid, phase_matrices(grid, float(p2["mass"]), 1.0, alt_potential))
+    alt_step2 = build_dirac_step(grid, float(p2["mass"]), 1.0, alt_potential)
     if first_safe >= n_layers:
         report.skip("no_signaling", "a coupling acts at the final layer; no local-change window")
     else:
@@ -132,7 +132,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         )
         report.add("no_signaling", gap, 1e-12, note)
 
-    residual = continuity_residual(history.states[mid], history.states[mid + 1], grid, particle=1)
+    residual = continuity_residual(history, mid)
     report.add(
         "continuity_residual",
         float(residual.marginal),
@@ -141,8 +141,8 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     )
 
     try:
-        context = system.path_context()
-        _verify_paths(report, context, scn["paths"]["layer"], system.caps, with_current=True)
+        context = system.path_context(scn["paths"]["layer"])
+        _verify_paths(report, context, system.caps, with_current=True)
     except (ValidationError, ResourceCapError) as exc:
         for name in ("path_equivalence", "overlap_telescoping", "overlap_magnitude", "diagonal_current_zero"):
             report.skip(name, str(exc))
@@ -194,7 +194,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
 
 
 def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> None:
-    context = system.context
+    context = system.path_context(None)
     state = context.initial_state()
     drift = 0.0
     for layer in context.layers:
@@ -219,7 +219,7 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     gap = np.abs(marginal_probability(ref, "a") - marginal_probability(alt, "a"))
     report.add("no_signaling", float(gap.max()), 1e-12, "final-layer alteration")
 
-    _verify_paths(report, context, len(context.layers), system.caps, with_current=False)
+    _verify_paths(report, context, system.caps, with_current=False)
 
     rng_a = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
     rng_b = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)

@@ -20,6 +20,12 @@ from pilotpath.dirac import (
     to_circuit_layers,
 )
 from pilotpath.paths import PathContext
+from pilotpath.scenario import _DEFAULTS, _path_caps
+
+# The library takes these values from the scenario; tests use its defaults.
+EPS_NODE_REL = _DEFAULTS["protocol"]["eps_node_rel"]
+TRACK_THRESHOLD_REL = _DEFAULTS["protocol"]["track_threshold_rel"]
+DEFAULT_CAPS = _path_caps(_DEFAULTS)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -148,7 +148,7 @@ def evolve_two_body(state: JointState, step1, step2, coupling_phases=None) -> Jo
     amps = step1.matrix @ state.amps @ step2.matrix.T
     if coupling_phases is not None:
         amps = amps * np.exp(1j * np.asarray(coupling_phases, dtype=np.float64))
-    return JointState(state.basis, amps, layer=state.layer + 1)
+    return JointState(state.basis, amps)
 
 
 def dense_walk(state0: JointState, steps1, steps2, couplings=None) -> list[JointState]:

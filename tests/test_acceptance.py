@@ -58,7 +58,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
-from oracles import evolve_two_body, pair_overlap, scaled, to_path
+from oracles import pair_overlap, scaled, to_path
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -173,7 +173,8 @@ def _walk_cases():
 def path_cases():
     cases = _circuit_cases() + _walk_cases()
     for case in cases:
-        case["ensemble"] = enumerate_all(case["context"], case["n"], caps=CAPS)
+        assert case["context"].n_layers == case["n"]
+        case["ensemble"] = enumerate_all(case["context"], CAPS)
     return cases
 
 
@@ -191,6 +192,7 @@ def bundled_runs():
                 int(scn["seed"]),
                 count=10_000,
                 substeps=int(scn["protocol"]["substeps"]),
+                eps_rel=float(scn["protocol"]["eps_node_rel"]),
             )
             cache[name] = (scn, system, history, retro)
         return cache[name]
@@ -221,10 +223,10 @@ def test_path_sums_match_direct_evolution(path_cases, capsys):
         worst = max(worst, gap_rows, gap_marg)
 
     for case in walks:
-        ctx, ens, n = case["context"], case["ensemble"], case["n"]
-        direct = direct_state(ctx, n)
+        ctx, ens = case["context"], case["ensemble"]
+        direct = direct_state(ctx)
         gap_rows = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
-        field = marginal_currents(direct, ctx.grid, 1)
+        field = marginal_currents(direct, ctx.grid)
         gap_density = float(np.abs(path_sum_density(ens).total - field.j0).max())
         gap_current = float(np.abs(path_sum_current(ens).value - field.j1).max())
         basis = ctx.basis
@@ -326,10 +328,9 @@ def _continuity_orders():
         psi2 = (p2[:, None] * NAMED_SPINORS["chirality-"][None, :]).reshape(-1)
         amps = np.outer(psi1, psi2)
         state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-        for _ in range(int(round(3.0 / dx))):
-            state = evolve_two_body(state, step, step)
-        nxt = evolve_two_body(state, step, step)
-        report = continuity_residual(state, nxt, grid, particle=1)
+        mid = int(round(3.0 / dx))
+        history = run_walk(state, grid, to_circuit_layers(step, step, mid + 1), keep_states=(mid, mid + 1))
+        report = continuity_residual(history, mid)
         fulls.append(float(report.full))
         marginals.append(float(report.marginal))
     lg = np.log(np.asarray(levels))
@@ -369,9 +370,10 @@ def test_forward_transport_equivariance(bundled_runs, capsys):
     x1, x2 = sample_joint_density(history.joint[0], grid, 10_000, rng)
     worst = 0.0
     flagged = 0
-    stack1 = velocity_stack(history, 1)
+    eps = float(scn["protocol"]["eps_node_rel"])
+    stack1 = velocity_stack(history, 1, eps)
     for particle, x0 in ((1, x1), (2, x2)):
-        stack = stack1 if particle == 1 else velocity_stack(history, 2)
+        stack = stack1 if particle == 1 else velocity_stack(history, 2, eps)
         run = integrate_batch(stack, x0, "forward", substeps)
         flagged += run.n_flagged
         density = history.density1 if particle == 1 else history.density2
@@ -420,7 +422,9 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
 
 def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
     scn, system, history, _ = bundled_runs("entangled-mirror")
-    retro = retro_run(history, int(scn["seed"]), count=1000, substeps=32)
+    retro = retro_run(
+        history, int(scn["seed"]), count=1000, substeps=32, eps_rel=float(scn["protocol"]["eps_node_rel"])
+    )
     replay = superdet_replay(retro)
     finite = all(np.all(np.isfinite(replay.deviations[p])) for p in (1, 2))
     ok = replay.max_deviation < 1e-6 and replay.total_excluded == 0 and finite

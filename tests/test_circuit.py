@@ -152,7 +152,6 @@ def test_evolution_matches_flat_kronecker_oracle(seed):
     final = evolve_circuit(product_joint(basis, psi1, psi2), layers)
     expected = kron_evolve(layers, psi1, psi2)
     assert np.max(np.abs(final.amps - expected)) < 1e-10
-    assert final.layer == n
 
 
 def test_evolution_history_records_every_layer():
@@ -164,8 +163,8 @@ def test_evolution_history_records_every_layer():
     for layer in layers:
         history.append(apply_layer(history[-1], layer))
     assert len(history) == 4
-    assert [s.layer for s in history] == [0, 1, 2, 3]
-    assert np.max(np.abs(history[0].amps - state0.amps)) == 0.0
+    for t, state in enumerate(history):
+        assert np.array_equal(state.amps, evolve_circuit(state0, layers[:t]).amps)
 
 
 def test_marginal_probability_matches_direct_sum():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,35 @@ def test_non_finite_circuit_unitary_exits_2(tmp_path, capsys):
     assert code == 2
     assert payload["error"] == "ValidationError"
     assert "non-finite" in payload["message"]
+
+
+def test_non_finite_start_factor_exits_2(tmp_path, capsys):
+    scn = json.loads((Path(pilotpath.__file__).parent / "scenarios" / "circuit-demo.json").read_text())
+    scn["initial"]["psi1"] = [[float("nan"), 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 4
+    path = tmp_path / "nan-start.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert payload["error"] == "ValidationError"
+    assert "non-finite" in payload["message"]
+    assert not (tmp_path / "circuit-demo").exists()
+
+
+def test_circuit_path_window_follows_the_layer_flag(tmp_path, capsys):
+    assert run_cli(["paths", "--scenario", "circuit-demo", "--layer", "2"], tmp_path) == 0
+    summary = read_json(tmp_path, "circuit-demo", "paths", "paths_summary.json")
+    assert summary["window_layers"] == 2
+    assert summary["n_paths"] == 36
+    capsys.readouterr()
+    code, payload = expect_error(["paths", "--scenario", "circuit-demo", "--layer", "4"], tmp_path, capsys)
+    assert code == 2
+    assert payload["message"] == "layer count 4 outside 0..3"
+
+
+def test_walk_path_window_is_range_checked(scenario_file, tmp_path, capsys):
+    code, payload = expect_error(["paths", "--scenario", scenario_file, "--layer", "-1"], tmp_path, capsys)
+    assert code == 2
+    assert payload["message"] == "layer count -1 outside 0..3"
 
 
 def test_degenerate_density_exits_4(scenario_file, tmp_path, capsys, monkeypatch):

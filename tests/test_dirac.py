@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotpath.circuit import JointState, branch_norm_sq
+from pilotpath.circuit import CircuitLayer, JointState, branch_norm_sq
 from pilotpath.dirac import (
     ALPHA1,
     CHIRAL_SIGNS,
@@ -287,21 +287,6 @@ def test_two_body_step_requires_matching_grids():
         run_walk(state, grid_c, to_circuit_layers(step_c, step_c, 1))
 
 
-def test_run_walk_rejects_a_start_past_layer_zero():
-    grid = LatticeGrid(8, 1.0, 1.0)
-    state = joint_from_fields(
-        grid,
-        spinor_field(gaussian_profile(grid, 3.0, 1.0), NAMED_SPINORS["up"]),
-        spinor_field(gaussian_profile(grid, 5.0, 1.0), NAMED_SPINORS["up"]),
-    )
-    step = build_dirac_step(grid, 0.1, 0.0)
-    layers = to_circuit_layers(step, step, 1)
-    later = JointState(state.basis, state.amps, layer=2)
-    with pytest.raises(ValidationError, match="starts at layer 0, got a state at layer 2"):
-        run_walk(later, grid, layers)
-    assert run_walk(state, grid, layers, keep_states={1}).states[1].layer == 1
-
-
 def test_uncoupled_evolution_preserves_product_form():
     rng = make_rng(23)
     grid = LatticeGrid(10, 1.0, 0.8)
@@ -378,8 +363,10 @@ def test_marginal_currents_match_direct_contraction():
         d, jx1, jx2 = dirac_currents(state, grid)
         for got, want in ((d, ref_d), (jx1, ref_jx1), (jx2, ref_jx2)):
             assert np.max(np.abs(got - want)) <= 1e-13
-        cur1 = marginal_currents(state, grid, 1)
-        cur2 = marginal_currents(state, grid, 2)
+        cur1 = marginal_currents(state, grid)
+        # On a walk both particles share one basis, so the transposed state
+        # gives the second particle's marginal through the first's.
+        cur2 = marginal_currents(JointState(state.basis, state.amps.T), grid)
         for got, want in zip((cur1.j0, cur1.j1, cur2.j0, cur2.j1), ref_marginals):
             assert np.max(np.abs(got - want)) <= 1e-13
         assert abs(np.sum(cur2.j0) * grid.dx - 1.0) < 1e-10
@@ -420,16 +407,21 @@ def test_continuity_residual_shrinks_under_refinement():
             spinor_field(gaussian_profile(grid, 11.0, 1.8, -0.9), NAMED_SPINORS["chirality-"]),
         )
         hist = run_walk(state, grid, to_circuit_layers(step, step, steps + 1), keep_states=(steps, steps + 1))
-        rep = continuity_residual(hist.states[steps], hist.states[steps + 1], grid, 1)
+        rep = continuity_residual(hist, steps)
         resids.append(rep)
     assert resids[1].full < resids[0].full
     assert resids[1].marginal < resids[0].marginal
 
 
 def test_continuity_rejects_non_consecutive_states():
-    grid, hist = walk_history(keep_states=(0, 2))
-    with pytest.raises(ValidationError):
-        continuity_residual(hist.states[0], hist.states[2], grid, 1)
+    """The residual reads layers t and t + 1 from the history, so kept states
+    that are not consecutive cannot be compared."""
+    _, hist = walk_history(keep_states=(0, 2))
+    for layer in (0, 1, 2):
+        with pytest.raises(ValidationError, match="keep_states"):
+            continuity_residual(hist, layer)
+    _, hist = walk_history(keep_states=(1, 2))
+    assert continuity_residual(hist, 1).marginal >= 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -485,8 +477,7 @@ def test_run_walk_records_shapes_and_options():
     assert hist.density1.shape == (6, 12)
     assert sorted(hist.joint) == list(range(6))
     assert all(table.shape == (12, 12) for table in hist.joint.values())
-    assert len(hist.states) == 6
-    assert [hist.states[k].layer for k in range(6)] == list(range(6))
+    assert sorted(hist.states) == list(range(6))
     _, lean = walk_history(n_layers=5, keep_states=[2], record_joint=[5])
     assert list(lean.states) == [2]
     assert list(lean.joint) == [5]
@@ -547,8 +538,11 @@ def test_branch_walk_matches_the_dense_oracle(case):
     reproduce the dense U1 @ A @ U2.T walk: marginals at every layer, joint
     tables and kept states where requested."""
     grid, state0, steps1, steps2, couplings, record, keep = case
-    n_layers = len(steps1)
-    layers = to_circuit_layers(steps1, steps2, n_layers, couplings)
+    # Built directly: to_circuit_layers repeats one pair of steps.
+    layers = [
+        CircuitLayer(s1.matrix, s2.matrix, couplings.get(t))
+        for t, (s1, s2) in enumerate(zip(steps1, steps2))
+    ]
     hist = run_walk(state0, grid, layers, record_joint=record, keep_states=keep)
     dense = dense_walk(JointState(grid.basis(), state0.left @ state0.right.T), steps1, steps2, couplings)
     assert sorted(hist.joint) == sorted(record) and sorted(hist.states) == sorted(keep)
@@ -560,12 +554,10 @@ def test_branch_walk_matches_the_dense_oracle(case):
         if t in record:
             assert np.max(np.abs(hist.joint[t] - joint)) <= 1e-13
         if t in keep:
-            assert hist.states[t].layer == t
             assert np.max(np.abs(hist.states[t].amps - state.amps)) <= 1e-13
     # The circuit engine's fold from the same factored start lands on the
     # same final state.
     final = evolve_circuit(state0, layers)
-    assert final.layer == n_layers
     assert (final.right is None) == bool(couplings)
     assert np.max(np.abs(final.amps - dense[-1].amps)) <= 1e-13
 
@@ -595,26 +587,24 @@ def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, mo
         hist = run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1), keep_states=keep)
     assert sorted(hist.joint) == list(range(n + 1)) and set(hist.states) == keep
     shape = system.state0.right.shape
-    for t, state in hist.states.items():
-        assert state.layer == t
+    for state in hist.states.values():
         assert state.left.shape == shape and state.right.shape == shape
     assert hist.states[0] is system.state0
 
 
 def test_to_circuit_layers_shares_uncoupled_layers():
-    """Uncoupled layers with the same pair of steps are one CircuitLayer
-    object; each coupled layer, and each new pair of steps, is its own."""
+    """Uncoupled layers are one CircuitLayer object; each coupled layer is
+    its own."""
     grid = LatticeGrid(6, 1.0, 1.0)
     step1 = build_dirac_step(grid, 0.2, 0.0)
     step2 = build_dirac_step(grid, 0.4, 0.0)
-    other = build_dirac_step(grid, 0.6, 0.0)
     phases = np.zeros((24, 24))
-    layers = to_circuit_layers(step1, [step2, step2, step2, other, step2, step2], 6, {1: phases, 2: phases})
+    layers = to_circuit_layers(step1, step2, 6, {1: phases, 2: phases})
     assert [layer.phases is None for layer in layers] == [True, False, False, True, True, True]
-    assert layers[0] is layers[4] is layers[5]
-    assert len({id(layer) for layer in layers}) == 4
+    assert layers[0] is layers[3] is layers[4] is layers[5]
+    assert len({id(layer) for layer in layers}) == 3
     assert layers[1] is not layers[2]
-    assert layers[3].u_b.nnz == other.matrix.nnz and layers[3] is not layers[0]
+    assert layers[0].u_b.nnz == step2.matrix.nnz
     assert to_circuit_layers(step1, step2, 0) == []
     with pytest.raises(ValidationError, match="run's grid"):
         to_circuit_layers(step1, build_dirac_step(LatticeGrid(6, 1.0, 0.5), 0.4, 0.0), 2)

@@ -14,7 +14,6 @@ from pilotpath.dirac import (
 )
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
-    NODE_EPS_REL,
     EnsembleRun,
     VelocityStack,
     equivariance_test,
@@ -25,7 +24,7 @@ from pilotpath.guidance import (
     velocity_stack,
 )
 
-from conftest import make_rng, spinor_field
+from conftest import EPS_NODE_REL, make_rng, spinor_field
 from oracles import scaled
 
 
@@ -49,9 +48,9 @@ def test_velocity_field_masks_node_sites():
     j0 = np.array([0.5, 0.3, 0.15, 0.05, 0.0, 0.0, 0.0, 0.0])
     j0 = j0 / (j0.sum() * grid.dx)
     j1 = np.full(8, 0.1)
-    stack = VelocityStack.from_tables(j0[None, :], j1[None, :], grid)
+    stack = VelocityStack.from_tables(j0[None, :], j1[None, :], grid, EPS_NODE_REL)
     mask, values = stack.masks[0], stack.values[0]
-    assert np.array_equal(mask, j0 < NODE_EPS_REL * np.max(j0))
+    assert np.array_equal(mask, j0 < EPS_NODE_REL * np.max(j0))
     assert np.all(values[mask] == 0.0)
     unmasked = ~mask
     assert np.max(np.abs(values[unmasked] - j1[unmasked] / j0[unmasked])) < 1e-15
@@ -61,20 +60,20 @@ def test_velocity_field_rejects_fully_masked_layers():
     grid = LatticeGrid(4, 1.0, 1.0)
     density = np.stack([np.full(4, 0.25), np.zeros(4)])
     with pytest.raises(DegenerateDensityError):
-        VelocityStack.from_tables(density, np.zeros((2, 4)), grid)
+        VelocityStack.from_tables(density, np.zeros((2, 4)), grid, EPS_NODE_REL)
 
 
 def test_stack_from_tables_validates_shapes():
     grid = LatticeGrid(8, 1.0, 1.0)
     with pytest.raises(ValidationError):
-        VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid)
+        VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid, EPS_NODE_REL)
     with pytest.raises(ValidationError):
         VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid, eps_node=0.0)
 
 
 def test_velocity_stack_matches_per_layer_fields():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     assert stack.n_layers == hist.n_layers
     for layer in (0, 3, hist.n_layers):
         j0 = hist.density1[layer]
@@ -88,7 +87,7 @@ def test_velocity_stack_matches_per_layer_fields():
 
 def test_scaled_stack_only_scales_values():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 2)
+    stack = velocity_stack(hist, 2, EPS_NODE_REL)
     half = scaled(stack, 0.5)
     assert np.array_equal(half.masks, stack.masks)
     assert np.max(np.abs(half.values - 0.5 * stack.values)) == 0.0
@@ -100,7 +99,7 @@ def test_scaled_stack_only_scales_values():
 
 def test_transport_is_deterministic():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 40)
     a = integrate_batch(stack, x0, "forward", 4)
     b = integrate_batch(stack, x0, "forward", 4)
@@ -111,7 +110,7 @@ def test_transport_is_deterministic():
 def test_one_dimensional_flow_preserves_ordering():
     """Guidance trajectories of one particle cannot cross in one dimension."""
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.sort(make_rng(50).uniform(4.0, 10.0, 60))
     run = integrate_batch(stack, x0, "forward", 8)
     assert run.n_flagged == 0
@@ -122,7 +121,7 @@ def test_one_dimensional_flow_preserves_ordering():
 
 def test_round_trip_returns_to_the_start():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.5, 8.5, 25)
     forward = integrate_batch(stack, x0, "forward", 32)
     back = integrate_batch(stack, forward.positions[:, -1], "backward", 32)
@@ -132,7 +131,7 @@ def test_round_trip_returns_to_the_start():
 
 def test_trajectory_and_run_bookkeeping():
     grid, hist = smooth_history(n_layers=4)
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     run = integrate_batch(stack, np.array([6.0, 7.0]), "forward", 4)
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
@@ -143,7 +142,7 @@ def test_trajectory_and_run_bookkeeping():
 
 def test_backward_run_reads_layers_in_reverse():
     grid, hist = smooth_history(n_layers=4)
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4)
     assert run.direction == "backward"
     # record 0 is the final layer; layer k sits at record (4 - k) * substeps
@@ -153,7 +152,7 @@ def test_backward_run_reads_layers_in_reverse():
 
 def test_periodic_starts_are_canonicalized():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     base = integrate_batch(stack, np.array([6.0]), "forward", 4)
     wrapped = integrate_batch(stack, np.array([6.0 + grid.extent]), "forward", 4)
     assert np.array_equal(base.positions, wrapped.positions)
@@ -161,7 +160,7 @@ def test_periodic_starts_are_canonicalized():
 
 def test_direction_argument_is_validated():
     grid, hist = smooth_history(n_layers=3)
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     with pytest.raises(ValidationError):
         integrate_batch(stack, np.array([6.0]), "sideways", 4)
     with pytest.raises(ValidationError):
@@ -267,7 +266,7 @@ def test_ks_statistic_requires_samples():
 
 def test_transported_ensemble_tracks_the_density():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     rng = make_rng(70)
     x0 = sample_density(hist.density1[0], grid, 4000, rng)
     run = integrate_batch(stack, x0, "forward", 4)
@@ -278,7 +277,7 @@ def test_transported_ensemble_tracks_the_density():
 
 def test_halved_velocities_fail_the_same_comparison():
     grid, hist = smooth_history()
-    stack = velocity_stack(hist, 1)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
     rng = make_rng(71)
     x0 = sample_density(hist.density1[0], grid, 4000, rng)
     run = integrate_batch(scaled(stack, 0.5), x0, "forward", 4)

@@ -23,7 +23,7 @@ from pilotpath.paths import (
     path_sum_marginal,
 )
 
-from conftest import make_rng, random_layers, random_state_vector, small_walk_context
+from conftest import DEFAULT_CAPS, make_rng, random_layers, random_state_vector, small_walk_context
 from oracles import Path, conditional_unitary, pair_overlap, steps_of, svd_product_factors, to_path
 
 
@@ -121,7 +121,7 @@ def test_dense_entangled_start_is_rejected_the_same_way():
 
 def test_enumeration_is_exhaustive_for_dense_layers():
     ctx = circuit_context(5, modes_a=2, modes_b=2, n=3)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     # dense one-body layers: every path branches into all dim_a points
     assert ensemble.n_paths == ctx.basis.dim_a**3 * np.count_nonzero(np.abs(ctx.psi1) > 0)
     assert ensemble.pair_count == int(np.sum(ensemble.endpoint_counts() ** 2))
@@ -134,7 +134,7 @@ def test_walk_enumeration_has_shift_limited_branching():
     rng = make_rng(6)
     ctx = small_walk_context(8, 4, mass1=0.3, mass2=0.0, rng=rng)
     starts = int(np.count_nonzero(np.abs(ctx.psi1) > 0.0))
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     assert ensemble.n_paths == starts * 4**4
 
 
@@ -147,12 +147,12 @@ def test_potential_does_not_widen_the_branching():
         per_column = (np.abs(layer.u_a) > 1e-15).sum(axis=0)
         assert np.max(per_column) == 4
     starts = int(np.count_nonzero(np.abs(ctx.psi1) > 0.0))
-    assert enumerate_all(ctx).n_paths == starts * 4**3
+    assert enumerate_all(ctx, DEFAULT_CAPS).n_paths == starts * 4**3
 
 
 def test_path_steps_connect_start_to_endpoint():
     ctx = circuit_context(8, modes_a=2, modes_b=2, n=3)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     start_points = set(np.flatnonzero(np.abs(ctx.psi1) > 0.0))
     for pid in range(0, ensemble.n_paths, 7):
         seq = steps_of(ensemble, pid)
@@ -166,13 +166,13 @@ def test_path_steps_connect_start_to_endpoint():
 def test_enumeration_respects_the_pair_cap():
     ctx = circuit_context(9, modes_a=3, modes_b=2, n=3)
     with pytest.raises(ResourceCapError):
-        enumerate_all(ctx, caps=PathCaps(pair_cap=10))
+        enumerate_all(ctx, PathCaps(pair_cap=10, memory_cap_bytes=DEFAULT_CAPS.memory_cap_bytes))
 
 
 def test_enumeration_respects_the_memory_cap():
     ctx = circuit_context(10, modes_a=3, modes_b=2, n=3)
     with pytest.raises(ResourceCapError):
-        enumerate_all(ctx, caps=PathCaps(memory_cap_bytes=4096))
+        enumerate_all(ctx, PathCaps(pair_cap=DEFAULT_CAPS.pair_cap, memory_cap_bytes=4096))
 
 
 # ----------------------------------------------------------------------------
@@ -182,14 +182,14 @@ def test_enumeration_respects_the_memory_cap():
 @pytest.mark.parametrize("seed", [20, 21, 22])
 def test_reconstructed_rows_equal_the_direct_state(seed):
     ctx = circuit_context(seed)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     ref = direct_state(ctx).amps
     assert np.max(np.abs(ensemble.reconstruct_rows() - ref)) < 1e-10
 
 
 def test_marginal_and_density_sums_match_the_direct_state():
     ctx = circuit_context(23)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     state = direct_state(ctx)
     marg = path_sum_marginal(ensemble)
     assert np.max(np.abs(marg - marginal_probability(state, "a"))) < 1e-10
@@ -210,17 +210,17 @@ def test_interference_lives_entirely_in_the_cross_term():
     psi1 = np.zeros(4, dtype=np.complex128)
     psi1[2] = 1.0
     ctx = PathContext(layers, basis, psi1, random_state_vector(4, rng))
-    dens = path_sum_density(enumerate_all(ctx))
+    dens = path_sum_density(enumerate_all(ctx, DEFAULT_CAPS))
     assert np.max(np.abs(dens.cross)) < 1e-14
 
 
 def test_current_reconstruction_matches_the_lattice_engine():
     rng = make_rng(25)
     ctx = small_walk_context(8, 4, mass1=0.4, mass2=0.2, rng=rng, radius=1, dt_ratio=0.8)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     cur = path_sum_current(ensemble)
     state = direct_state(ctx)
-    ref = marginal_currents(state, ctx.grid, 1)
+    ref = marginal_currents(state, ctx.grid)
     assert np.max(np.abs(cur.value - ref.j1)) < 1e-10
     assert np.max(np.abs(cur.diagonal_term)) == 0.0
     assert cur.imag_residue <= 1e-12
@@ -228,10 +228,21 @@ def test_current_reconstruction_matches_the_lattice_engine():
     assert abs(path_sum_current(ensemble).value[mid] - ref.j1[mid]) < 1e-10
 
 
+def test_diagonal_weights_match_a_per_path_sum():
+    walk = small_walk_context(8, 3, mass1=0.3, mass2=0.2, rng=make_rng(27), radius=1)
+    for ctx in (circuit_context(28), walk):
+        ensemble = enumerate_all(ctx, DEFAULT_CAPS)
+        expected = np.zeros(ctx.basis.dim_a)
+        for p in range(ensemble.n_paths):
+            phi = ensemble.partner_states[p]
+            expected[ensemble.endpoints[p]] += abs(ensemble.amps[p]) ** 2 * np.vdot(phi, phi).real
+        assert np.max(np.abs(ensemble.diagonal_weights() - expected)) <= 1e-14
+
+
 def test_current_reconstruction_requires_lattice_mode():
     ctx = circuit_context(26)
     with pytest.raises(ValidationError):
-        path_sum_current(enumerate_all(ctx))
+        path_sum_current(enumerate_all(ctx, DEFAULT_CAPS))
 
 
 # ----------------------------------------------------------------------------
@@ -240,7 +251,7 @@ def test_current_reconstruction_requires_lattice_mode():
 
 def overlap_fixture(seed=30):
     ctx = circuit_context(seed, modes_a=2, modes_b=2, n=3)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     return ctx, ensemble, overlap_table(ensemble)
 
 
@@ -269,7 +280,7 @@ def test_overlap_increments_telescope():
 def test_increments_require_kept_levels():
     """A default enumeration keeps every level, so every group has increments."""
     ctx = circuit_context(31, modes_a=2, modes_b=2, n=2)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     assert len(ensemble.levels) == ctx.n_layers + 1
     for level in ensemble.levels:
         assert level.partner_states.shape == (level.endpoints.shape[0], ctx.basis.dim_b)
@@ -310,7 +321,7 @@ def test_single_coupling_overlap_has_the_hand_value():
     psi1 = np.array([1.0, 0.0], dtype=np.complex128)
     psi2 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
     ctx = PathContext(layers, basis, psi1, psi2)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     table = overlap_table(ensemble)
     group = table.group((0, 0), basis)
     routes = {tuple(steps_of(ensemble, int(i))): k for k, i in enumerate(group.path_ids)}
@@ -335,7 +346,7 @@ def test_opposite_phases_erase_the_cross_term():
     psi1 = np.array([1.0, 0.0], dtype=np.complex128)
     psi2 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
     ctx = PathContext(layers, basis, psi1, psi2)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     group = overlap_table(ensemble).group((0, 0), basis)
     off = ~np.eye(group.overlaps.shape[0], dtype=bool)
     assert np.max(np.abs(group.overlaps[off])) < 1e-14
@@ -346,7 +357,7 @@ def test_opposite_phases_erase_the_cross_term():
 
 def test_conditional_unitary_tracks_one_path():
     ctx = circuit_context(33, modes_a=2, modes_b=2, n=2)
-    ensemble = enumerate_all(ctx)
+    ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     pid = 0
     cond = conditional_unitary(ctx, to_path(ensemble, pid))
     assert np.max(np.abs(cond.conj().T @ cond - np.eye(4))) < 1e-12

@@ -12,6 +12,7 @@ from pilotpath.protocols import (
     STREAM_FORWARD_SAMPLE,
     TrackGraph,
     TrackSet,
+    _label_with_wrap,
     build_tracks,
     detect_crossings,
     retro_run,
@@ -19,6 +20,8 @@ from pilotpath.protocols import (
     superdet_replay,
 )
 from pilotpath.scenario import build_walk, bundled_scenario
+
+from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL
 
 
 def scenario_history(name):
@@ -64,12 +67,12 @@ def test_retro_needs_recorded_joint_tables(no_overlap):
     scn, system, _ = no_overlap
     history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers))
     with pytest.raises(ValidationError, match="final layer's joint table"):
-        retro_run(history, scn["seed"], count=10)
+        retro_run(history, scn["seed"], count=10, substeps=4, eps_rel=EPS_NODE_REL)
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
     scn, system, history = no_overlap
-    retro = retro_run(history, scn["seed"], count=2000, substeps=4)
+    retro = retro_run(history, scn["seed"], count=2000, substeps=4, eps_rel=EPS_NODE_REL)
     assert retro.final_x1.shape == (2000,)
     assert retro.final_x2.shape == (2000,)
     assert set(retro.runs) == {1, 2}
@@ -81,7 +84,7 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
 
 def test_retro_endpoints_and_configurations(no_overlap):
     scn, system, history = no_overlap
-    retro = retro_run(history, scn["seed"], count=50, substeps=4)
+    retro = retro_run(history, scn["seed"], count=50, substeps=4, eps_rel=EPS_NODE_REL)
     for particle, final in ((1, retro.final_x1), (2, retro.final_x2)):
         run = retro.runs[particle]
         assert run.direction == "backward"
@@ -92,11 +95,11 @@ def test_retro_endpoints_and_configurations(no_overlap):
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
     scn, system, history = no_overlap
-    a = retro_run(history, 31, count=40, substeps=4)
-    b = retro_run(history, 31, count=40, substeps=4)
+    a = retro_run(history, 31, count=40, substeps=4, eps_rel=EPS_NODE_REL)
+    b = retro_run(history, 31, count=40, substeps=4, eps_rel=EPS_NODE_REL)
     assert np.array_equal(a.final_x1, b.final_x1)
     assert np.array_equal(a.runs[2].positions, b.runs[2].positions)
-    c = retro_run(history, 32, count=40, substeps=4)
+    c = retro_run(history, 32, count=40, substeps=4, eps_rel=EPS_NODE_REL)
     assert not np.array_equal(a.final_x1, c.final_x1)
 
 
@@ -114,7 +117,7 @@ def test_motionless_state_replays_exactly():
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
     history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
-    retro = retro_run(history, 99, count=150, substeps=4)
+    retro = retro_run(history, 99, count=150, substeps=4, eps_rel=EPS_NODE_REL)
     replay = superdet_replay(retro)
     assert replay.max_deviation == 0.0
     assert replay.total_excluded == 0
@@ -124,7 +127,7 @@ def test_motionless_state_replays_exactly():
 
 def test_moving_packets_replay_within_tolerance():
     scn, system, history = scenario_history("entangled-mirror")
-    retro = retro_run(history, scn["seed"], count=200, substeps=32)
+    retro = retro_run(history, scn["seed"], count=200, substeps=32, eps_rel=EPS_NODE_REL)
     replay = superdet_replay(retro)
     assert replay.total_excluded == 0
     assert replay.max_deviation < 1e-6
@@ -148,12 +151,36 @@ def test_tracks_need_recorded_joint_tables(no_overlap):
     scn, system, _ = no_overlap
     history = run_walk(system.state0, system.grid, system.layers, record_joint=range(1, system.n_layers + 1))
     with pytest.raises(ValidationError, match="joint table of every layer"):
-        build_tracks(history)
+        build_tracks(history, TRACK_THRESHOLD_REL)
+
+
+def test_periodic_labels_merge_across_seams_in_root_order():
+    """Components joined across a periodic seam share one label; merged
+    components are numbered by their smallest original label, from 1."""
+    line = np.array([1, 1, 0, 1, 0, 1, 1], dtype=bool)
+    labels, n = _label_with_wrap(line, periodic=True)
+    assert n == 2 and labels.tolist() == [1, 1, 0, 2, 0, 1, 1]
+    labels, n = _label_with_wrap(line, periodic=False)
+    assert n == 3 and labels.tolist() == [1, 1, 0, 2, 0, 3, 3]
+    square = np.array(
+        [
+            [0, 1, 0, 0],
+            [1, 0, 0, 1],
+            [0, 0, 0, 0],
+            [0, 1, 0, 0],
+        ],
+        dtype=bool,
+    )
+    # Original labels 1 (0, 1), 2 (1, 0), 3 (1, 3), 4 (3, 1): the top/bottom
+    # seam joins 1 and 4, the left/right seam joins 2 and 3.
+    labels, n = _label_with_wrap(square, periodic=True)
+    assert n == 2
+    assert labels.tolist() == [[0, 1, 0, 0], [2, 0, 0, 2], [0, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_branch_graphs_on_a_recombining_run(recombination):
     _, _, history = recombination
-    tracks = build_tracks(history)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
     m1 = tracks.marginal[1]
     # particle 1 splits and reconverges twice; the joint support never loops
     assert len(m1.loop_edges) == 2
@@ -166,7 +193,7 @@ def test_branch_graphs_on_a_recombining_run(recombination):
 
 def test_graph_accessor_methods(recombination):
     _, system, history = recombination
-    tracks = build_tracks(history)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
     m1 = tracks.marginal[1]
     assert m1.n_layers == history.n_layers
 
@@ -192,8 +219,8 @@ def test_graph_accessor_methods(recombination):
 
 def test_disjoint_branches_never_cross(no_overlap):
     scn, system, history = no_overlap
-    tracks = build_tracks(history)
-    retro = retro_run(history, scn["seed"], count=400, substeps=4)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
+    retro = retro_run(history, scn["seed"], count=400, substeps=4, eps_rel=EPS_NODE_REL)
     report = detect_crossings(retro.runs, tracks, system.grid)
     assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
@@ -204,8 +231,8 @@ def test_disjoint_branches_never_cross(no_overlap):
 
 def test_reconverging_branches_are_crossed(recombination):
     scn, system, history = recombination
-    tracks = build_tracks(history)
-    retro = retro_run(history, scn["seed"], count=400, substeps=4)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
+    retro = retro_run(history, scn["seed"], count=400, substeps=4, eps_rel=EPS_NODE_REL)
     report = detect_crossings(retro.runs, tracks, system.grid)
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
@@ -294,11 +321,11 @@ def assert_matches_reference(runs, tracks, grid):
 @pytest.mark.parametrize("seed", [4242, 1729, 7])
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
     _, system, history = recombination
-    tracks = build_tracks(history)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
     rng = stream_rng(seed, STREAM_FORWARD_SAMPLE)
     x1, x2 = sample_joint_density(history.joint[0], system.grid, 300, rng)
     runs = {
-        particle: integrate_batch(velocity_stack(history, particle), x0, "forward", 4)
+        particle: integrate_batch(velocity_stack(history, particle, EPS_NODE_REL), x0, "forward", 4)
         for particle, x0 in ((1, x1), (2, x2))
     }
     report = assert_matches_reference(runs, tracks, system.grid)
@@ -307,8 +334,8 @@ def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
 
 def test_crossings_match_the_reference_on_backward_runs(recombination):
     scn, system, history = recombination
-    tracks = build_tracks(history)
-    retro = retro_run(history, scn["seed"], count=200, substeps=4)
+    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
+    retro = retro_run(history, scn["seed"], count=200, substeps=4, eps_rel=EPS_NODE_REL)
     assert_matches_reference(retro.runs, tracks, system.grid)
 
 

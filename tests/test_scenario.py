@@ -316,6 +316,11 @@ def test_build_walk_produces_a_runnable_system():
     assert system.caps.pair_cap == 2_000_000
     context = system.path_context(2)
     assert len(context.layers) == 2
+    # The schema accepts 2.0 as an integer window.
+    assert len(system.path_context(2.0).layers) == 2
+    assert len(system.path_context(None).layers) == 3
+    with pytest.raises(ValidationError, match=r"layer count 4 outside 0\.\.3"):
+        system.path_context(4)
 
 
 def test_build_circuit_random_layers_are_seed_reproducible():
@@ -329,14 +334,16 @@ def test_build_circuit_random_layers_are_seed_reproducible():
     }
     a = build_circuit(resolve_scenario(json.loads(json.dumps(raw))))
     b = build_circuit(resolve_scenario(json.loads(json.dumps(raw))))
-    assert len(a.context.layers) == 3
-    for la, lb in zip(a.context.layers, b.context.layers):
+    assert len(a.layers) == 3
+    for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.u_a, lb.u_a)
         assert np.array_equal(la.phases, lb.phases)
     raw["seed"] = 6
     c = build_circuit(resolve_scenario(raw))
-    assert not np.array_equal(a.context.layers[0].u_a, c.context.layers[0].u_a)
-    assert a.context.psi1[1] == 1.0 and a.context.psi2[2] == 1.0
+    assert not np.array_equal(a.layers[0].u_a, c.layers[0].u_a)
+    context = a.path_context(None)
+    assert context.layers == a.layers
+    assert context.psi1[1] == 1.0 and context.psi2[2] == 1.0
 
 
 def test_build_circuit_explicit_layers_and_vectors():
@@ -352,8 +359,8 @@ def test_build_circuit_explicit_layers_and_vectors():
         },
     }
     system = build_circuit(resolve_scenario(raw))
-    assert np.array_equal(system.context.layers[0].u_a, np.array(swap, dtype=complex))
-    assert system.context.psi2[1] == 1.0j
+    assert np.array_equal(system.layers[0].u_a, np.array(swap, dtype=complex))
+    assert system.path_context(None).psi2[1] == 1.0j
     bad = json.loads(json.dumps(raw))
     bad["initial"]["psi1"] = [[1.0, 0.0]]
     with pytest.raises(ValidationError, match="psi1"):
