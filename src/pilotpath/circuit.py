@@ -173,11 +173,6 @@ class JointState:
         psi_b = np.asarray(psi_b, dtype=np.complex128).reshape(basis.dim_b)
         return cls(basis, np.outer(psi_a, psi_b))
 
-    def tensor4(self) -> np.ndarray:
-        """View indexed (location_a, spin_a, location_b, spin_b)."""
-        b = self.basis
-        return self.amps.reshape(b.modes_a, b.spins_a, b.modes_b, b.spins_b)
-
 
 def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
     """Apply the per-particle unitaries, then the diagonal coupling phase.
@@ -213,10 +208,3 @@ def evolve_circuit(state0: JointState, layers) -> JointState:
         state = apply_layer(state, layer)
     return state
 
-
-def marginal_probability(state: JointState, particle: str) -> np.ndarray:
-    """Mode-occupancy table of one particle ('a' or 'b'), spin and partner summed out."""
-    if particle not in ("a", "b"):
-        raise ValidationError("particle must be 'a' or 'b'")
-    probs = np.abs(state.tensor4()) ** 2
-    return probs.sum(axis=(1, 2, 3) if particle == "a" else (0, 1, 3))

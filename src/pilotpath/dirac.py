@@ -240,11 +240,6 @@ class CurrentField:
         j1.flags.writeable = False
 
 
-def _tensor4(state: JointState, grid: LatticeGrid) -> np.ndarray:
-    n = grid.n_sites
-    return state.amps.reshape(n, SPINOR_DIM, n, SPINOR_DIM)
-
-
 def _site_probabilities(t: np.ndarray) -> np.ndarray:
     """Joint (x1, x2) probability table, spinors summed: |A|^2 computed once.
 
@@ -255,36 +250,11 @@ def _site_probabilities(t: np.ndarray) -> np.ndarray:
     return np.einsum("xayb,xayb->xy", parts, parts)
 
 
-def _velocity_bilinear(t: np.ndarray, particle: int) -> np.ndarray:
-    """psi^dagger ALPHA1 psi on one particle's spinor index, per (x1, x2) site pair.
-
-    ALPHA1 is the spinor exchange matrix, so the contraction pairs the tensor
-    with its own spinor-reversed view.
-    """
-    flipped = t[:, ::-1] if particle == 1 else t[..., ::-1]
-    return _real_current(np.einsum("xayb,xayb->xy", t.conj(), flipped))
-
-
 def _real_current(j: np.ndarray) -> np.ndarray:
     resid = float(np.max(np.abs(j.imag)))
     if resid > 1e-12:
         raise ValidationError(f"current bilinear acquired an imaginary residue {resid:.3e}")
     return j.real
-
-
-def dirac_currents(state: JointState, grid: LatticeGrid):
-    """Pointwise two-body bilinears (density, current along x1, current along x2).
-
-    Values are continuum-normalized: density integrates to one with weight
-    dx^2 and currents carry the lattice signal speed dx/dt.
-    """
-    t = _tensor4(state, grid)
-    scale_d = 1.0 / (grid.dx * grid.dx)
-    scale_j = (grid.dx / grid.dt) * scale_d
-    density = _site_probabilities(t) * scale_d
-    jx1 = _velocity_bilinear(t, 1) * scale_j
-    jx2 = _velocity_bilinear(t, 2) * scale_j
-    return density, jx1, jx2
 
 
 def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid) -> CurrentField:
@@ -340,37 +310,16 @@ def marginal_currents(state: JointState, grid: LatticeGrid) -> CurrentField:
     return _particle_field(state.amps, None, grid)
 
 
-def _centered_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * dx)
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Max-norm continuity residuals of the two-body and marginal laws."""
-
-    full: float
-    marginal: float
-
-
-def continuity_residual(history: WalkHistory, layer: int) -> ContinuityReport:
-    """Forward-time, centered-space residual of the two-body and first-particle
-    marginal laws between the history's kept states at layer and layer + 1."""
-    if layer not in history.states or layer + 1 not in history.states:
-        raise ValidationError(
-            f"continuity at layer {layer} needs the states of layers {layer} and "
-            f"{layer + 1}; keep them with keep_states"
-        )
+def continuity_residual(history: WalkHistory, layer: int) -> float:
+    """Forward-time, centered-space residual of the first particle's marginal
+    law between the history's tables at layer and layer + 1."""
+    if not 0 <= layer < history.n_layers:
+        raise ValidationError(f"continuity layer {layer} outside 0..{history.n_layers - 1}")
     grid = history.grid
-    state_t, state_next = history.states[layer], history.states[layer + 1]
-    d_t, jx1_t, jx2_t = dirac_currents(state_t, grid)
-    d_n, _, _ = dirac_currents(state_next, grid)
-    full = (d_n - d_t) / grid.dt
-    full += _centered_gradient(jx1_t, grid.dx, axis=0)
-    full += _centered_gradient(jx2_t, grid.dx, axis=1)
-    cur_t = marginal_currents(state_t, grid)
-    cur_n = marginal_currents(state_next, grid)
-    marg = (cur_n.j0 - cur_t.j0) / grid.dt + _centered_gradient(cur_t.j1, grid.dx)
-    return ContinuityReport(full=float(np.max(np.abs(full))), marginal=float(np.max(np.abs(marg))))
+    current = history.current1[layer]
+    gradient = (np.roll(current, -1) - np.roll(current, 1)) / (2.0 * grid.dx)
+    resid = (history.density1[layer + 1] - history.density1[layer]) / grid.dt + gradient
+    return float(np.max(np.abs(resid)))
 
 
 # ----------------------------------------------------------------------------
@@ -379,10 +328,9 @@ def continuity_residual(history: WalkHistory, layer: int) -> ContinuityReport:
 
 @dataclass
 class WalkHistory:
-    """Per-layer marginal tables of one run, plus the requested joint data.
+    """Per-layer marginal tables of one run, plus the requested joint tables.
 
-    joint maps a recorded layer to its (n_sites, n_sites) joint density
-    table and states maps a kept layer to its joint state.
+    joint maps a recorded layer to its (n_sites, n_sites) joint density table.
     """
 
     grid: LatticeGrid
@@ -392,15 +340,6 @@ class WalkHistory:
     density2: np.ndarray
     current2: np.ndarray
     joint: dict[int, np.ndarray] = field(default_factory=dict)
-    states: dict[int, JointState] = field(default_factory=dict)
-
-
-def _layer_set(layers: Iterable[int], n_layers: int, what: str) -> set[int]:
-    out = {int(k) for k in layers}
-    for k in out:
-        if not 0 <= k <= n_layers:
-            raise ValidationError(f"{what} layer {k} out of range")
-    return out
 
 
 def run_walk(
@@ -408,28 +347,28 @@ def run_walk(
     grid: LatticeGrid,
     layers: list[CircuitLayer],
     record_joint: Iterable[int] = (),
-    keep_states: Iterable[int] = (),
 ) -> WalkHistory:
     """Evolve a joint state through the layers and record per-layer marginal tables.
 
     Each layer is one apply_layer, so a branch-factored start costs O(r N)
     per uncoupled layer and goes on dense from its first coupling.
-    Marginals are read from the factors at every layer.  record_joint and
-    keep_states name the layers (0 through len(layers)) whose joint density
-    tables and joint states the history keeps, numbered from 0 at state0.
+    Marginals are read from the factors at every layer.  record_joint names
+    the layers (0 through len(layers)) whose joint density tables the history
+    keeps, numbered from 0 at state0.
     """
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
     n_layers = len(layers)
-    record_joint = _layer_set(record_joint, n_layers, "joint table")
-    keep_states = _layer_set(keep_states, n_layers, "kept state")
+    record_joint = {int(k) for k in record_joint}
+    for k in record_joint:
+        if not 0 <= k <= n_layers:
+            raise ValidationError(f"joint table layer {k} out of range")
     n = grid.n_sites
     density1 = np.empty((n_layers + 1, n))
     current1 = np.empty((n_layers + 1, n))
     density2 = np.empty((n_layers + 1, n))
     current2 = np.empty((n_layers + 1, n))
     joint = {}
-    states = {}
 
     state = state0
     for layer in range(n_layers + 1):
@@ -440,8 +379,6 @@ def run_walk(
         current2[layer] = cur2.j1
         if layer in record_joint:
             joint[layer] = _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx)
-        if layer in keep_states:
-            states[layer] = state
         if layer < n_layers:
             state = apply_layer(state, layers[layer])
     return WalkHistory(
@@ -452,7 +389,6 @@ def run_walk(
         density2=density2,
         current2=current2,
         joint=joint,
-        states=states,
     )
 
 

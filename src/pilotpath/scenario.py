@@ -197,16 +197,16 @@ def build_packet(grid: LatticeGrid, spec: dict, mass: float) -> np.ndarray:
     the center (minimal-image for periodic grids) and renormalizes, giving
     path conditioning an exactly sparse start instead of machine-size tails.
     """
-    kind = spec.get("kind", "gaussian")
+    kind = spec["kind"]
     if kind == "walk-positive":
         if "spinor" in spec:
             raise ValidationError("walk-positive packets fix their own spinor structure")
         field = positive_energy_packet(
-            grid, mass, spec["center"], spec["sigma"], spec.get("momentum", 0.0)
+            grid, mass, spec["center"], spec["sigma"], spec["momentum"]
         )
     elif kind == "gaussian":
-        profile = gaussian_profile(grid, spec["center"], spec["sigma"], spec.get("momentum", 0.0))
-        spinor = spinor_from_spec(spec.get("spinor", "up"))
+        profile = gaussian_profile(grid, spec["center"], spec["sigma"], spec["momentum"])
+        spinor = spinor_from_spec(spec["spinor"])
         field = profile[:, None] * spinor[None, :]
     else:
         raise ValidationError(f"unknown packet kind {kind!r}")
@@ -232,7 +232,7 @@ def _weight(value) -> complex:
 def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[float, float]) -> JointState:
     """The weighted branch sum as branch factors: weights ride on the left factor."""
     left = np.stack(
-        [_weight(b.get("weight", 1.0)) * build_packet(grid, b["packet1"], masses[0]).reshape(-1) for b in branches],
+        [_weight(b["weight"]) * build_packet(grid, b["packet1"], masses[0]).reshape(-1) for b in branches],
         axis=1,
     )
     right = np.stack([build_packet(grid, b["packet2"], masses[1]).reshape(-1) for b in branches], axis=1)

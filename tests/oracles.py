@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse
 
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis
+from pilotpath.dirac import ALPHA1
 from pilotpath.errors import PilotPathError, ValidationError
 from pilotpath.guidance import VelocityStack
 
@@ -168,6 +169,46 @@ def svd_product_factors(amps: np.ndarray):
     psi2 = s[0] * vh[0, :]
     rot = np.exp(-1j * np.angle(psi1[int(np.argmax(np.abs(psi1)))]))
     return psi1 * rot, psi2 * np.conj(rot), s
+
+
+# ----------------------------------------------------------------------------
+# Walk currents and continuity
+
+
+def currents_oracle(state, grid):
+    """Three-operand ALPHA1 contractions: joint tables and both marginals."""
+    n = grid.n_sites
+    t = state.amps.reshape(n, 4, n, 4)
+    scale_d = 1.0 / grid.dx
+    scale_j = (grid.dx / grid.dt) * scale_d
+    joint = (
+        np.einsum("xayb,xayb->xy", t.conj(), t).real * scale_d**2,
+        np.einsum("xayb,ac,xcyb->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
+        np.einsum("xayb,bd,xayd->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
+    )
+    marginals = (
+        np.einsum("xayb,xayb->x", t.conj(), t).real * scale_d,
+        np.einsum("xayb,ac,xcyb->x", t.conj(), ALPHA1, t) * scale_j,
+        np.einsum("xayb,xayb->y", t.conj(), t).real * scale_d,
+        np.einsum("xayb,bd,xayd->y", t.conj(), ALPHA1, t) * scale_j,
+    )
+    return joint, marginals
+
+
+def centred_gradient(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * dx)
+
+
+def two_body_continuity_residual(state_t: JointState, state_next: JointState, grid) -> float:
+    """Max-norm forward-time, centred-space residual of the two-body
+    continuity law between two consecutive joint states, from the pointwise
+    bilinears of currents_oracle."""
+    (d_t, jx1, jx2), _ = currents_oracle(state_t, grid)
+    (d_n, _, _), _ = currents_oracle(state_next, grid)
+    resid = (d_n - d_t) / grid.dt
+    resid += centred_gradient(jx1.real, grid.dx, axis=0)
+    resid += centred_gradient(jx2.real, grid.dx, axis=1)
+    return float(np.max(np.abs(resid)))
 
 
 # ----------------------------------------------------------------------------

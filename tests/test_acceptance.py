@@ -11,7 +11,7 @@ line (visible even under output capture) before asserting its bound.
 import numpy as np
 import pytest
 
-from pilotpath.circuit import JointState
+from pilotpath.circuit import JointState, evolve_circuit
 from pilotpath.dirac import (
     LatticeGrid,
     NAMED_SPINORS,
@@ -58,7 +58,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
-from oracles import pair_overlap, scaled, to_path
+from oracles import pair_overlap, scaled, to_path, two_body_continuity_residual
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -329,10 +329,12 @@ def _continuity_orders():
         amps = np.outer(psi1, psi2)
         state = JointState(grid.basis(), amps / np.linalg.norm(amps))
         mid = int(round(3.0 / dx))
-        history = run_walk(state, grid, to_circuit_layers(step, step, mid + 1), keep_states=(mid, mid + 1))
-        report = continuity_residual(history, mid)
-        fulls.append(float(report.full))
-        marginals.append(float(report.marginal))
+        layers = to_circuit_layers(step, step, mid + 1)
+        # The marginal law is read from the walk's tables; the two-body law
+        # from the pointwise bilinears of the states at mid and mid + 1.
+        state_mid = evolve_circuit(state, layers[:mid])
+        fulls.append(two_body_continuity_residual(state_mid, evolve_circuit(state_mid, layers[mid:]), grid))
+        marginals.append(continuity_residual(run_walk(state, grid, layers), mid))
     lg = np.log(np.asarray(levels))
     orders = {}
     for label, series in (("full", fulls), ("marginal", marginals)):

@@ -11,9 +11,9 @@ from pilotpath.circuit import (
     apply_layer,
     branch_norm_sq,
     evolve_circuit,
-    marginal_probability,
 )
 from pilotpath.errors import ValidationError
+from pilotpath.paths import mode_marginal
 
 from conftest import (
     kron_evolve,
@@ -135,7 +135,6 @@ def test_from_product_matches_outer_product():
     psi2 = random_state_vector(4, rng)
     state = product_joint(basis, psi1, psi2)
     assert np.max(np.abs(state.amps - np.outer(psi1, psi2))) < 1e-15
-    assert state.tensor4().shape == (3, 2, 2, 2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -174,9 +173,11 @@ def test_marginal_probability_matches_direct_sum():
     state = evolve_circuit(
         product_joint(basis, random_state_vector(6, rng), random_state_vector(4, rng)), layers
     )
-    table_a = marginal_probability(state, "a")
-    table_b = marginal_probability(state, "b")
-    t = state.tensor4()
+    # The second particle's table is the first particle's of the transposed
+    # state, on the basis with the two particles swapped.
+    table_a = mode_marginal(state.amps, basis)
+    table_b = mode_marginal(state.amps.T, ModeSpinBasis(2, 2, 3, 2))
+    t = state.amps.reshape(3, 2, 2, 2)
     ref_a = np.einsum("msjt,msjt->m", t.conj(), t).real
     ref_b = np.einsum("msjt,msjt->j", t.conj(), t).real
     assert np.max(np.abs(table_a - ref_a)) < 1e-14
@@ -193,8 +194,8 @@ def test_marginal_ignores_other_particles_operations_without_couplings():
     replaced = [CircuitLayer(l.u_a, random_unitary(basis.dim_b, rng)) for l in layers]
     psi1 = random_state_vector(basis.dim_a, rng)
     psi2 = random_state_vector(basis.dim_b, rng)
-    m1 = marginal_probability(evolve_circuit(product_joint(basis, psi1, psi2), layers), "a")
-    m2 = marginal_probability(evolve_circuit(product_joint(basis, psi1, psi2), replaced), "a")
+    m1 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), layers).amps, basis)
+    m2 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), replaced).amps, basis)
     assert np.max(np.abs(m1 - m2)) < 1e-14
 
 
@@ -207,12 +208,8 @@ def test_marginal_ignores_final_layer_replacement_even_with_couplings():
     tail_alt = CircuitLayer(tail.u_a, random_unitary(basis.dim_b, rng))
     psi1 = random_state_vector(basis.dim_a, rng)
     psi2 = random_state_vector(basis.dim_b, rng)
-    m1 = marginal_probability(
-        evolve_circuit(product_joint(basis, psi1, psi2), layers + [tail]), "a"
-    )
-    m2 = marginal_probability(
-        evolve_circuit(product_joint(basis, psi1, psi2), layers + [tail_alt]), "a"
-    )
+    m1 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), layers + [tail]).amps, basis)
+    m2 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), layers + [tail_alt]).amps, basis)
     assert np.max(np.abs(m1 - m2)) < 1e-14
 
 
@@ -302,5 +299,5 @@ def test_documented_two_layer_circuit_amplitudes():
         ]
     )
     assert np.max(np.abs(final.amps - expected)) < 1e-12
-    marg = marginal_probability(final, "a")
+    marg = mode_marginal(final.amps, final.basis)
     assert np.max(np.abs(marg - np.array([0.5, 0.5]))) < 1e-12

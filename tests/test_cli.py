@@ -238,6 +238,29 @@ def test_circuit_path_window_follows_the_layer_flag(tmp_path, capsys):
     assert payload["message"] == "layer count 4 outside 0..3"
 
 
+def test_circuit_verify_follows_the_path_window(tmp_path, capsys):
+    """verify runs the path checks over the scenario's paths.layer window, as
+    the paths command does; over all 8 layers this circuit passes the pair cap."""
+    scn = {
+        "engine": "circuit",
+        "name": "deep-circuit",
+        "seed": 7,
+        "basis": {"modes_a": 4, "spins_a": 2, "modes_b": 4, "spins_b": 2},
+        "layers": {"random": {"n_layers": 8, "coupling_scale": 0.8}},
+        "initial": {"psi1": {"basis_point": 0}, "psi2": {"basis_point": 3}},
+        "paths": {"layer": 2},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert run_cli(["paths", "--scenario", str(path)], tmp_path) == 0
+    assert run_cli(["verify", "--scenario", str(path)], tmp_path) == 0
+    report = read_json(tmp_path, "deep-circuit", "verify", "verify_report.json")
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["path_equivalence"]["note"].endswith("over 2 layers")
+    assert by_name["path_equivalence"]["passed"] and not by_name["path_equivalence"]["skipped"]
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_walk_path_window_is_range_checked(scenario_file, tmp_path, capsys):
     code, payload = expect_error(["paths", "--scenario", scenario_file, "--layer", "-1"], tmp_path, capsys)
     assert code == 2

@@ -22,7 +22,6 @@ from pilotpath.dirac import (
     bloch_step_matrix,
     build_dirac_step,
     continuity_residual,
-    dirac_currents,
     gaussian_profile,
     marginal_currents,
     phase_matrices,
@@ -38,7 +37,14 @@ from pilotpath.errors import ValidationError
 from pilotpath.scenario import build_walk, bundled_scenario
 
 from conftest import kron_evolve, make_rng, random_state_vector, spinor_field
-from oracles import dense_unitary, dense_walk, evolve_two_body
+from oracles import (
+    centred_gradient,
+    currents_oracle,
+    dense_unitary,
+    dense_walk,
+    evolve_two_body,
+    two_body_continuity_residual,
+)
 
 
 def joint_from_fields(grid, psi1, psi2):
@@ -78,26 +84,6 @@ def split_step_oracle(grid, phase_mats):
                     moved[x, partner[c]] += chi[x, c]
         out[:, col] = np.array([CHIRAL_V @ moved[x] for x in range(n)]).reshape(-1)
     return out
-
-
-def currents_oracle(state, grid):
-    """Three-operand ALPHA1 contractions: joint tables and both marginals."""
-    n = grid.n_sites
-    t = state.amps.reshape(n, 4, n, 4)
-    scale_d = 1.0 / grid.dx
-    scale_j = (grid.dx / grid.dt) * scale_d
-    joint = (
-        np.einsum("xayb,xayb->xy", t.conj(), t).real * scale_d**2,
-        np.einsum("xayb,ac,xcyb->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
-        np.einsum("xayb,bd,xayd->xy", t.conj(), ALPHA1, t) * scale_j * scale_d,
-    )
-    marginals = (
-        np.einsum("xayb,xayb->x", t.conj(), t).real * scale_d,
-        np.einsum("xayb,ac,xcyb->x", t.conj(), ALPHA1, t) * scale_j,
-        np.einsum("xayb,xayb->y", t.conj(), t).real * scale_d,
-        np.einsum("xayb,bd,xayd->y", t.conj(), ALPHA1, t) * scale_j,
-    )
-    return joint, marginals
 
 
 # ----------------------------------------------------------------------------
@@ -298,7 +284,7 @@ def test_uncoupled_evolution_preserves_product_form():
         spinor_field(gaussian_profile(grid, 3.0, 1.2), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, 7.0, 1.2), NAMED_SPINORS["down"]),
     )
-    final = run_walk(state, grid, to_circuit_layers(step1, step2, 10), keep_states={10}).states[10]
+    final = evolve_circuit(state, to_circuit_layers(step1, step2, 10))
     s = np.linalg.svd(final.amps, compute_uv=False)
     assert s[1] < 1e-12
 
@@ -313,7 +299,7 @@ def test_coupling_phases_entangle_a_product_start():
     )
     rng = make_rng(29)
     phases = rng.uniform(-np.pi, np.pi, (24, 24))
-    coupled = run_walk(state, grid, to_circuit_layers(step, step, 1, {0: phases}), keep_states={1}).states[1]
+    coupled = evolve_circuit(state, to_circuit_layers(step, step, 1, {0: phases}))
     s = np.linalg.svd(coupled.amps, compute_uv=False)
     assert s[1] > 1e-3
 
@@ -322,7 +308,7 @@ def test_coupling_phases_entangle_a_product_start():
 # Currents
 
 
-def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=(), record_joint=()):
+def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, record_joint=()):
     rng = make_rng(seed)
     grid = LatticeGrid(n_sites, 1.0, 0.8)
     step1 = build_dirac_step(grid, mass, 0.0)
@@ -334,16 +320,14 @@ def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, keep_states=(), reco
         spinor_field(gaussian_profile(grid, x[2 * n_sites // 3], 1.4), NAMED_SPINORS["chirality-"]),
     )
     layers = to_circuit_layers(step1, step2, n_layers)
-    return grid, run_walk(state, grid, layers, record_joint=record_joint, keep_states=keep_states)
+    return grid, run_walk(state, grid, layers, record_joint=record_joint)
 
 
 def test_joint_density_normalization_and_positivity():
-    grid, hist = walk_history(keep_states=[6])
-    state = hist.states[6]
-    d, jx1, jx2 = dirac_currents(state, grid)
+    grid, hist = walk_history(record_joint=[6])
+    d = hist.joint[6]
     assert abs(np.sum(d) * grid.dx * grid.dx - 1.0) < 1e-10
     assert np.min(d) > -1e-12
-    assert not np.iscomplexobj(jx1) and not np.iscomplexobj(jx2)
 
 
 def test_marginal_currents_match_direct_contraction():
@@ -359,10 +343,7 @@ def test_marginal_currents_match_direct_contraction():
     for _ in range(4):
         state = evolve_two_body(state, step1, step2, rng.uniform(-np.pi, np.pi, (40, 40)))
         assert np.linalg.svd(state.amps, compute_uv=False)[1] > 1e-2
-        (ref_d, ref_jx1, ref_jx2), ref_marginals = currents_oracle(state, grid)
-        d, jx1, jx2 = dirac_currents(state, grid)
-        for got, want in ((d, ref_d), (jx1, ref_jx1), (jx2, ref_jx2)):
-            assert np.max(np.abs(got - want)) <= 1e-13
+        _, ref_marginals = currents_oracle(state, grid)
         cur1 = marginal_currents(state, grid)
         # On a walk both particles share one basis, so the transposed state
         # gives the second particle's marginal through the first's.
@@ -406,22 +387,41 @@ def test_continuity_residual_shrinks_under_refinement():
             spinor_field(gaussian_profile(grid, 5.0, 1.8, 0.9), NAMED_SPINORS["chirality+"]),
             spinor_field(gaussian_profile(grid, 11.0, 1.8, -0.9), NAMED_SPINORS["chirality-"]),
         )
-        hist = run_walk(state, grid, to_circuit_layers(step, step, steps + 1), keep_states=(steps, steps + 1))
-        rep = continuity_residual(hist, steps)
-        resids.append(rep)
-    assert resids[1].full < resids[0].full
-    assert resids[1].marginal < resids[0].marginal
+        layers = to_circuit_layers(step, step, steps + 1)
+        state_t = evolve_circuit(state, layers[:steps])
+        full = two_body_continuity_residual(state_t, evolve_circuit(state_t, layers[steps:]), grid)
+        resids.append((full, continuity_residual(run_walk(state, grid, layers), steps)))
+    assert resids[1][0] < resids[0][0]
+    assert resids[1][1] < resids[0][1]
 
 
-def test_continuity_rejects_non_consecutive_states():
-    """The residual reads layers t and t + 1 from the history, so kept states
-    that are not consecutive cannot be compared."""
-    _, hist = walk_history(keep_states=(0, 2))
-    for layer in (0, 1, 2):
-        with pytest.raises(ValidationError, match="keep_states"):
+@pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
+def test_continuity_residual_reads_the_walk_tables(coupled):
+    """The residual from the history's marginal tables equals the kept-state
+    formula, marginal_currents of the states folded to layers t and t + 1, at
+    every layer; layers outside 0..n_layers - 1 have no next table."""
+    rng = make_rng(67)
+    grid = LatticeGrid(10, 1.0, 0.8)
+    pot = PotentialField(rng.uniform(-0.5, 0.5, 10), rng.uniform(-0.5, 0.5, 10))
+    step1 = build_dirac_step(grid, 0.3, 1.0, pot)
+    step2 = build_dirac_step(grid, 0.5, 0.0)
+    x = grid.positions()
+    state0 = joint_from_fields(
+        grid,
+        spinor_field(gaussian_profile(grid, x[3], 1.4, 0.5), NAMED_SPINORS["chirality+"]),
+        spinor_field(gaussian_profile(grid, x[6], 1.4), NAMED_SPINORS["chirality-"]),
+    )
+    couplings = {1: rng.uniform(-np.pi, np.pi, (40, 40)), 3: rng.uniform(-np.pi, np.pi, (40, 40))}
+    layers = to_circuit_layers(step1, step2, 5, couplings if coupled else None)
+    hist = run_walk(state0, grid, layers)
+    for t in range(hist.n_layers):
+        cur_t = marginal_currents(evolve_circuit(state0, layers[:t]), grid)
+        cur_n = marginal_currents(evolve_circuit(state0, layers[: t + 1]), grid)
+        want = np.max(np.abs((cur_n.j0 - cur_t.j0) / grid.dt + centred_gradient(cur_t.j1, grid.dx)))
+        assert abs(continuity_residual(hist, t) - want) <= 1e-13
+    for layer in (-1, hist.n_layers):
+        with pytest.raises(ValidationError, match="continuity layer"):
             continuity_residual(hist, layer)
-    _, hist = walk_history(keep_states=(1, 2))
-    assert continuity_residual(hist, 1).marginal >= 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -473,20 +473,17 @@ def test_positive_energy_packet_moves_with_its_momentum():
 
 
 def test_run_walk_records_shapes_and_options():
-    grid, hist = walk_history(n_layers=5, keep_states=range(6), record_joint=range(6))
+    grid, hist = walk_history(n_layers=5, record_joint=range(6))
     assert hist.density1.shape == (6, 12)
     assert sorted(hist.joint) == list(range(6))
     assert all(table.shape == (12, 12) for table in hist.joint.values())
-    assert sorted(hist.states) == list(range(6))
-    _, lean = walk_history(n_layers=5, keep_states=[2], record_joint=[5])
-    assert list(lean.states) == [2]
+    _, lean = walk_history(n_layers=5, record_joint=[5])
     assert list(lean.joint) == [5]
-    assert np.array_equal(lean.states[2].amps, hist.states[2].amps)
     assert np.array_equal(lean.joint[5], hist.joint[5])
     _, bare = walk_history(n_layers=5)
-    assert bare.joint == {} and bare.states == {}
+    assert bare.joint == {}
     with pytest.raises(ValidationError):
-        walk_history(n_layers=5, keep_states=[6])
+        walk_history(n_layers=5, record_joint=[6])
     with pytest.raises(ValidationError):
         walk_history(n_layers=5, record_joint=[-1])
 
@@ -527,8 +524,7 @@ def branch_walks(draw):
     coupled = draw(st.sets(st.integers(0, n_layers - 1), max_size=2))
     couplings = {t: rng.uniform(-np.pi, np.pi, (dim, dim)) for t in sorted(coupled)}
     record = draw(st.sets(st.integers(0, n_layers)))
-    keep = draw(st.sets(st.integers(0, n_layers)))
-    return grid, state0, steps1, steps2, couplings, record, keep
+    return grid, state0, steps1, steps2, couplings, record
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -536,16 +532,16 @@ def branch_walks(draw):
 def test_branch_walk_matches_the_dense_oracle(case):
     """Factored evolution, and its switch to the full matrix at a coupling,
     reproduce the dense U1 @ A @ U2.T walk: marginals at every layer, joint
-    tables and kept states where requested."""
-    grid, state0, steps1, steps2, couplings, record, keep = case
+    tables where requested, and the circuit fold's state at every layer."""
+    grid, state0, steps1, steps2, couplings, record = case
     # Built directly: to_circuit_layers repeats one pair of steps.
     layers = [
         CircuitLayer(s1.matrix, s2.matrix, couplings.get(t))
         for t, (s1, s2) in enumerate(zip(steps1, steps2))
     ]
-    hist = run_walk(state0, grid, layers, record_joint=record, keep_states=keep)
+    hist = run_walk(state0, grid, layers, record_joint=record)
     dense = dense_walk(JointState(grid.basis(), state0.left @ state0.right.T), steps1, steps2, couplings)
-    assert sorted(hist.joint) == sorted(record) and sorted(hist.states) == sorted(keep)
+    assert sorted(hist.joint) == sorted(record)
     for t, state in enumerate(dense):
         (joint, _, _), marginals = currents_oracle(state, grid)
         got = (hist.density1[t], hist.current1[t], hist.density2[t], hist.current2[t])
@@ -553,10 +549,7 @@ def test_branch_walk_matches_the_dense_oracle(case):
             assert np.max(np.abs(g - want)) <= 1e-13
         if t in record:
             assert np.max(np.abs(hist.joint[t] - joint)) <= 1e-13
-        if t in keep:
-            assert np.max(np.abs(hist.states[t].amps - state.amps)) <= 1e-13
-    # The circuit engine's fold from the same factored start lands on the
-    # same final state.
+        assert np.max(np.abs(evolve_circuit(state0, layers[:t]).amps - state.amps)) <= 1e-13
     final = evolve_circuit(state0, layers)
     assert (final.right is None) == bool(couplings)
     assert np.max(np.abs(final.amps - dense[-1].amps)) <= 1e-13
@@ -567,8 +560,8 @@ def test_branch_walk_matches_the_dense_oracle(case):
 )
 def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, monkeypatch):
     """Branch starts stay factored: run_walk never reads JointState.amps, so
-    the (4N, 4N) amplitude matrix is formed for neither marginals, joint
-    tables nor kept states, and the kept states are still branch factors."""
+    the (4N, 4N) amplitude matrix is formed for neither marginals nor joint
+    tables, and the stepped states are still branch factors."""
     system = build_walk(bundled_scenario(name))
     assert system.state0.right is not None
     assert all(layer.phases is None for layer in system.layers)
@@ -580,16 +573,14 @@ def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, mo
         raise AssertionError("dense joint table built from a factored state")
 
     n = system.n_layers
-    keep = {0, n // 2, n}
     with monkeypatch.context() as patch:
         patch.setattr(JointState, "amps", property(amps))
         patch.setattr(dirac, "_site_probabilities", dense_table)
-        hist = run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1), keep_states=keep)
-    assert sorted(hist.joint) == list(range(n + 1)) and set(hist.states) == keep
+        hist = run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1))
+        final = evolve_circuit(system.state0, system.layers)
+    assert sorted(hist.joint) == list(range(n + 1))
     shape = system.state0.right.shape
-    for state in hist.states.values():
-        assert state.left.shape == shape and state.right.shape == shape
-    assert hist.states[0] is system.state0
+    assert final.left.shape == shape and final.right.shape == shape
 
 
 def test_to_circuit_layers_shares_uncoupled_layers():
@@ -611,7 +602,8 @@ def test_to_circuit_layers_shares_uncoupled_layers():
 
 
 def test_circuit_view_of_a_walk_reproduces_the_final_state():
-    """Dense circuit layers built from the walk evolve to the same state."""
+    """The walk's layers evolve a state to the one the Kronecker and dense
+    joint-space oracles give."""
     rng = make_rng(71)
     grid = LatticeGrid(8, 1.0, 0.9)
     pot = PotentialField(rng.uniform(-0.4, 0.4, 8), np.zeros(8))
@@ -624,10 +616,7 @@ def test_circuit_view_of_a_walk_reproduces_the_final_state():
         spinor_field(gaussian_profile(grid, 6.0, 1.1), NAMED_SPINORS["down"]),
     )
     layers = to_circuit_layers(step1, step2, 3, couplings)
-    hist = run_walk(state0, grid, layers, keep_states={3})
-    final = hist.states[3]
-    via_circuit = evolve_circuit(JointState(grid.basis(), state0.amps), layers)
-    assert np.max(np.abs(via_circuit.amps - final.amps)) < 1e-12
+    final = evolve_circuit(state0, layers)
     psi1, psi2 = (gaussian_profile(grid, c, 1.1) for c in (2.0, 6.0))
     psi1 = spinor_field(psi1, NAMED_SPINORS["chirality+"])
     psi2 = spinor_field(psi2, NAMED_SPINORS["down"])

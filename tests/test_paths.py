@@ -8,7 +8,6 @@ from pilotpath.circuit import (
     JointState,
     ModeSpinBasis,
     branch_norm_sq,
-    marginal_probability,
 )
 from pilotpath.dirac import PotentialField, marginal_currents
 from pilotpath.errors import ResourceCapError, ValidationError
@@ -192,7 +191,8 @@ def test_marginal_and_density_sums_match_the_direct_state():
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     state = direct_state(ctx)
     marg = path_sum_marginal(ensemble)
-    assert np.max(np.abs(marg - marginal_probability(state, "a"))) < 1e-10
+    ref_marg = (np.abs(state.amps) ** 2).reshape(3, 2, -1).sum(axis=(1, 2))
+    assert np.max(np.abs(marg - ref_marg)) < 1e-10
     dens = path_sum_density(ensemble)
     rows = state.amps.reshape(3, 2, -1)
     ref_total = np.einsum("jsk,jsk->j", rows.conj(), rows).real

@@ -215,7 +215,7 @@ def test_unknown_preset_is_rejected():
 
 def test_truncated_packet_has_exact_zeros_and_unit_norm():
     grid = LatticeGrid(32, 1.0, 1.0)
-    spec = {"center": 10.0, "sigma": 2.0, "kind": "gaussian", "support_radius": 4.0}
+    spec = {"center": 10.0, "sigma": 2.0, "kind": "gaussian", "momentum": 0.0, "spinor": "up", "support_radius": 4.0}
     field = build_packet(grid, spec, mass=0.2)
     assert field.shape == (32, 4)
     d = np.abs(grid.positions() - 10.0)
@@ -227,12 +227,13 @@ def test_truncated_packet_has_exact_zeros_and_unit_norm():
 def test_packet_spec_conflicts_are_rejected():
     grid = LatticeGrid(16, 1.0, 1.0)
     with pytest.raises(ValidationError, match="walk-positive"):
-        build_packet(grid, {"kind": "walk-positive", "center": 4.0, "sigma": 1.0, "spinor": "up"}, 0.2)
+        build_packet(grid, {"kind": "walk-positive", "center": 4.0, "sigma": 1.0, "momentum": 0.0, "spinor": "up"}, 0.2)
     with pytest.raises(ValidationError, match="kind"):
-        build_packet(grid, {"kind": "hexagonal", "center": 4.0, "sigma": 1.0}, 0.2)
+        build_packet(grid, {"kind": "hexagonal", "center": 4.0, "sigma": 1.0, "momentum": 0.0}, 0.2)
     # off-lattice center with a radius smaller than half a cell leaves nothing
     with pytest.raises(ValidationError, match="support_radius"):
-        build_packet(grid, {"center": 4.5, "sigma": 1.0, "support_radius": 0.1}, 0.2)
+        spec = {"kind": "gaussian", "center": 4.5, "sigma": 1.0, "momentum": 0.0, "spinor": "up", "support_radius": 0.1}
+        build_packet(grid, spec, 0.2)
 
 
 def test_cancelling_branches_are_degenerate():
