@@ -201,6 +201,17 @@ def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
     return JointState(b, amps)
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random (dim, dim) unitary: the QR factor Q of a complex normal
+    draw, with the phases of R's diagonal moved into Q.  Draws and operation
+    order are scipy.stats' U(N) sampler's, so rng gives the same bits."""
+    z = 1 / np.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / abs(d))[np.newaxis, :]
+    return q
+
+
 def evolve_circuit(state0: JointState, layers) -> JointState:
     """Fold apply_layer over the circuit."""
     state = state0

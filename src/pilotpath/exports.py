@@ -46,13 +46,20 @@ def canonical_json(obj) -> str:
     return json.dumps(_to_plain(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _open(path: str):
+    """Open path for writing text, creating its directory first, so a run
+    that fails before it writes anything leaves no directory behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(canonical_json(obj))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -147,8 +154,3 @@ def write_branch_edges_csv(path: str, tracks: TrackSet) -> None:
         ["graph", "layer_from", "component_from", "layer_to", "component_to", "loop"],
         rows(),
     )
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis, branch_norm_sq
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, branch_norm_sq, haar_unitary
 from .dirac import (
     LatticeGrid,
     PotentialField,
@@ -388,14 +388,12 @@ def build_circuit(scenario: dict) -> CircuitSystem:
     spec = scenario["layers"]
     layers: list[CircuitLayer] = []
     if isinstance(spec, dict) and "random" in spec:
-        from scipy.stats import unitary_group
-
         cfg = spec["random"]
         rng = stream_rng(int(scenario["seed"]), STREAM_SCENARIO_BUILD)
         scale = float(cfg.get("coupling_scale", 0.0))
         for _ in range(int(cfg["n_layers"])):
-            u_a = unitary_group.rvs(basis.dim_a, random_state=rng)
-            u_b = unitary_group.rvs(basis.dim_b, random_state=rng)
+            u_a = haar_unitary(basis.dim_a, rng)
+            u_b = haar_unitary(basis.dim_b, rng)
             phases = None
             if scale > 0.0:
                 phases = scale * rng.uniform(-np.pi, np.pi, size=(basis.dim_a, basis.dim_b))

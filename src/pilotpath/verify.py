@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paths as pp
-from .circuit import CircuitLayer, evolve_circuit
+from .circuit import CircuitLayer, evolve_circuit, haar_unitary
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
 from .guidance import (
@@ -24,7 +24,7 @@ from .guidance import (
     velocity_stack,
 )
 from .protocols import STREAM_FORWARD_SAMPLE, stream_rng
-from .scenario import CircuitSystem, WalkSystem, build_circuit, build_walk
+from .scenario import CircuitSystem, WalkSystem
 
 
 @dataclass
@@ -214,12 +214,8 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     # are phase-diagonal, so replacing the final layer's second-particle
     # unitary is always a marginal-preserving alteration.
     rng = stream_rng(int(scn["seed"]), 3)
-    from scipy.stats import unitary_group
-
     last = context.layers[-1]
-    alt_last = CircuitLayer(
-        last.u_a, unitary_group.rvs(context.basis.dim_b, random_state=rng), last.phases
-    )
+    alt_last = CircuitLayer(last.u_a, haar_unitary(context.basis.dim_b, rng), last.phases)
     ref = evolve_circuit(context.initial_state(), context.layers)
     alt = evolve_circuit(context.initial_state(), context.layers[:-1] + [alt_last])
     gap = np.abs(pp.mode_marginal(ref.amps, context.basis) - pp.mode_marginal(alt.amps, context.basis))
@@ -236,11 +232,9 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     )
 
 
-def run_verification(scn: dict) -> VerifyReport:
-    """Run every applicable invariant check on a resolved scenario."""
+def run_verification(system: WalkSystem | CircuitSystem) -> VerifyReport:
+    """Run every applicable invariant check on a built scenario system."""
     report = VerifyReport()
-    if scn["engine"] == "walk":
-        _verify_walk(scn, build_walk(scn), report)
-    else:
-        _verify_circuit(scn, build_circuit(scn), report)
+    check = _verify_walk if isinstance(system, WalkSystem) else _verify_circuit
+    check(system.scenario, system, report)
     return report

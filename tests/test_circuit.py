@@ -11,9 +11,12 @@ from pilotpath.circuit import (
     apply_layer,
     branch_norm_sq,
     evolve_circuit,
+    haar_unitary,
 )
 from pilotpath.errors import ValidationError
 from pilotpath.paths import mode_marginal
+from pilotpath.protocols import stream_rng
+from scipy.stats import unitary_group
 
 from conftest import (
     kron_evolve,
@@ -52,6 +55,16 @@ def test_layer_rejects_non_unitary():
         CircuitLayer(nan, good)
     with pytest.raises(ValidationError, match="non-finite"):
         CircuitLayer(good, scipy.sparse.csr_array(nan))
+
+
+def test_haar_unitary_matches_the_scipy_sampler_bit_for_bit():
+    """Sequential draws from one stream, across sizes, equal scipy's
+    unitary_group.rvs on a second copy of that stream."""
+    ours, theirs = stream_rng(7, 2), stream_rng(7, 2)
+    for dim in [2, 3, 4, 6, 8, 16, 32] * 3:
+        u = haar_unitary(dim, ours)
+        assert np.array_equal(u, unitary_group.rvs(dim, random_state=theirs))
+        assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
 
 
 def test_layer_rejects_bad_phase_tables():

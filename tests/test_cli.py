@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exits, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -268,23 +269,54 @@ def test_walk_path_window_is_range_checked(scenario_file, tmp_path, capsys):
 
 
 def test_degenerate_density_exits_4(scenario_file, tmp_path, capsys, monkeypatch):
-    def boom(scn, args):
+    def boom(scn, system, args, out):
         raise DegenerateDensityError("flat density")
 
-    monkeypatch.setitem(cli.COMMANDS, "evolve", boom)
+    monkeypatch.setitem(cli.COMMANDS, "evolve", dataclasses.replace(cli.COMMANDS["evolve"], body=boom))
     code, payload = expect_error(["evolve", "--scenario", scenario_file], tmp_path, capsys)
     assert code == 4
     assert payload == {"error": "DegenerateDensityError", "exit_code": 4, "message": "flat density"}
 
 
 def test_unexpected_errors_exit_1(scenario_file, tmp_path, capsys, monkeypatch):
-    def boom(scn, args):
+    def boom(scn, system, args, out):
         raise RuntimeError("wat")
 
-    monkeypatch.setitem(cli.COMMANDS, "evolve", boom)
+    monkeypatch.setitem(cli.COMMANDS, "evolve", dataclasses.replace(cli.COMMANDS["evolve"], body=boom))
     code, payload = expect_error(["evolve", "--scenario", scenario_file], tmp_path, capsys)
     assert code == 1
     assert payload["error"] == "RuntimeError"
+
+
+@pytest.mark.parametrize(
+    "command, scenario, extra, exit_code",
+    [
+        ("tracks", "circuit-demo", [], 2),
+        ("paths", "spin-singlet", [], 2),
+        ("paths", "circuit-demo", ["--path-cap", "10"], 3),
+    ],
+    ids=["walk-only-on-circuit", "entangled-start", "over-pair-cap"],
+)
+def test_failed_runs_leave_no_artifact_directory(command, scenario, extra, exit_code, tmp_path, capsys):
+    code, _ = expect_error([command, "--scenario", scenario] + extra, tmp_path, capsys)
+    assert code == exit_code
+    assert not (tmp_path / scenario / command).exists()
+
+
+def test_failing_verify_exits_1(scenario_file, tmp_path, capsys):
+    with open(scenario_file, encoding="utf-8") as fh:
+        scn = json.load(fh)
+    scn["protocol"]["equivariance_bound"] = 1e-9
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps(scn), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--scenario", str(strict)], out) == 1
+    report = read_json(out, "cli-unit", "verify", "verify_report.json")
+    assert report["passed"] is False
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert not by_name["equivariance_quick"]["passed"]
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"verification FAILED; report in {out / 'cli-unit' / 'verify'}"
 
 
 # ----------------------------------------------------------------------------
@@ -342,17 +374,21 @@ def test_resolved_echo_reproduces_the_run(scenario_file, tmp_path):
 
 
 def test_import_leaves_scipy_stats_and_ndimage_unloaded():
-    """They are imported where circuits are drawn and tracks labelled, so
-    commands that never use them do not pay their import time.  The package
-    root itself loads no submodule."""
+    """scipy.ndimage is imported where tracks are labelled, so commands that
+    never use it do not pay its import time, and building a random circuit
+    draws its unitaries without scipy.stats.  The package root itself loads
+    no submodule."""
     probe = (
         "import sys, pilotpath; "
         "print(sorted(m for m in sys.modules if m.startswith('pilotpath.'))); "
         "import pilotpath.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules)); "
+        "from pilotpath.scenario import build_circuit, bundled_scenario; "
+        "build_circuit(bundled_scenario('circuit-demo')); "
+        "print('scipy.stats' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["[]", "[]"]
+    assert done.stdout.split() == ["[]", "[]", "False"]
