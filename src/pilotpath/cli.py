@@ -83,12 +83,12 @@ def _forward_runs(scn, system, history):
     return runs
 
 
-def _ensemble_summary(scn: dict, out: str, runs, ks, n_layers: int, substeps: int):
+def _ensemble_summary(scn: dict, out: str, runs, ks):
     """Per-particle KS and flag counts, with each particle's trajectory CSV;
     returns the summary and the worst layer KS over both particles."""
-    report = {"count": int(scn["protocol"]["count"]), "substeps": substeps}
+    report = {"count": int(scn["protocol"]["count"]), "substeps": runs[1].substeps}
     for particle, run in runs.items():
-        exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run, n_layers)
+        exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
         report[f"particle{particle}"] = {
             "ks_per_layer": [float(v) for v in ks[particle]],
             "worst_ks": float(np.max(ks[particle])),
@@ -178,8 +178,7 @@ def _guide(scn: dict, system, args, out: str):
     runs = _forward_runs(scn, system, history)
     densities = {1: history.density1, 2: history.density2}
     ks = {p: equivariance_test(run, densities[p], system.grid) for p, run in runs.items()}
-    substeps = int(scn["protocol"]["substeps"])
-    summary, worst = _ensemble_summary(scn, out, runs, ks, system.n_layers, substeps)
+    summary, worst = _ensemble_summary(scn, out, runs, ks)
     return summary, f"forward ensembles transported; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
@@ -194,7 +193,7 @@ def _retro_run(scn: dict, system):
 
 def _retro(scn: dict, system, args, out: str):
     retro = _retro_run(scn, system)
-    summary, worst = _ensemble_summary(scn, out, retro.runs, retro.ks, system.n_layers, retro.substeps)
+    summary, worst = _ensemble_summary(scn, out, retro.runs, retro.ks)
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
@@ -205,7 +204,7 @@ def _superdet(scn: dict, system, args, out: str):
         "max_deviation": replay.max_deviation,
         "total_excluded": replay.total_excluded,
         "count": int(scn["protocol"]["count"]),
-        "substeps": retro.substeps,
+        "substeps": retro.runs[1].substeps,
     }
     for particle in (1, 2):
         dev = replay.deviations[particle]

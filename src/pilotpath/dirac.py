@@ -95,6 +95,13 @@ class LatticeGrid:
     def positions(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_sites)
 
+    def gap(self, a, b) -> np.ndarray:
+        """|a - b|, taken the shorter way round on a periodic grid."""
+        d = np.abs(a - b)
+        if self.boundary == "periodic":
+            d = np.minimum(d, self.extent - d)
+        return d
+
     def basis(self) -> ModeSpinBasis:
         return ModeSpinBasis(self.n_sites, SPINOR_DIM, self.n_sites, SPINOR_DIM)
 

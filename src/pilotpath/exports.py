@@ -18,10 +18,6 @@ from .paths import OverlapTable, PathEnsemble
 from .protocols import TrackSet
 
 
-def fmt(x) -> str:
-    return repr(float(x))
-
-
 def _to_plain(obj):
     """Recursively convert numpy scalars and arrays for JSON output."""
     if isinstance(obj, dict):
@@ -58,23 +54,31 @@ def write_json(path: str, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """Text of one column: a float array renders with repr, an integer or
+    boolean array as integers, and a list of strings as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return list(map(str, column.astype(np.int64).tolist()))
+
+
+def _write_table(path: str, header: list[str], blocks) -> None:
+    """One CSV table: the header, then the rows of each block in turn; a block
+    is a list of equal-length columns."""
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for block in blocks:
+            rows = list(map(",".join, zip(*map(_cells, block))))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
 
 
 def write_currents_csv(path: str, density: np.ndarray, current: np.ndarray, positions: np.ndarray) -> None:
     """Per-layer density and current tables: layer, x, j0, j1."""
-    n_records, n_sites = density.shape
-
-    def rows():
-        for t in range(n_records):
-            for i in range(n_sites):
-                yield (str(t), fmt(positions[i]), fmt(density[t, i]), fmt(current[t, i]))
-
-    _write_csv(path, ["layer", "x", "j0", "j1"], rows())
+    blocks = ([np.full(len(positions), t), positions, d, j] for t, (d, j) in enumerate(zip(density, current)))
+    _write_table(path, ["layer", "x", "j0", "j1"], blocks)
 
 
 def write_overlap_csv(path: str, ensemble: PathEnsemble, table: OverlapTable) -> None:
@@ -83,74 +87,41 @@ def write_overlap_csv(path: str, ensemble: PathEnsemble, table: OverlapTable) ->
     Path ids are the ensemble's enumeration ids, so rows can be joined with
     trajectory or amplitude dumps from the same run.
     """
-    amps = ensemble.amps
+    # np.abs of a complex array can differ from the scalar abs in the last
+    # place; hypot matches it bit for bit.
+    magnitude = np.hypot(ensemble.amps.real, ensemble.amps.imag)
 
-    def rows():
-        for flat in sorted(table.groups):
-            grp = table.groups[flat]
-            loc, spin = grp.endpoint
-            ep = f"{loc}:{spin}"
-            ids = grp.path_ids
-            lam = grp.overlaps
-            for i in range(ids.shape[0]):
-                for j in range(i, ids.shape[0]):
-                    yield (
-                        ep,
-                        str(int(ids[i])),
-                        str(int(ids[j])),
-                        fmt(lam[i, j].real),
-                        fmt(lam[i, j].imag),
-                        fmt(abs(amps[ids[i]])),
-                        fmt(abs(amps[ids[j]])),
-                    )
+    def block(grp):
+        i, j = np.triu_indices(len(grp.path_ids))
+        p, q, lam = grp.path_ids[i], grp.path_ids[j], grp.overlaps[i, j]
+        return [["{}:{}".format(*grp.endpoint)] * len(i), p, q, lam.real, lam.imag, magnitude[p], magnitude[q]]
 
-    _write_csv(
-        path,
-        ["endpoint", "p_id", "q_id", "re_overlap", "im_overlap", "abs_amp_p", "abs_amp_q"],
-        rows(),
-    )
+    header = ["endpoint", "p_id", "q_id", "re_overlap", "im_overlap", "abs_amp_p", "abs_amp_q"]
+    _write_table(path, header, (block(table.groups[flat]) for flat in sorted(table.groups)))
 
 
-def write_trajectories_csv(path: str, run: EnsembleRun, n_layers: int) -> None:
+def write_trajectories_csv(path: str, run: EnsembleRun) -> None:
     """Layer-resolution trajectory table: trajectory_id, layer, position, node_flag.
 
     node_flag is 1 from the record where the trajectory froze at a masked
     node onward (in the run's own integration order), else 0.
     """
-    def rows():
-        for layer in range(n_layers + 1):
-            if run.direction == "forward":
-                rec = layer * run.substeps
-            else:
-                rec = (n_layers - layer) * run.substeps
-            pos = run.positions[:, rec]
-            flagged = (run.frozen >= 0) & (run.frozen <= rec)
-            for i in range(run.n_trajectories):
-                yield (str(i), str(layer), fmt(pos[i]), "1" if flagged[i] else "0")
-
-    _write_csv(path, ["trajectory_id", "layer", "position", "node_flag"], rows())
+    ids = [str(i) for i in range(run.n_trajectories)]
+    blocks = (
+        [ids, [str(layer)] * len(ids), run.layer_positions(layer), run.layer_flags(layer)]
+        for layer in range(run.n_layers + 1)
+    )
+    _write_table(path, ["trajectory_id", "layer", "position", "node_flag"], blocks)
 
 
 def write_branch_edges_csv(path: str, tracks: TrackSet) -> None:
     """Edge lists of the joint and marginal branch graphs, loop edges marked."""
-    graphs = [tracks.joint, tracks.marginal[1], tracks.marginal[2]]
 
-    def rows():
-        for graph in graphs:
-            loops = set(graph.loop_edges)
-            for edge in graph.edges:
-                (t, a), (t1, b) = edge
-                yield (
-                    graph.name,
-                    str(t),
-                    str(a),
-                    str(t1),
-                    str(b),
-                    "1" if edge in loops else "0",
-                )
+    def block(graph):
+        ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 4)
+        loops = set(graph.loop_edges)
+        is_loop = np.array([edge in loops for edge in graph.edges], dtype=bool)
+        return [[graph.name] * ends.shape[0], *ends.T, is_loop]
 
-    _write_csv(
-        path,
-        ["graph", "layer_from", "component_from", "layer_to", "component_to", "loop"],
-        rows(),
-    )
+    header = ["graph", "layer_from", "component_from", "layer_to", "component_to", "loop"]
+    _write_table(path, header, map(block, [tracks.joint, tracks.marginal[1], tracks.marginal[2]]))

@@ -92,13 +92,24 @@ class EnsembleRun:
     def n_flagged(self) -> int:
         return int(np.sum(self.frozen >= 0))
 
-    def layer_positions(self, layer: int, n_layers: int) -> np.ndarray:
+    @property
+    def n_layers(self) -> int:
+        return (self.positions.shape[1] - 1) // self.substeps
+
+    def _record(self, layer: int) -> int:
+        """Index of the record at which the run passes the given layer."""
+        if not 0 <= layer <= self.n_layers:
+            raise ValidationError(f"layer {layer} is outside the run's 0..{self.n_layers}")
+        return (layer if self.direction == "forward" else self.n_layers - layer) * self.substeps
+
+    def layer_positions(self, layer: int) -> np.ndarray:
         """Positions of all trajectories when the run passes the given layer."""
-        if self.direction == "forward":
-            rec = layer * self.substeps
-        else:
-            rec = (n_layers - layer) * self.substeps
-        return self.positions[:, rec]
+        return self.positions[:, self._record(layer)]
+
+    def layer_flags(self, layer: int) -> np.ndarray:
+        """Whether each trajectory has frozen at a masked node by the record
+        at which the run passes the given layer."""
+        return (self.frozen >= 0) & (self.frozen <= self._record(layer))
 
 
 def _check_direction(direction: str) -> bool:
@@ -258,12 +269,10 @@ def equivariance_test(run: EnsembleRun, density_stack: np.ndarray, grid: Lattice
     """KS distance between the ensemble and the density at each layer.
 
     The ensemble should have been sampled from the density at its starting
-    layer; transported positions are compared to the stack row by row.
+    layer; transported positions are compared to the stack row by row, so
+    the stack must have one row per layer of the run.
     """
     density_stack = np.asarray(density_stack, dtype=np.float64)
-    n_layers = density_stack.shape[0] - 1
-    out = np.empty(n_layers + 1)
-    for layer in range(n_layers + 1):
-        pos = run.layer_positions(layer, n_layers)
-        out[layer] = ks_statistic(pos, density_stack[layer], grid)
-    return out
+    if density_stack.shape[0] != run.n_layers + 1:
+        raise ValidationError(f"density stack has {density_stack.shape[0]} rows; the run passes {run.n_layers + 1} layers")
+    return np.array([ks_statistic(run.layer_positions(t), row, grid) for t, row in enumerate(density_stack)])

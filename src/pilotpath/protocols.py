@@ -22,8 +22,9 @@ Three procedures built on the engine and guidance layers:
   particle's axis.
 
 RNG policy: one scenario seed, expanded into independent counter-mode
-streams (stream index in the Philox counter): stream 0 draws final-layer
-configurations, stream 1 draws forward-guidance ensembles.
+streams (stream index in the Philox counter), all listed below: final-layer
+configurations, forward-guidance ensembles, randomized circuit unitaries,
+and the alteration in the circuit no-signaling check.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .guidance import (
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
+STREAM_SCENARIO_BUILD = 2
+STREAM_CIRCUIT_ALTERATION = 3
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -62,7 +65,6 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 class RetroResult:
     """Backward ensembles anchored at the final layer."""
 
-    substeps: int
     final_x1: np.ndarray
     final_x2: np.ndarray
     runs: dict[int, EnsembleRun]
@@ -92,7 +94,6 @@ def retro_run(history: WalkHistory, seed: int, count: int, substeps: int, eps_re
         runs[particle] = run
         ks[particle] = equivariance_test(run, density, grid)
     return RetroResult(
-        substeps=substeps,
         final_x1=x1,
         final_x2=x2,
         runs=runs,
@@ -115,13 +116,6 @@ class ReplayResult:
         return sum(self.excluded.values())
 
 
-def _periodic_gap(a: np.ndarray, b: np.ndarray, extent: float, periodic: bool) -> np.ndarray:
-    d = np.abs(a - b)
-    if periodic:
-        d = np.minimum(d, extent - d)
-    return d
-
-
 def superdet_replay(retro: RetroResult) -> ReplayResult:
     """Run the backward endpoints forward and measure path deviation.
 
@@ -134,16 +128,10 @@ def superdet_replay(retro: RetroResult) -> ReplayResult:
     top = 0.0
     for particle, back in retro.runs.items():
         stack = retro.stacks[particle]
-        grid = stack.grid
-        fwd = integrate_batch(stack, back.positions[:, -1].copy(), "forward", retro.substeps)
+        fwd = integrate_batch(stack, back.positions[:, -1].copy(), "forward", back.substeps)
         runs[particle] = fwd
         # Backward record k sits at the same time as forward record n_rec-1-k.
-        gaps = _periodic_gap(
-            fwd.positions,
-            back.positions[:, ::-1],
-            grid.extent,
-            grid.boundary == "periodic",
-        )
+        gaps = stack.grid.gap(fwd.positions, back.positions[:, ::-1])
         ok = (back.frozen < 0) & (fwd.frozen < 0)
         excluded[particle] = int(np.sum(~ok))
         dev = np.where(ok, gaps.max(axis=1), np.nan)
@@ -215,7 +203,6 @@ class TrackGraph:
     """
 
     name: str
-    threshold_rel: float
     labels: list[np.ndarray]
     n_components: list[int]
     edges: list[tuple[tuple[int, int], tuple[int, int]]]
@@ -232,7 +219,6 @@ class TrackSet:
 
     joint: TrackGraph
     marginal: dict[int, TrackGraph]
-    threshold_rel: float
 
 
 def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> TrackGraph:
@@ -264,7 +250,6 @@ def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> Tra
                 loop_edges.append(edge)
     return TrackGraph(
         name=name,
-        threshold_rel=threshold_rel,
         labels=labels,
         n_components=counts,
         edges=edges,
@@ -289,7 +274,7 @@ def build_tracks(history: WalkHistory, threshold_rel: float) -> TrackSet:
         1: _build_graph(history.density1, "marginal-1", threshold_rel, periodic),
         2: _build_graph(history.density2, "marginal-2", threshold_rel, periodic),
     }
-    return TrackSet(joint=joint, marginal=marginal, threshold_rel=threshold_rel)
+    return TrackSet(joint=joint, marginal=marginal)
 
 
 # ----------------------------------------------------------------------------
@@ -366,6 +351,8 @@ def detect_crossings(
     """
     joint = tracks.joint
     n_layers = joint.n_layers
+    if any(run.n_layers != n_layers for run in runs.values()):
+        raise ValidationError("every run must pass the same layers as the branch graph")
     # Component labels are numbered per layer, so world identity across
     # layers is decided by graph reachability alone, never by comparing
     # label integers from different layers.
@@ -386,7 +373,7 @@ def detect_crossings(
         bridged = np.zeros(n, dtype=bool)
         traj_crossed = np.zeros(n, dtype=bool)
         for t in range(n_layers + 1):
-            site = _site_of(run.layer_positions(t, n_layers), grid)
+            site = _site_of(run.layer_positions(t), grid)
             tab = proj[t]
             count = tab.sum(axis=1)[site]
             c = np.argmax(tab, axis=1)[site]

@@ -9,8 +9,8 @@ that resolved form next to their artifacts so every output is reproducible
 from (scenario, seed) alone.
 
 Randomized circuit scenarios draw their unitaries from a dedicated
-counter-mode stream of the scenario seed (stream index 2; streams 0 and 1
-belong to the protocol samplers), so artifacts never depend on call order.
+counter-mode stream of the scenario seed (STREAM_SCENARIO_BUILD; protocols
+lists every stream), so artifacts never depend on call order.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .dirac import (
 )
 from .errors import ValidationError
 from .paths import PathCaps, PathContext
-from .protocols import stream_rng
-
-STREAM_SCENARIO_BUILD = 2
+from .protocols import STREAM_SCENARIO_BUILD, stream_rng
 
 _DEFAULTS = {
     "seed": 12345,
@@ -212,9 +210,7 @@ def build_packet(grid: LatticeGrid, spec: dict, mass: float) -> np.ndarray:
         raise ValidationError(f"unknown packet kind {kind!r}")
     radius = spec.get("support_radius")
     if radius is not None:
-        d = np.abs(grid.positions() - float(spec["center"]))
-        if grid.boundary == "periodic":
-            d = np.minimum(d, grid.extent - d)
+        d = grid.gap(grid.positions(), float(spec["center"]))
         field = np.where(d[:, None] <= float(radius), field, 0.0)
         nrm = np.linalg.norm(field)
         if nrm < 1e-6:
@@ -261,7 +257,6 @@ def build_potential(grid: LatticeGrid, spec: dict) -> PotentialField:
 
 def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict[int, np.ndarray]:
     """Joint diagonal phase tables per layer, additive across entries."""
-    basis = grid.basis()
     out: dict[int, np.ndarray] = {}
     x = grid.positions()
     for spec in specs:
@@ -281,9 +276,6 @@ def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict
                 out[t] = out[t] + table
             else:
                 out[t] = table.copy()
-    for t, tab in out.items():
-        if tab.shape != (basis.dim_a, basis.dim_b):
-            raise ValidationError("coupling table shape mismatch")
     return out
 
 

@@ -23,7 +23,7 @@ from .guidance import (
     sample_density,
     velocity_stack,
 )
-from .protocols import STREAM_FORWARD_SAMPLE, stream_rng
+from .protocols import STREAM_CIRCUIT_ALTERATION, STREAM_FORWARD_SAMPLE, stream_rng
 from .scenario import CircuitSystem, WalkSystem
 
 
@@ -167,9 +167,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     back = integrate_batch(stack, fwd_fine.positions[:, -1], "backward", rev_sub)
     ok = (fwd_fine.frozen < 0) & (back.frozen < 0)
     if ok.any():
-        gap = np.abs(back.positions[ok, -1] - x0[ok])
-        if grid.boundary == "periodic":
-            gap = np.minimum(gap, grid.extent - gap)
+        gap = grid.gap(back.positions[ok, -1], x0[ok])
         report.add(
             "reversibility",
             float(gap.max()),
@@ -213,7 +211,7 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     # applied in the same layer sit after the one-particle unitaries and
     # are phase-diagonal, so replacing the final layer's second-particle
     # unitary is always a marginal-preserving alteration.
-    rng = stream_rng(int(scn["seed"]), 3)
+    rng = stream_rng(int(scn["seed"]), STREAM_CIRCUIT_ALTERATION)
     last = context.layers[-1]
     alt_last = CircuitLayer(last.u_a, haar_unitary(context.basis.dim_b, rng), last.phases)
     ref = evolve_circuit(context.initial_state(), context.layers)

@@ -160,6 +160,16 @@ def test_grid_validation():
     assert grid.positions()[0] == -2.0
 
 
+def test_grid_gap_goes_the_shorter_way_round_only_on_a_ring():
+    a = np.array([0.0, 0.5, 3.5, 1.0])
+    b = np.array([3.5, 3.0, 0.0, 1.0])
+    ring = LatticeGrid(8, 0.5, 0.25)
+    wall = LatticeGrid(8, 0.5, 0.25, boundary="reflecting")
+    assert ring.gap(a, b).tolist() == [0.5, 1.5, 0.5, 0.0]
+    assert wall.gap(a, b).tolist() == [3.5, 2.5, 3.5, 0.0]
+    assert ring.gap(a, 2.0).tolist() == [2.0, 1.5, 1.5, 1.0]
+
+
 def test_barrier_window_is_half_open():
     grid = LatticeGrid(8, 1.0, 1.0)
     pot = PotentialField.barrier(grid, 0.7, 2.0, 5.0)

@@ -136,8 +136,8 @@ def test_trajectory_and_run_bookkeeping():
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
     assert run.positions.shape == (2, 17)
-    assert np.array_equal(run.layer_positions(0, 4), run.positions[:, 0])
-    assert np.array_equal(run.layer_positions(3, 4), run.positions[:, 12])
+    assert np.array_equal(run.layer_positions(0), run.positions[:, 0])
+    assert np.array_equal(run.layer_positions(3), run.positions[:, 12])
 
 
 def test_backward_run_reads_layers_in_reverse():
@@ -146,8 +146,32 @@ def test_backward_run_reads_layers_in_reverse():
     run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4)
     assert run.direction == "backward"
     # record 0 is the final layer; layer k sits at record (4 - k) * substeps
-    assert np.array_equal(run.layer_positions(4, 4), run.positions[:, 0])
-    assert np.array_equal(run.layer_positions(0, 4), run.positions[:, 16])
+    assert np.array_equal(run.layer_positions(4), run.positions[:, 0])
+    assert np.array_equal(run.layer_positions(0), run.positions[:, 16])
+
+
+def test_run_reads_its_layers_and_freezes_from_its_own_records():
+    # Five records at two substeps: two layers.  Trajectory 1 froze at
+    # record 1, between the backward run's layers 2 and 1.
+    positions = np.arange(10, dtype=np.float64).reshape(2, 5)
+    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2)
+    assert run.n_layers == 2
+    assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
+    assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
+    with pytest.raises(ValidationError, match="outside"):
+        run.layer_positions(3)
+    with pytest.raises(ValidationError, match="outside"):
+        run.layer_flags(-1)
+
+
+def test_equivariance_rejects_a_stack_of_other_depth():
+    grid, hist = smooth_history(n_layers=4)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
+    run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4)
+    assert equivariance_test(run, hist.density1, grid).shape == (5,)
+    # A shorter stack would otherwise pair its rows with the wrong records.
+    with pytest.raises(ValidationError, match="rows"):
+        equivariance_test(run, hist.density1[:3], grid)
 
 
 def test_periodic_starts_are_canonicalized():

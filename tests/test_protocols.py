@@ -9,7 +9,10 @@ from pilotpath.errors import ValidationError
 from pilotpath.guidance import EnsembleRun, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
     EVENT_COLUMNS,
+    STREAM_CIRCUIT_ALTERATION,
+    STREAM_FINAL_SAMPLE,
     STREAM_FORWARD_SAMPLE,
+    STREAM_SCENARIO_BUILD,
     TrackGraph,
     TrackSet,
     _label_with_wrap,
@@ -57,6 +60,11 @@ def test_streams_of_one_seed_are_independent():
         for j in range(i + 1, 4):
             assert not np.array_equal(draws[i], draws[j])
     assert not np.array_equal(stream_rng(7, 0).random(8), stream_rng(8, 0).random(8))
+
+
+def test_stream_constants_are_distinct():
+    streams = [STREAM_FINAL_SAMPLE, STREAM_FORWARD_SAMPLE, STREAM_SCENARIO_BUILD, STREAM_CIRCUIT_ALTERATION]
+    assert len(set(streams)) == len(streams)
 
 
 # ----------------------------------------------------------------------------
@@ -275,7 +283,7 @@ def crossings_reference(runs, tracks, grid):
         for i in range(run.n_trajectories):
             counts, labels = [], []
             for t in range(n_layers + 1):
-                x = float(run.layer_positions(t, n_layers)[i])
+                x = float(run.layer_positions(t)[i])
                 site = int(np.floor((x - grid.x_min) / grid.dx + 0.5))
                 if grid.boundary == "periodic":
                     site %= grid.n_sites
@@ -367,13 +375,12 @@ def hand_built_tracks(n_sites=8):
     edges += [((5, 1), (6, 1)), ((5, 2), (6, 1)), ((6, 1), (7, 1))]
     joint = TrackGraph(
         name="joint",
-        threshold_rel=0.5,
         labels=layers,
         n_components=[int(lab.max()) for lab in layers],
         edges=edges,
         loop_edges=[((5, 2), (6, 1))],
     )
-    return TrackSet(joint=joint, marginal={}, threshold_rel=0.5)
+    return TrackSet(joint=joint, marginal={})
 
 
 def site_run(sites, direction="forward"):
@@ -430,3 +437,9 @@ def test_crossings_on_a_hand_built_branch_graph():
     assert report.violations == 6
     assert report.crossing_fraction == 7 / 11
     assert report.n_trajectories == 11
+
+
+def test_crossings_reject_runs_over_other_layers():
+    short = site_run([[0, 0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValidationError, match="same layers"):
+        detect_crossings({1: short}, hand_built_tracks(), LatticeGrid(8, 1.0, 1.0))
