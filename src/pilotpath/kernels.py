@@ -12,58 +12,84 @@ Conventions:
   - a trajectory freezes permanently the first time any of the four
     interpolation corners (two sites, two layers) is node-masked during a
     substep; the freeze record index is reported, -1 if never frozen.
+
+Arithmetic:
+  - blended stage tables: each RK stage reads the field at one time weight,
+    so per segment the two layer rows are blended once per weight,
+    ``(a + w*(b - a)) * (1/dx)``, and a stage interpolates in space only;
+  - positions are carried in cell units, ``u = (x - x_min) * (1/dx)``, with
+    site i at u = i; a record is written as ``x_min + u*dx``, except that
+    records[:, 0] is x0 itself and a frozen trajectory repeats its previous
+    record;
+  - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
+    first substep, and every substep's result is wrapped again;
+  - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
+    wraps by adding one ring per loop iteration, so its cost grows with how
+    far an index lies outside the ring.  Non-finite tables or starts, and
+    a periodic step that could carry a stage around more than
+    MAX_STAGE_RINGS rings, are rejected before any gather runs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ValidationError
 
 __all__ = ["transport"]
 
-# Trajectories are independent, so the batch runs through the whole stack
-# in chunks of this many; a chunk's per-substep temporaries then stay in
-# cache instead of streaming through memory.
+# Trajectories are independent, so the batch runs through each segment in
+# chunks of this many; a chunk's per-substep temporaries then stay in cache
+# instead of streaming through memory, and every chunk shares the segment's
+# stage tables.
 CHUNK = 8192
 
+# A stage lands at most this many rings off the ring a substep starts on.
+# Lattice velocities obey |v| <= dx/dt, so a real stage crosses at most
+# 1/n_sites of a ring.
+MAX_STAGE_RINGS = 1024
 
-def _cell_tables(row_a, row_b, mask_a, mask_b, periodic):
-    """Per-cell interpolation tables of one segment.
 
-    Cell c holds the two corner sites (ia, ib) of every position whose
-    floor index maps to it: c = i0 % n_sites when periodic, and
-    c = clip(i0, -1, n_sites - 1) + 1 when bounded, where the two end cells
-    clamp both corners to the edge site and so carry zero difference.
-    Returns the left values and left-to-right differences of both layer
-    rows, and whether any of the four corners is node-masked.
+def _corner_sites(n_sites, periodic):
+    """Left and right corner sites (ia, ib) of every interpolation cell.
+
+    Periodic cell c holds the positions with floor index i0 = c mod n_sites.
+    Bounded cell c holds i0 = clip(i0, -1, n_sites - 1) + 1: the two end
+    cells clamp both corners to the edge site, so they carry zero slope.
     """
-    n_sites = row_a.shape[0]
     if periodic:
         ia = np.arange(n_sites)
-        ib = (ia + 1) % n_sites
-    else:
-        ia = np.minimum(np.maximum(np.arange(-1, n_sites), 0), n_sites - 1)
-        ib = np.minimum(np.maximum(np.arange(0, n_sites + 1), 0), n_sites - 1)
-    a0 = row_a[ia]
-    b0 = row_b[ia]
-    bad = mask_a[ia] | mask_a[ib] | mask_b[ia] | mask_b[ib]
-    return a0, row_a[ib] - a0, b0, row_b[ib] - b0, bad
+        return ia, (ia + 1) % n_sites
+    ia = np.clip(np.arange(-1, n_sites), 0, n_sites - 1)
+    return ia, np.clip(np.arange(n_sites + 1), 0, n_sites - 1)
 
 
-def _interp(tables, x, wt, x_min, dx, n_sites, periodic):
-    a0, da, b0, db, bad = tables
-    u = (x - x_min) / dx
+def _stage_tables(row_a, row_b, weights, inv_dx, ia, ib):
+    """Cell tables of one segment at every stage weight.
+
+    weights: (substeps, 3) time weights.  Returns the left values and the
+    left-to-right slopes of the blended rows in cell units, both of shape
+    (substeps, 3, n_cells).
+    """
+    rows = (row_a + weights[..., None] * (row_b - row_a)) * inv_dx
+    left = rows[..., ia]
+    return left, rows[..., ib] - left
+
+
+def _stage(left, slope, bad, u, mode, offset):
+    """Velocity in cell units at positions u, and whether a corner of their
+    cell is node-masked (None when the segment has no masked corner)."""
     base = np.floor(u)
-    frac = u - base
-    i0 = base.astype(np.int64)
-    if periodic:
-        # i0 % n_sites, exactly: numpy's integer floor division by a scalar
-        # is several times faster than its remainder.
-        c = i0 - (i0 // n_sites) * n_sites
-    else:
-        c = np.minimum(np.maximum(i0, -1), n_sites - 1) + 1
-    va = a0[c] + frac * da[c]
-    vb = b0[c] + frac * db[c]
-    return va + wt * (vb - va), bad[c]
+    c = base.astype(np.int64)
+    if offset:
+        c += offset
+    np.subtract(u, base, out=base)
+    k = slope.take(c, mode=mode)
+    k *= base
+    k += left.take(c, mode=mode)
+    return k, None if bad is None else bad.take(c, mode=mode)
 
 
 def transport(
@@ -81,6 +107,7 @@ def transport(
     """Transport a batch of positions through the full field stack.
 
     values, masks: (n_layers + 1, n_sites) tables, one row per layer.
+    extent is the ring length, n_sites * dx.
     Returns (records, frozen): records has shape (n, n_layers*substeps + 1)
     with row i the trajectory of x0[i] at every substep; frozen[i] is the
     record index where trajectory i froze on a node, or -1.
@@ -91,44 +118,93 @@ def transport(
     n_layers = values.shape[0] - 1
     n_sites = values.shape[1]
     n = x0.shape[0]
+    h = (dt / substeps) if forward else -(dt / substeps)
+    vmax = float(np.max(np.abs(values), initial=0.0))
+    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
+        raise ValidationError("transport needs finite velocity tables and start positions")
+    if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
+        raise ValidationError(
+            f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
+        )
     n_rec = n_layers * substeps + 1
     records = np.empty((n, n_rec), dtype=np.float64)
     frozen = np.full(n, -1, dtype=np.int64)
     records[:, 0] = x0
-    h = (dt / substeps) if forward else -(dt / substeps)
+    half = 0.5 * h
+    sixth = h / 6.0
+    inv_dx = 1.0 / dx
     inv_sub = 1.0 / substeps
+    if periodic:
+        mode, offset, ring = "wrap", 0, float(n_sites)
+        u0 = ((x0 - x_min) * inv_dx) % ring
+        # A substep moves u by at most |h| * vmax / dx cells.  Below half a
+        # ring, a substep from [0, n_sites] ends in [-ring, 2*ring), where
+        # one exact subtraction or one addition of the ring is the
+        # remainder, bit for bit, at a tenth of np.remainder's cost.
+        one_ring = abs(h) * vmax * inv_dx <= 0.5 * ring
+    else:
+        mode, offset, top = "clip", 1, float(n_sites - 1)
+        u0 = (x0 - x_min) * inv_dx
+    ia, ib = _corner_sites(n_sites, periodic)
+    weights = np.empty((substeps, 3))
+    for s in range(substeps):
+        wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
+        wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
+        wt_full = wt0 + (inv_sub if forward else -inv_sub)
+        weights[s] = (wt0, wt_half, wt_full)
+    starts = range(0, n, CHUNK)
+    us = [u0[lo : lo + CHUNK] for lo in starts]
+    # Whether any trajectory of the chunk has frozen: until one has, a
+    # substep that touches no masked corner moves every trajectory.
+    has_frozen = [False] * len(us)
     order = range(n_layers) if forward else range(n_layers - 1, -1, -1)
-    segments = [
-        _cell_tables(values[t], values[t + 1], masks[t], masks[t + 1], periodic) for t in order
-    ]
-    for lo in range(0, n, CHUNK):
-        rows = records[lo : lo + CHUNK]
-        fro = frozen[lo : lo + CHUNK]
-        x = x0[lo : lo + CHUNK]
-        rec = 0
-        for tables in segments:
+    for seg, t in enumerate(order):
+        left, slope = _stage_tables(values[t], values[t + 1], weights, inv_dx, ia, ib)
+        bad = masks[t][ia] | masks[t][ib] | masks[t + 1][ia] | masks[t + 1][ib]
+        if not bad.any():
+            bad = None
+        for j, lo in enumerate(starts):
+            rows = records[lo : lo + CHUNK]
+            fro = frozen[lo : lo + CHUNK]
+            u = us[j]
+            rec = seg * substeps
             for s in range(substeps):
                 rec += 1
-                wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
-                wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
-                wt_full = wt0 + (inv_sub if forward else -inv_sub)
-                k1, b1 = _interp(tables, x, wt0, x_min, dx, n_sites, periodic)
-                x2 = x + 0.5 * h * k1
-                k2, b2 = _interp(tables, x2, wt_half, x_min, dx, n_sites, periodic)
-                x3 = x + 0.5 * h * k2
-                k3, b3 = _interp(tables, x3, wt_half, x_min, dx, n_sites, periodic)
-                x4 = x + h * k3
-                k4, b4 = _interp(tables, x4, wt_full, x_min, dx, n_sites, periodic)
-                xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if periodic:
-                    xn = x_min + ((xn - x_min) % extent)
+                k1, b1 = _stage(left[s, 0], slope[s, 0], bad, u, mode, offset)
+                k2, b2 = _stage(left[s, 1], slope[s, 1], bad, u + half * k1, mode, offset)
+                k3, b3 = _stage(left[s, 1], slope[s, 1], bad, u + half * k2, mode, offset)
+                k4, b4 = _stage(left[s, 2], slope[s, 2], bad, u + h * k3, mode, offset)
+                # un = u + (h/6) * (k1 + 2*k2 + 2*k3 + k4), in that order
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= sixth
+                un = np.add(u, k2, out=k2)
+                if periodic and one_ring:
+                    np.subtract(un, ring, out=un, where=un >= ring)
+                    np.add(un, ring, out=un, where=un < 0.0)
+                elif periodic:
+                    np.remainder(un, ring, out=un)
                 else:
-                    xn = np.minimum(np.maximum(xn, x_min), x_min + (n_sites - 1) * dx)
-                bad = b1 | b2 | b3 | b4
-                active = fro < 0
-                newly = active & bad
-                fro[newly] = rec - 1
-                move = active & ~bad
-                x = np.where(move, xn, x)
-                rows[:, rec] = x
+                    np.clip(un, 0.0, top, out=un)
+                if bad is not None:
+                    b1 |= b2
+                    b1 |= b3
+                    b1 |= b4
+                if not has_frozen[j] and (bad is None or not b1.any()):
+                    u = un
+                    np.multiply(un, dx, out=k1)
+                    np.add(k1, x_min, out=rows[:, rec])
+                    continue
+                move = fro < 0
+                if bad is not None:
+                    newly = move & b1
+                    fro[newly] = rec - 1
+                    move ^= newly
+                has_frozen[j] = True
+                u = np.where(move, un, u)
+                rows[:, rec] = np.where(move, x_min + un * dx, rows[:, rec - 1])
+            us[j] = u
     return records, frozen

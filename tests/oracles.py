@@ -5,6 +5,7 @@ joint-space matrix, so that it stays independent of the vectorised code it
 checks.  None of them is reached by the command line.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,3 +224,75 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
         grid=stack.grid,
         eps_node=stack.eps_node,
     )
+
+
+# ----------------------------------------------------------------------------
+# Transport kernel before blended stage tables
+
+
+def _interp_time_lerp(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, periodic):
+    u = (x - x_min) / dx
+    base = float(math.floor(u))
+    frac = u - base
+    i0 = int(base)
+    if periodic:
+        ia = i0 % n_sites
+        ib = (i0 + 1) % n_sites
+    else:
+        ia = min(max(i0, 0), n_sites - 1)
+        ib = min(max(i0 + 1, 0), n_sites - 1)
+    bad = mask_a[ia] or mask_a[ib] or mask_b[ia] or mask_b[ib]
+    va = row_a[ia] + frac * (row_a[ib] - row_a[ia])
+    vb = row_b[ia] + frac * (row_b[ib] - row_b[ia])
+    return va + wt * (vb - va), bad
+
+
+def transport_time_lerp(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
+    """The transport kernel's earlier arithmetic, one trajectory at a time:
+    positions in x units, four corner values per stage and a time lerp
+    between the two layer rows.  It rounds differently from the kernel, so
+    it bounds the kernel's floating-point-order change, not its bits."""
+    values = [[float(v) for v in row] for row in values]
+    masks = [[bool(m) for m in row] for row in masks]
+    n_layers = len(values) - 1
+    n_sites = len(values[0])
+    n_rec = n_layers * substeps + 1
+    records = np.empty((len(x0), n_rec), dtype=np.float64)
+    frozen = np.full(len(x0), -1, dtype=np.int64)
+    h = (dt / substeps) if forward else -(dt / substeps)
+    inv_sub = 1.0 / substeps
+    for i, x in enumerate(float(v) for v in x0):
+        row = [x]
+        fro = -1
+        rec = 0
+        for seg in range(n_layers):
+            t = seg if forward else n_layers - 1 - seg
+            fields = (values[t], values[t + 1], masks[t], masks[t + 1])
+            for s in range(substeps):
+                rec += 1
+                if fro >= 0:
+                    row.append(x)
+                    continue
+                wt0 = s * inv_sub if forward else 1.0 - s * inv_sub
+                wt_half = wt0 + 0.5 * (inv_sub if forward else -inv_sub)
+                wt_full = wt0 + (inv_sub if forward else -inv_sub)
+                k1, b1 = _interp_time_lerp(*fields, x, wt0, x_min, dx, n_sites, periodic)
+                x2 = x + 0.5 * h * k1
+                k2, b2 = _interp_time_lerp(*fields, x2, wt_half, x_min, dx, n_sites, periodic)
+                x3 = x + 0.5 * h * k2
+                k3, b3 = _interp_time_lerp(*fields, x3, wt_half, x_min, dx, n_sites, periodic)
+                x4 = x + h * k3
+                k4, b4 = _interp_time_lerp(*fields, x4, wt_full, x_min, dx, n_sites, periodic)
+                xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if periodic:
+                    xn = x_min + ((xn - x_min) % extent)
+                else:
+                    xn = min(max(xn, x_min), x_min + (n_sites - 1) * dx)
+                if b1 or b2 or b3 or b4:
+                    fro = rec - 1
+                else:
+                    x = xn
+                row.append(x)
+        records[i] = row
+        frozen[i] = fro
+    return records, frozen
