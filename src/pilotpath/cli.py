@@ -28,15 +28,8 @@ from . import exports
 from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_currents, run_walk
-from .guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
-from .protocols import (
-    STREAM_FORWARD_SAMPLE,
-    build_tracks,
-    detect_crossings,
-    retro_run,
-    stream_rng,
-    superdet_replay,
-)
+from .guidance import equivariance_test
+from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, bundled_scenario, load_scenario
 from .verify import run_verification
 
@@ -69,29 +62,33 @@ def _walk_history(system, record_joint=()):
     return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
 
 
-def _forward_runs(scn, system, history):
-    """Forward marginal ensembles for both particles, joint-sampled starts."""
-    rng = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    count = int(scn["protocol"]["count"])
-    substeps = int(scn["protocol"]["substeps"])
-    eps = float(scn["protocol"]["eps_node_rel"])
-    x1, x2 = sample_joint_density(history.joint[0], system.grid, count, rng)
-    runs = {}
-    for particle, x0 in ((1, x1), (2, x2)):
-        stack = velocity_stack(history, particle, eps)
-        runs[particle] = integrate_batch(stack, x0, "forward", substeps)
-    return runs
+def _anchored_runs(scn: dict, history, direction: str):
+    """Both particles' ensembles at the scenario's seed, count, substeps and
+    node threshold, anchored at layer 0 (forward) or the final layer (backward)."""
+    p = scn["protocol"]
+    return anchored_runs(
+        history, int(scn["seed"]), int(p["count"]), int(p["substeps"]), float(p["eps_node_rel"]), direction
+    )
 
 
-def _ensemble_summary(scn: dict, out: str, runs, ks):
-    """Per-particle KS and flag counts, with each particle's trajectory CSV;
-    returns the summary and the worst layer KS over both particles."""
+def retro_run(scn: dict, system):
+    """The walk with its final joint table, and the backward ensembles anchored there."""
+    history = _walk_history(system, record_joint={system.n_layers})
+    return history, _anchored_runs(scn, history, "backward")
+
+
+def _ensemble_summary(scn: dict, out: str, runs, history):
+    """Per-particle KS against the walk's marginals and flag counts, with each
+    particle's trajectory CSV; returns the summary and the worst layer KS over
+    both particles."""
     report = {"count": int(scn["protocol"]["count"]), "substeps": runs[1].substeps}
+    densities = {1: history.density1, 2: history.density2}
     for particle, run in runs.items():
+        ks = equivariance_test(run, densities[particle], history.grid)
         exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
         report[f"particle{particle}"] = {
-            "ks_per_layer": [float(v) for v in ks[particle]],
-            "worst_ks": float(np.max(ks[particle])),
+            "ks_per_layer": [float(v) for v in ks],
+            "worst_ks": float(np.max(ks)),
             "flagged": run.n_flagged,
         }
     return report, max(report["particle1"]["worst_ks"], report["particle2"]["worst_ks"])
@@ -175,36 +172,24 @@ def _currents(scn: dict, system, args, out: str):
 
 def _guide(scn: dict, system, args, out: str):
     history = _walk_history(system, record_joint={0})
-    runs = _forward_runs(scn, system, history)
-    densities = {1: history.density1, 2: history.density2}
-    ks = {p: equivariance_test(run, densities[p], system.grid) for p, run in runs.items()}
-    summary, worst = _ensemble_summary(scn, out, runs, ks)
+    summary, worst = _ensemble_summary(scn, out, _anchored_runs(scn, history, "forward"), history)
     return summary, f"forward ensembles transported; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
-def _retro_run(scn: dict, system):
-    """Backward ensembles anchored at the final layer, at the scenario's node threshold."""
-    history = _walk_history(system, record_joint={system.n_layers})
-    p = scn["protocol"]
-    return retro_run(
-        history, int(scn["seed"]), count=int(p["count"]), substeps=int(p["substeps"]), eps_rel=float(p["eps_node_rel"])
-    )
-
-
 def _retro(scn: dict, system, args, out: str):
-    retro = _retro_run(scn, system)
-    summary, worst = _ensemble_summary(scn, out, retro.runs, retro.ks)
+    history, runs = retro_run(scn, system)
+    summary, worst = _ensemble_summary(scn, out, runs, history)
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
 def _superdet(scn: dict, system, args, out: str):
-    retro = _retro_run(scn, system)
-    replay = superdet_replay(retro)
+    _, runs = retro_run(scn, system)
+    replay = superdet_replay(runs)
     report = {
         "max_deviation": replay.max_deviation,
         "total_excluded": replay.total_excluded,
         "count": int(scn["protocol"]["count"]),
-        "substeps": retro.runs[1].substeps,
+        "substeps": runs[1].substeps,
     }
     for particle in (1, 2):
         dev = replay.deviations[particle]
@@ -224,7 +209,7 @@ def _superdet(scn: dict, system, args, out: str):
 def _tracks(scn: dict, system, args, out: str):
     history = _walk_history(system, record_joint=range(system.n_layers + 1))
     tracks = build_tracks(history, float(scn["protocol"]["track_threshold_rel"]))
-    runs = _forward_runs(scn, system, history)
+    runs = _anchored_runs(scn, history, "forward")
     crossings = detect_crossings(runs, tracks, system.grid)
     exports.write_branch_edges_csv(os.path.join(out, "branch_edges.csv"), tracks)
     report = {
@@ -247,6 +232,7 @@ def _tracks(scn: dict, system, args, out: str):
             "components_per_layer": [int(k) for k in g.n_components],
             "loop_edges": len(g.loop_edges),
         }
+        report[f"particle{particle}"] = {"flagged": runs[particle].n_flagged}
     message = (
         f"joint loop edges {len(tracks.joint.loop_edges)}, marginal loop edges "
         f"{len(tracks.marginal[1].loop_edges)}/{len(tracks.marginal[2].loop_edges)}, "

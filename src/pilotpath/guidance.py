@@ -77,12 +77,14 @@ def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> Veloc
 
 @dataclass
 class EnsembleRun:
-    """A batch of trajectories transported through one field stack."""
+    """A batch of trajectories transported through one field stack, kept as
+    `stack` so a replay can run the same fields."""
 
     positions: np.ndarray
     frozen: np.ndarray
     direction: str
     substeps: int
+    stack: VelocityStack
 
     @property
     def n_trajectories(self) -> int:
@@ -112,7 +114,7 @@ class EnsembleRun:
         return (self.frozen >= 0) & (self.frozen <= self._record(layer))
 
 
-def _check_direction(direction: str) -> bool:
+def check_direction(direction: str) -> bool:
     if direction not in ("forward", "backward"):
         raise ValidationError("direction must be 'forward' or 'backward'")
     return direction == "forward"
@@ -130,7 +132,7 @@ def integrate_batch(
     negated time increment.  Deterministic: the same inputs give the same
     positions and freeze indices bit for bit.
     """
-    forward = _check_direction(direction)
+    forward = check_direction(direction)
     if substeps < 1:
         raise ValidationError("substeps must be at least 1")
     grid = stack.grid
@@ -159,7 +161,7 @@ def integrate_batch(
         substeps,
         forward,
     )
-    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
+    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps, stack=stack)
 
 
 # ----------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""End-boundary transport protocols and branch-structure analysis.
+"""Anchored transport protocols and branch-structure analysis.
 
 Three procedures built on the engine and guidance layers:
 
-- retro_run: draw configurations from the final-layer joint density, then
-  transport each particle backward to layer 0 under its own marginal
-  velocity field.  The claim under test is statistical: at every layer the
-  backward ensemble must match that layer's marginal density.
+- anchored_runs: draw configurations from the joint density at one anchor
+  layer, then transport each particle under its own marginal velocity
+  field.  Forward runs anchor at layer 0 and draw from the forward-sample
+  stream; backward runs (the retrocausal reading) anchor at the final layer
+  and draw from the final-sample stream.  The joint correlations enter only
+  through the draw.  The claim under test is statistical: at every layer
+  the ensemble must match that layer's marginal density.
 
-- superdet_replay: take the backward trajectories' layer-0 endpoints as
-  initial conditions and run the same fields forward.  Because the
-  integrator is deterministic and near-reversible, each replay must retrace
-  its backward path; the maximum deviation is the reported figure of merit.
+- superdet_replay: take backward runs' layer-0 endpoints as initial
+  conditions and run them forward through the stack each backward run went
+  through.  Because the integrator is deterministic and near-reversible,
+  each replay must retrace its backward path; the maximum deviation is the
+  reported figure of merit.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -35,14 +39,7 @@ import numpy as np
 
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
-from .guidance import (
-    EnsembleRun,
-    VelocityStack,
-    equivariance_test,
-    integrate_batch,
-    sample_joint_density,
-    velocity_stack,
-)
+from .guidance import EnsembleRun, check_direction, integrate_batch, sample_joint_density, velocity_stack
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
@@ -58,48 +55,29 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 # ----------------------------------------------------------------------------
-# Retrocausal run and superdeterministic replay
+# Anchored runs and superdeterministic replay
 
 
-@dataclass
-class RetroResult:
-    """Backward ensembles anchored at the final layer."""
+def anchored_runs(
+    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str
+) -> dict[int, EnsembleRun]:
+    """Sample the anchor layer's joint density, transport each particle from there.
 
-    final_x1: np.ndarray
-    final_x2: np.ndarray
-    runs: dict[int, EnsembleRun]
-    ks: dict[int, np.ndarray]
-    stacks: dict[int, VelocityStack]
-
-
-def retro_run(history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float) -> RetroResult:
-    """Sample the final joint density, transport each particle backward.
-
-    Each particle follows the velocity field of its own marginal flow, with
-    sites below eps_rel times the peak density masked as nodes; the joint
-    correlations enter only through the final-layer draw.  Per-layer KS
-    distances against the recorded marginal stacks are returned.
+    Forward runs anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs
+    at the final layer with STREAM_FINAL_SAMPLE.  Each particle follows the
+    velocity field of its own marginal flow, with sites below eps_rel times
+    the peak density masked as nodes.
     """
-    if history.n_layers not in history.joint:
-        raise ValidationError("retro run needs the final layer's joint table; record it with record_joint")
-    grid = history.grid
-    rng = stream_rng(seed, STREAM_FINAL_SAMPLE)
-    x1, x2 = sample_joint_density(history.joint[history.n_layers], grid, count, rng)
-    stacks = {p: velocity_stack(history, p, eps_rel) for p in (1, 2)}
-    runs = {}
-    ks = {}
-    for particle, x0 in ((1, x1), (2, x2)):
-        run = integrate_batch(stacks[particle], x0, "backward", substeps)
-        density = history.density1 if particle == 1 else history.density2
-        runs[particle] = run
-        ks[particle] = equivariance_test(run, density, grid)
-    return RetroResult(
-        final_x1=x1,
-        final_x2=x2,
-        runs=runs,
-        ks=ks,
-        stacks=stacks,
-    )
+    forward = check_direction(direction)
+    anchor = 0 if forward else history.n_layers
+    if anchor not in history.joint:
+        raise ValidationError(f"{direction} runs need the joint table of layer {anchor}; record it with record_joint")
+    rng = stream_rng(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
+    x1, x2 = sample_joint_density(history.joint[anchor], history.grid, count, rng)
+    return {
+        particle: integrate_batch(velocity_stack(history, particle, eps_rel), x0, direction, substeps)
+        for particle, x0 in ((1, x1), (2, x2))
+    }
 
 
 @dataclass
@@ -109,36 +87,33 @@ class ReplayResult:
     max_deviation: float
     deviations: dict[int, np.ndarray]
     excluded: dict[int, int]
-    runs: dict[int, EnsembleRun]
 
     @property
     def total_excluded(self) -> int:
         return sum(self.excluded.values())
 
 
-def superdet_replay(retro: RetroResult) -> ReplayResult:
-    """Run the backward endpoints forward and measure path deviation.
+def superdet_replay(runs: dict[int, EnsembleRun]) -> ReplayResult:
+    """Run backward endpoints forward through their own stacks and measure
+    path deviation.
 
     Trajectories flagged on a node in either direction are excluded from
     the deviation statistic; their count is reported instead.
     """
     deviations = {}
     excluded = {}
-    runs = {}
     top = 0.0
-    for particle, back in retro.runs.items():
-        stack = retro.stacks[particle]
-        fwd = integrate_batch(stack, back.positions[:, -1].copy(), "forward", back.substeps)
-        runs[particle] = fwd
+    for particle, back in runs.items():
+        fwd = integrate_batch(back.stack, back.positions[:, -1].copy(), "forward", back.substeps)
         # Backward record k sits at the same time as forward record n_rec-1-k.
-        gaps = stack.grid.gap(fwd.positions, back.positions[:, ::-1])
+        gaps = back.stack.grid.gap(fwd.positions, back.positions[:, ::-1])
         ok = (back.frozen < 0) & (fwd.frozen < 0)
         excluded[particle] = int(np.sum(~ok))
         dev = np.where(ok, gaps.max(axis=1), np.nan)
         deviations[particle] = dev
         if np.any(ok):
             top = max(top, float(np.nanmax(dev)))
-    return ReplayResult(max_deviation=top, deviations=deviations, excluded=excluded, runs=runs)
+    return ReplayResult(max_deviation=top, deviations=deviations, excluded=excluded)
 
 
 # ----------------------------------------------------------------------------

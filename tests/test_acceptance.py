@@ -41,9 +41,9 @@ from pilotpath.paths import (
 )
 from pilotpath.protocols import (
     STREAM_FORWARD_SAMPLE,
+    anchored_runs,
     build_tracks,
     detect_crossings,
-    retro_run,
     stream_rng,
     superdet_replay,
 )
@@ -187,14 +187,19 @@ def bundled_runs():
             scn = bundled_scenario(name)
             system = build_walk(scn)
             history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
-            retro = retro_run(
+            runs = anchored_runs(
                 history,
                 int(scn["seed"]),
-                count=10_000,
-                substeps=int(scn["protocol"]["substeps"]),
-                eps_rel=float(scn["protocol"]["eps_node_rel"]),
+                10_000,
+                int(scn["protocol"]["substeps"]),
+                float(scn["protocol"]["eps_node_rel"]),
+                "backward",
             )
-            cache[name] = (scn, system, history, retro)
+            ks = {
+                p: equivariance_test(runs[p], density, system.grid)
+                for p, density in ((1, history.density1), (2, history.density2))
+            }
+            cache[name] = (scn, system, history, runs, ks)
         return cache[name]
 
     return get
@@ -365,7 +370,7 @@ def test_continuity_residual_converges_first_order(capsys):
 
 
 def test_forward_transport_equivariance(bundled_runs, capsys):
-    scn, system, history, _ = bundled_runs("free-packet")
+    scn, system, history, _, _ = bundled_runs("free-packet")
     grid = system.grid
     substeps = int(scn["protocol"]["substeps"])
     rng = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
@@ -402,10 +407,10 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
     worst = 0.0
     worst_name = ""
     for name in names:
-        _, _, _, retro = bundled_runs(name)
+        _, _, _, runs, ks_per_layer = bundled_runs(name)
         for particle in (1, 2):
-            assert retro.runs[particle].n_flagged == 0
-            ks = float(np.max(retro.ks[particle]))
+            assert runs[particle].n_flagged == 0
+            ks = float(np.max(ks_per_layer[particle]))
             if ks > worst:
                 worst, worst_name = ks, name
     ok = worst < 0.02
@@ -423,11 +428,9 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
 
 
 def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
-    scn, system, history, _ = bundled_runs("entangled-mirror")
-    retro = retro_run(
-        history, int(scn["seed"]), count=1000, substeps=32, eps_rel=float(scn["protocol"]["eps_node_rel"])
-    )
-    replay = superdet_replay(retro)
+    scn, system, history, _, _ = bundled_runs("entangled-mirror")
+    runs = anchored_runs(history, int(scn["seed"]), 1000, 32, float(scn["protocol"]["eps_node_rel"]), "backward")
+    replay = superdet_replay(runs)
     finite = all(np.all(np.isfinite(replay.deviations[p])) for p in (1, 2))
     ok = replay.max_deviation < 1e-6 and replay.total_excluded == 0 and finite
     announce(
@@ -445,17 +448,15 @@ def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
 
 
 def test_branch_track_structure(bundled_runs, capsys):
-    scn_r, system_r, history_r, retro_r = bundled_runs("recombination")
+    scn_r, system_r, history_r, runs_r, ks_r = bundled_runs("recombination")
     tracks_r = build_tracks(history_r, float(scn_r["protocol"]["track_threshold_rel"]))
-    report_r = detect_crossings(retro_r.runs, tracks_r, system_r.grid)
+    report_r = detect_crossings(runs_r, tracks_r, system_r.grid)
 
-    scn_n, system_n, history_n, retro_n = bundled_runs("no-overlap")
+    scn_n, system_n, history_n, runs_n, ks_n = bundled_runs("no-overlap")
     tracks_n = build_tracks(history_n, float(scn_n["protocol"]["track_threshold_rel"]))
-    report_n = detect_crossings(retro_n.runs, tracks_n, system_n.grid)
+    report_n = detect_crossings(runs_n, tracks_n, system_n.grid)
 
-    preserved = max(
-        float(np.max(retro_r.ks[p])) for p in (1, 2)
-    ) < 0.02 and max(float(np.max(retro_n.ks[p])) for p in (1, 2)) < 0.02
+    preserved = max(float(np.max(ks[p])) for ks in (ks_r, ks_n) for p in (1, 2)) < 0.02
 
     ok = (
         len(tracks_r.marginal[1].loop_edges) >= 1

@@ -147,6 +147,24 @@ def test_retro_and_superdet_use_the_scenario_node_threshold(scenario_file, tmp_p
     assert sup["total_excluded"] > 0
 
 
+def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path):
+    """tracks draws the same forward ensembles as guide, so with a high
+    eps_node_rel both report the same flagged trajectories per particle."""
+    with open(scenario_file, encoding="utf-8") as fh:
+        scn = json.load(fh)
+    scn["protocol"]["eps_node_rel"] = 0.3
+    high = tmp_path / "high.json"
+    high.write_text(json.dumps(scn), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("guide", "tracks"):
+        assert run_cli([command, "--scenario", str(high)], out) == 0, command
+    guide = read_json(out, "cli-unit", "guide", "guide_summary.json")
+    tracks = read_json(out, "cli-unit", "tracks", "tracks_report.json")
+    assert tracks["particle1"]["flagged"] > 0
+    for particle in ("particle1", "particle2"):
+        assert tracks[particle]["flagged"] == guide[particle]["flagged"]
+
+
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["verify", "--scenario", scenario_file], out) == 0

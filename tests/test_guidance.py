@@ -154,7 +154,7 @@ def test_run_reads_its_layers_and_freezes_from_its_own_records():
     # Five records at two substeps: two layers.  Trajectory 1 froze at
     # record 1, between the backward run's layers 2 and 1.
     positions = np.arange(10, dtype=np.float64).reshape(2, 5)
-    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2)
+    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2, stack=None)
     assert run.n_layers == 2
     assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
     assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]

@@ -1,4 +1,4 @@
-"""Retrocausal sampling, forward replay, branch tracks, crossing detection."""
+"""Anchored sampling, forward replay, branch tracks, crossing detection."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
-from pilotpath.guidance import EnsembleRun, integrate_batch, sample_joint_density, velocity_stack
+from pilotpath.guidance import EnsembleRun, equivariance_test, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
     EVENT_COLUMNS,
     STREAM_CIRCUIT_ALTERATION,
@@ -16,9 +16,9 @@ from pilotpath.protocols import (
     TrackGraph,
     TrackSet,
     _label_with_wrap,
+    anchored_runs,
     build_tracks,
     detect_crossings,
-    retro_run,
     stream_rng,
     superdet_replay,
 )
@@ -68,47 +68,70 @@ def test_stream_constants_are_distinct():
 
 
 # ----------------------------------------------------------------------------
-# Backward runs
+# Anchored runs
 
 
-def test_retro_needs_recorded_joint_tables(no_overlap):
+def backward_runs(history, seed, count, substeps=4):
+    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward")
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_retro_needs_recorded_joint_tables(no_overlap, direction):
     scn, system, _ = no_overlap
-    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers))
-    with pytest.raises(ValidationError, match="final layer's joint table"):
-        retro_run(history, scn["seed"], count=10, substeps=4, eps_rel=EPS_NODE_REL)
+    anchor = 0 if direction == "forward" else system.n_layers
+    others = [t for t in range(system.n_layers + 1) if t != anchor]
+    history = run_walk(system.state0, system.grid, system.layers, record_joint=others)
+    with pytest.raises(ValidationError, match=f"joint table of layer {anchor}; record it with record_joint"):
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction)
+
+
+def test_anchored_runs_reject_an_unknown_direction(no_overlap):
+    scn, _, history = no_overlap
+    with pytest.raises(ValidationError, match="direction"):
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways")
+
+
+@pytest.mark.parametrize(
+    "direction, stream",
+    [("forward", STREAM_FORWARD_SAMPLE), ("backward", STREAM_FINAL_SAMPLE)],
+    ids=["forward", "backward"],
+)
+def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream):
+    scn, system, history = no_overlap
+    anchor = 0 if direction == "forward" else history.n_layers
+    x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
+    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction)
+    assert set(runs) == {1, 2}
+    for particle, x0 in ((1, x1), (2, x2)):
+        run = runs[particle]
+        assert run.direction == direction
+        assert run.positions.shape == (50, history.n_layers * 4 + 1)
+        assert np.array_equal(run.positions[:, 0], x0)
+        assert np.array_equal(run.layer_positions(anchor), x0)
+        stack = velocity_stack(history, particle, EPS_NODE_REL)
+        assert np.array_equal(run.stack.values, stack.values) and np.array_equal(run.stack.masks, stack.masks)
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
     scn, system, history = no_overlap
-    retro = retro_run(history, scn["seed"], count=2000, substeps=4, eps_rel=EPS_NODE_REL)
-    assert retro.final_x1.shape == (2000,)
-    assert retro.final_x2.shape == (2000,)
-    assert set(retro.runs) == {1, 2}
-    for particle in (1, 2):
-        assert retro.runs[particle].n_flagged == 0
-        assert retro.ks[particle].shape == (history.n_layers + 1,)
-        assert float(np.max(retro.ks[particle])) < 0.05
-
-
-def test_retro_endpoints_and_configurations(no_overlap):
-    scn, system, history = no_overlap
-    retro = retro_run(history, scn["seed"], count=50, substeps=4, eps_rel=EPS_NODE_REL)
-    for particle, final in ((1, retro.final_x1), (2, retro.final_x2)):
-        run = retro.runs[particle]
-        assert run.direction == "backward"
-        assert run.positions.shape == (50, history.n_layers * 4 + 1)
-        # the backward run starts from the final-layer draws
-        assert np.max(np.abs(run.positions[:, 0] - final)) < 1e-12
+    runs = backward_runs(history, scn["seed"], 2000)
+    assert set(runs) == {1, 2}
+    for particle, density in ((1, history.density1), (2, history.density2)):
+        assert runs[particle].n_trajectories == 2000
+        assert runs[particle].n_flagged == 0
+        ks = equivariance_test(runs[particle], density, system.grid)
+        assert ks.shape == (history.n_layers + 1,)
+        assert float(np.max(ks)) < 0.05
 
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
     scn, system, history = no_overlap
-    a = retro_run(history, 31, count=40, substeps=4, eps_rel=EPS_NODE_REL)
-    b = retro_run(history, 31, count=40, substeps=4, eps_rel=EPS_NODE_REL)
-    assert np.array_equal(a.final_x1, b.final_x1)
-    assert np.array_equal(a.runs[2].positions, b.runs[2].positions)
-    c = retro_run(history, 32, count=40, substeps=4, eps_rel=EPS_NODE_REL)
-    assert not np.array_equal(a.final_x1, c.final_x1)
+    a = backward_runs(history, 31, 40)
+    b = backward_runs(history, 31, 40)
+    assert np.array_equal(a[1].positions[:, 0], b[1].positions[:, 0])
+    assert np.array_equal(a[2].positions, b[2].positions)
+    c = backward_runs(history, 32, 40)
+    assert not np.array_equal(a[1].positions[:, 0], c[1].positions[:, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -125,18 +148,17 @@ def test_motionless_state_replays_exactly():
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
     history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
-    retro = retro_run(history, 99, count=150, substeps=4, eps_rel=EPS_NODE_REL)
-    replay = superdet_replay(retro)
+    runs = backward_runs(history, 99, 150)
+    replay = superdet_replay(runs)
     assert replay.max_deviation == 0.0
     assert replay.total_excluded == 0
-    moved = np.abs(retro.runs[1].positions - retro.runs[1].positions[:, :1])
+    moved = np.abs(runs[1].positions - runs[1].positions[:, :1])
     assert float(np.max(moved)) == 0.0
 
 
 def test_moving_packets_replay_within_tolerance():
     scn, system, history = scenario_history("entangled-mirror")
-    retro = retro_run(history, scn["seed"], count=200, substeps=32, eps_rel=EPS_NODE_REL)
-    replay = superdet_replay(retro)
+    replay = superdet_replay(backward_runs(history, scn["seed"], 200, substeps=32))
     assert replay.total_excluded == 0
     assert replay.max_deviation < 1e-6
     assert set(replay.deviations) == {1, 2}
@@ -228,8 +250,7 @@ def test_graph_accessor_methods(recombination):
 def test_disjoint_branches_never_cross(no_overlap):
     scn, system, history = no_overlap
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    retro = retro_run(history, scn["seed"], count=400, substeps=4, eps_rel=EPS_NODE_REL)
-    report = detect_crossings(retro.runs, tracks, system.grid)
+    report = detect_crossings(backward_runs(history, scn["seed"], 400), tracks, system.grid)
     assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
     assert report.violations == 0
@@ -240,8 +261,7 @@ def test_disjoint_branches_never_cross(no_overlap):
 def test_reconverging_branches_are_crossed(recombination):
     scn, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    retro = retro_run(history, scn["seed"], count=400, substeps=4, eps_rel=EPS_NODE_REL)
-    report = detect_crossings(retro.runs, tracks, system.grid)
+    report = detect_crossings(backward_runs(history, scn["seed"], 400), tracks, system.grid)
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
     assert 0.0 < report.ambiguous_fraction < 1.0
@@ -330,12 +350,7 @@ def assert_matches_reference(runs, tracks, grid):
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
     _, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    rng = stream_rng(seed, STREAM_FORWARD_SAMPLE)
-    x1, x2 = sample_joint_density(history.joint[0], system.grid, 300, rng)
-    runs = {
-        particle: integrate_batch(velocity_stack(history, particle, EPS_NODE_REL), x0, "forward", 4)
-        for particle, x0 in ((1, x1), (2, x2))
-    }
+    runs = anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward")
     report = assert_matches_reference(runs, tracks, system.grid)
     assert len(report.events) > 0
 
@@ -343,8 +358,7 @@ def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
 def test_crossings_match_the_reference_on_backward_runs(recombination):
     scn, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    retro = retro_run(history, scn["seed"], count=200, substeps=4, eps_rel=EPS_NODE_REL)
-    assert_matches_reference(retro.runs, tracks, system.grid)
+    assert_matches_reference(backward_runs(history, scn["seed"], 200), tracks, system.grid)
 
 
 def _blocks(n_sites, *blocks):
@@ -393,6 +407,7 @@ def site_run(sites, direction="forward"):
         frozen=np.full(positions.shape[0], -1),
         direction=direction,
         substeps=1,
+        stack=None,
     )
 
 
