@@ -2,11 +2,11 @@
 
 Every subcommand loads a scenario (a file path or the name of a bundled
 one) and applies overrides in the order flag > environment > scenario file >
-built-in default.  One function, `run_command`, then builds the scenario's
-system once, runs the command's body from `COMMANDS` and writes the body's
-summary next to an echo of the fully resolved scenario.  Artifacts are
-deterministic: rerunning with the same scenario and seed reproduces every
-file byte for byte.
+built-in default, before its one schema validation.  One function,
+`run_command`, then builds the scenario's system once, runs the command's
+body from `COMMANDS` and writes the body's summary next to an echo of the
+fully resolved scenario.  Artifacts are deterministic: rerunning with the
+same scenario and seed reproduces every file byte for byte.
 
 Failure modes map to distinct exit codes so callers can branch on them:
 2 for schema or input violations, 3 for resource-cap aborts, 4 for
@@ -30,7 +30,7 @@ from .errors import PilotPathError, ValidationError
 from .dirac import marginal_currents, run_walk
 from .guidance import equivariance_test
 from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
-from .scenario import build_circuit, build_walk, bundled_scenario, load_scenario
+from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
 
 ENV_PREFIX = "PILOTPATH_"
@@ -40,22 +40,34 @@ def _env(name: str):
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _resolve_scenario_arg(arg: str) -> dict:
-    if os.path.sep in arg or arg.endswith(".json") or os.path.exists(arg):
-        if not os.path.exists(arg):
-            raise ValidationError(f"scenario file not found: {arg}")
-        return load_scenario(arg)
-    return bundled_scenario(arg)
+def _int_override(flag, name: str):
+    """The flag's value, else the environment variable's as an integer."""
+    if flag is not None:
+        return flag
+    value = _env(name)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"{ENV_PREFIX}{name} must be an integer, got {value!r}") from None
 
 
-def _apply_overrides(scn: dict, args: argparse.Namespace) -> dict:
-    seed = args.seed if args.seed is not None else _env("SEED")
-    if seed is not None:
-        scn["seed"] = int(seed)
-    cap = args.path_cap if args.path_cap is not None else _env("PATH_CAP")
-    if cap is not None:
-        scn["paths"]["pair_cap"] = int(cap)
-    return scn
+def load_scenario(arg: str, args: argparse.Namespace) -> dict:
+    """The scenario a command runs: the file or bundled scenario named by
+    --scenario, with the seed and pair cap overrides written in before its
+    one validation, so an override is held to the schema like the file."""
+    raw = read_scenario(arg)
+    seed = _int_override(args.seed, "SEED")
+    cap = _int_override(args.path_cap, "PATH_CAP")
+    # A scenario that is not an object, or whose paths is not one, is left
+    # for the schema to reject.
+    if isinstance(raw, dict):
+        if seed is not None:
+            raw["seed"] = seed
+        if cap is not None and isinstance(raw.setdefault("paths", {}), dict):
+            raw["paths"]["pair_cap"] = cap
+    return resolve_scenario(raw)
 
 
 def _walk_history(system, record_joint=()):
@@ -330,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scn = _resolve_scenario_arg(args.scenario)
-        scn = _apply_overrides(scn, args)
-        return run_command(args.command, scn, args)
+        return run_command(args.command, load_scenario(args.scenario, args), args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         code = exc.exit_code if isinstance(exc, PilotPathError) else 1
         payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}

@@ -3,9 +3,10 @@
 The marginal density/current pair of one particle defines a velocity field
 v = j1/j0 on the lattice.  This module builds per-layer field stacks from
 walk histories, transports positions through them in either time direction
-with a fixed-substep 4th-order integrator (see kernels), samples initial
-ensembles from densities by inverse-CDF, and measures how well transported
-ensembles track the evolving density (one-sample KS distance).
+with a fixed-substep 4th-order integrator (see kernels), draws initial
+configuration pairs from a two-particle density table by inverse-CDF, and
+measures how well transported ensembles track the evolving density
+(one-sample KS distance).
 
 Wavefunction nodes make the velocity singular; sites whose density falls
 below a threshold are masked, and any trajectory touching a masked
@@ -185,22 +186,6 @@ def _cell_masses(density: np.ndarray, grid: LatticeGrid) -> np.ndarray:
     if total < 1e-12:
         raise DegenerateDensityError("density has no mass to sample")
     return masses / total
-
-def sample_density(
-    density: np.ndarray, grid: LatticeGrid, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Inverse-CDF draw of positions; uniform within each site's cell.
-
-    Draw order (fixed for reproducibility): one uniform batch to pick cells,
-    one to place positions inside them.
-    """
-    masses = _cell_masses(density, grid)
-    cdf = np.cumsum(masses)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    idx = np.minimum(idx, grid.n_sites - 1)
-    offset = rng.random(count)
-    return cell_edges(grid)[idx] + offset * grid.dx
 
 
 def sample_joint_density(

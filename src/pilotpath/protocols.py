@@ -10,11 +10,12 @@ Three procedures built on the engine and guidance layers:
   through the draw.  The claim under test is statistical: at every layer
   the ensemble must match that layer's marginal density.
 
-- superdet_replay: take backward runs' layer-0 endpoints as initial
-  conditions and run them forward through the stack each backward run went
-  through.  Because the integrator is deterministic and near-reversible,
-  each replay must retrace its backward path; the maximum deviation is the
-  reported figure of merit.
+- superdet_replay: take each run's endpoints as initial conditions and run
+  them the other way through the stack the run went through: `superdet`
+  replays backward runs forward from layer 0, `verify` replays a forward
+  run backward from the final layer.  Because the integrator is
+  deterministic and near-reversible, each replay must retrace its run at
+  every record; the maximum deviation is the reported figure of merit.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -27,8 +28,9 @@ Three procedures built on the engine and guidance layers:
 
 RNG policy: one scenario seed, expanded into independent counter-mode
 streams (stream index in the Philox counter), all listed below: final-layer
-configurations, forward-guidance ensembles, randomized circuit unitaries,
-and the alteration in the circuit no-signaling check.
+configurations, layer-0 configurations (forward guidance and verify's
+ensemble), randomized circuit unitaries, and the alteration in the circuit
+no-signaling check.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def anchored_runs(
 
 @dataclass
 class ReplayResult:
-    """Forward replays compared against their backward sources."""
+    """Replays compared against the runs they retrace."""
 
     max_deviation: float
     deviations: dict[int, np.ndarray]
@@ -94,8 +96,8 @@ class ReplayResult:
 
 
 def superdet_replay(runs: dict[int, EnsembleRun]) -> ReplayResult:
-    """Run backward endpoints forward through their own stacks and measure
-    path deviation.
+    """Run each run's endpoints back the other way through its own stack and
+    measure path deviation.
 
     Trajectories flagged on a node in either direction are excluded from
     the deviation statistic; their count is reported instead.
@@ -103,11 +105,12 @@ def superdet_replay(runs: dict[int, EnsembleRun]) -> ReplayResult:
     deviations = {}
     excluded = {}
     top = 0.0
-    for particle, back in runs.items():
-        fwd = integrate_batch(back.stack, back.positions[:, -1].copy(), "forward", back.substeps)
-        # Backward record k sits at the same time as forward record n_rec-1-k.
-        gaps = back.stack.grid.gap(fwd.positions, back.positions[:, ::-1])
-        ok = (back.frozen < 0) & (fwd.frozen < 0)
+    for particle, run in runs.items():
+        opposite = "backward" if run.direction == "forward" else "forward"
+        replay = integrate_batch(run.stack, run.positions[:, -1].copy(), opposite, run.substeps)
+        # Replay record k sits at the same time as run record n_rec-1-k.
+        gaps = run.stack.grid.gap(replay.positions, run.positions[:, ::-1])
+        ok = (run.frozen < 0) & (replay.frozen < 0)
         excluded[particle] = int(np.sum(~ok))
         dev = np.where(ok, gaps.max(axis=1), np.nan)
         deviations[particle] = dev

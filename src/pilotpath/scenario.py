@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import importlib.resources
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,26 @@ def load_scenario(path: str) -> dict:
     return resolve_scenario(raw)
 
 
-def bundled_scenario(name: str) -> dict:
+def _bundled_json(name: str) -> dict:
     ref = importlib.resources.files("pilotpath") / "scenarios" / f"{name}.json"
     if not ref.is_file():
         raise ValidationError(f"no bundled scenario named {name!r}")
-    return resolve_scenario(json.loads(ref.read_text()))
+    return json.loads(ref.read_text())
+
+
+def bundled_scenario(name: str) -> dict:
+    return resolve_scenario(_bundled_json(name))
+
+
+def read_scenario(arg: str) -> dict:
+    """Unvalidated JSON of a scenario file path, or of the bundled scenario
+    of that name; resolve_scenario validates it."""
+    if os.path.sep in arg or arg.endswith(".json") or os.path.exists(arg):
+        if not os.path.exists(arg):
+            raise ValidationError(f"scenario file not found: {arg}")
+        with open(arg, encoding="utf-8") as fh:
+            return json.load(fh)
+    return _bundled_json(arg)
 
 
 # ----------------------------------------------------------------------------

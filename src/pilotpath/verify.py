@@ -17,13 +17,8 @@ from . import paths as pp
 from .circuit import CircuitLayer, evolve_circuit, haar_unitary
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
-from .guidance import (
-    equivariance_test,
-    integrate_batch,
-    sample_density,
-    velocity_stack,
-)
-from .protocols import STREAM_CIRCUIT_ALTERATION, STREAM_FORWARD_SAMPLE, stream_rng
+from .guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
+from .protocols import STREAM_CIRCUIT_ALTERATION, STREAM_FORWARD_SAMPLE, stream_rng, superdet_replay
 from .scenario import CircuitSystem, WalkSystem
 
 
@@ -120,7 +115,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # so the alteration window shrinks accordingly.
     first_safe = max((t + 1 for t, layer in enumerate(system.layers) if layer.phases is not None), default=0)
     mid = n_layers // 2
-    history = run_walk(system.state0, grid, system.layers)
+    history = run_walk(system.state0, grid, system.layers, record_joint={0})
     norms = history.density1.sum(axis=1) * grid.dx
     report.add("unitarity_drift", float(np.abs(norms - 1.0).max()), 1e-10)
     norms2 = history.density2.sum(axis=1) * grid.dx
@@ -153,26 +148,28 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
 
     _verify_paths(report, scn, system, with_current=True)
 
+    # The first particle's ensemble is drawn as forward guidance draws it:
+    # from layer 0's joint table on the forward-sample stream.
     stack = velocity_stack(history, particle=1, eps_rel=scn["protocol"]["eps_node_rel"])
-    rng = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
     substeps = int(scn["protocol"]["substeps"])
     count = min(int(scn["protocol"]["count"]), 2000)
-    x0 = sample_density(history.density1[0], grid, count, rng)
+    x0, _ = sample_joint_density(
+        history.joint[0], grid, count, stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
+    )
     fwd = integrate_batch(stack, x0, "forward", substeps)
 
     # The round trip is run at a fixed fine substep count so the bound does
     # not depend on the scenario's protocol settings.
     rev_sub = max(substeps, 32)
     fwd_fine = fwd if rev_sub == substeps else integrate_batch(stack, x0, "forward", rev_sub)
-    back = integrate_batch(stack, fwd_fine.positions[:, -1], "backward", rev_sub)
-    ok = (fwd_fine.frozen < 0) & (back.frozen < 0)
-    if ok.any():
-        gap = grid.gap(back.positions[ok, -1], x0[ok])
+    replay = superdet_replay({1: fwd_fine})
+    kept = count - replay.total_excluded
+    if kept:
         report.add(
             "reversibility",
-            float(gap.max()),
+            replay.max_deviation,
             5e-6,
-            f"{int(ok.sum())}/{count} round trips at {rev_sub} substeps, node-flagged excluded",
+            f"{kept}/{count} round trips at {rev_sub} substeps, every record, node-flagged excluded",
         )
     else:
         report.skip("reversibility", "every trajectory hit a node-masked region")
@@ -183,17 +180,6 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         float(np.max(ks)),
         float(scn["protocol"]["equivariance_bound"]),
         f"{count} samples, worst layer KS; bound set by the scenario's resolution",
-    )
-
-    rng_a = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    rng_b = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    xa = sample_density(history.density1[0], grid, 512, rng_a)
-    xb = sample_density(history.density1[0], grid, 512, rng_b)
-    report.add(
-        "sampling_determinism",
-        0.0 if np.array_equal(xa, xb) else 1.0,
-        0.0,
-        "same seed and stream give identical draws",
     )
 
 
@@ -214,20 +200,11 @@ def _verify_circuit(scn: dict, system: CircuitSystem, report: VerifyReport) -> N
     rng = stream_rng(int(scn["seed"]), STREAM_CIRCUIT_ALTERATION)
     last = context.layers[-1]
     alt_last = CircuitLayer(last.u_a, haar_unitary(context.basis.dim_b, rng), last.phases)
-    ref = evolve_circuit(context.initial_state(), context.layers)
     alt = evolve_circuit(context.initial_state(), context.layers[:-1] + [alt_last])
-    gap = np.abs(pp.mode_marginal(ref.amps, context.basis) - pp.mode_marginal(alt.amps, context.basis))
+    gap = np.abs(pp.mode_marginal(state.amps, context.basis) - pp.mode_marginal(alt.amps, context.basis))
     report.add("no_signaling", float(gap.max()), 1e-12, "final-layer alteration")
 
     _verify_paths(report, scn, system, with_current=False)
-
-    rng_a = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    rng_b = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    report.add(
-        "sampling_determinism",
-        0.0 if rng_a.uniform(size=64).tolist() == rng_b.uniform(size=64).tolist() else 1.0,
-        0.0,
-    )
 
 
 def run_verification(system: WalkSystem | CircuitSystem) -> VerifyReport:

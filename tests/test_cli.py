@@ -177,6 +177,28 @@ def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, caps
     assert "all checks passed" in stdout
 
 
+def test_verify_runs_the_battery_by_name(scenario_file, tmp_path):
+    """The rows verify reports, in order, on a walk and on a circuit scenario."""
+    walk = [
+        "unitarity_drift",
+        "marginal_normalization",
+        "no_signaling",
+        "continuity_residual",
+        "path_equivalence",
+        "overlap_telescoping",
+        "overlap_magnitude",
+        "diagonal_current_zero",
+        "reversibility",
+        "equivariance_quick",
+    ]
+    circuit = ["unitarity_drift", "no_signaling", "path_equivalence", "overlap_telescoping", "overlap_magnitude"]
+    for scenario, name, expected in ((scenario_file, "cli-unit", walk), ("circuit-demo", "circuit-demo", circuit)):
+        assert run_cli(["verify", "--scenario", scenario], tmp_path) == 0
+        report = read_json(tmp_path, name, "verify", "verify_report.json")
+        assert [c["name"] for c in report["checks"]] == expected
+        assert not any(c["skipped"] for c in report["checks"])
+
+
 # ----------------------------------------------------------------------------
 # Failure exits
 
@@ -352,6 +374,39 @@ def test_seed_flag_beats_environment(scenario_file, tmp_path, monkeypatch):
     assert run_cli(["evolve", "--scenario", scenario_file, "--seed", "777"], out_flag) == 0
     echo = read_json(out_flag, "cli-unit", "evolve", "scenario.resolved.json")
     assert echo["seed"] == 777
+
+
+@pytest.mark.parametrize(
+    "flags, env, hint",
+    [
+        (["--seed", "-1"], {}, "seed"),
+        ([], {"PILOTPATH_SEED": "abc"}, "PILOTPATH_SEED"),
+        ([], {"PILOTPATH_PATH_CAP": "1.5"}, "PILOTPATH_PATH_CAP"),
+        (["--path-cap", "-3"], {}, "pair_cap"),
+    ],
+    ids=["negative-seed-flag", "non-integer-seed-env", "non-integer-cap-env", "negative-cap-flag"],
+)
+def test_overrides_are_validated_like_the_scenario_file(flags, env, hint, scenario_file, tmp_path, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, payload = expect_error(["paths", "--scenario", scenario_file] + flags, tmp_path, capsys)
+    assert code == 2
+    assert payload["error"] == "ValidationError"
+    assert hint in payload["message"]
+    assert not (tmp_path / "cli-unit").exists()
+
+
+@pytest.mark.parametrize(
+    "document, flags",
+    [([1, 2], ["--seed", "5"]), ({"engine": "walk", "name": "bad", "paths": 5}, ["--path-cap", "10"])],
+    ids=["not-an-object", "paths-not-an-object"],
+)
+def test_overrides_leave_a_malformed_scenario_to_the_schema(document, flags, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, payload = expect_error(["paths", "--scenario", str(path)] + flags, tmp_path, capsys)
+    assert code == 2
+    assert payload["message"].startswith("scenario schema violation")
 
 
 def test_out_root_environment_variable(scenario_file, tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from pilotpath.guidance import (
     equivariance_test,
     integrate_batch,
     ks_statistic,
-    sample_density,
     sample_joint_density,
     velocity_stack,
 )
@@ -36,7 +35,7 @@ def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
     psi2 = spinor_field(gaussian_profile(grid, 16.0, sigma, -momentum), NAMED_SPINORS["chirality-"])
     amps = np.outer(psi1, psi2)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    return grid, run_walk(state, grid, to_circuit_layers(step, step, n_layers), record_joint={3})
+    return grid, run_walk(state, grid, to_circuit_layers(step, step, n_layers), record_joint={0, 3})
 
 
 # ----------------------------------------------------------------------------
@@ -195,30 +194,6 @@ def test_direction_argument_is_validated():
 # Sampling
 
 
-def test_sample_density_matches_the_model_distribution():
-    grid = LatticeGrid(32, 0.5, 0.5)
-    density = gaussian_profile(grid, 8.0, 2.0) ** 2
-    density = np.abs(density) / (np.sum(np.abs(density)) * grid.dx)
-    rng = make_rng(60)
-    samples = sample_density(density, grid, 20_000, rng)
-    assert samples.shape == (20_000,)
-    assert ks_statistic(samples, density, grid) < 0.012
-
-
-def test_sample_density_is_reproducible_per_generator_state():
-    grid = LatticeGrid(16, 1.0, 1.0)
-    density = np.full(16, 1.0 / 16.0)
-    a = sample_density(density, grid, 100, make_rng(61))
-    b = sample_density(density, grid, 100, make_rng(61))
-    assert np.array_equal(a, b)
-
-
-def test_sample_density_rejects_empty_mass():
-    grid = LatticeGrid(8, 1.0, 1.0)
-    with pytest.raises(DegenerateDensityError):
-        sample_density(np.zeros(8), grid, 10, make_rng(62))
-
-
 def test_joint_sampling_respects_correlations():
     """A perfectly correlated two-site table never yields mixed pairs."""
     grid = LatticeGrid(8, 1.0, 1.0)
@@ -292,7 +267,7 @@ def test_transported_ensemble_tracks_the_density():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     rng = make_rng(70)
-    x0 = sample_density(hist.density1[0], grid, 4000, rng)
+    x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
     run = integrate_batch(stack, x0, "forward", 4)
     ks = equivariance_test(run, hist.density1, grid)
     assert ks.shape == (hist.n_layers + 1,)
@@ -304,7 +279,7 @@ def test_halved_velocities_fail_the_same_comparison():
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     half = scaled(stack, 0.5)
     rng = make_rng(71)
-    x0 = sample_density(hist.density1[0], grid, 4000, rng)
+    x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
     run = integrate_batch(half, x0, "forward", 4)
     ks = equivariance_test(run, hist.density1, grid)
     assert float(np.max(ks)) > 0.05

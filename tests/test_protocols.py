@@ -166,6 +166,20 @@ def test_moving_packets_replay_within_tolerance():
         assert not np.any(np.isnan(replay.deviations[particle]))
 
 
+def test_forward_runs_replay_backward_within_tolerance():
+    """A forward run is replayed backward from its final layer and must
+    retrace it at every record."""
+    scn = bundled_scenario("free-packet")
+    system = build_walk(scn)
+    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
+    runs = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward")
+    replay = superdet_replay(runs)
+    assert replay.total_excluded == 0
+    assert replay.max_deviation < 1e-6
+    for particle in (1, 2):
+        assert replay.deviations[particle].shape == (200,)
+
+
 # ----------------------------------------------------------------------------
 # Branch tracks
 
