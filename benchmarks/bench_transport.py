@@ -3,8 +3,11 @@
 Batch transport of trajectory ensembles through layered velocity tables is
 done by kernels.transport.  This script builds a drift field with a thin
 band of node-masked sites, transports a uniform ensemble through it, and
-reports the best wall time over a few repeats and the throughput in
-M substeps/s (trajectories x layers x substeps per second).
+reports the best wall time over a few repeats, the throughput in
+M substeps/s (trajectories x layers x substeps per second) and the
+fraction of trajectories that froze on a masked node.  A frozen
+trajectory still counts every substep but moves no more, so the
+throughput figure is only as meaningful as that fraction is small.
 
 Run:  python3 benchmarks/bench_transport.py [--count N] [--substeps K]
 """
@@ -46,11 +49,13 @@ def main() -> int:
     best = np.inf
     for _ in range(args.repeats):
         start = time.perf_counter()
-        kernels.transport(
+        _, frozen = kernels.transport(
             values, masks, x0, 0.0, 1.0, float(args.sites), True, 0.5, args.substeps, True
         )
         best = min(best, time.perf_counter() - start)
+    n_frozen = int((frozen >= 0).sum())
     print(f"transport: {best:8.3f} s  ({steps / best / 1e6:7.1f} M substeps/s)")
+    print(f"frozen:    {n_frozen} of {args.count} trajectories ({n_frozen / args.count:.1%})")
     return 0
 
 

@@ -23,9 +23,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis, apply_layer
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil, apply_layer
 from .errors import DegenerateDensityError, ValidationError
 
 SPINOR_DIM = 4
@@ -159,14 +158,15 @@ def phase_matrices(grid: LatticeGrid, mass: float, charge: float, potential: Pot
     return cos[:, None, None] * eye[None, :, :] - 1j * sinc[:, None, None] * h
 
 
-class WalkStep:
-    """One-body split-step layer: on-site phase rotation, then chirality shift.
+class WalkStep(StepStencil):
+    """One-body split-step layer on its grid: on-site phase rotation, then
+    chirality shift.
 
-    The layer is held as one sparse (4N, 4N) CSR matrix, the product of the
-    block-diagonal CHIRAL_V, the shift permutation and the block-diagonal
-    CHIRAL_V^dagger . phase_x.  Phase rotations only mix the spinor pairs
-    (0, 3) and (1, 2), which are exactly the pairs a chirality doublet spans,
-    so every column has at most four nonzeros: one doublet, two sites.
+    The layer is the product of the block-diagonal CHIRAL_V, the shift
+    permutation and the block-diagonal CHIRAL_V^dagger . phase_x, held as a
+    row stencil.  Phase rotations only mix the spinor pairs (0, 3) and
+    (1, 2), which are exactly the pairs a chirality doublet spans, so every
+    row and every column has at most four nonzeros: one doublet, two sites.
     """
 
     def __init__(self, grid: LatticeGrid, phase_mats: np.ndarray):
@@ -174,38 +174,66 @@ class WalkStep:
         if phase_mats.shape != (grid.n_sites, SPINOR_DIM, SPINOR_DIM):
             raise ValidationError("phase matrices must have shape (n_sites, 4, 4)")
         self.grid = grid
-        to_chiral = _block_diagonal(CHIRAL_V.conj().T @ phase_mats)
-        from_chiral = _block_diagonal(np.broadcast_to(CHIRAL_V, phase_mats.shape))
-        self.matrix = (from_chiral @ _shift_permutation(grid) @ to_chiral).tocsr()
-        self.matrix.sort_indices()
-        for arr in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
-            arr.flags.writeable = False
+        super().__init__(*_step_stencil(grid, phase_mats))
 
 
-def _block_diagonal(blocks: np.ndarray) -> sparse.csr_array:
-    """CSR matrix with the given (n, 4, 4) blocks along its diagonal."""
-    n = blocks.shape[0]
+# The two chirality components that CHIRAL_V's row a combines.
+_ROW_CHIRALITIES = np.array([[2, 0], [3, 1], [3, 1], [2, 0]])
+
+
+def _step_stencil(grid: LatticeGrid, phase_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of CHIRAL_V . shift . CHIRAL_V^dagger . phase_x, row by row.
+
+    Row (x, a) sums two terms, one per chirality c that CHIRAL_V[a] mixes:
+    CHIRAL_V[a, c] times the row of CHIRAL_V^dagger . phase_y for the
+    component (y, c') the shift brings to (x, c), over site y's four
+    columns.  The terms meet in one column only when both come from one site
+    (a periodic grid of two sites), where a sum of two is the same in either
+    order.  Entries that come out zero are dropped, the rest sorted by column.
+    """
+    n = grid.n_sites
     dim = n * SPINOR_DIM
-    out = sparse.bsr_array((blocks, np.arange(n), np.arange(n + 1)), shape=(dim, dim)).tocsr()
-    out.eliminate_zeros()
-    return out
+    to_chiral = (CHIRAL_V.conj().T @ phase_mats).reshape(dim, SPINOR_DIM)
+    source = np.empty(dim, dtype=np.intp)
+    source[_shift_destinations(grid)] = np.arange(dim)
+    site, a = np.divmod(np.arange(dim), SPINOR_DIM)
+    cols, re, im = [], [], []
+    for c in _ROW_CHIRALITIES[a].T:
+        j = source[site * SPINOR_DIM + c]
+        v = CHIRAL_V[a, c]
+        vr, vi = v.real[:, None], v.imag[:, None]
+        tr, ti = to_chiral[j].real, to_chiral[j].imag
+        cols.append((j // SPINOR_DIM * SPINOR_DIM)[:, None] + np.arange(SPINOR_DIM))
+        re.append(vr * tr - vi * ti)
+        im.append(vr * ti + vi * tr)
+    # Each entry is summed from 0, as a sparse matrix product sums it, which
+    # turns a -0 real or imaginary part of a kept entry into +0.
+    same = (cols[0] == cols[1])[:, :1]
+    for p in (re, im):
+        p[0], p[1] = 0.0 + p[0] + np.where(same, p[1], 0.0), 0.0 + np.where(same, 0.0, p[1])
+    cols, re, im = (np.concatenate(parts, axis=1) for parts in (cols, re, im))
+    zero = (re == 0.0) & (im == 0.0)
+    # Dropped entries sort last and are cut, or kept as zero-valued pads.
+    order = np.argsort(np.where(zero, dim, cols), axis=1, kind="stable")[:, : int((~zero).sum(axis=1).max())]
+    keep = ~np.take_along_axis(zero, order, axis=1)
+    vals = np.zeros(order.shape, dtype=np.complex128)
+    vals.real = np.where(keep, np.take_along_axis(re, order, axis=1), 0.0)
+    vals.imag = np.where(keep, np.take_along_axis(im, order, axis=1), 0.0)
+    return np.where(keep, np.take_along_axis(cols, order, axis=1), 0), vals
 
 
-def _shift_permutation(grid: LatticeGrid) -> sparse.csr_array:
-    """Permutation moving each chirality component one site along its sign."""
+def _shift_destinations(grid: LatticeGrid) -> np.ndarray:
+    """Where the shift moves each chirality component: one site along its sign."""
     n = grid.n_sites
     site = np.repeat(np.arange(n), SPINOR_DIM)
     comp = np.tile(np.arange(SPINOR_DIM), n)
     to = site + np.asarray(CHIRAL_SIGNS)[comp]
     if grid.boundary == "periodic":
-        dest = (to % n) * SPINOR_DIM + comp
-    else:
-        # A component leaving the lattice comes back on the same site as its
-        # reflection partner (0 <-> 2, 1 <-> 3), so the map stays a permutation.
-        off = (to < 0) | (to >= n)
-        dest = np.where(off, site * SPINOR_DIM + (comp ^ 2), to * SPINOR_DIM + comp)
-    dim = n * SPINOR_DIM
-    return sparse.csr_array((np.ones(dim), (dest, np.arange(dim))), shape=(dim, dim))
+        return (to % n) * SPINOR_DIM + comp
+    # A component leaving the lattice comes back on the same site as its
+    # reflection partner (0 <-> 2, 1 <-> 3), so the map stays a permutation.
+    off = (to < 0) | (to >= n)
+    return np.where(off, site * SPINOR_DIM + (comp ^ 2), to * SPINOR_DIM + comp)
 
 
 def build_dirac_step(
@@ -358,13 +386,17 @@ def run_walk(
     """Evolve a joint state through the layers and record per-layer marginal tables.
 
     Each layer is one apply_layer, so a branch-factored start costs O(r N)
-    per uncoupled layer and goes on dense from its first coupling.
+    per uncoupled layer and goes on dense from its first coupling.  Every
+    layer's steps must be WalkSteps on grid, which fixes the currents' dx/dt.
     Marginals are read from the factors at every layer.  record_joint names
     the layers (0 through len(layers)) whose joint density tables the history
     keeps, numbered from 0 at state0.
     """
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
+    for layer in {id(layer): layer for layer in layers}.values():
+        if not all(isinstance(u, WalkStep) and u.grid == grid for u in (layer.u_a, layer.u_b)):
+            raise ValidationError("every step must be built on the run's grid")
     n_layers = len(layers)
     record_joint = {int(k) for k in record_joint}
     for k in record_joint:
@@ -402,11 +434,12 @@ def run_walk(
 def to_circuit_layers(
     step1: WalkStep, step2: WalkStep, n_layers: int, couplings: dict[int, np.ndarray] | None = None
 ) -> list[CircuitLayer]:
-    """The walk's n_layers layers as CircuitLayers on the steps' own sparse matrices.
+    """The walk's n_layers layers as CircuitLayers on the two steps themselves.
 
     couplings maps a layer index (0-based) to a joint phase table applied
-    after that layer's per-particle steps.  Uncoupled layers share one
-    CircuitLayer, since each construction checks both unitaries.
+    after that layer's per-particle steps.  Each step was checked when it
+    was built, so no layer checks it again; uncoupled layers share one
+    CircuitLayer.
     """
     if step1.grid != step2.grid:
         raise ValidationError("every step must be built on the run's grid")
@@ -414,9 +447,9 @@ def to_circuit_layers(
     for k in couplings:
         if not 0 <= int(k) < n_layers:
             raise ValidationError(f"coupling layer index {k} out of range")
-    uncoupled = CircuitLayer(step1.matrix, step2.matrix)
+    uncoupled = CircuitLayer(step1, step2)
     return [
-        CircuitLayer(step1.matrix, step2.matrix, couplings[t]) if t in couplings else uncoupled
+        CircuitLayer(step1, step2, couplings[t]) if t in couplings else uncoupled
         for t in range(n_layers)
     ]
 

@@ -110,7 +110,9 @@ def transport(
     extent is the ring length, n_sites * dx.
     Returns (records, frozen): records has shape (n, n_layers*substeps + 1)
     with row i the trajectory of x0[i] at every substep; frozen[i] is the
-    record index where trajectory i froze on a node, or -1.
+    record index where trajectory i froze on a node, or -1.  records is the
+    transpose of a C-ordered (n_rec, n) array, so each substep is written as
+    one contiguous row and a record index reads contiguous memory.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
@@ -127,9 +129,9 @@ def transport(
             f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
         )
     n_rec = n_layers * substeps + 1
-    records = np.empty((n, n_rec), dtype=np.float64)
+    records = np.empty((n_rec, n), dtype=np.float64)
     frozen = np.full(n, -1, dtype=np.int64)
-    records[:, 0] = x0
+    records[0] = x0
     half = 0.5 * h
     sixth = h / 6.0
     inv_dx = 1.0 / dx
@@ -164,7 +166,7 @@ def transport(
         if not bad.any():
             bad = None
         for j, lo in enumerate(starts):
-            rows = records[lo : lo + CHUNK]
+            rows = records[:, lo : lo + CHUNK]
             fro = frozen[lo : lo + CHUNK]
             u = us[j]
             rec = seg * substeps
@@ -196,7 +198,7 @@ def transport(
                 if not has_frozen[j] and (bad is None or not b1.any()):
                     u = un
                     np.multiply(un, dx, out=k1)
-                    np.add(k1, x_min, out=rows[:, rec])
+                    np.add(k1, x_min, out=rows[rec])
                     continue
                 move = fro < 0
                 if bad is not None:
@@ -205,6 +207,6 @@ def transport(
                     move ^= newly
                 has_frozen[j] = True
                 u = np.where(move, un, u)
-                rows[:, rec] = np.where(move, x_min + un * dx, rows[:, rec - 1])
+                rows[rec] = np.where(move, x_min + un * dx, rows[rec - 1])
             us[j] = u
-    return records, frozen
+    return records.T, frozen

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis, evolve_circuit
+from .circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil, apply_right, evolve_circuit
 from .dirac import ALPHA1, SPINOR_DIM, LatticeGrid
 from .errors import PilotPathError, ResourceCapError, ValidationError
 
@@ -214,6 +213,21 @@ class PathEnsemble:
         return out
 
 
+def _columns(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's nonzeros column by column, as CSC stores them: (column starts,
+    rows, values).  Rows ascend within each column, which fixes the
+    successor order of every path."""
+    if isinstance(u, StepStencil):
+        rows, cols, vals = u.entries()
+    else:
+        rows, cols = np.nonzero(u)
+        vals = u[rows, cols]
+    order = np.argsort(cols, kind="stable")
+    starts = np.zeros(u.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=u.shape[1]), out=starts[1:])
+    return starts, rows[order], vals[order]
+
+
 def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
     """Breadth-first exhaustive enumeration of the first particle's paths.
 
@@ -222,20 +236,24 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
     shared one-body layer and then picked up the coupling phase column of
     the path's new point.  Deterministic: successors are emitted in
     ascending basis order for each parent.
+
+    Until a coupling acts, every path has the same partner state, so only
+    the distinct partner states are pushed through each layer: a table of
+    them and each path's row in it.  An uncoupled layer pushes the table;
+    after a coupling every path's partner is its own row.
     """
     d2 = context.basis.dim_b
     start = np.flatnonzero(context.psi1).astype(np.int32)
     amps = context.psi1[start]
-    partner = np.repeat(context.psi2[None, :], start.shape[0], axis=0)
+    distinct = context.psi2[None, :]
+    which = np.zeros(start.shape[0], dtype=np.int64)
+    partner = np.take(distinct, which, axis=0)
     levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partner)]
     bytes_kept = partner.nbytes
 
     for t, layer in enumerate(context.layers):
-        # A CSC copy without stored zeros: row indices ascend within each
-        # column, which fixes the successor order of every path.
-        cols = sparse.csc_array(layer.u_a, copy=True)
-        cols.eliminate_zeros()
-        counts = np.diff(cols.indptr).astype(np.int64)[levels[-1].endpoints]
+        col_start, col_rows, col_vals = _columns(layer.u_a)
+        counts = np.diff(col_start)[levels[-1].endpoints]
         total = int(counts.sum())
         # A path always has at least one successor, so the frontier never
         # shrinks and the final pair count is at least the frontier size.
@@ -251,19 +269,19 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
                 f"{t + 1}, beyond the memory cap {caps.memory_cap_bytes}"
             )
         parent_idx = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
-        # Successors are the parents' CSC columns laid end to end, so their
-        # positions in the CSC arrays run on from each column's start.
-        column_start = cols.indptr[levels[-1].endpoints] - (np.cumsum(counts) - counts)
+        # Successors are the parents' columns laid end to end, so their
+        # positions in the column arrays run on from each column's start.
+        column_start = col_start[levels[-1].endpoints] - (np.cumsum(counts) - counts)
         pos = np.repeat(column_start, counts) + np.arange(total)
-        new_endpoints = cols.indices[pos].astype(np.int32)
-        amps = amps[parent_idx] * cols.data[pos]
-        pushed = partner @ layer.u_b.T
-        # A sparse u_b returns the product Fortran-ordered; take gathers its
-        # rows about twice as fast as fancy indexing does.
-        partner = np.take(pushed, parent_idx, axis=0)
+        new_endpoints = col_rows[pos].astype(np.int32)
+        amps = amps[parent_idx] * col_vals[pos]
+        distinct = apply_right(distinct, layer.u_b)
+        which = which[parent_idx]
+        partner = np.take(distinct, which, axis=0)
         factor = layer.coupling_factor()
         if factor is not None:
             partner = partner * factor[new_endpoints, :]
+            distinct, which = partner, np.arange(total)
         levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partner))
         bytes_kept += partner.nbytes
 

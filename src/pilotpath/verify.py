@@ -129,7 +129,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     else:
         # Layers from first_safe on are uncoupled, so their u_a is the first
         # particle's own step.
-        alt = CircuitLayer(system.layers[-1].u_a, alt_step2.matrix)
+        alt = CircuitLayer(system.layers[-1].u_a, alt_step2)
         alt_history = run_walk(system.state0, grid, system.layers[:first_safe] + [alt] * (n_layers - first_safe))
         gap = float(np.abs(history.density1 - alt_history.density1).max())
         note = (

@@ -8,7 +8,6 @@ matrix and applies the factors from either side.
 
 import numpy as np
 import pytest
-import scipy.sparse
 from scipy.stats import unitary_group
 
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis
@@ -17,10 +16,13 @@ from pilotpath.dirac import (
     NAMED_SPINORS,
     build_dirac_step,
     gaussian_profile,
+    phase_matrices,
     to_circuit_layers,
 )
 from pilotpath.paths import PathContext
-from pilotpath.scenario import _DEFAULTS, _path_caps
+from pilotpath.scenario import _DEFAULTS, _path_caps, build_potential, bundled_scenario
+
+from oracles import dense
 
 # The library takes these values from the scenario; tests use its defaults.
 EPS_NODE_REL = _DEFAULTS["protocol"]["eps_node_rel"]
@@ -60,11 +62,6 @@ def random_layers(
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def dense(u) -> np.ndarray:
-    """A layer factor as a dense array; walk layers hold scipy.sparse matrices."""
-    return u.toarray() if scipy.sparse.issparse(u) else np.asarray(u)
 
 
 def kron_evolve(
@@ -138,6 +135,27 @@ def small_walk_context(
         psi1 = spinor_field(prof, s1)
     psi2 = spinor_field(gaussian_profile(grid, grid.positions()[c2], 1.5), s2)
     return PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
+
+
+def scenario_phase_matrices(scn: dict):
+    """A walk scenario's grid and its two particles' per-site phase
+    matrices, the input both the step stencil and the CSR oracle build from."""
+    g = scn["grid"]
+    grid = LatticeGrid(int(g["n_sites"]), float(g["dx"]), float(g["dt"]), float(g["x_min"]), g["boundary"])
+    mats = tuple(
+        phase_matrices(grid, float(p["mass"]), float(p["charge"]), build_potential(grid, p["potential"]))
+        for p in scn["particles"]
+    )
+    return grid, mats
+
+
+def coupled_free_packet() -> dict:
+    """The bundled free-packet scenario with a window-phase coupling on every layer."""
+    scn = bundled_scenario("free-packet")
+    scn["couplings"] = [
+        {"kind": "window-phase", "strength": 0.7, "window1": [20.0, 44.0], "window2": [20.0, 44.0], "layers": "all"}
+    ]
+    return scn
 
 
 @pytest.fixture

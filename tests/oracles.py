@@ -11,10 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis
-from pilotpath.dirac import ALPHA1
+from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil
+from pilotpath.dirac import ALPHA1, CHIRAL_SIGNS, CHIRAL_V, SPINOR_DIM
 from pilotpath.errors import PilotPathError, ValidationError
 from pilotpath.guidance import VelocityStack
+
+
+def dense(u) -> np.ndarray:
+    """A layer factor as a dense array; walk layers hold StepStencils."""
+    if not isinstance(u, StepStencil):
+        return np.asarray(u)
+    out = np.zeros(u.shape, dtype=np.complex128)
+    rows, cols, vals = u.entries()
+    out[rows, cols] = vals
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -67,7 +77,7 @@ def conditional_unitary(context, path: Path) -> np.ndarray:
     mat = np.eye(d2, dtype=np.complex128)
     for r in range(1, len(flat)):
         layer = context.layers[r - 1]
-        mat = layer.u_b @ mat
+        mat = dense(layer.u_b) @ mat
         factor = layer.coupling_factor()
         if factor is not None:
             mat = factor[flat[r], :][:, None] * mat
@@ -93,8 +103,8 @@ def pair_overlap(context, path_p: Path, path_q: Path):
     partial = [np.vdot(vp, vq)]
     for r in range(1, len(flat_p)):
         layer = context.layers[r - 1]
-        vp = layer.u_b @ vp
-        vq = layer.u_b @ vq
+        vp = dense(layer.u_b) @ vp
+        vq = dense(layer.u_b) @ vq
         factor = layer.coupling_factor()
         if factor is not None:
             vp = vp * factor[flat_p[r], :]
@@ -102,6 +112,72 @@ def pair_overlap(context, path_p: Path, path_q: Path):
         partial.append(np.vdot(vp, vq))
     partial = np.array(partial)
     return partial[-1], np.diff(partial)
+
+
+# ----------------------------------------------------------------------------
+# Walk steps as scipy.sparse matrices
+
+
+def csr_step(grid, phase_mats) -> scipy.sparse.csr_array:
+    """A walk step as the CSR matrix the engine held before its row stencil:
+    the product of the block-diagonal CHIRAL_V, the shift permutation and
+    the block-diagonal CHIRAL_V^dagger . phase_x, indices sorted.  The
+    stencil's entries and products are pinned to it bit for bit."""
+    to_chiral = _block_diagonal(CHIRAL_V.conj().T @ phase_mats)
+    from_chiral = _block_diagonal(np.broadcast_to(CHIRAL_V, phase_mats.shape))
+    matrix = (from_chiral @ _shift_permutation(grid) @ to_chiral).tocsr()
+    matrix.sort_indices()
+    return matrix
+
+
+def _block_diagonal(blocks: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR matrix with the given (n, 4, 4) blocks along its diagonal."""
+    n = blocks.shape[0]
+    dim = n * SPINOR_DIM
+    out = scipy.sparse.bsr_array((blocks, np.arange(n), np.arange(n + 1)), shape=(dim, dim)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _shift_permutation(grid) -> scipy.sparse.csr_array:
+    """Permutation moving each chirality component one site along its sign."""
+    n = grid.n_sites
+    site = np.repeat(np.arange(n), SPINOR_DIM)
+    comp = np.tile(np.arange(SPINOR_DIM), n)
+    to = site + np.asarray(CHIRAL_SIGNS)[comp]
+    if grid.boundary == "periodic":
+        dest = (to % n) * SPINOR_DIM + comp
+    else:
+        off = (to < 0) | (to >= n)
+        dest = np.where(off, site * SPINOR_DIM + (comp ^ 2), to * SPINOR_DIM + comp)
+    dim = n * SPINOR_DIM
+    return scipy.sparse.csr_array((np.ones(dim), (dest, np.arange(dim))), shape=(dim, dim))
+
+
+def csr_enumeration(context, csr_a, csr_b):
+    """Every level of the path enumeration as it was formed with CSR steps
+    in every layer: successors read from a CSC copy of csr_a, and every
+    path's partner state pushed through partner @ csr_b.T, then phased.
+    Returns ([(endpoints, parents, partner_states)] per level, final amps)."""
+    cols = scipy.sparse.csc_array(csr_a, copy=True)
+    cols.eliminate_zeros()
+    start = np.flatnonzero(context.psi1).astype(np.int32)
+    amps = context.psi1[start]
+    partner = np.repeat(context.psi2[None, :], start.shape[0], axis=0)
+    levels = [(start, np.full(start.shape[0], -1, dtype=np.int32), partner)]
+    for layer in context.layers:
+        endpoints = levels[-1][0]
+        counts = np.diff(cols.indptr)[endpoints]
+        parents = np.repeat(np.arange(endpoints.shape[0]), counts)
+        pos = np.concatenate([np.arange(cols.indptr[e], cols.indptr[e + 1]) for e in endpoints])
+        new = cols.indices[pos].astype(np.int32)
+        amps = amps[parents] * cols.data[pos]
+        partner = (partner @ csr_b.T)[parents]
+        factor = layer.coupling_factor()
+        if factor is not None:
+            partner = partner * factor[new, :]
+        levels.append((new, parents.astype(np.int32), partner))
+    return levels, amps
 
 
 # ----------------------------------------------------------------------------
@@ -116,7 +192,7 @@ def dense_unitary(layers, basis: ModeSpinBasis) -> np.ndarray:
     dim = basis.dim_a * basis.dim_b
     total = np.eye(dim, dtype=np.complex128)
     for layer in layers:
-        step = scipy.sparse.kron(layer.u_a, layer.u_b).toarray()
+        step = np.kron(dense(layer.u_a), dense(layer.u_b))
         factor = layer.coupling_factor()
         if factor is not None:
             step = factor.reshape(dim, 1) * step
@@ -137,7 +213,7 @@ def inverse_layers(layers) -> list[CircuitLayer]:
         eye_b = np.eye(layer.dim_b)
         if layer.phases is not None:
             undo.append(CircuitLayer(eye_a, eye_b, -layer.phases))
-        undo.append(CircuitLayer(layer.u_a.conj().T, layer.u_b.conj().T))
+        undo.append(CircuitLayer(dense(layer.u_a).conj().T, dense(layer.u_b).conj().T))
     return undo
 
 
@@ -147,7 +223,7 @@ def inverse_layers(layers) -> list[CircuitLayer]:
 
 def evolve_two_body(state: JointState, step1, step2, coupling_phases=None) -> JointState:
     """One walk layer on the full amplitude matrix: U1 @ A @ U2.T, then phases."""
-    amps = step1.matrix @ state.amps @ step2.matrix.T
+    amps = dense(step1) @ state.amps @ dense(step2).T
     if coupling_phases is not None:
         amps = amps * np.exp(1j * np.asarray(coupling_phases, dtype=np.float64))
     return JointState(state.basis, amps)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from pilotpath.circuit import (
     CircuitLayer,
     JointState,
     ModeSpinBasis,
+    StepStencil,
     apply_layer,
     branch_norm_sq,
     evolve_circuit,
@@ -38,23 +38,59 @@ def test_basis_flatten_round_trip():
 
 
 def test_layer_rejects_non_unitary():
+    """Dense input is checked by the layer, step input when the stencil is
+    built: non-unitary, non-square and non-finite are rejected either way."""
     good = np.eye(4, dtype=np.complex128)
     bad = good.copy()
     bad[0, 0] = 1.5
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not unitary"):
         CircuitLayer(bad, good)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not unitary"):
         CircuitLayer(good, bad)
-    with pytest.raises(ValidationError):
-        CircuitLayer(good, scipy.sparse.csr_array(bad))
-    with pytest.raises(ValidationError):
-        CircuitLayer(good, scipy.sparse.csr_array(np.ones((4, 3))))
+    with pytest.raises(ValidationError, match="square"):
+        CircuitLayer(good, np.ones((4, 3)))
     nan = good.copy()
     nan[1, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         CircuitLayer(nan, good)
+
+    # The same operators as row stencils: the identity, one entry a row.
+    cols = np.arange(4)[:, None]
+    step = StepStencil(cols, good.diagonal()[:, None])
+    assert CircuitLayer(good, step).u_b is step
+    with pytest.raises(ValidationError, match="not unitary"):
+        StepStencil(cols, bad.diagonal()[:, None])
+    with pytest.raises(ValidationError, match="square"):
+        StepStencil(cols + 1, good.diagonal()[:, None])
     with pytest.raises(ValidationError, match="non-finite"):
-        CircuitLayer(good, scipy.sparse.csr_array(nan))
+        StepStencil(cols, nan.diagonal()[:, None])
+    # A column no row reaches leaves a zero on u^dagger u's diagonal.
+    with pytest.raises(ValidationError, match="not unitary"):
+        StepStencil(np.zeros((4, 1)), np.full((4, 1), 0.5))
+
+
+def test_step_stencil_products_match_the_dense_matrix():
+    """Both products of a stencil with padded rows agree with the dense
+    matrix's, and the stencil's arrays are frozen."""
+    rng = make_rng(12)
+    u = random_unitary(2, rng)
+    # A swap of basis states 0 and 2 (one entry in those rows) beside a
+    # 2x2 unitary on states 1 and 3 (two entries each); short rows are padded.
+    cols = np.array([[2, 0], [1, 3], [0, 0], [1, 3]])
+    vals = np.array([[1.0, 0.0], [u[0, 0], u[0, 1]], [1.0, 0.0], [u[1, 0], u[1, 1]]])
+    step = StepStencil(cols, vals)
+    full = np.zeros((4, 4), dtype=np.complex128)
+    full[[0, 2], [2, 0]] = 1.0
+    full[np.ix_([1, 3], [1, 3])] = u
+    x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    assert np.max(np.abs(step.product(x) - full @ x)) < 1e-15
+    assert np.max(np.abs(step.product(x.T, axis=1) - x.T @ full.T)) < 1e-15
+    assert np.max(np.abs(step.product(x[:, 0]) - full @ x[:, 0])) < 1e-15
+    rows, got_cols, got_vals = step.entries()
+    assert rows.tolist() == [0, 1, 1, 2, 3, 3] and got_cols.tolist() == [2, 1, 3, 0, 1, 3]
+    for arr in (step.cols, step.vals):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
 
 
 def test_haar_unitary_matches_the_scipy_sampler_bit_for_bit():

@@ -447,21 +447,42 @@ def test_resolved_echo_reproduces_the_run(scenario_file, tmp_path):
 
 
 def test_import_leaves_scipy_stats_and_ndimage_unloaded():
-    """scipy.ndimage is imported where tracks are labelled, so commands that
-    never use it do not pay its import time, and building a random circuit
-    draws its unitaries without scipy.stats.  The package root itself loads
-    no submodule."""
+    """No scipy module is loaded by importing the CLI, building a walk or
+    drawing a random circuit: walk steps are numpy row stencils, circuit
+    unitaries are drawn without scipy.stats, and scipy.ndimage is imported
+    only where tracks are labelled.  The package root itself loads no
+    submodule."""
     probe = (
         "import sys, pilotpath; "
         "print(sorted(m for m in sys.modules if m.startswith('pilotpath.'))); "
         "import pilotpath.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules)); "
-        "from pilotpath.scenario import build_circuit, bundled_scenario; "
+        "from pilotpath.scenario import build_circuit, build_walk, bundled_scenario; "
+        "build_walk(bundled_scenario('free-packet')); "
         "build_circuit(bundled_scenario('circuit-demo')); "
-        "print('scipy.stats' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["[]", "[]", "False"]
+    assert done.stdout.split() == ["[]", "[]"]
+
+
+def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
+    """verify, paths and guide run to exit 0 in a process where importing
+    scipy fails."""
+    probe = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from pilotpath import cli; "
+        "print([cli.main([c, '--scenario', sys.argv[1], '--out', sys.argv[2]]) "
+        "for c in ('verify', 'paths', 'guide')])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, scenario_file, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0]"

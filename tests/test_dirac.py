@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,17 +33,29 @@ from pilotpath.dirac import (
 from pilotpath import dirac
 from pilotpath.circuit import evolve_circuit
 from pilotpath.errors import ValidationError
+from pilotpath import circuit
 from pilotpath.scenario import build_walk, bundled_scenario
 
-from conftest import kron_evolve, make_rng, random_state_vector, spinor_field
+from conftest import (
+    coupled_free_packet,
+    kron_evolve,
+    make_rng,
+    random_state_vector,
+    scenario_phase_matrices,
+    spinor_field,
+)
 from oracles import (
     centred_gradient,
+    csr_step,
     currents_oracle,
+    dense,
     dense_unitary,
     dense_walk,
     evolve_two_body,
     two_body_continuity_residual,
 )
+
+WALK_SCENARIOS = ["free-packet", "recombination", "entangled-mirror", "no-overlap", "barrier", "spin-singlet"]
 
 
 def joint_from_fields(grid, psi1, psi2):
@@ -54,7 +65,7 @@ def joint_from_fields(grid, psi1, psi2):
 
 def hop(step, psi):
     """One step of a single-particle (n_sites, 4) spinor field."""
-    return (step.matrix @ psi.reshape(-1)).reshape(psi.shape)
+    return step.product(psi.reshape(-1)).reshape(psi.shape)
 
 
 def split_step_oracle(grid, phase_mats):
@@ -207,8 +218,8 @@ def test_step_dense_matrix_is_unitary():
         grid = LatticeGrid(7, 1.0, 0.9, boundary=boundary)
         pot = PotentialField(rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7))
         step = build_dirac_step(grid, 0.4, 0.8, pot)
-        dense = step.matrix.toarray()
-        assert np.max(np.abs(dense.conj().T @ dense - np.eye(28))) < 1e-12
+        full = dense(step)
+        assert np.max(np.abs(full.conj().T @ full - np.eye(28))) < 1e-12
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
@@ -218,10 +229,56 @@ def test_sparse_step_matches_the_split_step_oracle(boundary):
     pot = PotentialField(rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9))
     mats = phase_matrices(grid, 0.45, 0.9, pot)
     step = WalkStep(grid, mats)
-    assert np.max(np.abs(step.matrix.toarray() - split_step_oracle(grid, mats))) <= 1e-14
-    assert np.max(np.diff(step.matrix.tocsc().indptr)) <= 4
-    gram = step.matrix.conj().T @ step.matrix - scipy.sparse.eye_array(36)
-    assert abs(gram).max() <= 1e-12
+    full = dense(step)
+    assert np.max(np.abs(full - split_step_oracle(grid, mats))) <= 1e-14
+    assert step.cols.shape[1] <= 4
+    assert np.max(np.bincount(step.entries()[1])) <= 4
+    assert np.abs(full.conj().T @ full - np.eye(36)).max() <= 1e-12
+
+
+def bits(a):
+    """The raw 64-bit words of a complex array: equal only bit for bit,
+    signed zeros included."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def scenario_steps(name):
+    """Each particle's grid and phase matrices in a bundled walk scenario."""
+    grid, mats = scenario_phase_matrices(bundled_scenario(name))
+    return [(grid, m) for m in mats]
+
+
+def odd_grid_steps():
+    """A reflecting grid, and a two-site ring where both chiralities of a row
+    come from one site, with and without a mass term."""
+    rng = make_rng(43)
+    for grid in (LatticeGrid(9, 1.0, 0.85, boundary="reflecting"), LatticeGrid(2, 1.0, 0.85)):
+        pot = PotentialField(rng.uniform(-1, 1, grid.n_sites), rng.uniform(-1, 1, grid.n_sites))
+        yield grid, phase_matrices(grid, 0.45, 0.9, pot)
+        yield grid, phase_matrices(grid, 0.0, 0.0, PotentialField.free(grid))
+
+
+@pytest.mark.parametrize("name", WALK_SCENARIOS + ["odd-grids"])
+def test_step_stencil_matches_the_csr_step_bit_for_bit(name):
+    """The stencil holds the CSR step's entries, in its order, and its
+    products on either side equal CSR's at widths 1, 4 and 4N."""
+    rng = make_rng(44)
+    for grid, mats in odd_grid_steps() if name == "odd-grids" else scenario_steps(name):
+        step = WalkStep(grid, mats)
+        ref = csr_step(grid, mats)
+        rows, cols, vals = step.entries()
+        assert np.array_equal(np.diff(ref.indptr), np.bincount(rows, minlength=ref.shape[0]))
+        assert np.array_equal(ref.indices, cols)
+        assert np.array_equal(bits(ref.data), bits(vals))
+        dim = ref.shape[0]
+        for shape in ((dim,), (dim, 1), (dim, 4), (dim, dim)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            x[0] = -0.0
+            assert np.array_equal(bits(step.product(x)), bits(ref @ x))
+            xt = np.ascontiguousarray(x.reshape(dim, -1).T)
+            got = step.product(xt, axis=1)
+            assert got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(xt @ ref.T))
 
 
 def test_massless_unit_ratio_walk_translates_exactly():
@@ -281,6 +338,43 @@ def test_two_body_step_requires_matching_grids():
     step_c = build_dirac_step(grid_c, 0.1, 0.0)
     with pytest.raises(ValidationError, match="state basis"):
         run_walk(state, grid_c, to_circuit_layers(step_c, step_c, 1))
+
+
+def test_run_walk_rejects_layers_built_on_another_grid():
+    """Layers on a grid with the run's n_sites but another dt would scale the
+    currents by the wrong dx/dt; their steps carry their grid, so the run
+    rejects them."""
+    grid = LatticeGrid(8, 1.0, 1.0)
+    other = LatticeGrid(8, 1.0, 0.5)
+    state = joint_from_fields(
+        grid,
+        spinor_field(gaussian_profile(grid, 3.0, 1.0), NAMED_SPINORS["up"]),
+        spinor_field(gaussian_profile(grid, 5.0, 1.0), NAMED_SPINORS["up"]),
+    )
+    step = build_dirac_step(other, 0.1, 0.0)
+    with pytest.raises(ValidationError, match="run's grid"):
+        run_walk(state, grid, to_circuit_layers(step, step, 2))
+    with pytest.raises(ValidationError, match="run's grid"):
+        run_walk(state, grid, [CircuitLayer(np.eye(32), np.eye(32))])
+    own = build_dirac_step(grid, 0.1, 0.0)
+    assert run_walk(state, grid, to_circuit_layers(own, own, 2)).n_layers == 2
+
+
+def test_each_step_is_checked_once(monkeypatch):
+    """With a coupling on every layer, building free-packet checks each of
+    its two steps once, when it is built, and no layer checks them again."""
+    checked = []
+    deviation = circuit._stencil_deviation
+
+    def counted(cols, vals):
+        checked.append(cols.shape)
+        return deviation(cols, vals)
+
+    monkeypatch.setattr(circuit, "_stencil_deviation", counted)
+    system = build_walk(coupled_free_packet())
+    assert all(layer.phases is not None for layer in system.layers)
+    assert len({id(layer) for layer in system.layers}) == system.n_layers == 40
+    assert len(checked) == 2
 
 
 def test_uncoupled_evolution_preserves_product_form():
@@ -546,7 +640,7 @@ def test_branch_walk_matches_the_dense_oracle(case):
     grid, state0, steps1, steps2, couplings, record = case
     # Built directly: to_circuit_layers repeats one pair of steps.
     layers = [
-        CircuitLayer(s1.matrix, s2.matrix, couplings.get(t))
+        CircuitLayer(s1, s2, couplings.get(t))
         for t, (s1, s2) in enumerate(zip(steps1, steps2))
     ]
     hist = run_walk(state0, grid, layers, record_joint=record)
@@ -565,9 +659,7 @@ def test_branch_walk_matches_the_dense_oracle(case):
     assert np.max(np.abs(final.amps - dense[-1].amps)) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "name", ["free-packet", "recombination", "entangled-mirror", "no-overlap", "barrier", "spin-singlet"]
-)
+@pytest.mark.parametrize("name", WALK_SCENARIOS)
 def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, monkeypatch):
     """Branch starts stay factored: run_walk never reads JointState.amps, so
     the (4N, 4N) amplitude matrix is formed for neither marginals nor joint
@@ -605,7 +697,7 @@ def test_to_circuit_layers_shares_uncoupled_layers():
     assert layers[0] is layers[3] is layers[4] is layers[5]
     assert len({id(layer) for layer in layers}) == 3
     assert layers[1] is not layers[2]
-    assert layers[0].u_b.nnz == step2.matrix.nnz
+    assert layers[0].u_b is step2 and layers[1].u_b is step2
     assert to_circuit_layers(step1, step2, 0) == []
     with pytest.raises(ValidationError, match="run's grid"):
         to_circuit_layers(step1, build_dirac_step(LatticeGrid(6, 1.0, 0.5), 0.4, 0.0), 2)

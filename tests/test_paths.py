@@ -9,7 +9,15 @@ from pilotpath.circuit import (
     ModeSpinBasis,
     branch_norm_sq,
 )
-from pilotpath.dirac import PotentialField, marginal_currents
+from pilotpath.dirac import (
+    NAMED_SPINORS,
+    LatticeGrid,
+    PotentialField,
+    WalkStep,
+    marginal_currents,
+    phase_matrices,
+    to_circuit_layers,
+)
 from pilotpath.errors import ResourceCapError, ValidationError
 from pilotpath.paths import (
     PathCaps,
@@ -22,8 +30,30 @@ from pilotpath.paths import (
     path_sum_marginal,
 )
 
-from conftest import DEFAULT_CAPS, make_rng, random_layers, random_state_vector, small_walk_context
-from oracles import Path, conditional_unitary, pair_overlap, steps_of, svd_product_factors, to_path
+from pilotpath.scenario import build_walk, bundled_scenario
+
+from conftest import (
+    DEFAULT_CAPS,
+    coupled_free_packet,
+    make_rng,
+    random_layers,
+    random_state_vector,
+    scenario_phase_matrices,
+    small_walk_context,
+    spinor_field,
+    truncated_profile,
+)
+from oracles import (
+    Path,
+    conditional_unitary,
+    csr_enumeration,
+    csr_step,
+    dense,
+    pair_overlap,
+    steps_of,
+    svd_product_factors,
+    to_path,
+)
 
 
 def circuit_context(seed, modes_a=3, modes_b=2, n=3, coupling_scale=0.8):
@@ -143,10 +173,50 @@ def test_potential_does_not_widen_the_branching():
     grid_pot = PotentialField(np.full(8, 0.3), np.full(8, 0.6))
     ctx = small_walk_context(8, 3, mass1=0.2, mass2=0.0, rng=rng, potential1=grid_pot)
     for layer in ctx.layers:
-        per_column = (np.abs(layer.u_a) > 1e-15).sum(axis=0)
+        per_column = (np.abs(dense(layer.u_a)) > 1e-15).sum(axis=0)
         assert np.max(per_column) == 4
     starts = int(np.count_nonzero(np.abs(ctx.psi1) > 0.0))
     assert enumerate_all(ctx, DEFAULT_CAPS).n_paths == starts * 4**3
+
+
+def enumeration_case(name):
+    """(context, caps, CSR steps) of a walk: free-packet at its paths layer,
+    the same with a coupling on every layer, or three layers on a
+    reflecting grid with a coupling on the middle one."""
+    if name == "reflecting":
+        rng = make_rng(45)
+        grid = LatticeGrid(12, 1.0, 0.8, boundary="reflecting")
+        pot = PotentialField(rng.uniform(-0.5, 0.5, 12), rng.uniform(-0.5, 0.5, 12))
+        mats = (phase_matrices(grid, 0.3, 1.0, pot), phase_matrices(grid, 0.5, 0.0, PotentialField.free(grid)))
+        phases = rng.uniform(-np.pi, np.pi, (48, 48))
+        layers = to_circuit_layers(WalkStep(grid, mats[0]), WalkStep(grid, mats[1]), 3, {1: phases})
+        psi1 = spinor_field(truncated_profile(grid, 1, 2), NAMED_SPINORS["chirality-"])
+        psi2 = spinor_field(truncated_profile(grid, 8, 3), NAMED_SPINORS["up"])
+        context = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
+        caps = DEFAULT_CAPS
+    else:
+        scn = bundled_scenario("free-packet") if name == "free-packet" else coupled_free_packet()
+        system = build_walk(scn)
+        grid, mats = scenario_phase_matrices(scn)
+        context = system.path_context(scn["paths"]["layer"])
+        caps = system.caps
+    return context, caps, tuple(csr_step(grid, m) for m in mats)
+
+
+@pytest.mark.parametrize("name", ["free-packet", "coupled-free-packet", "reflecting"])
+def test_enumeration_matches_the_csr_enumeration_bit_for_bit(name):
+    """Pushing only the distinct partner states through the step stencil
+    gives every level's endpoints, parents and partner states, and the
+    final amplitudes, exactly as every row pushed through CSR steps did."""
+    context, caps, (csr_a, csr_b) = enumeration_case(name)
+    ensemble = enumerate_all(context, caps)
+    want, amps = csr_enumeration(context, csr_a, csr_b)
+    assert len(ensemble.levels) == len(want) == context.n_layers + 1
+    for level, (endpoints, parents, partner) in zip(ensemble.levels, want):
+        assert np.array_equal(level.endpoints, endpoints)
+        assert np.array_equal(level.parents, parents)
+        assert np.array_equal(level.partner_states.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
+    assert np.array_equal(ensemble.amps.view(np.uint64), amps.view(np.uint64))
 
 
 def test_path_steps_connect_start_to_endpoint():
