@@ -394,7 +394,7 @@ def run_walk(
     """
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
-    for layer in {id(layer): layer for layer in layers}.values():
+    for layer in layers:
         if not all(isinstance(u, WalkStep) and u.grid == grid for u in (layer.u_a, layer.u_b)):
             raise ValidationError("every step must be built on the run's grid")
     n_layers = len(layers)
