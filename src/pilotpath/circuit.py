@@ -237,9 +237,10 @@ class JointState:
     """Pure two-particle state held as branch factors: amps = left @ right.T.
 
     Column i of left (dim_a, r) and of right (dim_b, r) are branch i's
-    one-particle factors.  right=None stands for the identity, so left is
-    then the full (dim_a, dim_b) amplitude matrix: the form of dense starts
-    and of states after a coupling layer.
+    one-particle factors; a product start is one branch, r = 1.
+    right=None stands for the identity, so left is then the full
+    (dim_a, dim_b) amplitude matrix: the form of states after a coupling
+    layer.
     """
 
     basis: ModeSpinBasis
@@ -270,14 +271,13 @@ class JointState:
 
     @property
     def amps(self) -> np.ndarray:
-        """The (dim_a, dim_b) amplitude matrix; formed on each read of a factored state."""
-        return self.left if self.right is None else self.left @ self.right.T
-
-    @classmethod
-    def from_product(cls, basis: ModeSpinBasis, psi_a, psi_b) -> "JointState":
-        psi_a = np.asarray(psi_a, dtype=np.complex128).reshape(basis.dim_a)
-        psi_b = np.asarray(psi_b, dtype=np.complex128).reshape(basis.dim_b)
-        return cls(basis, np.outer(psi_a, psi_b))
+        """The (dim_a, dim_b) amplitude matrix, read-only; formed on each read
+        of a factored state."""
+        if self.right is None:
+            return self.left
+        amps = self.left @ self.right.T
+        amps.flags.writeable = False
+        return amps
 
 
 def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:

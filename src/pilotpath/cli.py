@@ -27,7 +27,7 @@ import numpy as np
 from . import exports
 from . import paths as pp
 from .errors import PilotPathError, ValidationError
-from .dirac import marginal_currents, run_walk
+from .dirac import marginal_fields, run_walk
 from .guidance import equivariance_test
 from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
@@ -158,7 +158,7 @@ def _currents(scn: dict, system, args, out: str):
     marginal = pp.path_sum_marginal(ensemble)
 
     direct = pp.direct_state(context)
-    field = marginal_currents(direct, context.grid)
+    field, _ = marginal_fields(direct, context.grid)
     direct_marginal = pp.mode_marginal(direct.amps, context.basis)
 
     exports.write_currents_csv(

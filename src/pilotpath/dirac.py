@@ -313,12 +313,13 @@ def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGr
     return CurrentField(grid, rho * scale_d, j * scale_j)
 
 
-def _marginal_fields(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid):
-    """Both particles' CurrentFields of the state left @ right.T.
+def marginal_fields(state: JointState, grid: LatticeGrid) -> tuple[CurrentField, CurrentField]:
+    """Both particles' partner-summed CurrentFields, read from the state's factors.
 
-    Particle 2 sees the transposed state right @ left.T; with right=None
-    (the identity) that is left.T against the identity.
+    Particle 2 sees the transposed state right @ left.T; a dense state
+    (right=None, the identity) is left.T against the identity.
     """
+    left, right = state.left, state.right
     sides = ((left, None), (left.T, None)) if right is None else ((left, right), (right, left))
     return tuple(_particle_field(own, partner, grid) for own, partner in sides)
 
@@ -338,11 +339,6 @@ def _joint_table(left: np.ndarray, right: np.ndarray | None, grid: LatticeGrid) 
         for f in (left.reshape(n, SPINOR_DIM, -1), right.reshape(n, SPINOR_DIM, -1))
     )
     return (p1 @ p2.T).real
-
-
-def marginal_currents(state: JointState, grid: LatticeGrid) -> CurrentField:
-    """Partner-summed density and current of the first particle."""
-    return _particle_field(state.amps, None, grid)
 
 
 def continuity_residual(history: WalkHistory, layer: int) -> float:
@@ -411,7 +407,7 @@ def run_walk(
 
     state = state0
     for layer in range(n_layers + 1):
-        cur1, cur2 = _marginal_fields(state.left, state.right, grid)
+        cur1, cur2 = marginal_fields(state, grid)
         density1[layer] = cur1.j0
         current1[layer] = cur1.j1
         density2[layer] = cur2.j0

@@ -119,7 +119,8 @@ class PathContext:
         return cls(layers, state.basis, psi1 * rot, psi2 * np.conj(rot), grid)
 
     def initial_state(self) -> JointState:
-        return JointState.from_product(self.basis, self.psi1, self.psi2)
+        """The product start as one branch: amps = psi1 psi2^T."""
+        return JointState(self.basis, self.psi1[:, None], self.psi2[:, None])
 
     def density_scale(self) -> float:
         return 1.0 if self.grid is None else 1.0 / self.grid.dx
@@ -131,7 +132,8 @@ class PathContext:
 
 
 def direct_state(context: PathContext) -> JointState:
-    """Reference joint state after the context's layers, evolved without path machinery."""
+    """Reference joint state after the context's layers, evolved without path
+    machinery.  It stays one branch of factors until a coupling acts."""
     return evolve_circuit(context.initial_state(), context.layers)
 
 

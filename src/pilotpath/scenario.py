@@ -97,32 +97,23 @@ def resolve_scenario(raw: dict) -> dict:
     return scn
 
 
-def load_scenario(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return resolve_scenario(raw)
-
-
-def _bundled_json(name: str) -> dict:
-    ref = importlib.resources.files("pilotpath") / "scenarios" / f"{name}.json"
-    if not ref.is_file():
-        raise ValidationError(f"no bundled scenario named {name!r}")
-    return json.loads(ref.read_text())
-
-
-def bundled_scenario(name: str) -> dict:
-    return resolve_scenario(_bundled_json(name))
-
-
 def read_scenario(arg: str) -> dict:
     """Unvalidated JSON of a scenario file path, or of the bundled scenario
     of that name; resolve_scenario validates it."""
-    if os.path.sep in arg or arg.endswith(".json") or os.path.exists(arg):
-        if not os.path.exists(arg):
+    if os.path.sep in arg or arg.endswith(".json") or os.path.isfile(arg):
+        if not os.path.isfile(arg):
             raise ValidationError(f"scenario file not found: {arg}")
         with open(arg, encoding="utf-8") as fh:
             return json.load(fh)
-    return _bundled_json(arg)
+    ref = importlib.resources.files("pilotpath") / "scenarios" / f"{arg}.json"
+    if not ref.is_file():
+        raise ValidationError(f"no bundled scenario named {arg!r}")
+    return json.loads(ref.read_text())
+
+
+def load_scenario(arg: str) -> dict:
+    """The resolved scenario of a file path or bundled name."""
+    return resolve_scenario(read_scenario(arg))
 
 
 # ----------------------------------------------------------------------------
@@ -282,7 +273,7 @@ def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict
         lo2, hi2 = spec["window2"]
         ind1 = np.repeat((x >= lo1) & (x < hi1), 4).astype(np.float64)
         ind2 = np.repeat((x >= lo2) & (x < hi2), 4).astype(np.float64)
-        table = float(spec["strength"]) * np.outer(ind1, ind2)
+        table = float(spec["strength"]) * (ind1[:, None] * ind2)
         layers = spec.get("layers", "all")
         layer_list = range(n_layers) if layers == "all" else [int(t) for t in layers]
         for t in layer_list:

@@ -20,7 +20,7 @@ from pilotpath.dirac import (
     to_circuit_layers,
 )
 from pilotpath.paths import PathContext
-from pilotpath.scenario import _DEFAULTS, _path_caps, build_potential, bundled_scenario
+from pilotpath.scenario import _DEFAULTS, _path_caps, build_potential, load_scenario
 
 from oracles import dense
 
@@ -82,7 +82,9 @@ def kron_evolve(
 
 
 def product_joint(basis: ModeSpinBasis, psi1: np.ndarray, psi2: np.ndarray) -> JointState:
-    return JointState.from_product(basis, psi1, psi2)
+    """The product start psi1 psi2^T as one branch of factors, the form
+    PathContext.initial_state gives."""
+    return JointState(basis, psi1[:, None], psi2[:, None])
 
 
 # ----------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def scenario_phase_matrices(scn: dict):
 
 def coupled_free_packet() -> dict:
     """The bundled free-packet scenario with a window-phase coupling on every layer."""
-    scn = bundled_scenario("free-packet")
+    scn = load_scenario("free-packet")
     scn["couplings"] = [
         {"kind": "window-phase", "strength": 0.7, "window1": [20.0, 44.0], "window2": [20.0, 44.0], "layers": "all"}
     ]

@@ -19,7 +19,7 @@ from pilotpath.dirac import (
     build_dirac_step,
     continuity_residual,
     gaussian_profile,
-    marginal_currents,
+    marginal_fields,
     run_walk,
     to_circuit_layers,
 )
@@ -47,7 +47,7 @@ from pilotpath.protocols import (
     stream_rng,
     superdet_replay,
 )
-from pilotpath.scenario import build_walk, bundled_scenario
+from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
     kron_evolve,
@@ -184,7 +184,7 @@ def bundled_runs():
 
     def get(name: str):
         if name not in cache:
-            scn = bundled_scenario(name)
+            scn = load_scenario(name)
             system = build_walk(scn)
             history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
             runs = anchored_runs(
@@ -231,7 +231,7 @@ def test_path_sums_match_direct_evolution(path_cases, capsys):
         ctx, ens = case["context"], case["ensemble"]
         direct = direct_state(ctx)
         gap_rows = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
-        field = marginal_currents(direct, ctx.grid)
+        field, _ = marginal_fields(direct, ctx.grid)
         gap_density = float(np.abs(path_sum_density(ens).total - field.j0).max())
         gap_current = float(np.abs(path_sum_current(ens).value - field.j1).max())
         basis = ctx.basis

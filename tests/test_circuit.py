@@ -14,7 +14,7 @@ from pilotpath.circuit import (
     haar_unitary,
 )
 from pilotpath.errors import ValidationError
-from pilotpath.paths import mode_marginal
+from pilotpath.paths import PathContext, mode_marginal
 from pilotpath.protocols import stream_rng
 from scipy.stats import unitary_group
 
@@ -142,9 +142,12 @@ def test_joint_state_accepts_non_contiguous_amplitudes():
         JointState(basis, stray.T / 6**0.5)
 
 
-def test_joint_state_amps_are_immutable():
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_joint_state_amps_are_immutable(form):
     basis = ModeSpinBasis(2, 2, 2, 2)
-    state = product_joint(basis, random_state_vector(4, make_rng(1)), random_state_vector(4, make_rng(2)))
+    psi1, psi2 = random_state_vector(4, make_rng(1)), random_state_vector(4, make_rng(2))
+    state = JointState(basis, np.outer(psi1, psi2)) if form == "dense" else product_joint(basis, psi1, psi2)
+    assert (state.right is None) == (form == "dense")
     with pytest.raises(ValueError):
         state.amps[0, 0] = 0.0
 
@@ -177,13 +180,21 @@ def test_branch_state_validates_and_freezes_its_factors():
             JointState(basis, *args)
 
 
-def test_from_product_matches_outer_product():
+def test_product_start_is_one_branch():
+    """A path context starts from its factors as one branch, whose product
+    is the outer product, and evolves it without forming the matrix until a
+    coupling acts."""
     rng = make_rng(3)
     basis = ModeSpinBasis(3, 2, 2, 2)
     psi1 = random_state_vector(6, rng)
     psi2 = random_state_vector(4, rng)
-    state = product_joint(basis, psi1, psi2)
+    layers = random_layers(basis, 2, rng) + random_layers(basis, 1, rng, coupling_scale=0.5)
+    state = PathContext(layers, basis, psi1, psi2).initial_state()
+    assert state.left.shape == (6, 1) and state.right.shape == (4, 1)
     assert np.max(np.abs(state.amps - np.outer(psi1, psi2))) < 1e-15
+    uncoupled = evolve_circuit(state, layers[:2])
+    assert uncoupled.right.shape == (4, 1)
+    assert evolve_circuit(uncoupled, layers[2:]).right is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -197,9 +208,11 @@ def test_evolution_matches_flat_kronecker_oracle(seed):
     layers = random_layers(basis, n, rng, coupling_scale=0.9)
     psi1 = random_state_vector(basis.dim_a, rng)
     psi2 = random_state_vector(basis.dim_b, rng)
-    final = evolve_circuit(product_joint(basis, psi1, psi2), layers)
     expected = kron_evolve(layers, psi1, psi2)
-    assert np.max(np.abs(final.amps - expected)) < 1e-10
+    # Both start forms: one branch of factors, and the dense matrix.
+    for state0 in (product_joint(basis, psi1, psi2), JointState(basis, np.outer(psi1, psi2))):
+        final = evolve_circuit(state0, layers)
+        assert np.max(np.abs(final.amps - expected)) < 1e-10
 
 
 def test_evolution_history_records_every_layer():
@@ -243,9 +256,10 @@ def test_marginal_ignores_other_particles_operations_without_couplings():
     replaced = [CircuitLayer(l.u_a, random_unitary(basis.dim_b, rng)) for l in layers]
     psi1 = random_state_vector(basis.dim_a, rng)
     psi2 = random_state_vector(basis.dim_b, rng)
-    m1 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), layers).amps, basis)
-    m2 = mode_marginal(evolve_circuit(product_joint(basis, psi1, psi2), replaced).amps, basis)
-    assert np.max(np.abs(m1 - m2)) < 1e-14
+    for state0 in (product_joint(basis, psi1, psi2), JointState(basis, np.outer(psi1, psi2))):
+        m1 = mode_marginal(evolve_circuit(state0, layers).amps, basis)
+        m2 = mode_marginal(evolve_circuit(state0, replaced).amps, basis)
+        assert np.max(np.abs(m1 - m2)) < 1e-14
 
 
 def test_marginal_ignores_final_layer_replacement_even_with_couplings():

@@ -343,6 +343,21 @@ def test_failed_runs_leave_no_artifact_directory(command, scenario, extra, exit_
     assert not (tmp_path / scenario / command).exists()
 
 
+@pytest.mark.parametrize("name", ["abs", "../up", "a/b", ".."], ids=["absolute", "parent", "nested", "dotdot"])
+def test_scenario_name_cannot_leave_the_out_root(name, scenario_file, tmp_path, capsys):
+    """The name becomes a directory under --out, so it must be one path
+    component; an absolute name, "..", or one with a separator is rejected
+    before anything is written."""
+    scn = json.loads(Path(scenario_file).read_text())
+    scn["name"] = str(tmp_path / "work" / name) if name == "abs" else name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path / "work" / "out", capsys)
+    assert code == 2
+    assert "name" in payload["message"]
+    assert not (tmp_path / "work").exists()
+
+
 def test_failing_verify_exits_1(scenario_file, tmp_path, capsys):
     with open(scenario_file, encoding="utf-8") as fh:
         scn = json.load(fh)
@@ -456,9 +471,9 @@ def test_import_leaves_scipy_stats_and_ndimage_unloaded():
         "import sys, pilotpath; "
         "print(sorted(m for m in sys.modules if m.startswith('pilotpath.'))); "
         "import pilotpath.cli; "
-        "from pilotpath.scenario import build_circuit, build_walk, bundled_scenario; "
-        "build_walk(bundled_scenario('free-packet')); "
-        "build_circuit(bundled_scenario('circuit-demo')); "
+        "from pilotpath.scenario import build_circuit, build_walk, load_scenario; "
+        "build_walk(load_scenario('free-packet')); "
+        "build_circuit(load_scenario('circuit-demo')); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))

@@ -22,7 +22,7 @@ from pilotpath.dirac import (
     build_dirac_step,
     continuity_residual,
     gaussian_profile,
-    marginal_currents,
+    marginal_fields,
     phase_matrices,
     positive_energy_packet,
     positive_energy_spinor,
@@ -34,7 +34,7 @@ from pilotpath import dirac
 from pilotpath.circuit import evolve_circuit
 from pilotpath.errors import ValidationError
 from pilotpath import circuit
-from pilotpath.scenario import build_walk, bundled_scenario
+from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
     coupled_free_packet,
@@ -244,7 +244,7 @@ def bits(a):
 
 def scenario_steps(name):
     """Each particle's grid and phase matrices in a bundled walk scenario."""
-    grid, mats = scenario_phase_matrices(bundled_scenario(name))
+    grid, mats = scenario_phase_matrices(load_scenario(name))
     return [(grid, m) for m in mats]
 
 
@@ -436,22 +436,25 @@ def test_joint_density_normalization_and_positivity():
 
 def test_marginal_currents_match_direct_contraction():
     """The exchange-matrix currents agree with the three-operand contractions
-    on entangled states pushed through coupled layers, for both particles."""
+    on entangled states, factored and pushed through coupled layers, for
+    both particles."""
     assert np.array_equal(ALPHA1, np.eye(4)[::-1])
     rng = make_rng(83)
     grid = LatticeGrid(10, 1.0, 0.8)
     pot = PotentialField(rng.uniform(-0.5, 0.5, 10), rng.uniform(-0.5, 0.5, 10))
     step1 = build_dirac_step(grid, 0.3, 1.0, pot)
     step2 = build_dirac_step(grid, 0.6, -1.0, pot)
+    left = random_state_vector(40 * 3, rng).reshape(40, 3)
+    right = random_state_vector(40 * 3, rng).reshape(40, 3)
+    states = [JointState(grid.basis(), left / np.linalg.norm(left @ right.T), right)]
     state = JointState(grid.basis(), random_state_vector(40 * 40, rng).reshape(40, 40))
     for _ in range(4):
         state = evolve_two_body(state, step1, step2, rng.uniform(-np.pi, np.pi, (40, 40)))
         assert np.linalg.svd(state.amps, compute_uv=False)[1] > 1e-2
+        states.append(state)
+    for state in states:
         _, ref_marginals = currents_oracle(state, grid)
-        cur1 = marginal_currents(state, grid)
-        # On a walk both particles share one basis, so the transposed state
-        # gives the second particle's marginal through the first's.
-        cur2 = marginal_currents(JointState(state.basis, state.amps.T), grid)
+        cur1, cur2 = marginal_fields(state, grid)
         for got, want in zip((cur1.j0, cur1.j1, cur2.j0, cur2.j1), ref_marginals):
             assert np.max(np.abs(got - want)) <= 1e-13
         assert abs(np.sum(cur2.j0) * grid.dx - 1.0) < 1e-10
@@ -502,7 +505,7 @@ def test_continuity_residual_shrinks_under_refinement():
 @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
 def test_continuity_residual_reads_the_walk_tables(coupled):
     """The residual from the history's marginal tables equals the kept-state
-    formula, marginal_currents of the states folded to layers t and t + 1, at
+    formula, marginal_fields of the states folded to layers t and t + 1, at
     every layer; layers outside 0..n_layers - 1 have no next table."""
     rng = make_rng(67)
     grid = LatticeGrid(10, 1.0, 0.8)
@@ -519,8 +522,8 @@ def test_continuity_residual_reads_the_walk_tables(coupled):
     layers = to_circuit_layers(step1, step2, 5, couplings if coupled else None)
     hist = run_walk(state0, grid, layers)
     for t in range(hist.n_layers):
-        cur_t = marginal_currents(evolve_circuit(state0, layers[:t]), grid)
-        cur_n = marginal_currents(evolve_circuit(state0, layers[: t + 1]), grid)
+        cur_t, _ = marginal_fields(evolve_circuit(state0, layers[:t]), grid)
+        cur_n, _ = marginal_fields(evolve_circuit(state0, layers[: t + 1]), grid)
         want = np.max(np.abs((cur_n.j0 - cur_t.j0) / grid.dt + centred_gradient(cur_t.j1, grid.dx)))
         assert abs(continuity_residual(hist, t) - want) <= 1e-13
     for layer in (-1, hist.n_layers):
@@ -664,7 +667,7 @@ def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, mo
     """Branch starts stay factored: run_walk never reads JointState.amps, so
     the (4N, 4N) amplitude matrix is formed for neither marginals nor joint
     tables, and the stepped states are still branch factors."""
-    system = build_walk(bundled_scenario(name))
+    system = build_walk(load_scenario(name))
     assert system.state0.right is not None
     assert all(layer.phases is None for layer in system.layers)
 

@@ -14,7 +14,7 @@ from pilotpath.dirac import (
     LatticeGrid,
     PotentialField,
     WalkStep,
-    marginal_currents,
+    marginal_fields,
     phase_matrices,
     to_circuit_layers,
 )
@@ -30,7 +30,7 @@ from pilotpath.paths import (
     path_sum_marginal,
 )
 
-from pilotpath.scenario import build_walk, bundled_scenario
+from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
     DEFAULT_CAPS,
@@ -49,6 +49,7 @@ from oracles import (
     csr_enumeration,
     csr_step,
     dense,
+    dense_walk,
     pair_overlap,
     steps_of,
     svd_product_factors,
@@ -195,7 +196,7 @@ def enumeration_case(name):
         context = PathContext(layers, grid.basis(), psi1, psi2, grid=grid)
         caps = DEFAULT_CAPS
     else:
-        scn = bundled_scenario("free-packet") if name == "free-packet" else coupled_free_packet()
+        scn = load_scenario("free-packet") if name == "free-packet" else coupled_free_packet()
         system = build_walk(scn)
         grid, mats = scenario_phase_matrices(scn)
         context = system.path_context(scn["paths"]["layer"])
@@ -217,6 +218,21 @@ def test_enumeration_matches_the_csr_enumeration_bit_for_bit(name):
         assert np.array_equal(level.parents, parents)
         assert np.array_equal(level.partner_states.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
     assert np.array_equal(ensemble.amps.view(np.uint64), amps.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["free-packet", "barrier"])
+def test_direct_state_stays_factored_on_uncoupled_windows(name):
+    """A product start evolves as one branch of factors through uncoupled
+    layers, and its amplitudes are the densely evolved ones."""
+    system = build_walk(load_scenario(name))
+    ctx = system.path_context(None)
+    state = direct_state(ctx)
+    assert state.right is not None and state.right.shape == (ctx.basis.dim_b, 1)
+    steps1 = [layer.u_a for layer in ctx.layers]
+    steps2 = [layer.u_b for layer in ctx.layers]
+    start = JointState(ctx.basis, np.outer(ctx.psi1, ctx.psi2))
+    want = dense_walk(start, steps1, steps2)[-1].amps
+    assert np.max(np.abs(state.amps - want)) <= 1e-13
 
 
 def test_path_steps_connect_start_to_endpoint():
@@ -290,7 +306,7 @@ def test_current_reconstruction_matches_the_lattice_engine():
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     cur = path_sum_current(ensemble)
     state = direct_state(ctx)
-    ref = marginal_currents(state, ctx.grid)
+    ref, _ = marginal_fields(state, ctx.grid)
     assert np.max(np.abs(cur.value - ref.j1)) < 1e-10
     assert np.max(np.abs(cur.diagonal_term)) == 0.0
     assert cur.imag_residue <= 1e-12

@@ -22,13 +22,13 @@ from pilotpath.protocols import (
     stream_rng,
     superdet_replay,
 )
-from pilotpath.scenario import build_walk, bundled_scenario
+from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL
 
 
 def scenario_history(name):
-    scn = bundled_scenario(name)
+    scn = load_scenario(name)
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
     return scn, system, history
@@ -169,7 +169,7 @@ def test_moving_packets_replay_within_tolerance():
 def test_forward_runs_replay_backward_within_tolerance():
     """A forward run is replayed backward from its final layer and must
     retrace it at every record."""
-    scn = bundled_scenario("free-packet")
+    scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
     runs = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward")

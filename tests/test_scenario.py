@@ -15,7 +15,6 @@ from pilotpath.scenario import (
     build_packet,
     build_potential,
     build_walk,
-    bundled_scenario,
     expand_initial,
     load_scenario,
     resolve_scenario,
@@ -97,7 +96,7 @@ def test_signal_speed_cap_on_the_grid():
 
 def test_unknown_bundled_name_is_rejected():
     with pytest.raises(ValidationError, match="no-such"):
-        bundled_scenario("no-such")
+        load_scenario("no-such")
 
 
 def test_every_bundled_scenario_resolves():
@@ -111,7 +110,7 @@ def test_every_bundled_scenario_resolves():
         "spin-singlet",
     ]
     for name in names:
-        scn = bundled_scenario(name)
+        scn = load_scenario(name)
         assert scn["name"] == name
         assert isinstance(scn["seed"], int)
 
@@ -121,13 +120,23 @@ def test_load_round_trips_through_a_file(tmp_path):
     path.write_text(json.dumps(walk_raw()), encoding="utf-8")
     scn = load_scenario(str(path))
     assert scn["name"] == "unit"
-    with pytest.raises(OSError):
+    with pytest.raises(ValidationError, match="not found"):
         load_scenario(str(tmp_path / "missing.json"))
+
+
+def test_a_directory_is_not_a_scenario_file(tmp_path, monkeypatch):
+    """A run with --out . leaves a directory named after the scenario; the
+    bundled name still loads there, and a directory path is not found."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "free-packet").mkdir()
+    assert load_scenario("free-packet")["name"] == "free-packet"
+    with pytest.raises(ValidationError, match="not found"):
+        load_scenario(str(tmp_path / "free-packet"))
 
 
 def test_resolved_echo_is_itself_loadable(tmp_path):
     """The echoed resolved form must reproduce the run it came from."""
-    scn = bundled_scenario("entangled-mirror")
+    scn = load_scenario("entangled-mirror")
     path = tmp_path / "echo.json"
     path.write_text(canonical_json(scn), encoding="utf-8")
     again = load_scenario(str(path))
