@@ -193,7 +193,8 @@ class CircuitLayer:
     The unitaries may be dense arrays or StepStencils (walk layers are
     stencils); apply_left and apply_right take either.  The coupling is a
     real phase table over the joint flattened basis; only phase-diagonal
-    couplings are representable, by construction.
+    couplings are representable, by construction.  factor = exp(i phases)
+    is formed once, here, and frozen with the table.
     """
 
     def __init__(self, u_a, u_b, phases=None):
@@ -201,9 +202,8 @@ class CircuitLayer:
         self.u_b = _as_unitary(u_b, "u_b")
         self.dim_a = self.u_a.shape[0]
         self.dim_b = self.u_b.shape[0]
-        if phases is None:
-            self.phases = None
-        else:
+        self.phases = self.factor = None
+        if phases is not None:
             phases = np.asarray(phases)
             if np.iscomplexobj(phases):
                 raise ValidationError("coupling phase table must be real-valued")
@@ -215,14 +215,10 @@ class CircuitLayer:
                 )
             if not np.all(np.isfinite(phases)):
                 raise ValidationError("coupling phase table contains non-finite entries")
-            phases = phases.copy()
-            phases.flags.writeable = False
-            self.phases = phases
-
-    def coupling_factor(self) -> np.ndarray | None:
-        if self.phases is None:
-            return None
-        return np.exp(1j * self.phases)
+            self.phases = phases.copy()
+            self.factor = np.exp(1j * self.phases)
+            self.phases.flags.writeable = False
+            self.factor.flags.writeable = False
 
 
 def branch_norm_sq(left: np.ndarray, right: np.ndarray | None) -> float:
@@ -294,7 +290,7 @@ def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
             f"layer dims ({layer.dim_a}, {layer.dim_b}) do not match state "
             f"dims ({b.dim_a}, {b.dim_b})"
         )
-    factor = layer.coupling_factor()
+    factor = layer.factor
     if state.right is None:
         amps = apply_right(apply_left(layer.u_a, state.left), layer.u_b)
     else:

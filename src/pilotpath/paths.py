@@ -139,11 +139,13 @@ def direct_state(context: PathContext) -> JointState:
 
 @dataclass
 class LevelRecord:
-    """Frontier snapshot at one layer of the enumeration."""
+    """Frontier snapshot at one layer of the enumeration: path i's partner
+    state is partners[rows[i]], a table of the distinct partner states."""
 
     endpoints: np.ndarray
     parents: np.ndarray
-    partner_states: np.ndarray
+    partners: np.ndarray
+    rows: np.ndarray
 
 
 class PathEnsemble:
@@ -158,7 +160,6 @@ class PathEnsemble:
         self.levels = levels
         self.endpoints = levels[-1].endpoints
         self.amps = amps
-        self.partner_states = levels[-1].partner_states
         self._groups: dict[int, np.ndarray] | None = None
         self._rows: np.ndarray | None = None
 
@@ -197,9 +198,10 @@ class PathEnsemble:
         if self._rows is None:
             d1 = self.context.basis.dim_a
             d2 = self.context.basis.dim_b
+            last = self.levels[-1]
             rows = np.zeros((d1, d2), dtype=np.complex128)
             for g, idx in self.group_indices().items():
-                rows[g] = (self.amps[idx, None] * self.partner_states[idx]).sum(axis=0)
+                rows[g] = (self.amps[idx, None] * last.partners[last.rows[idx]]).sum(axis=0)
             self._rows = rows
         return self._rows
 
@@ -207,9 +209,10 @@ class PathEnsemble:
         """Per-endpoint sum of |amplitude|^2 times partner-state norm."""
         d1 = self.context.basis.dim_a
         out = np.zeros(d1)
-        # re^2 + im^2 over the float view: no conjugated copy of every partner.
-        parts = self.partner_states.view(np.float64)
-        norms = np.einsum("pk,pk->p", parts, parts)
+        # re^2 + im^2 over the float view: no conjugated copy of any partner.
+        last = self.levels[-1]
+        parts = last.partners.view(np.float64)
+        norms = np.einsum("pk,pk->p", parts, parts)[last.rows]
         w = np.abs(self.amps) ** 2 * norms
         np.add.at(out, self.endpoints, w)
         return out
@@ -239,19 +242,18 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
     the path's new point.  Deterministic: successors are emitted in
     ascending basis order for each parent.
 
-    Until a coupling acts, every path has the same partner state, so only
-    the distinct partner states are pushed through each layer: a table of
-    them and each path's row in it.  An uncoupled layer pushes the table;
-    after a coupling every path's partner is its own row.
+    Until a coupling acts, every path has the same partner state, so each
+    level holds only the table of distinct partner states and each path's
+    row in it.  An uncoupled layer pushes the table; a coupled one gives
+    every path its own row.
     """
     d2 = context.basis.dim_b
     start = np.flatnonzero(context.psi1).astype(np.int32)
     amps = context.psi1[start]
-    distinct = context.psi2[None, :]
-    which = np.zeros(start.shape[0], dtype=np.int64)
-    partner = np.take(distinct, which, axis=0)
-    levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partner)]
-    bytes_kept = partner.nbytes
+    partners = context.psi2[None, :]
+    rows = np.zeros(start.shape[0], dtype=np.int64)
+    levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partners, rows)]
+    bytes_kept = partners.nbytes
 
     for t, layer in enumerate(context.layers):
         col_start, col_rows, col_vals = _columns(layer.u_a)
@@ -264,7 +266,9 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
                 f"path count reached {total} at layer {t + 1}, beyond the pair cap "
                 f"{caps.pair_cap}; raise the cap or shrink the scenario"
             )
-        frontier_bytes = total * (16 * d2 + 16 + 8)
+        # Per path an amplitude, endpoint, parent and row, plus the new table.
+        held = total if layer.factor is not None else partners.shape[0]
+        frontier_bytes = total * (16 + 4 + 4 + 8) + held * 16 * d2
         if bytes_kept + frontier_bytes > caps.memory_cap_bytes:
             raise ResourceCapError(
                 f"path storage would need {bytes_kept + frontier_bytes} bytes at layer "
@@ -277,15 +281,16 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
         pos = np.repeat(column_start, counts) + np.arange(total)
         new_endpoints = col_rows[pos].astype(np.int32)
         amps = amps[parent_idx] * col_vals[pos]
-        distinct = apply_right(distinct, layer.u_b)
-        which = which[parent_idx]
-        partner = np.take(distinct, which, axis=0)
-        factor = layer.coupling_factor()
-        if factor is not None:
-            partner = partner * factor[new_endpoints, :]
-            distinct, which = partner, np.arange(total)
-        levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partner))
-        bytes_kept += partner.nbytes
+        partners = apply_right(partners, layer.u_b)
+        rows = rows[parent_idx]
+        if layer.factor is not None:
+            # Two statements: numpy's temporary elision would swap the operands
+            # of partners[rows] * factor[...], and with FMA that moves bits.
+            partners = partners[rows]
+            partners = partners * layer.factor[new_endpoints, :]
+            rows = np.arange(total)
+        levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partners, rows))
+        bytes_kept += frontier_bytes
 
     ensemble = PathEnsemble(context, levels, amps)
     if ensemble.pair_count > caps.pair_cap:
@@ -360,17 +365,15 @@ def overlap_table(ensemble: PathEnsemble) -> OverlapTable:
     basis = ensemble.context.basis
     out: dict[int, OverlapGroup] = {}
     for g, ids in ensemble.group_indices().items():
-        phi = ensemble.partner_states[ids]
-        raw = phi.conj() @ phi.T
         anc = _ancestor_matrix(ensemble, ids)
         increments = np.empty((ensemble.n_layers, ids.shape[0], ids.shape[0]), dtype=np.complex128)
-        prev = None
-        for r in range(ensemble.n_layers + 1):
-            phi_r = ensemble.levels[r].partner_states[anc[r]]
-            gram_r = phi_r.conj() @ phi_r.T
+        # anc[n_layers] is ids, so raw ends as the endpoints' own Gram.
+        for r, level in enumerate(ensemble.levels):
+            phi = level.partners[level.rows[anc[r]]]
+            gram = phi.conj() @ phi.T
             if r > 0:
-                increments[r - 1] = gram_r - prev
-            prev = gram_r
+                increments[r - 1] = gram - raw
+            raw = gram
         resid = np.max(np.abs(1.0 + increments.sum(axis=0) - raw))
         if resid > 1e-12:
             raise PilotPathError(f"overlap increments fail to telescope by {resid:.3e}")

@@ -78,7 +78,7 @@ def conditional_unitary(context, path: Path) -> np.ndarray:
     for r in range(1, len(flat)):
         layer = context.layers[r - 1]
         mat = dense(layer.u_b) @ mat
-        factor = layer.coupling_factor()
+        factor = layer.factor
         if factor is not None:
             mat = factor[flat[r], :][:, None] * mat
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d2)))
@@ -105,7 +105,7 @@ def pair_overlap(context, path_p: Path, path_q: Path):
         layer = context.layers[r - 1]
         vp = dense(layer.u_b) @ vp
         vq = dense(layer.u_b) @ vq
-        factor = layer.coupling_factor()
+        factor = layer.factor
         if factor is not None:
             vp = vp * factor[flat_p[r], :]
             vq = vq * factor[flat_q[r], :]
@@ -173,7 +173,7 @@ def csr_enumeration(context, csr_a, csr_b):
         new = cols.indices[pos].astype(np.int32)
         amps = amps[parents] * cols.data[pos]
         partner = (partner @ csr_b.T)[parents]
-        factor = layer.coupling_factor()
+        factor = layer.factor
         if factor is not None:
             partner = partner * factor[new, :]
         levels.append((new, parents.astype(np.int32), partner))
@@ -193,7 +193,7 @@ def dense_unitary(layers, basis: ModeSpinBasis) -> np.ndarray:
     total = np.eye(dim, dtype=np.complex128)
     for layer in layers:
         step = np.kron(dense(layer.u_a), dense(layer.u_b))
-        factor = layer.coupling_factor()
+        factor = layer.factor
         if factor is not None:
             step = factor.reshape(dim, 1) * step
         total = step @ total

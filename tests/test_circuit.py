@@ -117,9 +117,22 @@ def test_coupling_factor_is_pure_phase():
     rng = make_rng(7)
     u = np.eye(4, dtype=np.complex128)
     layer = CircuitLayer(u, u, phases=rng.uniform(-np.pi, np.pi, (4, 4)))
-    factor = layer.coupling_factor()
+    factor = layer.factor
     assert np.max(np.abs(np.abs(factor) - 1.0)) < 1e-14
-    assert CircuitLayer(u, u).coupling_factor() is None
+    assert CircuitLayer(u, u).factor is None
+
+
+def test_coupling_factor_is_formed_once_and_frozen():
+    """The layer's phase factor is exp(i phases) bit for bit, the same
+    read-only array on every read."""
+    rng = make_rng(8)
+    u = np.eye(4, dtype=np.complex128)
+    layer = CircuitLayer(u, u, phases=rng.uniform(-np.pi, np.pi, (4, 4)))
+    assert layer.factor is layer.factor
+    assert not layer.factor.flags.writeable
+    assert np.array_equal(layer.factor.view(np.uint64), np.exp(1j * layer.phases).view(np.uint64))
+    with pytest.raises(ValueError):
+        layer.factor[0, 0] = 1.0
 
 
 def test_joint_state_requires_unit_norm():

@@ -1,5 +1,7 @@
 """Path decomposition: enumeration, overlap tables, reconstruction sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,8 @@ def test_enumeration_matches_the_csr_enumeration_bit_for_bit(name):
     for level, (endpoints, parents, partner) in zip(ensemble.levels, want):
         assert np.array_equal(level.endpoints, endpoints)
         assert np.array_equal(level.parents, parents)
-        assert np.array_equal(level.partner_states.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
+        got = level.partners[level.rows]
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
     assert np.array_equal(ensemble.amps.view(np.uint64), amps.view(np.uint64))
 
 
@@ -258,6 +261,37 @@ def test_enumeration_respects_the_memory_cap():
     ctx = circuit_context(10, modes_a=3, modes_b=2, n=3)
     with pytest.raises(ResourceCapError):
         enumerate_all(ctx, PathCaps(pair_cap=DEFAULT_CAPS.pair_cap, memory_cap_bytes=4096))
+
+
+def test_memory_cap_counts_the_partner_rows_levels_hold():
+    """Uncoupled levels hold one partner row, so free-packet's window fits
+    in 1 MiB; with a coupling on every layer each path holds its own row
+    and the same cap is exceeded."""
+    caps = PathCaps(pair_cap=DEFAULT_CAPS.pair_cap, memory_cap_bytes=2**20)
+    free = load_scenario("free-packet")
+    enumerate_all(build_walk(free).path_context(free["paths"]["layer"]), caps)
+    coupled = coupled_free_packet()
+    with pytest.raises(ResourceCapError, match="memory cap"):
+        enumerate_all(build_walk(coupled).path_context(coupled["paths"]["layer"]), caps)
+
+
+@pytest.mark.parametrize("name", ["free-packet", "barrier"])
+def test_uncoupled_windows_hold_one_partner_row_per_level(name):
+    """Without a coupling every path shares one partner state, so each
+    level holds a single row and the enumeration's memory stays small."""
+    scn = load_scenario(name)
+    system = build_walk(scn)
+    context = system.path_context(scn["paths"]["layer"])
+    tracemalloc.start()
+    try:
+        ensemble = enumerate_all(context, system.caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for level in ensemble.levels:
+        assert level.partners.shape == (1, context.basis.dim_b)
+        assert level.rows.shape == level.endpoints.shape
+    assert peak < 4 * 2**20
 
 
 # ----------------------------------------------------------------------------
@@ -319,8 +353,9 @@ def test_diagonal_weights_match_a_per_path_sum():
     for ctx in (circuit_context(28), walk):
         ensemble = enumerate_all(ctx, DEFAULT_CAPS)
         expected = np.zeros(ctx.basis.dim_a)
+        last = ensemble.levels[-1]
         for p in range(ensemble.n_paths):
-            phi = ensemble.partner_states[p]
+            phi = last.partners[last.rows[p]]
             expected[ensemble.endpoints[p]] += abs(ensemble.amps[p]) ** 2 * np.vdot(phi, phi).real
         assert np.max(np.abs(ensemble.diagonal_weights() - expected)) <= 1e-14
 
@@ -369,7 +404,7 @@ def test_increments_require_kept_levels():
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     assert len(ensemble.levels) == ctx.n_layers + 1
     for level in ensemble.levels:
-        assert level.partner_states.shape == (level.endpoints.shape[0], ctx.basis.dim_b)
+        assert level.partners[level.rows].shape == (level.endpoints.shape[0], ctx.basis.dim_b)
     table = overlap_table(ensemble)
     assert table.groups.keys() == ensemble.group_indices().keys()
     for group in table.groups.values():
@@ -448,7 +483,8 @@ def test_conditional_unitary_tracks_one_path():
     cond = conditional_unitary(ctx, to_path(ensemble, pid))
     assert np.max(np.abs(cond.conj().T @ cond - np.eye(4))) < 1e-12
     # partner state of the path equals the conditional operator on psi2
-    assert np.max(np.abs(cond @ ctx.psi2 - ensemble.partner_states[pid])) < 1e-12
+    last = ensemble.levels[-1]
+    assert np.max(np.abs(cond @ ctx.psi2 - last.partners[last.rows[pid]])) < 1e-12
 
 
 def test_conditional_unitary_rejects_paths_of_wrong_length():
