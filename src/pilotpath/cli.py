@@ -74,19 +74,26 @@ def _walk_history(system, record_joint=()):
     return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
 
 
-def _anchored_runs(scn: dict, history, direction: str):
+def _anchored_runs(scn: dict, history, direction: str, substep_records: bool = False):
     """Both particles' ensembles at the scenario's seed, count, substeps and
     node threshold, anchored at layer 0 (forward) or the final layer (backward)."""
     p = scn["protocol"]
     return anchored_runs(
-        history, int(scn["seed"]), int(p["count"]), int(p["substeps"]), float(p["eps_node_rel"]), direction
+        history,
+        int(scn["seed"]),
+        int(p["count"]),
+        int(p["substeps"]),
+        float(p["eps_node_rel"]),
+        direction,
+        substep_records,
     )
 
 
-def retro_run(scn: dict, system):
-    """The walk with its final joint table, and the backward ensembles anchored there."""
+def retro_run(scn: dict, system, substep_records: bool = False):
+    """The walk with its final joint table, and the backward ensembles
+    anchored there, with every substep's record when a replay needs them."""
     history = _walk_history(system, record_joint={system.n_layers})
-    return history, _anchored_runs(scn, history, "backward")
+    return history, _anchored_runs(scn, history, "backward", substep_records)
 
 
 def _ensemble_summary(scn: dict, out: str, runs, history):
@@ -195,7 +202,7 @@ def _retro(scn: dict, system, args, out: str):
 
 
 def _superdet(scn: dict, system, args, out: str):
-    _, runs = retro_run(scn, system)
+    _, runs = retro_run(scn, system, substep_records=True)
     replay = superdet_replay(runs)
     report = {
         "max_deviation": replay.max_deviation,

@@ -79,13 +79,18 @@ def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> Veloc
 @dataclass
 class EnsembleRun:
     """A batch of trajectories transported through one field stack, kept as
-    `stack` so a replay can run the same fields."""
+    `stack` so a replay can run the same fields.
+
+    positions holds a record at every layer boundary, or, when
+    substep_records is set, at every substep; frozen counts substeps either
+    way."""
 
     positions: np.ndarray
     frozen: np.ndarray
     direction: str
     substeps: int
     stack: VelocityStack
+    substep_records: bool
 
     @property
     def n_trajectories(self) -> int:
@@ -96,23 +101,28 @@ class EnsembleRun:
         return int(np.sum(self.frozen >= 0))
 
     @property
-    def n_layers(self) -> int:
-        return (self.positions.shape[1] - 1) // self.substeps
+    def _stride(self) -> int:
+        """Substeps from one record to the next."""
+        return 1 if self.substep_records else self.substeps
 
-    def _record(self, layer: int) -> int:
-        """Index of the record at which the run passes the given layer."""
+    @property
+    def n_layers(self) -> int:
+        return (self.positions.shape[1] - 1) * self._stride // self.substeps
+
+    def _substep(self, layer: int) -> int:
+        """Index of the substep at which the run passes the given layer."""
         if not 0 <= layer <= self.n_layers:
             raise ValidationError(f"layer {layer} is outside the run's 0..{self.n_layers}")
         return (layer if self.direction == "forward" else self.n_layers - layer) * self.substeps
 
     def layer_positions(self, layer: int) -> np.ndarray:
         """Positions of all trajectories when the run passes the given layer."""
-        return self.positions[:, self._record(layer)]
+        return self.positions[:, self._substep(layer) // self._stride]
 
     def layer_flags(self, layer: int) -> np.ndarray:
-        """Whether each trajectory has frozen at a masked node by the record
+        """Whether each trajectory has frozen at a masked node by the substep
         at which the run passes the given layer."""
-        return (self.frozen >= 0) & (self.frozen <= self._record(layer))
+        return (self.frozen >= 0) & (self.frozen <= self._substep(layer))
 
 
 def check_direction(direction: str) -> bool:
@@ -126,12 +136,15 @@ def integrate_batch(
     x0: np.ndarray,
     direction: str,
     substeps: int,
+    substep_records: bool = False,
 ) -> EnsembleRun:
     """Transport a batch of positions through the whole stack.
 
     Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  Deterministic: the same inputs give the same
-    positions and freeze indices bit for bit.
+    negated time increment.  The run keeps a record at every layer
+    boundary, or with substep_records at every substep, as a round trip
+    needs.  Deterministic: the same inputs give the same positions and
+    freeze indices bit for bit.
     """
     forward = check_direction(direction)
     if substeps < 1:
@@ -161,8 +174,16 @@ def integrate_batch(
         grid.dt,
         substeps,
         forward,
+        substep_records,
     )
-    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps, stack=stack)
+    return EnsembleRun(
+        positions=positions,
+        frozen=frozen,
+        direction=direction,
+        substeps=substeps,
+        stack=stack,
+        substep_records=substep_records,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -196,6 +217,8 @@ def sample_joint_density(
     First particle's cell from the row-summed marginal, second from the
     conditional row, then uniform placement within both cells.  Draw order:
     cells of particle 1, cells of particle 2, then the two placement batches.
+    The second cell counts the conditional CDF entries strictly below its
+    uniform; each drawn row is searched once for all of its draws.
     """
     joint = np.asarray(joint, dtype=np.float64)
     n = grid.n_sites
@@ -218,8 +241,13 @@ def sample_joint_density(
     cond = cond / row_tot[:, None]
     cond[:, -1] = 1.0
     u2 = rng.random(count)
-    rows = cond[i1]
-    i2 = (rows < u2[:, None]).sum(axis=1)
+    # A conditional row is nondecreasing, so its left search position is
+    # the count of entries below u2.
+    i2 = np.empty(count, dtype=np.int64)
+    order = np.argsort(i1, kind="stable")
+    drawn, first = np.unique(i1[order], return_index=True)
+    for row, sel in zip(drawn, np.split(order, first[1:])):
+        i2[sel] = np.searchsorted(cond[row], u2[sel], side="left")
     i2 = np.minimum(i2, n - 1)
     edges = cell_edges(grid)
     x1 = edges[i1] + rng.random(count) * grid.dx

@@ -19,8 +19,10 @@ Arithmetic:
     ``(a + w*(b - a)) * (1/dx)``, and a stage interpolates in space only;
   - positions are carried in cell units, ``u = (x - x_min) * (1/dx)``, with
     site i at u = i; a record is written as ``x_min + u*dx``, except that
-    records[:, 0] is x0 itself and a frozen trajectory repeats its previous
-    record;
+    records[:, 0] is x0 itself and a frozen trajectory repeats its last
+    moving record, which is x0 itself when it froze at record 0;
+  - only the layer-boundary records are kept unless every substep's is
+    asked for; the freeze index counts substeps either way;
   - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
     first substep, and every substep's result is wrapped again;
   - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
@@ -103,16 +105,19 @@ def transport(
     dt: float,
     substeps: int,
     forward: bool,
+    substep_records: bool = False,
 ):
     """Transport a batch of positions through the full field stack.
 
     values, masks: (n_layers + 1, n_sites) tables, one row per layer.
     extent is the ring length, n_sites * dx.
-    Returns (records, frozen): records has shape (n, n_layers*substeps + 1)
-    with row i the trajectory of x0[i] at every substep; frozen[i] is the
-    record index where trajectory i froze on a node, or -1.  records is the
-    transpose of a C-ordered (n_rec, n) array, so each substep is written as
-    one contiguous row and a record index reads contiguous memory.
+    Returns (records, frozen): records has shape (n, n_layers + 1) with row
+    i the trajectory of x0[i] at every layer boundary, or with
+    substep_records (n, n_layers*substeps + 1) with a record at every
+    substep.  frozen[i] is the substep (the record index of a substep run)
+    where trajectory i froze on a node, or -1.  records is the transpose of
+    a C-ordered (n_rec, n) array, so each record is written as one
+    contiguous row and a record index reads contiguous memory.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
@@ -128,7 +133,9 @@ def transport(
         raise ValidationError(
             f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
         )
-    n_rec = n_layers * substeps + 1
+    # Substeps from one kept record to the next.
+    stride = 1 if substep_records else substeps
+    n_rec = n_layers * substeps // stride + 1
     records = np.empty((n_rec, n), dtype=np.float64)
     frozen = np.full(n, -1, dtype=np.int64)
     records[0] = x0
@@ -172,6 +179,7 @@ def transport(
             rec = seg * substeps
             for s in range(substeps):
                 rec += 1
+                out = rows[rec // stride] if rec % stride == 0 else None
                 k1, b1 = _stage(left[s, 0], slope[s, 0], bad, u, mode, offset)
                 k2, b2 = _stage(left[s, 1], slope[s, 1], bad, u + half * k1, mode, offset)
                 k3, b3 = _stage(left[s, 1], slope[s, 1], bad, u + half * k2, mode, offset)
@@ -197,8 +205,9 @@ def transport(
                     b1 |= b4
                 if not has_frozen[j] and (bad is None or not b1.any()):
                     u = un
-                    np.multiply(un, dx, out=k1)
-                    np.add(k1, x_min, out=rows[rec])
+                    if out is not None:
+                        np.multiply(un, dx, out=k1)
+                        np.add(k1, x_min, out=out)
                     continue
                 move = fro < 0
                 if bad is not None:
@@ -207,6 +216,11 @@ def transport(
                     move ^= newly
                 has_frozen[j] = True
                 u = np.where(move, un, u)
-                rows[rec] = np.where(move, x_min + un * dx, rows[rec - 1])
+                if out is not None:
+                    # u holds a frozen trajectory's last moving position,
+                    # whose record is x_min + u*dx, or x0 if that is record 0.
+                    np.multiply(u, dx, out=out)
+                    out += x_min
+                    np.copyto(out, rows[0], where=fro == 0)
             us[j] = u
     return records.T, frozen

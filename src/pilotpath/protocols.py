@@ -15,7 +15,9 @@ Three procedures built on the engine and guidance layers:
   replays backward runs forward from layer 0, `verify` replays a forward
   run backward from the final layer.  Because the integrator is
   deterministic and near-reversible, each replay must retrace its run at
-  every record; the maximum deviation is the reported figure of merit.
+  every substep, so both keep every substep's record (other runs keep only
+  the layer boundaries); the maximum deviation is the reported figure of
+  merit.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -61,14 +63,21 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def anchored_runs(
-    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str
+    history: WalkHistory,
+    seed: int,
+    count: int,
+    substeps: int,
+    eps_rel: float,
+    direction: str,
+    substep_records: bool = False,
 ) -> dict[int, EnsembleRun]:
     """Sample the anchor layer's joint density, transport each particle from there.
 
     Forward runs anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs
     at the final layer with STREAM_FINAL_SAMPLE.  Each particle follows the
     velocity field of its own marginal flow, with sites below eps_rel times
-    the peak density masked as nodes.
+    the peak density masked as nodes.  The runs keep layer-boundary records,
+    or with substep_records every substep's, as superdet_replay needs.
     """
     forward = check_direction(direction)
     anchor = 0 if forward else history.n_layers
@@ -77,7 +86,7 @@ def anchored_runs(
     rng = stream_rng(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
     x1, x2 = sample_joint_density(history.joint[anchor], history.grid, count, rng)
     return {
-        particle: integrate_batch(velocity_stack(history, particle, eps_rel), x0, direction, substeps)
+        particle: integrate_batch(velocity_stack(history, particle, eps_rel), x0, direction, substeps, substep_records)
         for particle, x0 in ((1, x1), (2, x2))
     }
 
@@ -95,24 +104,45 @@ class ReplayResult:
         return sum(self.excluded.values())
 
 
+# Positions compared at a time in a round trip, whole records per block:
+# each temporary of the gap then takes about 512 KiB.
+REPLAY_BLOCK_VALUES = 1 << 16
+
+
+def _round_trip(run: EnsembleRun) -> tuple[np.ndarray, np.ndarray]:
+    """Each trajectory's largest gap between the run and its replay over
+    every substep, and whether neither froze on a node."""
+    opposite = "backward" if run.direction == "forward" else "forward"
+    replay = integrate_batch(run.stack, run.positions[:, -1].copy(), opposite, run.substeps, substep_records=True)
+    # Record-major views: replay record k sits at the same time as run
+    # record n_rec-1-k.  The gap is folded into a running maximum one block
+    # of records at a time, so no temporary spans every record.
+    ours, theirs = replay.positions.T, run.positions.T[::-1]
+    worst = np.full(run.n_trajectories, -np.inf)
+    block = max(1, REPLAY_BLOCK_VALUES // max(1, run.n_trajectories))
+    for lo in range(0, ours.shape[0], block):
+        gaps = run.stack.grid.gap(ours[lo : lo + block], theirs[lo : lo + block])
+        np.maximum(worst, gaps.max(axis=0), out=worst)
+    return worst, (run.frozen < 0) & (replay.frozen < 0)
+
+
 def superdet_replay(runs: dict[int, EnsembleRun]) -> ReplayResult:
     """Run each run's endpoints back the other way through its own stack and
-    measure path deviation.
+    measure path deviation at every substep; each run must keep its substep
+    records.
 
     Trajectories flagged on a node in either direction are excluded from
     the deviation statistic; their count is reported instead.
     """
+    if not all(run.substep_records for run in runs.values()):
+        raise ValidationError("a round trip compares every substep; transport the runs with substep_records")
     deviations = {}
     excluded = {}
     top = 0.0
     for particle, run in runs.items():
-        opposite = "backward" if run.direction == "forward" else "forward"
-        replay = integrate_batch(run.stack, run.positions[:, -1].copy(), opposite, run.substeps)
-        # Replay record k sits at the same time as run record n_rec-1-k.
-        gaps = run.stack.grid.gap(replay.positions, run.positions[:, ::-1])
-        ok = (run.frozen < 0) & (replay.frozen < 0)
+        worst, ok = _round_trip(run)
         excluded[particle] = int(np.sum(~ok))
-        dev = np.where(ok, gaps.max(axis=1), np.nan)
+        dev = np.where(ok, worst, np.nan)
         deviations[particle] = dev
         if np.any(ok):
             top = max(top, float(np.nanmax(dev)))

@@ -14,7 +14,7 @@ import scipy.sparse
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil
 from pilotpath.dirac import ALPHA1, CHIRAL_SIGNS, CHIRAL_V, SPINOR_DIM
 from pilotpath.errors import PilotPathError, ValidationError
-from pilotpath.guidance import VelocityStack
+from pilotpath.guidance import VelocityStack, cell_edges
 
 
 def dense(u) -> np.ndarray:
@@ -300,6 +300,35 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
         grid=stack.grid,
         eps_node=stack.eps_node,
     )
+
+
+# ----------------------------------------------------------------------------
+# Joint sampling before the per-row search
+
+
+def sample_joint_density_gather(joint, grid, count, rng):
+    """The sampler's earlier arithmetic: every draw gathers its whole
+    conditional CDF row (a count x n_sites table) and counts the entries
+    strictly below its uniform.  Same draws, same order."""
+    joint = np.maximum(np.asarray(joint, dtype=np.float64), 0.0)
+    n = grid.n_sites
+    row_mass = joint.sum(axis=1)
+    cdf1 = np.cumsum(row_mass / row_mass.sum())
+    cdf1[-1] = 1.0
+    i1 = np.searchsorted(cdf1, rng.random(count), side="right")
+    i1 = np.minimum(i1, n - 1)
+    cond = np.cumsum(joint, axis=1)
+    row_tot = np.where(cond[:, -1] > 0.0, cond[:, -1], 1.0)
+    cond = cond / row_tot[:, None]
+    cond[:, -1] = 1.0
+    u2 = rng.random(count)
+    rows = cond[i1]
+    i2 = (rows < u2[:, None]).sum(axis=1)
+    i2 = np.minimum(i2, n - 1)
+    edges = cell_edges(grid)
+    x1 = edges[i1] + rng.random(count) * grid.dx
+    x2 = edges[i2] + rng.random(count) * grid.dx
+    return x1, x2
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pilotpath
-from pilotpath import cli
+from pilotpath import cli, kernels
 from pilotpath.errors import DegenerateDensityError
 
 
@@ -163,6 +163,41 @@ def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path)
     assert tracks["particle1"]["flagged"] > 0
     for particle in ("particle1", "particle2"):
         assert tracks[particle]["flagged"] == guide[particle]["flagged"]
+
+
+@pytest.mark.parametrize("substeps", [4, 32])
+def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, monkeypatch):
+    """guide, retro and tracks transport one record per layer boundary; the
+    runs superdet and verify replay, and the replays, keep every substep.
+    When the scenario's substeps already reach verify's 32, its one forward
+    run is the replayed run, not a second transport."""
+    with open(scenario_file, encoding="utf-8") as fh:
+        scn = json.load(fh)
+    scn["protocol"]["substeps"] = substeps
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    transport = kernels.transport
+    n_records = []
+
+    def spy(*args, **kwargs):
+        records, frozen = transport(*args, **kwargs)
+        assert records.shape[0] == 2000
+        n_records.append(records.shape[1])
+        return records, frozen
+
+    monkeypatch.setattr(kernels, "transport", spy)
+    layers, fine = 3 + 1, 3 * substeps + 1
+    expected = {
+        "guide": [layers] * 2,
+        "retro": [layers] * 2,
+        "tracks": [layers] * 2,
+        "superdet": [fine] * 4,
+        "verify": [fine, 3 * 32 + 1] if substeps == 32 else [layers, 3 * 32 + 1, 3 * 32 + 1],
+    }
+    for command, records in expected.items():
+        n_records.clear()
+        assert run_cli([command, "--scenario", str(path)], tmp_path / "out") == 0, command
+        assert n_records == records, command
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):

@@ -41,7 +41,14 @@ def test_trajectories_csv_flags_a_backward_freeze_from_its_layer(tmp_path):
             [-0.0, 0.25, 0.5, 0.75, 1.0],
         ]
     )
-    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1, -1]), direction="backward", substeps=2, stack=None)
+    run = EnsembleRun(
+        positions=positions,
+        frozen=np.array([-1, 1, -1]),
+        direction="backward",
+        substeps=2,
+        stack=None,
+        substep_records=True,
+    )
     text = _written(tmp_path, exports.write_trajectories_csv, run)
     assert text == (
         "trajectory_id,layer,position,node_flag\n"

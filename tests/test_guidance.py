@@ -22,9 +22,10 @@ from pilotpath.guidance import (
     sample_joint_density,
     velocity_stack,
 )
+from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import EPS_NODE_REL, make_rng, spinor_field
-from oracles import scaled
+from oracles import sample_joint_density_gather, scaled
 
 
 def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
@@ -100,8 +101,8 @@ def test_transport_is_deterministic():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 40)
-    a = integrate_batch(stack, x0, "forward", 4)
-    b = integrate_batch(stack, x0, "forward", 4)
+    a = integrate_batch(stack, x0, "forward", 4, substep_records=True)
+    b = integrate_batch(stack, x0, "forward", 4, substep_records=True)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.frozen, b.frozen)
 
@@ -111,7 +112,7 @@ def test_one_dimensional_flow_preserves_ordering():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.sort(make_rng(50).uniform(4.0, 10.0, 60))
-    run = integrate_batch(stack, x0, "forward", 8)
+    run = integrate_batch(stack, x0, "forward", 8, substep_records=True)
     assert run.n_flagged == 0
     for rec in range(run.positions.shape[1]):
         col = run.positions[:, rec]
@@ -131,7 +132,7 @@ def test_round_trip_returns_to_the_start():
 def test_trajectory_and_run_bookkeeping():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    run = integrate_batch(stack, np.array([6.0, 7.0]), "forward", 4)
+    run = integrate_batch(stack, np.array([6.0, 7.0]), "forward", 4, substep_records=True)
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
     assert run.positions.shape == (2, 17)
@@ -142,7 +143,7 @@ def test_trajectory_and_run_bookkeeping():
 def test_backward_run_reads_layers_in_reverse():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4)
+    run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4, substep_records=True)
     assert run.direction == "backward"
     # record 0 is the final layer; layer k sits at record (4 - k) * substeps
     assert np.array_equal(run.layer_positions(4), run.positions[:, 0])
@@ -153,7 +154,14 @@ def test_run_reads_its_layers_and_freezes_from_its_own_records():
     # Five records at two substeps: two layers.  Trajectory 1 froze at
     # record 1, between the backward run's layers 2 and 1.
     positions = np.arange(10, dtype=np.float64).reshape(2, 5)
-    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2, stack=None)
+    run = EnsembleRun(
+        positions=positions,
+        frozen=np.array([-1, 1]),
+        direction="backward",
+        substeps=2,
+        stack=None,
+        substep_records=True,
+    )
     assert run.n_layers == 2
     assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
     assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
@@ -161,6 +169,38 @@ def test_run_reads_its_layers_and_freezes_from_its_own_records():
         run.layer_positions(3)
     with pytest.raises(ValidationError, match="outside"):
         run.layer_flags(-1)
+
+
+def test_layer_record_run_reads_the_same_layers_and_freezes():
+    """The same two-layer backward run kept at its layer boundaries only:
+    frozen still counts substeps, so trajectory 1 is flagged from layer 1."""
+    positions = np.arange(10, dtype=np.float64).reshape(2, 5)[:, ::2]
+    run = EnsembleRun(
+        positions=positions,
+        frozen=np.array([-1, 1]),
+        direction="backward",
+        substeps=2,
+        stack=None,
+        substep_records=False,
+    )
+    assert run.n_layers == 2
+    assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
+    assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_integrate_batch_keeps_layer_records_unless_asked(direction):
+    grid, hist = smooth_history(n_layers=4)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
+    x0 = np.linspace(5.0, 9.0, 12)
+    fine = integrate_batch(stack, x0, direction, 4, substep_records=True)
+    run = integrate_batch(stack, x0, direction, 4)
+    assert not run.substep_records and fine.substep_records
+    assert run.positions.shape == (12, 5) and fine.positions.shape == (12, 17)
+    assert run.n_layers == fine.n_layers == 4
+    for t in range(5):
+        assert np.array_equal(run.layer_positions(t), fine.layer_positions(t))
+        assert np.array_equal(run.layer_flags(t), fine.layer_flags(t))
 
 
 def test_equivariance_rejects_a_stack_of_other_depth():
@@ -176,8 +216,8 @@ def test_equivariance_rejects_a_stack_of_other_depth():
 def test_periodic_starts_are_canonicalized():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    base = integrate_batch(stack, np.array([6.0]), "forward", 4)
-    wrapped = integrate_batch(stack, np.array([6.0 + grid.extent]), "forward", 4)
+    base = integrate_batch(stack, np.array([6.0]), "forward", 4, substep_records=True)
+    wrapped = integrate_batch(stack, np.array([6.0 + grid.extent]), "forward", 4, substep_records=True)
     assert np.array_equal(base.positions, wrapped.positions)
 
 
@@ -215,6 +255,62 @@ def test_joint_sampling_marginal_agrees_with_row_sums():
     marg = hist.joint[3].sum(axis=1)
     marg = marg / (marg.sum() * grid.dx)
     assert ks_statistic(x1, marg, grid) < 0.012
+
+
+@pytest.fixture(scope="module")
+def anchor_tables():
+    """Joint tables at layer 0 and the final layer of four bundled walks."""
+    tables = {}
+    for name in ("recombination", "free-packet", "entangled-mirror", "spin-singlet"):
+        system = build_walk(load_scenario(name))
+        history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
+        for layer in (0, system.n_layers):
+            tables[name, layer] = (history.joint[layer], system.grid)
+    return tables
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_joint_sampling_draws_what_the_gathered_rows_drew(anchor_tables, seed):
+    """Searching each drawn row once gives the cells that gathering every
+    draw's row and counting its entries below u2 gave, bit for bit."""
+    for joint, grid in anchor_tables.values():
+        got = sample_joint_density(joint, grid, 2000, make_rng(seed))
+        want = sample_joint_density_gather(joint, grid, 2000, make_rng(seed))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class FixedUniforms:
+    """Hands out the given batches of uniforms in order, as
+    Generator.random(count) would."""
+
+    def __init__(self, *batches):
+        self.batches = [np.asarray(b, dtype=np.float64) for b in batches]
+
+    def random(self, count):
+        batch = self.batches.pop(0)
+        assert batch.shape == (count,)
+        return batch
+
+
+def test_joint_sampling_ties_go_to_the_cell_after_the_equal_cdf_entries():
+    """Rows with zero cells hold runs of equal CDF entries.  A uniform equal
+    to one counts only the entries strictly below it: u2 = 0.25 on the row
+    [0, .25, .25, .25, .5, .5, 1, 1] lands in cell 1, where the first 0.25
+    is reached."""
+    grid = LatticeGrid(8, 1.0, 1.0)
+    joint = np.zeros((8, 8))
+    joint[3] = [0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0]
+    joint[6] = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+    u1 = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]  # rows 3, 3, 3, 3, 6, 6, 6, 6
+    u2 = [0.0, 0.25, 0.5, 0.75, 0.0, 0.5, 0.75, 0.999]
+    place = [0.5] * 8
+    got = sample_joint_density(joint, grid, 8, FixedUniforms(u1, u2, place, place))
+    want = sample_joint_density_gather(joint, grid, 8, FixedUniforms(u1, u2, place, place))
+    cells = np.floor(got[1] + 0.5).astype(int)
+    assert cells.tolist() == [0, 1, 4, 6, 0, 0, 7, 7]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_joint_sampling_validates_the_table():

@@ -98,9 +98,14 @@ def transport_reference(values, masks, x0, x_min, dx, extent, periodic, dt, subs
     return records, frozen
 
 
+def bits(records):
+    """The records' IEEE bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(records).view(np.int64)
+
+
 def run_both(values, masks, x0, periodic=True, dt=0.5, substeps=4, forward=True):
     args = (values, masks, x0, 0.0, 1.0, float(values.shape[1]), periodic, dt, substeps, forward)
-    return kernels.transport(*args), transport_reference(*args)
+    return kernels.transport(*args, substep_records=True), transport_reference(*args)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -133,7 +138,7 @@ def test_numpy_backend_records_every_substep():
     values, masks = random_stack(rng, n_layers=3)
     x0 = rng.uniform(0.0, 24.0, 8)
     records, frozen = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 24.0, True, 0.5, 4, True
+        values, masks, x0, 0.0, 1.0, 24.0, True, 0.5, 4, True, substep_records=True
     )
     assert records.shape == (8, 13)
     assert np.array_equal(records[:, 0], x0)
@@ -147,13 +152,65 @@ def test_frozen_trajectories_hold_their_position():
     masks[2, 6:10] = True  # a node wall appears at layer 2
     x0 = np.linspace(1.0, 9.0, 20)
     records, frozen = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 16.0, True, 1.0, 2, True
+        values, masks, x0, 0.0, 1.0, 16.0, True, 1.0, 2, True, substep_records=True
     )
     hit = frozen >= 0
     assert np.count_nonzero(hit) > 0
     for i in np.flatnonzero(hit):
         f = frozen[i]
         assert np.all(records[i, f:] == records[i, f])
+
+
+def test_layer_records_repeat_a_start_frozen_at_record_0():
+    """A periodic start off the ring that freezes on its first substep
+    holds x0 itself at every layer, not its wrapped cell position."""
+    x_min, dx, n_sites = -3.25, 0.3, 8
+    extent = n_sites * dx
+    values = np.full((4, n_sites), 0.15)
+    masks = np.zeros((4, n_sites), dtype=bool)
+    masks[0, 2] = True
+    x0 = np.array([x_min + extent + 2.5 * dx, x_min + 5.5 * dx])
+    records, frozen = kernels.transport(values, masks, x0, x_min, dx, extent, True, 1.0, 4, True, substep_records=True)
+    layers, layer_frozen = kernels.transport(values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
+    assert frozen.tolist() == [0, -1] and layer_frozen.tolist() == [0, -1]
+    wrapped = x_min + ((x0[0] - x_min) * (1.0 / dx) % n_sites) * dx
+    assert wrapped != x0[0]
+    assert np.all(bits(layers[0]) == bits(x0[:1]))
+    assert np.all(bits(records[0]) == bits(x0[:1]))
+    assert np.array_equal(bits(layers), bits(records[:, ::4]))
+
+
+def test_layer_record_after_a_freeze_on_a_layers_last_substep():
+    """A trajectory that freezes on the last substep of layer 1 -> 2 holds
+    its record from the substep before, which no layer boundary keeps."""
+    x_min, dx, n_sites = -3.25, 0.3, 16
+    values = np.full((4, n_sites), 0.5 * dx)  # half a cell per unit time
+    masks = np.zeros((4, n_sites), dtype=bool)
+    masks[2, 10] = True  # cells 9 and 10 are bad in segments 1 and 2
+    # Stages reach u0 + rec/8 cells at substep rec; u0 = 8.05 first reaches
+    # cell 9 at substep 8, the last of segment 1, so it freezes at 7.
+    x0 = x_min + np.array([8.05, 2.0]) * dx
+    args = (values, masks, x0, x_min, dx, n_sites * dx, True, 1.0, 4, True)
+    records, frozen = kernels.transport(*args, substep_records=True)
+    layers, layer_frozen = kernels.transport(*args)
+    assert frozen.tolist() == [7, -1] and layer_frozen.tolist() == [7, -1]
+    assert bits(layers[0, 2]) == bits(records[0, 7])
+    assert records[0, 7] != records[0, 6]
+    assert np.array_equal(bits(layers), bits(records[:, ::4]))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_backward_layer_records_are_the_substep_runs_layer_boundaries(periodic):
+    rng = make_rng(3150)
+    values, masks = random_stack(rng, masked_fraction=0.08)
+    x0 = rng.uniform(0.0, 24.0, 128)
+    args = (values, masks, x0, 0.0, 1.0, 24.0, periodic, 0.5, 4, False)
+    records, frozen = kernels.transport(*args, substep_records=True)
+    layers, layer_frozen = kernels.transport(*args)
+    assert layers.shape == (128, 7)
+    assert np.array_equal(bits(layers), bits(records[:, ::4]))
+    assert np.array_equal(layer_frozen, frozen)
+    assert np.any((frozen > 0) & (frozen % 4 != 0))  # frozen between layer records
 
 
 def test_constant_field_transports_linearly():
@@ -227,10 +284,15 @@ def transport_cases(draw):
 def test_transport_properties(case, chunk):
     values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
     with mock.patch.object(kernels, "CHUNK", chunk):
-        records, frozen = kernels.transport(*case)
+        records, frozen = kernels.transport(*case, substep_records=True)
+        layers, layer_frozen = kernels.transport(*case)
     ref_records, ref_frozen = transport_reference(*case)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)
+    # Layer records are the substep run's layer boundaries, bit for bit.
+    substeps = case[-2]
+    assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
+    assert np.array_equal(layer_frozen, frozen)
     assert np.array_equal(records[:, 0], x0)
     moved = records[frozen != 0, 1:]
     if periodic:
@@ -266,7 +328,7 @@ def test_kernel_stays_within_rounding_of_the_time_lerp_arithmetic(name):
     same."""
     values, masks, x0, periodic, forward = reference_cases()[name]
     args = (values, masks, x0, 0.0, 1.0, 24.0, periodic, 0.5, 4, forward)
-    records, frozen = kernels.transport(*args)
+    records, frozen = kernels.transport(*args, substep_records=True)
     old_records, old_frozen = transport_time_lerp(*args)
     assert np.array_equal(frozen, old_frozen)
     assert np.max(np.abs(records - old_records)) <= 1e-12
@@ -287,7 +349,7 @@ def test_uniform_field_linear_in_time_is_integrated_exactly(periodic, forward, s
     x_min = -3.0
     x0 = x_min + rng.uniform(12.0, 28.0, 16) * dx  # interior: no clamp in 5 layers
     records, frozen = kernels.transport(
-        values, masks, x0, x_min, dx, n_sites * dx, periodic, dt, substeps, forward
+        values, masks, x0, x_min, dx, n_sites * dx, periodic, dt, substeps, forward, substep_records=True
     )
     assert np.all(frozen == -1)
     segment = dt * 0.5 * (levels[:-1] + levels[1:])
@@ -380,7 +442,7 @@ def test_stages_crossing_several_rings_match_the_reference(forward, rings):
     values = rng.uniform(0.8, 1.0, masks.shape) * rings * extent / h
     x0 = rng.uniform(0.0, extent, 32)
     args = (values, masks, x0, 0.0, 1.0, extent, True, 1.0, 2, forward)
-    records, frozen = kernels.transport(*args)
+    records, frozen = kernels.transport(*args, substep_records=True)
     ref_records, ref_frozen = transport_reference(*args)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)

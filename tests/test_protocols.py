@@ -1,14 +1,17 @@
 """Anchored sampling, forward replay, branch tracks, crossing detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
-from pilotpath.guidance import EnsembleRun, equivariance_test, sample_joint_density, velocity_stack
+from pilotpath.guidance import EnsembleRun, equivariance_test, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
     EVENT_COLUMNS,
+    REPLAY_BLOCK_VALUES,
     STREAM_CIRCUIT_ALTERATION,
     STREAM_FINAL_SAMPLE,
     STREAM_FORWARD_SAMPLE,
@@ -72,7 +75,7 @@ def test_stream_constants_are_distinct():
 
 
 def backward_runs(history, seed, count, substeps=4):
-    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward")
+    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward", substep_records=True)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -105,7 +108,7 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
     for particle, x0 in ((1, x1), (2, x2)):
         run = runs[particle]
         assert run.direction == direction
-        assert run.positions.shape == (50, history.n_layers * 4 + 1)
+        assert run.positions.shape == (50, history.n_layers + 1)
         assert np.array_equal(run.positions[:, 0], x0)
         assert np.array_equal(run.layer_positions(anchor), x0)
         stack = velocity_stack(history, particle, EPS_NODE_REL)
@@ -156,6 +159,14 @@ def test_motionless_state_replays_exactly():
     assert float(np.max(moved)) == 0.0
 
 
+def test_replay_rejects_a_run_without_substep_records(no_overlap):
+    scn, _, history = no_overlap
+    runs = anchored_runs(history, scn["seed"], 20, 4, EPS_NODE_REL, "backward")
+    assert runs[1].positions.shape == (20, history.n_layers + 1)
+    with pytest.raises(ValidationError, match="substep"):
+        superdet_replay(runs)
+
+
 def test_moving_packets_replay_within_tolerance():
     scn, system, history = scenario_history("entangled-mirror")
     replay = superdet_replay(backward_runs(history, scn["seed"], 200, substeps=32))
@@ -172,12 +183,51 @@ def test_forward_runs_replay_backward_within_tolerance():
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    runs = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward")
+    runs = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward", substep_records=True)
     replay = superdet_replay(runs)
     assert replay.total_excluded == 0
     assert replay.max_deviation < 1e-6
     for particle in (1, 2):
         assert replay.deviations[particle].shape == (200,)
+
+
+def test_replay_deviation_is_the_largest_gap_over_every_record():
+    """The block-by-block fold gives each trajectory's largest gap over all
+    records bit for bit, the last, partial block included."""
+    scn = load_scenario("free-packet")
+    system = build_walk(scn)
+    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
+    run = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward", substep_records=True)[1]
+    n_rec = run.positions.shape[1]
+    block = REPLAY_BLOCK_VALUES // 200
+    assert n_rec > 2 * block and n_rec % block
+    replay = integrate_batch(run.stack, run.positions[:, -1], "backward", 32, substep_records=True)
+    gaps = system.grid.gap(replay.positions, run.positions[:, ::-1])
+    result = superdet_replay({1: run})
+    assert result.total_excluded == 0
+    assert np.array_equal(result.deviations[1], gaps.max(axis=1))
+    # Some trajectories are worst in the last block only.
+    last = n_rec - n_rec % block
+    assert np.any(gaps[:, last:].max(axis=1) > gaps[:, :last].max(axis=1))
+
+
+def test_round_trip_memory_stays_near_the_replays_records():
+    """The replay compares records block by block: beyond its own records
+    it allocates a quarter of their size at most, not full-size gaps."""
+    scn = load_scenario("free-packet")
+    system = build_walk(scn)
+    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
+    runs = anchored_runs(history, scn["seed"], 2000, 32, EPS_NODE_REL, "forward", substep_records=True)
+    run = runs[1]
+    assert run.positions.shape == (2000, system.n_layers * 32 + 1)
+    tracemalloc.start()
+    try:
+        replay = superdet_replay({1: run})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert replay.total_excluded == 0
+    assert peak < 1.25 * run.positions.nbytes
 
 
 # ----------------------------------------------------------------------------
@@ -422,6 +472,7 @@ def site_run(sites, direction="forward"):
         direction=direction,
         substeps=1,
         stack=None,
+        substep_records=True,
     )
 
 
