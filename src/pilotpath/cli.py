@@ -29,7 +29,7 @@ from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_fields, run_walk
 from .guidance import equivariance_test
-from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
+from .protocols import anchored_runs, anchored_starts, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
 
@@ -74,7 +74,7 @@ def _walk_history(system, record_joint=()):
     return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
 
 
-def _anchored_runs(scn: dict, history, direction: str, substep_records: bool = False):
+def _anchored_runs(scn: dict, history, direction: str):
     """Both particles' ensembles at the scenario's seed, count, substeps and
     node threshold, anchored at layer 0 (forward) or the final layer (backward)."""
     p = scn["protocol"]
@@ -85,15 +85,7 @@ def _anchored_runs(scn: dict, history, direction: str, substep_records: bool = F
         int(p["substeps"]),
         float(p["eps_node_rel"]),
         direction,
-        substep_records,
     )
-
-
-def retro_run(scn: dict, system, substep_records: bool = False):
-    """The walk with its final joint table, and the backward ensembles
-    anchored there, with every substep's record when a replay needs them."""
-    history = _walk_history(system, record_joint={system.n_layers})
-    return history, _anchored_runs(scn, history, "backward", substep_records)
 
 
 def _ensemble_summary(scn: dict, out: str, runs, history):
@@ -196,19 +188,21 @@ def _guide(scn: dict, system, args, out: str):
 
 
 def _retro(scn: dict, system, args, out: str):
-    history, runs = retro_run(scn, system)
-    summary, worst = _ensemble_summary(scn, out, runs, history)
+    history = _walk_history(system, record_joint={system.n_layers})
+    summary, worst = _ensemble_summary(scn, out, _anchored_runs(scn, history, "backward"), history)
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
 def _superdet(scn: dict, system, args, out: str):
-    _, runs = retro_run(scn, system, substep_records=True)
-    replay = superdet_replay(runs)
+    p = scn["protocol"]
+    history = _walk_history(system, record_joint={system.n_layers})
+    starts = anchored_starts(history, int(scn["seed"]), int(p["count"]), float(p["eps_node_rel"]), "backward")
+    replay = superdet_replay(starts, "backward", int(p["substeps"]))
     report = {
         "max_deviation": replay.max_deviation,
         "total_excluded": replay.total_excluded,
-        "count": int(scn["protocol"]["count"]),
-        "substeps": runs[1].substeps,
+        "count": int(p["count"]),
+        "substeps": int(p["substeps"]),
     }
     for particle in (1, 2):
         dev = replay.deviations[particle]
@@ -219,7 +213,7 @@ def _superdet(scn: dict, system, args, out: str):
             "median_deviation": float(np.median(finite)) if finite.size else None,
         }
     message = (
-        f"replayed {int(scn['protocol']['count'])} configurations; max deviation "
+        f"replayed {int(p['count'])} configurations; max deviation "
         f"{replay.max_deviation:.3e}, {replay.total_excluded} excluded; artifacts in {out}"
     )
     return report, message

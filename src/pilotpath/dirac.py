@@ -434,8 +434,8 @@ def to_circuit_layers(
 
     couplings maps a layer index (0-based) to a joint phase table applied
     after that layer's per-particle steps.  Each step was checked when it
-    was built, so no layer checks it again; uncoupled layers share one
-    CircuitLayer.
+    was built, so no layer checks it again.  Uncoupled layers share one
+    CircuitLayer, and so do the layers given one table object.
     """
     if step1.grid != step2.grid:
         raise ValidationError("every step must be built on the run's grid")
@@ -444,10 +444,11 @@ def to_circuit_layers(
         if not 0 <= int(k) < n_layers:
             raise ValidationError(f"coupling layer index {k} out of range")
     uncoupled = CircuitLayer(step1, step2)
-    return [
-        CircuitLayer(step1, step2, couplings[t]) if t in couplings else uncoupled
-        for t in range(n_layers)
-    ]
+    # One layer per table object, keyed by its identity; couplings keeps
+    # every table alive.
+    tables = {id(table): table for table in couplings.values()}
+    coupled = {key: CircuitLayer(step1, step2, table) for key, table in tables.items()}
+    return [coupled[id(couplings[t])] if t in couplings else uncoupled for t in range(n_layers)]
 
 
 # ----------------------------------------------------------------------------

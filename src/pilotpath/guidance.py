@@ -78,19 +78,15 @@ def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> Veloc
 
 @dataclass
 class EnsembleRun:
-    """A batch of trajectories transported through one field stack, kept as
-    `stack` so a replay can run the same fields.
+    """A batch of trajectories transported through one field stack.
 
-    positions holds a record at every layer boundary, or, when
-    substep_records is set, at every substep; frozen counts substeps either
-    way."""
+    positions holds a record at every layer boundary, in the run's own
+    integration order; frozen counts substeps."""
 
     positions: np.ndarray
     frozen: np.ndarray
     direction: str
     substeps: int
-    stack: VelocityStack
-    substep_records: bool
 
     @property
     def n_trajectories(self) -> int:
@@ -101,28 +97,23 @@ class EnsembleRun:
         return int(np.sum(self.frozen >= 0))
 
     @property
-    def _stride(self) -> int:
-        """Substeps from one record to the next."""
-        return 1 if self.substep_records else self.substeps
-
-    @property
     def n_layers(self) -> int:
-        return (self.positions.shape[1] - 1) * self._stride // self.substeps
+        return self.positions.shape[1] - 1
 
-    def _substep(self, layer: int) -> int:
-        """Index of the substep at which the run passes the given layer."""
+    def _record(self, layer: int) -> int:
+        """Index of the record at which the run passes the given layer."""
         if not 0 <= layer <= self.n_layers:
             raise ValidationError(f"layer {layer} is outside the run's 0..{self.n_layers}")
-        return (layer if self.direction == "forward" else self.n_layers - layer) * self.substeps
+        return layer if self.direction == "forward" else self.n_layers - layer
 
     def layer_positions(self, layer: int) -> np.ndarray:
         """Positions of all trajectories when the run passes the given layer."""
-        return self.positions[:, self._substep(layer) // self._stride]
+        return self.positions[:, self._record(layer)]
 
     def layer_flags(self, layer: int) -> np.ndarray:
         """Whether each trajectory has frozen at a masked node by the substep
         at which the run passes the given layer."""
-        return (self.frozen >= 0) & (self.frozen <= self._substep(layer))
+        return (self.frozen >= 0) & (self.frozen <= self._record(layer) * self.substeps)
 
 
 def check_direction(direction: str) -> bool:
@@ -131,20 +122,20 @@ def check_direction(direction: str) -> bool:
     return direction == "forward"
 
 
-def integrate_batch(
+def transport_records(
     stack: VelocityStack,
     x0: np.ndarray,
     direction: str,
     substeps: int,
     substep_records: bool = False,
-) -> EnsembleRun:
+) -> tuple[np.ndarray, np.ndarray]:
     """Transport a batch of positions through the whole stack.
 
     Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  The run keeps a record at every layer
-    boundary, or with substep_records at every substep, as a round trip
-    needs.  Deterministic: the same inputs give the same positions and
-    freeze indices bit for bit.
+    negated time increment.  Returns kernels.transport's (records, frozen):
+    a record at every layer boundary, or with substep_records at every
+    substep, as a round trip needs.  Deterministic: the same inputs give
+    the same positions and freeze indices bit for bit.
     """
     forward = check_direction(direction)
     if substeps < 1:
@@ -163,7 +154,7 @@ def integrate_batch(
         if np.any(x0 < lo) or np.any(x0 > hi):
             raise ValidationError("start positions outside the lattice extent")
         x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
-    positions, frozen = kernels.transport(
+    return kernels.transport(
         stack.values,
         stack.masks,
         x0,
@@ -176,14 +167,13 @@ def integrate_batch(
         forward,
         substep_records,
     )
-    return EnsembleRun(
-        positions=positions,
-        frozen=frozen,
-        direction=direction,
-        substeps=substeps,
-        stack=stack,
-        substep_records=substep_records,
-    )
+
+
+def integrate_batch(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int) -> EnsembleRun:
+    """The run of a batch of positions through the whole stack, kept at its
+    layer boundaries."""
+    positions, frozen = transport_records(stack, x0, direction, substeps)
+    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
 
 
 # ----------------------------------------------------------------------------
@@ -217,8 +207,9 @@ def sample_joint_density(
     First particle's cell from the row-summed marginal, second from the
     conditional row, then uniform placement within both cells.  Draw order:
     cells of particle 1, cells of particle 2, then the two placement batches.
-    The second cell counts the conditional CDF entries strictly below its
-    uniform; each drawn row is searched once for all of its draws.
+    Both cells count the CDF entries at or below their uniform, so no draw
+    lands in a cell without mass; each drawn row is searched once for all
+    of its draws.
     """
     joint = np.asarray(joint, dtype=np.float64)
     n = grid.n_sites
@@ -241,13 +232,13 @@ def sample_joint_density(
     cond = cond / row_tot[:, None]
     cond[:, -1] = 1.0
     u2 = rng.random(count)
-    # A conditional row is nondecreasing, so its left search position is
-    # the count of entries below u2.
+    # A conditional row is nondecreasing, so its right search position is
+    # the count of entries at or below u2.
     i2 = np.empty(count, dtype=np.int64)
     order = np.argsort(i1, kind="stable")
     drawn, first = np.unique(i1[order], return_index=True)
     for row, sel in zip(drawn, np.split(order, first[1:])):
-        i2[sel] = np.searchsorted(cond[row], u2[sel], side="left")
+        i2[sel] = np.searchsorted(cond[row], u2[sel], side="right")
     i2 = np.minimum(i2, n - 1)
     edges = cell_edges(grid)
     x1 = edges[i1] + rng.random(count) * grid.dx

@@ -2,22 +2,22 @@
 
 Three procedures built on the engine and guidance layers:
 
-- anchored_runs: draw configurations from the joint density at one anchor
-  layer, then transport each particle under its own marginal velocity
-  field.  Forward runs anchor at layer 0 and draw from the forward-sample
-  stream; backward runs (the retrocausal reading) anchor at the final layer
-  and draw from the final-sample stream.  The joint correlations enter only
-  through the draw.  The claim under test is statistical: at every layer
-  the ensemble must match that layer's marginal density.
+- anchored_starts / anchored_runs: draw configurations from the joint
+  density at one anchor layer, then transport each particle under its own
+  marginal velocity field.  Forward runs anchor at layer 0 and draw from
+  the forward-sample stream; backward runs (the retrocausal reading) anchor
+  at the final layer and draw from the final-sample stream.  The joint
+  correlations enter only through the draw.  The claim under test is
+  statistical: at every layer the ensemble must match that layer's
+  marginal density.
 
-- superdet_replay: take each run's endpoints as initial conditions and run
-  them the other way through the stack the run went through: `superdet`
-  replays backward runs forward from layer 0, `verify` replays a forward
-  run backward from the final layer.  Because the integrator is
-  deterministic and near-reversible, each replay must retrace its run at
-  every substep, so both keep every substep's record (other runs keep only
-  the layer boundaries); the maximum deviation is the reported figure of
-  merit.
+- superdet_replay: transport anchored starts one way, then run the
+  endpoints back the other way through the same stack: `superdet` replays
+  backward runs forward from layer 0, `verify` replays a forward run
+  backward from the final layer.  The integrator is deterministic and
+  near-reversible, so each replay must retrace its run at every substep;
+  only a round trip keeps every substep's record, and only while it runs.
+  The maximum deviation is the reported figure of merit.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -43,7 +43,8 @@ import numpy as np
 
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
-from .guidance import EnsembleRun, check_direction, integrate_batch, sample_joint_density, velocity_stack
+from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
+from .guidance import sample_joint_density, transport_records, velocity_stack
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
@@ -62,22 +63,16 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 # Anchored runs and superdeterministic replay
 
 
-def anchored_runs(
-    history: WalkHistory,
-    seed: int,
-    count: int,
-    substeps: int,
-    eps_rel: float,
-    direction: str,
-    substep_records: bool = False,
-) -> dict[int, EnsembleRun]:
-    """Sample the anchor layer's joint density, transport each particle from there.
+def anchored_starts(
+    history: WalkHistory, seed: int, count: int, eps_rel: float, direction: str
+) -> dict[int, tuple[VelocityStack, np.ndarray]]:
+    """Each particle's velocity stack and its starts drawn from the anchor
+    layer's joint density.
 
     Forward runs anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs
     at the final layer with STREAM_FINAL_SAMPLE.  Each particle follows the
     velocity field of its own marginal flow, with sites below eps_rel times
-    the peak density masked as nodes.  The runs keep layer-boundary records,
-    or with substep_records every substep's, as superdet_replay needs.
+    the peak density masked as nodes.
     """
     forward = check_direction(direction)
     anchor = 0 if forward else history.n_layers
@@ -85,19 +80,29 @@ def anchored_runs(
         raise ValidationError(f"{direction} runs need the joint table of layer {anchor}; record it with record_joint")
     rng = stream_rng(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
     x1, x2 = sample_joint_density(history.joint[anchor], history.grid, count, rng)
+    return {particle: (velocity_stack(history, particle, eps_rel), x0) for particle, x0 in ((1, x1), (2, x2))}
+
+
+def anchored_runs(
+    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str
+) -> dict[int, EnsembleRun]:
+    """Sample the anchor layer's joint density, transport each particle from
+    there (see anchored_starts)."""
     return {
-        particle: integrate_batch(velocity_stack(history, particle, eps_rel), x0, direction, substeps, substep_records)
-        for particle, x0 in ((1, x1), (2, x2))
+        particle: integrate_batch(stack, x0, direction, substeps)
+        for particle, (stack, x0) in anchored_starts(history, seed, count, eps_rel, direction).items()
     }
 
 
 @dataclass
 class ReplayResult:
-    """Replays compared against the runs they retrace."""
+    """Replays compared against the runs they retrace; runs holds each
+    outbound run at its layer boundaries."""
 
     max_deviation: float
     deviations: dict[int, np.ndarray]
     excluded: dict[int, int]
+    runs: dict[int, EnsembleRun]
 
     @property
     def total_excluded(self) -> int:
@@ -109,44 +114,51 @@ class ReplayResult:
 REPLAY_BLOCK_VALUES = 1 << 16
 
 
-def _round_trip(run: EnsembleRun) -> tuple[np.ndarray, np.ndarray]:
-    """Each trajectory's largest gap between the run and its replay over
-    every substep, and whether neither froze on a node."""
-    opposite = "backward" if run.direction == "forward" else "forward"
-    replay = integrate_batch(run.stack, run.positions[:, -1].copy(), opposite, run.substeps, substep_records=True)
+def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
+    """The outbound run from x0 at its layer boundaries, each trajectory's
+    largest gap between it and its replay over every substep, and whether
+    neither froze on a node."""
+    opposite = "backward" if direction == "forward" else "forward"
+    records, frozen = transport_records(stack, x0, direction, substeps, substep_records=True)
+    back, back_frozen = transport_records(stack, records[:, -1].copy(), opposite, substeps, substep_records=True)
     # Record-major views: replay record k sits at the same time as run
     # record n_rec-1-k.  The gap is folded into a running maximum one block
     # of records at a time, so no temporary spans every record.
-    ours, theirs = replay.positions.T, run.positions.T[::-1]
-    worst = np.full(run.n_trajectories, -np.inf)
-    block = max(1, REPLAY_BLOCK_VALUES // max(1, run.n_trajectories))
+    ours, theirs = back.T, records.T[::-1]
+    worst = np.full(len(frozen), -np.inf)
+    block = max(1, REPLAY_BLOCK_VALUES // max(1, len(frozen)))
     for lo in range(0, ours.shape[0], block):
-        gaps = run.stack.grid.gap(ours[lo : lo + block], theirs[lo : lo + block])
+        gaps = stack.grid.gap(ours[lo : lo + block], theirs[lo : lo + block])
         np.maximum(worst, gaps.max(axis=0), out=worst)
-    return worst, (run.frozen < 0) & (replay.frozen < 0)
+    # Copied, so the kept layer records do not hold the substep records alive.
+    run = EnsembleRun(records.T[::substeps].copy().T, frozen, direction, substeps)
+    return run, worst, (frozen < 0) & (back_frozen < 0)
 
 
-def superdet_replay(runs: dict[int, EnsembleRun]) -> ReplayResult:
-    """Run each run's endpoints back the other way through its own stack and
-    measure path deviation at every substep; each run must keep its substep
-    records.
+def superdet_replay(
+    starts: dict[int, tuple[VelocityStack, np.ndarray]], direction: str, substeps: int
+) -> ReplayResult:
+    """Transport each particle's starts in the given direction, run the
+    endpoints back the other way through the same stack and measure path
+    deviation at every substep.
 
-    Trajectories flagged on a node in either direction are excluded from
-    the deviation statistic; their count is reported instead.
+    One particle's round trip runs at a time, and only it holds every
+    substep's record.  Trajectories flagged on a node in either direction
+    are excluded from the deviation statistic; their count is reported
+    instead.
     """
-    if not all(run.substep_records for run in runs.values()):
-        raise ValidationError("a round trip compares every substep; transport the runs with substep_records")
     deviations = {}
     excluded = {}
+    runs = {}
     top = 0.0
-    for particle, run in runs.items():
-        worst, ok = _round_trip(run)
+    for particle, (stack, x0) in starts.items():
+        runs[particle], worst, ok = _round_trip(stack, x0, direction, substeps)
         excluded[particle] = int(np.sum(~ok))
         dev = np.where(ok, worst, np.nan)
         deviations[particle] = dev
         if np.any(ok):
             top = max(top, float(np.nanmax(dev)))
-    return ReplayResult(max_deviation=top, deviations=deviations, excluded=excluded)
+    return ReplayResult(max_deviation=top, deviations=deviations, excluded=excluded, runs=runs)
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ lists every stream), so artifacts never depend on call order.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.resources
 import json
 import os
@@ -263,27 +264,27 @@ def build_potential(grid: LatticeGrid, spec: dict) -> PotentialField:
 
 
 def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict[int, np.ndarray]:
-    """Joint diagonal phase tables per layer, additive across entries."""
-    out: dict[int, np.ndarray] = {}
+    """Joint diagonal phase tables per layer, additive across entries.
+    Layers under the same entries share one table, summed in entry order."""
+    tables = []
+    active: dict[int, tuple[int, ...]] = {}
     x = grid.positions()
-    for spec in specs:
+    for i, spec in enumerate(specs):
         if spec.get("kind", "window-phase") != "window-phase":
             raise ValidationError(f"unknown coupling kind {spec.get('kind')!r}")
         lo1, hi1 = spec["window1"]
         lo2, hi2 = spec["window2"]
         ind1 = np.repeat((x >= lo1) & (x < hi1), 4).astype(np.float64)
         ind2 = np.repeat((x >= lo2) & (x < hi2), 4).astype(np.float64)
-        table = float(spec["strength"]) * (ind1[:, None] * ind2)
+        tables.append(float(spec["strength"]) * (ind1[:, None] * ind2))
         layers = spec.get("layers", "all")
         layer_list = range(n_layers) if layers == "all" else [int(t) for t in layers]
         for t in layer_list:
             if not 0 <= t < n_layers:
                 raise ValidationError(f"coupling layer {t} out of range")
-            if t in out:
-                out[t] = out[t] + table
-            else:
-                out[t] = table.copy()
-    return out
+            active[t] = active.get(t, ()) + (i,)
+    sums = {entries: functools.reduce(np.add, [tables[i] for i in entries]) for entries in set(active.values())}
+    return {t: sums[entries] for t, entries in active.items()}
 
 
 # ----------------------------------------------------------------------------

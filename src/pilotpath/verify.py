@@ -157,13 +157,13 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         history.joint[0], grid, count, stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
     )
     # The round trip is run at a fixed fine substep count so the bound does
-    # not depend on the scenario's protocol settings.  It compares every
-    # substep, so the run it replays, the scenario's own when that is fine
-    # enough, keeps every substep's record.
+    # not depend on the scenario's protocol settings.  When the scenario's
+    # own run is that fine, the round trip's outbound run is it.
     rev_sub = max(substeps, 32)
-    fwd = integrate_batch(stack, x0, "forward", substeps, substep_records=rev_sub == substeps)
-    fwd_fine = fwd if rev_sub == substeps else integrate_batch(stack, x0, "forward", rev_sub, substep_records=True)
-    replay = superdet_replay({1: fwd_fine})
+    fwd = None if rev_sub == substeps else integrate_batch(stack, x0, "forward", substeps)
+    replay = superdet_replay({1: (stack, x0)}, "forward", rev_sub)
+    if fwd is None:
+        fwd = replay.runs[1]
     kept = count - replay.total_excluded
     if kept:
         report.add(

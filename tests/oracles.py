@@ -309,7 +309,7 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
 def sample_joint_density_gather(joint, grid, count, rng):
     """The sampler's earlier arithmetic: every draw gathers its whole
     conditional CDF row (a count x n_sites table) and counts the entries
-    strictly below its uniform.  Same draws, same order."""
+    at or below its uniform.  Same draws, same order."""
     joint = np.maximum(np.asarray(joint, dtype=np.float64), 0.0)
     n = grid.n_sites
     row_mass = joint.sum(axis=1)
@@ -323,7 +323,7 @@ def sample_joint_density_gather(joint, grid, count, rng):
     cond[:, -1] = 1.0
     u2 = rng.random(count)
     rows = cond[i1]
-    i2 = (rows < u2[:, None]).sum(axis=1)
+    i2 = (rows <= u2[:, None]).sum(axis=1)
     i2 = np.minimum(i2, n - 1)
     edges = cell_edges(grid)
     x1 = edges[i1] + rng.random(count) * grid.dx

@@ -42,6 +42,7 @@ from pilotpath.paths import (
 from pilotpath.protocols import (
     STREAM_FORWARD_SAMPLE,
     anchored_runs,
+    anchored_starts,
     build_tracks,
     detect_crossings,
     stream_rng,
@@ -429,10 +430,8 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
 
 def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
     scn, system, history, _, _ = bundled_runs("entangled-mirror")
-    runs = anchored_runs(
-        history, int(scn["seed"]), 1000, 32, float(scn["protocol"]["eps_node_rel"]), "backward", substep_records=True
-    )
-    replay = superdet_replay(runs)
+    starts = anchored_starts(history, int(scn["seed"]), 1000, float(scn["protocol"]["eps_node_rel"]), "backward")
+    replay = superdet_replay(starts, "backward", 32)
     finite = all(np.all(np.isfinite(replay.deviations[p])) for p in (1, 2))
     ok = replay.max_deviation < 1e-6 and replay.total_excluded == 0 and finite
     announce(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,23 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
         n_records.clear()
         assert run_cli([command, "--scenario", str(path)], tmp_path / "out") == 0, command
         assert n_records == records, command
+
+
+def test_superdet_holds_one_round_trip_at_a_time(tmp_path):
+    """superdet on entangled-mirror (2000 trajectories, 40 layers at 32
+    substeps) holds one particle's outbound and replay records at a time,
+    not both particles' outbound runs as well."""
+    one = 2000 * (40 * 32 + 1) * 8
+    tracemalloc.start()
+    try:
+        code = run_cli(["superdet", "--scenario", "entangled-mirror"], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = read_json(tmp_path, "entangled-mirror", "superdet", "superdet_report.json")
+    assert (report["count"], report["substeps"], report["total_excluded"]) == (2000, 32, 0)
+    assert peak < 2.75 * one
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):

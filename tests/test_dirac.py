@@ -373,7 +373,9 @@ def test_each_step_is_checked_once(monkeypatch):
     monkeypatch.setattr(circuit, "_stencil_deviation", counted)
     system = build_walk(coupled_free_packet())
     assert all(layer.phases is not None for layer in system.layers)
-    assert len({id(layer) for layer in system.layers}) == system.n_layers == 40
+    # One coupling table on every layer: the 40 layers are one CircuitLayer.
+    assert system.n_layers == 40
+    assert len({id(layer) for layer in system.layers}) == 1
     assert len(checked) == 2
 
 
@@ -689,17 +691,18 @@ def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, mo
 
 
 def test_to_circuit_layers_shares_uncoupled_layers():
-    """Uncoupled layers are one CircuitLayer object; each coupled layer is
-    its own."""
+    """Uncoupled layers are one CircuitLayer object, and so are the layers
+    given one coupling table; an equal table of its own is its own layer."""
     grid = LatticeGrid(6, 1.0, 1.0)
     step1 = build_dirac_step(grid, 0.2, 0.0)
     step2 = build_dirac_step(grid, 0.4, 0.0)
     phases = np.zeros((24, 24))
-    layers = to_circuit_layers(step1, step2, 6, {1: phases, 2: phases})
-    assert [layer.phases is None for layer in layers] == [True, False, False, True, True, True]
-    assert layers[0] is layers[3] is layers[4] is layers[5]
+    layers = to_circuit_layers(step1, step2, 6, {1: phases, 2: phases, 4: phases.copy()})
+    assert [layer.phases is None for layer in layers] == [True, False, False, True, False, True]
+    assert layers[0] is layers[3] is layers[5]
+    assert layers[1] is layers[2]
+    assert layers[4] is not layers[1]
     assert len({id(layer) for layer in layers}) == 3
-    assert layers[1] is not layers[2]
     assert layers[0].u_b is step2 and layers[1].u_b is step2
     assert to_circuit_layers(step1, step2, 0) == []
     with pytest.raises(ValidationError, match="run's grid"):

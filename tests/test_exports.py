@@ -32,23 +32,16 @@ def test_currents_csv_renders_shortest_round_trip_floats(tmp_path):
 
 def test_trajectories_csv_flags_a_backward_freeze_from_its_layer(tmp_path):
     # Two layers at two substeps: a backward run's record 0 is layer 2 and
-    # record 4 is layer 0.  Trajectory 1 froze at record 1, which the run
+    # record 2 is layer 0.  Trajectory 1 froze at substep 1, which the run
     # passes between layers 2 and 1.
     positions = np.array(
         [
-            [0.5, 0.4, 0.30000000000000004, 0.2, 0.1],
-            [1e-300, 1e-300, 1e-300, 1e-300, 1e-300],
-            [-0.0, 0.25, 0.5, 0.75, 1.0],
+            [0.5, 0.30000000000000004, 0.1],
+            [1e-300, 1e-300, 1e-300],
+            [-0.0, 0.5, 1.0],
         ]
     )
-    run = EnsembleRun(
-        positions=positions,
-        frozen=np.array([-1, 1, -1]),
-        direction="backward",
-        substeps=2,
-        stack=None,
-        substep_records=True,
-    )
+    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1, -1]), direction="backward", substeps=2)
     text = _written(tmp_path, exports.write_trajectories_csv, run)
     assert text == (
         "trajectory_id,layer,position,node_flag\n"

@@ -20,6 +20,7 @@ from pilotpath.guidance import (
     integrate_batch,
     ks_statistic,
     sample_joint_density,
+    transport_records,
     velocity_stack,
 )
 from pilotpath.scenario import build_walk, load_scenario
@@ -101,10 +102,10 @@ def test_transport_is_deterministic():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 40)
-    a = integrate_batch(stack, x0, "forward", 4, substep_records=True)
-    b = integrate_batch(stack, x0, "forward", 4, substep_records=True)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.frozen, b.frozen)
+    a = transport_records(stack, x0, "forward", 4, substep_records=True)
+    b = transport_records(stack, x0, "forward", 4, substep_records=True)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_one_dimensional_flow_preserves_ordering():
@@ -112,10 +113,11 @@ def test_one_dimensional_flow_preserves_ordering():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.sort(make_rng(50).uniform(4.0, 10.0, 60))
-    run = integrate_batch(stack, x0, "forward", 8, substep_records=True)
-    assert run.n_flagged == 0
-    for rec in range(run.positions.shape[1]):
-        col = run.positions[:, rec]
+    records, frozen = transport_records(stack, x0, "forward", 8, substep_records=True)
+    assert records.shape == (60, 8 * hist.n_layers + 1)
+    assert np.all(frozen < 0)
+    for rec in range(records.shape[1]):
+        col = records[:, rec]
         assert np.all(np.diff(col) > -1e-9)
 
 
@@ -132,36 +134,37 @@ def test_round_trip_returns_to_the_start():
 def test_trajectory_and_run_bookkeeping():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    run = integrate_batch(stack, np.array([6.0, 7.0]), "forward", 4, substep_records=True)
+    x0 = np.array([6.0, 7.0])
+    run = integrate_batch(stack, x0, "forward", 4)
+    fine, _ = transport_records(stack, x0, "forward", 4, substep_records=True)
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
-    assert run.positions.shape == (2, 17)
-    assert np.array_equal(run.layer_positions(0), run.positions[:, 0])
-    assert np.array_equal(run.layer_positions(3), run.positions[:, 12])
+    assert run.positions.shape == (2, 5) and fine.shape == (2, 17)
+    assert np.array_equal(run.layer_positions(0), fine[:, 0])
+    assert np.array_equal(run.layer_positions(3), run.positions[:, 3])
+    assert np.array_equal(run.layer_positions(3), fine[:, 12])
 
 
 def test_backward_run_reads_layers_in_reverse():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4, substep_records=True)
+    x0 = np.array([7.0, 8.0])
+    run = integrate_batch(stack, x0, "backward", 4)
+    fine, _ = transport_records(stack, x0, "backward", 4, substep_records=True)
     assert run.direction == "backward"
-    # record 0 is the final layer; layer k sits at record (4 - k) * substeps
+    # record 0 is the final layer; layer k sits at record 4 - k, which is
+    # substep record (4 - k) * substeps
     assert np.array_equal(run.layer_positions(4), run.positions[:, 0])
-    assert np.array_equal(run.layer_positions(0), run.positions[:, 16])
+    assert np.array_equal(run.layer_positions(1), run.positions[:, 3])
+    assert np.array_equal(run.layer_positions(0), fine[:, 16])
 
 
-def test_run_reads_its_layers_and_freezes_from_its_own_records():
-    # Five records at two substeps: two layers.  Trajectory 1 froze at
-    # record 1, between the backward run's layers 2 and 1.
-    positions = np.arange(10, dtype=np.float64).reshape(2, 5)
-    run = EnsembleRun(
-        positions=positions,
-        frozen=np.array([-1, 1]),
-        direction="backward",
-        substeps=2,
-        stack=None,
-        substep_records=True,
-    )
+def test_layer_record_run_reads_the_same_layers_and_freezes():
+    """A two-layer backward run at two substeps, kept at its layer
+    boundaries: frozen counts substeps, so trajectory 1, frozen at substep
+    1 (between the run's layers 2 and 1), is flagged from layer 1."""
+    positions = np.arange(10, dtype=np.float64).reshape(2, 5)[:, ::2]
+    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2)
     assert run.n_layers == 2
     assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
     assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
@@ -171,36 +174,19 @@ def test_run_reads_its_layers_and_freezes_from_its_own_records():
         run.layer_flags(-1)
 
 
-def test_layer_record_run_reads_the_same_layers_and_freezes():
-    """The same two-layer backward run kept at its layer boundaries only:
-    frozen still counts substeps, so trajectory 1 is flagged from layer 1."""
-    positions = np.arange(10, dtype=np.float64).reshape(2, 5)[:, ::2]
-    run = EnsembleRun(
-        positions=positions,
-        frozen=np.array([-1, 1]),
-        direction="backward",
-        substeps=2,
-        stack=None,
-        substep_records=False,
-    )
-    assert run.n_layers == 2
-    assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
-    assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
-
-
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_batch_keeps_layer_records_unless_asked(direction):
+    """A run holds the substep run's layer-boundary records, bit for bit,
+    and its freeze indices."""
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 12)
-    fine = integrate_batch(stack, x0, direction, 4, substep_records=True)
+    fine, fine_frozen = transport_records(stack, x0, direction, 4, substep_records=True)
     run = integrate_batch(stack, x0, direction, 4)
-    assert not run.substep_records and fine.substep_records
-    assert run.positions.shape == (12, 5) and fine.positions.shape == (12, 17)
-    assert run.n_layers == fine.n_layers == 4
-    for t in range(5):
-        assert np.array_equal(run.layer_positions(t), fine.layer_positions(t))
-        assert np.array_equal(run.layer_flags(t), fine.layer_flags(t))
+    assert run.positions.shape == (12, 5) and fine.shape == (12, 17)
+    assert run.n_layers == 4
+    assert np.array_equal(run.positions, fine[:, ::4])
+    assert np.array_equal(run.frozen, fine_frozen)
 
 
 def test_equivariance_rejects_a_stack_of_other_depth():
@@ -216,9 +202,9 @@ def test_equivariance_rejects_a_stack_of_other_depth():
 def test_periodic_starts_are_canonicalized():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    base = integrate_batch(stack, np.array([6.0]), "forward", 4, substep_records=True)
-    wrapped = integrate_batch(stack, np.array([6.0 + grid.extent]), "forward", 4, substep_records=True)
-    assert np.array_equal(base.positions, wrapped.positions)
+    base, _ = transport_records(stack, np.array([6.0]), "forward", 4, substep_records=True)
+    wrapped, _ = transport_records(stack, np.array([6.0 + grid.extent]), "forward", 4, substep_records=True)
+    assert np.array_equal(base, wrapped)
 
 
 def test_direction_argument_is_validated():
@@ -295,9 +281,9 @@ class FixedUniforms:
 
 def test_joint_sampling_ties_go_to_the_cell_after_the_equal_cdf_entries():
     """Rows with zero cells hold runs of equal CDF entries.  A uniform equal
-    to one counts only the entries strictly below it: u2 = 0.25 on the row
-    [0, .25, .25, .25, .5, .5, 1, 1] lands in cell 1, where the first 0.25
-    is reached."""
+    to one counts every entry at or below it: u2 = 0.25 on the row
+    [0, .25, .25, .25, .5, .5, 1, 1] lands in cell 4, after the last 0.25,
+    and u2 = 0.0 in cell 1, never in a cell without mass."""
     grid = LatticeGrid(8, 1.0, 1.0)
     joint = np.zeros((8, 8))
     joint[3] = [0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0]
@@ -308,7 +294,9 @@ def test_joint_sampling_ties_go_to_the_cell_after_the_equal_cdf_entries():
     got = sample_joint_density(joint, grid, 8, FixedUniforms(u1, u2, place, place))
     want = sample_joint_density_gather(joint, grid, 8, FixedUniforms(u1, u2, place, place))
     cells = np.floor(got[1] + 0.5).astype(int)
-    assert cells.tolist() == [0, 1, 4, 6, 0, 0, 7, 7]
+    assert cells.tolist() == [1, 4, 6, 6, 0, 7, 7, 7]
+    rows = np.floor(got[0] + 0.5).astype(int)
+    assert np.all(joint[rows, cells] > 0)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 

@@ -8,7 +8,14 @@ import pytest
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
-from pilotpath.guidance import EnsembleRun, equivariance_test, integrate_batch, sample_joint_density, velocity_stack
+from pilotpath.guidance import (
+    EnsembleRun,
+    equivariance_test,
+    integrate_batch,
+    sample_joint_density,
+    transport_records,
+    velocity_stack,
+)
 from pilotpath.protocols import (
     EVENT_COLUMNS,
     REPLAY_BLOCK_VALUES,
@@ -20,6 +27,7 @@ from pilotpath.protocols import (
     TrackSet,
     _label_with_wrap,
     anchored_runs,
+    anchored_starts,
     build_tracks,
     detect_crossings,
     stream_rng,
@@ -75,7 +83,15 @@ def test_stream_constants_are_distinct():
 
 
 def backward_runs(history, seed, count, substeps=4):
-    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward", substep_records=True)
+    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward")
+
+
+def substep_runs(starts, direction, substeps):
+    """Each particle's (records, frozen) at every substep from the given starts."""
+    return {
+        particle: transport_records(stack, x0, direction, substeps, substep_records=True)
+        for particle, (stack, x0) in starts.items()
+    }
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -103,16 +119,19 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
     scn, system, history = no_overlap
     anchor = 0 if direction == "forward" else history.n_layers
     x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
+    starts = anchored_starts(history, scn["seed"], 50, EPS_NODE_REL, direction)
     runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction)
-    assert set(runs) == {1, 2}
+    assert set(runs) == set(starts) == {1, 2}
     for particle, x0 in ((1, x1), (2, x2)):
+        stack, start = starts[particle]
+        assert np.array_equal(start, x0)
+        own = velocity_stack(history, particle, EPS_NODE_REL)
+        assert np.array_equal(stack.values, own.values) and np.array_equal(stack.masks, own.masks)
         run = runs[particle]
         assert run.direction == direction
         assert run.positions.shape == (50, history.n_layers + 1)
         assert np.array_equal(run.positions[:, 0], x0)
         assert np.array_equal(run.layer_positions(anchor), x0)
-        stack = velocity_stack(history, particle, EPS_NODE_REL)
-        assert np.array_equal(run.stack.values, stack.values) and np.array_equal(run.stack.masks, stack.masks)
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
@@ -129,12 +148,13 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
     scn, system, history = no_overlap
-    a = backward_runs(history, 31, 40)
-    b = backward_runs(history, 31, 40)
-    assert np.array_equal(a[1].positions[:, 0], b[1].positions[:, 0])
-    assert np.array_equal(a[2].positions, b[2].positions)
+    a = substep_runs(anchored_starts(history, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
+    b = substep_runs(anchored_starts(history, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
+    assert np.array_equal(a[1][0][:, 0], b[1][0][:, 0])
+    assert np.array_equal(a[2][0], b[2][0])
+    assert a[2][0].shape == (40, 4 * history.n_layers + 1)
     c = backward_runs(history, 32, 40)
-    assert not np.array_equal(a[1].positions[:, 0], c[1].positions[:, 0])
+    assert not np.array_equal(a[1][0][:, 0], c[1].positions[:, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -151,25 +171,18 @@ def test_motionless_state_replays_exactly():
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
     history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
-    runs = backward_runs(history, 99, 150)
-    replay = superdet_replay(runs)
+    starts = anchored_starts(history, 99, 150, EPS_NODE_REL, "backward")
+    replay = superdet_replay(starts, "backward", 4)
     assert replay.max_deviation == 0.0
     assert replay.total_excluded == 0
-    moved = np.abs(runs[1].positions - runs[1].positions[:, :1])
+    records, _ = substep_runs(starts, "backward", 4)[1]
+    moved = np.abs(records - records[:, :1])
     assert float(np.max(moved)) == 0.0
-
-
-def test_replay_rejects_a_run_without_substep_records(no_overlap):
-    scn, _, history = no_overlap
-    runs = anchored_runs(history, scn["seed"], 20, 4, EPS_NODE_REL, "backward")
-    assert runs[1].positions.shape == (20, history.n_layers + 1)
-    with pytest.raises(ValidationError, match="substep"):
-        superdet_replay(runs)
 
 
 def test_moving_packets_replay_within_tolerance():
     scn, system, history = scenario_history("entangled-mirror")
-    replay = superdet_replay(backward_runs(history, scn["seed"], 200, substeps=32))
+    replay = superdet_replay(anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "backward"), "backward", 32)
     assert replay.total_excluded == 0
     assert replay.max_deviation < 1e-6
     assert set(replay.deviations) == {1, 2}
@@ -183,8 +196,7 @@ def test_forward_runs_replay_backward_within_tolerance():
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    runs = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward", substep_records=True)
-    replay = superdet_replay(runs)
+    replay = superdet_replay(anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward"), "forward", 32)
     assert replay.total_excluded == 0
     assert replay.max_deviation < 1e-6
     for particle in (1, 2):
@@ -197,13 +209,14 @@ def test_replay_deviation_is_the_largest_gap_over_every_record():
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    run = anchored_runs(history, scn["seed"], 200, 32, EPS_NODE_REL, "forward", substep_records=True)[1]
-    n_rec = run.positions.shape[1]
+    stack, x0 = anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward")[1]
+    records, _ = transport_records(stack, x0, "forward", 32, substep_records=True)
+    n_rec = records.shape[1]
     block = REPLAY_BLOCK_VALUES // 200
     assert n_rec > 2 * block and n_rec % block
-    replay = integrate_batch(run.stack, run.positions[:, -1], "backward", 32, substep_records=True)
-    gaps = system.grid.gap(replay.positions, run.positions[:, ::-1])
-    result = superdet_replay({1: run})
+    back, _ = transport_records(stack, records[:, -1], "backward", 32, substep_records=True)
+    gaps = system.grid.gap(back, records[:, ::-1])
+    result = superdet_replay({1: (stack, x0)}, "forward", 32)
     assert result.total_excluded == 0
     assert np.array_equal(result.deviations[1], gaps.max(axis=1))
     # Some trajectories are worst in the last block only.
@@ -211,23 +224,44 @@ def test_replay_deviation_is_the_largest_gap_over_every_record():
     assert np.any(gaps[:, last:].max(axis=1) > gaps[:, :last].max(axis=1))
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
+    """With freezes at the start, inside segments and not at all, a run
+    holds the substep run's layer-boundary records and freeze indices bit
+    for bit, and a round trip's outbound run is that run."""
+    scn, _, history = no_overlap
+    starts = anchored_starts(history, scn["seed"], 200, 0.05, direction)
+    replay = superdet_replay(starts, direction, 8)
+    for particle, (stack, x0) in starts.items():
+        records, frozen = transport_records(stack, x0, direction, 8, substep_records=True)
+        assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0)) and np.any(frozen < 0)
+        run = integrate_batch(stack, x0, direction, 8)
+        assert np.array_equal(run.positions, records[:, ::8])
+        assert np.array_equal(run.frozen, frozen)
+        kept = replay.runs[particle]
+        assert (kept.direction, kept.substeps) == (direction, 8)
+        assert np.array_equal(kept.positions, run.positions)
+        assert np.array_equal(kept.frozen, run.frozen)
+
+
 def test_round_trip_memory_stays_near_the_replays_records():
-    """The replay compares records block by block: beyond its own records
-    it allocates a quarter of their size at most, not full-size gaps."""
+    """A round trip holds its outbound run's and its replay's substep
+    records and compares them block by block: beyond those two arrays it
+    allocates a quarter of one at most, not full-size gaps."""
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    runs = anchored_runs(history, scn["seed"], 2000, 32, EPS_NODE_REL, "forward", substep_records=True)
-    run = runs[1]
-    assert run.positions.shape == (2000, system.n_layers * 32 + 1)
+    starts = anchored_starts(history, scn["seed"], 2000, EPS_NODE_REL, "forward")
+    one = 2000 * (system.n_layers * 32 + 1) * 8
     tracemalloc.start()
     try:
-        replay = superdet_replay({1: run})
+        replay = superdet_replay({1: starts[1]}, "forward", 32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert replay.total_excluded == 0
-    assert peak < 1.25 * run.positions.nbytes
+    assert replay.runs[1].positions.shape == (2000, system.n_layers + 1)
+    assert peak < 2.25 * one
 
 
 # ----------------------------------------------------------------------------
@@ -471,8 +505,6 @@ def site_run(sites, direction="forward"):
         frozen=np.full(positions.shape[0], -1),
         direction=direction,
         substeps=1,
-        stack=None,
-        substep_records=True,
     )
 
 

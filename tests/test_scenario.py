@@ -313,6 +313,28 @@ def test_couplings_add_and_spread_over_layers():
         build_couplings(grid, [dict(one, kind="spring")], n_layers=2)
 
 
+def test_layers_under_the_same_couplings_share_one_table():
+    """Overlapping entries: layers under the same entries hold one table,
+    equal bit for bit to the per-layer sum in entry order."""
+    grid = LatticeGrid(8, 1.0, 1.0)
+    a = {"window1": [0.0, 4.0], "window2": [0.0, 4.0], "strength": 0.1}
+    b = dict(a, strength=0.2, layers=[1, 2, 4])
+    c = dict(a, window2=[2.0, 6.0], strength=0.3, layers=[2])
+    tables = build_couplings(grid, [a, b, c], n_layers=5)
+    assert sorted(tables) == [0, 1, 2, 3, 4]
+    assert tables[0] is tables[3] and tables[1] is tables[4]
+    assert len({id(t) for t in tables.values()}) == 3
+    ta, tb, tc = (build_couplings(grid, [dict(spec, layers=[0])], n_layers=1)[0] for spec in (a, b, c))
+    assert np.array_equal(tables[0], ta)
+    assert np.array_equal(tables[1], ta + tb)
+    assert np.array_equal(tables[2], (ta + tb) + tc)
+    # The order shows in the bits: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3).
+    assert tables[2].max() == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    built = build_walk(dict(load_scenario("free-packet"), couplings=[a, b, c], n_layers=5))
+    assert len({id(layer) for layer in built.layers}) == 3
+    assert built.layers[1] is built.layers[4] and built.layers[1] is not built.layers[2]
+
+
 # ----------------------------------------------------------------------------
 # Built systems
 
