@@ -88,6 +88,12 @@ def _anchored_runs(scn: dict, history, direction: str):
     )
 
 
+def retro_run(system):
+    """The walk with its final joint table, where `retro` and `superdet`
+    anchor their backward ensembles."""
+    return _walk_history(system, record_joint={system.n_layers})
+
+
 def _ensemble_summary(scn: dict, out: str, runs, history):
     """Per-particle KS against the walk's marginals and flag counts, with each
     particle's trajectory CSV; returns the summary and the worst layer KS over
@@ -188,15 +194,14 @@ def _guide(scn: dict, system, args, out: str):
 
 
 def _retro(scn: dict, system, args, out: str):
-    history = _walk_history(system, record_joint={system.n_layers})
+    history = retro_run(system)
     summary, worst = _ensemble_summary(scn, out, _anchored_runs(scn, history, "backward"), history)
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
 def _superdet(scn: dict, system, args, out: str):
     p = scn["protocol"]
-    history = _walk_history(system, record_joint={system.n_layers})
-    starts = anchored_starts(history, int(scn["seed"]), int(p["count"]), float(p["eps_node_rel"]), "backward")
+    starts = anchored_starts(retro_run(system), int(scn["seed"]), int(p["count"]), float(p["eps_node_rel"]), "backward")
     replay = superdet_replay(starts, "backward", int(p["substeps"]))
     report = {
         "max_deviation": replay.max_deviation,
