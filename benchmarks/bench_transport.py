@@ -20,13 +20,14 @@ import numpy as np
 from pilotpath import kernels
 
 
-def synth_tables(n_layers: int, n_sites: int, seed: int):
-    """Layered drift field with a thin masked node band, no engine needed."""
-    rng = np.random.default_rng(seed)
+def synth_tables(n_layers: int, n_sites: int):
+    """Layered drift field with a node-masked band of two sites at mid-ring,
+    no engine needed."""
     x = np.arange(n_sites) / n_sites
     t = np.arange(n_layers + 1)[:, None] / max(n_layers, 1)
     values = 0.8 * np.sin(2.0 * np.pi * (x[None, :] + 0.07 * t)) + 0.1
-    masks = rng.random((n_layers + 1, n_sites)) < 0.02
+    masks = np.zeros(values.shape, dtype=bool)
+    masks[:, n_sites // 2 : n_sites // 2 + 2] = True
     values[masks] = 0.0
     return values, masks
 
@@ -40,7 +41,7 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    values, masks = synth_tables(args.layers, args.sites, seed=99)
+    values, masks = synth_tables(args.layers, args.sites)
     rng = np.random.default_rng(7)
     x0 = rng.uniform(0.0, float(args.sites), args.count)
     steps = args.count * args.layers * args.substeps

@@ -128,14 +128,17 @@ def transport_records(
     direction: str,
     substeps: int,
     substep_records: bool = False,
+    fold=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transport a batch of positions through the whole stack.
 
     Backward runs start at the last layer and walk the same fields with a
     negated time increment.  Returns kernels.transport's (records, frozen):
     a record at every layer boundary, or with substep_records at every
-    substep, as a round trip needs.  Deterministic: the same inputs give
-    the same positions and freeze indices bit for bit.
+    substep, as a round trip's outbound run needs; fold sees every
+    substep's record one segment at a time, as its replay needs (see
+    kernels.transport).  Deterministic: the same inputs give the same
+    positions and freeze indices bit for bit.
     """
     forward = check_direction(direction)
     if substeps < 1:
@@ -166,6 +169,7 @@ def transport_records(
         substeps,
         forward,
         substep_records,
+        fold,
     )
 
 

@@ -23,6 +23,9 @@ Arithmetic:
     moving record, which is x0 itself when it froze at record 0;
   - only the layer-boundary records are kept unless every substep's is
     asked for; the freeze index counts substeps either way;
+  - a fold callable sees every substep's record without an array that
+    spans them: each segment's records are written into one reused
+    (substeps, n) block, handed over once the segment has finished;
   - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
     first substep, and every substep's result is wrapped again;
   - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
@@ -106,6 +109,7 @@ def transport(
     substeps: int,
     forward: bool,
     substep_records: bool = False,
+    fold=None,
 ):
     """Transport a batch of positions through the full field stack.
 
@@ -118,6 +122,12 @@ def transport(
     where trajectory i froze on a node, or -1.  records is the transpose of
     a C-ordered (n_rec, n) array, so each record is written as one
     contiguous row and a record index reads contiguous memory.
+
+    fold, if given, is called as fold(first, block) with every substep's
+    records, first = record 0 (x0, a (1, n) block), then once per finished
+    segment with its (substeps, n) block of records first .. first +
+    substeps - 1.  A block is reused, so fold must not keep it.  A folded
+    run still returns the layer-boundary records only.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
@@ -133,12 +143,19 @@ def transport(
         raise ValidationError(
             f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
         )
+    if substep_records and fold is not None:
+        raise ValidationError("a folded transport keeps its layer-boundary records only")
     # Substeps from one kept record to the next.
     stride = 1 if substep_records else substeps
     n_rec = n_layers * substeps // stride + 1
     records = np.empty((n_rec, n), dtype=np.float64)
     frozen = np.full(n, -1, dtype=np.int64)
     records[0] = x0
+    # A folded run writes every substep's record into one segment's block.
+    block = None
+    if fold is not None:
+        block = np.empty((substeps, n), dtype=np.float64)
+        fold(0, records[:1])
     half = 0.5 * h
     sixth = h / 6.0
     inv_dx = 1.0 / dx
@@ -173,13 +190,18 @@ def transport(
         if not bad.any():
             bad = None
         for j, lo in enumerate(starts):
-            rows = records[:, lo : lo + CHUNK]
+            first = records[0, lo : lo + CHUNK]
             fro = frozen[lo : lo + CHUNK]
             u = us[j]
             rec = seg * substeps
             for s in range(substeps):
                 rec += 1
-                out = rows[rec // stride] if rec % stride == 0 else None
+                if block is not None:
+                    out = block[s, lo : lo + CHUNK]
+                elif rec % stride == 0:
+                    out = records[rec // stride, lo : lo + CHUNK]
+                else:
+                    out = None
                 k1, b1 = _stage(left[s, 0], slope[s, 0], bad, u, mode, offset)
                 k2, b2 = _stage(left[s, 1], slope[s, 1], bad, u + half * k1, mode, offset)
                 k3, b3 = _stage(left[s, 1], slope[s, 1], bad, u + half * k2, mode, offset)
@@ -221,6 +243,9 @@ def transport(
                     # whose record is x_min + u*dx, or x0 if that is record 0.
                     np.multiply(u, dx, out=out)
                     out += x_min
-                    np.copyto(out, rows[0], where=fro == 0)
+                    np.copyto(out, first, where=fro == 0)
             us[j] = u
+        if block is not None:
+            records[seg + 1] = block[-1]
+            fold(seg * substeps + 1, block)
     return records.T, frozen

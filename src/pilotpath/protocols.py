@@ -15,9 +15,11 @@ Three procedures built on the engine and guidance layers:
   endpoints back the other way through the same stack: `superdet` replays
   backward runs forward from layer 0, `verify` replays a forward run
   backward from the final layer.  The integrator is deterministic and
-  near-reversible, so each replay must retrace its run at every substep;
-  only a round trip keeps every substep's record, and only while it runs.
-  The maximum deviation is the reported figure of merit.
+  near-reversible, so each replay must retrace its run at every substep.
+  Only a round trip's outbound run keeps every substep's record, and only
+  while it runs; the replay hands its records over one segment at a time
+  and is compared there.  The maximum deviation is the reported figure of
+  merit.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -97,7 +99,13 @@ def anchored_runs(
 @dataclass
 class ReplayResult:
     """Replays compared against the runs they retrace; runs holds each
-    outbound run at its layer boundaries."""
+    outbound run at its layer boundaries.
+
+    runs stays because verify reads it: at 32 or more substeps (as on
+    entangled-mirror) verify's round trip runs at the scenario's own
+    substeps, so verify reads replay.runs[1] layer by layer instead of
+    making a second transport.
+    """
 
     max_deviation: float
     deviations: dict[int, np.ndarray]
@@ -109,29 +117,28 @@ class ReplayResult:
         return sum(self.excluded.values())
 
 
-# Positions compared at a time in a round trip, whole records per block:
-# each temporary of the gap then takes about 512 KiB.
-REPLAY_BLOCK_VALUES = 1 << 16
-
-
 def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
     """The outbound run from x0 at its layer boundaries, each trajectory's
     largest gap between it and its replay over every substep, and whether
     neither froze on a node."""
     opposite = "backward" if direction == "forward" else "forward"
     records, frozen = transport_records(stack, x0, direction, substeps, substep_records=True)
-    back, back_frozen = transport_records(stack, records[:, -1].copy(), opposite, substeps, substep_records=True)
-    # Record-major views: replay record k sits at the same time as run
-    # record n_rec-1-k.  The gap is folded into a running maximum one block
-    # of records at a time, so no temporary spans every record.
-    ours, theirs = back.T, records.T[::-1]
+    # Record-major: replay record k sits at the same time as run record
+    # n_rec-1-k.  The replay hands over its records one segment at a time,
+    # and each block's gaps go into a running maximum, so only the outbound
+    # run keeps every substep's record.
+    theirs = records.T
+    n_rec = theirs.shape[0]
     worst = np.full(len(frozen), -np.inf)
-    block = max(1, REPLAY_BLOCK_VALUES // max(1, len(frozen)))
-    for lo in range(0, ours.shape[0], block):
-        gaps = stack.grid.gap(ours[lo : lo + block], theirs[lo : lo + block])
+
+    def fold(first, block):
+        top = n_rec - first
+        gaps = stack.grid.gap(block, theirs[top - len(block) : top][::-1])
         np.maximum(worst, gaps.max(axis=0), out=worst)
+
+    _, back_frozen = transport_records(stack, records[:, -1].copy(), opposite, substeps, fold=fold)
     # Copied, so the kept layer records do not hold the substep records alive.
-    run = EnsembleRun(records.T[::substeps].copy().T, frozen, direction, substeps)
+    run = EnsembleRun(theirs[::substeps].copy().T, frozen, direction, substeps)
     return run, worst, (frozen < 0) & (back_frozen < 0)
 
 

@@ -169,9 +169,10 @@ def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path)
 @pytest.mark.parametrize("substeps", [4, 32])
 def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, monkeypatch):
     """guide, retro and tracks transport one record per layer boundary; the
-    runs superdet and verify replay, and the replays, keep every substep.
-    When the scenario's substeps already reach verify's 32, its one forward
-    run is the replayed run, not a second transport."""
+    runs superdet and verify replay keep every substep, and their replays,
+    which see every substep one segment at a time, keep the layer
+    boundaries.  When the scenario's substeps already reach verify's 32, its
+    one forward run is the replayed run, not a second transport."""
     with open(scenario_file, encoding="utf-8") as fh:
         scn = json.load(fh)
     scn["protocol"]["substeps"] = substeps
@@ -192,8 +193,8 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
         "guide": [layers] * 2,
         "retro": [layers] * 2,
         "tracks": [layers] * 2,
-        "superdet": [fine] * 4,
-        "verify": [fine, 3 * 32 + 1] if substeps == 32 else [layers, 3 * 32 + 1, 3 * 32 + 1],
+        "superdet": [fine, layers] * 2,
+        "verify": [fine, layers] if substeps == 32 else [layers, 3 * 32 + 1, layers],
     }
     for command, records in expected.items():
         n_records.clear()
@@ -203,8 +204,8 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
 
 def test_superdet_holds_one_round_trip_at_a_time(tmp_path):
     """superdet on entangled-mirror (2000 trajectories, 40 layers at 32
-    substeps) holds one particle's outbound and replay records at a time,
-    not both particles' outbound runs as well."""
+    substeps) holds one particle's outbound substep records at a time: not
+    its replay's as well, nor both particles' outbound runs."""
     one = 2000 * (40 * 32 + 1) * 8
     tracemalloc.start()
     try:
@@ -215,7 +216,7 @@ def test_superdet_holds_one_round_trip_at_a_time(tmp_path):
     assert code == 0
     report = read_json(tmp_path, "entangled-mirror", "superdet", "superdet_report.json")
     assert (report["count"], report["substeps"], report["total_excluded"]) == (2000, 32, 0)
-    assert peak < 2.75 * one
+    assert peak < 1.5 * one
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):

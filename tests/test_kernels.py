@@ -283,9 +283,11 @@ def transport_cases(draw):
 @given(case=transport_cases(), chunk=st.sampled_from([1, 5, 8192]))
 def test_transport_properties(case, chunk):
     values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
+    blocks = []
     with mock.patch.object(kernels, "CHUNK", chunk):
         records, frozen = kernels.transport(*case, substep_records=True)
         layers, layer_frozen = kernels.transport(*case)
+        folded, folded_frozen = kernels.transport(*case, fold=lambda first, block: blocks.append((first, block.copy())))
     ref_records, ref_frozen = transport_reference(*case)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)
@@ -293,6 +295,13 @@ def test_transport_properties(case, chunk):
     substeps = case[-2]
     assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
     assert np.array_equal(layer_frozen, frozen)
+    # A fold sees record 0, then each segment's substep records in order,
+    # bit for bit, and the run still returns its layer records.
+    firsts = [first for first, _ in blocks]
+    assert firsts == [0] + list(range(1, records.shape[1], substeps))
+    assert np.array_equal(bits(np.concatenate([block for _, block in blocks]).T), bits(records))
+    assert np.array_equal(bits(folded), bits(layers))
+    assert np.array_equal(folded_frozen, frozen)
     assert np.array_equal(records[:, 0], x0)
     moved = records[frozen != 0, 1:]
     if periodic:
@@ -413,6 +422,14 @@ def test_transport_rejects_non_finite_tables_and_starts(bad):
         kernels.transport(poisoned, masks, x0, 0.0, 1.0, 8.0, True, 1.0, 2, True)
     with pytest.raises(ValidationError):
         kernels.transport(values, masks, np.array([1.0, bad]), 0.0, 1.0, 8.0, False, 1.0, 2, True)
+
+
+def test_a_folded_transport_keeps_layer_records_only():
+    values, masks = random_stack(make_rng(3))
+    with pytest.raises(ValidationError, match="layer-boundary records only"):
+        kernels.transport(
+            values, masks, np.array([4.0]), 0.0, 1.0, 24.0, True, 0.5, 4, True, substep_records=True, fold=print
+        )
 
 
 def test_transport_rejects_a_stage_beyond_the_ring_limit():

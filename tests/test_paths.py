@@ -20,8 +20,10 @@ from pilotpath.dirac import (
     phase_matrices,
     to_circuit_layers,
 )
-from pilotpath.errors import ResourceCapError, ValidationError
+from pilotpath.errors import PilotPathError, ResourceCapError, ValidationError
 from pilotpath.paths import (
+    OVERLAP_DIAG_TOL,
+    OVERLAP_HERM_TOL,
     PathCaps,
     PathContext,
     direct_state,
@@ -30,6 +32,7 @@ from pilotpath.paths import (
     path_sum_current,
     path_sum_density,
     path_sum_marginal,
+    _settle_gram,
 )
 
 from pilotpath.scenario import build_walk, load_scenario
@@ -386,6 +389,29 @@ def test_overlap_gram_structure():
         assert np.max(np.abs(gram - gram.conj().T)) == 0.0
         assert np.max(np.abs(gram)) <= 1.0 + 1e-12
     assert seen_pairs == ensemble.pair_count
+
+
+def test_settle_gram_rejects_each_defect_past_its_tolerance():
+    """Each Gram identity fails just past its tolerance, with its own
+    message; a Gram just inside every tolerance comes back with an exact
+    unit diagonal and exact Hermitian symmetry."""
+    base = np.array([[1.0, 0.6 + 0.8j], [0.6 - 0.8j, 1.0]])
+    asym = base.copy()
+    asym[0, 1] += 1.5 * OVERLAP_HERM_TOL
+    diag = base.copy()
+    diag[1, 1] += 1.5 * OVERLAP_DIAG_TOL
+    big = np.array([[1.0, 1.0 + 1.5e-12], [1.0 + 1.5e-12, 1.0]])
+    cases = [(asym, "conjugate symmetry off by"), (diag, "unit diagonal off by"), (big, "overlap magnitude .* exceeds one")]
+    for gram, message in cases:
+        with pytest.raises(PilotPathError, match=f"^endpoint \\(3, 1\\): {message}"):
+            _settle_gram(gram, "endpoint (3, 1)")
+    near = np.array(
+        [[1.0 - 0.5 * OVERLAP_DIAG_TOL, 1.0 + 0.5e-12], [1.0 + 0.5e-12, 1.0 + 0.5 * OVERLAP_DIAG_TOL]], dtype=complex
+    )
+    near[0, 1] += 0.5 * OVERLAP_HERM_TOL * (1.0 + 1.0j)
+    settled = _settle_gram(near, "endpoint (3, 1)")
+    assert np.array_equal(np.diagonal(settled), np.ones(2))
+    assert np.array_equal(settled, settled.conj().T)
 
 
 def test_overlap_increments_telescope():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pilotpath import kernels
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
@@ -18,7 +19,6 @@ from pilotpath.guidance import (
 )
 from pilotpath.protocols import (
     EVENT_COLUMNS,
-    REPLAY_BLOCK_VALUES,
     STREAM_CIRCUIT_ALTERATION,
     STREAM_FINAL_SAMPLE,
     STREAM_FORWARD_SAMPLE,
@@ -203,25 +203,50 @@ def test_forward_runs_replay_backward_within_tolerance():
         assert replay.deviations[particle].shape == (200,)
 
 
-def test_replay_deviation_is_the_largest_gap_over_every_record():
-    """The block-by-block fold gives each trajectory's largest gap over all
-    records bit for bit, the last, partial block included."""
-    scn = load_scenario("free-packet")
+def replay_case(name):
+    """Starts, node threshold and substeps of a round trip on a periodic
+    free packet, the same packet between reflecting walls, or no-overlap's
+    node-masked stack, where some trajectories freeze at record 0 and some
+    inside a segment."""
+    scn = load_scenario("no-overlap" if name == "no-overlap" else "free-packet")
+    if name == "reflecting":
+        # Momentum-space packets need a ring; chiral Gaussians do not.
+        scn["grid"]["boundary"] = "reflecting"
+        (branch,) = scn["initial"]["branches"]
+        branch["packet1"] = {"kind": "gaussian", "center": 16.0, "sigma": 4.0, "momentum": 0.6, "spinor": "chirality+"}
+        branch["packet2"] = {"kind": "gaussian", "center": 44.0, "sigma": 4.0, "momentum": -0.6, "spinor": "chirality-"}
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    stack, x0 = anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward")[1]
-    records, _ = transport_records(stack, x0, "forward", 32, substep_records=True)
-    n_rec = records.shape[1]
-    block = REPLAY_BLOCK_VALUES // 200
-    assert n_rec > 2 * block and n_rec % block
-    back, _ = transport_records(stack, records[:, -1], "backward", 32, substep_records=True)
-    gaps = system.grid.gap(back, records[:, ::-1])
-    result = superdet_replay({1: (stack, x0)}, "forward", 32)
-    assert result.total_excluded == 0
-    assert np.array_equal(result.deviations[1], gaps.max(axis=1))
-    # Some trajectories are worst in the last block only.
-    last = n_rec - n_rec % block
-    assert np.any(gaps[:, last:].max(axis=1) > gaps[:, :last].max(axis=1))
+    history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
+    return scn, history, (0.05 if name == "no-overlap" else EPS_NODE_REL)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("name", ["periodic", "reflecting", "no-overlap"])
+def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, monkeypatch):
+    """The segment-by-segment fold gives each trajectory's largest gap over
+    all records, and its exclusions, bit for bit as the replay's full array
+    does, with each segment split over several chunks."""
+    monkeypatch.setattr(kernels, "CHUNK", 64)
+    scn, history, eps_rel = replay_case(name)
+    starts = anchored_starts(history, scn["seed"], 200, eps_rel, direction)
+    opposite = "backward" if direction == "forward" else "forward"
+    result = superdet_replay(starts, direction, 8)
+    off_boundary = 0
+    for particle, (stack, x0) in starts.items():
+        records, frozen = transport_records(stack, x0, direction, 8, substep_records=True)
+        back, back_frozen = transport_records(stack, records[:, -1], opposite, 8, substep_records=True)
+        gaps = stack.grid.gap(back, records[:, ::-1])
+        ok = (frozen < 0) & (back_frozen < 0)
+        expected = np.where(ok, gaps.max(axis=1), np.nan)
+        assert np.array_equal(result.deviations[particle], expected, equal_nan=True)
+        assert result.excluded[particle] == int(np.sum(~ok))
+        inner = np.ones(gaps.shape[1], dtype=bool)
+        inner[::8] = False
+        off_boundary += np.count_nonzero(ok & (gaps[:, inner].max(axis=1) > gaps[:, ~inner].max(axis=1)))
+        if name == "no-overlap":
+            assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0))
+    # A fold that read only the layer-boundary records would miss these.
+    assert off_boundary > 0
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -245,9 +270,10 @@ def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
 
 
 def test_round_trip_memory_stays_near_the_replays_records():
-    """A round trip holds its outbound run's and its replay's substep
-    records and compares them block by block: beyond those two arrays it
-    allocates a quarter of one at most, not full-size gaps."""
+    """A round trip holds its outbound run's substep records only; its
+    replay hands them over one segment at a time, and is compared there:
+    beyond that one array it allocates a quarter of one at most, neither a
+    replay array nor full-size gaps."""
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
@@ -261,7 +287,7 @@ def test_round_trip_memory_stays_near_the_replays_records():
         tracemalloc.stop()
     assert replay.total_excluded == 0
     assert replay.runs[1].positions.shape == (2000, system.n_layers + 1)
-    assert peak < 2.25 * one
+    assert peak < 1.25 * one
 
 
 # ----------------------------------------------------------------------------
