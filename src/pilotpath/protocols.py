@@ -19,13 +19,17 @@ Three procedures built on the engine and guidance layers:
   Only a round trip's outbound run keeps every substep's record, and only
   while it runs; the replay hands its records over one segment at a time
   and is compared there.  The maximum deviation is the reported figure of
-  merit.
+  merit.  Round trips that froze on a node, or that reached an edge site
+  between reflecting walls (a clamp cannot be retraced), are excluded and
+  counted.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
-  ("marginal" track) per layer, link them across layers by overlap into a
-  branch graph, and classify trajectory transitions between the projections
-  of joint components.  A trajectory changing to a component that is not a
+  ("marginal" track) per layer, labelled from row runs with numpy alone
+  (ndimage.label's 4-connectivity and numbering) and merged across
+  periodic seams, link them across layers by overlap into a branch graph,
+  and classify trajectory transitions between the projections of joint
+  components.  A trajectory changing to a component that is not a
   graph descendant/ancestor of its previous one has crossed between worlds;
   such changes can only happen where two projections overlap on the
   particle's axis.
@@ -117,11 +121,20 @@ class ReplayResult:
         return sum(self.excluded.values())
 
 
+def _at_wall(grid: LatticeGrid, block: np.ndarray) -> np.ndarray:
+    """Per trajectory of a record-major block: whether a record lies at or
+    past an edge site, where bounded transport clamps it."""
+    top = grid.x_min + (grid.n_sites - 1) * grid.dx
+    return (block.min(axis=0) <= grid.x_min) | (block.max(axis=0) >= top)
+
+
 def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
     """The outbound run from x0 at its layer boundaries, each trajectory's
     largest gap between it and its replay over every substep, and whether
-    neither froze on a node."""
+    that gap is kept: neither run froze on a node and, between reflecting
+    walls, neither reached an edge site, since a clamp cannot be retraced."""
     opposite = "backward" if direction == "forward" else "forward"
+    grid = stack.grid
     records, frozen = transport_records(stack, x0, direction, substeps, substep_records=True)
     # Record-major: replay record k sits at the same time as run record
     # n_rec-1-k.  The replay hands over its records one segment at a time,
@@ -130,16 +143,20 @@ def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: 
     theirs = records.T
     n_rec = theirs.shape[0]
     worst = np.full(len(frozen), -np.inf)
+    bounded = grid.boundary != "periodic"
+    walled = _at_wall(grid, theirs) if bounded else np.zeros(len(frozen), dtype=bool)
 
     def fold(first, block):
         top = n_rec - first
-        gaps = stack.grid.gap(block, theirs[top - len(block) : top][::-1])
+        gaps = grid.gap(block, theirs[top - len(block) : top][::-1])
         np.maximum(worst, gaps.max(axis=0), out=worst)
+        if bounded:
+            np.logical_or(walled, _at_wall(grid, block), out=walled)
 
     _, back_frozen = transport_records(stack, records[:, -1].copy(), opposite, substeps, fold=fold)
     # Copied, so the kept layer records do not hold the substep records alive.
     run = EnsembleRun(theirs[::substeps].copy().T, frozen, direction, substeps)
-    return run, worst, (frozen < 0) & (back_frozen < 0)
+    return run, worst, (frozen < 0) & (back_frozen < 0) & ~walled
 
 
 def superdet_replay(
@@ -150,9 +167,9 @@ def superdet_replay(
     deviation at every substep.
 
     One particle's round trip runs at a time, and only it holds every
-    substep's record.  Trajectories flagged on a node in either direction
-    are excluded from the deviation statistic; their count is reported
-    instead.
+    substep's record.  Trajectories flagged on a node in either direction,
+    or on a bounded grid reaching an edge site in either direction, are
+    excluded from the deviation statistic; their count is reported instead.
     """
     deviations = {}
     excluded = {}
@@ -193,11 +210,52 @@ class _UnionFind:
         return False
 
 
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of a 1-D or 2-D mask under 4-connectivity, as
+    int32 labels numbered from 1 in the raster order of their first cell.
+
+    Each row's runs are found in raster order, runs in adjacent rows that
+    share a column are joined, and the joins are merged by hooking the
+    larger root under the smaller one with pointer jumping, so a
+    component's root is its first run.
+    """
+    rows = np.atleast_2d(mask)
+    n_rows, width = rows.shape[0], rows.shape[1] + 1
+    padded = np.zeros((n_rows, width + 1), dtype=bool)
+    padded[:, 1:-1] = rows
+    # Cell changes of each row, keyed row * width + column, alternate
+    # between the start of a run and the column after its end.
+    change = (padded[:, 1:] != padded[:, :-1]).ravel().nonzero()[0]
+    start, stop = change[0::2], change[1::2]
+    root = np.arange(len(start))
+    # A single row, as in every marginal mask, has no joins to look for.
+    if n_rows > 1:
+        # The runs of the row above run j that share a column with it are
+        # one contiguous range: from the first that ends after j starts to
+        # the last that starts before j ends.  The keys keep each range
+        # inside that row.
+        lo = stop.searchsorted(start - width, side="right")
+        count = start.searchsorted(stop - width) - lo
+        np.maximum(count, 0, out=count)
+        a = root.repeat(count)
+        b = (lo - count.cumsum() + count).repeat(count) + np.arange(len(a))
+        while len(a):
+            ra, rb = root[a], root[b]
+            apart = ra != rb
+            a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            up = root[root]
+            while not (up == root).all():
+                root, up = up, up[up]
+    first = root == np.arange(len(root))
+    labels = np.zeros(rows.size, dtype=np.int32)
+    labels[rows.ravel()] = first.cumsum(dtype=np.int32)[root].repeat(stop - start)
+    return labels.reshape(mask.shape), int(first.sum())
+
+
 def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
     """Connected components of a support mask, merged across periodic seams."""
-    from scipy import ndimage
-
-    labels, n = ndimage.label(mask)
+    labels, n = _label(mask)
     if not periodic or n < 2:
         return labels, int(labels.max())
     uf = _UnionFind()

@@ -165,15 +165,19 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     if fwd is None:
         fwd = replay.runs[1]
     kept = count - replay.total_excluded
+    # Between reflecting walls, round trips that reach an edge site are
+    # excluded as well.
+    walled = grid.boundary != "periodic"
     if kept:
+        flagged = "node-flagged or wall-touching" if walled else "node-flagged"
         report.add(
             "reversibility",
             replay.max_deviation,
             5e-6,
-            f"{kept}/{count} round trips at {rev_sub} substeps, every record, node-flagged excluded",
+            f"{kept}/{count} round trips at {rev_sub} substeps, every record, {flagged} excluded",
         )
     else:
-        report.skip("reversibility", "every trajectory hit a node-masked region")
+        report.skip("reversibility", "every trajectory hit a node-masked region" + (" or an edge site" if walled else ""))
 
     ks = equivariance_test(fwd, history.density1, grid)
     report.add(

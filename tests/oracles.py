@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.ndimage
 import scipy.sparse
 
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil
@@ -401,3 +402,15 @@ def transport_time_lerp(values, masks, x0, x_min, dx, extent, periodic, dt, subs
         records[i] = row
         frozen[i] = fro
     return records, frozen
+
+
+# ----------------------------------------------------------------------------
+# Connected support components
+
+
+def ndimage_label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """scipy's labels and count of a mask's components under its default
+    structure (4-connectivity), numbered in the raster order of each
+    component's first cell."""
+    labels, n = scipy.ndimage.label(mask)
+    return labels, int(n)

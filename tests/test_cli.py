@@ -515,12 +515,12 @@ def test_resolved_echo_reproduces_the_run(scenario_file, tmp_path):
     assert first == second
 
 
-def test_import_leaves_scipy_stats_and_ndimage_unloaded():
-    """No scipy module is loaded by importing the CLI, building a walk or
-    drawing a random circuit: walk steps are numpy row stencils, circuit
-    unitaries are drawn without scipy.stats, and scipy.ndimage is imported
-    only where tracks are labelled.  The package root itself loads no
-    submodule."""
+def test_import_leaves_scipy_stats_and_ndimage_unloaded(scenario_file, tmp_path):
+    """No scipy module is loaded by importing the CLI, building a walk,
+    drawing a random circuit or running tracks: walk steps are numpy row
+    stencils, circuit unitaries are drawn without scipy.stats, and branch
+    tracks are labelled by numpy row runs.  The package root itself loads
+    no submodule."""
     probe = (
         "import sys, pilotpath; "
         "print(sorted(m for m in sys.modules if m.startswith('pilotpath.'))); "
@@ -528,23 +528,9 @@ def test_import_leaves_scipy_stats_and_ndimage_unloaded():
         "from pilotpath.scenario import build_circuit, build_walk, load_scenario; "
         "build_walk(load_scenario('free-packet')); "
         "build_circuit(load_scenario('circuit-demo')); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == ["[]", "[]"]
-
-
-def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
-    """verify, paths and guide run to exit 0 in a process where importing
-    scipy fails."""
-    probe = (
-        "import sys; sys.modules['scipy'] = None; "
-        "from pilotpath import cli; "
-        "print([cli.main([c, '--scenario', sys.argv[1], '--out', sys.argv[2]]) "
-        "for c in ('verify', 'paths', 'guide')])"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "code = pilotpath.cli.main(['tracks', '--scenario', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
     done = subprocess.run(
@@ -554,4 +540,25 @@ def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
         text=True,
         check=True,
     )
-    assert done.stdout.split("\n")[-2] == "[0, 0, 0]"
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"] and lines[-1] == "0 []"
+
+
+def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
+    """verify, paths, guide and tracks run to exit 0 in a process where
+    importing scipy fails."""
+    probe = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from pilotpath import cli; "
+        "print([cli.main([c, '--scenario', sys.argv[1], '--out', sys.argv[2]]) "
+        "for c in ('verify', 'paths', 'guide', 'tracks')])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, scenario_file, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0]"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 
 from pilotpath import kernels
 from pilotpath.circuit import JointState
@@ -11,6 +13,7 @@ from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_wa
 from pilotpath.errors import ValidationError
 from pilotpath.guidance import (
     EnsembleRun,
+    VelocityStack,
     equivariance_test,
     integrate_batch,
     sample_joint_density,
@@ -25,6 +28,7 @@ from pilotpath.protocols import (
     STREAM_SCENARIO_BUILD,
     TrackGraph,
     TrackSet,
+    _label,
     _label_with_wrap,
     anchored_runs,
     anchored_starts,
@@ -36,6 +40,7 @@ from pilotpath.protocols import (
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL
+from oracles import ndimage_label
 
 
 def scenario_history(name):
@@ -250,6 +255,54 @@ def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, 
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_round_trips_exclude_trajectories_that_reach_a_reflecting_wall(direction):
+    """Bounded transport clamps a trajectory at an edge site, which its
+    replay cannot undo.  With free-packet's packets moving left between
+    reflecting walls, the round trips that reach an edge site in either
+    direction are excluded like node-frozen ones, although they deviate by
+    whole length units, and every other one retraces its run."""
+    scn = load_scenario("free-packet")
+    scn["grid"]["boundary"] = "reflecting"
+    (branch,) = scn["initial"]["branches"]
+    for key, center in (("packet1", 6.0), ("packet2", 44.0)):
+        branch[key] = {"kind": "gaussian", "center": center, "sigma": 4.0, "momentum": -0.6, "spinor": "chirality-"}
+    system = build_walk(scn)
+    history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
+    starts = anchored_starts(history, scn["seed"], 2000, EPS_NODE_REL, direction)
+    opposite = "backward" if direction == "forward" else "forward"
+    result = superdet_replay(starts, direction, 32)
+    first, last = system.grid.positions()[[0, -1]]
+    walled_worst = 0.0
+    for particle, (stack, x0) in starts.items():
+        records, frozen = transport_records(stack, x0, direction, 32, substep_records=True)
+        back, back_frozen = transport_records(stack, records[:, -1], opposite, 32, substep_records=True)
+        assert np.all(frozen < 0) and np.all(back_frozen < 0)
+        walled = np.any((records <= first) | (records >= last) | (back <= first) | (back >= last), axis=1)
+        gaps = system.grid.gap(back, records[:, ::-1]).max(axis=1)
+        assert np.any(walled)
+        walled_worst = max(walled_worst, gaps[walled].max())
+        assert result.excluded[particle] == np.count_nonzero(walled)
+        assert np.array_equal(result.deviations[particle], np.where(walled, np.nan, gaps), equal_nan=True)
+    assert walled_worst > 1.0
+    assert result.max_deviation < 1e-6
+
+
+def test_a_replay_that_alone_reaches_a_wall_is_excluded():
+    """A uniform field carries a start 2**-60 off the left edge site away
+    and back: the outbound run never reaches the edge, but its replay
+    lands on it, and that round trip is excluded too."""
+    grid = LatticeGrid(16, 1.0, 0.5, boundary="reflecting")
+    stack = VelocityStack(np.full((5, 16), 0.5), np.zeros((5, 16), dtype=bool), grid, 0.0)
+    x0 = np.array([2.0**-60, 3.0])
+    records, _ = transport_records(stack, x0, "forward", 4, substep_records=True)
+    back, _ = transport_records(stack, records[:, -1], "backward", 4, substep_records=True)
+    assert records.min() > grid.x_min and back[0, -1] == grid.x_min
+    result = superdet_replay({1: (stack, x0)}, "forward", 4)
+    assert result.excluded == {1: 1}
+    assert np.array_equal(result.deviations[1], [np.nan, 0.0], equal_nan=True)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
     """With freezes at the start, inside segments and not at all, a run
     holds the substep run's layer-boundary records and freeze indices bit
@@ -330,6 +383,46 @@ def test_periodic_labels_merge_across_seams_in_root_order():
     labels, n = _label_with_wrap(square, periodic=True)
     assert n == 2
     assert labels.tolist() == [[0, 1, 0, 0], [2, 0, 0, 2], [0, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def assert_labels_match_ndimage(mask):
+    labels, n = _label(mask)
+    ref, ref_n = ndimage_label(mask)
+    assert labels.dtype == ref.dtype == np.int32
+    assert n == ref_n
+    assert np.array_equal(labels, ref)
+
+
+def snake(size):
+    """One component winding through every other row of a square, so each
+    row's run joins the previous one at alternating ends."""
+    mask = np.zeros((size, size), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mask=hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=24)))
+@example(mask=np.zeros(9, dtype=bool))
+@example(mask=np.ones(9, dtype=bool))
+@example(mask=np.zeros((5, 7), dtype=bool))
+@example(mask=np.ones((5, 7), dtype=bool))
+@example(mask=snake(21))
+@example(mask=snake(21).T.copy())
+def test_labels_match_scipy_ndimage(mask):
+    """Run labels equal ndimage.label's labels, count and int32 dtype."""
+    assert_labels_match_ndimage(mask)
+
+
+@pytest.mark.parametrize("name", ["recombination", "free-packet", "entangled-mirror"])
+def test_labels_match_scipy_ndimage_on_every_track_mask(name):
+    scn, _, history = scenario_history(name)
+    threshold = scn["protocol"]["track_threshold_rel"]
+    tables = [history.joint[t] for t in range(history.n_layers + 1)]
+    for table in tables + list(history.density1) + list(history.density2):
+        assert_labels_match_ndimage(table > threshold * float(table.max()))
 
 
 def test_branch_graphs_on_a_recombining_run(recombination):
