@@ -484,37 +484,46 @@ NAMED_SPINORS = {
 }
 
 
-def bloch_step_matrix(grid: LatticeGrid, mass: float, k: float) -> np.ndarray:
-    """Momentum-space 4x4 matrix of one free walk step at wavenumber k."""
+def bloch_step_matrix(grid: LatticeGrid, mass: float, k) -> np.ndarray:
+    """Momentum-space 4x4 matrix of one free walk step at wavenumber k; an
+    array of wavenumbers gives the stack of their matrices."""
     phase = np.exp(-1j * grid.dt * mass * np.diag(GAMMA0))
-    shift = np.array([np.exp(-1j * s * k * grid.dx) for s in CHIRAL_SIGNS])
-    return (CHIRAL_V * shift) @ CHIRAL_V.conj().T @ np.diag(phase)
+    shift = np.exp(-1j * np.multiply.outer(k, CHIRAL_SIGNS) * grid.dx)
+    return (CHIRAL_V * shift[..., None, :]) @ CHIRAL_V.conj().T @ np.diag(phase)
 
 
-def positive_energy_spinor(grid: LatticeGrid, mass: float, k: float) -> np.ndarray:
-    """Spinor spanning the forward-energy doublet of the free step at wavenumber k.
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """Norm of each row, summed as np.linalg.norm sums one complex vector
+    (two real dot products), so that each equals that norm bit for bit."""
+    re, im = u.real[:, None, :], u.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def positive_energy_spinors(grid: LatticeGrid, mass: float, ks: np.ndarray) -> np.ndarray:
+    """(len(ks), 4) spinors, each spanning the forward-energy doublet of the
+    free step at its wavenumber.
 
     Defined by projecting the rest spinor onto the eigenvectors whose step
     eigenphase is negative (eigenvalue exp(-i E dt) with E > 0).  Requires a
-    mass gap so the doublet never touches the zero-phase crossing.
+    mass gap so the doublet never touches the zero-phase crossing.  One
+    eigensolve covers the whole stack of Bloch matrices.
     """
     if mass <= 0.0:
         raise ValidationError("positive-energy projection needs mass > 0")
-    vals, vecs = np.linalg.eig(bloch_step_matrix(grid, mass, k))
-    angles = np.angle(vals)
-    pick = angles < 0.0
-    if int(np.sum(pick)) != 2:
+    vals, vecs = np.linalg.eig(bloch_step_matrix(grid, mass, ks))
+    pick = np.angle(vals) < 0.0
+    if np.any(np.sum(pick, axis=1) != 2):
         raise ValidationError("forward-energy doublet is not isolated at this wavenumber")
-    sub = vecs[:, pick]
-    u = sub @ (sub.conj().T @ NAMED_SPINORS["up"])
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-12:
-        u = sub @ (sub.conj().T @ NAMED_SPINORS["down"])
-        nrm = np.linalg.norm(u)
-    u = u / nrm
-    lead = np.argmax(np.abs(u))
-    u = u * np.exp(-1j * np.angle(u[lead]))
-    return u
+    # the picked eigenvector pair of each wavenumber as the columns of a 4x2
+    # block, laid out in memory like a single matrix's vecs[:, pick]
+    sub = vecs.transpose(0, 2, 1)[pick].reshape(-1, 2, SPINOR_DIM).transpose(0, 2, 1)
+    sub_h = sub.conj().transpose(0, 2, 1)
+    up, down = ((sub @ (sub_h @ NAMED_SPINORS[name])[..., None])[..., 0] for name in ("up", "down"))
+    flat = _row_norms(up) < 1e-12
+    u = np.where(flat[:, None], down, up)
+    u = u / _row_norms(u)[:, None]
+    lead = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+    return u * np.exp(-1j * np.angle(lead))[:, None]
 
 
 def positive_energy_packet(
@@ -530,11 +539,13 @@ def positive_energy_packet(
     n = grid.n_sites
     ks = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
     coef = np.exp(-(sigma**2) * (ks - momentum) ** 2) * np.exp(-1j * ks * center)
+    # a NaN coefficient is live too, so a NaN packet stays non-finite
+    live = np.flatnonzero(~(np.abs(coef) < 1e-300))
+    spinors = positive_energy_spinors(grid, mass, ks[live])
     field = np.zeros((n, SPINOR_DIM), dtype=np.complex128)
-    for j in range(n):
-        if abs(coef[j]) < 1e-300:
-            continue
-        field += coef[j] * np.exp(1j * ks[j] * grid.positions())[:, None] * positive_energy_spinor(grid, mass, ks[j])[None, :]
+    # accumulated one wavenumber at a time, in order, for reproducible bytes
+    for j, spinor in zip(live, spinors):
+        field += coef[j] * np.exp(1j * ks[j] * grid.positions())[:, None] * spinor[None, :]
     nrm = np.linalg.norm(field)
     if nrm == 0.0:
         raise DegenerateDensityError("packet construction produced an empty field")

@@ -3,10 +3,13 @@
 A scenario JSON picks an engine (lattice walk or abstract circuit), the
 initial state as a weighted sum of product branches, per-particle masses
 and potentials, optional diagonal phase couplings, and the knobs of the
-downstream protocols.  Loading validates against the shipped schema, fills
-every default explicitly, and returns the resolved dictionary; runs echo
-that resolved form next to their artifacts so every output is reproducible
-from (scenario, seed) alone.
+downstream protocols.  Loading validates against the shipped schema
+(schemas/scenario.schema.json) with this module's own checker of the
+draft-07 keywords that schema uses.  It words its errors as the tests'
+schema oracle does, but NaN and Infinity are no number to it.  It then
+fills every default explicitly and returns the resolved dictionary; runs
+echo that resolved form next to their artifacts so every output is
+reproducible from (scenario, seed) alone.
 
 Randomized circuit scenarios draw their unitaries from a dedicated
 counter-mode stream of the scenario seed (STREAM_SCENARIO_BUILD; protocols
@@ -19,7 +22,11 @@ import copy
 import functools
 import importlib.resources
 import json
+import math
+import operator
 import os
+import pathlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +61,155 @@ _DEFAULTS = {
 }
 
 
-def _schema():
+@functools.cache
+def _schema() -> dict:
     ref = importlib.resources.files("pilotpath") / "schemas" / "scenario.schema.json"
-    return json.loads(ref.read_text())
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _is_number(value) -> bool:
+    # bool is no JSON number; unlike the tests' schema oracle, neither are NaN and +-Infinity
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _no_check(*_):
+    return iter(())
+
+
+def _type(v, types, schema, path):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](v) for t in types):
+        yield path, f"{v!r} is not of type {', '.join(map(repr, types))}"
+
+
+# The schema's enum and const values are strings, for which == is JSON
+# Schema equality.
+def _enum(v, values, schema, path):
+    if v not in values:
+        yield path, f"{v!r} is not one of {values!r}"
+
+
+def _const(v, value, schema, path):
+    if v != value:
+        yield path, f"{value!r} was expected"
+
+
+def _pattern(v, regex, schema, path):
+    if isinstance(v, str) and not re.search(regex, v):
+        yield path, f"{v!r} does not match {regex!r}"
+
+
+def _bound(beyond, words: str):
+    def check(v, limit, schema, path):
+        if _is_number(v) and beyond(v, limit):
+            yield path, f"{v!r} is {words} {limit!r}"
+
+    return check
+
+
+def _required(v, names, schema, path):
+    if isinstance(v, dict):
+        for name in names:
+            if name not in v:
+                yield path, f"{name!r} is a required property"
+
+
+def _properties(v, subschemas, schema, path):
+    if isinstance(v, dict):
+        for name, sub in subschemas.items():
+            if name in v:
+                yield from _errors(v[name], sub, path + (name,))
+
+
+def _no_additional(v, allowed, schema, path):
+    # the scenario schema only ever sets additionalProperties to false
+    extras = sorted(k for k in v if k not in schema.get("properties", {})) if isinstance(v, dict) else []
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        yield path, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+
+def _items(v, sub, schema, path):
+    if isinstance(v, list):
+        for index, item in enumerate(v):
+            yield from _errors(item, sub, path + (index,))
+
+
+def _min_items(v, count, schema, path):
+    if isinstance(v, list) and len(v) < count:
+        yield path, f"{v!r} {'should be non-empty' if count == 1 else 'is too short'}"
+
+
+def _max_items(v, count, schema, path):
+    if isinstance(v, list) and len(v) > count:
+        yield path, f"{v!r} {'is expected to be empty' if count == 0 else 'is too long'}"
+
+
+def _any_of(v, subschemas, schema, path):
+    if all(next(_errors(v, sub, path), None) for sub in subschemas):
+        yield path, f"{v!r} is not valid under any of the given schemas"
+
+
+def _all_of(v, subschemas, schema, path):
+    for sub in subschemas:
+        yield from _errors(v, sub, path)
+
+
+def _if_then(v, condition, schema, path):
+    if "then" in schema and next(_errors(v, condition, path), None) is None:
+        yield from _errors(v, schema["then"], path)
+
+
+# The draft-07 keywords the scenario schema uses, each a generator of
+# (instance path, message) violations worded as the tests' schema oracle
+# words them.
+_KEYWORDS = {
+    "$schema": _no_check,
+    "title": _no_check,
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "pattern": _pattern,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge, "greater than or equal to the maximum of"),
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _no_additional,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "anyOf": _any_of,
+    "allOf": _all_of,
+    "if": _if_then,
+    "then": _no_check,  # applied by "if"
+}
+
+
+def _errors(value, schema: dict, path: tuple):
+    for key, arg in schema.items():
+        yield from _KEYWORDS[key](value, arg, schema, path)
 
 
 def validate_scenario(raw: dict) -> None:
-    import jsonschema
-
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise ValidationError(f"scenario schema violation at '{path}': {exc.message}") from exc
+    """Check raw against the shipped schema; raise on its first violation."""
+    found = next(_errors(raw, _schema(), ()), None)
+    if found:
+        path, message = found
+        raise ValidationError(f"scenario schema violation at '{'/'.join(map(str, path))}': {message}")
 
 
 def _merge_defaults(raw: dict, defaults: dict) -> dict:
@@ -104,12 +247,15 @@ def read_scenario(arg: str) -> dict:
     if os.path.sep in arg or arg.endswith(".json") or os.path.isfile(arg):
         if not os.path.isfile(arg):
             raise ValidationError(f"scenario file not found: {arg}")
-        with open(arg, encoding="utf-8") as fh:
-            return json.load(fh)
-    ref = importlib.resources.files("pilotpath") / "scenarios" / f"{arg}.json"
-    if not ref.is_file():
-        raise ValidationError(f"no bundled scenario named {arg!r}")
-    return json.loads(ref.read_text())
+        ref = pathlib.Path(arg)
+    else:
+        ref = importlib.resources.files("pilotpath") / "scenarios" / f"{arg}.json"
+        if not ref.is_file():
+            raise ValidationError(f"no bundled scenario named {arg!r}")
+    try:
+        return json.loads(ref.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"scenario file {arg} is not UTF-8 JSON: {exc}") from exc
 
 
 def load_scenario(arg: str) -> dict:

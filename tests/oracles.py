@@ -8,14 +8,16 @@ checks.  None of them is reached by the command line.
 import math
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
 import scipy.ndimage
 import scipy.sparse
 
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil
-from pilotpath.dirac import ALPHA1, CHIRAL_SIGNS, CHIRAL_V, SPINOR_DIM
+from pilotpath.dirac import ALPHA1, CHIRAL_SIGNS, CHIRAL_V, NAMED_SPINORS, SPINOR_DIM, bloch_step_matrix
 from pilotpath.errors import PilotPathError, ValidationError
 from pilotpath.guidance import VelocityStack, cell_edges
+from pilotpath.scenario import _schema
 
 
 def dense(u) -> np.ndarray:
@@ -414,3 +416,38 @@ def ndimage_label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     component's first cell."""
     labels, n = scipy.ndimage.label(mask)
     return labels, int(n)
+
+
+# ----------------------------------------------------------------------------
+# Forward-energy spinors, one wavenumber at a time
+
+
+def positive_energy_spinor(grid, mass: float, k: float) -> np.ndarray:
+    """Spinor spanning the forward-energy doublet of the free step at
+    wavenumber k, from one eigensolve of that wavenumber's Bloch matrix."""
+    if mass <= 0.0:
+        raise ValidationError("positive-energy projection needs mass > 0")
+    vals, vecs = np.linalg.eig(bloch_step_matrix(grid, mass, k))
+    pick = np.angle(vals) < 0.0
+    if int(np.sum(pick)) != 2:
+        raise ValidationError("forward-energy doublet is not isolated at this wavenumber")
+    sub = vecs[:, pick]
+    u = sub @ (sub.conj().T @ NAMED_SPINORS["up"])
+    nrm = np.linalg.norm(u)
+    if nrm < 1e-12:
+        u = sub @ (sub.conj().T @ NAMED_SPINORS["down"])
+        nrm = np.linalg.norm(u)
+    u = u / nrm
+    lead = np.argmax(np.abs(u))
+    return u * np.exp(-1j * np.angle(u[lead]))
+
+
+# ----------------------------------------------------------------------------
+# Scenario schema
+
+
+def schema_errors(doc) -> set[tuple[str, str]]:
+    """jsonschema's top-level (path, message) violations of doc against the
+    shipped scenario schema, each path joined with '/'."""
+    validator = jsonschema.Draft7Validator(_schema())
+    return {("/".join(map(str, err.absolute_path)), err.message) for err in validator.iter_errors(doc)}

@@ -279,6 +279,35 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert "not found" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"engine": "walk", "name": "cut", "grid": {"n_sites"', b'{"engine": "walk", "name": "\xff"}'],
+    ids=["truncated", "not-utf8"],
+)
+def test_scenario_that_is_not_json_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    code, payload = expect_error(["evolve", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"scenario file {path} is not UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("key", ["eps_node_rel", "equivariance_bound"])
+def test_non_finite_protocol_value_exits_2(key, tmp_path, capsys):
+    """A bare NaN, which json reads and every bound lets through, is no
+    number to the scenario schema."""
+    scn = json.loads((Path(pilotpath.__file__).parent / "scenarios" / "free-packet.json").read_text())
+    scn.setdefault("protocol", {})[key] = float("nan")
+    path = tmp_path / "nan-protocol.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    code, payload = expect_error(["guide", "--scenario", str(path)], tmp_path, capsys)
+    assert code == 2
+    assert payload["message"] == f"scenario schema violation at 'protocol/{key}': nan is not of type 'number'"
+    assert not (tmp_path / "free-packet").exists()
+
+
 def test_entangled_start_cannot_be_path_conditioned(tmp_path, capsys):
     code, payload = expect_error(["paths", "--scenario", "spin-singlet"], tmp_path, capsys)
     assert code == 2
@@ -516,11 +545,12 @@ def test_resolved_echo_reproduces_the_run(scenario_file, tmp_path):
 
 
 def test_import_leaves_scipy_stats_and_ndimage_unloaded(scenario_file, tmp_path):
-    """No scipy module is loaded by importing the CLI, building a walk,
-    drawing a random circuit or running tracks: walk steps are numpy row
-    stencils, circuit unitaries are drawn without scipy.stats, and branch
-    tracks are labelled by numpy row runs.  The package root itself loads
-    no submodule."""
+    """No scipy or jsonschema module is loaded by importing the CLI,
+    building a walk, drawing a random circuit or running tracks: walk steps
+    are numpy row stencils, circuit unitaries are drawn without
+    scipy.stats, branch tracks are labelled by numpy row runs, and
+    scenarios are checked against their schema by the scenario module
+    itself.  The package root itself loads no submodule."""
     probe = (
         "import sys, pilotpath; "
         "print(sorted(m for m in sys.modules if m.startswith('pilotpath.'))); "
@@ -528,9 +558,9 @@ def test_import_leaves_scipy_stats_and_ndimage_unloaded(scenario_file, tmp_path)
         "from pilotpath.scenario import build_circuit, build_walk, load_scenario; "
         "build_walk(load_scenario('free-packet')); "
         "build_circuit(load_scenario('circuit-demo')); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema'))); "
         "code = pilotpath.cli.main(['tracks', '--scenario', sys.argv[1], '--out', sys.argv[2]]); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
     done = subprocess.run(
@@ -546,9 +576,9 @@ def test_import_leaves_scipy_stats_and_ndimage_unloaded(scenario_file, tmp_path)
 
 def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
     """verify, paths, guide and tracks run to exit 0 in a process where
-    importing scipy fails."""
+    importing scipy or jsonschema fails."""
     probe = (
-        "import sys; sys.modules['scipy'] = None; "
+        "import sys; sys.modules['scipy'] = None; sys.modules['jsonschema'] = None; "
         "from pilotpath import cli; "
         "print([cli.main([c, '--scenario', sys.argv[1], '--out', sys.argv[2]]) "
         "for c in ('verify', 'paths', 'guide', 'tracks')])"

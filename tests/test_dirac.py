@@ -25,7 +25,7 @@ from pilotpath.dirac import (
     marginal_fields,
     phase_matrices,
     positive_energy_packet,
-    positive_energy_spinor,
+    positive_energy_spinors,
     run_walk,
     spinor_from_spec,
     to_circuit_layers,
@@ -52,6 +52,7 @@ from oracles import (
     dense_unitary,
     dense_walk,
     evolve_two_body,
+    positive_energy_spinor,
     two_body_continuity_residual,
 )
 
@@ -555,10 +556,33 @@ def test_bloch_matrix_is_unitary_and_matches_the_dense_step():
 
 def test_positive_energy_spinor_needs_a_mass_gap():
     grid = LatticeGrid(16, 1.0, 0.5)
-    with pytest.raises(ValidationError):
-        positive_energy_spinor(grid, 0.0, 0.3)
-    u = positive_energy_spinor(grid, 0.5, 0.3)
-    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+    with pytest.raises(ValidationError, match="mass > 0"):
+        positive_energy_spinors(grid, 0.0, np.array([0.3]))
+    u = positive_energy_spinors(grid, 0.5, np.array([0.3]))
+    assert u.shape == (1, 4)
+    assert abs(np.linalg.norm(u[0]) - 1.0) < 1e-12
+    # at k = 0 and mass * dt = pi all four eigenphases sit at +-pi
+    with pytest.raises(ValidationError, match="not isolated"):
+        positive_energy_spinors(grid, np.pi / grid.dt, np.array([0.3, 0.0]))
+    with pytest.raises(ValidationError, match="not isolated"):
+        positive_energy_spinor(grid, np.pi / grid.dt, 0.0)
+
+
+@pytest.mark.parametrize(
+    "n_sites, dx, dt, mass",
+    [(128, 0.5, 0.25, 0.5), (64, 1.0, 0.5, 0.3), (96, 0.25, 0.125, 1.7), (16, 1.0, 0.5, 0.05)],
+)
+def test_batched_spinors_match_one_eigensolve_per_wavenumber(n_sites, dx, dt, mass):
+    """One stacked eigensolve gives each wavenumber's spinor bit for bit as
+    its own eigensolve does, so packets keep their bytes."""
+    grid = LatticeGrid(n_sites, dx, dt)
+    ks = np.concatenate([2.0 * np.pi * np.fft.fftfreq(n_sites, d=dx), make_rng(n_sites).uniform(-3.0, 3.0, 40)])
+    stack = bloch_step_matrix(grid, mass, ks)
+    spinors = positive_energy_spinors(grid, mass, ks)
+    assert spinors.shape == (len(ks), 4)
+    for k, matrix, u in zip(ks, stack, spinors):
+        assert np.array_equal(matrix, bloch_step_matrix(grid, mass, k))
+        assert np.array_equal(u, positive_energy_spinor(grid, mass, k))
 
 
 def test_positive_energy_packet_moves_with_its_momentum():

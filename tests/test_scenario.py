@@ -1,14 +1,21 @@
 """Scenario loading, validation, defaults, and system builders."""
 
+import collections
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotpath.dirac import LatticeGrid
 from pilotpath.errors import ValidationError
 from pilotpath.exports import canonical_json
 from pilotpath.scenario import (
+    _KEYWORDS,
+    _TYPES,
+    _schema,
     build_circuit,
     build_couplings,
     build_initial_state,
@@ -17,8 +24,15 @@ from pilotpath.scenario import (
     build_walk,
     expand_initial,
     load_scenario,
+    read_scenario,
     resolve_scenario,
+    validate_scenario,
 )
+
+from conftest import coupled_free_packet
+from oracles import schema_errors
+
+BUNDLED = ["barrier", "circuit-demo", "entangled-mirror", "free-packet", "no-overlap", "recombination", "spin-singlet"]
 
 
 def walk_raw(**overrides):
@@ -77,8 +91,9 @@ def test_explicit_values_survive_the_merge():
 def test_schema_errors_carry_the_offending_path():
     bad = walk_raw()
     bad["grid"]["n_sites"] = 1
-    with pytest.raises(ValidationError, match="grid/n_sites"):
+    with pytest.raises(ValidationError) as info:
         resolve_scenario(bad)
+    assert str(info.value) == "scenario schema violation at 'grid/n_sites': 1 is less than the minimum of 2"
     with pytest.raises(ValidationError, match="engine"):
         resolve_scenario(walk_raw(engine="tensor"))
     with pytest.raises(ValidationError, match="protocol"):
@@ -100,19 +115,165 @@ def test_unknown_bundled_name_is_rejected():
 
 
 def test_every_bundled_scenario_resolves():
-    names = [
-        "barrier",
-        "circuit-demo",
-        "entangled-mirror",
-        "free-packet",
-        "no-overlap",
-        "recombination",
-        "spin-singlet",
-    ]
-    for name in names:
+    for name in BUNDLED:
         scn = load_scenario(name)
         assert scn["name"] == name
         assert isinstance(scn["seed"], int)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("protocol", "eps_node_rel", float("nan")), ("protocol", "equivariance_bound", float("nan")), ("grid", "dx", float("inf"))],
+    ids=["nan-eps-node-rel", "nan-equivariance-bound", "infinite-dx"],
+)
+def test_non_finite_numbers_are_rejected(section, key, value):
+    """json.load reads NaN and Infinity, which pass every bound jsonschema
+    checks; the scenario checker holds them to be no number at all."""
+    raw = walk_raw()
+    raw.setdefault(section, {})[key] = value
+    assert schema_errors(raw) == set()
+    with pytest.raises(ValidationError) as info:
+        resolve_scenario(raw)
+    assert str(info.value) == f"scenario schema violation at '{section}/{key}': {value!r} is not of type 'number'"
+
+
+def _subschemas(key, arg):
+    if key == "properties":
+        return list(arg.values())
+    if key in ("items", "if", "then"):
+        return [arg]
+    if key in ("allOf", "anyOf"):
+        return arg
+    return []
+
+
+def _keyword_args(schema: dict):
+    """(keyword, argument) of every keyword of schema and of its subschemas."""
+    for key, arg in schema.items():
+        yield key, arg
+        for sub in _subschemas(key, arg):
+            yield from _keyword_args(sub)
+
+
+def test_the_checker_implements_every_schema_keyword():
+    """The schema uses no keyword the checker lacks, and each in the form
+    the checker assumes: one schema for items, additionalProperties false,
+    only JSON types it knows, and strings for enum and const to compare."""
+    pairs = list(_keyword_args(_schema()))
+    used = {key for key, _ in pairs}
+    assert used <= set(_KEYWORDS), sorted(used - set(_KEYWORDS))
+    assert {"anyOf", "allOf", "if", "additionalProperties", "exclusiveMaximum", "pattern"} <= used
+    for key, arg in pairs:
+        if key == "items":
+            assert isinstance(arg, dict)
+        if key == "additionalProperties":
+            assert arg is False
+        if key == "type":
+            assert set([arg] if isinstance(arg, str) else arg) <= set(_TYPES)
+        if key in ("enum", "const"):
+            assert all(isinstance(each, str) for each in ([arg] if key == "const" else arg))
+
+
+def _containers(node):
+    """node and every object or array inside it."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+def _sites(doc) -> list:
+    """(container, key) of every value in doc."""
+    return [(node, key) for node in _containers(doc) for key in (node if isinstance(node, dict) else range(len(node)))]
+
+
+def _edges(schema: dict) -> dict:
+    """Property name -> values at the edges the schema sets on it: null
+    where it names a type, each numeric bound and its neighbours, as int
+    and float, and for a pattern strings that match it and that do not."""
+    edges = collections.defaultdict(list)
+    for key, arg in _keyword_args(schema):
+        for name, sub in arg.items() if key == "properties" else ():
+            if "type" in sub:
+                edges[name].append(None)
+            for bound in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+                if bound in sub:
+                    edges[name] += [cast(sub[bound] + step) for step in (-1, 0, 1) for cast in (int, float)]
+            if "pattern" in sub:
+                edges[name] += ["x", "x.y-z", "", "-x", "x y"]
+    return edges
+
+
+def assert_checker_agrees_with_jsonschema(doc):
+    """The checker rejects doc exactly when jsonschema does, with one of
+    jsonschema's violations."""
+    expected = {f"scenario schema violation at '{p}': {m}" for p, m in schema_errors(doc)}
+    try:
+        validate_scenario(doc)
+    except ValidationError as exc:
+        assert str(exc) in expected
+    else:
+        assert expected == set()
+
+
+# The bundled scenarios and a resolved one with a coupling, which no
+# bundled scenario has.
+DOCUMENTS = [read_scenario(name) for name in BUNDLED] + [coupled_free_packet()]
+
+
+def test_checker_agrees_with_jsonschema_at_every_edge():
+    """Every bounded or patterned value of every scenario set to each edge
+    the schema gives it, and every array one item longer and shorter."""
+    edges = _edges(_schema())
+    for doc in map(copy.deepcopy, DOCUMENTS):
+        for node, key in _sites(doc):
+            value = node[key]
+            for edge in edges.get(key, []):
+                node[key] = edge
+                assert_checker_agrees_with_jsonschema(doc)
+            if isinstance(value, list) and value:
+                node[key] = value + value[-1:]
+                assert_checker_agrees_with_jsonschema(doc)
+                node[key] = value[:-1]
+                assert_checker_agrees_with_jsonschema(doc)
+            node[key] = value
+
+
+# Keys the schema names somewhere, so that an added key can meet a
+# conditional property, and one it names nowhere.
+ADDED_KEYS = ["seed", "grid", "n_layers", "particles", "basis", "layers", "random", "phases", "couplings", "layer", "extra"]
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.sampled_from([0.0, 2.0, 0.5, -0.5, 1e-12, 1e300, 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["walk", "circuit", "all", "free", "branches", "window-phase", "", "-x"]),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.sampled_from([{}, {"n_layers": 2}, {"preset": "free"}, {"mass": 0.5}]),
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_scenarios(data):
+    """Drop a key or item, add one, or replace a value anywhere in a
+    scenario with a value of another type or range."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(DOCUMENTS)))
+    kind = data.draw(st.sampled_from(["drop", "add", "replace"]))
+    if kind == "add":
+        node = data.draw(st.sampled_from(list(_containers(doc))))
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(ADDED_KEYS))] = data.draw(VALUES)
+        else:
+            node.append(data.draw(VALUES))
+    else:
+        node, key = data.draw(st.sampled_from(_sites(doc)))
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(VALUES)
+    assert_checker_agrees_with_jsonschema(doc)
 
 
 def test_load_round_trips_through_a_file(tmp_path):
