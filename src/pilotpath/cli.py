@@ -76,7 +76,8 @@ def _walk_history(system, record_joint=()):
 
 def _anchored_runs(scn: dict, history, direction: str):
     """Both particles' ensembles at the scenario's seed, count, substeps and
-    node threshold, anchored at layer 0 (forward) or the final layer (backward)."""
+    node threshold, anchored at layer 0 (forward) or the final layer
+    (backward), as anchored_runs' generator of (particle, run) pairs."""
     p = scn["protocol"]
     return anchored_runs(
         history,
@@ -96,11 +97,12 @@ def retro_run(system):
 
 def _ensemble_summary(scn: dict, out: str, runs, history):
     """Per-particle KS against the walk's marginals and flag counts, with each
-    particle's trajectory CSV; returns the summary and the worst layer KS over
-    both particles."""
-    report = {"count": int(scn["protocol"]["count"]), "substeps": runs[1].substeps}
+    particle's trajectory CSV, read from runs' (particle, run) pairs one run
+    at a time; returns the summary and the worst layer KS over both
+    particles."""
+    report = {"count": int(scn["protocol"]["count"]), "substeps": int(scn["protocol"]["substeps"])}
     densities = {1: history.density1, 2: history.density2}
-    for particle, run in runs.items():
+    for particle, run in runs:
         ks = equivariance_test(run, densities[particle], history.grid)
         exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
         report[f"particle{particle}"] = {
@@ -108,6 +110,8 @@ def _ensemble_summary(scn: dict, out: str, runs, history):
             "worst_ks": float(np.max(ks)),
             "flagged": run.n_flagged,
         }
+        # The loop's next() transports the next run before run is rebound.
+        del run
     return report, max(report["particle1"]["worst_ks"], report["particle2"]["worst_ks"])
 
 
@@ -227,8 +231,16 @@ def _superdet(scn: dict, system, args, out: str):
 def _tracks(scn: dict, system, args, out: str):
     history = _walk_history(system, record_joint=range(system.n_layers + 1))
     tracks = build_tracks(history, float(scn["protocol"]["track_threshold_rel"]))
-    runs = _anchored_runs(scn, history, "forward")
-    crossings = detect_crossings(runs, tracks, system.grid)
+    flagged = {}
+
+    def tallied(runs):
+        # Each run's flag count as it goes by, keeping no run.
+        for particle, run in runs:
+            flagged[particle] = run.n_flagged
+            yield particle, run
+            del run
+
+    crossings = detect_crossings(tallied(_anchored_runs(scn, history, "forward")), tracks, system.grid)
     exports.write_branch_edges_csv(os.path.join(out, "branch_edges.csv"), tracks)
     report = {
         "threshold_rel": float(scn["protocol"]["track_threshold_rel"]),
@@ -250,7 +262,7 @@ def _tracks(scn: dict, system, args, out: str):
             "components_per_layer": [int(k) for k in g.n_components],
             "loop_edges": len(g.loop_edges),
         }
-        report[f"particle{particle}"] = {"flagged": runs[particle].n_flagged}
+        report[f"particle{particle}"] = {"flagged": flagged[particle]}
     message = (
         f"joint loop edges {len(tracks.joint.loop_edges)}, marginal loop edges "
         f"{len(tracks.marginal[1].loop_edges)}/{len(tracks.marginal[2].loop_edges)}, "

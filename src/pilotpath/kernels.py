@@ -215,8 +215,12 @@ def transport(
                 k2 *= sixth
                 un = np.add(u, k2, out=k2)
                 if periodic and one_ring:
-                    np.subtract(un, ring, out=un, where=un >= ring)
-                    np.add(un, ring, out=un, where=un < 0.0)
+                    # Most substeps leave every position on the ring, and
+                    # a max or min is cheaper than a masked pass.
+                    if un.max() >= ring:
+                        np.subtract(un, ring, out=un, where=un >= ring)
+                    if un.min() < 0.0:
+                        np.add(un, ring, out=un, where=un < 0.0)
                 elif periodic:
                     np.remainder(un, ring, out=un)
                 else:

@@ -4,12 +4,12 @@ Three procedures built on the engine and guidance layers:
 
 - anchored_starts / anchored_runs: draw configurations from the joint
   density at one anchor layer, then transport each particle under its own
-  marginal velocity field.  Forward runs anchor at layer 0 and draw from
-  the forward-sample stream; backward runs (the retrocausal reading) anchor
-  at the final layer and draw from the final-sample stream.  The joint
-  correlations enter only through the draw.  The claim under test is
-  statistical: at every layer the ensemble must match that layer's
-  marginal density.
+  marginal velocity field, one particle at a time as the consumer asks for
+  its run.  Forward runs anchor at layer 0 and draw from the forward-sample
+  stream; backward runs (the retrocausal reading) anchor at the final
+  layer and draw from the final-sample stream.  The joint correlations
+  enter only through the draw.  The claim under test is statistical: at
+  every layer the ensemble must match that layer's marginal density.
 
 - superdet_replay: transport anchored starts one way, then run the
   endpoints back the other way through the same stack: `superdet` replays
@@ -32,7 +32,8 @@ Three procedures built on the engine and guidance layers:
   components.  A trajectory changing to a component that is not a
   graph descendant/ancestor of its previous one has crossed between worlds;
   such changes can only happen where two projections overlap on the
-  particle's axis.
+  particle's axis.  A trajectory's world at a layer is read from one code
+  per site: the component whose projection alone covers it, 0 or -1.
 
 RNG policy: one scenario seed, expanded into independent counter-mode
 streams (stream index in the Philox counter), all listed below: final-layer
@@ -43,6 +44,7 @@ no-signaling check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,13 +93,19 @@ def anchored_starts(
 
 def anchored_runs(
     history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str
-) -> dict[int, EnsembleRun]:
-    """Sample the anchor layer's joint density, transport each particle from
-    there (see anchored_starts)."""
-    return {
-        particle: integrate_batch(stack, x0, direction, substeps)
-        for particle, (stack, x0) in anchored_starts(history, seed, count, eps_rel, direction).items()
-    }
+) -> Iterator[tuple[int, EnsembleRun]]:
+    """Sample the anchor layer's joint density, then transport each particle
+    from there (see anchored_starts), one at a time.
+
+    Both particles' starts and stacks are drawn and built, and so checked,
+    at the call.  The returned generator yields (particle, run) in particle
+    order and transports a particle only when it is asked for the next pair,
+    so a consumer that drops each run before it asks holds one run at a time.
+    """
+    starts = anchored_starts(history, seed, count, eps_rel, direction)
+    return (
+        (particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()
+    )
 
 
 @dataclass
@@ -258,18 +266,22 @@ def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]
     labels, n = _label(mask)
     if not periodic or n < 2:
         return labels, int(labels.max())
+    if mask.ndim == 1:
+        a, b = labels[:1], labels[-1:]
+    else:
+        a = np.concatenate([labels[0, :], labels[:, 0]])
+        b = np.concatenate([labels[-1, :], labels[:, -1]])
+    seam = (a > 0) & (b > 0)
+    a, b = a[seam], b[seam]
+    # Each pair once, at its first occurrence, so the unions run in seam
+    # order and give the same roots.
+    _, first = np.unique(a.astype(np.int64) * (n + 1) + b, return_index=True)
+    first.sort()
     uf = _UnionFind()
     for c in range(1, n + 1):
         uf.find(c)
-    seams = []
-    if mask.ndim == 1:
-        seams.append((labels[0], labels[-1]))
-    else:
-        seams.extend(zip(labels[0, :], labels[-1, :]))
-        seams.extend(zip(labels[:, 0], labels[:, -1]))
-    for a, b in seams:
-        if a > 0 and b > 0:
-            uf.union(int(a), int(b))
+    for pa, pb in zip(a[first].tolist(), b[first].tolist()):
+        uf.union(pa, pb)
     # Merged components are numbered in sorted-root order, from 1.
     roots, index = np.unique([uf.find(c) for c in range(1, n + 1)], return_inverse=True)
     remap = np.zeros(n + 1, dtype=np.int64)
@@ -325,11 +337,18 @@ def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> Tra
     loop_edges = []
     uf = _UnionFind()
     for t in range(len(labels) - 1):
-        a, b = labels[t], labels[t + 1]
-        both = (a > 0) & (b > 0)
-        pairs = np.unique(np.stack([a[both], b[both]], axis=1), axis=0) if np.any(both) else []
-        for pa, pb in pairs:
-            edge = ((t, int(pa)), (t + 1, int(pb)))
+        # Each cell coded a * (k_next + 1) + b: ascending codes are the
+        # overlapping pairs in the lexicographic order of (a, b).  The count
+        # table is used while it is no larger than the layer itself; past
+        # that, as on a lattice-scale checkerboard, a sort finds the codes.
+        width = counts[t + 1] + 1
+        codes = (labels[t].astype(np.int64) * width + labels[t + 1]).ravel()
+        size = (counts[t] + 1) * width
+        found = np.flatnonzero(np.bincount(codes, minlength=size)) if size <= codes.size else np.unique(codes)
+        pa, pb = np.divmod(found, width)
+        both = (pa > 0) & (pb > 0)
+        for a, b in zip(pa[both].tolist(), pb[both].tolist()):
+            edge = ((t, a), (t + 1, b))
             edges.append(edge)
             if uf.union(edge[0], edge[1]):
                 loop_edges.append(edge)
@@ -381,25 +400,17 @@ class CrossingReport:
     ambiguous_fraction: float
 
 
-def _site_of(positions: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    u = np.floor((positions - grid.x_min) / grid.dx + 0.5).astype(np.int64)
-    if grid.boundary == "periodic":
-        return u % grid.n_sites
-    return np.clip(u, 0, grid.n_sites - 1)
-
-
-def _projection_tables(joint: TrackGraph, axis: int):
-    """Per layer: (site, component) membership of joint-component projections."""
+def _world_codes(joint: TrackGraph, axis: int) -> list[np.ndarray]:
+    """Per layer, per site of one particle's axis: the joint component whose
+    axis projection alone contains the site, 0 where no projection does and
+    -1 where several do."""
     tables = []
-    for t in range(len(joint.labels)):
-        lab = joint.labels[t]
-        k = joint.n_components[t]
-        n = lab.shape[axis]
-        proj = np.zeros((n, k + 1), dtype=bool)
-        for c in range(1, k + 1):
-            hit = (lab == c).any(axis=1 - axis)
-            proj[:, c] = hit
-        tables.append(proj)
+    for lab in joint.labels:
+        # One component covers a site exactly when its smallest and largest
+        # positive label across the other axis agree.
+        hi = lab.max(axis=1 - axis)
+        lo = np.where(lab > 0, lab, np.iinfo(lab.dtype).max).min(axis=1 - axis)
+        tables.append(np.where(lo == hi, hi, np.where(hi > 0, -1, 0)).astype(np.int64))
     return tables
 
 
@@ -416,8 +427,47 @@ def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
     return offset, reach
 
 
+def _layer_pass(particle: int, run: EnsembleRun, codes, offset, reach, grid: LatticeGrid):
+    """One run's pass over the layers, vectorised over trajectories: its
+    event rows, violations, crossing trajectories and ambiguous layers.
+
+    Each trajectory's world code is gathered from its layer's table at its
+    nearest site (the gather's wrap or clip is the site's % n_sites or
+    clip), and each trajectory carries its last labeled layer and world,
+    whether an ambiguous layer came since, and whether it ever crossed.
+    """
+    mode = "wrap" if grid.boundary == "periodic" else "clip"
+    n = run.n_trajectories
+    last_node = np.zeros(n, dtype=np.int64)
+    last_c = np.zeros(n, dtype=np.int64)
+    labeled = np.zeros(n, dtype=bool)
+    bridged = np.zeros(n, dtype=bool)
+    crossed = np.zeros(n, dtype=bool)
+    events = []
+    violations = 0
+    ambiguous_counts = 0
+    for t, table in enumerate(codes):
+        site = np.floor((run.layer_positions(t) - grid.x_min) / grid.dx + 0.5).astype(np.int64)
+        c = table.take(site, mode=mode)
+        ambiguous = c < 0
+        ambiguous_counts += int(np.count_nonzero(ambiguous))
+        bridged |= ambiguous
+        single = c > 0
+        node = offset[t] + c
+        i = np.flatnonzero(single & labeled)
+        i = i[~reach[last_node[i], node[i]]]
+        events.append(np.stack([np.full_like(i, t), np.full_like(i, particle), i, last_c[i], c[i]], axis=1))
+        violations += int(np.count_nonzero(~bridged[i]))
+        crossed[i] = True
+        np.copyto(last_node, node, where=single)
+        np.copyto(last_c, c, where=single)
+        labeled |= single
+        bridged &= ~single
+    return np.concatenate(events), violations, int(np.count_nonzero(crossed)), ambiguous_counts
+
+
 def detect_crossings(
-    runs: dict[int, EnsembleRun], tracks: TrackSet, grid: LatticeGrid
+    runs: Iterable[tuple[int, EnsembleRun]], tracks: TrackSet, grid: LatticeGrid
 ) -> CrossingReport:
     """Classify world-branch changes of transported trajectories.
 
@@ -430,14 +480,12 @@ def detect_crossings(
     (projections overlapping), and transitions violating that are counted
     separately as consistency violations.
 
-    One pass over the layers, vectorised over trajectories: each
-    trajectory carries its last labeled layer and world, whether an
-    ambiguous layer came since, and whether it ever crossed.
+    runs is any iterable of (particle, run) pairs, such as anchored_runs'
+    generator.  Each run's layer pass (see _layer_pass) finishes, and the
+    run is dropped, before the next pair is asked for.
     """
     joint = tracks.joint
     n_layers = joint.n_layers
-    if any(run.n_layers != n_layers for run in runs.values()):
-        raise ValidationError("every run must pass the same layers as the branch graph")
     # Component labels are numbered per layer, so world identity across
     # layers is decided by graph reachability alone, never by comparing
     # label integers from different layers.
@@ -447,46 +495,24 @@ def detect_crossings(
     violations = 0
     crossed = 0
     ambiguous_counts = 0
-    total_counts = 0
-
-    for particle, run in runs.items():
-        proj = _projection_tables(joint, axis=particle - 1)
-        n = run.n_trajectories
-        last_node = np.zeros(n, dtype=np.int64)
-        last_c = np.zeros(n, dtype=np.int64)
-        labeled = np.zeros(n, dtype=bool)
-        bridged = np.zeros(n, dtype=bool)
-        traj_crossed = np.zeros(n, dtype=bool)
-        for t in range(n_layers + 1):
-            site = _site_of(run.layer_positions(t), grid)
-            tab = proj[t]
-            count = tab.sum(axis=1)[site]
-            c = np.argmax(tab, axis=1)[site]
-            ambiguous = count > 1
-            ambiguous_counts += int(np.count_nonzero(ambiguous))
-            total_counts += n
-            bridged |= ambiguous
-            single = count == 1
-            node = offset[t] + c
-            event = single & labeled
-            event[event] = ~reach[last_node[event], node[event]]
-            i = np.flatnonzero(event)
-            events.append(
-                np.stack(
-                    [np.full_like(i, t), np.full_like(i, particle), i, last_c[i], c[i]], axis=1
-                )
-            )
-            violations += int(np.count_nonzero(event & ~bridged))
-            traj_crossed |= event
-            last_node[single] = node[single]
-            last_c[single] = c[single]
-            labeled |= single
-            bridged[single] = False
-        crossed += int(np.count_nonzero(traj_crossed))
+    total_traj = 0
+    for particle, run in runs:
+        if run.n_layers != n_layers:
+            raise ValidationError("every run must pass the same layers as the branch graph")
+        rows, n_violations, n_crossed, n_ambiguous = _layer_pass(
+            particle, run, _world_codes(joint, particle - 1), offset, reach, grid
+        )
+        events.append(rows)
+        violations += n_violations
+        crossed += n_crossed
+        ambiguous_counts += n_ambiguous
+        total_traj += run.n_trajectories
+        # The loop's next() transports the next run before run is rebound.
+        del run
 
     events = np.concatenate(events)
     events = events[np.lexsort((events[:, 0], events[:, 2], events[:, 1]))]
-    total_traj = sum(run.n_trajectories for run in runs.values())
+    total_counts = total_traj * (n_layers + 1)
     return CrossingReport(
         events=events,
         crossing_fraction=crossed / total_traj if total_traj else 0.0,

@@ -348,7 +348,17 @@ def build_packet(grid: LatticeGrid, spec: dict, mass: float) -> np.ndarray:
     An optional support_radius zeroes the field beyond that distance from
     the center (minimal-image for periodic grids) and renormalizes, giving
     path conditioning an exactly sparse start instead of machine-size tails.
+    center, sigma, momentum and a given support_radius must be finite real
+    numbers, and sigma must be positive.
     """
+    numbers = {key: spec.get(key) for key in ("center", "sigma", "momentum")}
+    if spec.get("support_radius") is not None:
+        numbers["support_radius"] = spec["support_radius"]
+    for key, value in numbers.items():
+        if not _is_number(value):
+            raise ValidationError(f"packet {key} must be a finite real number, got {value!r}")
+    if numbers["sigma"] <= 0:
+        raise ValidationError(f"packet sigma must be positive, got {numbers['sigma']!r}")
     kind = spec["kind"]
     if kind == "walk-positive":
         if "spinor" in spec:

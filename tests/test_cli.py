@@ -13,6 +13,7 @@ import pytest
 import pilotpath
 from pilotpath import cli, kernels
 from pilotpath.errors import DegenerateDensityError
+from pilotpath.scenario import read_scenario
 
 
 @pytest.fixture()
@@ -217,6 +218,28 @@ def test_superdet_holds_one_round_trip_at_a_time(tmp_path):
     report = read_json(tmp_path, "entangled-mirror", "superdet", "superdet_report.json")
     assert (report["count"], report["substeps"], report["total_excluded"]) == (2000, 32, 0)
     assert peak < 1.5 * one
+
+
+def test_tracks_holds_one_ensemble_at_a_time(tmp_path):
+    """tracks on recombination at 20000 trajectories transports each
+    particle's ensemble only when the crossing pass reaches it, and drops it
+    before the next: its peak stays below 2.25 runs' layer records, where
+    both particles' runs at once would pass 2."""
+    scn = read_scenario("recombination")
+    scn["protocol"]["count"] = 20000
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    one = 20000 * (scn["n_layers"] + 1) * 8
+    tracemalloc.start()
+    try:
+        code = run_cli(["tracks", "--scenario", str(path)], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = read_json(tmp_path, "recombination", "tracks", "tracks_report.json")
+    assert report["crossings"]["n_trajectories"] == 40000
+    assert peak < 2.25 * one
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):
@@ -424,6 +447,22 @@ def test_failed_runs_leave_no_artifact_directory(command, scenario, extra, exit_
     code, _ = expect_error([command, "--scenario", scenario] + extra, tmp_path, capsys)
     assert code == exit_code
     assert not (tmp_path / scenario / command).exists()
+
+
+@pytest.mark.parametrize("key, value", [("center", float("nan")), ("sigma", "wide")], ids=["nan-center", "string-sigma"])
+def test_malformed_packets_exit_2_and_write_nothing(key, value, scenario_file, tmp_path, capsys):
+    """A packet field that is not a finite real number is an input error,
+    raised before numpy computes with it (the tier-1 suite turns numpy's
+    RuntimeWarnings into errors, as CI does)."""
+    scn = json.loads(Path(scenario_file).read_text())
+    scn["initial"]["packet1"][key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["guide", "--scenario", str(path)], tmp_path / "out", capsys)
+    assert code == 2
+    assert payload["error"] == "ValidationError"
+    assert f"packet {key} must be a finite real number" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["abs", "../up", "a/b", ".."], ids=["absolute", "parent", "nested", "dotdot"])

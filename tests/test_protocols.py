@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 
-from pilotpath import kernels
+from pilotpath import kernels, protocols
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
@@ -28,6 +28,7 @@ from pilotpath.protocols import (
     STREAM_SCENARIO_BUILD,
     TrackGraph,
     TrackSet,
+    _build_graph,
     _label,
     _label_with_wrap,
     anchored_runs,
@@ -88,7 +89,7 @@ def test_stream_constants_are_distinct():
 
 
 def backward_runs(history, seed, count, substeps=4):
-    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward")
+    return dict(anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward"))
 
 
 def substep_runs(starts, direction, substeps):
@@ -125,7 +126,7 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
     anchor = 0 if direction == "forward" else history.n_layers
     x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
     starts = anchored_starts(history, scn["seed"], 50, EPS_NODE_REL, direction)
-    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction)
+    runs = dict(anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction))
     assert set(runs) == set(starts) == {1, 2}
     for particle, x0 in ((1, x1), (2, x2)):
         stack, start = starts[particle]
@@ -137,6 +138,27 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
         assert run.positions.shape == (50, history.n_layers + 1)
         assert np.array_equal(run.positions[:, 0], x0)
         assert np.array_equal(run.layer_positions(anchor), x0)
+
+
+def test_anchored_runs_transport_each_particle_when_asked(no_overlap, monkeypatch):
+    """The starts are drawn at the call; a particle is transported only when
+    its run is asked for, so particle 2 has not moved when particle 1's run
+    is yielded."""
+    scn, _, history = no_overlap
+    calls = []
+
+    def counted(stack, x0, direction, substeps):
+        calls.append(len(x0))
+        return integrate_batch(stack, x0, direction, substeps)
+
+    monkeypatch.setattr(protocols, "integrate_batch", counted)
+    runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward")
+    assert calls == []
+    particle, run = next(runs)
+    assert (particle, run.n_trajectories, calls) == (1, 30, [30])
+    particle, run = next(runs)
+    assert (particle, run.n_trajectories, calls) == (2, 30, [30, 30])
+    assert next(runs, None) is None
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
@@ -438,6 +460,36 @@ def test_branch_graphs_on_a_recombining_run(recombination):
     assert all(n == 2 for n in tracks.joint.n_components)
 
 
+def checkerboard_tables(size, n_layers):
+    """Alternating cell tables, each layer the last one shifted by two rows:
+    every layer has size**2 / 2 one-cell components, each overlapping one
+    of the next layer's."""
+    cells = (np.add.outer(np.arange(size), np.arange(size)) % 2).astype(float)
+    return [np.roll(cells, 2 * t, axis=0) for t in range(n_layers + 1)]
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "bounded"])
+@pytest.mark.parametrize("case", ["recombination", "checkerboard"])
+def test_branch_edges_are_the_overlapping_label_pairs_in_order(case, periodic, recombination):
+    """A layer pair's edges are its overlapping (a, b) label pairs, in
+    lexicographic order: counted in a table on recombination's joint
+    layers, sorted on a checkerboard, whose table would outgrow the layer."""
+    if case == "recombination":
+        _, _, history = recombination
+        tables = [history.joint[t] for t in range(history.n_layers + 1)]
+    else:
+        tables = checkerboard_tables(12, 3)
+    graph = _build_graph(tables, "joint", TRACK_THRESHOLD_REL, periodic)
+    expected = []
+    for t in range(graph.n_layers):
+        a, b = graph.labels[t].ravel(), graph.labels[t + 1].ravel()
+        pairs = sorted({(int(x), int(y)) for x, y in zip(a, b) if x > 0 and y > 0})
+        expected += [((t, x), (t + 1, y)) for x, y in pairs]
+    assert graph.edges == expected and expected
+    if case == "checkerboard":
+        assert (graph.n_components[0] + 1) ** 2 > tables[0].size
+
+
 def test_graph_accessor_methods(recombination):
     _, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
@@ -467,7 +519,7 @@ def test_graph_accessor_methods(recombination):
 def test_disjoint_branches_never_cross(no_overlap):
     scn, system, history = no_overlap
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(backward_runs(history, scn["seed"], 400), tracks, system.grid)
+    report = detect_crossings(backward_runs(history, scn["seed"], 400).items(), tracks, system.grid)
     assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
     assert report.violations == 0
@@ -478,7 +530,7 @@ def test_disjoint_branches_never_cross(no_overlap):
 def test_reconverging_branches_are_crossed(recombination):
     scn, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(backward_runs(history, scn["seed"], 400), tracks, system.grid)
+    report = detect_crossings(backward_runs(history, scn["seed"], 400).items(), tracks, system.grid)
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
     assert 0.0 < report.ambiguous_fraction < 1.0
@@ -550,7 +602,8 @@ def crossings_reference(runs, tracks, grid):
 
 
 def assert_matches_reference(runs, tracks, grid):
-    report = detect_crossings(runs, tracks, grid)
+    """detect_crossings, fed the runs as a generator, against the reference."""
+    report = detect_crossings(((particle, run) for particle, run in runs.items()), tracks, grid)
     events, violations, crossing_fraction, ambiguous_fraction, n_traj = crossings_reference(
         runs, tracks, grid
     )
@@ -567,7 +620,7 @@ def assert_matches_reference(runs, tracks, grid):
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
     _, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    runs = anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward")
+    runs = dict(anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward"))
     report = assert_matches_reference(runs, tracks, system.grid)
     assert len(report.events) > 0
 
@@ -673,4 +726,4 @@ def test_crossings_on_a_hand_built_branch_graph():
 def test_crossings_reject_runs_over_other_layers():
     short = site_run([[0, 0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValidationError, match="same layers"):
-        detect_crossings({1: short}, hand_built_tracks(), LatticeGrid(8, 1.0, 1.0))
+        detect_crossings([(1, short)], hand_built_tracks(), LatticeGrid(8, 1.0, 1.0))

@@ -406,6 +406,58 @@ def test_packet_spec_conflicts_are_rejected():
         build_packet(grid, spec, 0.2)
 
 
+def free_packet_with(key, value):
+    """free-packet with one field of its first packet replaced."""
+    scn = load_scenario("free-packet")
+    scn["initial"]["branches"][0]["packet1"][key] = value
+    return scn
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("center", float("nan"), "center must be a finite real number"),
+        ("center", True, "center must be a finite real number"),
+        ("center", None, "center must be a finite real number"),
+        ("sigma", "wide", "sigma must be a finite real number"),
+        ("sigma", True, "sigma must be a finite real number"),
+        ("sigma", 0, "sigma must be positive"),
+        ("sigma", -2.0, "sigma must be positive"),
+        ("momentum", float("inf"), "momentum must be a finite real number"),
+        ("momentum", [0.6], "momentum must be a finite real number"),
+        ("support_radius", float("-inf"), "support_radius must be a finite real number"),
+        ("support_radius", "4", "support_radius must be a finite real number"),
+    ],
+    ids=[
+        "nan-center",
+        "bool-center",
+        "null-center",
+        "string-sigma",
+        "bool-sigma",
+        "zero-sigma",
+        "negative-sigma",
+        "infinite-momentum",
+        "list-momentum",
+        "infinite-support-radius",
+        "string-support-radius",
+    ],
+)
+def test_malformed_packet_fields_are_rejected(key, value, match):
+    """Every preset's packets pass through build_packet, which rejects a
+    field that is not a finite real number, and a sigma that is not
+    positive, before either packet kind builds its field."""
+    with pytest.raises(ValidationError, match=match):
+        build_walk(free_packet_with(key, value))
+
+
+@pytest.mark.parametrize("kind", ["walk-positive", "gaussian"])
+def test_both_packet_kinds_check_their_fields(kind):
+    grid = LatticeGrid(16, 1.0, 1.0)
+    spec = {"kind": kind, "center": 4.0, "sigma": float("nan"), "momentum": 0.0}
+    with pytest.raises(ValidationError, match="sigma must be a finite real number"):
+        build_packet(grid, spec, 0.2)
+
+
 def test_cancelling_branches_are_degenerate():
     grid = LatticeGrid(16, 1.0, 1.0)
     packet = {"center": 6.0, "sigma": 1.5, "kind": "gaussian", "momentum": 0.0, "spinor": "up"}
