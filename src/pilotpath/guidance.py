@@ -122,6 +122,36 @@ def check_direction(direction: str) -> bool:
     return direction == "forward"
 
 
+def _canonical_starts(grid: LatticeGrid, x0: np.ndarray, direction: str, substeps: int) -> tuple[bool, np.ndarray]:
+    """transport_records' own checks of its inputs; returns (forward, x0)
+    with x0 made canonical on the grid."""
+    forward = check_direction(direction)
+    if substeps < 1:
+        raise ValidationError("substeps must be at least 1")
+    x0 = np.asarray(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("start positions must be finite")
+    if grid.boundary == "periodic":
+        # Ring positions are classes mod extent; canonicalize so cell-based
+        # samples from the wrap cell (half a cell below x_min) are accepted.
+        x0 = grid.x_min + np.mod(x0 - grid.x_min, grid.extent)
+    else:
+        lo = grid.x_min - 0.5 * grid.dx
+        hi = grid.x_min + grid.extent - 0.5 * grid.dx
+        if np.any(x0 < lo) or np.any(x0 > hi):
+            raise ValidationError("start positions outside the lattice extent")
+        x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
+    return forward, x0
+
+
+def check_transport(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int) -> None:
+    """Run every check transport_records would make of these inputs,
+    kernels.check_inputs included, without transporting."""
+    grid = stack.grid
+    _, x0 = _canonical_starts(grid, x0, direction, substeps)
+    kernels.check_inputs(stack.values, x0, grid.extent, grid.boundary == "periodic", grid.dt / substeps)
+
+
 def transport_records(
     stack: VelocityStack,
     x0: np.ndarray,
@@ -140,23 +170,8 @@ def transport_records(
     kernels.transport).  Deterministic: the same inputs give the same
     positions and freeze indices bit for bit.
     """
-    forward = check_direction(direction)
-    if substeps < 1:
-        raise ValidationError("substeps must be at least 1")
     grid = stack.grid
-    x0 = np.asarray(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("start positions must be finite")
-    if grid.boundary == "periodic":
-        # Ring positions are classes mod extent; canonicalize so cell-based
-        # samples from the wrap cell (half a cell below x_min) are accepted.
-        x0 = grid.x_min + np.mod(x0 - grid.x_min, grid.extent)
-    else:
-        lo = grid.x_min - 0.5 * grid.dx
-        hi = grid.x_min + grid.extent - 0.5 * grid.dx
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            raise ValidationError("start positions outside the lattice extent")
-        x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
+    forward, x0 = _canonical_starts(grid, x0, direction, substeps)
     return kernels.transport(
         stack.values,
         stack.masks,

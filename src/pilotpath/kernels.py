@@ -97,6 +97,21 @@ def _stage(left, slope, bad, u, mode, offset):
     return k, None if bad is None else bad.take(c, mode=mode)
 
 
+def check_inputs(values: np.ndarray, x0: np.ndarray, extent: float, periodic: bool, step: float) -> float:
+    """The largest |velocity| in values, once the tables and starts are
+    checked to be finite and, on a periodic grid, a stage of length step is
+    checked to cross at most MAX_STAGE_RINGS rings.  transport runs these
+    checks first; a caller may run them ahead of it."""
+    vmax = float(np.max(np.abs(values), initial=0.0))
+    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
+        raise ValidationError("transport needs finite velocity tables and start positions")
+    if periodic and step * vmax > MAX_STAGE_RINGS * extent:
+        raise ValidationError(
+            f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
+        )
+    return vmax
+
+
 def transport(
     values: np.ndarray,
     masks: np.ndarray,
@@ -136,13 +151,7 @@ def transport(
     n_sites = values.shape[1]
     n = x0.shape[0]
     h = (dt / substeps) if forward else -(dt / substeps)
-    vmax = float(np.max(np.abs(values), initial=0.0))
-    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
-        raise ValidationError("transport needs finite velocity tables and start positions")
-    if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
-        raise ValidationError(
-            f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
-        )
+    vmax = check_inputs(values, x0, extent, periodic, abs(h))
     if substep_records and fold is not None:
         raise ValidationError("a folded transport keeps its layer-boundary records only")
     # Substeps from one kept record to the next.
@@ -215,12 +224,8 @@ def transport(
                 k2 *= sixth
                 un = np.add(u, k2, out=k2)
                 if periodic and one_ring:
-                    # Most substeps leave every position on the ring, and
-                    # a max or min is cheaper than a masked pass.
-                    if un.max() >= ring:
-                        np.subtract(un, ring, out=un, where=un >= ring)
-                    if un.min() < 0.0:
-                        np.add(un, ring, out=un, where=un < 0.0)
+                    np.subtract(un, ring, out=un, where=un >= ring)
+                    np.add(un, ring, out=un, where=un < 0.0)
                 elif periodic:
                     np.remainder(un, ring, out=un)
                 else:

@@ -52,7 +52,7 @@ import numpy as np
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
-from .guidance import sample_joint_density, transport_records, velocity_stack
+from .guidance import check_transport, sample_joint_density, transport_records, velocity_stack
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
@@ -97,12 +97,16 @@ def anchored_runs(
     """Sample the anchor layer's joint density, then transport each particle
     from there (see anchored_starts), one at a time.
 
-    Both particles' starts and stacks are drawn and built, and so checked,
-    at the call.  The returned generator yields (particle, run) in particle
-    order and transports a particle only when it is asked for the next pair,
-    so a consumer that drops each run before it asks holds one run at a time.
+    Both particles' starts are drawn and their stacks built at the call, and
+    every check their transports make runs there too, so no input error
+    surfaces after the first run is yielded.  The returned generator yields
+    (particle, run) in particle order and transports a particle only when it
+    is asked for the next pair, so a consumer that drops each run before it
+    asks holds one run at a time.
     """
     starts = anchored_starts(history, seed, count, eps_rel, direction)
+    for stack, x0 in starts.values():
+        check_transport(stack, x0, direction, substeps)
     return (
         (particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()
     )
@@ -266,22 +270,18 @@ def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]
     labels, n = _label(mask)
     if not periodic or n < 2:
         return labels, int(labels.max())
-    if mask.ndim == 1:
-        a, b = labels[:1], labels[-1:]
-    else:
-        a = np.concatenate([labels[0, :], labels[:, 0]])
-        b = np.concatenate([labels[-1, :], labels[:, -1]])
-    seam = (a > 0) & (b > 0)
-    a, b = a[seam], b[seam]
-    # Each pair once, at its first occurrence, so the unions run in seam
-    # order and give the same roots.
-    _, first = np.unique(a.astype(np.int64) * (n + 1) + b, return_index=True)
-    first.sort()
     uf = _UnionFind()
     for c in range(1, n + 1):
         uf.find(c)
-    for pa, pb in zip(a[first].tolist(), b[first].tolist()):
-        uf.union(pa, pb)
+    seams = []
+    if mask.ndim == 1:
+        seams.append((labels[0], labels[-1]))
+    else:
+        seams.extend(zip(labels[0, :], labels[-1, :]))
+        seams.extend(zip(labels[:, 0], labels[:, -1]))
+    for a, b in seams:
+        if a > 0 and b > 0:
+            uf.union(int(a), int(b))
     # Merged components are numbered in sorted-root order, from 1.
     roots, index = np.unique([uf.find(c) for c in range(1, n + 1)], return_inverse=True)
     remap = np.zeros(n + 1, dtype=np.int64)
@@ -338,13 +338,9 @@ def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> Tra
     uf = _UnionFind()
     for t in range(len(labels) - 1):
         # Each cell coded a * (k_next + 1) + b: ascending codes are the
-        # overlapping pairs in the lexicographic order of (a, b).  The count
-        # table is used while it is no larger than the layer itself; past
-        # that, as on a lattice-scale checkerboard, a sort finds the codes.
+        # overlapping pairs in the lexicographic order of (a, b).
         width = counts[t + 1] + 1
-        codes = (labels[t].astype(np.int64) * width + labels[t + 1]).ravel()
-        size = (counts[t] + 1) * width
-        found = np.flatnonzero(np.bincount(codes, minlength=size)) if size <= codes.size else np.unique(codes)
+        found = np.unique(labels[t].astype(np.int64) * width + labels[t + 1])
         pa, pb = np.divmod(found, width)
         both = (pa > 0) & (pb > 0)
         for a, b in zip(pa[both].tolist(), pb[both].tolist()):

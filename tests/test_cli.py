@@ -8,10 +8,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pilotpath
-from pilotpath import cli, kernels
+from pilotpath import cli, kernels, protocols
 from pilotpath.errors import DegenerateDensityError
 from pilotpath.scenario import read_scenario
 
@@ -462,6 +463,28 @@ def test_malformed_packets_exit_2_and_write_nothing(key, value, scenario_file, t
     assert code == 2
     assert payload["error"] == "ValidationError"
     assert f"packet {key} must be a finite real number" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "beyond-stage-bound"])
+@pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
+def test_second_particle_transport_errors_exit_before_any_artifact(command, fault, scenario_file, tmp_path, capsys, monkeypatch):
+    """Runs are transported one particle at a time, but a stack that its
+    transport would reject fails the command at the draw: particle 2's
+    error exits 2 before particle 1's run writes anything."""
+    build = protocols.velocity_stack
+
+    def poisoned(history, particle, eps_rel):
+        stack = build(history, particle, eps_rel)
+        if particle == 1:
+            return stack
+        values = stack.values.copy()
+        values[1, 3] = np.nan if fault == "non-finite" else 1e300
+        return dataclasses.replace(stack, values=values)
+
+    monkeypatch.setattr(protocols, "velocity_stack", poisoned)
+    code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
+    assert (code, payload["error"]) == (2, "ValidationError")
     assert not (tmp_path / "out").exists()
 
 

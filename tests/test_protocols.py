@@ -472,8 +472,8 @@ def checkerboard_tables(size, n_layers):
 @pytest.mark.parametrize("case", ["recombination", "checkerboard"])
 def test_branch_edges_are_the_overlapping_label_pairs_in_order(case, periodic, recombination):
     """A layer pair's edges are its overlapping (a, b) label pairs, in
-    lexicographic order: counted in a table on recombination's joint
-    layers, sorted on a checkerboard, whose table would outgrow the layer."""
+    lexicographic order, on recombination's joint layers and on a
+    checkerboard of one-cell components."""
     if case == "recombination":
         _, _, history = recombination
         tables = [history.joint[t] for t in range(history.n_layers + 1)]
@@ -486,8 +486,6 @@ def test_branch_edges_are_the_overlapping_label_pairs_in_order(case, periodic, r
         pairs = sorted({(int(x), int(y)) for x, y in zip(a, b) if x > 0 and y > 0})
         expected += [((t, x), (t + 1, y)) for x, y in pairs]
     assert graph.edges == expected and expected
-    if case == "checkerboard":
-        assert (graph.n_components[0] + 1) ** 2 > tables[0].size
 
 
 def test_graph_accessor_methods(recombination):
