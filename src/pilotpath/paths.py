@@ -193,15 +193,22 @@ class PathEnsemble:
 
         Row j equals the directly evolved joint state's row j; this is the
         module's defining identity and what every density reconstruction
-        reduces to.
+        reduces to.  When the last level's table of distinct partner states
+        is small, the sum is one product: a (dim_a, rows) matrix of summed
+        amplitudes times the table.
         """
         if self._rows is None:
             d1 = self.context.basis.dim_a
-            d2 = self.context.basis.dim_b
             last = self.levels[-1]
-            rows = np.zeros((d1, d2), dtype=np.complex128)
-            for g, idx in self.group_indices().items():
-                rows[g] = (self.amps[idx, None] * last.partners[last.rows[idx]]).sum(axis=0)
+            n_rows = last.partners.shape[0]
+            if d1 * n_rows <= self.n_paths:
+                weights = np.zeros((d1, n_rows), dtype=np.complex128)
+                np.add.at(weights, (self.endpoints, last.rows), self.amps)
+                rows = weights @ last.partners
+            else:
+                rows = np.zeros((d1, self.context.basis.dim_b), dtype=np.complex128)
+                for g, idx in self.group_indices().items():
+                    rows[g] = (self.amps[idx, None] * last.partners[last.rows[idx]]).sum(axis=0)
             self._rows = rows
         return self._rows
 
@@ -311,7 +318,6 @@ class OverlapGroup:
     endpoint: tuple[int, int]
     path_ids: np.ndarray
     overlaps: np.ndarray
-    increments: np.ndarray
 
 
 @dataclass
@@ -347,40 +353,27 @@ def _settle_gram(gram: np.ndarray, what: str) -> np.ndarray:
     return gram
 
 
-def _ancestor_matrix(ensemble: PathEnsemble, ids: np.ndarray) -> np.ndarray:
-    anc = np.empty((ensemble.n_layers + 1, ids.shape[0]), dtype=np.int64)
-    a = ids.astype(np.int64)
-    for r in range(ensemble.n_layers, -1, -1):
-        anc[r] = a
-        a = ensemble.levels[r].parents[a]
-    return anc
-
-
 def overlap_table(ensemble: PathEnsemble) -> OverlapTable:
-    """Gram matrices of partner states, grouped by path endpoint.
+    """Gram matrices of final partner states, grouped by path endpoint.
 
-    Each group also carries the per-layer changes of the truncated
-    overlaps, checked to telescope: one plus their sum is the final overlap.
+    When the last level's table of distinct partner states has fewer entry
+    pairs than the groups together, one Gram of the table is formed and
+    each group reads its block; otherwise each group forms its own.
     """
     basis = ensemble.context.basis
+    last = ensemble.levels[-1]
+    shared = None
+    if last.partners.shape[0] ** 2 < ensemble.pair_count:
+        shared = _settle_gram(last.partners.conj() @ last.partners.T, "distinct partner states")
     out: dict[int, OverlapGroup] = {}
     for g, ids in ensemble.group_indices().items():
-        anc = _ancestor_matrix(ensemble, ids)
-        increments = np.empty((ensemble.n_layers, ids.shape[0], ids.shape[0]), dtype=np.complex128)
-        # anc[n_layers] is ids, so raw ends as the endpoints' own Gram.
-        for r, level in enumerate(ensemble.levels):
-            phi = level.partners[level.rows[anc[r]]]
-            gram = phi.conj() @ phi.T
-            if r > 0:
-                increments[r - 1] = gram - raw
-            raw = gram
-        resid = np.max(np.abs(1.0 + increments.sum(axis=0) - raw))
-        if resid > 1e-12:
-            raise PilotPathError(f"overlap increments fail to telescope by {resid:.3e}")
-        gram = _settle_gram(raw, f"endpoint {basis.unflat_a(g)}")
-        out[g] = OverlapGroup(
-            endpoint=basis.unflat_a(g), path_ids=ids.copy(), overlaps=gram, increments=increments
-        )
+        rows = last.rows[ids]
+        if shared is None:
+            phi = last.partners[rows]
+            gram = _settle_gram(phi.conj() @ phi.T, f"endpoint {basis.unflat_a(g)}")
+        else:
+            gram = shared[np.ix_(rows, rows)]
+        out[g] = OverlapGroup(endpoint=basis.unflat_a(g), path_ids=ids.copy(), overlaps=gram)
     return OverlapTable(groups=out, n_layers=ensemble.n_layers)
 
 

@@ -66,7 +66,7 @@ class VerifyReport:
 def _verify_paths(report: VerifyReport, scn: dict, system, with_current: bool) -> None:
     """Path checks over the scenario's path window.  They are skipped, with
     the reason, where conditioning is undefined or a path cap is reached."""
-    names = ["path_equivalence", "overlap_telescoping", "overlap_magnitude"]
+    names = ["path_equivalence", "overlap_magnitude"]
     if with_current:
         names.append("diagonal_current_zero")
     try:
@@ -83,14 +83,7 @@ def _verify_paths(report: VerifyReport, scn: dict, system, with_current: bool) -
     resid = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
     report.add("path_equivalence", resid, 1e-10, f"{ens.n_paths} paths over {context.n_layers} layers")
 
-    worst_tele = 0.0
-    worst_mag = 0.0
-    for grp in table.groups.values():
-        if grp.overlaps.shape[0] > 1:
-            rebuilt = 1.0 + grp.increments.sum(axis=0)
-            worst_tele = max(worst_tele, float(np.abs(rebuilt - grp.overlaps).max()))
-        worst_mag = max(worst_mag, float(np.abs(grp.overlaps).max()))
-    report.add("overlap_telescoping", worst_tele, 1e-12)
+    worst_mag = max(float(np.abs(grp.overlaps).max()) for grp in table.groups.values())
     report.add("overlap_magnitude", max(worst_mag - 1.0, 0.0), 1e-12)
 
     if with_current:

@@ -259,7 +259,6 @@ def test_path_sums_match_direct_evolution(path_cases, capsys):
 
 def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
     worst_excess = 0.0
-    worst_tele = 0.0
     worst_spot = 0.0
     total_pairs = 0
     for case in path_cases:
@@ -272,9 +271,6 @@ def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
             assert np.array_equal(np.diagonal(group.overlaps), np.ones(k, dtype=complex))
             assert np.array_equal(group.overlaps, group.overlaps.conj().T)
             worst_excess = max(worst_excess, float(np.abs(group.overlaps).max()) - 1.0)
-            if k > 1:
-                rebuilt = 1.0 + group.increments.sum(axis=0)
-                worst_tele = max(worst_tele, float(np.abs(rebuilt - group.overlaps).max()))
             if not spot_done and k > 1:
                 p = to_path(ens, int(group.path_ids[0]))
                 q = to_path(ens, int(group.path_ids[1]))
@@ -286,13 +282,13 @@ def test_overlap_invariants_hold_for_every_pair(path_cases, capsys):
                     abs(val_qp - np.conj(val_pq)),
                 )
                 spot_done = True
-    ok = worst_excess <= 1e-12 and worst_tele <= 1e-12 and worst_spot <= 1e-12
+    ok = worst_excess <= 1e-12 and worst_spot <= 1e-12
     announce(
         capsys,
         "overlap-invariants",
         ok,
         f"{total_pairs} pairs; unit diagonal and symmetry exact, magnitude excess "
-        f"{max(worst_excess, 0.0):.3e}, telescoping {worst_tele:.3e} vs 1e-12",
+        f"{max(worst_excess, 0.0):.3e}, spot check {worst_spot:.3e} vs 1e-12",
     )
     assert ok
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pilotpath
-from pilotpath import cli, kernels, protocols
+from pilotpath import cli, kernels, protocols, verify
 from pilotpath.errors import DegenerateDensityError
 from pilotpath.scenario import read_scenario
 
@@ -263,13 +263,12 @@ def test_verify_runs_the_battery_by_name(scenario_file, tmp_path):
         "no_signaling",
         "continuity_residual",
         "path_equivalence",
-        "overlap_telescoping",
         "overlap_magnitude",
         "diagonal_current_zero",
         "reversibility",
         "equivariance_quick",
     ]
-    circuit = ["unitarity_drift", "no_signaling", "path_equivalence", "overlap_telescoping", "overlap_magnitude"]
+    circuit = ["unitarity_drift", "no_signaling", "path_equivalence", "overlap_magnitude"]
     for scenario, name, expected in ((scenario_file, "cli-unit", walk), ("circuit-demo", "circuit-demo", circuit)):
         assert run_cli(["verify", "--scenario", scenario], tmp_path) == 0
         report = read_json(tmp_path, name, "verify", "verify_report.json")
@@ -517,6 +516,30 @@ def test_failing_verify_exits_1(scenario_file, tmp_path, capsys):
     assert not by_name["equivariance_quick"]["passed"]
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"verification FAILED; report in {out / 'cli-unit' / 'verify'}"
+
+
+def test_overlap_magnitude_reads_the_table(scenario_file, tmp_path, capsys, monkeypatch):
+    """One overlap of magnitude 1 + 1e-9 in the table verify reads fails
+    overlap_magnitude, and only it, and the report says so."""
+    real = verify.pp.overlap_table
+
+    def inflated(ensemble):
+        table = real(ensemble)
+        group = max(table.groups.values(), key=lambda g: g.overlaps.shape[0])
+        assert group.overlaps.shape[0] > 1
+        group.overlaps = group.overlaps.copy()
+        group.overlaps[0, 1] = (1.0 + 1e-9) * np.exp(0.3j)
+        return table
+
+    monkeypatch.setattr(verify.pp, "overlap_table", inflated)
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--scenario", scenario_file], out) == 1
+    report = read_json(out, "cli-unit", "verify", "verify_report.json")
+    assert report["passed"] is False
+    failed = [c for c in report["checks"] if not (c["passed"] or c["skipped"])]
+    assert [c["name"] for c in failed] == ["overlap_magnitude"]
+    assert failed[0]["value"] == pytest.approx(1e-9, rel=1e-6)
+    assert "FAIL overlap_magnitude" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------------

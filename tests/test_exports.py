@@ -81,8 +81,8 @@ def test_overlap_csv_writes_each_upper_triangle_in_endpoint_order(tmp_path):
     table = OverlapTable(
         groups={
             # Inserted out of key order: rows follow the sorted endpoint index.
-            9: OverlapGroup(endpoint=(4, 1), path_ids=np.array([3]), overlaps=np.array([[0.25 + 0.0j]]), increments=None),
-            2: OverlapGroup(endpoint=(0, 2), path_ids=np.array([4, 0, 2]), overlaps=lam, increments=None),
+            9: OverlapGroup(endpoint=(4, 1), path_ids=np.array([3]), overlaps=np.array([[0.25 + 0.0j]])),
+            2: OverlapGroup(endpoint=(0, 2), path_ids=np.array([4, 0, 2]), overlaps=lam),
         },
         n_layers=1,
     )

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pilotpath import paths
 from pilotpath.circuit import (
     CircuitLayer,
     JointState,
@@ -26,6 +27,7 @@ from pilotpath.paths import (
     OVERLAP_HERM_TOL,
     PathCaps,
     PathContext,
+    PathEnsemble,
     direct_state,
     enumerate_all,
     overlap_table,
@@ -414,18 +416,9 @@ def test_settle_gram_rejects_each_defect_past_its_tolerance():
     assert np.array_equal(settled, settled.conj().T)
 
 
-def test_overlap_increments_telescope():
-    ctx, ensemble, table = overlap_fixture()
-    for group in table.groups.values():
-        total = 1.0 + group.increments.sum(axis=0)
-        # raw telescoped total agrees with the settled gram away from the
-        # pinned diagonal
-        off = ~np.eye(total.shape[0], dtype=bool)
-        assert np.max(np.abs((total - group.overlaps)[off])) < 1e-12
-
-
-def test_increments_require_kept_levels():
-    """A default enumeration keeps every level, so every group has increments."""
+def test_enumeration_keeps_every_level():
+    """A default enumeration keeps every level, and the table has one group
+    per endpoint that paths reach."""
     ctx = circuit_context(31, modes_a=2, modes_b=2, n=2)
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     assert len(ensemble.levels) == ctx.n_layers + 1
@@ -433,9 +426,93 @@ def test_increments_require_kept_levels():
         assert level.partners[level.rows].shape == (level.endpoints.shape[0], ctx.basis.dim_b)
     table = overlap_table(ensemble)
     assert table.groups.keys() == ensemble.group_indices().keys()
+
+
+def branch_context(name):
+    """A path window by name: two bundled walks, whose paths all share one
+    partner state; coupled free-packet, where every path has its own;
+    free-packet coupled on its first layer only, where the second,
+    uncoupled layer spreads each partner state over several paths; and a
+    dense circuit from one basis point, coupled on the first of its three
+    layers, where each endpoint's paths carry all its distinct states."""
+    if name == "first-layer-coupled-circuit":
+        rng = make_rng(36)
+        basis = ModeSpinBasis(2, 2, 2, 2)
+        first, *rest = random_layers(basis, 3, rng, coupling_scale=0.8)
+        layers = [first] + [CircuitLayer(layer.u_a, layer.u_b) for layer in rest]
+        psi1 = np.eye(basis.dim_a, dtype=np.complex128)[1]
+        return PathContext(layers, basis, psi1, random_state_vector(basis.dim_b, rng)), DEFAULT_CAPS
+    if name == "coupled-free-packet":
+        scn = coupled_free_packet()
+    elif name == "first-layer-coupled":
+        scn = coupled_free_packet()
+        scn["couplings"][0]["layers"] = [0]
+        scn["paths"]["layer"] = 2
+    else:
+        scn = load_scenario(name)
+    system = build_walk(scn)
+    return system.path_context(scn["paths"]["layer"]), system.caps
+
+
+@pytest.mark.parametrize(
+    "name, shared_rows, distinct",
+    [
+        ("free-packet", "one", True),
+        ("barrier", "one", True),
+        ("coupled-free-packet", "none", False),
+        ("first-layer-coupled", "some", False),
+        ("first-layer-coupled-circuit", "some", True),
+    ],
+)
+def test_path_sum_branches_agree_with_the_oracles(name, shared_rows, distinct, monkeypatch):
+    """overlap_table and reconstruct_rows work from the last level's table of
+    distinct partner states where it is small, and group by group otherwise.
+    The branch taken is counted: the distinct-row overlap branch settles
+    one Gram, the per-group one settles one per group; the distinct-row
+    sum never groups the paths.  Either way the overlaps match the pair
+    oracle, the rows match direct evolution, and each group's Gram has an
+    exact unit diagonal and exact Hermitian symmetry."""
+    ctx, caps = branch_context(name)
+    ensemble = enumerate_all(ctx, caps)
+    n_rows = ensemble.levels[-1].partners.shape[0]
+    expected_rows = {"one": n_rows == 1, "none": n_rows == ensemble.n_paths, "some": 1 < n_rows < ensemble.n_paths}
+    assert expected_rows[shared_rows]
+
+    calls = {"settle": 0, "group": 0}
+    settle, group_indices = paths._settle_gram, PathEnsemble.group_indices
+
+    def counted_settle(gram, what):
+        calls["settle"] += 1
+        return settle(gram, what)
+
+    def counted_groups(self):
+        calls["group"] += 1
+        return group_indices(self)
+
+    monkeypatch.setattr(paths, "_settle_gram", counted_settle)
+    monkeypatch.setattr(PathEnsemble, "group_indices", counted_groups)
+    rows = ensemble.reconstruct_rows()
+    assert calls["group"] == (0 if distinct else 1)
+    table = overlap_table(ensemble)
+    assert calls["settle"] == (1 if distinct else len(table.groups))
+
+    assert np.max(np.abs(rows - direct_state(ctx).amps)) <= 1e-13
+    assert sum(g.overlaps.size for g in table.groups.values()) == ensemble.pair_count
     for group in table.groups.values():
+        gram = group.overlaps
+        assert np.array_equal(np.diagonal(gram), np.ones(gram.shape[0]))
+        assert np.array_equal(gram, gram.conj().T)
+    flats = sorted(table.groups)
+    for flat in (flats[0], flats[len(flats) // 2], flats[-1]):
+        group = table.groups[flat]
         k = group.path_ids.shape[0]
-        assert group.increments.shape == (ctx.n_layers, k, k)
+        picks = sorted({0, k // 2, k - 1})
+        for a in picks:
+            for b in picks:
+                value, _ = pair_overlap(
+                    ctx, to_path(ensemble, int(group.path_ids[a])), to_path(ensemble, int(group.path_ids[b]))
+                )
+                assert abs(value - group.overlaps[a, b]) <= 1e-12
 
 
 def test_pair_overlap_agrees_with_the_table():
