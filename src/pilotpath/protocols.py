@@ -8,8 +8,12 @@ Three procedures built on the engine and guidance layers:
   its run.  Forward runs anchor at layer 0 and draw from the forward-sample
   stream; backward runs (the retrocausal reading) anchor at the final
   layer and draw from the final-sample stream.  The joint correlations
-  enter only through the draw.  The claim under test is statistical: at
-  every layer the ensemble must match that layer's marginal density.
+  enter only through the draw, so the two transports are independent:
+  from FORK_MIN_SUBSTEPS trajectory-substeps per particle, on a process
+  that may use two CPUs, a forked child transports particle 2 while
+  particle 1's run is transported and consumed here.  The claim under
+  test is statistical: at every layer the ensemble must match that layer's
+  marginal density.
 
 - superdet_replay: transport anchored starts one way, then run the
   endpoints back the other way through the same stack: `superdet` replays
@@ -44,8 +48,11 @@ no-signaling check.
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -58,6 +65,15 @@ STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
 STREAM_SCENARIO_BUILD = 2
 STREAM_CIRCUIT_ALTERATION = 3
+
+# anchored_runs transports particle 2 in a forked child, beside particle
+# 1's run, once one particle's transport reaches this many
+# trajectory-substeps (count x n_layers x substeps).  A fork and reap costs
+# about 2 ms and the pipe about 1 ms per MiB of records, and two transports
+# at once each run slower than one alone.  On a 2-CPU host the fork broke
+# even near 2**18 trajectory-substeps and won 20 of 21 pairs from 2**18.7;
+# while the host was contended it lost up to 2**20.  This is above both.
+FORK_MIN_SUBSTEPS = 2**20
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -103,13 +119,107 @@ def anchored_runs(
     (particle, run) in particle order and transports a particle only when it
     is asked for the next pair, so a consumer that drops each run before it
     asks holds one run at a time.
+
+    When one particle's transport reaches FORK_MIN_SUBSTEPS
+    trajectory-substeps, and the process may fork and run on two CPUs, the
+    first next() forks a child that transports particle 2 while particle 1
+    is transported here and consumed (see _forked_runs).  The runs are the
+    same bit for bit either way.  This process still holds one run at a
+    time; the child holds the other while it runs.
     """
     starts = anchored_starts(history, seed, count, eps_rel, direction)
     for stack, x0 in starts.values():
         check_transport(stack, x0, direction, substeps)
+    if count * history.n_layers * substeps >= FORK_MIN_SUBSTEPS and _can_fork():
+        return _forked_runs(starts, direction, substeps)
     return (
         (particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()
     )
+
+
+def _can_fork() -> bool:
+    """Whether this process can fork and may run on at least two CPUs."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _forked_runs(
+    starts: dict[int, tuple[VelocityStack, np.ndarray]], direction: str, substeps: int
+) -> Iterator[tuple[int, EnsembleRun]]:
+    """anchored_runs' two runs, the second transported by a forked child.
+
+    The child runs transport_records and writes the records and freeze
+    indices to a pipe.  This process reads them into arrays it allocates
+    only when it is asked for the second run, once the consumer has dropped
+    the first.  A child that failed makes the read raise.  However the
+    generator ends (exhausted, closed, raising or collected), the child is
+    killed if it still runs and reaped.
+    """
+    (first, (stack1, x1)), (second, (stack2, x2)) = starts.items()
+    shape = (stack2.n_layers + 1, len(x2))
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        _transport_in_child(read_end, write_end, stack2, x2, direction, substeps)
+    os.close(write_end)
+    forker = os.getpid()
+    reaped = False
+    try:
+        with open(read_end, "rb") as pipe:
+            yield first, integrate_batch(stack1, x1, direction, substeps)
+            # kernels.transport's layout: records is the transpose of a
+            # C-ordered (n_rec, n) array.  A buffered readinto fills its
+            # array unless the pipe ends first.
+            records = np.empty(shape)
+            frozen = np.empty(shape[1], dtype=np.int64)
+            complete = pipe.readinto(records) == records.nbytes and pipe.readinto(frozen) == frozen.nbytes
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0 or not complete:
+            raise RuntimeError(f"particle {second}'s transport failed in its forked child (exit code {code})")
+        yield second, EnsembleRun(records.T, frozen, direction, substeps)
+    finally:
+        # A child's copy of this generator never reaps its parent's child.
+        if not reaped and os.getpid() == forker:
+            # Imported only here, on the rare early end: at module level it
+            # would add about a millisecond to every command's start-up.
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _transport_in_child(
+    read_end: int, write_end: int, stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int
+) -> NoReturn:
+    """The forked child's whole life: transport, write the C-ordered records
+    and the freeze indices to write_end, and leave through os._exit, with 0
+    only if all of it was written.  An error's traceback goes to stderr.
+    The child closes the read end first, so a write fails, rather than
+    blocks, once its parent has gone."""
+    status = 1
+    try:
+        os.close(read_end)
+        records, frozen = transport_records(stack, x0, direction, substeps)
+        with open(write_end, "wb") as pipe:
+            pipe.write(records.T)
+            pipe.write(frozen)
+        status = 0
+    except BaseException:
+        sys.__excepthook__(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 @dataclass
@@ -179,9 +289,11 @@ def superdet_replay(
     deviation at every substep.
 
     One particle's round trip runs at a time, and only it holds every
-    substep's record.  Trajectories flagged on a node in either direction,
-    or on a bounded grid reaching an edge site in either direction, are
-    excluded from the deviation statistic; their count is reported instead.
+    substep's record; unlike anchored_runs, no child overlaps the two, as
+    that would hold two substep arrays at once.  Trajectories flagged on a
+    node in either direction, or on a bounded grid reaching an edge site in
+    either direction, are excluded from the deviation statistic; their
+    count is reported instead.
     """
     deviations = {}
     excluded = {}

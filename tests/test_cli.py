@@ -487,6 +487,25 @@ def test_second_particle_transport_errors_exit_before_any_artifact(command, faul
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
+def test_a_failing_forked_transport_exits_1(command, scenario_file, tmp_path, capsys, monkeypatch):
+    """Particle 2's transport raising in the forked child makes the command
+    exit 1 with the JSON error, and leaves no child behind."""
+    def failing(*args, **kwargs):
+        raise RuntimeError("transport failed")
+
+    monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # Only the child calls protocols' own name; particle 1's run goes
+    # through integrate_batch.
+    monkeypatch.setattr(protocols, "transport_records", failing)
+    code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
+    assert (code, payload["error"]) == (1, "RuntimeError")
+    assert payload["message"] == "particle 2's transport failed in its forked child (exit code 1)"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("name", ["abs", "../up", "a/b", ".."], ids=["absolute", "parent", "nested", "dotdot"])
 def test_scenario_name_cannot_leave_the_out_root(name, scenario_file, tmp_path, capsys):
     """The name becomes a directory under --out, so it must be one path
@@ -540,6 +559,60 @@ def test_overlap_magnitude_reads_the_table(scenario_file, tmp_path, capsys, monk
     assert [c["name"] for c in failed] == ["overlap_magnitude"]
     assert failed[0]["value"] == pytest.approx(1e-9, rel=1e-6)
     assert "FAIL overlap_magnitude" in capsys.readouterr().out
+
+
+def test_diagonal_current_zero_can_fail(scenario_file, tmp_path, capsys, monkeypatch):
+    """One same-path current term of 1e-15 in the current verify reads fails
+    diagonal_current_zero, and only it, and the report says so."""
+    real = verify.pp.path_sum_current
+
+    def leaking(ensemble):
+        current = real(ensemble)
+        assert not current.diagonal_term.any()
+        current.diagonal_term = current.diagonal_term.copy()
+        current.diagonal_term.flat[0] = 1e-15
+        return current
+
+    monkeypatch.setattr(verify.pp, "path_sum_current", leaking)
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--scenario", scenario_file], out) == 1
+    report = read_json(out, "cli-unit", "verify", "verify_report.json")
+    assert report["passed"] is False
+    failed = [c for c in report["checks"] if not (c["passed"] or c["skipped"])]
+    assert [c["name"] for c in failed] == ["diagonal_current_zero"]
+    assert failed[0]["value"] == 1e-15
+    assert "FAIL diagonal_current_zero" in capsys.readouterr().out
+
+
+# Each potential preset's fields, complete; the schema requires all of them.
+PRESET_FIELDS = {
+    "constant-a0": {"v0": 0.2},
+    "barrier": {"v0": 0.2, "lo": 5.0, "hi": 8.0},
+    "tables": {"a0": [0.1] * 16, "a1": [0.0] * 16},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_FIELDS))
+def test_potential_presets_need_their_fields(preset, scenario_file, tmp_path, capsys):
+    """A preset with all its fields runs; without any one of them the
+    scenario fails its schema, exits 2 and writes nothing."""
+    scn = json.loads(Path(scenario_file).read_text())
+    scn["particles"][0]["charge"] = 1.0
+    fields = PRESET_FIELDS[preset]
+    for missing in [None, *fields]:
+        scn["particles"][0]["potential"] = {"preset": preset, **{k: v for k, v in fields.items() if k != missing}}
+        path = tmp_path / f"{preset}-{missing}.json"
+        path.write_text(json.dumps(scn), encoding="utf-8")
+        out = tmp_path / f"out-{missing}"
+        if missing is None:
+            assert run_cli(["evolve", "--scenario", str(path)], out) == 0
+            continue
+        code, payload = expect_error(["evolve", "--scenario", str(path)], out, capsys)
+        assert (code, payload["error"]) == (2, "ValidationError")
+        assert payload["message"] == (
+            f"scenario schema violation at 'particles/0/potential': '{missing}' is a required property"
+        )
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------------

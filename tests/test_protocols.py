@@ -1,5 +1,7 @@
 """Anchored sampling, forward replay, branch tracks, crossing detection."""
 
+import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -159,6 +161,117 @@ def test_anchored_runs_transport_each_particle_when_asked(no_overlap, monkeypatc
     particle, run = next(runs)
     assert (particle, run.n_trajectories, calls) == (2, 30, [30, 30])
     assert next(runs, None) is None
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Every anchored run forks at any size, on two CPUs; returns the list
+    of child pids forked."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_runs(a, b):
+    assert [particle for particle, _ in a] == [particle for particle, _ in b] == [1, 2]
+    for (_, x), (_, y) in zip(a, b):
+        assert (x.direction, x.substeps) == (y.direction, y.substeps)
+        assert x.positions.strides == y.positions.strides
+        assert np.array_equal(x.positions, y.positions) and np.array_equal(x.frozen, y.frozen)
+
+
+@pytest.mark.parametrize(
+    "name, direction, eps_rel",
+    [("recombination", "forward", 1e-3), ("entangled-mirror", "backward", EPS_NODE_REL)],
+    ids=["forward", "backward"],
+)
+def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
+    """Particle 2 transported in a forked child gives the serial runs bit
+    for bit, forward through recombination's nodes (masked at 1e-3, where
+    trajectories of particle 2 freeze) and backward at entangled-mirror's
+    32 substeps, and the child is reaped."""
+    scn, _, history = scenario_history(name)
+    count, substeps = scn["protocol"]["count"], scn["protocol"]["substeps"]
+    forked = list(anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction))
+    assert len(forks) == 1
+    assert_no_child_left()
+    starts = anchored_starts(history, scn["seed"], count, eps_rel, direction)
+    serial = [(particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()]
+    assert_same_runs(forked, serial)
+    assert (forked[1][1].n_flagged > 0) == (name == "recombination")
+
+
+def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, forks, monkeypatch):
+    """A transport of count x n_layers x substeps trajectory-substeps forks
+    when that reaches FORK_MIN_SUBSTEPS, on its first next(), and not below."""
+    scn, _, history = no_overlap
+    work = 30 * history.n_layers * 4
+    for constant, expected in ((work, 1), (work + 1, 0)):
+        monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", constant)
+        forks.clear()
+        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward")
+        assert forks == []
+        next(runs)
+        assert len(forks) == expected
+        assert len(list(runs)) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "cpu_count", "no-fork"])
+def test_one_cpu_or_no_fork_runs_serially(cpus, no_overlap, forks, monkeypatch):
+    """Where the process may use one CPU only, by its affinity or, without
+    sched_getaffinity, by cpu_count, or where os.fork is missing, the
+    serial generator runs, with the same runs."""
+    scn, _, history = no_overlap
+    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward")
+    forked = list(anchored_runs(*args))
+    assert len(forks) == 1
+    if cpus == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif cpus == "cpu_count":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert_same_runs(list(anchored_runs(*args)), forked)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("end", ["close", "drop", "raise"])
+def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks, monkeypatch):
+    """Closed or dropped after particle 1's run, or raising from particle 1's
+    transport, the generator kills and reaps the child that transports
+    particle 2."""
+    scn, _, history = no_overlap
+    runs = anchored_runs(history, scn["seed"], 4000, 64, EPS_NODE_REL, "forward")
+    if end == "raise":
+        monkeypatch.setattr(protocols, "integrate_batch", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            next(runs)
+    else:
+        assert next(runs)[0] == 1
+    assert len(forks) == 1
+    if end == "close":
+        runs.close()
+    elif end == "drop":
+        del runs
+        gc.collect()
+    assert_no_child_left()
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
