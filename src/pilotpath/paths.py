@@ -20,7 +20,7 @@ resource caps; it never truncates silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,31 +137,22 @@ def direct_state(context: PathContext) -> JointState:
     return evolve_circuit(context.initial_state(), context.layers)
 
 
-@dataclass
-class LevelRecord:
-    """Frontier snapshot at one layer of the enumeration: path i's partner
-    state is partners[rows[i]], a table of the distinct partner states."""
-
-    endpoints: np.ndarray
-    parents: np.ndarray
-    partners: np.ndarray
-    rows: np.ndarray
-
-
+@dataclass(eq=False)
 class PathEnsemble:
-    """Exhaustive path decomposition over every layer of its context.
+    """Final frontier of the exhaustive path decomposition over every layer
+    of its context.
 
-    Every level's frontier is kept; amps are the final paths' amplitudes.
+    Path i ends at endpoints[i] with amplitude amps[i]; its partner state is
+    partners[rows[i]], a row of the table of distinct partner states.
     """
 
-    def __init__(self, context: PathContext, levels: list[LevelRecord], amps: np.ndarray):
-        self.context = context
-        self.n_layers = context.n_layers
-        self.levels = levels
-        self.endpoints = levels[-1].endpoints
-        self.amps = amps
-        self._groups: dict[int, np.ndarray] | None = None
-        self._rows: np.ndarray | None = None
+    context: PathContext
+    endpoints: np.ndarray
+    amps: np.ndarray
+    partners: np.ndarray
+    rows: np.ndarray
+    _groups: dict[int, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _row_sums: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -193,33 +184,31 @@ class PathEnsemble:
 
         Row j equals the directly evolved joint state's row j; this is the
         module's defining identity and what every density reconstruction
-        reduces to.  When the last level's table of distinct partner states
-        is small, the sum is one product: a (dim_a, rows) matrix of summed
-        amplitudes times the table.
+        reduces to.  When the table of distinct partner states is small, the
+        sum is one product: a (dim_a, rows) matrix of summed amplitudes times
+        the table.
         """
-        if self._rows is None:
+        if self._row_sums is None:
             d1 = self.context.basis.dim_a
-            last = self.levels[-1]
-            n_rows = last.partners.shape[0]
+            n_rows = self.partners.shape[0]
             if d1 * n_rows <= self.n_paths:
                 weights = np.zeros((d1, n_rows), dtype=np.complex128)
-                np.add.at(weights, (self.endpoints, last.rows), self.amps)
-                rows = weights @ last.partners
+                np.add.at(weights, (self.endpoints, self.rows), self.amps)
+                sums = weights @ self.partners
             else:
-                rows = np.zeros((d1, self.context.basis.dim_b), dtype=np.complex128)
+                sums = np.zeros((d1, self.context.basis.dim_b), dtype=np.complex128)
                 for g, idx in self.group_indices().items():
-                    rows[g] = (self.amps[idx, None] * last.partners[last.rows[idx]]).sum(axis=0)
-            self._rows = rows
-        return self._rows
+                    sums[g] = (self.amps[idx, None] * self.partners[self.rows[idx]]).sum(axis=0)
+            self._row_sums = sums
+        return self._row_sums
 
     def diagonal_weights(self) -> np.ndarray:
         """Per-endpoint sum of |amplitude|^2 times partner-state norm."""
         d1 = self.context.basis.dim_a
         out = np.zeros(d1)
         # re^2 + im^2 over the float view: no conjugated copy of any partner.
-        last = self.levels[-1]
-        parts = last.partners.view(np.float64)
-        norms = np.einsum("pk,pk->p", parts, parts)[last.rows]
+        parts = self.partners.view(np.float64)
+        norms = np.einsum("pk,pk->p", parts, parts)[self.rows]
         w = np.abs(self.amps) ** 2 * norms
         np.add.at(out, self.endpoints, w)
         return out
@@ -249,22 +238,21 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
     the path's new point.  Deterministic: successors are emitted in
     ascending basis order for each parent.
 
-    Until a coupling acts, every path has the same partner state, so each
-    level holds only the table of distinct partner states and each path's
-    row in it.  An uncoupled layer pushes the table; a coupled one gives
-    every path its own row.
+    Until a coupling acts, every path has the same partner state, so a
+    frontier holds only the table of distinct partner states and each
+    path's row in it.  An uncoupled layer pushes the table; a coupled one
+    gives every path its own row.  Only the frontier being read and the one
+    being built are held; the ensemble is the last.
     """
     d2 = context.basis.dim_b
-    start = np.flatnonzero(context.psi1).astype(np.int32)
-    amps = context.psi1[start]
+    endpoints = np.flatnonzero(context.psi1).astype(np.int32)
+    amps = context.psi1[endpoints]
     partners = context.psi2[None, :]
-    rows = np.zeros(start.shape[0], dtype=np.int64)
-    levels = [LevelRecord(start, np.full(start.shape[0], -1, dtype=np.int32), partners, rows)]
-    bytes_kept = partners.nbytes
+    rows = np.zeros(endpoints.shape[0], dtype=np.int64)
 
     for t, layer in enumerate(context.layers):
         col_start, col_rows, col_vals = _columns(layer.u_a)
-        counts = np.diff(col_start)[levels[-1].endpoints]
+        counts = np.diff(col_start)[endpoints]
         total = int(counts.sum())
         # A path always has at least one successor, so the frontier never
         # shrinks and the final pair count is at least the frontier size.
@@ -273,20 +261,21 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
                 f"path count reached {total} at layer {t + 1}, beyond the pair cap "
                 f"{caps.pair_cap}; raise the cap or shrink the scenario"
             )
-        # Per path an amplitude, endpoint, parent and row, plus the new table.
+        # Both frontiers: per path an amplitude, endpoint and row, plus each
+        # frontier's table of distinct partner states.
         held = total if layer.factor is not None else partners.shape[0]
-        frontier_bytes = total * (16 + 4 + 4 + 8) + held * 16 * d2
-        if bytes_kept + frontier_bytes > caps.memory_cap_bytes:
+        layer_bytes = (endpoints.shape[0] + total) * (16 + 4 + 8) + (partners.shape[0] + held) * 16 * d2
+        if layer_bytes > caps.memory_cap_bytes:
             raise ResourceCapError(
-                f"path storage would need {bytes_kept + frontier_bytes} bytes at layer "
+                f"path storage would need {layer_bytes} bytes at layer "
                 f"{t + 1}, beyond the memory cap {caps.memory_cap_bytes}"
             )
         parent_idx = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
         # Successors are the parents' columns laid end to end, so their
         # positions in the column arrays run on from each column's start.
-        column_start = col_start[levels[-1].endpoints] - (np.cumsum(counts) - counts)
+        column_start = col_start[endpoints] - (np.cumsum(counts) - counts)
         pos = np.repeat(column_start, counts) + np.arange(total)
-        new_endpoints = col_rows[pos].astype(np.int32)
+        endpoints = col_rows[pos].astype(np.int32)
         amps = amps[parent_idx] * col_vals[pos]
         partners = apply_right(partners, layer.u_b)
         rows = rows[parent_idx]
@@ -294,12 +283,10 @@ def enumerate_all(context: PathContext, caps: PathCaps) -> PathEnsemble:
             # Two statements: numpy's temporary elision would swap the operands
             # of partners[rows] * factor[...], and with FMA that moves bits.
             partners = partners[rows]
-            partners = partners * layer.factor[new_endpoints, :]
+            partners = partners * layer.factor[endpoints, :]
             rows = np.arange(total)
-        levels.append(LevelRecord(new_endpoints, parent_idx.astype(np.int32), partners, rows))
-        bytes_kept += frontier_bytes
 
-    ensemble = PathEnsemble(context, levels, amps)
+    ensemble = PathEnsemble(context, endpoints, amps, partners, rows)
     if ensemble.pair_count > caps.pair_cap:
         raise ResourceCapError(
             f"endpoint pair count {ensemble.pair_count} exceeds the cap {caps.pair_cap}"
@@ -356,25 +343,25 @@ def _settle_gram(gram: np.ndarray, what: str) -> np.ndarray:
 def overlap_table(ensemble: PathEnsemble) -> OverlapTable:
     """Gram matrices of final partner states, grouped by path endpoint.
 
-    When the last level's table of distinct partner states has fewer entry
-    pairs than the groups together, one Gram of the table is formed and
-    each group reads its block; otherwise each group forms its own.
+    When the table of distinct partner states has fewer entry pairs than
+    the groups together, one Gram of the table is formed and each group
+    reads its block; otherwise each group forms its own.
     """
     basis = ensemble.context.basis
-    last = ensemble.levels[-1]
+    partners = ensemble.partners
     shared = None
-    if last.partners.shape[0] ** 2 < ensemble.pair_count:
-        shared = _settle_gram(last.partners.conj() @ last.partners.T, "distinct partner states")
+    if partners.shape[0] ** 2 < ensemble.pair_count:
+        shared = _settle_gram(partners.conj() @ partners.T, "distinct partner states")
     out: dict[int, OverlapGroup] = {}
     for g, ids in ensemble.group_indices().items():
-        rows = last.rows[ids]
+        rows = ensemble.rows[ids]
         if shared is None:
-            phi = last.partners[rows]
+            phi = partners[rows]
             gram = _settle_gram(phi.conj() @ phi.T, f"endpoint {basis.unflat_a(g)}")
         else:
             gram = shared[np.ix_(rows, rows)]
         out[g] = OverlapGroup(endpoint=basis.unflat_a(g), path_ids=ids.copy(), overlaps=gram)
-    return OverlapTable(groups=out, n_layers=ensemble.n_layers)
+    return OverlapTable(groups=out, n_layers=ensemble.context.n_layers)
 
 
 # ----------------------------------------------------------------------------

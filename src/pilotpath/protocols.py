@@ -48,6 +48,7 @@ no-signaling check.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -163,6 +164,7 @@ def _forked_runs(
     (first, (stack1, x1)), (second, (stack2, x2)) = starts.items()
     shape = (stack2.n_layers + 1, len(x2))
     read_end, write_end = os.pipe()
+    forker = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -170,9 +172,8 @@ def _forked_runs(
         os.close(write_end)
         raise
     if pid == 0:
-        _transport_in_child(read_end, write_end, stack2, x2, direction, substeps)
+        _transport_in_child(forker, read_end, write_end, stack2, x2, direction, substeps)
     os.close(write_end)
-    forker = os.getpid()
     reaped = False
     try:
         with open(read_end, "rb") as pipe:
@@ -200,16 +201,26 @@ def _forked_runs(
 
 
 def _transport_in_child(
-    read_end: int, write_end: int, stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int
+    forker: int, read_end: int, write_end: int, stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int
 ) -> NoReturn:
     """The forked child's whole life: transport, write the C-ordered records
     and the freeze indices to write_end, and leave through os._exit, with 0
     only if all of it was written.  An error's traceback goes to stderr.
     The child closes the read end first, so a write fails, rather than
-    blocks, once its parent has gone."""
+    blocks, once its parent has gone.  Where prctl exists, the child first
+    asks for SIGKILL when its parent ends (PR_SET_PDEATHSIG), and leaves if
+    the forker has already gone; the signal fires when the forking thread
+    ends, not its process."""
     status = 1
     try:
         os.close(read_end)
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            import signal
+
+            prctl(1, ctypes.c_ulong(signal.SIGKILL))  # 1 is PR_SET_PDEATHSIG
+            if os.getppid() != forker:
+                return
         records, frozen = transport_records(stack, x0, direction, substeps)
         with open(write_end, "wb") as pipe:
             pipe.write(records.T)

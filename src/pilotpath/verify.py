@@ -17,8 +17,8 @@ from . import paths as pp
 from .circuit import CircuitLayer, evolve_circuit, haar_unitary
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
-from .guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
-from .protocols import STREAM_CIRCUIT_ALTERATION, STREAM_FORWARD_SAMPLE, stream_rng, superdet_replay
+from .guidance import equivariance_test, integrate_batch
+from .protocols import STREAM_CIRCUIT_ALTERATION, anchored_starts, stream_rng, superdet_replay
 from .scenario import CircuitSystem, WalkSystem
 
 
@@ -143,12 +143,9 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
 
     # The first particle's ensemble is drawn as forward guidance draws it:
     # from layer 0's joint table on the forward-sample stream.
-    stack = velocity_stack(history, particle=1, eps_rel=scn["protocol"]["eps_node_rel"])
     substeps = int(scn["protocol"]["substeps"])
     count = min(int(scn["protocol"]["count"]), 2000)
-    x0, _ = sample_joint_density(
-        history.joint[0], grid, count, stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    )
+    stack, x0 = anchored_starts(history, int(scn["seed"]), count, scn["protocol"]["eps_node_rel"], "forward")[1]
     # The round trip is run at a fixed fine substep count so the bound does
     # not depend on the scenario's protocol settings.  When the scenario's
     # own run is that fine, the round trip's outbound run is it.

@@ -5,6 +5,7 @@ joint-space matrix, so that it stays independent of the vectorised code it
 checks.  None of them is reached by the command line.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +45,35 @@ class Path:
         return len(self.steps)
 
 
+@functools.lru_cache(maxsize=4)
+def path_levels(context) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(endpoints, parents) of every level of the first particle's paths,
+    enumerated one path at a time from each layer's dense u_a: a path's
+    successors are the nonzero rows of its endpoint's column, in ascending
+    basis order.  Level 0's parents are -1."""
+    start = np.flatnonzero(context.psi1)
+    levels = [(start, np.full(start.shape[0], -1))]
+    for layer in context.layers:
+        u = dense(layer.u_a)
+        endpoints, parents = [], []
+        for parent, e in enumerate(levels[-1][0]):
+            for j in np.flatnonzero(u[:, e]):
+                endpoints.append(j)
+                parents.append(parent)
+        levels.append((np.array(endpoints, dtype=np.int64), np.array(parents, dtype=np.int64)))
+    return levels
+
+
 def steps_of(ensemble, path_id: int) -> np.ndarray:
-    """Flat endpoint sequence of one path, layer 0 through n."""
-    seq = np.empty(ensemble.n_layers + 1, dtype=np.int64)
+    """Flat endpoint sequence of one path, layer 0 through n, read from
+    path_levels; path ids are the ensemble's, since both enumerations
+    order a path's successors the same way."""
+    levels = path_levels(ensemble.context)
+    seq = np.empty(len(levels), dtype=np.int64)
     a = int(path_id)
-    for r in range(ensemble.n_layers, -1, -1):
-        seq[r] = ensemble.levels[r].endpoints[a]
-        a = int(ensemble.levels[r].parents[a])
+    for r in range(len(levels) - 1, -1, -1):
+        seq[r] = levels[r][0][a]
+        a = int(levels[r][1][a])
     return seq
 
 

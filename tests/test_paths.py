@@ -58,6 +58,7 @@ from oracles import (
     dense,
     dense_walk,
     pair_overlap,
+    path_levels,
     steps_of,
     svd_product_factors,
     to_path,
@@ -214,18 +215,23 @@ def enumeration_case(name):
 @pytest.mark.parametrize("name", ["free-packet", "coupled-free-packet", "reflecting"])
 def test_enumeration_matches_the_csr_enumeration_bit_for_bit(name):
     """Pushing only the distinct partner states through the step stencil
-    gives every level's endpoints, parents and partner states, and the
-    final amplitudes, exactly as every row pushed through CSR steps did."""
+    gives the final endpoints, partner states and amplitudes exactly as
+    every row pushed through CSR steps did, and the dense path oracle that
+    tests read path histories from gives every level's endpoints and
+    parents as the CSR enumeration does."""
     context, caps, (csr_a, csr_b) = enumeration_case(name)
     ensemble = enumerate_all(context, caps)
     want, amps = csr_enumeration(context, csr_a, csr_b)
-    assert len(ensemble.levels) == len(want) == context.n_layers + 1
-    for level, (endpoints, parents, partner) in zip(ensemble.levels, want):
-        assert np.array_equal(level.endpoints, endpoints)
-        assert np.array_equal(level.parents, parents)
-        got = level.partners[level.rows]
-        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
+    endpoints, _, partner = want[-1]
+    assert np.array_equal(ensemble.endpoints, endpoints)
+    got = ensemble.partners[ensemble.rows]
+    assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(partner).view(np.uint64))
     assert np.array_equal(ensemble.amps.view(np.uint64), amps.view(np.uint64))
+    levels = path_levels(context)
+    assert len(levels) == len(want) == context.n_layers + 1
+    for (got_endpoints, got_parents), (endpoints, parents, _) in zip(levels, want):
+        assert np.array_equal(got_endpoints, endpoints)
+        assert np.array_equal(got_parents, parents)
 
 
 @pytest.mark.parametrize("name", ["free-packet", "barrier"])
@@ -280,10 +286,28 @@ def test_memory_cap_counts_the_partner_rows_levels_hold():
         enumerate_all(build_walk(coupled).path_context(coupled["paths"]["layer"]), caps)
 
 
+def test_enumeration_retains_only_its_final_frontier():
+    """On coupled-free-packet, where the first layer's table of partner
+    states alone is 16 MiB, what stays allocated after the enumeration is
+    the final frontier and at most 1 MiB more."""
+    scn = coupled_free_packet()
+    system = build_walk(scn)
+    context = system.path_context(scn["paths"]["layer"])
+    tracemalloc.start()
+    try:
+        ensemble = enumerate_all(context, system.caps)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frontier = sum(a.nbytes for a in (ensemble.endpoints, ensemble.amps, ensemble.partners, ensemble.rows))
+    assert retained <= frontier + 2**20
+
+
 @pytest.mark.parametrize("name", ["free-packet", "barrier"])
 def test_uncoupled_windows_hold_one_partner_row_per_level(name):
-    """Without a coupling every path shares one partner state, so each
-    level holds a single row and the enumeration's memory stays small."""
+    """Without a coupling every path shares one partner state, so the
+    final frontier holds a single row and the enumeration's memory stays
+    small."""
     scn = load_scenario(name)
     system = build_walk(scn)
     context = system.path_context(scn["paths"]["layer"])
@@ -293,9 +317,8 @@ def test_uncoupled_windows_hold_one_partner_row_per_level(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    for level in ensemble.levels:
-        assert level.partners.shape == (1, context.basis.dim_b)
-        assert level.rows.shape == level.endpoints.shape
+    assert ensemble.partners.shape == (1, context.basis.dim_b)
+    assert ensemble.rows.shape == ensemble.endpoints.shape
     assert peak < 4 * 2**20
 
 
@@ -358,9 +381,8 @@ def test_diagonal_weights_match_a_per_path_sum():
     for ctx in (circuit_context(28), walk):
         ensemble = enumerate_all(ctx, DEFAULT_CAPS)
         expected = np.zeros(ctx.basis.dim_a)
-        last = ensemble.levels[-1]
         for p in range(ensemble.n_paths):
-            phi = last.partners[last.rows[p]]
+            phi = ensemble.partners[ensemble.rows[p]]
             expected[ensemble.endpoints[p]] += abs(ensemble.amps[p]) ** 2 * np.vdot(phi, phi).real
         assert np.max(np.abs(ensemble.diagonal_weights() - expected)) <= 1e-14
 
@@ -416,14 +438,13 @@ def test_settle_gram_rejects_each_defect_past_its_tolerance():
     assert np.array_equal(settled, settled.conj().T)
 
 
-def test_enumeration_keeps_every_level():
-    """A default enumeration keeps every level, and the table has one group
-    per endpoint that paths reach."""
+def test_enumeration_keeps_the_final_frontier():
+    """An enumeration is its final frontier, one partner row per path, and
+    the table has one group per endpoint that paths reach."""
     ctx = circuit_context(31, modes_a=2, modes_b=2, n=2)
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
-    assert len(ensemble.levels) == ctx.n_layers + 1
-    for level in ensemble.levels:
-        assert level.partners[level.rows].shape == (level.endpoints.shape[0], ctx.basis.dim_b)
+    assert ensemble.amps.shape == ensemble.rows.shape == (ensemble.n_paths,)
+    assert ensemble.partners[ensemble.rows].shape == (ensemble.n_paths, ctx.basis.dim_b)
     table = overlap_table(ensemble)
     assert table.groups.keys() == ensemble.group_indices().keys()
 
@@ -465,7 +486,7 @@ def branch_context(name):
     ],
 )
 def test_path_sum_branches_agree_with_the_oracles(name, shared_rows, distinct, monkeypatch):
-    """overlap_table and reconstruct_rows work from the last level's table of
+    """overlap_table and reconstruct_rows work from the final table of
     distinct partner states where it is small, and group by group otherwise.
     The branch taken is counted: the distinct-row overlap branch settles
     one Gram, the per-group one settles one per group; the distinct-row
@@ -474,7 +495,7 @@ def test_path_sum_branches_agree_with_the_oracles(name, shared_rows, distinct, m
     exact unit diagonal and exact Hermitian symmetry."""
     ctx, caps = branch_context(name)
     ensemble = enumerate_all(ctx, caps)
-    n_rows = ensemble.levels[-1].partners.shape[0]
+    n_rows = ensemble.partners.shape[0]
     expected_rows = {"one": n_rows == 1, "none": n_rows == ensemble.n_paths, "some": 1 < n_rows < ensemble.n_paths}
     assert expected_rows[shared_rows]
 
@@ -586,8 +607,7 @@ def test_conditional_unitary_tracks_one_path():
     cond = conditional_unitary(ctx, to_path(ensemble, pid))
     assert np.max(np.abs(cond.conj().T @ cond - np.eye(4))) < 1e-12
     # partner state of the path equals the conditional operator on psi2
-    last = ensemble.levels[-1]
-    assert np.max(np.abs(cond @ ctx.psi2 - last.partners[last.rows[pid]])) < 1e-12
+    assert np.max(np.abs(cond @ ctx.psi2 - ensemble.partners[ensemble.rows[pid]])) < 1e-12
 
 
 def test_conditional_unitary_rejects_paths_of_wrong_length():

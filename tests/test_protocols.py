@@ -2,6 +2,10 @@
 
 import gc
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,6 +276,63 @@ def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks,
         del runs
         gc.collect()
     assert_no_child_left()
+
+
+# Runs anchored_runs on no-overlap with every transport forked, prints the
+# child's pid, then transports particle 1 for seconds while the child
+# transports particle 2.
+_ORPHAN_PROBE = """
+import os
+from pilotpath import protocols
+from pilotpath.dirac import run_walk
+from pilotpath.scenario import build_walk, load_scenario
+
+system = build_walk(load_scenario("no-overlap"))
+history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
+fork = os.fork
+
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced
+protocols.FORK_MIN_SUBSTEPS = 0
+protocols._can_fork = lambda: True
+next(protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward"))
+"""
+
+
+def _process_state(pid):
+    """The state letter of /proc/<pid>/stat, or None once there is no such process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def test_a_killed_parent_takes_its_forked_child_with_it():
+    """SIGKILLing the process that forked particle 2's transport ends the
+    child within a second: it is a zombie or gone, not still transporting."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(protocols.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_PROBE], env=env, stdout=subprocess.PIPE, text=True)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 1.0
+        while _process_state(child) not in (None, "Z", "X") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _process_state(child) in (None, "Z", "X")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and _process_state(child) not in (None, "Z", "X"):
+            os.kill(child, signal.SIGKILL)
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
