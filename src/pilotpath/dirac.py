@@ -460,9 +460,8 @@ def gaussian_profile(grid: LatticeGrid, center: float, sigma: float, momentum: f
 
     Uses the minimal-image displacement so the profile respects the periodic
     extent; tails beyond half the ring are negligible for sigma << extent.
+    sigma must be positive.
     """
-    if sigma <= 0.0:
-        raise ValidationError("sigma must be positive")
     x = grid.positions()
     d = x - center
     if grid.boundary == "periodic":
@@ -553,14 +552,10 @@ def positive_energy_packet(
 
 
 def spinor_from_spec(spec) -> np.ndarray:
-    """Named spinor or explicit 4-component [re, im] list."""
+    """A NAMED_SPINORS name, or an explicit list of four [re, im] pairs."""
     if isinstance(spec, str):
-        if spec not in NAMED_SPINORS:
-            raise ValidationError(f"unknown spinor name {spec!r}")
         return NAMED_SPINORS[spec].copy()
     arr = np.asarray(spec, dtype=np.float64)
-    if arr.shape != (SPINOR_DIM, 2):
-        raise ValidationError("explicit spinor must be a list of four [re, im] pairs")
     vec = arr[:, 0] + 1j * arr[:, 1]
     nrm = np.linalg.norm(vec)
     if nrm == 0.0:

@@ -28,7 +28,12 @@ from .errors import DegenerateDensityError, ValidationError
 
 @dataclass(frozen=True)
 class VelocityStack:
-    """Per-layer velocity tables for one particle over a full run."""
+    """Per-layer velocity tables for one particle over a full run.
+
+    Built only finite and, on a periodic grid, with no stage of grid.dt
+    (the longest any substep count gives) crossing more than
+    kernels.MAX_STAGE_RINGS rings, so kernels.transport accepts it.
+    """
 
     values: np.ndarray
     masks: np.ndarray
@@ -40,6 +45,12 @@ class VelocityStack:
             raise ValidationError("stack tables must be matching (layers+1, sites) arrays")
         if self.values.shape[1] != self.grid.n_sites:
             raise ValidationError("stack width must match the grid")
+        vmax = float(np.max(np.abs(self.values), initial=0.0))
+        if not np.isfinite(vmax):
+            raise ValidationError("velocity tables must be finite")
+        rings = kernels.MAX_STAGE_RINGS
+        if self.grid.boundary == "periodic" and self.grid.dt * vmax > rings * self.grid.extent:
+            raise ValidationError(f"a transport stage could cross more than {rings} rings of the grid")
 
     @property
     def n_layers(self) -> int:
@@ -124,13 +135,12 @@ def check_direction(direction: str) -> bool:
 
 def _canonical_starts(grid: LatticeGrid, x0: np.ndarray, direction: str, substeps: int) -> tuple[bool, np.ndarray]:
     """transport_records' own checks of its inputs; returns (forward, x0)
-    with x0 made canonical on the grid."""
+    with x0 made canonical on the grid.  kernels.transport rejects
+    non-finite starts."""
     forward = check_direction(direction)
     if substeps < 1:
         raise ValidationError("substeps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("start positions must be finite")
     if grid.boundary == "periodic":
         # Ring positions are classes mod extent; canonicalize so cell-based
         # samples from the wrap cell (half a cell below x_min) are accepted.
@@ -142,14 +152,6 @@ def _canonical_starts(grid: LatticeGrid, x0: np.ndarray, direction: str, substep
             raise ValidationError("start positions outside the lattice extent")
         x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
     return forward, x0
-
-
-def check_transport(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int) -> None:
-    """Run every check transport_records would make of these inputs,
-    kernels.check_inputs included, without transporting."""
-    grid = stack.grid
-    _, x0 = _canonical_starts(grid, x0, direction, substeps)
-    kernels.check_inputs(stack.values, x0, grid.extent, grid.boundary == "periodic", grid.dt / substeps)
 
 
 def transport_records(

@@ -32,7 +32,8 @@ Arithmetic:
     wraps by adding one ring per loop iteration, so its cost grows with how
     far an index lies outside the ring.  Non-finite tables or starts, and
     a periodic step that could carry a stage around more than
-    MAX_STAGE_RINGS rings, are rejected before any gather runs.
+    MAX_STAGE_RINGS rings, are rejected before any gather runs
+    (guidance.VelocityStack rejects such tables when it is built).
 """
 
 from __future__ import annotations
@@ -97,21 +98,6 @@ def _stage(left, slope, bad, u, mode, offset):
     return k, None if bad is None else bad.take(c, mode=mode)
 
 
-def check_inputs(values: np.ndarray, x0: np.ndarray, extent: float, periodic: bool, step: float) -> float:
-    """The largest |velocity| in values, once the tables and starts are
-    checked to be finite and, on a periodic grid, a stage of length step is
-    checked to cross at most MAX_STAGE_RINGS rings.  transport runs these
-    checks first; a caller may run them ahead of it."""
-    vmax = float(np.max(np.abs(values), initial=0.0))
-    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
-        raise ValidationError("transport needs finite velocity tables and start positions")
-    if periodic and step * vmax > MAX_STAGE_RINGS * extent:
-        raise ValidationError(
-            f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid"
-        )
-    return vmax
-
-
 def transport(
     values: np.ndarray,
     masks: np.ndarray,
@@ -151,7 +137,11 @@ def transport(
     n_sites = values.shape[1]
     n = x0.shape[0]
     h = (dt / substeps) if forward else -(dt / substeps)
-    vmax = check_inputs(values, x0, extent, periodic, abs(h))
+    vmax = float(np.max(np.abs(values), initial=0.0))
+    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
+        raise ValidationError("transport needs finite velocity tables and start positions")
+    if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
+        raise ValidationError(f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid")
     if substep_records and fold is not None:
         raise ValidationError("a folded transport keeps its layer-boundary records only")
     # Substeps from one kept record to the next.

@@ -312,7 +312,6 @@ class OverlapTable:
     """Per-endpoint overlap structure of a path ensemble."""
 
     groups: dict[int, OverlapGroup]
-    n_layers: int
 
     def group(self, endpoint: tuple[int, int], basis: ModeSpinBasis) -> OverlapGroup:
         return self.groups[basis.flat_a(*endpoint)]
@@ -361,7 +360,7 @@ def overlap_table(ensemble: PathEnsemble) -> OverlapTable:
         else:
             gram = shared[np.ix_(rows, rows)]
         out[g] = OverlapGroup(endpoint=basis.unflat_a(g), path_ids=ids.copy(), overlaps=gram)
-    return OverlapTable(groups=out, n_layers=ensemble.context.n_layers)
+    return OverlapTable(groups=out)
 
 
 # ----------------------------------------------------------------------------

@@ -60,7 +60,7 @@ import numpy as np
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
-from .guidance import check_transport, sample_joint_density, transport_records, velocity_stack
+from .guidance import sample_joint_density, transport_records, velocity_stack
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
@@ -115,8 +115,8 @@ def anchored_runs(
     from there (see anchored_starts), one at a time.
 
     Both particles' starts are drawn and their stacks built at the call, and
-    every check their transports make runs there too, so no input error
-    surfaces after the first run is yielded.  The returned generator yields
+    a built stack is one its transport accepts (see VelocityStack), so no
+    input error surfaces after the first run is yielded.  The returned generator yields
     (particle, run) in particle order and transports a particle only when it
     is asked for the next pair, so a consumer that drops each run before it
     asks holds one run at a time.
@@ -129,8 +129,6 @@ def anchored_runs(
     time; the child holds the other while it runs.
     """
     starts = anchored_starts(history, seed, count, eps_rel, direction)
-    for stack, x0 in starts.values():
-        check_transport(stack, x0, direction, substeps)
     if count * history.n_layers * substeps >= FORK_MIN_SUBSTEPS and _can_fork():
         return _forked_runs(starts, direction, substeps)
     return (

@@ -172,12 +172,24 @@ def _if_then(v, condition, schema, path):
         yield from _errors(v, schema["then"], path)
 
 
+def _unique_items(v, unique, schema, path):
+    if unique and isinstance(v, list) and any(item in v[:i] for i, item in enumerate(v)):
+        yield path, f"{v!r} has non-unique elements"
+
+
+def _ref(v, ref, schema, path):
+    # the scenario schema refers only to its own definitions, "#/definitions/<name>"
+    yield from _errors(v, _schema()["definitions"][ref.rpartition("/")[2]], path)
+
+
 # The draft-07 keywords the scenario schema uses, each a generator of
 # (instance path, message) violations worded as the tests' schema oracle
 # words them.
 _KEYWORDS = {
     "$schema": _no_check,
     "title": _no_check,
+    "definitions": _no_check,  # reached through "$ref"
+    "$ref": _ref,
     "type": _type,
     "enum": _enum,
     "const": _const,
@@ -192,6 +204,7 @@ _KEYWORDS = {
     "items": _items,
     "minItems": _min_items,
     "maxItems": _max_items,
+    "uniqueItems": _unique_items,
     "anyOf": _any_of,
     "allOf": _all_of,
     "if": _if_then,
@@ -277,8 +290,9 @@ def _packet_defaults(packet: dict) -> dict:
 
 
 def expand_initial(initial: dict) -> list[dict]:
-    """Rewrite a named preset as an explicit list of product branches."""
-    preset = initial.get("preset", "branches")
+    """Rewrite a named preset as an explicit list of product branches; the
+    schema has checked the preset's fields."""
+    preset = initial["preset"]
     if preset == "branches":
         return [
             {
@@ -317,29 +331,24 @@ def expand_initial(initial: dict) -> list[dict]:
             {"weight": w, "packet1": mk(c1, "chirality+"), "packet2": mk(c2, "chirality+b")},
             {"weight": -w, "packet1": mk(c1, "chirality+b"), "packet2": mk(c2, "chirality+")},
         ]
-    if preset == "measurement-split":
-        c1 = initial["center1"]
-        s1 = initial["sigma1"]
-        pointer = initial["pointer"]
-        ps = pointer["sigma"]
-        psp = pointer.get("spinor", "chirality+")
-        return [
-            {
-                "weight": w,
-                "packet1": _packet_defaults({"center": c1, "sigma": s1, "spinor": "chirality+"}),
-                "packet2": _packet_defaults(
-                    {"center": pointer["center_a"], "sigma": ps, "spinor": psp}
-                ),
-            },
-            {
-                "weight": w,
-                "packet1": _packet_defaults({"center": c1, "sigma": s1, "spinor": "chirality-"}),
-                "packet2": _packet_defaults(
-                    {"center": pointer["center_b"], "sigma": ps, "spinor": psp}
-                ),
-            },
-        ]
-    raise ValidationError(f"unknown initial-state preset {preset!r}")
+    # measurement-split
+    c1 = initial["center1"]
+    s1 = initial["sigma1"]
+    pointer = initial["pointer"]
+    ps = pointer["sigma"]
+    psp = pointer.get("spinor", "chirality+")
+    return [
+        {
+            "weight": w,
+            "packet1": _packet_defaults({"center": c1, "sigma": s1, "spinor": "chirality+"}),
+            "packet2": _packet_defaults({"center": pointer["center_a"], "sigma": ps, "spinor": psp}),
+        },
+        {
+            "weight": w,
+            "packet1": _packet_defaults({"center": c1, "sigma": s1, "spinor": "chirality-"}),
+            "packet2": _packet_defaults({"center": pointer["center_b"], "sigma": ps, "spinor": psp}),
+        },
+    ]
 
 
 def build_packet(grid: LatticeGrid, spec: dict, mass: float) -> np.ndarray:
@@ -348,30 +357,13 @@ def build_packet(grid: LatticeGrid, spec: dict, mass: float) -> np.ndarray:
     An optional support_radius zeroes the field beyond that distance from
     the center (minimal-image for periodic grids) and renormalizes, giving
     path conditioning an exactly sparse start instead of machine-size tails.
-    center, sigma, momentum and a given support_radius must be finite real
-    numbers, and sigma must be positive.
+    spec is a packet the schema has checked, with its defaults filled.
     """
-    numbers = {key: spec.get(key) for key in ("center", "sigma", "momentum")}
-    if spec.get("support_radius") is not None:
-        numbers["support_radius"] = spec["support_radius"]
-    for key, value in numbers.items():
-        if not _is_number(value):
-            raise ValidationError(f"packet {key} must be a finite real number, got {value!r}")
-    if numbers["sigma"] <= 0:
-        raise ValidationError(f"packet sigma must be positive, got {numbers['sigma']!r}")
-    kind = spec["kind"]
-    if kind == "walk-positive":
-        if "spinor" in spec:
-            raise ValidationError("walk-positive packets fix their own spinor structure")
-        field = positive_energy_packet(
-            grid, mass, spec["center"], spec["sigma"], spec["momentum"]
-        )
-    elif kind == "gaussian":
-        profile = gaussian_profile(grid, spec["center"], spec["sigma"], spec["momentum"])
-        spinor = spinor_from_spec(spec["spinor"])
-        field = profile[:, None] * spinor[None, :]
+    if spec["kind"] == "walk-positive":
+        field = positive_energy_packet(grid, mass, spec["center"], spec["sigma"], spec["momentum"])
     else:
-        raise ValidationError(f"unknown packet kind {kind!r}")
+        profile = gaussian_profile(grid, spec["center"], spec["sigma"], spec["momentum"])
+        field = profile[:, None] * spinor_from_spec(spec["spinor"])[None, :]
     radius = spec.get("support_radius")
     if radius is not None:
         d = grid.gap(grid.positions(), float(spec["center"]))
@@ -407,16 +399,14 @@ def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[f
 
 
 def build_potential(grid: LatticeGrid, spec: dict) -> PotentialField:
-    preset = spec.get("preset", "free")
+    preset = spec["preset"]
     if preset == "free":
         return PotentialField.free(grid)
     if preset == "constant-a0":
         return PotentialField.constant_a0(grid, spec["v0"])
     if preset == "barrier":
         return PotentialField.barrier(grid, spec["v0"], spec["lo"], spec["hi"])
-    if preset == "tables":
-        return PotentialField(np.asarray(spec["a0"], float), np.asarray(spec["a1"], float))
-    raise ValidationError(f"unknown potential preset {preset!r}")
+    return PotentialField(np.asarray(spec["a0"], float), np.asarray(spec["a1"], float))
 
 
 def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict[int, np.ndarray]:
@@ -426,8 +416,6 @@ def build_couplings(grid: LatticeGrid, specs: list[dict], n_layers: int) -> dict
     active: dict[int, tuple[int, ...]] = {}
     x = grid.positions()
     for i, spec in enumerate(specs):
-        if spec.get("kind", "window-phase") != "window-phase":
-            raise ValidationError(f"unknown coupling kind {spec.get('kind')!r}")
         lo1, hi1 = spec["window1"]
         lo2, hi2 = spec["window2"]
         ind1 = np.repeat((x >= lo1) & (x < hi1), 4).astype(np.float64)
@@ -526,9 +514,13 @@ class CircuitSystem:
 
 
 def _vector_from_spec(spec, dim: int, what: str) -> np.ndarray:
-    if isinstance(spec, dict) and "basis_point" in spec:
+    # The schema has checked the form, but cannot see dim.
+    if isinstance(spec, dict):
+        point = int(spec["basis_point"])
+        if point >= dim:
+            raise ValidationError(f"{what} basis point {point} is outside 0..{dim - 1}")
         v = np.zeros(dim, dtype=np.complex128)
-        v[int(spec["basis_point"])] = 1.0
+        v[point] = 1.0
         return v
     arr = np.asarray(spec, dtype=np.float64)
     if arr.shape != (dim, 2):
@@ -556,12 +548,11 @@ def build_circuit(scenario: dict) -> CircuitSystem:
             layers.append(CircuitLayer(u_a, u_b, phases))
     else:
         for entry in spec:
-            u_a = np.asarray(entry["u_a"], dtype=np.complex128)
-            u_b = np.asarray(entry["u_b"], dtype=np.complex128)
-            phases = entry.get("phases")
-            layers.append(
-                CircuitLayer(u_a, u_b, None if phases is None else np.asarray(phases, float))
-            )
+            for key in ("u_a", "u_b", "phases"):
+                # the schema cannot see that a matrix's rows have one length
+                if len({len(row) for row in entry.get(key) or ()}) > 1:
+                    raise ValidationError(f"{key} has rows of different lengths")
+            layers.append(CircuitLayer(entry["u_a"], entry["u_b"], entry.get("phases")))
     init = scenario["initial"]
     psi1 = _vector_from_spec(init["psi1"], basis.dim_a, "psi1")
     psi2 = _vector_from_spec(init["psi2"], basis.dim_b, "psi2")

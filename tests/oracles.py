@@ -469,8 +469,12 @@ def positive_energy_spinor(grid, mass: float, k: float) -> np.ndarray:
 # Scenario schema
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft7Validator:
+    return jsonschema.Draft7Validator(_schema())
+
+
 def schema_errors(doc) -> set[tuple[str, str]]:
     """jsonschema's top-level (path, message) violations of doc against the
     shipped scenario schema, each path joined with '/'."""
-    validator = jsonschema.Draft7Validator(_schema())
-    return {("/".join(map(str, err.absolute_path)), err.message) for err in validator.iter_errors(doc)}
+    return {("/".join(map(str, err.absolute_path)), err.message) for err in _validator().iter_errors(doc)}

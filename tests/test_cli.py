@@ -1,7 +1,10 @@
 """End-to-end command line behavior: exits, artifacts, determinism."""
 
+import copy
 import dataclasses
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -10,11 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pilotpath
 from pilotpath import cli, kernels, protocols, verify
-from pilotpath.errors import DegenerateDensityError
-from pilotpath.scenario import read_scenario
+from pilotpath.errors import DegenerateDensityError, PilotPathError
+from pilotpath.scenario import build_circuit, build_walk, load_scenario, read_scenario, resolve_scenario
+
+from conftest import coupled_free_packet
 
 
 @pytest.fixture()
@@ -359,7 +366,8 @@ def test_non_finite_circuit_unitary_exits_2(tmp_path, capsys):
     code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path, capsys)
     assert code == 2
     assert payload["error"] == "ValidationError"
-    assert "non-finite" in payload["message"]
+    # NaN is no number to the schema, so no matrix entry of an explicit layer may be NaN.
+    assert payload["message"].startswith("scenario schema violation at 'layers': ")
 
 
 def test_non_finite_start_factor_exits_2(tmp_path, capsys):
@@ -370,8 +378,49 @@ def test_non_finite_start_factor_exits_2(tmp_path, capsys):
     code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path, capsys)
     assert code == 2
     assert payload["error"] == "ValidationError"
-    assert "non-finite" in payload["message"]
+    assert payload["message"].startswith("scenario schema violation at 'initial/psi1': ")
     assert not (tmp_path / "circuit-demo").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("psi1", {"basis_point": -1}, "scenario schema violation at 'initial/psi1': "),
+        ("psi1", {"basis_point": 2.5}, "scenario schema violation at 'initial/psi1': "),
+        ("psi2", {"basis_point": 10**6}, "psi2 basis point 1000000 is outside 0..5"),
+        ("layers", [{"u_a": [[1.0, 0.0], [0.0]], "u_b": [[1.0]]}], "u_a has rows of different lengths"),
+    ],
+    ids=["negative-basis-point", "fractional-basis-point", "basis-point-past-dim", "ragged-u_a"],
+)
+def test_malformed_circuit_inputs_exit_2_and_write_nothing(field, value, message, tmp_path, capsys):
+    """A start off the basis, and an explicit matrix with rows of unequal
+    length, are input errors: the schema rejects a basis point that is not
+    a nonnegative integer, and the builder one at or past the factor's
+    dimension and a ragged matrix, whose sizes the schema cannot see."""
+    scn = read_scenario("circuit-demo")
+    if field == "layers":
+        scn["basis"] = {"modes_a": 2, "spins_a": 1, "modes_b": 1, "spins_b": 1}
+        scn["layers"] = value
+    else:
+        scn["initial"][field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path / "out", capsys)
+    assert (code, payload["error"]) == (2, "ValidationError")
+    assert payload["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_coupling_layer_listed_twice_exits_2(scenario_file, tmp_path, capsys):
+    """Listing a layer twice would apply the entry's phase twice there."""
+    scn = json.loads(Path(scenario_file).read_text())
+    scn["couplings"] = [{"strength": 0.5, "window1": [0.0, 8.0], "window2": [8.0, 16.0], "layers": [0, 0]}]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["evolve", "--scenario", str(path)], tmp_path / "out", capsys)
+    assert (code, payload["error"]) == (2, "ValidationError")
+    assert payload["message"].startswith("scenario schema violation at 'couplings/0/layers': ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_circuit_path_window_follows_the_layer_flag(tmp_path, capsys):
@@ -461,7 +510,8 @@ def test_malformed_packets_exit_2_and_write_nothing(key, value, scenario_file, t
     code, payload = expect_error(["guide", "--scenario", str(path)], tmp_path / "out", capsys)
     assert code == 2
     assert payload["error"] == "ValidationError"
-    assert f"packet {key} must be a finite real number" in payload["message"]
+    message = f"scenario schema violation at 'initial/packet1/{key}': {value!r} is not of type 'number'"
+    assert payload["message"] == message
     assert not (tmp_path / "out").exists()
 
 
@@ -613,6 +663,103 @@ def test_potential_presets_need_their_fields(preset, scenario_file, tmp_path, ca
             f"scenario schema violation at 'particles/0/potential': '{missing}' is a required property"
         )
         assert not out.exists()
+
+
+# ----------------------------------------------------------------------------
+# Malformed fields: the fuzz of every scenario's inputs
+
+# Every field under these keys is dropped or retyped, the keys themselves too.
+FUZZED = ("initial", "particles", "couplings", "layers", "basis")
+# A value of another type than the field's, or a non-finite, fractional,
+# negative or zero number: types and presence, not magnitudes, so that no
+# mutation asks for a large grid or count.
+RETYPED = [None, True, "x", [], {}, [1.0], float("nan"), float("inf"), 1.5, -1, 0]
+BUNDLED = sorted(path.stem for path in (Path(pilotpath.__file__).parent / "scenarios").glob("*.json"))
+FUZZ_DOCS = {name: read_scenario(name) for name in BUNDLED} | {"coupled-free-packet": coupled_free_packet()}
+
+
+def fuzz_sites(doc: dict) -> list:
+    """(container, key) of every fuzzed field of doc and of every value under it."""
+    sites = []
+
+    def visit(node, key):
+        sites.append((node, key))
+        child = node[key]
+        if isinstance(child, (dict, list)):
+            for sub in child if isinstance(child, dict) else range(len(child)):
+                visit(child, sub)
+
+    for key in FUZZED:
+        if key in doc:
+            visit(doc, key)
+    return sites
+
+
+def load_and_build(doc: dict) -> int:
+    """The exit code of loading doc and building its system."""
+    try:
+        scn = resolve_scenario(doc)
+        (build_walk if scn["engine"] == "walk" else build_circuit)(scn)
+    except PilotPathError as exc:
+        return exc.exit_code
+    return 0
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_no_dropped_or_retyped_field_exits_1(data):
+    """Loading and building a scenario with one field dropped or retyped
+    exits 0 or with an input error, never 1: the schema types every field,
+    and the builders check what needs the sizes the schema cannot see.  A
+    numpy RuntimeWarning, a KeyError or a TypeError fails the test."""
+    doc = copy.deepcopy(FUZZ_DOCS[data.draw(st.sampled_from(sorted(FUZZ_DOCS)))])
+    node, key = data.draw(st.sampled_from(fuzz_sites(doc)))
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(st.sampled_from(RETYPED))
+    assert load_and_build(doc) != 1
+
+
+# One mutation per initial-state family, as (scenario, path, value or
+# None to drop), with every command's exit code in COMMANDS order (evolve,
+# paths, currents, guide, retro, superdet, tracks, verify).  Dropped fields
+# with a default leave a run, whose walk-only commands exit 2 on a
+# circuit and whose path commands exit 2 on an entangled start; the rest
+# exit 2 at load, as each did with 1 before the schema typed its field.
+FAMILIES = {
+    "gaussian-product": ("free-packet", ("initial", "packet2", "momentum"), None, [0, 0, 0, 0, 0, 0, 0, 0]),
+    "entangled-mirror": ("entangled-mirror", ("initial", "sigma"), None, [2] * 8),
+    "spin-singlet": ("spin-singlet", ("initial", "centers"), [1.0], [2] * 8),
+    "measurement-split": ("no-overlap", ("initial", "pointer", "sigma"), None, [2] * 8),
+    "branches": ("spin-singlet", ("initial", "branches", 0, "packet1", "momentum"), None, [0, 2, 2, 0, 0, 0, 0, 0]),
+    "circuit": ("circuit-demo", ("layers", "random", "coupling_scale"), None, [2, 0, 2, 2, 2, 2, 2, 0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_command_on_a_mutation_of_each_family(family, tmp_path, capsys):
+    """Every command on one mutated scenario per initial-state family (the
+    branches family as a resolved echo) exits as listed, with 500
+    trajectories, and a command that exits 2 leaves no artifact directory."""
+    name, (*keys, last), value, expected = FAMILIES[family]
+    doc = load_scenario(name) if family == "branches" else read_scenario(name)
+    node = functools.reduce(operator.getitem, keys, doc)
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    doc.setdefault("protocol", {})["count"] = 500
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    codes = []
+    for command in cli.COMMANDS:
+        codes.append(run_cli([command, "--scenario", str(path)], tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert codes[-1] != 1, err
+        if codes[-1] == 2:
+            assert not (tmp_path / "out" / name / command).exists()
+    assert codes == expected
 
 
 # ----------------------------------------------------------------------------

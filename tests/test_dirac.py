@@ -34,7 +34,7 @@ from pilotpath import dirac
 from pilotpath.circuit import evolve_circuit
 from pilotpath.errors import ValidationError
 from pilotpath import circuit
-from pilotpath.scenario import build_walk, load_scenario
+from pilotpath.scenario import build_walk, load_scenario, read_scenario, resolve_scenario
 
 from conftest import (
     coupled_free_packet,
@@ -151,9 +151,13 @@ def test_spinor_from_spec():
     assert abs(np.linalg.norm(explicit) - 1.0) < 1e-15
     assert abs(explicit[1] - 1j / np.sqrt(2)) < 1e-15
     with pytest.raises(ValidationError):
-        spinor_from_spec("sideways")
-    with pytest.raises(ValidationError):
         spinor_from_spec([[0.0, 0.0]] * 4)
+    # The schema holds a packet's spinor to a name or four [re, im] pairs.
+    for spinor in ("sideways", [[1.0, 0.0]] * 3):
+        scn = read_scenario("free-packet")
+        scn["initial"]["packet1"] = {"kind": "gaussian", "center": 16.0, "sigma": 4.0, "spinor": spinor}
+        with pytest.raises(ValidationError, match="initial/packet1/spinor"):
+            resolve_scenario(scn)
 
 
 # ----------------------------------------------------------------------------

@@ -84,7 +84,6 @@ def test_overlap_csv_writes_each_upper_triangle_in_endpoint_order(tmp_path):
             9: OverlapGroup(endpoint=(4, 1), path_ids=np.array([3]), overlaps=np.array([[0.25 + 0.0j]])),
             2: OverlapGroup(endpoint=(0, 2), path_ids=np.array([4, 0, 2]), overlaps=lam),
         },
-        n_layers=1,
     )
     text = _written(tmp_path, exports.write_overlap_csv, ensemble, table)
     a = [repr(abs(complex(v))) for v in amps]

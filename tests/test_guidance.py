@@ -12,6 +12,7 @@ from pilotpath.dirac import (
     run_walk,
     to_circuit_layers,
 )
+from pilotpath import kernels
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
     EnsembleRun,
@@ -70,6 +71,25 @@ def test_stack_from_tables_validates_shapes():
         VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid, EPS_NODE_REL)
     with pytest.raises(ValidationError):
         VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid, eps_node=0.0)
+
+
+def test_a_stack_is_built_only_if_its_transport_accepts_it():
+    """Non-finite values never make a stack, nor, on a ring, values at which
+    a stage of the whole time step crosses more than MAX_STAGE_RINGS rings;
+    a bounded grid has no ring to cross."""
+    masks = np.zeros((2, 8), dtype=bool)
+    ring = LatticeGrid(8, 1.0, 0.5)
+    fastest = kernels.MAX_STAGE_RINGS * ring.extent / ring.dt
+    VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
+    for value, match in ((np.nan, "finite"), (np.inf, "finite"), (2 * fastest, "rings")):
+        with pytest.raises(ValidationError, match=match):
+            VelocityStack(np.full((2, 8), value), masks, ring, 0.0)
+    VelocityStack(np.full((2, 8), 2 * fastest), masks, LatticeGrid(8, 1.0, 0.5, boundary="reflecting"), 0.0)
+    # The largest stack that is built moves, in one substep as in many.
+    stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
+    for substeps in (1, 4):
+        records, frozen = transport_records(stack, np.array([3.0]), "forward", substeps)
+        assert np.all(np.isfinite(records)) and frozen[0] == -1
 
 
 def test_velocity_stack_matches_per_layer_fields():

@@ -138,7 +138,7 @@ def test_non_finite_numbers_are_rejected(section, key, value):
 
 
 def _subschemas(key, arg):
-    if key == "properties":
+    if key in ("properties", "definitions"):
         return list(arg.values())
     if key in ("items", "if", "then"):
         return [arg]
@@ -158,12 +158,17 @@ def _keyword_args(schema: dict):
 def test_the_checker_implements_every_schema_keyword():
     """The schema uses no keyword the checker lacks, and each in the form
     the checker assumes: one schema for items, additionalProperties false,
-    only JSON types it knows, and strings for enum and const to compare."""
+    only JSON types it knows, strings for enum and const to compare, and
+    $ref only to the schema's own definitions."""
     pairs = list(_keyword_args(_schema()))
     used = {key for key, _ in pairs}
     assert used <= set(_KEYWORDS), sorted(used - set(_KEYWORDS))
-    assert {"anyOf", "allOf", "if", "additionalProperties", "exclusiveMaximum", "pattern"} <= used
+    assert {"anyOf", "allOf", "if", "additionalProperties", "exclusiveMaximum", "pattern", "$ref", "uniqueItems"} <= used
     for key, arg in pairs:
+        if key == "$ref":
+            assert arg.startswith("#/definitions/") and arg.rpartition("/")[2] in _schema()["definitions"]
+        if key == "uniqueItems":
+            assert arg is True
         if key == "items":
             assert isinstance(arg, dict)
         if key == "additionalProperties":
@@ -216,9 +221,45 @@ def assert_checker_agrees_with_jsonschema(doc):
         assert expected == set()
 
 
-# The bundled scenarios and a resolved one with a coupling, which no
-# bundled scenario has.
-DOCUMENTS = [read_scenario(name) for name in BUNDLED] + [coupled_free_packet()]
+# The bundled scenarios, a resolved one with a coupling, which no bundled
+# scenario has, and the forms of the schema's other fields that none of
+# them uses: explicit circuit layers and start pairs, tables and barrier
+# potentials, a pointer spinor of pairs, and branches with a pair weight,
+# a support radius and a named spinor.
+DOCUMENTS = [read_scenario(name) for name in BUNDLED] + [
+    coupled_free_packet(),
+    {
+        "engine": "circuit",
+        "name": "explicit",
+        "basis": {"modes_a": 2, "spins_a": 1, "modes_b": 2, "spins_b": 1},
+        "layers": [{"u_a": [[0.0, 1.0], [1.0, 0.0]], "u_b": [[1.0, 0.0], [0.0, -1.0]], "phases": [[0.0, 0.5], [0.5, 0.0]]}],
+        "initial": {"psi1": [[1.0, 0.0], [0.0, 0.0]], "psi2": {"basis_point": 1}},
+    },
+    walk_raw(
+        particles=[
+            {"mass": 0.2, "charge": 1.0, "potential": {"preset": "tables", "a0": [0.0, 0.1], "a1": [0.0, 0.0]}},
+            {"mass": 0.3, "potential": {"preset": "barrier", "v0": 0.1, "lo": 2.0, "hi": 4.0}},
+        ],
+        initial={
+            "preset": "measurement-split",
+            "center1": 4.0,
+            "sigma1": 1.0,
+            "pointer": {"center_a": 2.0, "center_b": 10.0, "sigma": 1.0, "spinor": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]},
+        },
+    ),
+    walk_raw(
+        initial={
+            "preset": "branches",
+            "branches": [
+                {
+                    "weight": [0.0, 1.0],
+                    "packet1": {"kind": "gaussian", "center": 4.0, "sigma": 1.0, "support_radius": 3.0, "spinor": "down"},
+                    "packet2": {"kind": "walk-positive", "center": 9.0, "sigma": 1.0, "momentum": 0.5},
+                }
+            ],
+        }
+    ),
+]
 
 
 def test_checker_agrees_with_jsonschema_at_every_edge():
@@ -375,8 +416,8 @@ def test_measurement_split_preset_points_the_pointer_two_ways():
 
 
 def test_unknown_preset_is_rejected():
-    with pytest.raises(ValidationError, match="preset"):
-        expand_initial({"preset": "bogus"})
+    with pytest.raises(ValidationError, match="initial/preset"):
+        resolve_scenario(walk_raw(initial={"preset": "bogus"}))
 
 
 # ----------------------------------------------------------------------------
@@ -395,11 +436,17 @@ def test_truncated_packet_has_exact_zeros_and_unit_norm():
 
 
 def test_packet_spec_conflicts_are_rejected():
+    # A walk-positive packet fixes its own spinor structure.
+    packet = {"kind": "walk-positive", "center": 4.0, "sigma": 1.0, "momentum": 0.0, "spinor": "up"}
+    with pytest.raises(ValidationError) as info:
+        resolve_scenario(walk_raw(initial={"preset": "gaussian-product", "packet1": packet, "packet2": packet}))
+    assert str(info.value) == (
+        "scenario schema violation at 'initial/packet1': Additional properties are not allowed ('spinor' was unexpected)"
+    )
+    packet = {"kind": "hexagonal", "center": 4.0, "sigma": 1.0, "momentum": 0.0}
+    with pytest.raises(ValidationError, match="initial/packet1/kind"):
+        resolve_scenario(walk_raw(initial={"preset": "gaussian-product", "packet1": packet, "packet2": packet}))
     grid = LatticeGrid(16, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="walk-positive"):
-        build_packet(grid, {"kind": "walk-positive", "center": 4.0, "sigma": 1.0, "momentum": 0.0, "spinor": "up"}, 0.2)
-    with pytest.raises(ValidationError, match="kind"):
-        build_packet(grid, {"kind": "hexagonal", "center": 4.0, "sigma": 1.0, "momentum": 0.0}, 0.2)
     # off-lattice center with a radius smaller than half a cell leaves nothing
     with pytest.raises(ValidationError, match="support_radius"):
         spec = {"kind": "gaussian", "center": 4.5, "sigma": 1.0, "momentum": 0.0, "spinor": "up", "support_radius": 0.1}
@@ -414,19 +461,19 @@ def free_packet_with(key, value):
 
 
 @pytest.mark.parametrize(
-    "key, value, match",
+    "key, value, message",
     [
-        ("center", float("nan"), "center must be a finite real number"),
-        ("center", True, "center must be a finite real number"),
-        ("center", None, "center must be a finite real number"),
-        ("sigma", "wide", "sigma must be a finite real number"),
-        ("sigma", True, "sigma must be a finite real number"),
-        ("sigma", 0, "sigma must be positive"),
-        ("sigma", -2.0, "sigma must be positive"),
-        ("momentum", float("inf"), "momentum must be a finite real number"),
-        ("momentum", [0.6], "momentum must be a finite real number"),
-        ("support_radius", float("-inf"), "support_radius must be a finite real number"),
-        ("support_radius", "4", "support_radius must be a finite real number"),
+        ("center", float("nan"), "nan is not of type 'number'"),
+        ("center", True, "True is not of type 'number'"),
+        ("center", None, "None is not of type 'number'"),
+        ("sigma", "wide", "'wide' is not of type 'number'"),
+        ("sigma", True, "True is not of type 'number'"),
+        ("sigma", 0, "0 is less than or equal to the minimum of 0"),
+        ("sigma", -2.0, "-2.0 is less than or equal to the minimum of 0"),
+        ("momentum", float("inf"), "inf is not of type 'number'"),
+        ("momentum", [0.6], "[0.6] is not of type 'number'"),
+        ("support_radius", float("-inf"), "-inf is not of type 'number', 'null'"),
+        ("support_radius", "4", "'4' is not of type 'number', 'null'"),
     ],
     ids=[
         "nan-center",
@@ -442,20 +489,21 @@ def free_packet_with(key, value):
         "string-support-radius",
     ],
 )
-def test_malformed_packet_fields_are_rejected(key, value, match):
-    """Every preset's packets pass through build_packet, which rejects a
-    field that is not a finite real number, and a sigma that is not
+def test_malformed_packet_fields_are_rejected(key, value, message):
+    """Every preset's packets are held to the schema's packet, which rejects
+    a field that is not a finite real number, and a sigma that is not
     positive, before either packet kind builds its field."""
-    with pytest.raises(ValidationError, match=match):
-        build_walk(free_packet_with(key, value))
+    with pytest.raises(ValidationError) as info:
+        resolve_scenario(free_packet_with(key, value))
+    assert str(info.value) == f"scenario schema violation at 'initial/branches/0/packet1/{key}': {message}"
 
 
 @pytest.mark.parametrize("kind", ["walk-positive", "gaussian"])
 def test_both_packet_kinds_check_their_fields(kind):
-    grid = LatticeGrid(16, 1.0, 1.0)
-    spec = {"kind": kind, "center": 4.0, "sigma": float("nan"), "momentum": 0.0}
-    with pytest.raises(ValidationError, match="sigma must be a finite real number"):
-        build_packet(grid, spec, 0.2)
+    packet = {"kind": kind, "center": 4.0, "sigma": float("nan"), "momentum": 0.0}
+    with pytest.raises(ValidationError) as info:
+        resolve_scenario(walk_raw(initial={"preset": "gaussian-product", "packet1": packet, "packet2": packet}))
+    assert str(info.value) == "scenario schema violation at 'initial/packet1/sigma': nan is not of type 'number'"
 
 
 def test_cancelling_branches_are_degenerate():
@@ -493,8 +541,8 @@ def test_potential_presets():
     assert np.array_equal(barrier.a0 != 0.0, (x >= 2.0) & (x < 5.0))
     tables = build_potential(grid, {"preset": "tables", "a0": list(range(8)), "a1": [0.0] * 8})
     assert tables.a0[3] == 3.0
-    with pytest.raises(ValidationError, match="preset"):
-        build_potential(grid, {"preset": "moat"})
+    with pytest.raises(ValidationError, match="particles/0/potential/preset"):
+        resolve_scenario(walk_raw(particles=[{"mass": 0.2, "potential": {"preset": "moat"}}, {"mass": 0.3}]))
 
 
 def test_window_coupling_builds_an_indicator_table():
@@ -522,8 +570,11 @@ def test_couplings_add_and_spread_over_layers():
     assert np.max(tables[1]) == 0.25
     with pytest.raises(ValidationError, match="out of range"):
         build_couplings(grid, [dict(one, layers=[5])], n_layers=2)
-    with pytest.raises(ValidationError, match="kind"):
-        build_couplings(grid, [dict(one, kind="spring")], n_layers=2)
+    with pytest.raises(ValidationError, match="couplings/0/kind"):
+        resolve_scenario(walk_raw(couplings=[dict(one, kind="spring")]))
+    # A layer listed twice would get the entry's phase twice.
+    with pytest.raises(ValidationError, match="couplings/0/layers"):
+        resolve_scenario(walk_raw(couplings=[dict(one, layers=[0, 0])]))
 
 
 def test_layers_under_the_same_couplings_share_one_table():
