@@ -167,19 +167,19 @@ def _currents(scn: dict, system, args, out: str):
     marginal = pp.path_sum_marginal(ensemble)
 
     direct = pp.direct_state(context)
-    field, _ = marginal_fields(direct, context.grid)
+    (direct_density, direct_current), _ = marginal_fields(direct, context.grid)
     direct_marginal = pp.mode_marginal(direct.amps, context.basis)
 
     exports.write_currents_csv(
         os.path.join(out, "path_currents.csv"),
-        np.vstack([density.total, field.j0]),
-        np.vstack([current.value, field.j1]),
+        np.vstack([density.total, direct_density]),
+        np.vstack([current.value, direct_current]),
         context.grid.positions(),
     )
     summary = {
         "window_layers": n,
-        "max_gap_density": float(np.abs(density.total - field.j0).max()),
-        "max_gap_current": float(np.abs(current.value - field.j1).max()),
+        "max_gap_density": float(np.abs(density.total - direct_density).max()),
+        "max_gap_current": float(np.abs(current.value - direct_current).max()),
         "max_gap_marginal": float(np.abs(marginal - direct_marginal).max()),
         "diagonal_current_max": float(np.abs(current.diagonal_term).max()),
         "cross_term_imag_residue": current.imag_residue,

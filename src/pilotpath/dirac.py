@@ -72,14 +72,15 @@ class LatticeGrid:
     n_sites: int
     dx: float
     dt: float
-    x_min: float = 0.0
-    boundary: str = "periodic"
+    x_min: float
+    boundary: str
 
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValidationError("lattice needs at least 2 sites")
-        if not (self.dx > 0.0 and self.dt > 0.0):
-            raise ValidationError("dx and dt must be positive")
+        # dx/dt scales every current, so it must be a float too.
+        if not (self.dx > 0.0 and self.dt > 0.0 and np.isfinite(self.dx / self.dt)):
+            raise ValidationError("dx and dt must be positive, with dx/dt within the float range")
         if self.dt > self.dx * (1.0 + 1e-12):
             raise ValidationError(
                 f"dt/dx = {self.dt / self.dx:.6g} > 1: signal would outrun one site per step"
@@ -107,20 +108,11 @@ class LatticeGrid:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Static per-site potential tables for one particle."""
+    """Static per-site potential tables for one particle, 1D real arrays;
+    phase_matrices checks their length against its grid."""
 
     a0: np.ndarray
     a1: np.ndarray
-
-    def __post_init__(self) -> None:
-        a0 = np.asarray(self.a0, dtype=np.float64)
-        a1 = np.asarray(self.a1, dtype=np.float64)
-        if a0.ndim != 1 or a0.shape != a1.shape:
-            raise ValidationError("potential tables must be equal-length 1D real arrays")
-        if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(a1))):
-            raise ValidationError("potential tables must be finite")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
 
     @classmethod
     def free(cls, grid: LatticeGrid) -> "PotentialField":
@@ -144,8 +136,8 @@ def phase_matrices(grid: LatticeGrid, mass: float, charge: float, potential: Pot
     The generator squares to (a^2 + b^2) * identity because g0 and g0g1
     anticommute, so the exponential has the closed form cos - i sin/w * H.
     """
-    if potential.a0.shape[0] != grid.n_sites:
-        raise ValidationError("potential tables must match the grid size")
+    if not len(potential.a0) == len(potential.a1) == grid.n_sites:
+        raise ValidationError(f"potential tables a0 and a1 must each have one entry per site ({grid.n_sites})")
     a = mass + charge * potential.a0
     b = -charge * potential.a1
     w = np.hypot(a, b)
@@ -170,9 +162,7 @@ class WalkStep(StepStencil):
     """
 
     def __init__(self, grid: LatticeGrid, phase_mats: np.ndarray):
-        phase_mats = np.asarray(phase_mats, dtype=np.complex128)
-        if phase_mats.shape != (grid.n_sites, SPINOR_DIM, SPINOR_DIM):
-            raise ValidationError("phase matrices must have shape (n_sites, 4, 4)")
+        # phase_mats is phase_matrices' (n_sites, 4, 4) stack for grid.
         self.grid = grid
         super().__init__(*_step_stencil(grid, phase_mats))
 
@@ -249,32 +239,6 @@ def build_dirac_step(
 # Densities and currents
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """Marginal density/current pair for one particle at one layer."""
-
-    grid: LatticeGrid
-    j0: np.ndarray
-    j1: np.ndarray
-
-    def __post_init__(self) -> None:
-        j0 = np.asarray(self.j0, dtype=np.float64)
-        j1 = np.asarray(self.j1, dtype=np.float64)
-        if j0.shape != (self.grid.n_sites,) or j1.shape != (self.grid.n_sites,):
-            raise ValidationError("current tables must be per-site 1D arrays")
-        if not (np.all(np.isfinite(j0)) and np.all(np.isfinite(j1))):
-            raise ValidationError("current tables must be finite")
-        if np.min(j0) < -1e-12:
-            raise ValidationError("density must be nonnegative")
-        total = float(np.sum(j0) * self.grid.dx)
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"density must integrate to 1, got {total!r}")
-        object.__setattr__(self, "j0", j0)
-        object.__setattr__(self, "j1", j1)
-        j0.flags.writeable = False
-        j1.flags.writeable = False
-
-
 def _site_probabilities(t: np.ndarray) -> np.ndarray:
     """Joint (x1, x2) probability table, spinors summed: |A|^2 computed once.
 
@@ -292,8 +256,9 @@ def _real_current(j: np.ndarray) -> np.ndarray:
     return j.real
 
 
-def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid) -> CurrentField:
-    """One particle's CurrentField from its own factor and its partner's.
+def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """One particle's per-site (density, current) from its own factor and its
+    partner's.
 
     The joint state is own @ partner.T, own of shape (4N, r) over this
     particle's (site, spinor) rows.  Summing the partner out leaves only the
@@ -310,11 +275,12 @@ def _particle_field(own: np.ndarray, partner: np.ndarray | None, grid: LatticeGr
     w = weighted.reshape(n, SPINOR_DIM, -1)
     rho = np.einsum("xai,xai->x", f, w).real
     j = _real_current(np.einsum("xai,xai->x", f, w[:, ::-1]))
-    return CurrentField(grid, rho * scale_d, j * scale_j)
+    return rho * scale_d, j * scale_j
 
 
-def marginal_fields(state: JointState, grid: LatticeGrid) -> tuple[CurrentField, CurrentField]:
-    """Both particles' partner-summed CurrentFields, read from the state's factors.
+def marginal_fields(state: JointState, grid: LatticeGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Both particles' partner-summed (density, current) pairs, read from the
+    state's factors.  Their norm is not checked here: verify reports it.
 
     Particle 2 sees the transposed state right @ left.T; a dense state
     (right=None, the identity) is left.T against the identity.
@@ -407,11 +373,7 @@ def run_walk(
 
     state = state0
     for layer in range(n_layers + 1):
-        cur1, cur2 = marginal_fields(state, grid)
-        density1[layer] = cur1.j0
-        current1[layer] = cur1.j1
-        density2[layer] = cur2.j0
-        current2[layer] = cur2.j1
+        (density1[layer], current1[layer]), (density2[layer], current2[layer]) = marginal_fields(state, grid)
         if layer in record_joint:
             joint[layer] = _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx)
         if layer < n_layers:
@@ -432,17 +394,13 @@ def to_circuit_layers(
 ) -> list[CircuitLayer]:
     """The walk's n_layers layers as CircuitLayers on the two steps themselves.
 
-    couplings maps a layer index (0-based) to a joint phase table applied
-    after that layer's per-particle steps.  Each step was checked when it
-    was built, so no layer checks it again.  Uncoupled layers share one
-    CircuitLayer, and so do the layers given one table object.
+    couplings maps a layer index (0-based, checked by build_couplings) to a
+    joint phase table applied after that layer's per-particle steps.  Each
+    step was checked when it was built, and run_walk checks its grid, so no
+    layer checks it again.  Uncoupled layers share one CircuitLayer, and so
+    do the layers given one table object.
     """
-    if step1.grid != step2.grid:
-        raise ValidationError("every step must be built on the run's grid")
     couplings = couplings or {}
-    for k in couplings:
-        if not 0 <= int(k) < n_layers:
-            raise ValidationError(f"coupling layer index {k} out of range")
     uncoupled = CircuitLayer(step1, step2)
     # One layer per table object, keyed by its identity; couplings keeps
     # every table alive.

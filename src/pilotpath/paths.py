@@ -61,12 +61,11 @@ class PathContext:
         psi2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
         if psi1.shape[0] != basis.dim_a or psi2.shape[0] != basis.dim_b:
             raise ValidationError("initial factors do not match the basis dimensions")
-        # Checked entrywise first: a NaN norm would compare False against zero.
-        if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
-            raise ValidationError("initial factors contain non-finite entries")
+        # A NaN or infinite entry makes its norm NaN or infinite, which
+        # fails these bounds as a zero factor does.
         n1, n2 = np.linalg.norm(psi1), np.linalg.norm(psi2)
-        if n1 == 0.0 or n2 == 0.0:
-            raise ValidationError("initial factors must be nonzero")
+        if not (0.0 < n1 < np.inf and 0.0 < n2 < np.inf):
+            raise ValidationError("initial factors must be finite and nonzero, with a norm within the float range")
         for t, layer in enumerate(layers):
             if layer.u_a.shape[0] != basis.dim_a or layer.u_b.shape[0] != basis.dim_b:
                 raise ValidationError(f"layer {t} does not match the basis dimensions")

@@ -6,10 +6,10 @@ and potentials, optional diagonal phase couplings, and the knobs of the
 downstream protocols.  Loading validates against the shipped schema
 (schemas/scenario.schema.json) with this module's own checker of the
 draft-07 keywords that schema uses.  It words its errors as the tests'
-schema oracle does, but NaN and Infinity are no number to it.  It then
-fills every default explicitly and returns the resolved dictionary; runs
-echo that resolved form next to their artifacts so every output is
-reproducible from (scenario, seed) alone.
+schema oracle does, but NaN, Infinity and integers too large for a float
+are no number to it.  It then fills every default explicitly and returns
+the resolved dictionary; runs echo that resolved form next to their
+artifacts so every output is reproducible from (scenario, seed) alone.
 
 Randomized circuit scenarios draw their unitaries from a dedicated
 counter-mode stream of the scenario seed (STREAM_SCENARIO_BUILD; protocols
@@ -68,10 +68,14 @@ def _schema() -> dict:
 
 
 def _is_number(value) -> bool:
-    # bool is no JSON number; unlike the tests' schema oracle, neither are NaN and +-Infinity
-    if isinstance(value, float):
+    # bool is no JSON number; unlike the tests' schema oracle, neither are
+    # NaN, +-Infinity and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    except OverflowError:
+        return False
 
 
 _TYPES = {
@@ -389,8 +393,11 @@ def build_initial_state(grid: LatticeGrid, branches: list[dict], masses: tuple[f
     )
     right = np.stack([build_packet(grid, b["packet2"], masses[1]).reshape(-1) for b in branches], axis=1)
     norm_sq = branch_norm_sq(left, right)
-    if norm_sq < 0.1**2:
-        raise ValidationError("initial branches nearly cancel; state is degenerate")
+    # The start is normalized here, once.  A field the grid cannot hold (a
+    # sigma far below dx, positions that overflow) is NaN and fails the
+    # bounds too, as does a weight whose square overflows.
+    if not 0.1**2 <= norm_sq < np.inf:
+        raise ValidationError(f"initial branches have norm^2 {norm_sq!r}: they nearly cancel or are not finite")
     return JointState(grid.basis(), left / np.sqrt(norm_sq), right)
 
 

@@ -120,7 +120,7 @@ def small_walk_context(
     dt_ratio: float = 1.0,
 ) -> PathContext:
     """Product-start walk wrapped as circuit layers for path conditioning."""
-    grid = LatticeGrid(n_sites, 1.0, dt_ratio)
+    grid = LatticeGrid(n_sites, 1.0, dt_ratio, 0.0, "periodic")
     step1 = build_dirac_step(grid, mass1, 1.0 if potential1 is not None else 0.0, potential1)
     step2 = build_dirac_step(grid, mass2, 0.0)
     layers = to_circuit_layers(step1, step2, n_layers)

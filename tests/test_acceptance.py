@@ -107,7 +107,7 @@ def _circuit_cases():
 
 def _coupled_walk_context():
     rng = make_rng(905)
-    grid = LatticeGrid(12, 1.0, 0.8)
+    grid = LatticeGrid(12, 1.0, 0.8, 0.0, "periodic")
     step1 = build_dirac_step(grid, 0.3, 0.0)
     step2 = build_dirac_step(grid, 0.2, 0.0)
     table = rng.uniform(-np.pi, np.pi, (48, 48))
@@ -118,7 +118,7 @@ def _coupled_walk_context():
 
 
 def _reflecting_walk_context():
-    grid = LatticeGrid(14, 1.0, 0.8, boundary="reflecting")
+    grid = LatticeGrid(14, 1.0, 0.8, 0.0, "reflecting")
     step1 = build_dirac_step(grid, 0.2, 0.0)
     step2 = build_dirac_step(grid, 0.4, 0.0)
     layers = to_circuit_layers(step1, step2, 4)
@@ -130,7 +130,7 @@ def _reflecting_walk_context():
 
 
 def _walk_cases():
-    grid16 = LatticeGrid(16, 1.0, 1.0)
+    grid16 = LatticeGrid(16, 1.0, 1.0, 0.0, "periodic")
     a1 = 0.4 * np.sin(2.0 * np.pi * np.arange(16) / 16.0)
     specs = [
         ("walk-massless-point", small_walk_context(12, 5, 0.0, 0.4, make_rng(901)), 5),
@@ -234,9 +234,9 @@ def test_path_sums_match_direct_evolution(path_cases, capsys):
         ctx, ens = case["context"], case["ensemble"]
         direct = direct_state(ctx)
         gap_rows = float(np.abs(ens.reconstruct_rows() - direct.amps).max())
-        field, _ = marginal_fields(direct, ctx.grid)
-        gap_density = float(np.abs(path_sum_density(ens).total - field.j0).max())
-        gap_current = float(np.abs(path_sum_current(ens).value - field.j1).max())
+        (density, current), _ = marginal_fields(direct, ctx.grid)
+        gap_density = float(np.abs(path_sum_density(ens).total - density).max())
+        gap_current = float(np.abs(path_sum_current(ens).value - current).max())
         basis = ctx.basis
         rows = direct.amps.reshape(basis.modes_a, basis.spins_a, basis.dim_b)
         direct_marginal = np.einsum("jsk,jsk->j", rows.conj(), rows).real
@@ -324,7 +324,7 @@ def _continuity_orders():
     marginals = []
     for dx in levels:
         n_sites = int(round(32.0 / dx))
-        grid = LatticeGrid(n_sites, dx, dx)
+        grid = LatticeGrid(n_sites, dx, dx, 0.0, "periodic")
         step = build_dirac_step(grid, 0.3, 0.0)
         p1 = gaussian_profile(grid, 10.0, 2.5, 0.9)
         p2 = gaussian_profile(grid, 22.0, 2.5, -0.9)
@@ -486,7 +486,7 @@ def test_engine_no_signaling_under_entanglement(capsys):
     worst = 0.0
     control = 0.0
     for _ in range(6):
-        grid = LatticeGrid(12, 1.0, 0.7)
+        grid = LatticeGrid(12, 1.0, 0.7, 0.0, "periodic")
         mass1 = float(rng.uniform(0.0, 0.6))
         mass2 = float(rng.uniform(0.0, 0.6))
         amps = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))

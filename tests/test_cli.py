@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pilotpath
-from pilotpath import cli, kernels, protocols, verify
+from pilotpath import cli, dirac, kernels, protocols, verify
+from pilotpath.circuit import JointState
 from pilotpath.errors import DegenerateDensityError, PilotPathError
 from pilotpath.scenario import build_circuit, build_walk, load_scenario, read_scenario, resolve_scenario
 
@@ -498,11 +499,16 @@ def test_failed_runs_leave_no_artifact_directory(command, scenario, extra, exit_
     assert not (tmp_path / scenario / command).exists()
 
 
-@pytest.mark.parametrize("key, value", [("center", float("nan")), ("sigma", "wide")], ids=["nan-center", "string-sigma"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("center", float("nan")), ("sigma", "wide"), ("center", 10**400)],
+    ids=["nan-center", "string-sigma", "integer-center-beyond-float"],
+)
 def test_malformed_packets_exit_2_and_write_nothing(key, value, scenario_file, tmp_path, capsys):
-    """A packet field that is not a finite real number is an input error,
-    raised before numpy computes with it (the tier-1 suite turns numpy's
-    RuntimeWarnings into errors, as CI does)."""
+    """A packet field that is not a finite real number, or an integer too
+    large for a float, is an input error, raised before numpy computes with
+    it (the tier-1 suite turns numpy's RuntimeWarnings into errors, as CI
+    does)."""
     scn = json.loads(Path(scenario_file).read_text())
     scn["initial"]["packet1"][key] = value
     path = tmp_path / "malformed.json"
@@ -632,6 +638,35 @@ def test_diagonal_current_zero_can_fail(scenario_file, tmp_path, capsys, monkeyp
     assert [c["name"] for c in failed] == ["diagonal_current_zero"]
     assert failed[0]["value"] == 1e-15
     assert "FAIL diagonal_current_zero" in capsys.readouterr().out
+
+
+def test_drift_checks_can_fail(tmp_path, capsys, monkeypatch):
+    """A norm leak in the engine is a result, not an input error: with each
+    walk's first stepped state scaled by 1 + 1e-9, verify exits 1 with only
+    its two norm rows failing at about 2e-9, and evolve exits 0 and reports
+    that drift."""
+    step = dirac.apply_layer
+    stepped = []
+
+    def leaking(state, layer):
+        out = step(state, layer)
+        # A state this wrapper did not return starts a walk.
+        if not (stepped and state is stepped[-1]):
+            out = JointState(out.basis, out.left * (1.0 + 1e-9), out.right)
+        stepped[:] = [out]
+        return out
+
+    monkeypatch.setattr(dirac, "apply_layer", leaking)
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--scenario", "free-packet"], out) == 1
+    report = read_json(out, "free-packet", "verify", "verify_report.json")
+    failed = {c["name"]: c["value"] for c in report["checks"] if not (c["passed"] or c["skipped"])}
+    assert sorted(failed) == ["marginal_normalization", "unitarity_drift"]
+    assert all(value == pytest.approx(2e-9, rel=1e-3) for value in failed.values())
+    assert "FAIL unitarity_drift" in capsys.readouterr().out
+    assert run_cli(["evolve", "--scenario", "free-packet"], out) == 0
+    summary = read_json(out, "free-packet", "evolve", "evolve_summary.json")
+    assert summary["norm_drift"] == pytest.approx(2e-9, rel=1e-3)
 
 
 # Each potential preset's fields, complete; the schema requires all of them.

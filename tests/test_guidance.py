@@ -32,7 +32,7 @@ from oracles import sample_joint_density_gather, scaled
 
 def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
     """Single right-moving packet per particle, wrap-free over the run."""
-    grid = LatticeGrid(n_sites, 0.5, 0.25)
+    grid = LatticeGrid(n_sites, 0.5, 0.25, 0.0, "periodic")
     step = build_dirac_step(grid, mass, 0.0)
     psi1 = spinor_field(gaussian_profile(grid, 7.0, sigma, momentum), NAMED_SPINORS["chirality+"])
     psi2 = spinor_field(gaussian_profile(grid, 16.0, sigma, -momentum), NAMED_SPINORS["chirality-"])
@@ -46,7 +46,7 @@ def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
 
 
 def test_velocity_field_masks_node_sites():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     j0 = np.array([0.5, 0.3, 0.15, 0.05, 0.0, 0.0, 0.0, 0.0])
     j0 = j0 / (j0.sum() * grid.dx)
     j1 = np.full(8, 0.1)
@@ -59,14 +59,14 @@ def test_velocity_field_masks_node_sites():
 
 
 def test_velocity_field_rejects_fully_masked_layers():
-    grid = LatticeGrid(4, 1.0, 1.0)
+    grid = LatticeGrid(4, 1.0, 1.0, 0.0, "periodic")
     density = np.stack([np.full(4, 0.25), np.zeros(4)])
     with pytest.raises(DegenerateDensityError):
         VelocityStack.from_tables(density, np.zeros((2, 4)), grid, EPS_NODE_REL)
 
 
 def test_stack_from_tables_validates_shapes():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     with pytest.raises(ValidationError):
         VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid, EPS_NODE_REL)
     with pytest.raises(ValidationError):
@@ -78,13 +78,13 @@ def test_a_stack_is_built_only_if_its_transport_accepts_it():
     a stage of the whole time step crosses more than MAX_STAGE_RINGS rings;
     a bounded grid has no ring to cross."""
     masks = np.zeros((2, 8), dtype=bool)
-    ring = LatticeGrid(8, 1.0, 0.5)
+    ring = LatticeGrid(8, 1.0, 0.5, 0.0, "periodic")
     fastest = kernels.MAX_STAGE_RINGS * ring.extent / ring.dt
     VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
     for value, match in ((np.nan, "finite"), (np.inf, "finite"), (2 * fastest, "rings")):
         with pytest.raises(ValidationError, match=match):
             VelocityStack(np.full((2, 8), value), masks, ring, 0.0)
-    VelocityStack(np.full((2, 8), 2 * fastest), masks, LatticeGrid(8, 1.0, 0.5, boundary="reflecting"), 0.0)
+    VelocityStack(np.full((2, 8), 2 * fastest), masks, LatticeGrid(8, 1.0, 0.5, 0.0, "reflecting"), 0.0)
     # The largest stack that is built moves, in one substep as in many.
     stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
     for substeps in (1, 4):
@@ -242,7 +242,7 @@ def test_direction_argument_is_validated():
 
 def test_joint_sampling_respects_correlations():
     """A perfectly correlated two-site table never yields mixed pairs."""
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     joint = np.zeros((8, 8))
     joint[2, 6] = 0.5
     joint[5, 1] = 0.5
@@ -304,7 +304,7 @@ def test_joint_sampling_ties_go_to_the_cell_after_the_equal_cdf_entries():
     to one counts every entry at or below it: u2 = 0.25 on the row
     [0, .25, .25, .25, .5, .5, 1, 1] lands in cell 4, after the last 0.25,
     and u2 = 0.0 in cell 1, never in a cell without mass."""
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     joint = np.zeros((8, 8))
     joint[3] = [0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0]
     joint[6] = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
@@ -322,7 +322,7 @@ def test_joint_sampling_ties_go_to_the_cell_after_the_equal_cdf_entries():
 
 
 def test_joint_sampling_validates_the_table():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     with pytest.raises(ValidationError):
         sample_joint_density(np.zeros((8, 7)), grid, 10, make_rng(65))
     with pytest.raises(DegenerateDensityError):
@@ -336,7 +336,7 @@ def test_joint_sampling_validates_the_table():
 def test_ks_statistic_on_a_uniform_density_by_hand():
     """Uniform cells make the model CDF globally linear, so the statistic
     reduces to max(F, 1 - F) for one sample and has a closed form for two."""
-    grid = LatticeGrid(4, 1.0, 1.0, x_min=0.0)
+    grid = LatticeGrid(4, 1.0, 1.0, 0.0, "periodic")
     density = np.full(4, 0.25)
     lo = -0.5  # first cell edge
     span = 4.0
@@ -350,7 +350,7 @@ def test_ks_statistic_on_a_uniform_density_by_hand():
 
 
 def test_ks_statistic_wraps_periodic_samples():
-    grid = LatticeGrid(4, 1.0, 1.0)
+    grid = LatticeGrid(4, 1.0, 1.0, 0.0, "periodic")
     density = np.full(4, 0.25)
     inside = ks_statistic(np.array([1.0]), density, grid)
     wrapped = ks_statistic(np.array([1.0 + grid.extent]), density, grid)
@@ -358,7 +358,7 @@ def test_ks_statistic_wraps_periodic_samples():
 
 
 def test_ks_statistic_requires_samples():
-    grid = LatticeGrid(4, 1.0, 1.0)
+    grid = LatticeGrid(4, 1.0, 1.0, 0.0, "periodic")
     with pytest.raises(ValidationError):
         ks_statistic(np.array([]), np.full(4, 0.25), grid)
 

@@ -365,7 +365,7 @@ def test_same_seed_reproduces_the_whole_run(no_overlap):
 def test_motionless_state_replays_exactly():
     """A uniform at-rest state has zero flow, so backs and replays agree
     to the bit and nothing ever moves."""
-    grid = LatticeGrid(16, 1.0, 0.5)
+    grid = LatticeGrid(16, 1.0, 0.5, 0.0, "periodic")
     step = build_dirac_step(grid, 0.5, 0.0)
     psi = np.kron(np.full(16, 0.25), NAMED_SPINORS["up"])
     amps = np.outer(psi, psi)
@@ -487,7 +487,7 @@ def test_a_replay_that_alone_reaches_a_wall_is_excluded():
     """A uniform field carries a start 2**-60 off the left edge site away
     and back: the outbound run never reaches the edge, but its replay
     lands on it, and that round trip is excluded too."""
-    grid = LatticeGrid(16, 1.0, 0.5, boundary="reflecting")
+    grid = LatticeGrid(16, 1.0, 0.5, 0.0, "reflecting")
     stack = VelocityStack(np.full((5, 16), 0.5), np.zeros((5, 16), dtype=bool), grid, 0.0)
     x0 = np.array([2.0**-60, 3.0])
     records, _ = transport_records(stack, x0, "forward", 4, substep_records=True)
@@ -853,7 +853,7 @@ def site_run(sites, direction="forward"):
 
 
 def test_crossings_on_a_hand_built_branch_graph():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     tracks = hand_built_tracks()
     runs = {
         1: site_run(
@@ -898,4 +898,4 @@ def test_crossings_on_a_hand_built_branch_graph():
 def test_crossings_reject_runs_over_other_layers():
     short = site_run([[0, 0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValidationError, match="same layers"):
-        detect_crossings([(1, short)], hand_built_tracks(), LatticeGrid(8, 1.0, 1.0))
+        detect_crossings([(1, short)], hand_built_tracks(), LatticeGrid(8, 1.0, 1.0, 0.0, "periodic"))

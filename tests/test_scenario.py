@@ -123,12 +123,19 @@ def test_every_bundled_scenario_resolves():
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("protocol", "eps_node_rel", float("nan")), ("protocol", "equivariance_bound", float("nan")), ("grid", "dx", float("inf"))],
-    ids=["nan-eps-node-rel", "nan-equivariance-bound", "infinite-dx"],
+    [
+        ("protocol", "eps_node_rel", float("nan")),
+        ("protocol", "equivariance_bound", float("nan")),
+        ("grid", "dx", float("inf")),
+        ("grid", "dx", 10**400),
+    ],
+    ids=["nan-eps-node-rel", "nan-equivariance-bound", "infinite-dx", "integer-dx-beyond-float"],
 )
 def test_non_finite_numbers_are_rejected(section, key, value):
-    """json.load reads NaN and Infinity, which pass every bound jsonschema
-    checks; the scenario checker holds them to be no number at all."""
+    """json.load reads NaN, Infinity and integers beyond the float range,
+    which pass every bound jsonschema checks; the scenario checker holds
+    them to be no number at all, so no builder meets a float() that
+    overflows."""
     raw = walk_raw()
     raw.setdefault(section, {})[key] = value
     assert schema_errors(raw) == set()
@@ -281,7 +288,9 @@ def test_checker_agrees_with_jsonschema_at_every_edge():
 
 
 # Keys the schema names somewhere, so that an added key can meet a
-# conditional property, and one it names nowhere.
+# conditional property, and one it names nowhere.  The values hold no NaN,
+# infinity or integer beyond the float range: there the checker deviates
+# from jsonschema on purpose (test_non_finite_numbers_are_rejected).
 ADDED_KEYS = ["seed", "grid", "n_layers", "particles", "basis", "layers", "random", "phases", "couplings", "layer", "extra"]
 VALUES = st.one_of(
     st.none(),
@@ -425,7 +434,7 @@ def test_unknown_preset_is_rejected():
 
 
 def test_truncated_packet_has_exact_zeros_and_unit_norm():
-    grid = LatticeGrid(32, 1.0, 1.0)
+    grid = LatticeGrid(32, 1.0, 1.0, 0.0, "periodic")
     spec = {"center": 10.0, "sigma": 2.0, "kind": "gaussian", "momentum": 0.0, "spinor": "up", "support_radius": 4.0}
     field = build_packet(grid, spec, mass=0.2)
     assert field.shape == (32, 4)
@@ -446,7 +455,7 @@ def test_packet_spec_conflicts_are_rejected():
     packet = {"kind": "hexagonal", "center": 4.0, "sigma": 1.0, "momentum": 0.0}
     with pytest.raises(ValidationError, match="initial/packet1/kind"):
         resolve_scenario(walk_raw(initial={"preset": "gaussian-product", "packet1": packet, "packet2": packet}))
-    grid = LatticeGrid(16, 1.0, 1.0)
+    grid = LatticeGrid(16, 1.0, 1.0, 0.0, "periodic")
     # off-lattice center with a radius smaller than half a cell leaves nothing
     with pytest.raises(ValidationError, match="support_radius"):
         spec = {"kind": "gaussian", "center": 4.5, "sigma": 1.0, "momentum": 0.0, "spinor": "up", "support_radius": 0.1}
@@ -507,7 +516,7 @@ def test_both_packet_kinds_check_their_fields(kind):
 
 
 def test_cancelling_branches_are_degenerate():
-    grid = LatticeGrid(16, 1.0, 1.0)
+    grid = LatticeGrid(16, 1.0, 1.0, 0.0, "periodic")
     packet = {"center": 6.0, "sigma": 1.5, "kind": "gaussian", "momentum": 0.0, "spinor": "up"}
     branches = [
         {"weight": 1.0, "packet1": packet, "packet2": packet},
@@ -517,8 +526,42 @@ def test_cancelling_branches_are_degenerate():
         build_initial_state(grid, branches, (0.2, 0.2))
 
 
+def _circuit_start_of_huge_pairs():
+    raw = read_scenario("circuit-demo")
+    raw["initial"]["psi1"] = [[1e300, 0.0]] * 6
+    return raw
+
+
+def _walk_with(section, key, value):
+    raw = walk_raw()
+    (raw["initial"]["packet1"] if section == "packet1" else raw[section])[key] = value
+    return raw
+
+
+# Numbers the schema admits whose arithmetic overflows, leaving a NaN start,
+# a zero start or an infinite current scale.  Numpy's warnings are off, as
+# on a plain CLI run.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_walk_with("grid", "dt", 5e-324), "dx/dt within the float range"),
+        (_walk_with("packet1", "sigma", 1e-300), "norm\\^2 nan"),
+        (_walk_with("packet1", "momentum", 1e308), "norm\\^2 nan"),
+        (_circuit_start_of_huge_pairs(), "norm within the float range"),
+    ],
+    ids=["dt-tiny", "sigma-tiny", "momentum-huge", "psi1-pairs-huge"],
+)
+def test_starts_that_overflow_are_rejected_where_they_are_built(raw, message):
+    """Nothing after the build checks a state again, so the build rejects a
+    start or grid that no float arithmetic can hold."""
+    scn = resolve_scenario(raw)
+    with pytest.raises(ValidationError, match=message):
+        (build_walk if scn["engine"] == "walk" else build_circuit)(scn)
+
+
 def test_complex_branch_weights():
-    grid = LatticeGrid(16, 1.0, 1.0)
+    grid = LatticeGrid(16, 1.0, 1.0, 0.0, "periodic")
     packet = {"center": 6.0, "sigma": 1.5, "kind": "gaussian", "momentum": 0.0, "spinor": "up"}
     state = build_initial_state(grid, [{"weight": [0.0, 1.0], "packet1": packet, "packet2": packet}], (0.2, 0.2))
     p = build_packet(grid, packet, 0.2).reshape(-1)
@@ -532,7 +575,7 @@ def test_complex_branch_weights():
 
 
 def test_potential_presets():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     assert np.all(build_potential(grid, {"preset": "free"}).a0 == 0.0)
     const = build_potential(grid, {"preset": "constant-a0", "v0": 0.7})
     assert np.all(const.a0 == 0.7) and np.all(const.a1 == 0.0)
@@ -546,7 +589,7 @@ def test_potential_presets():
 
 
 def test_window_coupling_builds_an_indicator_table():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     specs = [
         {"window1": [1.0, 3.0], "window2": [5.0, 7.0], "strength": 0.5, "layers": [1]},
     ]
@@ -562,7 +605,7 @@ def test_window_coupling_builds_an_indicator_table():
 
 
 def test_couplings_add_and_spread_over_layers():
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     one = {"window1": [0.0, 4.0], "window2": [0.0, 4.0], "strength": 0.25}
     tables = build_couplings(grid, [one, dict(one, layers=[0])], n_layers=2)
     assert set(tables) == {0, 1}
@@ -580,7 +623,7 @@ def test_couplings_add_and_spread_over_layers():
 def test_layers_under_the_same_couplings_share_one_table():
     """Overlapping entries: layers under the same entries hold one table,
     equal bit for bit to the per-layer sum in entry order."""
-    grid = LatticeGrid(8, 1.0, 1.0)
+    grid = LatticeGrid(8, 1.0, 1.0, 0.0, "periodic")
     a = {"window1": [0.0, 4.0], "window2": [0.0, 4.0], "strength": 0.1}
     b = dict(a, strength=0.2, layers=[1, 2, 4])
     c = dict(a, window2=[2.0, 6.0], strength=0.3, layers=[2])
