@@ -74,10 +74,10 @@ def _walk_history(system, record_joint=()):
     return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
 
 
-def _anchored_runs(scn: dict, history, direction: str):
-    """Both particles' ensembles at the scenario's seed, count, substeps and
-    node threshold, anchored at layer 0 (forward) or the final layer
-    (backward), as anchored_runs' generator of (particle, run) pairs."""
+def _anchored_runs(scn: dict, history, direction: str, consume):
+    """{particle: consume(particle, run)} over both particles' ensembles at
+    the scenario's seed, count, substeps and node threshold, anchored at
+    layer 0 (forward) or the final layer (backward); see anchored_runs."""
     p = scn["protocol"]
     return anchored_runs(
         history,
@@ -86,6 +86,7 @@ def _anchored_runs(scn: dict, history, direction: str):
         int(p["substeps"]),
         float(p["eps_node_rel"]),
         direction,
+        consume,
     )
 
 
@@ -95,23 +96,20 @@ def retro_run(system):
     return _walk_history(system, record_joint={system.n_layers})
 
 
-def _ensemble_summary(scn: dict, out: str, runs, history):
+def _ensemble_summary(scn: dict, out: str, history, direction: str):
     """Per-particle KS against the walk's marginals and flag counts, with each
-    particle's trajectory CSV, read from runs' (particle, run) pairs one run
-    at a time; returns the summary and the worst layer KS over both
-    particles."""
-    report = {"count": int(scn["protocol"]["count"]), "substeps": int(scn["protocol"]["substeps"])}
+    particle's trajectory CSV written where its run is transported; returns
+    the summary and the worst layer KS over both particles."""
     densities = {1: history.density1, 2: history.density2}
-    for particle, run in runs:
+
+    def summarise(particle, run):
         ks = equivariance_test(run, densities[particle], history.grid)
         exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
-        report[f"particle{particle}"] = {
-            "ks_per_layer": [float(v) for v in ks],
-            "worst_ks": float(np.max(ks)),
-            "flagged": run.n_flagged,
-        }
-        # The loop's next() transports the next run before run is rebound.
-        del run
+        return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": run.n_flagged}
+
+    report = {"count": int(scn["protocol"]["count"]), "substeps": int(scn["protocol"]["substeps"])}
+    for particle, summary in _anchored_runs(scn, history, direction, summarise).items():
+        report[f"particle{particle}"] = summary
     return report, max(report["particle1"]["worst_ks"], report["particle2"]["worst_ks"])
 
 
@@ -193,13 +191,13 @@ def _currents(scn: dict, system, args, out: str):
 
 def _guide(scn: dict, system, args, out: str):
     history = _walk_history(system, record_joint={0})
-    summary, worst = _ensemble_summary(scn, out, _anchored_runs(scn, history, "forward"), history)
+    summary, worst = _ensemble_summary(scn, out, history, "forward")
     return summary, f"forward ensembles transported; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
 def _retro(scn: dict, system, args, out: str):
     history = retro_run(system)
-    summary, worst = _ensemble_summary(scn, out, _anchored_runs(scn, history, "backward"), history)
+    summary, worst = _ensemble_summary(scn, out, history, "backward")
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
@@ -231,16 +229,7 @@ def _superdet(scn: dict, system, args, out: str):
 def _tracks(scn: dict, system, args, out: str):
     history = _walk_history(system, record_joint=range(system.n_layers + 1))
     tracks = build_tracks(history, float(scn["protocol"]["track_threshold_rel"]))
-    flagged = {}
-
-    def tallied(runs):
-        # Each run's flag count as it goes by, keeping no run.
-        for particle, run in runs:
-            flagged[particle] = run.n_flagged
-            yield particle, run
-            del run
-
-    crossings = detect_crossings(tallied(_anchored_runs(scn, history, "forward")), tracks, system.grid)
+    crossings = detect_crossings(lambda consume: _anchored_runs(scn, history, "forward", consume), tracks, system.grid)
     exports.write_branch_edges_csv(os.path.join(out, "branch_edges.csv"), tracks)
     report = {
         "threshold_rel": float(scn["protocol"]["track_threshold_rel"]),
@@ -262,7 +251,7 @@ def _tracks(scn: dict, system, args, out: str):
             "components_per_layer": [int(k) for k in g.n_components],
             "loop_edges": len(g.loop_edges),
         }
-        report[f"particle{particle}"] = {"flagged": flagged[particle]}
+        report[f"particle{particle}"] = {"flagged": crossings.flagged[particle]}
     message = (
         f"joint loop edges {len(tracks.joint.loop_edges)}, marginal loop edges "
         f"{len(tracks.marginal[1].loop_edges)}/{len(tracks.marginal[2].loop_edges)}, "

@@ -413,6 +413,16 @@ def to_circuit_layers(
 # State constructors
 
 
+def _finite_square(sigma: float, scale: float = 1.0) -> bool:
+    """Whether sigma**2 * scale, a packet's largest Gaussian exponent, is a
+    finite float; asked before numpy computes with it.  A float power that
+    overflows raises OverflowError, a float product gives inf."""
+    try:
+        return sigma**2 * scale < np.inf
+    except OverflowError:
+        return False
+
+
 def gaussian_profile(grid: LatticeGrid, center: float, sigma: float, momentum: float = 0.0) -> np.ndarray:
     """Spatial Gaussian amplitude, |psi|^2 standard deviation = sigma.
 
@@ -420,6 +430,8 @@ def gaussian_profile(grid: LatticeGrid, center: float, sigma: float, momentum: f
     extent; tails beyond half the ring are negligible for sigma << extent.
     sigma must be positive.
     """
+    if not _finite_square(sigma):
+        raise ValidationError(f"packet sigma {sigma!r} has a square beyond the float range")
     x = grid.positions()
     d = x - center
     if grid.boundary == "periodic":
@@ -495,6 +507,12 @@ def positive_energy_packet(
         raise ValidationError("momentum-space construction requires periodic boundaries")
     n = grid.n_sites
     ks = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    # The exponent is largest at the wavenumber farthest from momentum.
+    far = max(abs(float(ks.min()) - momentum), abs(float(ks.max()) - momentum))
+    if not _finite_square(sigma, far * far):
+        raise ValidationError(
+            f"packet sigma {sigma!r} and momentum {momentum!r} put sigma**2 (k - momentum)**2 beyond the float range"
+        )
     coef = np.exp(-(sigma**2) * (ks - momentum) ** 2) * np.exp(-1j * ks * center)
     # a NaN coefficient is live too, so a NaN packet stays non-finite
     live = np.flatnonzero(~(np.abs(coef) < 1e-300))

@@ -4,16 +4,17 @@ Three procedures built on the engine and guidance layers:
 
 - anchored_starts / anchored_runs: draw configurations from the joint
   density at one anchor layer, then transport each particle under its own
-  marginal velocity field, one particle at a time as the consumer asks for
-  its run.  Forward runs anchor at layer 0 and draw from the forward-sample
-  stream; backward runs (the retrocausal reading) anchor at the final
-  layer and draw from the final-sample stream.  The joint correlations
-  enter only through the draw, so the two transports are independent:
-  from FORK_MIN_SUBSTEPS trajectory-substeps per particle, on a process
-  that may use two CPUs, a forked child transports particle 2 while
-  particle 1's run is transported and consumed here.  The claim under
-  test is statistical: at every layer the ensemble must match that layer's
-  marginal density.
+  marginal velocity field and hand its run to a per-particle consumer,
+  returning each particle's result.  Forward runs anchor at layer 0 and
+  draw from the forward-sample stream; backward runs (the retrocausal
+  reading) anchor at the final layer and draw from the final-sample
+  stream.  The joint correlations enter only through the draw, so each
+  particle's run, and what its consumer reads from it, is independent
+  work: from FORK_MIN_SUBSTEPS trajectory-substeps per particle, on a
+  process that may use two CPUs, a forked child transports and consumes
+  particle 2 while particle 1 is transported and consumed here.  The
+  claim under test is statistical: at every layer the ensemble must match
+  that layer's marginal density.
 
 - superdet_replay: transport anchored starts one way, then run the
   endpoints back the other way through the same stack: `superdet` replays
@@ -51,7 +52,6 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -67,13 +67,13 @@ STREAM_FORWARD_SAMPLE = 1
 STREAM_SCENARIO_BUILD = 2
 STREAM_CIRCUIT_ALTERATION = 3
 
-# anchored_runs transports particle 2 in a forked child, beside particle
-# 1's run, once one particle's transport reaches this many
+# anchored_runs transports and consumes particle 2 in a forked child,
+# beside particle 1's run, once one particle's transport reaches this many
 # trajectory-substeps (count x n_layers x substeps).  A fork and reap costs
-# about 2 ms and the pipe about 1 ms per MiB of records, and two transports
-# at once each run slower than one alone.  On a 2-CPU host the fork broke
-# even near 2**18 trajectory-substeps and won 20 of 21 pairs from 2**18.7;
-# while the host was contended it lost up to 2**20.  This is above both.
+# about 2 ms, and two transports at once each run slower than one alone.
+# On a 2-CPU host the fork broke even near 2**18 trajectory-substeps and
+# won 20 of 21 pairs from 2**18.7; while the host was contended it lost up
+# to 2**20.  This is above both.
 FORK_MIN_SUBSTEPS = 2**20
 
 
@@ -109,31 +109,29 @@ def anchored_starts(
 
 
 def anchored_runs(
-    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str
-) -> Iterator[tuple[int, EnsembleRun]]:
-    """Sample the anchor layer's joint density, then transport each particle
-    from there (see anchored_starts), one at a time.
+    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str, consume
+) -> dict:
+    """Sample the anchor layer's joint density, transport each particle
+    from there (see anchored_starts) and return {particle:
+    consume(particle, run)}, each run transported, consumed and dropped in
+    turn.  Both particles' starts are drawn and their stacks built first,
+    and a built stack is one its transport accepts (see VelocityStack), so
+    no input error surfaces after a consumer has run.
 
-    Both particles' starts are drawn and their stacks built at the call, and
-    a built stack is one its transport accepts (see VelocityStack), so no
-    input error surfaces after the first run is yielded.  The returned generator yields
-    (particle, run) in particle order and transports a particle only when it
-    is asked for the next pair, so a consumer that drops each run before it
-    asks holds one run at a time.
-
-    When one particle's transport reaches FORK_MIN_SUBSTEPS
-    trajectory-substeps, and the process may fork and run on two CPUs, the
-    first next() forks a child that transports particle 2 while particle 1
-    is transported here and consumed (see _forked_runs).  The runs are the
-    same bit for bit either way.  This process still holds one run at a
-    time; the child holds the other while it runs.
+    From FORK_MIN_SUBSTEPS trajectory-substeps per particle, where the
+    process may fork and run on two CPUs, a forked child transports and
+    consumes particle 2 meanwhile (see _forked_results), so consume's
+    result must pickle.  The results, and any error a transport or
+    consumer raises, are the same either way.
     """
     starts = anchored_starts(history, seed, count, eps_rel, direction)
+
+    def result(particle):
+        return consume(particle, integrate_batch(*starts[particle], direction, substeps))
+
     if count * history.n_layers * substeps >= FORK_MIN_SUBSTEPS and _can_fork():
-        return _forked_runs(starts, direction, substeps)
-    return (
-        (particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()
-    )
+        return _forked_results(result)
+    return {particle: result(particle) for particle in starts}
 
 
 def _can_fork() -> bool:
@@ -147,20 +145,16 @@ def _can_fork() -> bool:
     return cpus >= 2
 
 
-def _forked_runs(
-    starts: dict[int, tuple[VelocityStack, np.ndarray]], direction: str, substeps: int
-) -> Iterator[tuple[int, EnsembleRun]]:
-    """anchored_runs' two runs, the second transported by a forked child.
+def _forked_results(result) -> dict:
+    """{1: result(1), 2: result(2)}, result(2) made by a forked child.
 
-    The child runs transport_records and writes the records and freeze
-    indices to a pipe.  This process reads them into arrays it allocates
-    only when it is asked for the second run, once the consumer has dropped
-    the first.  A child that failed makes the read raise.  However the
-    generator ends (exhausted, closed, raising or collected), the child is
+    The child pickles back result(2), or the exception it raised, which is
+    raised here once result(1) is made.  A child that ends with no result
+    makes this raise RuntimeError.  However this call ends, the child is
     killed if it still runs and reaped.
     """
-    (first, (stack1, x1)), (second, (stack2, x2)) = starts.items()
-    shape = (stack2.n_layers + 1, len(x2))
+    import pickle
+
     read_end, write_end = os.pipe()
     forker = os.getpid()
     try:
@@ -170,26 +164,23 @@ def _forked_runs(
         os.close(write_end)
         raise
     if pid == 0:
-        _transport_in_child(forker, read_end, write_end, stack2, x2, direction, substeps)
+        _run_in_child(forker, read_end, write_end, lambda: result(2))
     os.close(write_end)
     reaped = False
     try:
         with open(read_end, "rb") as pipe:
-            yield first, integrate_batch(stack1, x1, direction, substeps)
-            # kernels.transport's layout: records is the transpose of a
-            # C-ordered (n_rec, n) array.  A buffered readinto fills its
-            # array unless the pipe ends first.
-            records = np.empty(shape)
-            frozen = np.empty(shape[1], dtype=np.int64)
-            complete = pipe.readinto(records) == records.nbytes and pipe.readinto(frozen) == frozen.nbytes
+            first = result(1)
+            sent = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
-        if code != 0 or not complete:
-            raise RuntimeError(f"particle {second}'s transport failed in its forked child (exit code {code})")
-        yield second, EnsembleRun(records.T, frozen, direction, substeps)
+        if code != 0:
+            raise RuntimeError(f"particle 2's run failed in its forked child (exit code {code})")
+        done, second = pickle.loads(sent)
+        if not done:
+            raise second
+        return {1: first, 2: second}
     finally:
-        # A child's copy of this generator never reaps its parent's child.
-        if not reaped and os.getpid() == forker:
+        if not reaped:
             # Imported only here, on the rare early end: at module level it
             # would add about a millisecond to every command's start-up.
             import signal
@@ -198,17 +189,18 @@ def _forked_runs(
             os.waitpid(pid, 0)
 
 
-def _transport_in_child(
-    forker: int, read_end: int, write_end: int, stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int
-) -> NoReturn:
-    """The forked child's whole life: transport, write the C-ordered records
-    and the freeze indices to write_end, and leave through os._exit, with 0
-    only if all of it was written.  An error's traceback goes to stderr.
-    The child closes the read end first, so a write fails, rather than
-    blocks, once its parent has gone.  Where prctl exists, the child first
-    asks for SIGKILL when its parent ends (PR_SET_PDEATHSIG), and leaves if
-    the forker has already gone; the signal fires when the forking thread
+def _run_in_child(forker: int, read_end: int, write_end: int, work) -> NoReturn:
+    """The forked child's whole life: pickle (True, work()) to write_end,
+    or (False, the exception work raised), and leave through os._exit,
+    with 0 only if all of it was written.  An error in that, such as a
+    result that does not pickle, has its traceback go to stderr.  The child
+    closes the read end first, so a write fails, rather than blocks, once
+    its parent has gone.  Where prctl exists, the child first asks for
+    SIGKILL when its parent ends (PR_SET_PDEATHSIG), and leaves if the
+    forker has already gone; the signal fires when the forking thread
     ends, not its process."""
+    import pickle
+
     status = 1
     try:
         os.close(read_end)
@@ -219,10 +211,12 @@ def _transport_in_child(
             prctl(1, ctypes.c_ulong(signal.SIGKILL))  # 1 is PR_SET_PDEATHSIG
             if os.getppid() != forker:
                 return
-        records, frozen = transport_records(stack, x0, direction, substeps)
+        try:
+            outcome = (True, work())
+        except Exception as exc:  # noqa: BLE001 - raised again in the parent
+            outcome = (False, exc)
         with open(write_end, "wb") as pipe:
-            pipe.write(records.T)
-            pipe.write(frozen)
+            pickle.dump(outcome, pipe)
         status = 0
     except BaseException:
         sys.__excepthook__(*sys.exc_info())
@@ -508,13 +502,15 @@ EVENT_COLUMNS = ("layer", "particle", "trajectory", "from_branch", "to_branch")
 @dataclass
 class CrossingReport:
     """Crossing statistics; events has one int64 row per world-branch change,
-    columns EVENT_COLUMNS, ordered by particle, trajectory, layer."""
+    columns EVENT_COLUMNS, ordered by particle, trajectory, layer.  flagged
+    holds each particle's count of trajectories frozen on a node."""
 
     events: np.ndarray
     crossing_fraction: float
     violations: int
     n_trajectories: int
     ambiguous_fraction: float
+    flagged: dict[int, int]
 
 
 def _world_codes(joint: TrackGraph, axis: int) -> list[np.ndarray]:
@@ -544,15 +540,18 @@ def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
     return offset, reach
 
 
-def _layer_pass(particle: int, run: EnsembleRun, codes, offset, reach, grid: LatticeGrid):
+def _layer_pass(particle: int, run: EnsembleRun, joint: TrackGraph, offset, reach, grid: LatticeGrid):
     """One run's pass over the layers, vectorised over trajectories: its
-    event rows, violations, crossing trajectories and ambiguous layers.
+    event rows, violations, crossing trajectories, ambiguous layers,
+    trajectories and flagged trajectories.
 
     Each trajectory's world code is gathered from its layer's table at its
     nearest site (the gather's wrap or clip is the site's % n_sites or
     clip), and each trajectory carries its last labeled layer and world,
     whether an ambiguous layer came since, and whether it ever crossed.
     """
+    if run.n_layers != joint.n_layers:
+        raise ValidationError("every run must pass the same layers as the branch graph")
     mode = "wrap" if grid.boundary == "periodic" else "clip"
     n = run.n_trajectories
     last_node = np.zeros(n, dtype=np.int64)
@@ -563,7 +562,7 @@ def _layer_pass(particle: int, run: EnsembleRun, codes, offset, reach, grid: Lat
     events = []
     violations = 0
     ambiguous_counts = 0
-    for t, table in enumerate(codes):
+    for t, table in enumerate(_world_codes(joint, particle - 1)):
         site = np.floor((run.layer_positions(t) - grid.x_min) / grid.dx + 0.5).astype(np.int64)
         c = table.take(site, mode=mode)
         ambiguous = c < 0
@@ -580,12 +579,10 @@ def _layer_pass(particle: int, run: EnsembleRun, codes, offset, reach, grid: Lat
         np.copyto(last_c, c, where=single)
         labeled |= single
         bridged &= ~single
-    return np.concatenate(events), violations, int(np.count_nonzero(crossed)), ambiguous_counts
+    return np.concatenate(events), violations, int(np.count_nonzero(crossed)), ambiguous_counts, n, run.n_flagged
 
 
-def detect_crossings(
-    runs: Iterable[tuple[int, EnsembleRun]], tracks: TrackSet, grid: LatticeGrid
-) -> CrossingReport:
+def detect_crossings(runs, tracks: TrackSet, grid: LatticeGrid) -> CrossingReport:
     """Classify world-branch changes of transported trajectories.
 
     A trajectory's world at a layer is the unique joint component whose
@@ -597,43 +594,27 @@ def detect_crossings(
     (projections overlapping), and transitions violating that are counted
     separately as consistency violations.
 
-    runs is any iterable of (particle, run) pairs, such as anchored_runs'
-    generator.  Each run's layer pass (see _layer_pass) finishes, and the
-    run is dropped, before the next pair is asked for.
+    runs(consume) returns {particle: consume(particle, run)} over one or
+    more runs, as anchored_runs does with its other arguments bound; each
+    run's consume is its layer pass (see _layer_pass).
     """
     joint = tracks.joint
-    n_layers = joint.n_layers
     # Component labels are numbered per layer, so world identity across
     # layers is decided by graph reachability alone, never by comparing
     # label integers from different layers.
     offset, reach = _reachability(joint)
 
-    events = [np.empty((0, len(EVENT_COLUMNS)), dtype=np.int64)]
-    violations = 0
-    crossed = 0
-    ambiguous_counts = 0
-    total_traj = 0
-    for particle, run in runs:
-        if run.n_layers != n_layers:
-            raise ValidationError("every run must pass the same layers as the branch graph")
-        rows, n_violations, n_crossed, n_ambiguous = _layer_pass(
-            particle, run, _world_codes(joint, particle - 1), offset, reach, grid
-        )
-        events.append(rows)
-        violations += n_violations
-        crossed += n_crossed
-        ambiguous_counts += n_ambiguous
-        total_traj += run.n_trajectories
-        # The loop's next() transports the next run before run is rebound.
-        del run
-
-    events = np.concatenate(events)
+    passes = runs(lambda particle, run: _layer_pass(particle, run, joint, offset, reach, grid))
+    rows, violations, crossed, ambiguous, trajectories, flagged = zip(*passes.values())
+    events = np.concatenate(rows)
     events = events[np.lexsort((events[:, 0], events[:, 2], events[:, 1]))]
-    total_counts = total_traj * (n_layers + 1)
+    total_traj = sum(trajectories)
+    total_counts = total_traj * (joint.n_layers + 1)
     return CrossingReport(
         events=events,
-        crossing_fraction=crossed / total_traj if total_traj else 0.0,
-        violations=violations,
+        crossing_fraction=sum(crossed) / total_traj if total_traj else 0.0,
+        violations=sum(violations),
         n_trajectories=total_traj,
-        ambiguous_fraction=ambiguous_counts / total_counts if total_counts else 0.0,
+        ambiguous_fraction=sum(ambiguous) / total_counts if total_counts else 0.0,
+        flagged=dict(zip(passes, flagged)),
     )

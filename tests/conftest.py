@@ -30,6 +30,17 @@ TRACK_THRESHOLD_REL = _DEFAULTS["protocol"]["track_threshold_rel"]
 DEFAULT_CAPS = _path_caps(_DEFAULTS)
 
 
+def kept(particle, run):
+    """anchored_runs' consumer that keeps each run."""
+    return run
+
+
+def served(runs: dict):
+    """Runs already transported, as detect_crossings' runs(consume) reads
+    them: {particle: consume(particle, run)}."""
+    return lambda consume: {particle: consume(particle, run) for particle, run in runs.items()}
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -51,10 +51,12 @@ from pilotpath.protocols import (
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
+    kept,
     kron_evolve,
     make_rng,
     random_layers,
     random_state_vector,
+    served,
     small_walk_context,
     spinor_field,
     truncated_profile,
@@ -188,15 +190,14 @@ def bundled_runs():
             scn = load_scenario(name)
             system = build_walk(scn)
             history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
-            runs = dict(
-                anchored_runs(
-                    history,
-                    int(scn["seed"]),
-                    10_000,
-                    int(scn["protocol"]["substeps"]),
-                    float(scn["protocol"]["eps_node_rel"]),
-                    "backward",
-                )
+            runs = anchored_runs(
+                history,
+                int(scn["seed"]),
+                10_000,
+                int(scn["protocol"]["substeps"]),
+                float(scn["protocol"]["eps_node_rel"]),
+                "backward",
+                kept,
             )
             ks = {
                 p: equivariance_test(runs[p], density, system.grid)
@@ -449,11 +450,11 @@ def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
 def test_branch_track_structure(bundled_runs, capsys):
     scn_r, system_r, history_r, runs_r, ks_r = bundled_runs("recombination")
     tracks_r = build_tracks(history_r, float(scn_r["protocol"]["track_threshold_rel"]))
-    report_r = detect_crossings(runs_r.items(), tracks_r, system_r.grid)
+    report_r = detect_crossings(served(runs_r), tracks_r, system_r.grid)
 
     scn_n, system_n, history_n, runs_n, ks_n = bundled_runs("no-overlap")
     tracks_n = build_tracks(history_n, float(scn_n["protocol"]["track_threshold_rel"]))
-    report_n = detect_crossings(runs_n.items(), tracks_n, system_n.grid)
+    report_n = detect_crossings(served(runs_n), tracks_n, system_n.grid)
 
     preserved = max(float(np.max(ks[p])) for ks in (ks_r, ks_n) for p in (1, 2)) < 0.02
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pilotpath
 from pilotpath import cli, dirac, kernels, protocols, verify
 from pilotpath.circuit import JointState
-from pilotpath.errors import DegenerateDensityError, PilotPathError
+from pilotpath.errors import DegenerateDensityError, PilotPathError, ValidationError
 from pilotpath.scenario import build_circuit, build_walk, load_scenario, read_scenario, resolve_scenario
 
 from conftest import coupled_free_packet
@@ -521,6 +521,38 @@ def test_malformed_packets_exit_2_and_write_nothing(key, value, scenario_file, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, sigma, message",
+    [
+        ("free-packet", 1.3e154, "and momentum 0.6 put sigma**2 (k - momentum)**2 beyond the float range"),
+        ("free-packet", 1e160, "and momentum 0.6 put sigma**2 (k - momentum)**2 beyond the float range"),
+        ("free-packet", 1e300, "and momentum 0.6 put sigma**2 (k - momentum)**2 beyond the float range"),
+        ("free-packet", 1e308, "and momentum 0.6 put sigma**2 (k - momentum)**2 beyond the float range"),
+        ("recombination", 1e160, "has a square beyond the float range"),
+        ("recombination", 1e300, "has a square beyond the float range"),
+        ("recombination", 1e308, "has a square beyond the float range"),
+    ],
+    ids=["walk-positive-1.3e154", "walk-positive-1e160", "walk-positive-1e300", "walk-positive-1e308",
+         "gaussian-1e160", "gaussian-1e300", "gaussian-1e308"],
+)
+def test_packet_sigmas_beyond_the_float_range_exit_2(name, sigma, message, tmp_path, capsys):
+    """A packet sigma the schema admits but whose Gaussian exponent no float
+    holds is an input error, raised where the packet is built and before
+    numpy computes with it: free-packet's walk-positive packet1 and
+    recombination's gaussian sigma1."""
+    scn = read_scenario(name)
+    if name == "free-packet":
+        scn["initial"]["packet1"]["sigma"] = sigma
+    else:
+        scn["initial"]["sigma1"] = sigma
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    code, payload = expect_error(["evolve", "--scenario", str(path)], tmp_path / "out", capsys)
+    assert (code, payload["error"]) == (2, "ValidationError")
+    assert payload["message"] == f"packet sigma {sigma!r} {message}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fault", ["non-finite", "beyond-stage-bound"])
 @pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
 def test_second_particle_transport_errors_exit_before_any_artifact(command, fault, scenario_file, tmp_path, capsys, monkeypatch):
@@ -545,19 +577,53 @@ def test_second_particle_transport_errors_exit_before_any_artifact(command, faul
 
 @pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
 def test_a_failing_forked_transport_exits_1(command, scenario_file, tmp_path, capsys, monkeypatch):
-    """Particle 2's transport raising in the forked child makes the command
-    exit 1 with the JSON error, and leaves no child behind."""
-    def failing(*args, **kwargs):
-        raise RuntimeError("transport failed")
+    """A forked child that ends with no result, here by leaving from
+    particle 2's transport, makes the command exit 1 with the JSON error,
+    and leaves no child behind."""
+    parent = os.getpid()
+    transport = protocols.integrate_batch
+
+    def failing(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return transport(*args)
 
     monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # Only the child calls protocols' own name; particle 1's run goes
-    # through integrate_batch.
-    monkeypatch.setattr(protocols, "transport_records", failing)
+    monkeypatch.setattr(protocols, "integrate_batch", failing)
     code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
     assert (code, payload["error"]) == (1, "RuntimeError")
-    assert payload["message"] == "particle 2's transport failed in its forked child (exit code 1)"
+    assert payload["message"] == "particle 2's run failed in its forked child (exit code 1)"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+@pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
+def test_particle_2_consumer_errors_exit_alike_forked_or_not(command, cpus, scenario_file, tmp_path, capsys, monkeypatch):
+    """A ValidationError from particle 2's consumer (its trajectory CSV, or
+    its crossing pass) exits 2 with the same JSON error whether a forked
+    child or this process ran it, and leaves no child behind."""
+    message = "particle 2's consumer rejects its run"
+    write = cli.exports.write_trajectories_csv
+    layer_pass = protocols._layer_pass
+
+    def rejecting_csv(path, run):
+        if path.endswith("trajectories2.csv"):
+            raise ValidationError(message)
+        return write(path, run)
+
+    def rejecting_pass(particle, *args):
+        if particle == 2:
+            raise ValidationError(message)
+        return layer_pass(particle, *args)
+
+    monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(cli.exports, "write_trajectories_csv", rejecting_csv)
+    monkeypatch.setattr(protocols, "_layer_pass", rejecting_pass)
+    code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
+    assert payload == {"error": "ValidationError", "message": message, "exit_code": 2}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,6 +1,5 @@
 """Anchored sampling, forward replay, branch tracks, crossing detection."""
 
-import gc
 import os
 import signal
 import subprocess
@@ -46,7 +45,7 @@ from pilotpath.protocols import (
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL
+from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, kept, served
 from oracles import ndimage_label
 
 
@@ -95,7 +94,7 @@ def test_stream_constants_are_distinct():
 
 
 def backward_runs(history, seed, count, substeps=4):
-    return dict(anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward"))
+    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward", kept)
 
 
 def substep_runs(starts, direction, substeps):
@@ -113,13 +112,13 @@ def test_retro_needs_recorded_joint_tables(no_overlap, direction):
     others = [t for t in range(system.n_layers + 1) if t != anchor]
     history = run_walk(system.state0, system.grid, system.layers, record_joint=others)
     with pytest.raises(ValidationError, match=f"joint table of layer {anchor}; record it with record_joint"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction)
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction, kept)
 
 
 def test_anchored_runs_reject_an_unknown_direction(no_overlap):
     scn, _, history = no_overlap
     with pytest.raises(ValidationError, match="direction"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways")
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways", kept)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +131,7 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
     anchor = 0 if direction == "forward" else history.n_layers
     x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
     starts = anchored_starts(history, scn["seed"], 50, EPS_NODE_REL, direction)
-    runs = dict(anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction))
+    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction, kept)
     assert set(runs) == set(starts) == {1, 2}
     for particle, x0 in ((1, x1), (2, x2)):
         stack, start = starts[particle]
@@ -146,25 +145,25 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
         assert np.array_equal(run.layer_positions(anchor), x0)
 
 
-def test_anchored_runs_transport_each_particle_when_asked(no_overlap, monkeypatch):
-    """The starts are drawn at the call; a particle is transported only when
-    its run is asked for, so particle 2 has not moved when particle 1's run
-    is yielded."""
+def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, monkeypatch):
+    """Serially, particle 1 is transported and consumed before particle 2
+    is transported, and each particle's result is what its consumer
+    returned."""
     scn, _, history = no_overlap
     calls = []
 
     def counted(stack, x0, direction, substeps):
-        calls.append(len(x0))
+        calls.append("transport")
         return integrate_batch(stack, x0, direction, substeps)
 
+    def consume(particle, run):
+        calls.append(particle)
+        return particle, run.n_trajectories
+
     monkeypatch.setattr(protocols, "integrate_batch", counted)
-    runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward")
-    assert calls == []
-    particle, run = next(runs)
-    assert (particle, run.n_trajectories, calls) == (1, 30, [30])
-    particle, run = next(runs)
-    assert (particle, run.n_trajectories, calls) == (2, 30, [30, 30])
-    assert next(runs, None) is None
+    results = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
+    assert calls == ["transport", 1, "transport", 2]
+    assert results == {1: (1, 30), 2: (2, 30)}
 
 
 @pytest.fixture()
@@ -192,8 +191,8 @@ def assert_no_child_left():
 
 
 def assert_same_runs(a, b):
-    assert [particle for particle, _ in a] == [particle for particle, _ in b] == [1, 2]
-    for (_, x), (_, y) in zip(a, b):
+    assert list(a) == list(b) == [1, 2]
+    for x, y in zip(a.values(), b.values()):
         assert (x.direction, x.substeps) == (y.direction, y.substeps)
         assert x.positions.strides == y.positions.strides
         assert np.array_equal(x.positions, y.positions) and np.array_equal(x.frozen, y.frozen)
@@ -205,45 +204,51 @@ def assert_same_runs(a, b):
     ids=["forward", "backward"],
 )
 def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
-    """Particle 2 transported in a forked child gives the serial runs bit
-    for bit, forward through recombination's nodes (masked at 1e-3, where
-    trajectories of particle 2 freeze) and backward at entangled-mirror's
-    32 substeps, and the child is reaped."""
+    """Particle 2 transported and consumed in a forked child gives the
+    serial result bit for bit, forward through recombination's nodes
+    (masked at 1e-3, where trajectories of particle 2 freeze) and backward
+    at entangled-mirror's 32 substeps, and the child is reaped."""
     scn, _, history = scenario_history(name)
     count, substeps = scn["protocol"]["count"], scn["protocol"]["substeps"]
-    forked = list(anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction))
+
+    def consume(particle, run):
+        return run.positions, run.frozen
+
+    forked = anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction, consume)
     assert len(forks) == 1
     assert_no_child_left()
     starts = anchored_starts(history, scn["seed"], count, eps_rel, direction)
-    serial = [(particle, integrate_batch(stack, x0, direction, substeps)) for particle, (stack, x0) in starts.items()]
-    assert_same_runs(forked, serial)
-    assert (forked[1][1].n_flagged > 0) == (name == "recombination")
+    serial = {particle: integrate_batch(stack, x0, direction, substeps) for particle, (stack, x0) in starts.items()}
+    assert list(forked) == [1, 2]
+    for particle, (positions, frozen) in forked.items():
+        assert positions.strides == serial[particle].positions.strides
+        assert np.array_equal(positions, serial[particle].positions)
+        assert np.array_equal(frozen, serial[particle].frozen)
+    assert (np.count_nonzero(forked[2][1] >= 0) > 0) == (name == "recombination")
 
 
 def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, forks, monkeypatch):
     """A transport of count x n_layers x substeps trajectory-substeps forks
-    when that reaches FORK_MIN_SUBSTEPS, on its first next(), and not below."""
+    when that reaches FORK_MIN_SUBSTEPS, and not below."""
     scn, _, history = no_overlap
     work = 30 * history.n_layers * 4
     for constant, expected in ((work, 1), (work + 1, 0)):
         monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", constant)
         forks.clear()
-        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward")
-        assert forks == []
-        next(runs)
+        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", kept)
         assert len(forks) == expected
-        assert len(list(runs)) == 1
+        assert [run.n_trajectories for run in runs.values()] == [30, 30]
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", ["affinity", "cpu_count", "no-fork"])
 def test_one_cpu_or_no_fork_runs_serially(cpus, no_overlap, forks, monkeypatch):
     """Where the process may use one CPU only, by its affinity or, without
-    sched_getaffinity, by cpu_count, or where os.fork is missing, the
-    serial generator runs, with the same runs."""
+    sched_getaffinity, by cpu_count, or where os.fork is missing, the runs
+    are transported serially, and are the same."""
     scn, _, history = no_overlap
-    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward")
-    forked = list(anchored_runs(*args))
+    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward", kept)
+    forked = anchored_runs(*args)
     assert len(forks) == 1
     if cpus == "affinity":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -252,29 +257,39 @@ def test_one_cpu_or_no_fork_runs_serially(cpus, no_overlap, forks, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     else:
         monkeypatch.delattr(os, "fork")
-    assert_same_runs(list(anchored_runs(*args)), forked)
+    assert_same_runs(anchored_runs(*args), forked)
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("end", ["close", "drop", "raise"])
-def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks, monkeypatch):
-    """Closed or dropped after particle 1's run, or raising from particle 1's
-    transport, the generator kills and reaps the child that transports
-    particle 2."""
+@pytest.mark.parametrize("end", ["raise"])
+def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks):
+    """Particle 1's consumer raising in this process ends anchored_runs
+    early: the error is raised, and the child, still consuming particle 2,
+    is killed and reaped."""
     scn, _, history = no_overlap
-    runs = anchored_runs(history, scn["seed"], 4000, 64, EPS_NODE_REL, "forward")
-    if end == "raise":
-        monkeypatch.setattr(protocols, "integrate_batch", lambda *args: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            next(runs)
-    else:
-        assert next(runs)[0] == 1
+
+    def consume(particle, run):
+        if particle == 1:
+            raise ZeroDivisionError("particle 1")
+        time.sleep(60)
+
+    with pytest.raises(ZeroDivisionError, match="particle 1"):
+        anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
     assert len(forks) == 1
-    if end == "close":
-        runs.close()
-    elif end == "drop":
-        del runs
-        gc.collect()
+    assert_no_child_left()
+
+
+def test_a_result_that_does_not_pickle_raises_runtime_error(no_overlap, forks):
+    """A forked child whose result does not pickle leaves with no result, so
+    anchored_runs raises RuntimeError with the child's exit code, and no
+    child is left."""
+    scn, _, history = no_overlap
+
+    def consume(particle, run):
+        return run.n_trajectories if particle == 1 else (lambda: run)
+
+    with pytest.raises(RuntimeError, match=r"^particle 2's run failed in its forked child \(exit code 1\)$"):
+        anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
     assert_no_child_left()
 
 
@@ -300,7 +315,7 @@ def announced():
 os.fork = announced
 protocols.FORK_MIN_SUBSTEPS = 0
 protocols._can_fork = lambda: True
-next(protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward"))
+protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", lambda particle, run: None)
 """
 
 
@@ -691,7 +706,7 @@ def test_graph_accessor_methods(recombination):
 def test_disjoint_branches_never_cross(no_overlap):
     scn, system, history = no_overlap
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(backward_runs(history, scn["seed"], 400).items(), tracks, system.grid)
+    report = detect_crossings(served(backward_runs(history, scn["seed"], 400)), tracks, system.grid)
     assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
     assert report.violations == 0
@@ -702,7 +717,7 @@ def test_disjoint_branches_never_cross(no_overlap):
 def test_reconverging_branches_are_crossed(recombination):
     scn, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(backward_runs(history, scn["seed"], 400).items(), tracks, system.grid)
+    report = detect_crossings(served(backward_runs(history, scn["seed"], 400)), tracks, system.grid)
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
     assert 0.0 < report.ambiguous_fraction < 1.0
@@ -774,8 +789,8 @@ def crossings_reference(runs, tracks, grid):
 
 
 def assert_matches_reference(runs, tracks, grid):
-    """detect_crossings, fed the runs as a generator, against the reference."""
-    report = detect_crossings(((particle, run) for particle, run in runs.items()), tracks, grid)
+    """detect_crossings, served the runs, against the reference."""
+    report = detect_crossings(served(runs), tracks, grid)
     events, violations, crossing_fraction, ambiguous_fraction, n_traj = crossings_reference(
         runs, tracks, grid
     )
@@ -785,6 +800,7 @@ def assert_matches_reference(runs, tracks, grid):
     assert report.crossing_fraction == crossing_fraction
     assert report.ambiguous_fraction == ambiguous_fraction
     assert report.n_trajectories == n_traj
+    assert report.flagged == {particle: run.n_flagged for particle, run in runs.items()}
     return report
 
 
@@ -792,7 +808,7 @@ def assert_matches_reference(runs, tracks, grid):
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
     _, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    runs = dict(anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward"))
+    runs = anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward", kept)
     report = assert_matches_reference(runs, tracks, system.grid)
     assert len(report.events) > 0
 
@@ -898,4 +914,4 @@ def test_crossings_on_a_hand_built_branch_graph():
 def test_crossings_reject_runs_over_other_layers():
     short = site_run([[0, 0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValidationError, match="same layers"):
-        detect_crossings([(1, short)], hand_built_tracks(), LatticeGrid(8, 1.0, 1.0, 0.0, "periodic"))
+        detect_crossings(served({1: short}), hand_built_tracks(), LatticeGrid(8, 1.0, 1.0, 0.0, "periodic"))
