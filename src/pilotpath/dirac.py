@@ -413,13 +413,14 @@ def to_circuit_layers(
 # State constructors
 
 
-def _finite_square(sigma: float, scale: float = 1.0) -> bool:
-    """Whether sigma**2 * scale, a packet's largest Gaussian exponent, is a
-    finite float; asked before numpy computes with it.  A float power that
-    overflows raises OverflowError, a float product gives inf."""
+def _finite(value) -> bool:
+    """Whether value(), a packet's largest exponent worked out on Python
+    floats, is a finite float; asked before numpy computes with it.  A
+    float power that overflows raises OverflowError, a quotient by zero
+    ZeroDivisionError, and a product or quotient that overflows gives inf."""
     try:
-        return sigma**2 * scale < np.inf
-    except OverflowError:
+        return abs(value()) < np.inf
+    except (OverflowError, ZeroDivisionError):
         return False
 
 
@@ -430,12 +431,18 @@ def gaussian_profile(grid: LatticeGrid, center: float, sigma: float, momentum: f
     extent; tails beyond half the ring are negligible for sigma << extent.
     sigma must be positive.
     """
-    if not _finite_square(sigma):
+    if not _finite(lambda: sigma**2):
         raise ValidationError(f"packet sigma {sigma!r} has a square beyond the float range")
     x = grid.positions()
     d = x - center
     if grid.boundary == "periodic":
         d = (d + 0.5 * grid.extent) % grid.extent - 0.5 * grid.extent
+    far = float(np.max(np.abs(d)))
+    if not _finite(lambda: far**2 / (4.0 * sigma**2)):
+        raise ValidationError(f"packet sigma {sigma!r} puts d**2 / (4 sigma**2) beyond the float range")
+    reach = float(np.max(np.abs(x)))
+    if not _finite(lambda: momentum * reach):
+        raise ValidationError(f"packet momentum {momentum!r} puts momentum * x beyond the float range")
     amp = np.exp(-(d**2) / (4.0 * sigma**2)) * np.exp(1j * momentum * x)
     norm = np.linalg.norm(amp)
     if norm == 0.0:
@@ -509,7 +516,7 @@ def positive_energy_packet(
     ks = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
     # The exponent is largest at the wavenumber farthest from momentum.
     far = max(abs(float(ks.min()) - momentum), abs(float(ks.max()) - momentum))
-    if not _finite_square(sigma, far * far):
+    if not _finite(lambda: sigma**2 * (far * far)):
         raise ValidationError(
             f"packet sigma {sigma!r} and momentum {momentum!r} put sigma**2 (k - momentum)**2 beyond the float range"
         )

@@ -133,13 +133,21 @@ def check_direction(direction: str) -> bool:
     return direction == "forward"
 
 
-def _canonical_starts(grid: LatticeGrid, x0: np.ndarray, direction: str, substeps: int) -> tuple[bool, np.ndarray]:
-    """transport_records' own checks of its inputs; returns (forward, x0)
-    with x0 made canonical on the grid.  kernels.transport rejects
-    non-finite starts."""
+def integrate_batch(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int, fold=None) -> EnsembleRun:
+    """The run of a batch of positions through the whole stack, kept at its
+    layer boundaries.
+
+    Backward runs start at the last layer and walk the same fields with a
+    negated time increment.  fold sees every substep's record one segment
+    at a time, as a round trip needs (see kernels.transport).  Periodic
+    starts are taken mod the ring, bounded ones must lie in the lattice's
+    cells; kernels.transport rejects non-finite starts.  Deterministic: the
+    same inputs give the same positions and freeze indices bit for bit.
+    """
     forward = check_direction(direction)
     if substeps < 1:
         raise ValidationError("substeps must be at least 1")
+    grid = stack.grid
     x0 = np.asarray(x0, dtype=np.float64)
     if grid.boundary == "periodic":
         # Ring positions are classes mod extent; canonicalize so cell-based
@@ -151,30 +159,7 @@ def _canonical_starts(grid: LatticeGrid, x0: np.ndarray, direction: str, substep
         if np.any(x0 < lo) or np.any(x0 > hi):
             raise ValidationError("start positions outside the lattice extent")
         x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
-    return forward, x0
-
-
-def transport_records(
-    stack: VelocityStack,
-    x0: np.ndarray,
-    direction: str,
-    substeps: int,
-    substep_records: bool = False,
-    fold=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transport a batch of positions through the whole stack.
-
-    Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  Returns kernels.transport's (records, frozen):
-    a record at every layer boundary, or with substep_records at every
-    substep, as a round trip's outbound run needs; fold sees every
-    substep's record one segment at a time, as its replay needs (see
-    kernels.transport).  Deterministic: the same inputs give the same
-    positions and freeze indices bit for bit.
-    """
-    grid = stack.grid
-    forward, x0 = _canonical_starts(grid, x0, direction, substeps)
-    return kernels.transport(
+    positions, frozen = kernels.transport(
         stack.values,
         stack.masks,
         x0,
@@ -185,15 +170,8 @@ def transport_records(
         grid.dt,
         substeps,
         forward,
-        substep_records,
         fold,
     )
-
-
-def integrate_batch(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int) -> EnsembleRun:
-    """The run of a batch of positions through the whole stack, kept at its
-    layer boundaries."""
-    positions, frozen = transport_records(stack, x0, direction, substeps)
     return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
 
 

@@ -21,11 +21,10 @@ Arithmetic:
     site i at u = i; a record is written as ``x_min + u*dx``, except that
     records[:, 0] is x0 itself and a frozen trajectory repeats its last
     moving record, which is x0 itself when it froze at record 0;
-  - only the layer-boundary records are kept unless every substep's is
-    asked for; the freeze index counts substeps either way;
-  - a fold callable sees every substep's record without an array that
-    spans them: each segment's records are written into one reused
-    (substeps, n) block, handed over once the segment has finished;
+  - only the layer-boundary records are kept, while the freeze index
+    counts substeps; a fold callable sees every substep's record without
+    an array that spans them: each segment's records are written into one
+    reused (substeps, n) block, handed over once the segment has finished;
   - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
     first substep, and every substep's result is wrapped again;
   - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
@@ -109,7 +108,6 @@ def transport(
     dt: float,
     substeps: int,
     forward: bool,
-    substep_records: bool = False,
     fold=None,
 ):
     """Transport a batch of positions through the full field stack.
@@ -117,18 +115,16 @@ def transport(
     values, masks: (n_layers + 1, n_sites) tables, one row per layer.
     extent is the ring length, n_sites * dx.
     Returns (records, frozen): records has shape (n, n_layers + 1) with row
-    i the trajectory of x0[i] at every layer boundary, or with
-    substep_records (n, n_layers*substeps + 1) with a record at every
-    substep.  frozen[i] is the substep (the record index of a substep run)
-    where trajectory i froze on a node, or -1.  records is the transpose of
-    a C-ordered (n_rec, n) array, so each record is written as one
-    contiguous row and a record index reads contiguous memory.
+    i the trajectory of x0[i] at every layer boundary.  frozen[i] is the
+    substep record, numbered as fold sees them, that trajectory i holds from
+    its freeze on a node on, or -1.  records is the transpose of a
+    C-ordered (n_layers + 1, n) array, so each record is written as one
+    contiguous row and a layer index reads contiguous memory.
 
     fold, if given, is called as fold(first, block) with every substep's
     records, first = record 0 (x0, a (1, n) block), then once per finished
     segment with its (substeps, n) block of records first .. first +
-    substeps - 1.  A block is reused, so fold must not keep it.  A folded
-    run still returns the layer-boundary records only.
+    substeps - 1.  A block is reused, so fold must not keep it.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
@@ -142,12 +138,7 @@ def transport(
         raise ValidationError("transport needs finite velocity tables and start positions")
     if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
         raise ValidationError(f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid")
-    if substep_records and fold is not None:
-        raise ValidationError("a folded transport keeps its layer-boundary records only")
-    # Substeps from one kept record to the next.
-    stride = 1 if substep_records else substeps
-    n_rec = n_layers * substeps // stride + 1
-    records = np.empty((n_rec, n), dtype=np.float64)
+    records = np.empty((n_layers + 1, n), dtype=np.float64)
     frozen = np.full(n, -1, dtype=np.int64)
     records[0] = x0
     # A folded run writes every substep's record into one segment's block.
@@ -197,8 +188,8 @@ def transport(
                 rec += 1
                 if block is not None:
                     out = block[s, lo : lo + CHUNK]
-                elif rec % stride == 0:
-                    out = records[rec // stride, lo : lo + CHUNK]
+                elif s == substeps - 1:
+                    out = records[seg + 1, lo : lo + CHUNK]
                 else:
                     out = None
                 k1, b1 = _stage(left[s, 0], slope[s, 0], bad, u, mode, offset)

@@ -21,9 +21,10 @@ Three procedures built on the engine and guidance layers:
   backward runs forward from layer 0, `verify` replays a forward run
   backward from the final layer.  The integrator is deterministic and
   near-reversible, so each replay must retrace its run at every substep.
-  Only a round trip's outbound run keeps every substep's record, and only
-  while it runs; the replay hands its records over one segment at a time
-  and is compared there.  The maximum deviation is the reported figure of
+  Both legs go through integrate_batch, which hands a fold every
+  substep's record one segment at a time: the outbound run's are kept in
+  one array while its round trip runs, and the replay's are compared
+  against them there.  The maximum deviation is the reported figure of
   merit.  Round trips that froze on a node, or that reached an edge site
   between reflecting walls (a clamp cannot be retraced), are excluded and
   counted.
@@ -60,7 +61,7 @@ import numpy as np
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
-from .guidance import sample_joint_density, transport_records, velocity_stack
+from .guidance import sample_joint_density, velocity_stack
 
 STREAM_FINAL_SAMPLE = 0
 STREAM_FORWARD_SAMPLE = 1
@@ -260,28 +261,29 @@ def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: 
     walls, neither reached an edge site, since a clamp cannot be retraced."""
     opposite = "backward" if direction == "forward" else "forward"
     grid = stack.grid
-    records, frozen = transport_records(stack, x0, direction, substeps, substep_records=True)
     # Record-major: replay record k sits at the same time as run record
-    # n_rec-1-k.  The replay hands over its records one segment at a time,
-    # and each block's gaps go into a running maximum, so only the outbound
-    # run keeps every substep's record.
-    theirs = records.T
-    n_rec = theirs.shape[0]
-    worst = np.full(len(frozen), -np.inf)
-    bounded = grid.boundary != "periodic"
-    walled = _at_wall(grid, theirs) if bounded else np.zeros(len(frozen), dtype=bool)
+    # n_rec-1-k.  Only the outbound run's records are kept; each replay
+    # block's gaps go into a running maximum.
+    n_rec = stack.n_layers * substeps + 1
+    theirs = np.empty((n_rec, len(x0)))
 
-    def fold(first, block):
+    def keep(first, block):
+        theirs[first : first + len(block)] = block
+
+    run = integrate_batch(stack, x0, direction, substeps, keep)
+    worst = np.full(len(x0), -np.inf)
+    bounded = grid.boundary != "periodic"
+    walled = _at_wall(grid, theirs) if bounded else np.zeros(len(x0), dtype=bool)
+
+    def compare(first, block):
         top = n_rec - first
         gaps = grid.gap(block, theirs[top - len(block) : top][::-1])
         np.maximum(worst, gaps.max(axis=0), out=worst)
         if bounded:
             np.logical_or(walled, _at_wall(grid, block), out=walled)
 
-    _, back_frozen = transport_records(stack, records[:, -1].copy(), opposite, substeps, fold=fold)
-    # Copied, so the kept layer records do not hold the substep records alive.
-    run = EnsembleRun(theirs[::substeps].copy().T, frozen, direction, substeps)
-    return run, worst, (frozen < 0) & (back_frozen < 0) & ~walled
+    back = integrate_batch(stack, run.positions[:, -1], opposite, substeps, compare)
+    return run, worst, (run.frozen < 0) & (back.frozen < 0) & ~walled
 
 
 def superdet_replay(

@@ -41,6 +41,15 @@ def served(runs: dict):
     return lambda consume: {particle: consume(particle, run) for particle, run in runs.items()}
 
 
+def every_substep(transport, *args):
+    """(records, frozen) of a kernels.transport or integrate_batch call, with
+    a trajectory-major record at every substep gathered through its fold."""
+    blocks = []
+    result = transport(*args, fold=lambda first, block: blocks.append(block.copy()))
+    frozen = result[1] if isinstance(result, tuple) else result.frozen
+    return np.concatenate(blocks).T, frozen
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -178,38 +178,38 @@ def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path)
 
 @pytest.mark.parametrize("substeps", [4, 32])
 def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, monkeypatch):
-    """guide, retro and tracks transport one record per layer boundary; the
-    runs superdet and verify replay keep every substep, and their replays,
-    which see every substep one segment at a time, keep the layer
-    boundaries.  When the scenario's substeps already reach verify's 32, its
-    one forward run is the replayed run, not a second transport."""
+    """Every transport returns one record per layer boundary.  guide, retro
+    and tracks transport without a fold; both legs of every round trip that
+    superdet and verify make see every substep through one.  When the
+    scenario's substeps already reach verify's 32, its one forward run is
+    the replayed run, not a second transport."""
     with open(scenario_file, encoding="utf-8") as fh:
         scn = json.load(fh)
     scn["protocol"]["substeps"] = substeps
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scn), encoding="utf-8")
     transport = kernels.transport
-    n_records = []
+    calls = []
 
     def spy(*args, **kwargs):
         records, frozen = transport(*args, **kwargs)
-        assert records.shape[0] == 2000
-        n_records.append(records.shape[1])
+        assert records.shape == (2000, 3 + 1)
+        calls.append((args[8], len(args) > 10 and args[10] is not None))
         return records, frozen
 
     monkeypatch.setattr(kernels, "transport", spy)
-    layers, fine = 3 + 1, 3 * substeps + 1
+    plain, leg = (substeps, False), (substeps, True)
     expected = {
-        "guide": [layers] * 2,
-        "retro": [layers] * 2,
-        "tracks": [layers] * 2,
-        "superdet": [fine, layers] * 2,
-        "verify": [fine, layers] if substeps == 32 else [layers, 3 * 32 + 1, layers],
+        "guide": [plain] * 2,
+        "retro": [plain] * 2,
+        "tracks": [plain] * 2,
+        "superdet": [leg] * 4,
+        "verify": [leg] * 2 if substeps == 32 else [plain, (32, True), (32, True)],
     }
-    for command, records in expected.items():
-        n_records.clear()
+    for command, transports in expected.items():
+        calls.clear()
         assert run_cli([command, "--scenario", str(path)], tmp_path / "out") == 0, command
-        assert n_records == records, command
+        assert calls == transports, command
 
 
 def test_superdet_holds_one_round_trip_at_a_time(tmp_path):

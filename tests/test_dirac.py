@@ -308,6 +308,35 @@ def test_massless_unit_ratio_walk_translates_exactly():
     assert np.max(np.abs(hop(step, psi_m) - np.roll(psi_m, -1, axis=0))) < 1e-13
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "boundary, sigma, momentum, message",
+    [
+        ("periodic", 1e-300, 0.0, "packet sigma 1e-300 puts d**2 / (4 sigma**2) beyond the float range"),
+        ("reflecting", 1e-200, 0.0, "packet sigma 1e-200 puts d**2 / (4 sigma**2) beyond the float range"),
+        ("periodic", 1e-160, 0.0, "packet sigma 1e-160 puts d**2 / (4 sigma**2) beyond the float range"),
+        ("periodic", 1.5, 1e308, "packet momentum 1e+308 puts momentum * x beyond the float range"),
+    ],
+    ids=["sigma-square-underflows", "sigma-square-underflows-bounded", "exponent-overflows", "phase-overflows"],
+)
+def test_gaussian_exponents_beyond_the_float_range_are_rejected_before_numpy(boundary, sigma, momentum, message):
+    """A sigma whose square underflows to zero, or whose largest exponent
+    d**2 / (4 sigma**2) overflows, and a momentum whose largest phase
+    momentum * x overflows, are input errors, raised before numpy warns."""
+    grid = LatticeGrid(16, 1.0, 1.0, 0.0, boundary)
+    with pytest.raises(ValidationError) as err:
+        gaussian_profile(grid, 7.0, sigma, momentum)
+    assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_narrow_gaussian_within_the_float_range_is_one_site():
+    """At sigma 1e-150 every exponent off the centre underflows to a zero
+    amplitude, which numpy does not warn of: the packet is its centre site."""
+    grid = LatticeGrid(16, 1.0, 1.0, 0.0, "periodic")
+    assert np.array_equal(gaussian_profile(grid, 7.0, 1e-150), np.eye(16)[7])
+
+
 def test_unitarity_drift_over_500_layers():
     rng = make_rng(17)
     grid = LatticeGrid(12, 1.0, 0.7, 0.0, "periodic")

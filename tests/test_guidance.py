@@ -21,12 +21,11 @@ from pilotpath.guidance import (
     integrate_batch,
     ks_statistic,
     sample_joint_density,
-    transport_records,
     velocity_stack,
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, make_rng, spinor_field
+from conftest import EPS_NODE_REL, every_substep, make_rng, spinor_field
 from oracles import sample_joint_density_gather, scaled
 
 
@@ -88,8 +87,8 @@ def test_a_stack_is_built_only_if_its_transport_accepts_it():
     # The largest stack that is built moves, in one substep as in many.
     stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
     for substeps in (1, 4):
-        records, frozen = transport_records(stack, np.array([3.0]), "forward", substeps)
-        assert np.all(np.isfinite(records)) and frozen[0] == -1
+        run = integrate_batch(stack, np.array([3.0]), "forward", substeps)
+        assert np.all(np.isfinite(run.positions)) and run.frozen[0] == -1
 
 
 def test_velocity_stack_matches_per_layer_fields():
@@ -122,8 +121,8 @@ def test_transport_is_deterministic():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 40)
-    a = transport_records(stack, x0, "forward", 4, substep_records=True)
-    b = transport_records(stack, x0, "forward", 4, substep_records=True)
+    a = every_substep(integrate_batch, stack, x0, "forward", 4)
+    b = every_substep(integrate_batch, stack, x0, "forward", 4)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -133,7 +132,7 @@ def test_one_dimensional_flow_preserves_ordering():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.sort(make_rng(50).uniform(4.0, 10.0, 60))
-    records, frozen = transport_records(stack, x0, "forward", 8, substep_records=True)
+    records, frozen = every_substep(integrate_batch, stack, x0, "forward", 8)
     assert records.shape == (60, 8 * hist.n_layers + 1)
     assert np.all(frozen < 0)
     for rec in range(records.shape[1]):
@@ -156,7 +155,7 @@ def test_trajectory_and_run_bookkeeping():
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([6.0, 7.0])
     run = integrate_batch(stack, x0, "forward", 4)
-    fine, _ = transport_records(stack, x0, "forward", 4, substep_records=True)
+    fine, _ = every_substep(integrate_batch, stack, x0, "forward", 4)
     assert isinstance(run, EnsembleRun)
     assert run.n_trajectories == 2
     assert run.positions.shape == (2, 5) and fine.shape == (2, 17)
@@ -170,7 +169,7 @@ def test_backward_run_reads_layers_in_reverse():
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([7.0, 8.0])
     run = integrate_batch(stack, x0, "backward", 4)
-    fine, _ = transport_records(stack, x0, "backward", 4, substep_records=True)
+    fine, _ = every_substep(integrate_batch, stack, x0, "backward", 4)
     assert run.direction == "backward"
     # record 0 is the final layer; layer k sits at record 4 - k, which is
     # substep record (4 - k) * substeps
@@ -201,7 +200,7 @@ def test_integrate_batch_keeps_layer_records_unless_asked(direction):
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 12)
-    fine, fine_frozen = transport_records(stack, x0, direction, 4, substep_records=True)
+    fine, fine_frozen = every_substep(integrate_batch, stack, x0, direction, 4)
     run = integrate_batch(stack, x0, direction, 4)
     assert run.positions.shape == (12, 5) and fine.shape == (12, 17)
     assert run.n_layers == 4
@@ -222,8 +221,8 @@ def test_equivariance_rejects_a_stack_of_other_depth():
 def test_periodic_starts_are_canonicalized():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    base, _ = transport_records(stack, np.array([6.0]), "forward", 4, substep_records=True)
-    wrapped, _ = transport_records(stack, np.array([6.0 + grid.extent]), "forward", 4, substep_records=True)
+    base, _ = every_substep(integrate_batch, stack, np.array([6.0]), "forward", 4)
+    wrapped, _ = every_substep(integrate_batch, stack, np.array([6.0 + grid.extent]), "forward", 4)
     assert np.array_equal(base, wrapped)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pilotpath import kernels
 from pilotpath.errors import ValidationError
 
-from conftest import make_rng
+from conftest import every_substep, make_rng
 from oracles import transport_time_lerp
 
 
@@ -105,7 +105,7 @@ def bits(records):
 
 def run_both(values, masks, x0, periodic=True, dt=0.5, substeps=4, forward=True):
     args = (values, masks, x0, 0.0, 1.0, float(values.shape[1]), periodic, dt, substeps, forward)
-    return kernels.transport(*args, substep_records=True), transport_reference(*args)
+    return every_substep(kernels.transport, *args), transport_reference(*args)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -137,8 +137,8 @@ def test_numpy_backend_records_every_substep():
     rng = make_rng(3200)
     values, masks = random_stack(rng, n_layers=3)
     x0 = rng.uniform(0.0, 24.0, 8)
-    records, frozen = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 24.0, True, 0.5, 4, True, substep_records=True
+    records, frozen = every_substep(
+        kernels.transport, values, masks, x0, 0.0, 1.0, 24.0, True, 0.5, 4, True
     )
     assert records.shape == (8, 13)
     assert np.array_equal(records[:, 0], x0)
@@ -151,8 +151,8 @@ def test_frozen_trajectories_hold_their_position():
     masks = np.zeros((5, 16), dtype=bool)
     masks[2, 6:10] = True  # a node wall appears at layer 2
     x0 = np.linspace(1.0, 9.0, 20)
-    records, frozen = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 16.0, True, 1.0, 2, True, substep_records=True
+    records, frozen = every_substep(
+        kernels.transport, values, masks, x0, 0.0, 1.0, 16.0, True, 1.0, 2, True
     )
     hit = frozen >= 0
     assert np.count_nonzero(hit) > 0
@@ -170,7 +170,7 @@ def test_layer_records_repeat_a_start_frozen_at_record_0():
     masks = np.zeros((4, n_sites), dtype=bool)
     masks[0, 2] = True
     x0 = np.array([x_min + extent + 2.5 * dx, x_min + 5.5 * dx])
-    records, frozen = kernels.transport(values, masks, x0, x_min, dx, extent, True, 1.0, 4, True, substep_records=True)
+    records, frozen = every_substep(kernels.transport, values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
     layers, layer_frozen = kernels.transport(values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
     assert frozen.tolist() == [0, -1] and layer_frozen.tolist() == [0, -1]
     wrapped = x_min + ((x0[0] - x_min) * (1.0 / dx) % n_sites) * dx
@@ -191,7 +191,7 @@ def test_layer_record_after_a_freeze_on_a_layers_last_substep():
     # cell 9 at substep 8, the last of segment 1, so it freezes at 7.
     x0 = x_min + np.array([8.05, 2.0]) * dx
     args = (values, masks, x0, x_min, dx, n_sites * dx, True, 1.0, 4, True)
-    records, frozen = kernels.transport(*args, substep_records=True)
+    records, frozen = every_substep(kernels.transport, *args)
     layers, layer_frozen = kernels.transport(*args)
     assert frozen.tolist() == [7, -1] and layer_frozen.tolist() == [7, -1]
     assert bits(layers[0, 2]) == bits(records[0, 7])
@@ -205,7 +205,7 @@ def test_backward_layer_records_are_the_substep_runs_layer_boundaries(periodic):
     values, masks = random_stack(rng, masked_fraction=0.08)
     x0 = rng.uniform(0.0, 24.0, 128)
     args = (values, masks, x0, 0.0, 1.0, 24.0, periodic, 0.5, 4, False)
-    records, frozen = kernels.transport(*args, substep_records=True)
+    records, frozen = every_substep(kernels.transport, *args)
     layers, layer_frozen = kernels.transport(*args)
     assert layers.shape == (128, 7)
     assert np.array_equal(bits(layers), bits(records[:, ::4]))
@@ -285,23 +285,20 @@ def test_transport_properties(case, chunk):
     values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
     blocks = []
     with mock.patch.object(kernels, "CHUNK", chunk):
-        records, frozen = kernels.transport(*case, substep_records=True)
         layers, layer_frozen = kernels.transport(*case)
-        folded, folded_frozen = kernels.transport(*case, fold=lambda first, block: blocks.append((first, block.copy())))
+        folded, frozen = kernels.transport(*case, fold=lambda first, block: blocks.append((first, block.copy())))
+    records = np.concatenate([block for _, block in blocks]).T
     ref_records, ref_frozen = transport_reference(*case)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)
-    # Layer records are the substep run's layer boundaries, bit for bit.
-    substeps = case[-2]
-    assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
-    assert np.array_equal(layer_frozen, frozen)
-    # A fold sees record 0, then each segment's substep records in order,
-    # bit for bit, and the run still returns its layer records.
+    # A fold sees record 0, then each segment's substep records in order.
     firsts = [first for first, _ in blocks]
     assert firsts == [0] + list(range(1, records.shape[1], substeps))
-    assert np.array_equal(bits(np.concatenate([block for _, block in blocks]).T), bits(records))
+    # Layer records, folded or not, are the substep records' layer
+    # boundaries, bit for bit.
+    assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
     assert np.array_equal(bits(folded), bits(layers))
-    assert np.array_equal(folded_frozen, frozen)
+    assert np.array_equal(layer_frozen, frozen)
     assert np.array_equal(records[:, 0], x0)
     moved = records[frozen != 0, 1:]
     if periodic:
@@ -337,7 +334,7 @@ def test_kernel_stays_within_rounding_of_the_time_lerp_arithmetic(name):
     same."""
     values, masks, x0, periodic, forward = reference_cases()[name]
     args = (values, masks, x0, 0.0, 1.0, 24.0, periodic, 0.5, 4, forward)
-    records, frozen = kernels.transport(*args, substep_records=True)
+    records, frozen = every_substep(kernels.transport, *args)
     old_records, old_frozen = transport_time_lerp(*args)
     assert np.array_equal(frozen, old_frozen)
     assert np.max(np.abs(records - old_records)) <= 1e-12
@@ -357,8 +354,8 @@ def test_uniform_field_linear_in_time_is_integrated_exactly(periodic, forward, s
     masks = np.zeros_like(values, dtype=bool)
     x_min = -3.0
     x0 = x_min + rng.uniform(12.0, 28.0, 16) * dx  # interior: no clamp in 5 layers
-    records, frozen = kernels.transport(
-        values, masks, x0, x_min, dx, n_sites * dx, periodic, dt, substeps, forward, substep_records=True
+    records, frozen = every_substep(
+        kernels.transport, values, masks, x0, x_min, dx, n_sites * dx, periodic, dt, substeps, forward
     )
     assert np.all(frozen == -1)
     segment = dt * 0.5 * (levels[:-1] + levels[1:])
@@ -424,14 +421,6 @@ def test_transport_rejects_non_finite_tables_and_starts(bad):
         kernels.transport(values, masks, np.array([1.0, bad]), 0.0, 1.0, 8.0, False, 1.0, 2, True)
 
 
-def test_a_folded_transport_keeps_layer_records_only():
-    values, masks = random_stack(make_rng(3))
-    with pytest.raises(ValidationError, match="layer-boundary records only"):
-        kernels.transport(
-            values, masks, np.array([4.0]), 0.0, 1.0, 24.0, True, 0.5, 4, True, substep_records=True, fold=print
-        )
-
-
 def test_transport_rejects_a_stage_beyond_the_ring_limit():
     """|h| * max|v| may reach MAX_STAGE_RINGS rings of a periodic grid, no
     more; bounded grids clamp and have no limit."""
@@ -459,7 +448,7 @@ def test_stages_crossing_several_rings_match_the_reference(forward, rings):
     values = rng.uniform(0.8, 1.0, masks.shape) * rings * extent / h
     x0 = rng.uniform(0.0, extent, 32)
     args = (values, masks, x0, 0.0, 1.0, extent, True, 1.0, 2, forward)
-    records, frozen = kernels.transport(*args, substep_records=True)
+    records, frozen = every_substep(kernels.transport, *args)
     ref_records, ref_frozen = transport_reference(*args)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)

@@ -22,7 +22,6 @@ from pilotpath.guidance import (
     equivariance_test,
     integrate_batch,
     sample_joint_density,
-    transport_records,
     velocity_stack,
 )
 from pilotpath.protocols import (
@@ -45,7 +44,7 @@ from pilotpath.protocols import (
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, kept, served
+from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, every_substep, kept, served
 from oracles import ndimage_label
 
 
@@ -100,7 +99,7 @@ def backward_runs(history, seed, count, substeps=4):
 def substep_runs(starts, direction, substeps):
     """Each particle's (records, frozen) at every substep from the given starts."""
     return {
-        particle: transport_records(stack, x0, direction, substeps, substep_records=True)
+        particle: every_substep(integrate_batch, stack, x0, direction, substeps)
         for particle, (stack, x0) in starts.items()
     }
 
@@ -449,8 +448,8 @@ def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, 
     result = superdet_replay(starts, direction, 8)
     off_boundary = 0
     for particle, (stack, x0) in starts.items():
-        records, frozen = transport_records(stack, x0, direction, 8, substep_records=True)
-        back, back_frozen = transport_records(stack, records[:, -1], opposite, 8, substep_records=True)
+        records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
+        back, back_frozen = every_substep(integrate_batch, stack, records[:, -1], opposite, 8)
         gaps = stack.grid.gap(back, records[:, ::-1])
         ok = (frozen < 0) & (back_frozen < 0)
         expected = np.where(ok, gaps.max(axis=1), np.nan)
@@ -485,8 +484,8 @@ def test_round_trips_exclude_trajectories_that_reach_a_reflecting_wall(direction
     first, last = system.grid.positions()[[0, -1]]
     walled_worst = 0.0
     for particle, (stack, x0) in starts.items():
-        records, frozen = transport_records(stack, x0, direction, 32, substep_records=True)
-        back, back_frozen = transport_records(stack, records[:, -1], opposite, 32, substep_records=True)
+        records, frozen = every_substep(integrate_batch, stack, x0, direction, 32)
+        back, back_frozen = every_substep(integrate_batch, stack, records[:, -1], opposite, 32)
         assert np.all(frozen < 0) and np.all(back_frozen < 0)
         walled = np.any((records <= first) | (records >= last) | (back <= first) | (back >= last), axis=1)
         gaps = system.grid.gap(back, records[:, ::-1]).max(axis=1)
@@ -505,8 +504,8 @@ def test_a_replay_that_alone_reaches_a_wall_is_excluded():
     grid = LatticeGrid(16, 1.0, 0.5, 0.0, "reflecting")
     stack = VelocityStack(np.full((5, 16), 0.5), np.zeros((5, 16), dtype=bool), grid, 0.0)
     x0 = np.array([2.0**-60, 3.0])
-    records, _ = transport_records(stack, x0, "forward", 4, substep_records=True)
-    back, _ = transport_records(stack, records[:, -1], "backward", 4, substep_records=True)
+    records, _ = every_substep(integrate_batch, stack, x0, "forward", 4)
+    back, _ = every_substep(integrate_batch, stack, records[:, -1], "backward", 4)
     assert records.min() > grid.x_min and back[0, -1] == grid.x_min
     result = superdet_replay({1: (stack, x0)}, "forward", 4)
     assert result.excluded == {1: 1}
@@ -522,7 +521,7 @@ def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
     starts = anchored_starts(history, scn["seed"], 200, 0.05, direction)
     replay = superdet_replay(starts, direction, 8)
     for particle, (stack, x0) in starts.items():
-        records, frozen = transport_records(stack, x0, direction, 8, substep_records=True)
+        records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
         assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0)) and np.any(frozen < 0)
         run = integrate_batch(stack, x0, direction, 8)
         assert np.array_equal(run.positions, records[:, ::8])

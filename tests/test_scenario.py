@@ -546,8 +546,8 @@ def _walk_with(section, key, value):
     "raw, message",
     [
         (_walk_with("grid", "dt", 5e-324), "dx/dt within the float range"),
-        (_walk_with("packet1", "sigma", 1e-300), "norm\\^2 nan"),
-        (_walk_with("packet1", "momentum", 1e308), "norm\\^2 nan"),
+        (_walk_with("packet1", "sigma", 1e-300), "sigma 1e-300 puts d\\*\\*2 / \\(4 sigma\\*\\*2\\) beyond the float range"),
+        (_walk_with("packet1", "momentum", 1e308), "momentum 1e\\+308 puts momentum \\* x beyond the float range"),
         (_circuit_start_of_huge_pairs(), "norm within the float range"),
     ],
     ids=["dt-tiny", "sigma-tiny", "momentum-huge", "psi1-pairs-huge"],
