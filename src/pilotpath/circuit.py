@@ -6,6 +6,12 @@ basis.  A state is a (dim_a, dim_b) amplitude matrix over the flattened
 per-particle indices, held either whole or as a pair of branch factors
 whose product is that matrix.  All operations are pure; amplitude arrays
 are frozen so states behave as immutable snapshots.
+
+RNG policy: one scenario seed, expanded into independent counter-mode
+streams (stream index in the Philox counter), all listed below: final-layer
+configurations, layer-0 configurations (forward guidance and verify's
+ensemble), randomized circuit unitaries, and the alteration in the circuit
+no-signaling check.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ import numpy as np
 from .errors import ValidationError
 
 UNITARITY_TOL = 1e-12
+
+STREAM_FINAL_SAMPLE = 0
+STREAM_FORWARD_SAMPLE = 1
+STREAM_SCENARIO_BUILD = 2
+STREAM_CIRCUIT_ALTERATION = 3
 
 
 @dataclass(frozen=True)
@@ -292,6 +303,13 @@ def apply_layer(state: JointState, layer: CircuitLayer) -> JointState:
     if factor is not None:
         amps = amps * factor
     return JointState(b, amps)
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent, reproducible substream of one scenario seed."""
+    return np.random.Generator(
+        np.random.Philox(key=[int(seed), 0], counter=[0, 0, int(stream), 0])
+    )
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,7 @@ from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_fields, run_walk
 from .guidance import equivariance_test
-from .protocols import anchored_runs, anchored_starts, build_tracks, detect_crossings, superdet_replay
+from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
 
@@ -203,26 +203,20 @@ def _retro(scn: dict, system, args, out: str):
 
 def _superdet(scn: dict, system, args, out: str):
     p = scn["protocol"]
-    starts = anchored_starts(retro_run(system), int(scn["seed"]), int(p["count"]), float(p["eps_node_rel"]), "backward")
-    replay = superdet_replay(starts, "backward", int(p["substeps"]))
-    report = {
-        "max_deviation": replay.max_deviation,
-        "total_excluded": replay.total_excluded,
-        "count": int(p["count"]),
-        "substeps": int(p["substeps"]),
-    }
-    for particle in (1, 2):
-        dev = replay.deviations[particle]
-        finite = dev[np.isfinite(dev)]
+    count = int(p["count"])
+    substeps = int(p["substeps"])
+    deviations = superdet_replay(retro_run(system), int(scn["seed"]), count, substeps, float(p["eps_node_rel"]))
+    kept = {particle: dev[~np.isnan(dev)] for particle, dev in deviations.items()}
+    top = max([0.0] + [float(dev.max()) for dev in kept.values() if dev.size])
+    excluded = sum(count - dev.size for dev in kept.values())
+    report = {"max_deviation": top, "total_excluded": excluded, "count": count, "substeps": substeps}
+    for particle, dev in kept.items():
         report[f"particle{particle}"] = {
-            "excluded": int(replay.excluded[particle]),
-            "max_deviation": float(finite.max()) if finite.size else None,
-            "median_deviation": float(np.median(finite)) if finite.size else None,
+            "excluded": count - dev.size,
+            "max_deviation": float(dev.max()) if dev.size else None,
+            "median_deviation": float(np.median(dev)) if dev.size else None,
         }
-    message = (
-        f"replayed {int(p['count'])} configurations; max deviation "
-        f"{replay.max_deviation:.3e}, {replay.total_excluded} excluded; artifacts in {out}"
-    )
+    message = f"replayed {count} configurations; max deviation {top:.3e}, {excluded} excluded; artifacts in {out}"
     return report, message
 
 

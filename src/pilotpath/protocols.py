@@ -8,18 +8,13 @@ Three procedures built on the engine and guidance layers:
   returning each particle's result.  Forward runs anchor at layer 0 and
   draw from the forward-sample stream; backward runs (the retrocausal
   reading) anchor at the final layer and draw from the final-sample
-  stream.  The joint correlations enter only through the draw, so each
-  particle's run, and what its consumer reads from it, is independent
-  work: from FORK_MIN_SUBSTEPS trajectory-substeps per particle, on a
-  process that may use two CPUs, a forked child transports and consumes
-  particle 2 while particle 1 is transported and consumed here.  The
-  claim under test is statistical: at every layer the ensemble must match
-  that layer's marginal density.
+  stream.  The claim under test is statistical: at every layer the
+  ensemble must match that layer's marginal density.
 
-- superdet_replay: transport anchored starts one way, then run the
+- round_trip / superdet_replay: transport starts one way, then run the
   endpoints back the other way through the same stack: `superdet` replays
-  backward runs forward from layer 0, `verify` replays a forward run
-  backward from the final layer.  The integrator is deterministic and
+  backward-anchored runs forward from layer 0, `verify` replays a forward
+  run backward from the final layer.  The integrator is deterministic and
   near-reversible, so each replay must retrace its run at every substep.
   Both legs go through integrate_batch, which hands a fold every
   substep's record one segment at a time: the outbound run's are kept in
@@ -28,6 +23,12 @@ Three procedures built on the engine and guidance layers:
   merit.  Round trips that froze on a node, or that reached an edge site
   between reflecting walls (a clamp cannot be retraced), are excluded and
   counted.
+
+  The joint correlations enter only through the draw, so each particle's
+  run or round trip is independent work, and all of it goes through one
+  rule (_per_particle): from FORK_MIN_SUBSTEPS trajectory-substeps per
+  particle, on a process that may use two CPUs, a forked child makes
+  particle 2's result while particle 1's is made here.
 
 - build_tracks / detect_crossings: extract connected support components of
   the joint density ("joint" track) and of each marginal density
@@ -40,12 +41,6 @@ Three procedures built on the engine and guidance layers:
   such changes can only happen where two projections overlap on the
   particle's axis.  A trajectory's world at a layer is read from one code
   per site: the component whose projection alone covers it, 0 or -1.
-
-RNG policy: one scenario seed, expanded into independent counter-mode
-streams (stream index in the Philox counter), all listed below: final-layer
-configurations, layer-0 configurations (forward guidance and verify's
-ensemble), randomized circuit unitaries, and the alteration in the circuit
-no-signaling check.
 """
 
 from __future__ import annotations
@@ -58,31 +53,20 @@ from typing import NoReturn
 
 import numpy as np
 
+from .circuit import STREAM_FINAL_SAMPLE, STREAM_FORWARD_SAMPLE, stream_rng
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
 from .guidance import sample_joint_density, velocity_stack
 
-STREAM_FINAL_SAMPLE = 0
-STREAM_FORWARD_SAMPLE = 1
-STREAM_SCENARIO_BUILD = 2
-STREAM_CIRCUIT_ALTERATION = 3
-
-# anchored_runs transports and consumes particle 2 in a forked child,
-# beside particle 1's run, once one particle's transport reaches this many
+# _per_particle makes particle 2's result in a forked child, beside
+# particle 1's, once one particle's transport reaches this many
 # trajectory-substeps (count x n_layers x substeps).  A fork and reap costs
 # about 2 ms, and two transports at once each run slower than one alone.
 # On a 2-CPU host the fork broke even near 2**18 trajectory-substeps and
 # won 20 of 21 pairs from 2**18.7; while the host was contended it lost up
 # to 2**20.  This is above both.
 FORK_MIN_SUBSTEPS = 2**20
-
-
-def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent, reproducible substream of one scenario seed."""
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed), 0], counter=[0, 0, int(stream), 0])
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -119,20 +103,26 @@ def anchored_runs(
     and a built stack is one its transport accepts (see VelocityStack), so
     no input error surfaces after a consumer has run.
 
-    From FORK_MIN_SUBSTEPS trajectory-substeps per particle, where the
-    process may fork and run on two CPUs, a forked child transports and
-    consumes particle 2 meanwhile (see _forked_results), so consume's
-    result must pickle.  The results, and any error a transport or
-    consumer raises, are the same either way.
+    Particle 2's run may be transported and consumed in a forked child
+    (see _per_particle), so consume's result must pickle.  The results,
+    and any error a transport or consumer raises, are the same either way.
     """
     starts = anchored_starts(history, seed, count, eps_rel, direction)
 
     def result(particle):
         return consume(particle, integrate_batch(*starts[particle], direction, substeps))
 
-    if count * history.n_layers * substeps >= FORK_MIN_SUBSTEPS and _can_fork():
+    return _per_particle(result, count * history.n_layers * substeps)
+
+
+def _per_particle(result, substeps: int) -> dict:
+    """{1: result(1), 2: result(2)}, where one particle's work is this many
+    trajectory-substeps.  From FORK_MIN_SUBSTEPS, where the process may
+    fork and run on two CPUs, a forked child makes result(2) meanwhile (see
+    _forked_results); otherwise both are made here, in turn."""
+    if substeps >= FORK_MIN_SUBSTEPS and _can_fork():
         return _forked_results(result)
-    return {particle: result(particle) for particle in starts}
+    return {particle: result(particle) for particle in (1, 2)}
 
 
 def _can_fork() -> bool:
@@ -226,27 +216,6 @@ def _run_in_child(forker: int, read_end: int, write_end: int, work) -> NoReturn:
         os._exit(status)
 
 
-@dataclass
-class ReplayResult:
-    """Replays compared against the runs they retrace; runs holds each
-    outbound run at its layer boundaries.
-
-    runs stays because verify reads it: at 32 or more substeps (as on
-    entangled-mirror) verify's round trip runs at the scenario's own
-    substeps, so verify reads replay.runs[1] layer by layer instead of
-    making a second transport.
-    """
-
-    max_deviation: float
-    deviations: dict[int, np.ndarray]
-    excluded: dict[int, int]
-    runs: dict[int, EnsembleRun]
-
-    @property
-    def total_excluded(self) -> int:
-        return sum(self.excluded.values())
-
-
 def _at_wall(grid: LatticeGrid, block: np.ndarray) -> np.ndarray:
     """Per trajectory of a record-major block: whether a record lies at or
     past an edge site, where bounded transport clamps it."""
@@ -254,11 +223,12 @@ def _at_wall(grid: LatticeGrid, block: np.ndarray) -> np.ndarray:
     return (block.min(axis=0) <= grid.x_min) | (block.max(axis=0) >= top)
 
 
-def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
-    """The outbound run from x0 at its layer boundaries, each trajectory's
-    largest gap between it and its replay over every substep, and whether
-    that gap is kept: neither run froze on a node and, between reflecting
-    walls, neither reached an edge site, since a clamp cannot be retraced."""
+def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
+    """(run, deviations): the outbound run from x0 at its layer boundaries,
+    and each trajectory's largest gap between it and its replay the other
+    way over every substep.  A deviation is NaN where the round trip is
+    excluded: either run froze on a node or, between reflecting walls,
+    reached an edge site, since a clamp cannot be retraced."""
     opposite = "backward" if direction == "forward" else "forward"
     grid = stack.grid
     # Record-major: replay record k sits at the same time as run record
@@ -283,35 +253,25 @@ def _round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: 
             np.logical_or(walled, _at_wall(grid, block), out=walled)
 
     back = integrate_batch(stack, run.positions[:, -1], opposite, substeps, compare)
-    return run, worst, (run.frozen < 0) & (back.frozen < 0) & ~walled
+    return run, np.where((run.frozen < 0) & (back.frozen < 0) & ~walled, worst, np.nan)
 
 
 def superdet_replay(
-    starts: dict[int, tuple[VelocityStack, np.ndarray]], direction: str, substeps: int
-) -> ReplayResult:
-    """Transport each particle's starts in the given direction, run the
-    endpoints back the other way through the same stack and measure path
-    deviation at every substep.
-
-    One particle's round trip runs at a time, and only it holds every
-    substep's record; unlike anchored_runs, no child overlaps the two, as
-    that would hold two substep arrays at once.  Trajectories flagged on a
-    node in either direction, or on a bounded grid reaching an edge site in
-    either direction, are excluded from the deviation statistic; their
-    count is reported instead.
+    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float
+) -> dict[int, np.ndarray]:
+    """{particle: deviations} of the round trips (see round_trip) from
+    backward-anchored starts (see anchored_starts): each particle's
+    backward run from the final layer is replayed forward from layer 0 and
+    compared at every substep.  Each particle's round trip runs where its
+    anchored run would (see _per_particle), so where the work forks, the
+    child holds particle 2's substep records and this process particle 1's.
     """
-    deviations = {}
-    excluded = {}
-    runs = {}
-    top = 0.0
-    for particle, (stack, x0) in starts.items():
-        runs[particle], worst, ok = _round_trip(stack, x0, direction, substeps)
-        excluded[particle] = int(np.sum(~ok))
-        dev = np.where(ok, worst, np.nan)
-        deviations[particle] = dev
-        if np.any(ok):
-            top = max(top, float(np.nanmax(dev)))
-    return ReplayResult(max_deviation=top, deviations=deviations, excluded=excluded, runs=runs)
+    starts = anchored_starts(history, seed, count, eps_rel, "backward")
+
+    def deviations(particle):
+        return round_trip(*starts[particle], "backward", substeps)[1]
+
+    return _per_particle(deviations, count * history.n_layers * substeps)
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the resolved dictionary; runs echo that resolved form next to their
 artifacts so every output is reproducible from (scenario, seed) alone.
 
 Randomized circuit scenarios draw their unitaries from a dedicated
-counter-mode stream of the scenario seed (STREAM_SCENARIO_BUILD; protocols
+counter-mode stream of the scenario seed (STREAM_SCENARIO_BUILD; circuit
 lists every stream), so artifacts never depend on call order.
 """
 
@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitLayer, JointState, ModeSpinBasis, branch_norm_sq, haar_unitary
+from .circuit import (
+    STREAM_SCENARIO_BUILD,
+    CircuitLayer,
+    JointState,
+    ModeSpinBasis,
+    branch_norm_sq,
+    haar_unitary,
+    stream_rng,
+)
 from .dirac import (
     LatticeGrid,
     PotentialField,
@@ -43,7 +51,6 @@ from .dirac import (
 )
 from .errors import ValidationError
 from .paths import PathCaps, PathContext
-from .protocols import STREAM_SCENARIO_BUILD, stream_rng
 
 _DEFAULTS = {
     "seed": 12345,

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import paths as pp
-from .circuit import CircuitLayer, evolve_circuit, haar_unitary
+from .circuit import STREAM_CIRCUIT_ALTERATION, CircuitLayer, evolve_circuit, haar_unitary, stream_rng
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
 from .guidance import equivariance_test, integrate_batch
-from .protocols import STREAM_CIRCUIT_ALTERATION, anchored_starts, stream_rng, superdet_replay
+from .protocols import anchored_starts, round_trip
 from .scenario import CircuitSystem, WalkSystem
 
 
@@ -151,10 +151,10 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # own run is that fine, the round trip's outbound run is it.
     rev_sub = max(substeps, 32)
     fwd = None if rev_sub == substeps else integrate_batch(stack, x0, "forward", substeps)
-    replay = superdet_replay({1: (stack, x0)}, "forward", rev_sub)
+    outbound, deviations = round_trip(stack, x0, "forward", rev_sub)
     if fwd is None:
-        fwd = replay.runs[1]
-    kept = count - replay.total_excluded
+        fwd = outbound
+    kept = int(np.count_nonzero(~np.isnan(deviations)))
     # Between reflecting walls, round trips that reach an edge site are
     # excluded as well.
     walled = grid.boundary != "periodic"
@@ -162,7 +162,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         flagged = "node-flagged or wall-touching" if walled else "node-flagged"
         report.add(
             "reversibility",
-            replay.max_deviation,
+            float(np.nanmax(deviations)),
             5e-6,
             f"{kept}/{count} round trips at {rev_sub} substeps, every record, {flagged} excluded",
         )

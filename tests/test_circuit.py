@@ -12,10 +12,10 @@ from pilotpath.circuit import (
     branch_norm_sq,
     evolve_circuit,
     haar_unitary,
+    stream_rng,
 )
 from pilotpath.errors import ValidationError
 from pilotpath.paths import PathContext, mode_marginal
-from pilotpath.protocols import stream_rng
 from scipy.stats import unitary_group
 
 from conftest import (

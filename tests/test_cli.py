@@ -368,7 +368,7 @@ def test_non_finite_circuit_unitary_exits_2(tmp_path, capsys):
     assert code == 2
     assert payload["error"] == "ValidationError"
     # NaN is no number to the schema, so no matrix entry of an explicit layer may be NaN.
-    assert payload["message"].startswith("scenario schema violation at 'layers': ")
+    assert payload["message"].startswith("scenario schema violation at 'layers/0/u_a/0/0': ")
 
 
 def test_non_finite_start_factor_exits_2(tmp_path, capsys):
@@ -379,15 +379,15 @@ def test_non_finite_start_factor_exits_2(tmp_path, capsys):
     code, payload = expect_error(["paths", "--scenario", str(path)], tmp_path, capsys)
     assert code == 2
     assert payload["error"] == "ValidationError"
-    assert payload["message"].startswith("scenario schema violation at 'initial/psi1': ")
+    assert payload["message"].startswith("scenario schema violation at 'initial/psi1/0/0': ")
     assert not (tmp_path / "circuit-demo").exists()
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("psi1", {"basis_point": -1}, "scenario schema violation at 'initial/psi1': "),
-        ("psi1", {"basis_point": 2.5}, "scenario schema violation at 'initial/psi1': "),
+        ("psi1", {"basis_point": -1}, "scenario schema violation at 'initial/psi1/basis_point': "),
+        ("psi1", {"basis_point": 2.5}, "scenario schema violation at 'initial/psi1/basis_point': "),
         ("psi2", {"basis_point": 10**6}, "psi2 basis point 1000000 is outside 0..5"),
         ("layers", [{"u_a": [[1.0, 0.0], [0.0]], "u_b": [[1.0]]}], "u_a has rows of different lengths"),
     ],
@@ -575,7 +575,7 @@ def test_second_particle_transport_errors_exit_before_any_artifact(command, faul
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["guide", "retro", "tracks"])
+@pytest.mark.parametrize("command", ["guide", "retro", "tracks", "superdet"])
 def test_a_failing_forked_transport_exits_1(command, scenario_file, tmp_path, capsys, monkeypatch):
     """A forked child that ends with no result, here by leaving from
     particle 2's transport, makes the command exit 1 with the JSON error,

@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 
 from pilotpath import kernels, protocols
-from pilotpath.circuit import JointState
+from pilotpath.circuit import (
+    STREAM_CIRCUIT_ALTERATION,
+    STREAM_FINAL_SAMPLE,
+    STREAM_FORWARD_SAMPLE,
+    STREAM_SCENARIO_BUILD,
+    JointState,
+    stream_rng,
+)
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
 from pilotpath.guidance import (
@@ -26,10 +33,6 @@ from pilotpath.guidance import (
 )
 from pilotpath.protocols import (
     EVENT_COLUMNS,
-    STREAM_CIRCUIT_ALTERATION,
-    STREAM_FINAL_SAMPLE,
-    STREAM_FORWARD_SAMPLE,
-    STREAM_SCENARIO_BUILD,
     TrackGraph,
     TrackSet,
     _build_graph,
@@ -39,7 +42,7 @@ from pilotpath.protocols import (
     anchored_starts,
     build_tracks,
     detect_crossings,
-    stream_rng,
+    round_trip,
     superdet_replay,
 )
 from pilotpath.scenario import build_walk, load_scenario
@@ -226,9 +229,26 @@ def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
     assert (np.count_nonzero(forked[2][1] >= 0) > 0) == (name == "recombination")
 
 
+def test_forked_round_trips_are_the_serial_round_trips(forks):
+    """superdet_replay with particle 2's round trip in a forked child gives
+    each particle's serial round trip deviations bit for bit, backward on
+    entangled-mirror at its 32 substeps, and the child is reaped."""
+    scn, _, history = scenario_history("entangled-mirror")
+    p = scn["protocol"]
+    forked = superdet_replay(history, scn["seed"], p["count"], p["substeps"], p["eps_node_rel"])
+    assert len(forks) == 1
+    assert_no_child_left()
+    starts = anchored_starts(history, scn["seed"], p["count"], p["eps_node_rel"], "backward")
+    assert list(forked) == [1, 2]
+    for particle, (stack, x0) in starts.items():
+        _, serial = round_trip(stack, x0, "backward", p["substeps"])
+        assert np.array_equal(forked[particle], serial, equal_nan=True)
+
+
 def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, forks, monkeypatch):
     """A transport of count x n_layers x substeps trajectory-substeps forks
-    when that reaches FORK_MIN_SUBSTEPS, and not below."""
+    when that reaches FORK_MIN_SUBSTEPS, and not below; so does a round
+    trip of superdet_replay."""
     scn, _, history = no_overlap
     work = 30 * history.n_layers * 4
     for constant, expected in ((work, 1), (work + 1, 0)):
@@ -237,6 +257,9 @@ def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, 
         runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", kept)
         assert len(forks) == expected
         assert [run.n_trajectories for run in runs.values()] == [30, 30]
+        deviations = superdet_replay(history, scn["seed"], 30, 4, EPS_NODE_REL)
+        assert len(forks) == 2 * expected
+        assert [len(dev) for dev in deviations.values()] == [30, 30]
     assert_no_child_left()
 
 
@@ -386,23 +409,21 @@ def test_motionless_state_replays_exactly():
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
     history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
     assert float(np.max(np.abs(history.current1))) == 0.0
-    starts = anchored_starts(history, 99, 150, EPS_NODE_REL, "backward")
-    replay = superdet_replay(starts, "backward", 4)
-    assert replay.max_deviation == 0.0
-    assert replay.total_excluded == 0
-    records, _ = substep_runs(starts, "backward", 4)[1]
+    deviations = superdet_replay(history, 99, 150, 4, EPS_NODE_REL)
+    for particle in (1, 2):
+        assert np.array_equal(deviations[particle], np.zeros(150))
+    records, _ = substep_runs(anchored_starts(history, 99, 150, EPS_NODE_REL, "backward"), "backward", 4)[1]
     moved = np.abs(records - records[:, :1])
     assert float(np.max(moved)) == 0.0
 
 
 def test_moving_packets_replay_within_tolerance():
     scn, system, history = scenario_history("entangled-mirror")
-    replay = superdet_replay(anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "backward"), "backward", 32)
-    assert replay.total_excluded == 0
-    assert replay.max_deviation < 1e-6
-    assert set(replay.deviations) == {1, 2}
+    deviations = superdet_replay(history, scn["seed"], 200, 32, EPS_NODE_REL)
+    assert set(deviations) == {1, 2}
     for particle in (1, 2):
-        assert not np.any(np.isnan(replay.deviations[particle]))
+        assert not np.any(np.isnan(deviations[particle]))
+        assert deviations[particle].max() < 1e-6
 
 
 def test_forward_runs_replay_backward_within_tolerance():
@@ -411,11 +432,11 @@ def test_forward_runs_replay_backward_within_tolerance():
     scn = load_scenario("free-packet")
     system = build_walk(scn)
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    replay = superdet_replay(anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward"), "forward", 32)
-    assert replay.total_excluded == 0
-    assert replay.max_deviation < 1e-6
-    for particle in (1, 2):
-        assert replay.deviations[particle].shape == (200,)
+    for stack, x0 in anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward").values():
+        _, deviations = round_trip(stack, x0, "forward", 32)
+        assert deviations.shape == (200,)
+        assert not np.any(np.isnan(deviations))
+        assert deviations.max() < 1e-6
 
 
 def replay_case(name):
@@ -439,13 +460,17 @@ def replay_case(name):
 @pytest.mark.parametrize("name", ["periodic", "reflecting", "no-overlap"])
 def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, monkeypatch):
     """The segment-by-segment fold gives each trajectory's largest gap over
-    all records, and its exclusions, bit for bit as the replay's full array
-    does, with each segment split over several chunks."""
+    all records, and NaN where it is excluded, bit for bit as the replay's
+    full array does, with each segment split over several chunks.
+    superdet_replay's backward round trips are these."""
     monkeypatch.setattr(kernels, "CHUNK", 64)
     scn, history, eps_rel = replay_case(name)
     starts = anchored_starts(history, scn["seed"], 200, eps_rel, direction)
     opposite = "backward" if direction == "forward" else "forward"
-    result = superdet_replay(starts, direction, 8)
+    result = {particle: round_trip(stack, x0, direction, 8)[1] for particle, (stack, x0) in starts.items()}
+    if direction == "backward":
+        replayed = superdet_replay(history, scn["seed"], 200, 8, eps_rel)
+        assert all(np.array_equal(replayed[particle], result[particle], equal_nan=True) for particle in (1, 2))
     off_boundary = 0
     for particle, (stack, x0) in starts.items():
         records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
@@ -453,8 +478,8 @@ def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, 
         gaps = stack.grid.gap(back, records[:, ::-1])
         ok = (frozen < 0) & (back_frozen < 0)
         expected = np.where(ok, gaps.max(axis=1), np.nan)
-        assert np.array_equal(result.deviations[particle], expected, equal_nan=True)
-        assert result.excluded[particle] == int(np.sum(~ok))
+        assert np.array_equal(result[particle], expected, equal_nan=True)
+        assert np.count_nonzero(np.isnan(result[particle])) == int(np.sum(~ok))
         inner = np.ones(gaps.shape[1], dtype=bool)
         inner[::8] = False
         off_boundary += np.count_nonzero(ok & (gaps[:, inner].max(axis=1) > gaps[:, ~inner].max(axis=1)))
@@ -480,10 +505,10 @@ def test_round_trips_exclude_trajectories_that_reach_a_reflecting_wall(direction
     history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
     starts = anchored_starts(history, scn["seed"], 2000, EPS_NODE_REL, direction)
     opposite = "backward" if direction == "forward" else "forward"
-    result = superdet_replay(starts, direction, 32)
     first, last = system.grid.positions()[[0, -1]]
     walled_worst = 0.0
-    for particle, (stack, x0) in starts.items():
+    for stack, x0 in starts.values():
+        _, deviations = round_trip(stack, x0, direction, 32)
         records, frozen = every_substep(integrate_batch, stack, x0, direction, 32)
         back, back_frozen = every_substep(integrate_batch, stack, records[:, -1], opposite, 32)
         assert np.all(frozen < 0) and np.all(back_frozen < 0)
@@ -491,10 +516,10 @@ def test_round_trips_exclude_trajectories_that_reach_a_reflecting_wall(direction
         gaps = system.grid.gap(back, records[:, ::-1]).max(axis=1)
         assert np.any(walled)
         walled_worst = max(walled_worst, gaps[walled].max())
-        assert result.excluded[particle] == np.count_nonzero(walled)
-        assert np.array_equal(result.deviations[particle], np.where(walled, np.nan, gaps), equal_nan=True)
+        assert np.count_nonzero(np.isnan(deviations)) == np.count_nonzero(walled)
+        assert np.array_equal(deviations, np.where(walled, np.nan, gaps), equal_nan=True)
+        assert np.nanmax(deviations) < 1e-6
     assert walled_worst > 1.0
-    assert result.max_deviation < 1e-6
 
 
 def test_a_replay_that_alone_reaches_a_wall_is_excluded():
@@ -507,9 +532,8 @@ def test_a_replay_that_alone_reaches_a_wall_is_excluded():
     records, _ = every_substep(integrate_batch, stack, x0, "forward", 4)
     back, _ = every_substep(integrate_batch, stack, records[:, -1], "backward", 4)
     assert records.min() > grid.x_min and back[0, -1] == grid.x_min
-    result = superdet_replay({1: (stack, x0)}, "forward", 4)
-    assert result.excluded == {1: 1}
-    assert np.array_equal(result.deviations[1], [np.nan, 0.0], equal_nan=True)
+    _, deviations = round_trip(stack, x0, "forward", 4)
+    assert np.array_equal(deviations, [np.nan, 0.0], equal_nan=True)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -519,14 +543,13 @@ def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
     for bit, and a round trip's outbound run is that run."""
     scn, _, history = no_overlap
     starts = anchored_starts(history, scn["seed"], 200, 0.05, direction)
-    replay = superdet_replay(starts, direction, 8)
-    for particle, (stack, x0) in starts.items():
+    for stack, x0 in starts.values():
         records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
         assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0)) and np.any(frozen < 0)
         run = integrate_batch(stack, x0, direction, 8)
         assert np.array_equal(run.positions, records[:, ::8])
         assert np.array_equal(run.frozen, frozen)
-        kept = replay.runs[particle]
+        kept, _ = round_trip(stack, x0, direction, 8)
         assert (kept.direction, kept.substeps) == (direction, 8)
         assert np.array_equal(kept.positions, run.positions)
         assert np.array_equal(kept.frozen, run.frozen)
@@ -544,12 +567,12 @@ def test_round_trip_memory_stays_near_the_replays_records():
     one = 2000 * (system.n_layers * 32 + 1) * 8
     tracemalloc.start()
     try:
-        replay = superdet_replay({1: starts[1]}, "forward", 32)
+        run, deviations = round_trip(*starts[1], "forward", 32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert replay.total_excluded == 0
-    assert replay.runs[1].positions.shape == (2000, system.n_layers + 1)
+    assert not np.any(np.isnan(deviations))
+    assert run.positions.shape == (2000, system.n_layers + 1)
     assert peak < 1.25 * one
 
 

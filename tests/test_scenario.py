@@ -3,12 +3,16 @@
 import collections
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pilotpath
 from pilotpath.dirac import LatticeGrid
 from pilotpath.errors import ValidationError
 from pilotpath.exports import canonical_json
@@ -620,6 +624,33 @@ def test_couplings_add_and_spread_over_layers():
         resolve_scenario(walk_raw(couplings=[dict(one, layers=[0, 0])]))
 
 
+def _circuit_start(psi1):
+    scn = read_scenario("circuit-demo")
+    scn["initial"]["psi1"] = psi1
+    return scn
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            walk_raw(couplings=[{"window1": [0.0, 4.0], "window2": [0.0, 4.0], "strength": 0.25, "layers": [0, 0]}]),
+            "'couplings/0/layers': [0, 0] has non-unique elements",
+        ),
+        (_circuit_start({"basis_point": -1}), "'initial/psi1/basis_point': -1 is less than the minimum of 0"),
+        (_circuit_start([[1.0]] + [[0.0, 0.0]] * 5), "'initial/psi1/0': [1.0] is too short"),
+    ],
+    ids=["coupling-layer-twice", "negative-basis-point", "short-pair"],
+)
+def test_a_value_that_may_take_two_types_is_faulted_where_it_breaks(doc, message):
+    """Coupling layers, start vectors and circuit layers each take one of
+    two JSON types, with keywords that apply only to their own type, so a
+    violation names the keyword that fails rather than that no form fits."""
+    with pytest.raises(ValidationError) as info:
+        resolve_scenario(doc)
+    assert str(info.value) == f"scenario schema violation at {message}"
+
+
 def test_layers_under_the_same_couplings_share_one_table():
     """Overlapping entries: layers under the same entries hold one table,
     equal bit for bit to the per-layer sum in entry order."""
@@ -704,3 +735,14 @@ def test_build_circuit_explicit_layers_and_vectors():
     bad["initial"]["psi1"] = [[1.0, 0.0]]
     with pytest.raises(ValidationError, match="psi1"):
         build_circuit(resolve_scenario(bad))
+
+
+def test_importing_the_scenario_module_loads_no_transport_layer():
+    """The scenario module reads its RNG streams from circuit, so importing
+    it loads the engine layers it builds with, and not protocols, guidance
+    or kernels."""
+    probe = "import sys, pilotpath.scenario; print(sorted(m for m in sys.modules if m.startswith('pilotpath.')))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = ["pilotpath.circuit", "pilotpath.dirac", "pilotpath.errors", "pilotpath.paths", "pilotpath.scenario"]
+    assert done.stdout == f"{loaded}\n"
