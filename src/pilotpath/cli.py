@@ -75,9 +75,10 @@ def _walk_history(system, record_joint=()):
 
 
 def _anchored_runs(scn: dict, history, direction: str, consume):
-    """{particle: consume(particle, run)} over both particles' ensembles at
-    the scenario's seed, count, substeps and node threshold, anchored at
-    layer 0 (forward) or the final layer (backward); see anchored_runs."""
+    """{particle: consume(particle, transport)} over both particles'
+    ensembles at the scenario's seed, count, substeps and node threshold,
+    anchored at layer 0 (forward) or the final layer (backward); see
+    anchored_runs."""
     p = scn["protocol"]
     return anchored_runs(
         history,
@@ -102,7 +103,8 @@ def _ensemble_summary(scn: dict, out: str, history, direction: str):
     the summary and the worst layer KS over both particles."""
     densities = {1: history.density1, 2: history.density2}
 
-    def summarise(particle, run):
+    def summarise(particle, transport):
+        run = transport()
         ks = equivariance_test(run, densities[particle], history.grid)
         exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
         return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": run.n_flagged}

@@ -6,7 +6,9 @@ walk histories, transports positions through them in either time direction
 with a fixed-substep 4th-order integrator (see kernels), draws initial
 configuration pairs from a two-particle density table by inverse-CDF, and
 measures how well transported ensembles track the evolving density
-(one-sample KS distance).
+(one-sample KS distance).  A transported run is kept at its layer
+boundaries, or handed to a fold as the transport goes and not kept: each
+layer-boundary record, or every substep's record for a round trip.
 
 Wavefunction nodes make the velocity singular; sites whose density falls
 below a threshold are masked, and any trajectory touching a masked
@@ -133,16 +135,21 @@ def check_direction(direction: str) -> bool:
     return direction == "forward"
 
 
-def integrate_batch(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int, fold=None) -> EnsembleRun:
+def integrate_batch(
+    stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int, fold=None, every_substep: bool = False
+):
     """The run of a batch of positions through the whole stack, kept at its
-    layer boundaries.
+    layer boundaries; or, given a fold, handed to it and not kept, in which
+    case only the freeze indices are returned.
 
     Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  fold sees every substep's record one segment
-    at a time, as a round trip needs (see kernels.transport).  Periodic
-    starts are taken mod the ring, bounded ones must lie in the lattice's
-    cells; kernels.transport rejects non-finite starts.  Deterministic: the
-    same inputs give the same positions and freeze indices bit for bit.
+    negated time increment.  fold sees each layer-boundary record as the
+    transport reaches it, in the run's integration order, or with
+    every_substep every substep's record one segment at a time, as a round
+    trip needs (see kernels.transport).  Periodic starts are taken mod the
+    ring, bounded ones must lie in the lattice's cells; kernels.transport
+    rejects non-finite starts.  Deterministic: the same inputs give the
+    same positions and freeze indices bit for bit.
     """
     forward = check_direction(direction)
     if substeps < 1:
@@ -171,7 +178,10 @@ def integrate_batch(stack: VelocityStack, x0: np.ndarray, direction: str, subste
         substeps,
         forward,
         fold,
+        every_substep,
     )
+    if fold is not None:
+        return frozen
     return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
 
 

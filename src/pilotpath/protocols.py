@@ -3,8 +3,9 @@
 Three procedures built on the engine and guidance layers:
 
 - anchored_starts / anchored_runs: draw configurations from the joint
-  density at one anchor layer, then transport each particle under its own
-  marginal velocity field and hand its run to a per-particle consumer,
+  density at one anchor layer, then hand each particle's transport under
+  its own marginal velocity field to a per-particle consumer, which takes
+  the whole run or folds its layers as the transport reaches them,
   returning each particle's result.  Forward runs anchor at layer 0 and
   draw from the forward-sample stream; backward runs (the retrocausal
   reading) anchor at the final layer and draw from the final-sample
@@ -17,12 +18,12 @@ Three procedures built on the engine and guidance layers:
   run backward from the final layer.  The integrator is deterministic and
   near-reversible, so each replay must retrace its run at every substep.
   Both legs go through integrate_batch, which hands a fold every
-  substep's record one segment at a time: the outbound run's are kept in
-  one array while its round trip runs, and the replay's are compared
-  against them there.  The maximum deviation is the reported figure of
-  merit.  Round trips that froze on a node, or that reached an edge site
-  between reflecting walls (a clamp cannot be retraced), are excluded and
-  counted.
+  substep's record one segment at a time and keeps no layer records: the
+  outbound run's are kept in one array while its round trip runs, and the
+  replay's are compared against them there.  The maximum deviation is the
+  reported figure of merit.  Round trips that froze on a node, or that
+  reached an edge site between reflecting walls (a clamp cannot be
+  retraced), are excluded and counted.
 
   The joint correlations enter only through the draw, so each particle's
   run or round trip is independent work, and all of it goes through one
@@ -40,7 +41,9 @@ Three procedures built on the engine and guidance layers:
   graph descendant/ancestor of its previous one has crossed between worlds;
   such changes can only happen where two projections overlap on the
   particle's axis.  A trajectory's world at a layer is read from one code
-  per site: the component whose projection alone covers it, 0 or -1.
+  per site: the component whose projection alone covers it, 0 or -1.  Each
+  run's crossing pass is the layer fold of its forward transport, so no
+  run's records are kept.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import ctypes
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NoReturn
 
 import numpy as np
@@ -61,8 +65,11 @@ from .guidance import sample_joint_density, velocity_stack
 
 # _per_particle makes particle 2's result in a forked child, beside
 # particle 1's, once one particle's transport reaches this many
-# trajectory-substeps (count x n_layers x substeps).  A fork and reap costs
-# about 2 ms, and two transports at once each run slower than one alone.
+# trajectory-substeps (count x n_layers x substeps).  In a warm 55 MiB
+# process on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), a bare fork,
+# _exit and waitpid took 2.4-3.0 ms and _forked_results with a trivial
+# result 6.9-7.6 ms (the medians of two runs of 60 calls each), and two
+# transports at once each run slower than one alone.
 # On a 2-CPU host the fork broke even near 2**18 trajectory-substeps and
 # won 20 of 21 pairs from 2**18.7; while the host was contended it lost up
 # to 2**20.  This is above both.
@@ -96,12 +103,16 @@ def anchored_starts(
 def anchored_runs(
     history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str, consume
 ) -> dict:
-    """Sample the anchor layer's joint density, transport each particle
-    from there (see anchored_starts) and return {particle:
-    consume(particle, run)}, each run transported, consumed and dropped in
-    turn.  Both particles' starts are drawn and their stacks built first,
-    and a built stack is one its transport accepts (see VelocityStack), so
-    no input error surfaces after a consumer has run.
+    """Sample the anchor layer's joint density and return {particle:
+    consume(particle, transport)}, where transport(fold=None) transports
+    that particle's ensemble from there (see anchored_starts) as
+    integrate_batch does: transport() returns the whole run, and
+    transport(fold) hands fold each layer-boundary record as the transport
+    reaches it and returns the freeze indices, so that no record array is
+    kept.  Each particle is transported, consumed and dropped in turn.
+    Both particles' starts are drawn and their stacks built first, and a
+    built stack is one its transport accepts (see VelocityStack), so no
+    input error surfaces after a consumer has run.
 
     Particle 2's run may be transported and consumed in a forked child
     (see _per_particle), so consume's result must pickle.  The results,
@@ -110,7 +121,7 @@ def anchored_runs(
     starts = anchored_starts(history, seed, count, eps_rel, direction)
 
     def result(particle):
-        return consume(particle, integrate_batch(*starts[particle], direction, substeps))
+        return consume(particle, partial(integrate_batch, *starts[particle], direction, substeps))
 
     return _per_particle(result, count * history.n_layers * substeps)
 
@@ -232,7 +243,8 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
     opposite = "backward" if direction == "forward" else "forward"
     grid = stack.grid
     # Record-major: replay record k sits at the same time as run record
-    # n_rec-1-k.  Only the outbound run's records are kept; each replay
+    # n_rec-1-k.  Only the outbound run's substep records are kept, and its
+    # layer-boundary records are every substeps-th of them; each replay
     # block's gaps go into a running maximum.
     n_rec = stack.n_layers * substeps + 1
     theirs = np.empty((n_rec, len(x0)))
@@ -240,7 +252,7 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
     def keep(first, block):
         theirs[first : first + len(block)] = block
 
-    run = integrate_batch(stack, x0, direction, substeps, keep)
+    frozen = integrate_batch(stack, x0, direction, substeps, keep, every_substep=True)
     worst = np.full(len(x0), -np.inf)
     bounded = grid.boundary != "periodic"
     walled = _at_wall(grid, theirs) if bounded else np.zeros(len(x0), dtype=bool)
@@ -252,8 +264,9 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
         if bounded:
             np.logical_or(walled, _at_wall(grid, block), out=walled)
 
-    back = integrate_batch(stack, run.positions[:, -1], opposite, substeps, compare)
-    return run, np.where((run.frozen < 0) & (back.frozen < 0) & ~walled, worst, np.nan)
+    back_frozen = integrate_batch(stack, theirs[-1], opposite, substeps, compare, every_substep=True)
+    run = EnsembleRun(positions=theirs[::substeps].T, frozen=frozen, direction=direction, substeps=substeps)
+    return run, np.where((frozen < 0) & (back_frozen < 0) & ~walled, worst, np.nan)
 
 
 def superdet_replay(
@@ -502,31 +515,40 @@ def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
     return offset, reach
 
 
-def _layer_pass(particle: int, run: EnsembleRun, joint: TrackGraph, offset, reach, grid: LatticeGrid):
-    """One run's pass over the layers, vectorised over trajectories: its
-    event rows, violations, crossing trajectories, ambiguous layers,
-    trajectories and flagged trajectories.
+_OTHER_LAYERS = "every run must pass the same layers as the branch graph"
 
-    Each trajectory's world code is gathered from its layer's table at its
-    nearest site (the gather's wrap or clip is the site's % n_sites or
-    clip), and each trajectory carries its last labeled layer and world,
-    whether an ambiguous layer came since, and whether it ever crossed.
+
+def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid: LatticeGrid):
+    """One run's pass over the layers, vectorised over trajectories and
+    folded into its transport: its event rows, violations, crossing
+    trajectories, ambiguous layers, trajectories and flagged trajectories.
+
+    transport(fold) must hand fold(t, block) each layer t's positions as a
+    (1, n) block, t ascending from 0, and return the run's freeze indices,
+    as a forward transport does (see anchored_runs).  Each trajectory's
+    world code is gathered from its layer's table at its nearest site (the
+    gather's wrap or clip is the site's % n_sites or clip), and each
+    trajectory carries its last labeled layer and world, whether an
+    ambiguous layer came since, and whether it ever crossed, from one layer
+    to the next.
     """
-    if run.n_layers != joint.n_layers:
-        raise ValidationError("every run must pass the same layers as the branch graph")
+    tables = _world_codes(joint, particle - 1)
     mode = "wrap" if grid.boundary == "periodic" else "clip"
-    n = run.n_trajectories
-    last_node = np.zeros(n, dtype=np.int64)
-    last_c = np.zeros(n, dtype=np.int64)
-    labeled = np.zeros(n, dtype=bool)
-    bridged = np.zeros(n, dtype=bool)
-    crossed = np.zeros(n, dtype=bool)
     events = []
-    violations = 0
-    ambiguous_counts = 0
-    for t, table in enumerate(_world_codes(joint, particle - 1)):
-        site = np.floor((run.layer_positions(t) - grid.x_min) / grid.dx + 0.5).astype(np.int64)
-        c = table.take(site, mode=mode)
+    violations = ambiguous_counts = 0
+    carried = None
+
+    def fold(t, block):
+        nonlocal violations, ambiguous_counts, carried
+        if t >= len(tables):
+            raise ValidationError(_OTHER_LAYERS)
+        x = block[0]
+        if t == 0:
+            n = len(x)
+            carried = [np.zeros(n, dtype=np.int64) for _ in range(2)] + [np.zeros(n, dtype=bool) for _ in range(3)]
+        last_node, last_c, labeled, bridged, crossed = carried
+        site = np.floor((x - grid.x_min) / grid.dx + 0.5).astype(np.int64)
+        c = tables[t].take(site, mode=mode)
         ambiguous = c < 0
         ambiguous_counts += int(np.count_nonzero(ambiguous))
         bridged |= ambiguous
@@ -541,7 +563,13 @@ def _layer_pass(particle: int, run: EnsembleRun, joint: TrackGraph, offset, reac
         np.copyto(last_c, c, where=single)
         labeled |= single
         bridged &= ~single
-    return np.concatenate(events), violations, int(np.count_nonzero(crossed)), ambiguous_counts, n, run.n_flagged
+
+    frozen = transport(fold)
+    if len(events) != len(tables):
+        raise ValidationError(_OTHER_LAYERS)
+    crossed = carried[-1]
+    n_flagged = int(np.count_nonzero(frozen >= 0))
+    return np.concatenate(events), violations, int(np.count_nonzero(crossed)), ambiguous_counts, len(crossed), n_flagged
 
 
 def detect_crossings(runs, tracks: TrackSet, grid: LatticeGrid) -> CrossingReport:
@@ -556,9 +584,11 @@ def detect_crossings(runs, tracks: TrackSet, grid: LatticeGrid) -> CrossingRepor
     (projections overlapping), and transitions violating that are counted
     separately as consistency violations.
 
-    runs(consume) returns {particle: consume(particle, run)} over one or
-    more runs, as anchored_runs does with its other arguments bound; each
-    run's consume is its layer pass (see _layer_pass).
+    runs(consume) returns {particle: consume(particle, transport)} over
+    one or more forward runs, as anchored_runs does with its other
+    arguments bound; each run's consume is its layer pass, folded into its
+    transport one layer at a time (see _layer_pass), so no run's records
+    are kept.
     """
     joint = tracks.joint
     # Component labels are numbered per layer, so world identity across
@@ -566,7 +596,7 @@ def detect_crossings(runs, tracks: TrackSet, grid: LatticeGrid) -> CrossingRepor
     # label integers from different layers.
     offset, reach = _reachability(joint)
 
-    passes = runs(lambda particle, run: _layer_pass(particle, run, joint, offset, reach, grid))
+    passes = runs(lambda particle, transport: _layer_pass(particle, transport, joint, offset, reach, grid))
     rows, violations, crossed, ambiguous, trajectories, flagged = zip(*passes.values())
     events = np.concatenate(rows)
     events = events[np.lexsort((events[:, 0], events[:, 2], events[:, 1]))]

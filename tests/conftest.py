@@ -6,6 +6,8 @@ Kronecker-product step matrices, whereas the engine keeps the state as a
 matrix and applies the factors from either side.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -30,23 +32,31 @@ TRACK_THRESHOLD_REL = _DEFAULTS["protocol"]["track_threshold_rel"]
 DEFAULT_CAPS = _path_caps(_DEFAULTS)
 
 
-def kept(particle, run):
+def kept(particle, transport):
     """anchored_runs' consumer that keeps each run."""
-    return run
+    return transport()
 
 
 def served(runs: dict):
     """Runs already transported, as detect_crossings' runs(consume) reads
-    them: {particle: consume(particle, run)}."""
-    return lambda consume: {particle: consume(particle, run) for particle, run in runs.items()}
+    them: {particle: consume(particle, transport)}, where transport(fold)
+    hands fold each layer's positions, layers ascending, and returns the
+    run's freeze indices."""
+
+    def transport(run, fold):
+        for t in range(run.n_layers + 1):
+            fold(t, run.layer_positions(t)[None])
+        return run.frozen
+
+    return lambda consume: {particle: consume(particle, partial(transport, run)) for particle, run in runs.items()}
 
 
 def every_substep(transport, *args):
     """(records, frozen) of a kernels.transport or integrate_batch call, with
     a trajectory-major record at every substep gathered through its fold."""
     blocks = []
-    result = transport(*args, fold=lambda first, block: blocks.append(block.copy()))
-    frozen = result[1] if isinstance(result, tuple) else result.frozen
+    result = transport(*args, fold=lambda first, block: blocks.append(block.copy()), every_substep=True)
+    frozen = result[1] if isinstance(result, tuple) else result
     return np.concatenate(blocks).T, frozen
 
 

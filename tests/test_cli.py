@@ -178,11 +178,13 @@ def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path)
 
 @pytest.mark.parametrize("substeps", [4, 32])
 def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, monkeypatch):
-    """Every transport returns one record per layer boundary.  guide, retro
-    and tracks transport without a fold; both legs of every round trip that
-    superdet and verify make see every substep through one.  When the
-    scenario's substeps already reach verify's 32, its one forward run is
-    the replayed run, not a second transport."""
+    """guide and retro transport without a fold and get one record per
+    layer boundary.  tracks folds each layer-boundary record into its
+    crossing pass as the transport reaches it, and both legs of every round
+    trip that superdet and verify make see every substep through a fold; a
+    folded transport returns no records.  When the scenario's substeps
+    already reach verify's 32, its one forward run is the replayed run, not
+    a second transport."""
     with open(scenario_file, encoding="utf-8") as fh:
         scn = json.load(fh)
     scn["protocol"]["substeps"] = substeps
@@ -193,18 +195,19 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
 
     def spy(*args, **kwargs):
         records, frozen = transport(*args, **kwargs)
-        assert records.shape == (2000, 3 + 1)
-        calls.append((args[8], len(args) > 10 and args[10] is not None))
+        folded = args[10] is not None
+        assert records.shape == (2000, 0 if folded else 3 + 1)
+        calls.append((args[8], ("substeps" if args[11] else "layers") if folded else None))
         return records, frozen
 
     monkeypatch.setattr(kernels, "transport", spy)
-    plain, leg = (substeps, False), (substeps, True)
+    plain, layers, leg = (substeps, None), (substeps, "layers"), (substeps, "substeps")
     expected = {
         "guide": [plain] * 2,
         "retro": [plain] * 2,
-        "tracks": [plain] * 2,
+        "tracks": [layers] * 2,
         "superdet": [leg] * 4,
-        "verify": [leg] * 2 if substeps == 32 else [plain, (32, True), (32, True)],
+        "verify": [leg] * 2 if substeps == 32 else [plain, (32, "substeps"), (32, "substeps")],
     }
     for command, transports in expected.items():
         calls.clear()
@@ -249,6 +252,29 @@ def test_tracks_holds_one_ensemble_at_a_time(tmp_path):
     report = read_json(tmp_path, "recombination", "tracks", "tracks_report.json")
     assert report["crossings"]["n_trajectories"] == 40000
     assert peak < 2.25 * one
+
+
+def test_tracks_memory_grows_with_count_alone(tmp_path, monkeypatch):
+    """Serial tracks on recombination folds each layer into its crossing
+    pass as the transport reaches it, so no run's layer records are kept:
+    from 20000 to 40000 trajectories its peak grows by less than half of
+    one run's layer records per added trajectory."""
+    monkeypatch.setattr(protocols, "_can_fork", lambda: False)
+    scn = read_scenario("recombination")
+    peaks = {}
+    for count in (20000, 40000):
+        scn["protocol"]["count"] = count
+        path = tmp_path / f"crowd{count}.json"
+        path.write_text(json.dumps(scn), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = run_cli(["tracks", "--scenario", str(path)], tmp_path / str(count))
+            _, peaks[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    per_trajectory = (peaks[40000] - peaks[20000]) / 20000
+    assert per_trajectory < (scn["n_layers"] + 1) * 8 / 2
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):
@@ -583,10 +609,10 @@ def test_a_failing_forked_transport_exits_1(command, scenario_file, tmp_path, ca
     parent = os.getpid()
     transport = protocols.integrate_batch
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(1)
-        return transport(*args)
+        return transport(*args, **kwargs)
 
     monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -283,22 +283,28 @@ def transport_cases(draw):
 @given(case=transport_cases(), chunk=st.sampled_from([1, 5, 8192]))
 def test_transport_properties(case, chunk):
     values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
-    blocks = []
+    blocks, rows = [], []
     with mock.patch.object(kernels, "CHUNK", chunk):
         layers, layer_frozen = kernels.transport(*case)
-        folded, frozen = kernels.transport(*case, fold=lambda first, block: blocks.append((first, block.copy())))
+        kept, frozen = kernels.transport(
+            *case, fold=lambda first, block: blocks.append((first, block.copy())), every_substep=True
+        )
+        none, row_frozen = kernels.transport(*case, fold=lambda first, block: rows.append((first, block.copy())))
     records = np.concatenate([block for _, block in blocks]).T
     ref_records, ref_frozen = transport_reference(*case)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)
-    # A fold sees record 0, then each segment's substep records in order.
-    firsts = [first for first, _ in blocks]
-    assert firsts == [0] + list(range(1, records.shape[1], substeps))
+    # A fold sees record 0, then each segment's substep records in order,
+    # or its layer-boundary record; a folded transport keeps no records.
+    assert [first for first, _ in blocks] == [0] + list(range(1, records.shape[1], substeps))
+    assert [first for first, _ in rows] == list(range(layers.shape[1]))
+    assert kept.shape == none.shape == (len(x0), 0)
     # Layer records, folded or not, are the substep records' layer
     # boundaries, bit for bit.
     assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
-    assert np.array_equal(bits(folded), bits(layers))
+    assert np.array_equal(bits(np.concatenate([row for _, row in rows]).T), bits(layers))
     assert np.array_equal(layer_frozen, frozen)
+    assert np.array_equal(row_frozen, frozen)
     assert np.array_equal(records[:, 0], x0)
     moved = records[frozen != 0, 1:]
     if periodic:

@@ -158,7 +158,8 @@ def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, mo
         calls.append("transport")
         return integrate_batch(stack, x0, direction, substeps)
 
-    def consume(particle, run):
+    def consume(particle, transport):
+        run = transport()
         calls.append(particle)
         return particle, run.n_trajectories
 
@@ -213,7 +214,8 @@ def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
     scn, _, history = scenario_history(name)
     count, substeps = scn["protocol"]["count"], scn["protocol"]["substeps"]
 
-    def consume(particle, run):
+    def consume(particle, transport):
+        run = transport()
         return run.positions, run.frozen
 
     forked = anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction, consume)
@@ -290,7 +292,7 @@ def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks)
     is killed and reaped."""
     scn, _, history = no_overlap
 
-    def consume(particle, run):
+    def consume(particle, transport):
         if particle == 1:
             raise ZeroDivisionError("particle 1")
         time.sleep(60)
@@ -307,7 +309,8 @@ def test_a_result_that_does_not_pickle_raises_runtime_error(no_overlap, forks):
     child is left."""
     scn, _, history = no_overlap
 
-    def consume(particle, run):
+    def consume(particle, transport):
+        run = transport()
         return run.n_trajectories if particle == 1 else (lambda: run)
 
     with pytest.raises(RuntimeError, match=r"^particle 2's run failed in its forked child \(exit code 1\)$"):
@@ -337,7 +340,7 @@ def announced():
 os.fork = announced
 protocols.FORK_MIN_SUBSTEPS = 0
 protocols._can_fork = lambda: True
-protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", lambda particle, run: None)
+protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", lambda particle, transport: transport() and None)
 """
 
 
@@ -937,3 +940,11 @@ def test_crossings_reject_runs_over_other_layers():
     short = site_run([[0, 0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValidationError, match="same layers"):
         detect_crossings(served({1: short}), hand_built_tracks(), LatticeGrid(8, 1.0, 1.0, 0.0, "periodic"))
+
+
+def test_crossings_reject_runs_over_more_layers():
+    """A run that passes a layer beyond the branch graph's is rejected when
+    its fold reaches that layer."""
+    long = site_run([[0] * 9])
+    with pytest.raises(ValidationError, match="same layers"):
+        detect_crossings(served({1: long}), hand_built_tracks(), LatticeGrid(8, 1.0, 1.0, 0.0, "periodic"))
