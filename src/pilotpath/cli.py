@@ -6,7 +6,9 @@ built-in default, before its one schema validation.  One function,
 `run_command`, then builds the scenario's system once, runs the command's
 body from `COMMANDS` and writes the body's summary next to an echo of the
 fully resolved scenario.  Artifacts are deterministic: rerunning with the
-same scenario and seed reproduces every file byte for byte.
+same scenario and seed reproduces every file byte for byte.  No command
+keeps a transported run: `guide` and `retro` take each layer's KS in the
+transport's layer fold, and `guide` streams its trajectory CSV from it.
 
 Failure modes map to distinct exit codes so callers can branch on them:
 2 for schema or input violations, 3 for resource-cap aborts, 4 for
@@ -28,7 +30,7 @@ from . import exports
 from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_fields, run_walk
-from .guidance import equivariance_test
+from .guidance import ks_statistic
 from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
@@ -97,19 +99,64 @@ def retro_run(system):
     return _walk_history(system, record_joint={system.n_layers})
 
 
+def _trajectory_summary(path: str, density, grid, count: int, substeps: int, forward: bool, transport) -> dict:
+    """One particle's layer KS, taken in its run's layer fold, and flag count,
+    with its trajectory CSV written at path as the run, transport(fold), goes.
+
+    A layer's node_flag covers freezes up to the substep at which the run
+    passes it, and the next segment's first substep may still freeze a
+    trajectory at the layer's record.  So a forward run writes a layer once
+    the next segment has finished, and the last once the transport returns;
+    a backward run reaches layer 0 last, so it holds its layers until then.
+    """
+    n_layers = len(density) - 1
+    ks = np.empty(n_layers + 1)
+
+    def flags(frozen, record):
+        return (frozen >= 0) & (frozen <= record * substeps)
+
+    if forward:
+        held = np.empty(count)
+        with exports.trajectories_csv(path, count) as write:
+
+            def fold(layer, block, frozen):
+                ks[layer] = ks_statistic(block[0], density[layer], grid)
+                if layer:
+                    write(layer - 1, held, flags(frozen, layer - 1))
+                held[:] = block[0]
+
+            frozen = transport(fold)
+            write(n_layers, held, flags(frozen, n_layers))
+    else:
+        layers = np.empty((n_layers + 1, count))
+
+        def fold(record, block, frozen):
+            layer = n_layers - record
+            ks[layer] = ks_statistic(block[0], density[layer], grid)
+            layers[layer] = block[0]
+
+        frozen = transport(fold)
+        with exports.trajectories_csv(path, count) as write:
+            for layer, positions in enumerate(layers):
+                write(layer, positions, flags(frozen, n_layers - layer))
+    flagged = int(np.count_nonzero(frozen >= 0))
+    return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": flagged}
+
+
 def _ensemble_summary(scn: dict, out: str, history, direction: str):
     """Per-particle KS against the walk's marginals and flag counts, with each
     particle's trajectory CSV written where its run is transported; returns
     the summary and the worst layer KS over both particles."""
+    p = scn["protocol"]
+    count, substeps = int(p["count"]), int(p["substeps"])
     densities = {1: history.density1, 2: history.density2}
+    forward = direction == "forward"
 
     def summarise(particle, transport):
-        run = transport()
-        ks = equivariance_test(run, densities[particle], history.grid)
-        exports.write_trajectories_csv(os.path.join(out, f"trajectories{particle}.csv"), run)
-        return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": run.n_flagged}
+        path = os.path.join(out, f"trajectories{particle}.csv")
+        return _trajectory_summary(path, densities[particle], history.grid, count, substeps, forward, transport)
 
-    report = {"count": int(scn["protocol"]["count"]), "substeps": int(scn["protocol"]["substeps"])}
+    report = {"count": count, "substeps": substeps}
     for particle, summary in _anchored_runs(scn, history, direction, summarise).items():
         report[f"particle{particle}"] = summary
     return report, max(report["particle1"]["worst_ks"], report["particle2"]["worst_ks"])

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
-from .guidance import EnsembleRun
 from .paths import OverlapTable, PathEnsemble
 from .protocols import TrackSet
 
@@ -61,18 +61,31 @@ def _cells(column) -> list[str]:
         return column
     if column.dtype.kind == "f":
         return list(map(repr, column.tolist()))
+    if column.dtype.kind == "b":
+        return np.where(column, "1", "0").tolist()
     return list(map(str, column.astype(np.int64).tolist()))
 
 
-def _write_table(path: str, header: list[str], blocks) -> None:
-    """One CSV table: the header, then the rows of each block in turn; a block
-    is a list of equal-length columns."""
+@contextmanager
+def _table(path: str, header: list[str]):
+    """One CSV table open at path, its header written: yields write(block),
+    which writes the rows of a block, a list of equal-length columns."""
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
+
+        def write(block):
             rows = list(map(",".join, zip(*map(_cells, block))))
             if rows:
                 fh.write("\n".join(rows) + "\n")
+
+        yield write
+
+
+def _write_table(path: str, header: list[str], blocks) -> None:
+    """One CSV table: the header, then the rows of each block in turn."""
+    with _table(path, header) as write:
+        for block in blocks:
+            write(block)
 
 
 def write_currents_csv(path: str, density: np.ndarray, current: np.ndarray, positions: np.ndarray) -> None:
@@ -100,18 +113,16 @@ def write_overlap_csv(path: str, ensemble: PathEnsemble, table: OverlapTable) ->
     _write_table(path, header, (block(table.groups[flat]) for flat in sorted(table.groups)))
 
 
-def write_trajectories_csv(path: str, run: EnsembleRun) -> None:
-    """Layer-resolution trajectory table: trajectory_id, layer, position, node_flag.
-
-    node_flag is 1 from the record where the trajectory froze at a masked
-    node onward (in the run's own integration order), else 0.
-    """
-    ids = [str(i) for i in range(run.n_trajectories)]
-    blocks = (
-        [ids, [str(layer)] * len(ids), run.layer_positions(layer), run.layer_flags(layer)]
-        for layer in range(run.n_layers + 1)
-    )
-    _write_table(path, ["trajectory_id", "layer", "position", "node_flag"], blocks)
+@contextmanager
+def trajectories_csv(path: str, count: int):
+    """Layer-resolution trajectory table of count trajectories, open at path:
+    trajectory_id, layer, position, node_flag.  Yields write(layer,
+    positions, flags), which writes one layer's rows, so a run is written
+    as its transport goes.  flags is whether each trajectory had frozen at
+    a masked node by the substep at which its run passed the layer."""
+    ids = [str(i) for i in range(count)]
+    with _table(path, ["trajectory_id", "layer", "position", "node_flag"]) as write:
+        yield lambda layer, positions, flags: write([ids, [str(layer)] * count, positions, flags])
 
 
 def write_branch_edges_csv(path: str, tracks: TrackSet) -> None:

@@ -6,9 +6,9 @@ walk histories, transports positions through them in either time direction
 with a fixed-substep 4th-order integrator (see kernels), draws initial
 configuration pairs from a two-particle density table by inverse-CDF, and
 measures how well transported ensembles track the evolving density
-(one-sample KS distance).  A transported run is kept at its layer
-boundaries, or handed to a fold as the transport goes and not kept: each
-layer-boundary record, or every substep's record for a round trip.
+(one-sample KS distance).  A transported run is never kept: it is handed
+to a fold as the transport goes, each layer-boundary record, or every
+substep's record for a round trip, with the freeze indices so far.
 
 Wavefunction nodes make the velocity singular; sites whose density falls
 below a threshold are masked, and any trajectory touching a masked
@@ -89,46 +89,6 @@ def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> Veloc
     raise ValidationError("particle must be 1 or 2")
 
 
-@dataclass
-class EnsembleRun:
-    """A batch of trajectories transported through one field stack.
-
-    positions holds a record at every layer boundary, in the run's own
-    integration order; frozen counts substeps."""
-
-    positions: np.ndarray
-    frozen: np.ndarray
-    direction: str
-    substeps: int
-
-    @property
-    def n_trajectories(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def n_flagged(self) -> int:
-        return int(np.sum(self.frozen >= 0))
-
-    @property
-    def n_layers(self) -> int:
-        return self.positions.shape[1] - 1
-
-    def _record(self, layer: int) -> int:
-        """Index of the record at which the run passes the given layer."""
-        if not 0 <= layer <= self.n_layers:
-            raise ValidationError(f"layer {layer} is outside the run's 0..{self.n_layers}")
-        return layer if self.direction == "forward" else self.n_layers - layer
-
-    def layer_positions(self, layer: int) -> np.ndarray:
-        """Positions of all trajectories when the run passes the given layer."""
-        return self.positions[:, self._record(layer)]
-
-    def layer_flags(self, layer: int) -> np.ndarray:
-        """Whether each trajectory has frozen at a masked node by the substep
-        at which the run passes the given layer."""
-        return (self.frozen >= 0) & (self.frozen <= self._record(layer) * self.substeps)
-
-
 def check_direction(direction: str) -> bool:
     if direction not in ("forward", "backward"):
         raise ValidationError("direction must be 'forward' or 'backward'")
@@ -136,20 +96,20 @@ def check_direction(direction: str) -> bool:
 
 
 def integrate_batch(
-    stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int, fold=None, every_substep: bool = False
-):
-    """The run of a batch of positions through the whole stack, kept at its
-    layer boundaries; or, given a fold, handed to it and not kept, in which
-    case only the freeze indices are returned.
+    stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int, fold, every_substep: bool = False
+) -> np.ndarray:
+    """Hand the run of a batch of positions through the whole stack to fold,
+    and return its freeze indices.
 
     Backward runs start at the last layer and walk the same fields with a
-    negated time increment.  fold sees each layer-boundary record as the
-    transport reaches it, in the run's integration order, or with
-    every_substep every substep's record one segment at a time, as a round
-    trip needs (see kernels.transport).  Periodic starts are taken mod the
-    ring, bounded ones must lie in the lattice's cells; kernels.transport
-    rejects non-finite starts.  Deterministic: the same inputs give the
-    same positions and freeze indices bit for bit.
+    negated time increment.  fold(first, block, frozen) sees each
+    layer-boundary record as the transport reaches it, in the run's
+    integration order, or with every_substep every substep's record one
+    segment at a time, as a round trip needs, with the freeze indices so far
+    (see kernels.transport).  Periodic starts are taken mod the ring,
+    bounded ones must lie in the lattice's cells; kernels.transport rejects
+    non-finite starts.  Deterministic: the same inputs give the same
+    records and freeze indices bit for bit.
     """
     forward = check_direction(direction)
     if substeps < 1:
@@ -166,7 +126,7 @@ def integrate_batch(
         if np.any(x0 < lo) or np.any(x0 > hi):
             raise ValidationError("start positions outside the lattice extent")
         x0 = np.clip(x0, grid.x_min, grid.x_min + (grid.n_sites - 1) * grid.dx)
-    positions, frozen = kernels.transport(
+    _, frozen = kernels.transport(
         stack.values,
         stack.masks,
         x0,
@@ -180,9 +140,7 @@ def integrate_batch(
         fold,
         every_substep,
     )
-    if fold is not None:
-        return frozen
-    return EnsembleRun(positions=positions, frozen=frozen, direction=direction, substeps=substeps)
+    return frozen
 
 
 # ----------------------------------------------------------------------------
@@ -278,16 +236,3 @@ def ks_statistic(samples: np.ndarray, density: np.ndarray, grid: LatticeGrid) ->
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     return float(max(d_plus, d_minus))
-
-
-def equivariance_test(run: EnsembleRun, density_stack: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    """KS distance between the ensemble and the density at each layer.
-
-    The ensemble should have been sampled from the density at its starting
-    layer; transported positions are compared to the stack row by row, so
-    the stack must have one row per layer of the run.
-    """
-    density_stack = np.asarray(density_stack, dtype=np.float64)
-    if density_stack.shape[0] != run.n_layers + 1:
-        raise ValidationError(f"density stack has {density_stack.shape[0]} rows; the run passes {run.n_layers + 1} layers")
-    return np.array([ks_statistic(run.layer_positions(t), row, grid) for t, row in enumerate(density_stack)])

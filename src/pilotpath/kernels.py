@@ -19,13 +19,12 @@ Arithmetic:
     ``(a + w*(b - a)) * (1/dx)``, and a stage interpolates in space only;
   - positions are carried in cell units, ``u = (x - x_min) * (1/dx)``, with
     site i at u = i; a record is written as ``x_min + u*dx``, except that
-    records[:, 0] is x0 itself and a frozen trajectory repeats its last
+    record 0 is x0 itself and a frozen trajectory repeats its last
     moving record, which is x0 itself when it froze at record 0;
-  - an unfolded run keeps only the layer-boundary records, while the
-    freeze index counts substeps; a folded run keeps no records: each
-    segment's layer-boundary record, or with every_substep each of its
-    substep records, is written into one reused block and handed to the
-    fold once the segment has finished, so no array spans the run;
+  - a run keeps no records: each segment's layer-boundary record, or with
+    every_substep each of its substep records, is written into one reused
+    block and handed to the fold once the segment has finished, so no
+    array spans the run; the freeze index counts substeps;
   - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
     first substep, and every substep's result is wrapped again;
   - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
@@ -109,28 +108,27 @@ def transport(
     dt: float,
     substeps: int,
     forward: bool,
-    fold=None,
+    fold,
     every_substep: bool = False,
 ):
     """Transport a batch of positions through the full field stack.
 
     values, masks: (n_layers + 1, n_sites) tables, one row per layer.
     extent is the ring length, n_sites * dx.
-    Returns (records, frozen): records has shape (n, n_layers + 1) with row
-    i the trajectory of x0[i] at every layer boundary, or (n, 0) when a fold
-    has been handed them.  frozen[i] is the substep record, numbered from 0
-    at x0, that trajectory i holds from its freeze on a node on, or -1.
-    records is the transpose of a C-ordered (n_layers + 1, n) array, so each
-    record is written as one contiguous row and a layer index reads
-    contiguous memory.
+    Returns (records, frozen): records is an empty (n, 0) array, since fold
+    has been handed them all.  frozen[i] is the substep record, numbered
+    from 0 at x0, that trajectory i holds from its freeze on a node on, or
+    -1.
 
-    fold, if given, is called as fold(first, block) with the run's records
-    in integration order, block holding records first .. first + len(block)
-    - 1: first with record 0 (x0, a (1, n) block), then once per finished
+    fold is called as fold(first, block, frozen) with the run's records in
+    integration order, block holding records first .. first + len(block) -
+    1: first with record 0 (x0, a (1, n) block), then once per finished
     segment.  That block is the (1, n) layer-boundary record the segment
     ends on, numbered as a layer record; with every_substep it is the
     segment's (substeps, n) block of substep records, numbered as frozen
-    numbers them.  A block is reused, so fold must not keep it.
+    numbers them.  frozen is the live freeze-index array, holding every
+    freeze up to the block's last substep.  Both are reused, so fold must
+    not keep either.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=np.bool_)
@@ -145,14 +143,9 @@ def transport(
     if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
         raise ValidationError(f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid")
     frozen = np.full(n, -1, dtype=np.int64)
-    if fold is None:
-        records = np.empty((n_layers + 1, n), dtype=np.float64)
-        records[0] = x0
-    else:
-        # A folded run keeps no records: each segment's go into one block.
-        records = np.empty((0, n), dtype=np.float64)
-        block = np.empty((substeps if every_substep else 1, n), dtype=np.float64)
-        fold(0, x0[None])
+    # Each segment's records go into one block.
+    block = np.empty((substeps if every_substep else 1, n), dtype=np.float64)
+    fold(0, x0[None], frozen)
     half = 0.5 * h
     sixth = h / 6.0
     inv_dx = 1.0 / dx
@@ -186,8 +179,6 @@ def transport(
         bad = masks[t][ia] | masks[t][ib] | masks[t + 1][ia] | masks[t + 1][ib]
         if not bad.any():
             bad = None
-        # The row the segment's last record goes into.
-        end = records[seg + 1] if fold is None else block[-1]
         for j, lo in enumerate(starts):
             first = x0[lo : lo + CHUNK]
             fro = frozen[lo : lo + CHUNK]
@@ -198,7 +189,7 @@ def transport(
                 if every_substep:
                     out = block[s, lo : lo + CHUNK]
                 elif s == substeps - 1:
-                    out = end[lo : lo + CHUNK]
+                    out = block[0, lo : lo + CHUNK]
                 else:
                     out = None
                 k1, b1 = _stage(left[s, 0], slope[s, 0], bad, u, mode, offset)
@@ -244,6 +235,5 @@ def transport(
                     out += x_min
                     np.copyto(out, first, where=fro == 0)
             us[j] = u
-        if fold is not None:
-            fold(seg * substeps + 1 if every_substep else seg + 1, block)
-    return records.T, frozen
+        fold(seg * substeps + 1 if every_substep else seg + 1, block, frozen)
+    return np.empty((n, 0)), frozen

@@ -4,13 +4,13 @@ Three procedures built on the engine and guidance layers:
 
 - anchored_starts / anchored_runs: draw configurations from the joint
   density at one anchor layer, then hand each particle's transport under
-  its own marginal velocity field to a per-particle consumer, which takes
-  the whole run or folds its layers as the transport reaches them,
-  returning each particle's result.  Forward runs anchor at layer 0 and
-  draw from the forward-sample stream; backward runs (the retrocausal
-  reading) anchor at the final layer and draw from the final-sample
-  stream.  The claim under test is statistical: at every layer the
-  ensemble must match that layer's marginal density.
+  its own marginal velocity field to a per-particle consumer, which folds
+  its layers as the transport reaches them, returning each particle's
+  result.  Forward runs anchor at layer 0 and draw from the forward-sample
+  stream; backward runs (the retrocausal reading) anchor at the final
+  layer and draw from the final-sample stream.  The claim under test is
+  statistical: at every layer the ensemble must match that layer's
+  marginal density.
 
 - round_trip / superdet_replay: transport starts one way, then run the
   endpoints back the other way through the same stack: `superdet` replays
@@ -18,12 +18,12 @@ Three procedures built on the engine and guidance layers:
   run backward from the final layer.  The integrator is deterministic and
   near-reversible, so each replay must retrace its run at every substep.
   Both legs go through integrate_batch, which hands a fold every
-  substep's record one segment at a time and keeps no layer records: the
-  outbound run's are kept in one array while its round trip runs, and the
-  replay's are compared against them there.  The maximum deviation is the
-  reported figure of merit.  Round trips that froze on a node, or that
-  reached an edge site between reflecting walls (a clamp cannot be
-  retraced), are excluded and counted.
+  substep's record one segment at a time: the outbound run's are kept in
+  one array while its round trip runs, and the replay's are compared
+  against them there.  The maximum deviation is the reported figure of
+  merit.  Round trips that froze on a node, or that reached an edge site
+  between reflecting walls (a clamp cannot be retraced), are excluded and
+  counted.
 
   The joint correlations enter only through the draw, so each particle's
   run or round trip is independent work, and all of it goes through one
@@ -60,7 +60,7 @@ import numpy as np
 from .circuit import STREAM_FINAL_SAMPLE, STREAM_FORWARD_SAMPLE, stream_rng
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
-from .guidance import EnsembleRun, VelocityStack, check_direction, integrate_batch
+from .guidance import VelocityStack, check_direction, integrate_batch
 from .guidance import sample_joint_density, velocity_stack
 
 # _per_particle makes particle 2's result in a forked child, beside
@@ -104,12 +104,12 @@ def anchored_runs(
     history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str, consume
 ) -> dict:
     """Sample the anchor layer's joint density and return {particle:
-    consume(particle, transport)}, where transport(fold=None) transports
-    that particle's ensemble from there (see anchored_starts) as
-    integrate_batch does: transport() returns the whole run, and
-    transport(fold) hands fold each layer-boundary record as the transport
-    reaches it and returns the freeze indices, so that no record array is
-    kept.  Each particle is transported, consumed and dropped in turn.
+    consume(particle, transport)}, where transport(fold) transports that
+    particle's ensemble from there (see anchored_starts) as integrate_batch
+    does: it hands fold(record, block, frozen) each layer-boundary record
+    as the transport reaches it and returns the freeze indices, so that no
+    record array is kept.  Each particle is transported and consumed in
+    turn.
     Both particles' starts are drawn and their stacks built first, and a
     built stack is one its transport accepts (see VelocityStack), so no
     input error surfaces after a consumer has run.
@@ -235,7 +235,8 @@ def _at_wall(grid: LatticeGrid, block: np.ndarray) -> np.ndarray:
 
 
 def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: int):
-    """(run, deviations): the outbound run from x0 at its layer boundaries,
+    """(layers, deviations): the outbound run from x0 at its layer
+    boundaries, a record-major (n_layers + 1, n) view in integration order,
     and each trajectory's largest gap between it and its replay the other
     way over every substep.  A deviation is NaN where the round trip is
     excluded: either run froze on a node or, between reflecting walls,
@@ -249,7 +250,7 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
     n_rec = stack.n_layers * substeps + 1
     theirs = np.empty((n_rec, len(x0)))
 
-    def keep(first, block):
+    def keep(first, block, _):
         theirs[first : first + len(block)] = block
 
     frozen = integrate_batch(stack, x0, direction, substeps, keep, every_substep=True)
@@ -257,7 +258,7 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
     bounded = grid.boundary != "periodic"
     walled = _at_wall(grid, theirs) if bounded else np.zeros(len(x0), dtype=bool)
 
-    def compare(first, block):
+    def compare(first, block, _):
         top = n_rec - first
         gaps = grid.gap(block, theirs[top - len(block) : top][::-1])
         np.maximum(worst, gaps.max(axis=0), out=worst)
@@ -265,8 +266,7 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
             np.logical_or(walled, _at_wall(grid, block), out=walled)
 
     back_frozen = integrate_batch(stack, theirs[-1], opposite, substeps, compare, every_substep=True)
-    run = EnsembleRun(positions=theirs[::substeps].T, frozen=frozen, direction=direction, substeps=substeps)
-    return run, np.where((frozen < 0) & (back_frozen < 0) & ~walled, worst, np.nan)
+    return theirs[::substeps], np.where((frozen < 0) & (back_frozen < 0) & ~walled, worst, np.nan)
 
 
 def superdet_replay(
@@ -523,14 +523,14 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
     folded into its transport: its event rows, violations, crossing
     trajectories, ambiguous layers, trajectories and flagged trajectories.
 
-    transport(fold) must hand fold(t, block) each layer t's positions as a
-    (1, n) block, t ascending from 0, and return the run's freeze indices,
-    as a forward transport does (see anchored_runs).  Each trajectory's
-    world code is gathered from its layer's table at its nearest site (the
-    gather's wrap or clip is the site's % n_sites or clip), and each
-    trajectory carries its last labeled layer and world, whether an
-    ambiguous layer came since, and whether it ever crossed, from one layer
-    to the next.
+    transport(fold) must hand fold(t, block, frozen) each layer t's
+    positions as a (1, n) block, t ascending from 0, and return the run's
+    freeze indices, as a forward transport does (see anchored_runs).  Each
+    trajectory's world code is gathered from its layer's table at its
+    nearest site (the gather's wrap or clip is the site's % n_sites or
+    clip), and each trajectory carries its last labeled layer and world,
+    whether an ambiguous layer came since, and whether it ever crossed,
+    from one layer to the next.
     """
     tables = _world_codes(joint, particle - 1)
     mode = "wrap" if grid.boundary == "periodic" else "clip"
@@ -538,7 +538,7 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
     violations = ambiguous_counts = 0
     carried = None
 
-    def fold(t, block):
+    def fold(t, block, _):
         nonlocal violations, ambiguous_counts, carried
         if t >= len(tables):
             raise ValidationError(_OTHER_LAYERS)

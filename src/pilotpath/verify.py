@@ -17,7 +17,7 @@ from . import paths as pp
 from .circuit import STREAM_CIRCUIT_ALTERATION, CircuitLayer, evolve_circuit, haar_unitary, stream_rng
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
-from .guidance import equivariance_test, integrate_batch
+from .guidance import integrate_batch, ks_statistic
 from .protocols import anchored_starts, round_trip
 from .scenario import CircuitSystem, WalkSystem
 
@@ -148,12 +148,18 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     stack, x0 = anchored_starts(history, int(scn["seed"]), count, scn["protocol"]["eps_node_rel"], "forward")[1]
     # The round trip is run at a fixed fine substep count so the bound does
     # not depend on the scenario's protocol settings.  When the scenario's
-    # own run is that fine, the round trip's outbound run is it.
+    # own run is that fine, the round trip's outbound run is it, and the
+    # equivariance check reads its layers; otherwise it folds its own run.
     rev_sub = max(substeps, 32)
-    fwd = None if rev_sub == substeps else integrate_batch(stack, x0, "forward", substeps)
-    outbound, deviations = round_trip(stack, x0, "forward", rev_sub)
-    if fwd is None:
-        fwd = outbound
+    density = history.density1
+    ks = []
+    if rev_sub != substeps:
+        integrate_batch(
+            stack, x0, "forward", substeps, lambda t, block, _: ks.append(ks_statistic(block[0], density[t], grid))
+        )
+    layers, deviations = round_trip(stack, x0, "forward", rev_sub)
+    if rev_sub == substeps:
+        ks = [ks_statistic(row, density[t], grid) for t, row in enumerate(layers)]
     kept = int(np.count_nonzero(~np.isnan(deviations)))
     # Between reflecting walls, round trips that reach an edge site are
     # excluded as well.
@@ -169,7 +175,6 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     else:
         report.skip("reversibility", "every trajectory hit a node-masked region" + (" or an edge site" if walled else ""))
 
-    ks = equivariance_test(fwd, history.density1, grid)
     report.add(
         "equivariance_quick",
         float(np.max(ks)),

@@ -22,6 +22,7 @@ from pilotpath.dirac import (
     to_circuit_layers,
 )
 from pilotpath.paths import PathContext
+from pilotpath.protocols import anchored_runs
 from pilotpath.scenario import _DEFAULTS, _path_caps, build_potential, load_scenario
 
 from oracles import dense
@@ -32,32 +33,53 @@ TRACK_THRESHOLD_REL = _DEFAULTS["protocol"]["track_threshold_rel"]
 DEFAULT_CAPS = _path_caps(_DEFAULTS)
 
 
-def kept(particle, transport):
-    """anchored_runs' consumer that keeps each run."""
-    return transport()
+def _gathered(transport, args, every_substep):
+    blocks = []
+    result = transport(
+        *args, fold=lambda first, block, frozen: blocks.append(block.copy()), every_substep=every_substep
+    )
+    frozen = result[1] if isinstance(result, tuple) else result
+    return np.concatenate(blocks).T, frozen
 
 
-def served(runs: dict):
-    """Runs already transported, as detect_crossings' runs(consume) reads
-    them: {particle: consume(particle, transport)}, where transport(fold)
-    hands fold each layer's positions, layers ascending, and returns the
-    run's freeze indices."""
-
-    def transport(run, fold):
-        for t in range(run.n_layers + 1):
-            fold(t, run.layer_positions(t)[None])
-        return run.frozen
-
-    return lambda consume: {particle: consume(particle, partial(transport, run)) for particle, run in runs.items()}
+def layer_records(transport, *args):
+    """(records, frozen) of a kernels.transport or integrate_batch call, or
+    of an anchored run's transport(fold), with a trajectory-major record at
+    every layer boundary, in the run's integration order, gathered through
+    its layer fold."""
+    return _gathered(transport, args, False)
 
 
 def every_substep(transport, *args):
     """(records, frozen) of a kernels.transport or integrate_batch call, with
     a trajectory-major record at every substep gathered through its fold."""
-    blocks = []
-    result = transport(*args, fold=lambda first, block: blocks.append(block.copy()), every_substep=True)
-    frozen = result[1] if isinstance(result, tuple) else result
-    return np.concatenate(blocks).T, frozen
+    return _gathered(transport, args, True)
+
+
+def anchored_layers(history, seed: int, count: int, substeps: int, eps_rel: float, direction: str) -> dict:
+    """{particle: (layers, frozen)} of anchored_runs: each run's layer
+    records gathered through its layer fold, column t at layer t whichever
+    way the run went, and its freeze indices."""
+    runs = anchored_runs(
+        history, seed, count, substeps, eps_rel, direction, lambda particle, transport: layer_records(transport)
+    )
+    if direction == "backward":
+        runs = {particle: (records[:, ::-1], frozen) for particle, (records, frozen) in runs.items()}
+    return runs
+
+
+def served(runs: dict):
+    """Runs already gathered as anchored_layers gives them, as
+    detect_crossings' runs(consume) reads them: {particle: consume(particle,
+    transport)}, where transport(fold) hands fold each layer's positions,
+    layers ascending, and returns the run's freeze indices."""
+
+    def transport(layers, frozen, fold):
+        for t in range(layers.shape[1]):
+            fold(t, layers[None, :, t], frozen)
+        return frozen
+
+    return lambda consume: {particle: consume(particle, partial(transport, *run)) for particle, run in runs.items()}
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -23,12 +23,7 @@ from pilotpath.dirac import (
     run_walk,
     to_circuit_layers,
 )
-from pilotpath.guidance import (
-    equivariance_test,
-    integrate_batch,
-    sample_joint_density,
-    velocity_stack,
-)
+from pilotpath.guidance import integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.paths import (
     PathCaps,
     PathContext,
@@ -39,12 +34,13 @@ from pilotpath.paths import (
     path_sum_density,
     path_sum_marginal,
 )
-from pilotpath.protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
+from pilotpath.protocols import build_tracks, detect_crossings, superdet_replay
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
-    kept,
+    anchored_layers,
     kron_evolve,
+    layer_records,
     make_rng,
     random_layers,
     random_state_vector,
@@ -53,7 +49,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
-from oracles import pair_overlap, scaled, to_path, two_body_continuity_residual
+from oracles import equivariance, pair_overlap, scaled, to_path, two_body_continuity_residual
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -182,17 +178,16 @@ def bundled_runs():
             scn = load_scenario(name)
             system = build_walk(scn)
             history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
-            runs = anchored_runs(
+            runs = anchored_layers(
                 history,
                 int(scn["seed"]),
                 10_000,
                 int(scn["protocol"]["substeps"]),
                 float(scn["protocol"]["eps_node_rel"]),
                 "backward",
-                kept,
             )
             ks = {
-                p: equivariance_test(runs[p], density, system.grid)
+                p: equivariance(runs[p][0], density, system.grid)
                 for p, density in ((1, history.density1), (2, history.density2))
             }
             cache[name] = (scn, system, history, runs, ks)
@@ -373,12 +368,12 @@ def test_forward_transport_equivariance(bundled_runs, capsys):
     stack1 = velocity_stack(history, 1, eps)
     for particle, x0 in ((1, x1), (2, x2)):
         stack = stack1 if particle == 1 else velocity_stack(history, 2, eps)
-        run = integrate_batch(stack, x0, "forward", substeps)
-        flagged += run.n_flagged
+        layers, frozen = layer_records(integrate_batch, stack, x0, "forward", substeps)
+        flagged += int(np.count_nonzero(frozen >= 0))
         density = history.density1 if particle == 1 else history.density2
-        worst = max(worst, float(np.max(equivariance_test(run, density, grid))))
-    control_run = integrate_batch(scaled(stack1, 0.5), x1, "forward", substeps)
-    control = float(np.max(equivariance_test(control_run, history.density1, grid)))
+        worst = max(worst, float(np.max(equivariance(layers, density, grid))))
+    control_layers, _ = layer_records(integrate_batch, scaled(stack1, 0.5), x1, "forward", substeps)
+    control = float(np.max(equivariance(control_layers, history.density1, grid)))
     ok = worst < 0.02 and control > 0.05 and flagged == 0
     announce(
         capsys,
@@ -401,7 +396,7 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
     for name in names:
         _, _, _, runs, ks_per_layer = bundled_runs(name)
         for particle in (1, 2):
-            assert runs[particle].n_flagged == 0
+            assert np.all(runs[particle][1] < 0)
             ks = float(np.max(ks_per_layer[particle]))
             if ks > worst:
                 worst, worst_name = ks, name

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 import pilotpath
 from pilotpath import cli, dirac, kernels, protocols, verify
 from pilotpath.circuit import JointState
+from pilotpath.dirac import LatticeGrid
 from pilotpath.errors import DegenerateDensityError, PilotPathError, ValidationError
+from pilotpath.guidance import ks_statistic
 from pilotpath.scenario import build_circuit, build_walk, load_scenario, read_scenario, resolve_scenario
 
-from conftest import coupled_free_packet
+from conftest import coupled_free_packet, every_substep
 
 
 @pytest.fixture()
@@ -178,13 +180,12 @@ def test_tracks_reports_its_frozen_forward_trajectories(scenario_file, tmp_path)
 
 @pytest.mark.parametrize("substeps", [4, 32])
 def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, monkeypatch):
-    """guide and retro transport without a fold and get one record per
-    layer boundary.  tracks folds each layer-boundary record into its
-    crossing pass as the transport reaches it, and both legs of every round
-    trip that superdet and verify make see every substep through a fold; a
-    folded transport returns no records.  When the scenario's substeps
-    already reach verify's 32, its one forward run is the replayed run, not
-    a second transport."""
+    """guide, retro and tracks fold each layer-boundary record into their
+    KS, trajectory CSV or crossing pass as the transport reaches it, and
+    both legs of every round trip that superdet and verify make see every
+    substep through a fold; no transport returns records.  When the
+    scenario's substeps already reach verify's 32, its one forward run is
+    the replayed run, not a second transport."""
     with open(scenario_file, encoding="utf-8") as fh:
         scn = json.load(fh)
     scn["protocol"]["substeps"] = substeps
@@ -195,19 +196,18 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
 
     def spy(*args, **kwargs):
         records, frozen = transport(*args, **kwargs)
-        folded = args[10] is not None
-        assert records.shape == (2000, 0 if folded else 3 + 1)
-        calls.append((args[8], ("substeps" if args[11] else "layers") if folded else None))
+        assert records.shape == (2000, 0)
+        calls.append((args[8], "substeps" if args[11] else "layers"))
         return records, frozen
 
     monkeypatch.setattr(kernels, "transport", spy)
-    plain, layers, leg = (substeps, None), (substeps, "layers"), (substeps, "substeps")
+    layers, leg = (substeps, "layers"), (substeps, "substeps")
     expected = {
-        "guide": [plain] * 2,
-        "retro": [plain] * 2,
+        "guide": [layers] * 2,
+        "retro": [layers] * 2,
         "tracks": [layers] * 2,
         "superdet": [leg] * 4,
-        "verify": [leg] * 2 if substeps == 32 else [plain, (32, "substeps"), (32, "substeps")],
+        "verify": [leg] * 2 if substeps == 32 else [layers, (32, "substeps"), (32, "substeps")],
     }
     for command, transports in expected.items():
         calls.clear()
@@ -275,6 +275,62 @@ def test_tracks_memory_grows_with_count_alone(tmp_path, monkeypatch):
         assert code == 0
     per_trajectory = (peaks[40000] - peaks[20000]) / 20000
     assert per_trajectory < (scn["n_layers"] + 1) * 8 / 2
+
+
+def test_guide_memory_grows_with_count_alone(tmp_path, monkeypatch):
+    """Serial guide on recombination folds each layer into its KS and its
+    trajectory CSV as the transport reaches it, so no run's layer records
+    are kept: from 20000 to 40000 trajectories its peak grows by less than
+    one run's layer records per added trajectory."""
+    monkeypatch.setattr(protocols, "_can_fork", lambda: False)
+    scn = read_scenario("recombination")
+    peaks = {}
+    for count in (20000, 40000):
+        scn["protocol"]["count"] = count
+        path = tmp_path / f"crowd{count}.json"
+        path.write_text(json.dumps(scn), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = run_cli(["guide", "--scenario", str(path)], tmp_path / str(count))
+            _, peaks[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    per_trajectory = (peaks[40000] - peaks[20000]) / 20000
+    assert per_trajectory < (scn["n_layers"] + 1) * 8
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["guide", "retro"])
+def test_trajectory_csv_flags_each_freeze_from_the_layer_it_holds(forward, tmp_path):
+    """guide's and retro's consumer writes the trajectory CSV and the KS that
+    a reference builds from the every-substep records and the final freeze
+    indices.  Its freezes land at record 0, including a periodic start off
+    the ring that holds x0 itself, and on a segment's first substep, which
+    runs after the fold of the layer whose record the trajectory holds and
+    is flagged from."""
+    x_min, dx, n_sites, n_layers, substeps = -3.25, 0.3, 8, 3, 4
+    values = np.full((n_layers + 1, n_sites), 0.15)  # half a cell per layer
+    masks = np.zeros((n_layers + 1, n_sites), dtype=bool)
+    masks[0, 2] = masks[2, 6] = True
+    x0 = x_min + np.array([2.5 + n_sites, 4.6, 6.5, 3.1]) * dx
+    args = (values, masks, x0, x_min, dx, n_sites * dx, True, 1.0, substeps, forward)
+    records, frozen = every_substep(kernels.transport, *args)
+    assert frozen.tolist() == ([0, 4, -1, -1] if forward else [8, -1, 0, 8])
+    density = np.linspace(1.0, 2.0, (n_layers + 1) * n_sites).reshape(n_layers + 1, n_sites)
+    grid = LatticeGrid(n_sites, dx, dx, x_min, "periodic")
+    lines, ks = ["trajectory_id,layer,position,node_flag"], []
+    for layer in range(n_layers + 1):
+        record = (layer if forward else n_layers - layer) * substeps
+        positions = records[:, record]
+        flags = [int(0 <= f <= record) for f in frozen.tolist()]
+        lines += [f"{i},{layer},{x!r},{flag}" for i, (x, flag) in enumerate(zip(positions.tolist(), flags))]
+        ks.append(ks_statistic(positions, density[layer], grid))
+    path = tmp_path / "trajectories.csv"
+    summary = cli._trajectory_summary(
+        str(path), density, grid, len(x0), substeps, forward, lambda fold: kernels.transport(*args, fold)[1]
+    )
+    assert path.read_bytes().decode("utf-8") == "\n".join(lines) + "\n"
+    assert summary == {"ks_per_layer": ks, "worst_ks": max(ks), "flagged": int(np.count_nonzero(frozen >= 0))}
 
 
 def test_verify_command_passes_on_a_clean_scenario(scenario_file, tmp_path, capsys):
@@ -631,13 +687,13 @@ def test_particle_2_consumer_errors_exit_alike_forked_or_not(command, cpus, scen
     its crossing pass) exits 2 with the same JSON error whether a forked
     child or this process ran it, and leaves no child behind."""
     message = "particle 2's consumer rejects its run"
-    write = cli.exports.write_trajectories_csv
+    table = cli.exports.trajectories_csv
     layer_pass = protocols._layer_pass
 
-    def rejecting_csv(path, run):
+    def rejecting_csv(path, count):
         if path.endswith("trajectories2.csv"):
             raise ValidationError(message)
-        return write(path, run)
+        return table(path, count)
 
     def rejecting_pass(particle, *args):
         if particle == 2:
@@ -646,7 +702,7 @@ def test_particle_2_consumer_errors_exit_alike_forked_or_not(command, cpus, scen
 
     monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(cli.exports, "write_trajectories_csv", rejecting_csv)
+    monkeypatch.setattr(cli.exports, "trajectories_csv", rejecting_csv)
     monkeypatch.setattr(protocols, "_layer_pass", rejecting_pass)
     code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
     assert payload == {"error": "ValidationError", "message": message, "exit_code": 2}

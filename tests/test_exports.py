@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from pilotpath import exports
-from pilotpath.guidance import EnsembleRun
 from pilotpath.paths import OverlapGroup, OverlapTable
 from pilotpath.protocols import TrackGraph, TrackSet
 
@@ -33,7 +32,8 @@ def test_currents_csv_renders_shortest_round_trip_floats(tmp_path):
 def test_trajectories_csv_flags_a_backward_freeze_from_its_layer(tmp_path):
     # Two layers at two substeps: a backward run's record 0 is layer 2 and
     # record 2 is layer 0.  Trajectory 1 froze at substep 1, which the run
-    # passes between layers 2 and 1.
+    # passes between layers 2 and 1, so it is flagged from the layer whose
+    # record the run passes after that substep: (2 - layer) * 2 >= 1.
     positions = np.array(
         [
             [0.5, 0.30000000000000004, 0.1],
@@ -41,9 +41,13 @@ def test_trajectories_csv_flags_a_backward_freeze_from_its_layer(tmp_path):
             [-0.0, 0.5, 1.0],
         ]
     )
-    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1, -1]), direction="backward", substeps=2)
-    text = _written(tmp_path, exports.write_trajectories_csv, run)
-    assert text == (
+    frozen = np.array([-1, 1, -1])
+    path = tmp_path / "sub" / "table.csv"
+    with exports.trajectories_csv(str(path), 3) as write:
+        for layer in range(3):
+            record = 2 - layer
+            write(layer, positions[:, record], (frozen >= 0) & (frozen <= record * 2))
+    assert path.read_bytes().decode("utf-8") == (
         "trajectory_id,layer,position,node_flag\n"
         "0,0,0.1,0\n"
         "1,0,1e-300,1\n"

@@ -15,9 +15,7 @@ from pilotpath.dirac import (
 from pilotpath import kernels
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
-    EnsembleRun,
     VelocityStack,
-    equivariance_test,
     integrate_batch,
     ks_statistic,
     sample_joint_density,
@@ -25,8 +23,8 @@ from pilotpath.guidance import (
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, every_substep, make_rng, spinor_field
-from oracles import sample_joint_density_gather, scaled
+from conftest import EPS_NODE_REL, every_substep, layer_records, make_rng, spinor_field
+from oracles import equivariance, sample_joint_density_gather, scaled
 
 
 def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
@@ -87,8 +85,8 @@ def test_a_stack_is_built_only_if_its_transport_accepts_it():
     # The largest stack that is built moves, in one substep as in many.
     stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
     for substeps in (1, 4):
-        run = integrate_batch(stack, np.array([3.0]), "forward", substeps)
-        assert np.all(np.isfinite(run.positions)) and run.frozen[0] == -1
+        records, frozen = layer_records(integrate_batch, stack, np.array([3.0]), "forward", substeps)
+        assert np.all(np.isfinite(records)) and frozen[0] == -1
 
 
 def test_velocity_stack_matches_per_layer_fields():
@@ -144,78 +142,53 @@ def test_round_trip_returns_to_the_start():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.5, 8.5, 25)
-    forward = integrate_batch(stack, x0, "forward", 32)
-    back = integrate_batch(stack, forward.positions[:, -1], "backward", 32)
-    assert forward.n_flagged == 0 and back.n_flagged == 0
-    assert np.max(np.abs(back.positions[:, -1] - x0)) < 1e-6
+    forward, forward_frozen = layer_records(integrate_batch, stack, x0, "forward", 32)
+    back, back_frozen = layer_records(integrate_batch, stack, forward[:, -1], "backward", 32)
+    assert np.all(forward_frozen < 0) and np.all(back_frozen < 0)
+    assert np.max(np.abs(back[:, -1] - x0)) < 1e-6
 
 
 def test_trajectory_and_run_bookkeeping():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([6.0, 7.0])
-    run = integrate_batch(stack, x0, "forward", 4)
+    layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
     fine, _ = every_substep(integrate_batch, stack, x0, "forward", 4)
-    assert isinstance(run, EnsembleRun)
-    assert run.n_trajectories == 2
-    assert run.positions.shape == (2, 5) and fine.shape == (2, 17)
-    assert np.array_equal(run.layer_positions(0), fine[:, 0])
-    assert np.array_equal(run.layer_positions(3), run.positions[:, 3])
-    assert np.array_equal(run.layer_positions(3), fine[:, 12])
+    assert layers.shape == (2, 5) and fine.shape == (2, 17)
+    assert np.array_equal(layers[:, 0], fine[:, 0])
+    assert np.array_equal(layers[:, 3], fine[:, 12])
 
 
 def test_backward_run_reads_layers_in_reverse():
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([7.0, 8.0])
-    run = integrate_batch(stack, x0, "backward", 4)
+    seen = []
+    integrate_batch(stack, x0, "backward", 4, lambda record, block, _: seen.append(record))
+    layers, _ = layer_records(integrate_batch, stack, x0, "backward", 4)
     fine, _ = every_substep(integrate_batch, stack, x0, "backward", 4)
-    assert run.direction == "backward"
-    # record 0 is the final layer; layer k sits at record 4 - k, which is
-    # substep record (4 - k) * substeps
-    assert np.array_equal(run.layer_positions(4), run.positions[:, 0])
-    assert np.array_equal(run.layer_positions(1), run.positions[:, 3])
-    assert np.array_equal(run.layer_positions(0), fine[:, 16])
-
-
-def test_layer_record_run_reads_the_same_layers_and_freezes():
-    """A two-layer backward run at two substeps, kept at its layer
-    boundaries: frozen counts substeps, so trajectory 1, frozen at substep
-    1 (between the run's layers 2 and 1), is flagged from layer 1."""
-    positions = np.arange(10, dtype=np.float64).reshape(2, 5)[:, ::2]
-    run = EnsembleRun(positions=positions, frozen=np.array([-1, 1]), direction="backward", substeps=2)
-    assert run.n_layers == 2
-    assert [run.layer_positions(t).tolist() for t in range(3)] == [[4.0, 9.0], [2.0, 7.0], [0.0, 5.0]]
-    assert [run.layer_flags(t).tolist() for t in range(3)] == [[False, True], [False, True], [False, False]]
-    with pytest.raises(ValidationError, match="outside"):
-        run.layer_positions(3)
-    with pytest.raises(ValidationError, match="outside"):
-        run.layer_flags(-1)
+    # The fold numbers records in integration order: record 0 is x0 at the
+    # final layer, and layer k sits at record 4 - k, which is substep record
+    # (4 - k) * substeps.
+    assert seen == [0, 1, 2, 3, 4]
+    assert np.array_equal(layers[:, 0], x0)
+    for k in range(5):
+        assert np.array_equal(layers[:, 4 - k], fine[:, (4 - k) * 4])
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_integrate_batch_keeps_layer_records_unless_asked(direction):
-    """A run holds the substep run's layer-boundary records, bit for bit,
-    and its freeze indices."""
+    """Unless every substep is asked for, the fold is handed the substep
+    run's layer-boundary records, bit for bit, with the run's freeze
+    indices, and the run keeps none of them."""
     grid, hist = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 12)
     fine, fine_frozen = every_substep(integrate_batch, stack, x0, direction, 4)
-    run = integrate_batch(stack, x0, direction, 4)
-    assert run.positions.shape == (12, 5) and fine.shape == (12, 17)
-    assert run.n_layers == 4
-    assert np.array_equal(run.positions, fine[:, ::4])
-    assert np.array_equal(run.frozen, fine_frozen)
-
-
-def test_equivariance_rejects_a_stack_of_other_depth():
-    grid, hist = smooth_history(n_layers=4)
-    stack = velocity_stack(hist, 1, EPS_NODE_REL)
-    run = integrate_batch(stack, np.array([7.0, 8.0]), "backward", 4)
-    assert equivariance_test(run, hist.density1, grid).shape == (5,)
-    # A shorter stack would otherwise pair its rows with the wrong records.
-    with pytest.raises(ValidationError, match="rows"):
-        equivariance_test(run, hist.density1[:3], grid)
+    layers, frozen = layer_records(integrate_batch, stack, x0, direction, 4)
+    assert layers.shape == (12, 5) and fine.shape == (12, 17)
+    assert np.array_equal(layers, fine[:, ::4])
+    assert np.array_equal(frozen, fine_frozen)
 
 
 def test_periodic_starts_are_canonicalized():
@@ -230,9 +203,9 @@ def test_direction_argument_is_validated():
     grid, hist = smooth_history(n_layers=3)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     with pytest.raises(ValidationError):
-        integrate_batch(stack, np.array([6.0]), "sideways", 4)
+        layer_records(integrate_batch, stack, np.array([6.0]), "sideways", 4)
     with pytest.raises(ValidationError):
-        integrate_batch(stack, np.array([np.nan]), "forward", 4)
+        layer_records(integrate_batch, stack, np.array([np.nan]), "forward", 4)
 
 
 # ----------------------------------------------------------------------------
@@ -371,8 +344,8 @@ def test_transported_ensemble_tracks_the_density():
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     rng = make_rng(70)
     x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
-    run = integrate_batch(stack, x0, "forward", 4)
-    ks = equivariance_test(run, hist.density1, grid)
+    layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
+    ks = equivariance(layers, hist.density1, grid)
     assert ks.shape == (hist.n_layers + 1,)
     assert float(np.max(ks)) < 0.05
 
@@ -383,6 +356,6 @@ def test_halved_velocities_fail_the_same_comparison():
     half = scaled(stack, 0.5)
     rng = make_rng(71)
     x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
-    run = integrate_batch(half, x0, "forward", 4)
-    ks = equivariance_test(run, hist.density1, grid)
+    layers, _ = layer_records(integrate_batch, half, x0, "forward", 4)
+    ks = equivariance(layers, hist.density1, grid)
     assert float(np.max(ks)) > 0.05

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pilotpath import kernels
 from pilotpath.errors import ValidationError
 
-from conftest import every_substep, make_rng
+from conftest import every_substep, layer_records, make_rng
 from oracles import transport_time_lerp
 
 
@@ -171,7 +171,7 @@ def test_layer_records_repeat_a_start_frozen_at_record_0():
     masks[0, 2] = True
     x0 = np.array([x_min + extent + 2.5 * dx, x_min + 5.5 * dx])
     records, frozen = every_substep(kernels.transport, values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
-    layers, layer_frozen = kernels.transport(values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
+    layers, layer_frozen = layer_records(kernels.transport, values, masks, x0, x_min, dx, extent, True, 1.0, 4, True)
     assert frozen.tolist() == [0, -1] and layer_frozen.tolist() == [0, -1]
     wrapped = x_min + ((x0[0] - x_min) * (1.0 / dx) % n_sites) * dx
     assert wrapped != x0[0]
@@ -192,7 +192,7 @@ def test_layer_record_after_a_freeze_on_a_layers_last_substep():
     x0 = x_min + np.array([8.05, 2.0]) * dx
     args = (values, masks, x0, x_min, dx, n_sites * dx, True, 1.0, 4, True)
     records, frozen = every_substep(kernels.transport, *args)
-    layers, layer_frozen = kernels.transport(*args)
+    layers, layer_frozen = layer_records(kernels.transport, *args)
     assert frozen.tolist() == [7, -1] and layer_frozen.tolist() == [7, -1]
     assert bits(layers[0, 2]) == bits(records[0, 7])
     assert records[0, 7] != records[0, 6]
@@ -206,7 +206,7 @@ def test_backward_layer_records_are_the_substep_runs_layer_boundaries(periodic):
     x0 = rng.uniform(0.0, 24.0, 128)
     args = (values, masks, x0, 0.0, 1.0, 24.0, periodic, 0.5, 4, False)
     records, frozen = every_substep(kernels.transport, *args)
-    layers, layer_frozen = kernels.transport(*args)
+    layers, layer_frozen = layer_records(kernels.transport, *args)
     assert layers.shape == (128, 7)
     assert np.array_equal(bits(layers), bits(records[:, ::4]))
     assert np.array_equal(layer_frozen, frozen)
@@ -218,9 +218,7 @@ def test_constant_field_transports_linearly():
     values = np.full((4, 32), 0.5)
     masks = np.zeros((4, 32), dtype=bool)
     x0 = np.array([3.0, 10.0, 25.0])
-    records, frozen = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, True
-    )
+    records, frozen = layer_records(kernels.transport, values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, True)
     assert np.all(frozen == -1)
     expected = x0 + 0.5 * 3.0
     assert np.max(np.abs(records[:, -1] - expected)) < 1e-12
@@ -230,16 +228,15 @@ def test_backward_transport_reverses_the_constant_drift():
     values = np.full((4, 32), 0.5)
     masks = np.zeros((4, 32), dtype=bool)
     x0 = np.array([8.0, 16.0])
-    records, _ = kernels.transport(
-        values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, False
-    )
+    records, _ = layer_records(kernels.transport, values, masks, x0, 0.0, 1.0, 32.0, True, 1.0, 4, False)
     assert np.max(np.abs(records[:, -1] - (x0 - 1.5))) < 1e-12
 
 
 def test_bounded_domain_clamps_to_edge_sites():
     values = np.full((3, 10), 2.0)
     masks = np.zeros((3, 10), dtype=bool)
-    records, frozen = kernels.transport(
+    records, frozen = layer_records(
+        kernels.transport,
         np.ascontiguousarray(values),
         masks,
         np.array([8.5]),
@@ -284,27 +281,35 @@ def transport_cases(draw):
 def test_transport_properties(case, chunk):
     values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward = case
     blocks, rows = [], []
+
+    def folded(seen):
+        """A fold that keeps each block's first record number, a copy of
+        the block, and a copy of the freeze indices it was handed."""
+        return lambda first, block, frozen: seen.append((first, block.copy(), frozen.copy()))
+
     with mock.patch.object(kernels, "CHUNK", chunk):
-        layers, layer_frozen = kernels.transport(*case)
-        kept, frozen = kernels.transport(
-            *case, fold=lambda first, block: blocks.append((first, block.copy())), every_substep=True
-        )
-        none, row_frozen = kernels.transport(*case, fold=lambda first, block: rows.append((first, block.copy())))
-    records = np.concatenate([block for _, block in blocks]).T
+        kept, frozen = kernels.transport(*case, folded(blocks), every_substep=True)
+        none, layer_frozen = kernels.transport(*case, folded(rows))
+    records = np.concatenate([block for _, block, _ in blocks]).T
+    layers = np.concatenate([row for _, row, _ in rows]).T
     ref_records, ref_frozen = transport_reference(*case)
     assert np.array_equal(records, ref_records)
     assert np.array_equal(frozen, ref_frozen)
     # A fold sees record 0, then each segment's substep records in order,
-    # or its layer-boundary record; a folded transport keeps no records.
-    assert [first for first, _ in blocks] == [0] + list(range(1, records.shape[1], substeps))
-    assert [first for first, _ in rows] == list(range(layers.shape[1]))
+    # or its layer-boundary record; a transport keeps no records.
+    assert [first for first, _, _ in blocks] == [0] + list(range(1, records.shape[1], substeps))
+    assert [first for first, _, _ in rows] == list(range(values.shape[0]))
     assert kept.shape == none.shape == (len(x0), 0)
-    # Layer records, folded or not, are the substep records' layer
-    # boundaries, bit for bit.
+    # Layer records are the substep records' layer boundaries, bit for bit.
     assert np.array_equal(bits(layers), bits(records[:, ::substeps]))
-    assert np.array_equal(bits(np.concatenate([row for _, row in rows]).T), bits(layers))
     assert np.array_equal(layer_frozen, frozen)
-    assert np.array_equal(row_frozen, frozen)
+    # Each fold is handed the freezes before its block's last record, and
+    # no later one: a freeze numbered f is decided on the substep that
+    # writes record f + 1.
+    ends = [(first + len(block) - 1, seen) for first, block, seen in blocks]
+    ends += [(first * substeps, seen) for first, _, seen in rows]
+    for last, seen in ends:
+        assert np.array_equal(seen, np.where(frozen < last, frozen, -1))
     assert np.array_equal(records[:, 0], x0)
     moved = records[frozen != 0, 1:]
     if periodic:
@@ -407,8 +412,8 @@ def test_round_trip_off_nodes_returns_to_the_start(case):
     masks = np.zeros_like(values, dtype=bool)
     extent = values.shape[1] * dx
     grid = (x_min, dx, extent, True, dt, 32)
-    fwd, fro_f = kernels.transport(values, masks, x0, *grid, True)
-    back, fro_b = kernels.transport(values, masks, fwd[:, -1], *grid, False)
+    fwd, fro_f = layer_records(kernels.transport, values, masks, x0, *grid, True)
+    back, fro_b = layer_records(kernels.transport, values, masks, fwd[:, -1], *grid, False)
     assert np.all(fro_f == -1) and np.all(fro_b == -1)
     gap = np.abs(back[:, -1] - x0) % extent
     assert np.max(np.minimum(gap, extent - gap)) <= 1e-4 * dx
@@ -422,9 +427,9 @@ def test_transport_rejects_non_finite_tables_and_starts(bad):
     poisoned = values.copy()
     poisoned[1, 3] = bad
     with pytest.raises(ValidationError):
-        kernels.transport(poisoned, masks, x0, 0.0, 1.0, 8.0, True, 1.0, 2, True)
+        layer_records(kernels.transport, poisoned, masks, x0, 0.0, 1.0, 8.0, True, 1.0, 2, True)
     with pytest.raises(ValidationError):
-        kernels.transport(values, masks, np.array([1.0, bad]), 0.0, 1.0, 8.0, False, 1.0, 2, True)
+        layer_records(kernels.transport, values, masks, np.array([1.0, bad]), 0.0, 1.0, 8.0, False, 1.0, 2, True)
 
 
 def test_transport_rejects_a_stage_beyond_the_ring_limit():
@@ -435,11 +440,11 @@ def test_transport_rejects_a_stage_beyond_the_ring_limit():
     masks = np.zeros((2, 8), dtype=bool)
     x0 = np.array([0.5])
     at_limit = np.full((2, 8), limit)
-    kernels.transport(at_limit, masks, x0, 0.0, 1.0, extent, True, dt, substeps, True)
+    layer_records(kernels.transport, at_limit, masks, x0, 0.0, 1.0, extent, True, dt, substeps, True)
     over = np.nextafter(at_limit, np.inf)
     with pytest.raises(ValidationError):
-        kernels.transport(over, masks, x0, 0.0, 1.0, extent, True, dt, substeps, True)
-    kernels.transport(over, masks, x0, 0.0, 1.0, extent, False, dt, substeps, True)
+        layer_records(kernels.transport, over, masks, x0, 0.0, 1.0, extent, True, dt, substeps, True)
+    layer_records(kernels.transport, over, masks, x0, 0.0, 1.0, extent, False, dt, substeps, True)
 
 
 @pytest.mark.parametrize("rings", [0.4, 1.8, 5.0])
@@ -465,5 +470,5 @@ def test_a_position_landing_on_the_ring_end_wraps_to_its_start():
     values = np.full((2, 8), 2.0)
     masks = np.zeros((2, 8), dtype=bool)
     x0 = np.array([0.0])
-    records, _ = kernels.transport(values, masks, x0, -2.0, 0.5, 4.0, True, 1.0, 1, True)
+    records, _ = layer_records(kernels.transport, values, masks, x0, -2.0, 0.5, 4.0, True, 1.0, 1, True)
     assert records[0, 1] == -2.0

@@ -23,14 +23,7 @@ from pilotpath.circuit import (
 )
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
-from pilotpath.guidance import (
-    EnsembleRun,
-    VelocityStack,
-    equivariance_test,
-    integrate_batch,
-    sample_joint_density,
-    velocity_stack,
-)
+from pilotpath.guidance import VelocityStack, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
     EVENT_COLUMNS,
     TrackGraph,
@@ -47,8 +40,8 @@ from pilotpath.protocols import (
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, every_substep, kept, served
-from oracles import ndimage_label
+from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, anchored_layers, every_substep, layer_records, served
+from oracles import equivariance, ndimage_label
 
 
 def scenario_history(name):
@@ -95,8 +88,13 @@ def test_stream_constants_are_distinct():
 # Anchored runs
 
 
+def gathered(particle, transport):
+    """anchored_runs' consumer that gathers each run's layer records."""
+    return layer_records(transport)
+
+
 def backward_runs(history, seed, count, substeps=4):
-    return anchored_runs(history, seed, count, substeps, EPS_NODE_REL, "backward", kept)
+    return anchored_layers(history, seed, count, substeps, EPS_NODE_REL, "backward")
 
 
 def substep_runs(starts, direction, substeps):
@@ -114,13 +112,13 @@ def test_retro_needs_recorded_joint_tables(no_overlap, direction):
     others = [t for t in range(system.n_layers + 1) if t != anchor]
     history = run_walk(system.state0, system.grid, system.layers, record_joint=others)
     with pytest.raises(ValidationError, match=f"joint table of layer {anchor}; record it with record_joint"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction, kept)
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction, gathered)
 
 
 def test_anchored_runs_reject_an_unknown_direction(no_overlap):
     scn, _, history = no_overlap
     with pytest.raises(ValidationError, match="direction"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways", kept)
+        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways", gathered)
 
 
 @pytest.mark.parametrize(
@@ -133,18 +131,17 @@ def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream)
     anchor = 0 if direction == "forward" else history.n_layers
     x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
     starts = anchored_starts(history, scn["seed"], 50, EPS_NODE_REL, direction)
-    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction, kept)
+    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction, gathered)
     assert set(runs) == set(starts) == {1, 2}
     for particle, x0 in ((1, x1), (2, x2)):
         stack, start = starts[particle]
         assert np.array_equal(start, x0)
         own = velocity_stack(history, particle, EPS_NODE_REL)
         assert np.array_equal(stack.values, own.values) and np.array_equal(stack.masks, own.masks)
-        run = runs[particle]
-        assert run.direction == direction
-        assert run.positions.shape == (50, history.n_layers + 1)
-        assert np.array_equal(run.positions[:, 0], x0)
-        assert np.array_equal(run.layer_positions(anchor), x0)
+        records, _ = runs[particle]
+        # Record 0 is the anchor layer's, whichever way the run goes.
+        assert records.shape == (50, history.n_layers + 1)
+        assert np.array_equal(records[:, 0], x0)
 
 
 def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, monkeypatch):
@@ -154,14 +151,14 @@ def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, mo
     scn, _, history = no_overlap
     calls = []
 
-    def counted(stack, x0, direction, substeps):
+    def counted(stack, x0, direction, substeps, fold):
         calls.append("transport")
-        return integrate_batch(stack, x0, direction, substeps)
+        return integrate_batch(stack, x0, direction, substeps, fold)
 
     def consume(particle, transport):
-        run = transport()
+        frozen = transport(lambda record, block, frozen: None)
         calls.append(particle)
-        return particle, run.n_trajectories
+        return particle, len(frozen)
 
     monkeypatch.setattr(protocols, "integrate_batch", counted)
     results = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
@@ -195,10 +192,9 @@ def assert_no_child_left():
 
 def assert_same_runs(a, b):
     assert list(a) == list(b) == [1, 2]
-    for x, y in zip(a.values(), b.values()):
-        assert (x.direction, x.substeps) == (y.direction, y.substeps)
-        assert x.positions.strides == y.positions.strides
-        assert np.array_equal(x.positions, y.positions) and np.array_equal(x.frozen, y.frozen)
+    for (x, x_frozen), (y, y_frozen) in zip(a.values(), b.values()):
+        assert x.strides == y.strides
+        assert np.array_equal(x, y) and np.array_equal(x_frozen, y_frozen)
 
 
 @pytest.mark.parametrize(
@@ -214,20 +210,15 @@ def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
     scn, _, history = scenario_history(name)
     count, substeps = scn["protocol"]["count"], scn["protocol"]["substeps"]
 
-    def consume(particle, transport):
-        run = transport()
-        return run.positions, run.frozen
-
-    forked = anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction, consume)
+    forked = anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction, gathered)
     assert len(forks) == 1
     assert_no_child_left()
     starts = anchored_starts(history, scn["seed"], count, eps_rel, direction)
-    serial = {particle: integrate_batch(stack, x0, direction, substeps) for particle, (stack, x0) in starts.items()}
-    assert list(forked) == [1, 2]
-    for particle, (positions, frozen) in forked.items():
-        assert positions.strides == serial[particle].positions.strides
-        assert np.array_equal(positions, serial[particle].positions)
-        assert np.array_equal(frozen, serial[particle].frozen)
+    serial = {
+        particle: layer_records(integrate_batch, stack, x0, direction, substeps)
+        for particle, (stack, x0) in starts.items()
+    }
+    assert_same_runs(forked, serial)
     assert (np.count_nonzero(forked[2][1] >= 0) > 0) == (name == "recombination")
 
 
@@ -256,9 +247,9 @@ def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, 
     for constant, expected in ((work, 1), (work + 1, 0)):
         monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", constant)
         forks.clear()
-        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", kept)
+        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", gathered)
         assert len(forks) == expected
-        assert [run.n_trajectories for run in runs.values()] == [30, 30]
+        assert [len(frozen) for _, frozen in runs.values()] == [30, 30]
         deviations = superdet_replay(history, scn["seed"], 30, 4, EPS_NODE_REL)
         assert len(forks) == 2 * expected
         assert [len(dev) for dev in deviations.values()] == [30, 30]
@@ -271,7 +262,7 @@ def test_one_cpu_or_no_fork_runs_serially(cpus, no_overlap, forks, monkeypatch):
     sched_getaffinity, by cpu_count, or where os.fork is missing, the runs
     are transported serially, and are the same."""
     scn, _, history = no_overlap
-    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward", kept)
+    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward", gathered)
     forked = anchored_runs(*args)
     assert len(forks) == 1
     if cpus == "affinity":
@@ -310,8 +301,8 @@ def test_a_result_that_does_not_pickle_raises_runtime_error(no_overlap, forks):
     scn, _, history = no_overlap
 
     def consume(particle, transport):
-        run = transport()
-        return run.n_trajectories if particle == 1 else (lambda: run)
+        frozen = transport(lambda record, block, frozen: None)
+        return len(frozen) if particle == 1 else (lambda: frozen)
 
     with pytest.raises(RuntimeError, match=r"^particle 2's run failed in its forked child \(exit code 1\)$"):
         anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
@@ -340,7 +331,11 @@ def announced():
 os.fork = announced
 protocols.FORK_MIN_SUBSTEPS = 0
 protocols._can_fork = lambda: True
-protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", lambda particle, transport: transport() and None)
+
+def consume(particle, transport):
+    transport(lambda record, block, frozen: None)
+
+protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", consume)
 """
 
 
@@ -380,9 +375,10 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
     runs = backward_runs(history, scn["seed"], 2000)
     assert set(runs) == {1, 2}
     for particle, density in ((1, history.density1), (2, history.density2)):
-        assert runs[particle].n_trajectories == 2000
-        assert runs[particle].n_flagged == 0
-        ks = equivariance_test(runs[particle], density, system.grid)
+        layers, frozen = runs[particle]
+        assert layers.shape[0] == 2000
+        assert np.all(frozen < 0)
+        ks = equivariance(layers, density, system.grid)
         assert ks.shape == (history.n_layers + 1,)
         assert float(np.max(ks)) < 0.05
 
@@ -394,8 +390,9 @@ def test_same_seed_reproduces_the_whole_run(no_overlap):
     assert np.array_equal(a[1][0][:, 0], b[1][0][:, 0])
     assert np.array_equal(a[2][0], b[2][0])
     assert a[2][0].shape == (40, 4 * history.n_layers + 1)
+    # A backward run starts at the final layer.
     c = backward_runs(history, 32, 40)
-    assert not np.array_equal(a[1][0][:, 0], c[1].positions[:, 0])
+    assert not np.array_equal(a[1][0][:, 0], c[1][0][:, -1])
 
 
 # ----------------------------------------------------------------------------
@@ -549,13 +546,11 @@ def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
     for stack, x0 in starts.values():
         records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
         assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0)) and np.any(frozen < 0)
-        run = integrate_batch(stack, x0, direction, 8)
-        assert np.array_equal(run.positions, records[:, ::8])
-        assert np.array_equal(run.frozen, frozen)
-        kept, _ = round_trip(stack, x0, direction, 8)
-        assert (kept.direction, kept.substeps) == (direction, 8)
-        assert np.array_equal(kept.positions, run.positions)
-        assert np.array_equal(kept.frozen, run.frozen)
+        layers, layer_frozen = layer_records(integrate_batch, stack, x0, direction, 8)
+        assert np.array_equal(layers, records[:, ::8])
+        assert np.array_equal(layer_frozen, frozen)
+        outbound, _ = round_trip(stack, x0, direction, 8)
+        assert np.array_equal(outbound.T, layers)
 
 
 def test_round_trip_memory_stays_near_the_replays_records():
@@ -570,12 +565,12 @@ def test_round_trip_memory_stays_near_the_replays_records():
     one = 2000 * (system.n_layers * 32 + 1) * 8
     tracemalloc.start()
     try:
-        run, deviations = round_trip(*starts[1], "forward", 32)
+        layers, deviations = round_trip(*starts[1], "forward", 32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert not np.any(np.isnan(deviations))
-    assert run.positions.shape == (2000, system.n_layers + 1)
+    assert layers.shape == (system.n_layers + 1, 2000)
     assert peak < 1.25 * one
 
 
@@ -774,17 +769,17 @@ def crossings_reference(runs, tracks, grid):
     n_layers = joint.n_layers
     events = []
     violations = crossed = ambiguous = total = 0
-    for particle, run in runs.items():
+    for particle, (layers, _) in runs.items():
         axis = particle - 1
         # column c: sites inside component c's projection; column 0 stays empty
         proj = [
             np.stack([(lab == c).any(axis=1 - axis) & (c > 0) for c in range(k + 1)], axis=1)
             for lab, k in zip(joint.labels, joint.n_components)
         ]
-        for i in range(run.n_trajectories):
+        for i in range(len(layers)):
             counts, labels = [], []
             for t in range(n_layers + 1):
-                x = float(run.layer_positions(t)[i])
+                x = float(layers[i, t])
                 site = int(np.floor((x - grid.x_min) / grid.dx + 0.5))
                 if grid.boundary == "periodic":
                     site %= grid.n_sites
@@ -807,7 +802,7 @@ def crossings_reference(runs, tracks, grid):
                         violations += 1
                 last_t, last_c = t, c
             crossed += hit_any
-    n_traj = sum(run.n_trajectories for run in runs.values())
+    n_traj = sum(len(layers) for layers, _ in runs.values())
     events.sort(key=lambda e: (e[1], e[2], e[0]))
     events = np.array(events, dtype=np.int64).reshape(-1, len(EVENT_COLUMNS))
     return events, violations, crossed / n_traj, ambiguous / total, n_traj
@@ -825,7 +820,7 @@ def assert_matches_reference(runs, tracks, grid):
     assert report.crossing_fraction == crossing_fraction
     assert report.ambiguous_fraction == ambiguous_fraction
     assert report.n_trajectories == n_traj
-    assert report.flagged == {particle: run.n_flagged for particle, run in runs.items()}
+    assert report.flagged == {particle: int(np.count_nonzero(frozen >= 0)) for particle, (_, frozen) in runs.items()}
     return report
 
 
@@ -833,7 +828,7 @@ def assert_matches_reference(runs, tracks, grid):
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
     _, system, history = recombination
     tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    runs = anchored_runs(history, seed, 300, 4, EPS_NODE_REL, "forward", kept)
+    runs = anchored_layers(history, seed, 300, 4, EPS_NODE_REL, "forward")
     report = assert_matches_reference(runs, tracks, system.grid)
     assert len(report.events) > 0
 
@@ -880,17 +875,11 @@ def hand_built_tracks(n_sites=8):
     return TrackSet(joint=joint, marginal={})
 
 
-def site_run(sites, direction="forward"):
-    """A one-substep run whose trajectories sit on the given sites per layer."""
-    positions = np.asarray(sites, dtype=np.float64)
-    if direction == "backward":
-        positions = positions[:, ::-1]
-    return EnsembleRun(
-        positions=positions,
-        frozen=np.full(positions.shape[0], -1),
-        direction=direction,
-        substeps=1,
-    )
+def site_run(sites):
+    """(layers, frozen) of a run whose trajectories sit on the given sites
+    per layer and never freeze."""
+    layers = np.asarray(sites, dtype=np.float64)
+    return layers, np.full(layers.shape[0], -1)
 
 
 def test_crossings_on_a_hand_built_branch_graph():
@@ -915,7 +904,6 @@ def test_crossings_on_a_hand_built_branch_graph():
                 [0, 0, 0, 0, 0, 0, 0, 0],
                 [0, 1, 1, 7, 7, 7, 7, 7],  # unbridged along particle 2's axis
             ],
-            direction="backward",
         ),
     }
     report = assert_matches_reference(runs, tracks, grid)
