@@ -7,8 +7,7 @@ built-in default, before its one schema validation.  One function,
 body from `COMMANDS` and writes the body's summary next to an echo of the
 fully resolved scenario.  Artifacts are deterministic: rerunning with the
 same scenario and seed reproduces every file byte for byte.  No command
-keeps a transported run: `guide` and `retro` take each layer's KS in the
-transport's layer fold, and `guide` streams its trajectory CSV from it.
+keeps a transported run (see `_trajectory_summary`).
 
 Failure modes map to distinct exit codes so callers can branch on them:
 2 for schema or input violations, 3 for resource-cap aborts, 4 for
@@ -30,7 +29,7 @@ from . import exports
 from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_fields, run_walk
-from .guidance import ks_statistic
+from .guidance import equivariance_test
 from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
@@ -111,34 +110,27 @@ def _trajectory_summary(path: str, density, grid, count: int, substeps: int, for
     """
     n_layers = len(density) - 1
     ks = np.empty(n_layers + 1)
+    # The layers not yet written: a forward run's last, a backward run's all.
+    held = np.empty((1 if forward else n_layers + 1, count))
 
-    def flags(frozen, record):
+    def flags(frozen, layer):
+        record = layer if forward else n_layers - layer
         return (frozen >= 0) & (frozen <= record * substeps)
 
-    if forward:
-        held = np.empty(count)
-        with exports.trajectories_csv(path, count) as write:
-
-            def fold(layer, block, frozen):
-                ks[layer] = ks_statistic(block[0], density[layer], grid)
-                if layer:
-                    write(layer - 1, held, flags(frozen, layer - 1))
-                held[:] = block[0]
-
-            frozen = transport(fold)
-            write(n_layers, held, flags(frozen, n_layers))
-    else:
-        layers = np.empty((n_layers + 1, count))
-
+    def run(write):
         def fold(record, block, frozen):
-            layer = n_layers - record
-            ks[layer] = ks_statistic(block[0], density[layer], grid)
-            layers[layer] = block[0]
+            layer = record if forward else n_layers - record
+            ks[layer : layer + 1] = equivariance_test(block, density[layer : layer + 1], grid)
+            if forward and layer:
+                write(layer - 1, held[0], flags(frozen, layer - 1))
+            held[0 if forward else layer] = block[0]
 
         frozen = transport(fold)
-        with exports.trajectories_csv(path, count) as write:
-            for layer, positions in enumerate(layers):
-                write(layer, positions, flags(frozen, n_layers - layer))
+        for layer, positions in enumerate(held, n_layers + 1 - len(held)):
+            write(layer, positions, flags(frozen, layer))
+        return frozen
+
+    frozen = exports.write_trajectories_csv(path, count, run)
     flagged = int(np.count_nonzero(frozen >= 0))
     return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": flagged}
 

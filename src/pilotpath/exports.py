@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,26 +65,19 @@ def _cells(column) -> list[str]:
     return list(map(str, column.astype(np.int64).tolist()))
 
 
-@contextmanager
-def _table(path: str, header: list[str]):
-    """One CSV table open at path, its header written: yields write(block),
-    which writes the rows of a block, a list of equal-length columns."""
-    with _open(path) as fh:
-        fh.write(",".join(header) + "\n")
-
-        def write(block):
-            rows = list(map(",".join, zip(*map(_cells, block))))
-            if rows:
-                fh.write("\n".join(rows) + "\n")
-
-        yield write
+def _write_block(fh, block) -> None:
+    """The rows of a block, a list of equal-length columns."""
+    rows = list(map(",".join, zip(*map(_cells, block))))
+    if rows:
+        fh.write("\n".join(rows) + "\n")
 
 
 def _write_table(path: str, header: list[str], blocks) -> None:
     """One CSV table: the header, then the rows of each block in turn."""
-    with _table(path, header) as write:
+    with _open(path) as fh:
+        fh.write(",".join(header) + "\n")
         for block in blocks:
-            write(block)
+            _write_block(fh, block)
 
 
 def write_currents_csv(path: str, density: np.ndarray, current: np.ndarray, positions: np.ndarray) -> None:
@@ -113,16 +105,17 @@ def write_overlap_csv(path: str, ensemble: PathEnsemble, table: OverlapTable) ->
     _write_table(path, header, (block(table.groups[flat]) for flat in sorted(table.groups)))
 
 
-@contextmanager
-def trajectories_csv(path: str, count: int):
-    """Layer-resolution trajectory table of count trajectories, open at path:
-    trajectory_id, layer, position, node_flag.  Yields write(layer,
-    positions, flags), which writes one layer's rows, so a run is written
-    as its transport goes.  flags is whether each trajectory had frozen at
-    a masked node by the substep at which its run passed the layer."""
+def write_trajectories_csv(path: str, count: int, fill):
+    """Layer-resolution trajectory table of count trajectories: trajectory_id,
+    layer, position, node_flag.  fill(write) writes the table a layer at a
+    time, write(layer, positions, flags), so a run can be written as its
+    transport goes; flags is whether each trajectory had frozen at a masked
+    node by the substep at which its run passed the layer.  Returns what
+    fill returns."""
     ids = [str(i) for i in range(count)]
-    with _table(path, ["trajectory_id", "layer", "position", "node_flag"]) as write:
-        yield lambda layer, positions, flags: write([ids, [str(layer)] * count, positions, flags])
+    with _open(path) as fh:
+        fh.write("trajectory_id,layer,position,node_flag\n")
+        return fill(lambda layer, positions, flags: _write_block(fh, [ids, [str(layer)] * count, positions, flags]))
 
 
 def write_branch_edges_csv(path: str, tracks: TrackSet) -> None:

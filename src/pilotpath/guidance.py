@@ -6,9 +6,9 @@ walk histories, transports positions through them in either time direction
 with a fixed-substep 4th-order integrator (see kernels), draws initial
 configuration pairs from a two-particle density table by inverse-CDF, and
 measures how well transported ensembles track the evolving density
-(one-sample KS distance).  A transported run is never kept: it is handed
-to a fold as the transport goes, each layer-boundary record, or every
-substep's record for a round trip, with the freeze indices so far.
+(one-sample KS distance per layer).  A transported run is never kept: it
+is handed to a fold as the transport goes, each layer-boundary record, or
+every substep's record for a round trip, with the freeze indices so far.
 
 Wavefunction nodes make the velocity singular; sites whose density falls
 below a threshold are masked, and any trajectory touching a masked
@@ -236,3 +236,16 @@ def ks_statistic(samples: np.ndarray, density: np.ndarray, grid: LatticeGrid) ->
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     return float(max(d_plus, d_minus))
+
+
+def equivariance_test(layers: np.ndarray, density_stack: np.ndarray, grid: LatticeGrid) -> np.ndarray:
+    """KS distance between an ensemble and the density at each layer.
+
+    layers and density_stack hold one row per layer, paired row by row: a
+    whole run against the whole stack, or a layer fold's one-row block
+    against that layer's row, density_stack[t : t + 1].
+    """
+    density_stack = np.asarray(density_stack, dtype=np.float64)
+    if density_stack.shape[0] != len(layers):
+        raise ValidationError(f"density stack has {density_stack.shape[0]} rows; the ensemble passes {len(layers)}")
+    return np.array([ks_statistic(row, density, grid) for row, density in zip(layers, density_stack)])

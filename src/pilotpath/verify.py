@@ -17,7 +17,7 @@ from . import paths as pp
 from .circuit import STREAM_CIRCUIT_ALTERATION, CircuitLayer, evolve_circuit, haar_unitary, stream_rng
 from .dirac import PotentialField, build_dirac_step, continuity_residual, run_walk
 from .errors import ResourceCapError, ValidationError
-from .guidance import integrate_batch, ks_statistic
+from .guidance import equivariance_test, integrate_batch
 from .protocols import anchored_starts, round_trip
 from .scenario import CircuitSystem, WalkSystem
 
@@ -151,15 +151,16 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # own run is that fine, the round trip's outbound run is it, and the
     # equivariance check reads its layers; otherwise it folds its own run.
     rev_sub = max(substeps, 32)
-    density = history.density1
-    ks = []
     if rev_sub != substeps:
-        integrate_batch(
-            stack, x0, "forward", substeps, lambda t, block, _: ks.append(ks_statistic(block[0], density[t], grid))
-        )
+        ks = np.empty(history.n_layers + 1)
+
+        def fold(t, block, _):
+            ks[t : t + 1] = equivariance_test(block, history.density1[t : t + 1], grid)
+
+        integrate_batch(stack, x0, "forward", substeps, fold)
     layers, deviations = round_trip(stack, x0, "forward", rev_sub)
     if rev_sub == substeps:
-        ks = [ks_statistic(row, density[t], grid) for t, row in enumerate(layers)]
+        ks = equivariance_test(layers, history.density1, grid)
     kept = int(np.count_nonzero(~np.isnan(deviations)))
     # Between reflecting walls, round trips that reach an edge site are
     # excluded as well.

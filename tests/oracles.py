@@ -17,7 +17,7 @@ import scipy.sparse
 from pilotpath.circuit import CircuitLayer, JointState, ModeSpinBasis, StepStencil
 from pilotpath.dirac import ALPHA1, CHIRAL_SIGNS, CHIRAL_V, NAMED_SPINORS, SPINOR_DIM, bloch_step_matrix
 from pilotpath.errors import PilotPathError, ValidationError
-from pilotpath.guidance import VelocityStack, cell_edges, ks_statistic
+from pilotpath.guidance import VelocityStack, cell_edges
 from pilotpath.scenario import _schema
 
 
@@ -326,13 +326,6 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
         grid=stack.grid,
         eps_node=stack.eps_node,
     )
-
-
-def equivariance(layers: np.ndarray, density_stack: np.ndarray, grid) -> np.ndarray:
-    """KS distance between an ensemble and the density at each layer, from
-    its trajectory-major layer records, column t at layer t."""
-    assert layers.shape[1] == len(density_stack)
-    return np.array([ks_statistic(layers[:, t], row, grid) for t, row in enumerate(density_stack)])
 
 
 # ----------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pilotpath.dirac import (
     run_walk,
     to_circuit_layers,
 )
-from pilotpath.guidance import integrate_batch, sample_joint_density, velocity_stack
+from pilotpath.guidance import equivariance_test, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.paths import (
     PathCaps,
     PathContext,
@@ -49,7 +49,7 @@ from conftest import (
     spinor_field,
     truncated_profile,
 )
-from oracles import equivariance, pair_overlap, scaled, to_path, two_body_continuity_residual
+from oracles import pair_overlap, scaled, to_path, two_body_continuity_residual
 
 CAPS = PathCaps(pair_cap=5_000_000, memory_cap_bytes=2**31)
 
@@ -187,7 +187,7 @@ def bundled_runs():
                 "backward",
             )
             ks = {
-                p: equivariance(runs[p][0], density, system.grid)
+                p: equivariance_test(runs[p][0].T, density, system.grid)
                 for p, density in ((1, history.density1), (2, history.density2))
             }
             cache[name] = (scn, system, history, runs, ks)
@@ -371,9 +371,9 @@ def test_forward_transport_equivariance(bundled_runs, capsys):
         layers, frozen = layer_records(integrate_batch, stack, x0, "forward", substeps)
         flagged += int(np.count_nonzero(frozen >= 0))
         density = history.density1 if particle == 1 else history.density2
-        worst = max(worst, float(np.max(equivariance(layers, density, grid))))
+        worst = max(worst, float(np.max(equivariance_test(layers.T, density, grid))))
     control_layers, _ = layer_records(integrate_batch, scaled(stack1, 0.5), x1, "forward", substeps)
-    control = float(np.max(equivariance(control_layers, history.density1, grid)))
+    control = float(np.max(equivariance_test(control_layers.T, history.density1, grid)))
     ok = worst < 0.02 and control > 0.05 and flagged == 0
     announce(
         capsys,

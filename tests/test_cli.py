@@ -687,13 +687,13 @@ def test_particle_2_consumer_errors_exit_alike_forked_or_not(command, cpus, scen
     its crossing pass) exits 2 with the same JSON error whether a forked
     child or this process ran it, and leaves no child behind."""
     message = "particle 2's consumer rejects its run"
-    table = cli.exports.trajectories_csv
+    table = cli.exports.write_trajectories_csv
     layer_pass = protocols._layer_pass
 
-    def rejecting_csv(path, count):
+    def rejecting_csv(path, count, fill):
         if path.endswith("trajectories2.csv"):
             raise ValidationError(message)
-        return table(path, count)
+        return table(path, count, fill)
 
     def rejecting_pass(particle, *args):
         if particle == 2:
@@ -702,7 +702,7 @@ def test_particle_2_consumer_errors_exit_alike_forked_or_not(command, cpus, scen
 
     monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(cli.exports, "trajectories_csv", rejecting_csv)
+    monkeypatch.setattr(cli.exports, "write_trajectories_csv", rejecting_csv)
     monkeypatch.setattr(protocols, "_layer_pass", rejecting_pass)
     code, payload = expect_error([command, "--scenario", scenario_file], tmp_path / "out", capsys)
     assert payload == {"error": "ValidationError", "message": message, "exit_code": 2}

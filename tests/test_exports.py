@@ -42,11 +42,15 @@ def test_trajectories_csv_flags_a_backward_freeze_from_its_layer(tmp_path):
         ]
     )
     frozen = np.array([-1, 1, -1])
-    path = tmp_path / "sub" / "table.csv"
-    with exports.trajectories_csv(str(path), 3) as write:
+
+    def fill(write):
         for layer in range(3):
             record = 2 - layer
             write(layer, positions[:, record], (frozen >= 0) & (frozen <= record * 2))
+        return "filled"
+
+    path = tmp_path / "sub" / "table.csv"
+    assert exports.write_trajectories_csv(str(path), 3, fill) == "filled"
     assert path.read_bytes().decode("utf-8") == (
         "trajectory_id,layer,position,node_flag\n"
         "0,0,0.1,0\n"

@@ -16,6 +16,7 @@ from pilotpath import kernels
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
     VelocityStack,
+    equivariance_test,
     integrate_batch,
     ks_statistic,
     sample_joint_density,
@@ -24,7 +25,7 @@ from pilotpath.guidance import (
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import EPS_NODE_REL, every_substep, layer_records, make_rng, spinor_field
-from oracles import equivariance, sample_joint_density_gather, scaled
+from oracles import sample_joint_density_gather, scaled
 
 
 def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
@@ -191,6 +192,19 @@ def test_integrate_batch_keeps_layer_records_unless_asked(direction):
     assert np.array_equal(frozen, fine_frozen)
 
 
+def test_equivariance_rejects_a_stack_of_other_depth():
+    grid, hist = smooth_history(n_layers=4)
+    stack = velocity_stack(hist, 1, EPS_NODE_REL)
+    records, _ = layer_records(integrate_batch, stack, np.array([7.0, 8.0]), "backward", 4)
+    layers = records.T[::-1]
+    assert equivariance_test(layers, hist.density1, grid).shape == (5,)
+    # A one-row block, as a layer fold is handed, pairs with its layer's row.
+    assert equivariance_test(layers[2:3], hist.density1[2:3], grid)[0] == ks_statistic(layers[2], hist.density1[2], grid)
+    # A shorter stack would otherwise pair its rows with the wrong records.
+    with pytest.raises(ValidationError, match="rows"):
+        equivariance_test(layers, hist.density1[:3], grid)
+
+
 def test_periodic_starts_are_canonicalized():
     grid, hist = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
@@ -345,7 +359,7 @@ def test_transported_ensemble_tracks_the_density():
     rng = make_rng(70)
     x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
-    ks = equivariance(layers, hist.density1, grid)
+    ks = equivariance_test(layers.T, hist.density1, grid)
     assert ks.shape == (hist.n_layers + 1,)
     assert float(np.max(ks)) < 0.05
 
@@ -357,5 +371,5 @@ def test_halved_velocities_fail_the_same_comparison():
     rng = make_rng(71)
     x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, half, x0, "forward", 4)
-    ks = equivariance(layers, hist.density1, grid)
+    ks = equivariance_test(layers.T, hist.density1, grid)
     assert float(np.max(ks)) > 0.05

@@ -23,7 +23,7 @@ from pilotpath.circuit import (
 )
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
 from pilotpath.errors import ValidationError
-from pilotpath.guidance import VelocityStack, integrate_batch, sample_joint_density, velocity_stack
+from pilotpath.guidance import VelocityStack, equivariance_test, integrate_batch, sample_joint_density, velocity_stack
 from pilotpath.protocols import (
     EVENT_COLUMNS,
     TrackGraph,
@@ -41,7 +41,7 @@ from pilotpath.protocols import (
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, anchored_layers, every_substep, layer_records, served
-from oracles import equivariance, ndimage_label
+from oracles import ndimage_label
 
 
 def scenario_history(name):
@@ -378,7 +378,7 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
         layers, frozen = runs[particle]
         assert layers.shape[0] == 2000
         assert np.all(frozen < 0)
-        ks = equivariance(layers, density, system.grid)
+        ks = equivariance_test(layers.T, density, system.grid)
         assert ks.shape == (history.n_layers + 1,)
         assert float(np.max(ks)) < 0.05
 
