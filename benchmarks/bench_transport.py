@@ -55,7 +55,7 @@ def main() -> int:
     for _ in range(args.repeats):
         start = time.perf_counter()
         _, frozen = kernels.transport(
-            values, masks, x0, 0.0, 1.0, float(args.sites), True, 0.5, args.substeps, True, _ignore
+            values, masks, x0, 0.0, 1.0, True, 0.5, args.substeps, True, _ignore
         )
         best = min(best, time.perf_counter() - start)
     n_frozen = int((frozen >= 0).sum())

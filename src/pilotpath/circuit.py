@@ -53,11 +53,6 @@ class ModeSpinBasis:
     def dim_b(self) -> int:
         return self.modes_b * self.spins_b
 
-    def flat_a(self, mode: int, spin: int) -> int:
-        if not (0 <= mode < self.modes_a and 0 <= spin < self.spins_a):
-            raise ValidationError("particle-A (mode, spin) out of range")
-        return mode * self.spins_a + spin
-
     def unflat_a(self, index: int) -> tuple[int, int]:
         if not 0 <= index < self.dim_a:
             raise ValidationError("particle-A flat index out of range")

@@ -32,9 +32,11 @@ from .errors import DegenerateDensityError, ValidationError
 class VelocityStack:
     """Per-layer velocity tables for one particle over a full run.
 
-    Built only finite and, on a periodic grid, with no stage of grid.dt
-    (the longest any substep count gives) crossing more than
-    kernels.MAX_STAGE_RINGS rings, so kernels.transport accepts it.
+    Built only if kernels.check_tables accepts the tables at a substep of
+    grid.dt, the longest any substep count gives, so kernels.transport
+    accepts it: finite, and on a ring no substep moves a whole ring.  A
+    walk's stack sits far inside that bound: |v| <= dx/dt to rounding, so
+    a substep moves about one cell at most, and the smallest ring has two.
     """
 
     values: np.ndarray
@@ -47,12 +49,7 @@ class VelocityStack:
             raise ValidationError("stack tables must be matching (layers+1, sites) arrays")
         if self.values.shape[1] != self.grid.n_sites:
             raise ValidationError("stack width must match the grid")
-        vmax = float(np.max(np.abs(self.values), initial=0.0))
-        if not np.isfinite(vmax):
-            raise ValidationError("velocity tables must be finite")
-        rings = kernels.MAX_STAGE_RINGS
-        if self.grid.boundary == "periodic" and self.grid.dt * vmax > rings * self.grid.extent:
-            raise ValidationError(f"a transport stage could cross more than {rings} rings of the grid")
+        kernels.check_tables(self.values, self.grid.dx, self.grid.boundary == "periodic", self.grid.dt)
 
     @property
     def n_layers(self) -> int:
@@ -132,7 +129,6 @@ def integrate_batch(
         x0,
         grid.x_min,
         grid.dx,
-        grid.extent,
         grid.boundary == "periodic",
         grid.dt,
         substeps,

@@ -25,14 +25,19 @@ Arithmetic:
     every_substep each of its substep records, is written into one reused
     block and handed to the fold once the segment has finished, so no
     array spans the run; the freeze index counts substeps;
-  - periodic starts are wrapped onto the ring ``[0, n_sites)`` before the
-    first substep, and every substep's result is wrapped again;
-  - cell indices wrap inside the gather (``take(mode="wrap")``).  numpy
-    wraps by adding one ring per loop iteration, so its cost grows with how
-    far an index lies outside the ring.  Non-finite tables or starts, and
-    a periodic step that could carry a stage around more than
-    MAX_STAGE_RINGS rings, are rejected before any gather runs
-    (guidance.VelocityStack rejects such tables when it is built).
+  - periodic starts are wrapped onto the ring ``[0, n_sites]`` before the
+    first substep, and every substep's result is wrapped again by one
+    subtraction or one addition of the ring;
+  - cell indices wrap inside the gather (``take(mode="wrap")``).
+
+The one precondition, check_tables: velocity tables are finite and, on a
+ring, a substep moves less than one ring, ``|h| * max|v| < n_sites * dx``.
+A substep from ``[0, n_sites]`` then ends in ``(-n_sites, 2 * n_sites)``,
+where the one-step wrap equals Python's modulo bit for bit.  Lattice
+velocities obey ``|v| <= dx/dt`` to rounding, so a walk's substep moves
+about one cell at most, and the smallest ring has two.  guidance.VelocityStack checks its
+tables with the whole time step, the longest substep, so a stack that is
+built is a stack its transport accepts.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["transport"]
+__all__ = ["check_tables", "transport"]
 
 # Trajectories are independent, so the batch runs through each segment in
 # chunks of this many; a chunk's per-substep temporaries then stay in cache
@@ -51,10 +56,16 @@ __all__ = ["transport"]
 # stage tables.
 CHUNK = 8192
 
-# A stage lands at most this many rings off the ring a substep starts on.
-# Lattice velocities obey |v| <= dx/dt, so a real stage crosses at most
-# 1/n_sites of a ring.
-MAX_STAGE_RINGS = 1024
+
+def check_tables(values: np.ndarray, dx: float, periodic: bool, step: float) -> None:
+    """Raise ValidationError unless velocity tables (n_layers + 1, n_sites)
+    are finite and, on a ring, a substep of duration at most step moves
+    less than one ring: step * max|v| < n_sites * dx."""
+    vmax = float(np.max(np.abs(values), initial=0.0))
+    if not math.isfinite(vmax):
+        raise ValidationError("velocity tables must be finite")
+    if periodic and step * vmax >= values.shape[1] * dx:
+        raise ValidationError("a transport substep could carry a trajectory once round the ring")
 
 
 def _corner_sites(n_sites, periodic):
@@ -103,7 +114,6 @@ def transport(
     x0: np.ndarray,
     x_min: float,
     dx: float,
-    extent: float,
     periodic: bool,
     dt: float,
     substeps: int,
@@ -113,8 +123,10 @@ def transport(
 ):
     """Transport a batch of positions through the full field stack.
 
-    values, masks: (n_layers + 1, n_sites) tables, one row per layer.
-    extent is the ring length, n_sites * dx.
+    values, masks: (n_layers + 1, n_sites) tables, one row per layer; a
+    periodic grid is a ring of n_sites cells.  Raises ValidationError on
+    tables that check_tables rejects at the substep dt / substeps, and on
+    non-finite starts.
     Returns (records, frozen): records is an empty (n, 0) array, since fold
     has been handed them all.  frozen[i] is the substep record, numbered
     from 0 at x0, that trajectory i holds from its freeze on a node on, or
@@ -137,11 +149,9 @@ def transport(
     n_sites = values.shape[1]
     n = x0.shape[0]
     h = (dt / substeps) if forward else -(dt / substeps)
-    vmax = float(np.max(np.abs(values), initial=0.0))
-    if not (math.isfinite(vmax) and np.all(np.isfinite(x0))):
-        raise ValidationError("transport needs finite velocity tables and start positions")
-    if periodic and abs(h) * vmax > MAX_STAGE_RINGS * extent:
-        raise ValidationError(f"a transport stage could cross more than {MAX_STAGE_RINGS} rings of the grid")
+    check_tables(values, dx, periodic, abs(h))
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("transport needs finite start positions")
     frozen = np.full(n, -1, dtype=np.int64)
     # Each segment's records go into one block.
     block = np.empty((substeps if every_substep else 1, n), dtype=np.float64)
@@ -153,11 +163,6 @@ def transport(
     if periodic:
         mode, offset, ring = "wrap", 0, float(n_sites)
         u0 = ((x0 - x_min) * inv_dx) % ring
-        # A substep moves u by at most |h| * vmax / dx cells.  Below half a
-        # ring, a substep from [0, n_sites] ends in [-ring, 2*ring), where
-        # one exact subtraction or one addition of the ring is the
-        # remainder, bit for bit, at a tenth of np.remainder's cost.
-        one_ring = abs(h) * vmax * inv_dx <= 0.5 * ring
     else:
         mode, offset, top = "clip", 1, float(n_sites - 1)
         u0 = (x0 - x_min) * inv_dx
@@ -204,11 +209,11 @@ def transport(
                 k2 += k4
                 k2 *= sixth
                 un = np.add(u, k2, out=k2)
-                if periodic and one_ring:
+                if periodic:
+                    # less than a ring from [0, ring]: one exact subtraction
+                    # or one addition of the ring wraps it
                     np.subtract(un, ring, out=un, where=un >= ring)
                     np.add(un, ring, out=un, where=un < 0.0)
-                elif periodic:
-                    np.remainder(un, ring, out=un)
                 else:
                     np.clip(un, 0.0, top, out=un)
                 if bad is not None:

@@ -312,9 +312,6 @@ class OverlapTable:
 
     groups: dict[int, OverlapGroup]
 
-    def group(self, endpoint: tuple[int, int], basis: ModeSpinBasis) -> OverlapGroup:
-        return self.groups[basis.flat_a(*endpoint)]
-
 
 def _settle_gram(gram: np.ndarray, what: str) -> np.ndarray:
     """Validate the structural identities of an overlap Gram, then pin them.

@@ -77,6 +77,13 @@ def steps_of(ensemble, path_id: int) -> np.ndarray:
     return seq
 
 
+def flat_a(basis: ModeSpinBasis, mode: int, spin: int) -> int:
+    """Flat particle-A index of (mode, spin), the inverse of basis.unflat_a."""
+    if not (0 <= mode < basis.modes_a and 0 <= spin < basis.spins_a):
+        raise ValidationError("particle-A (mode, spin) out of range")
+    return mode * basis.spins_a + spin
+
+
 def to_path(ensemble, path_id: int) -> Path:
     basis = ensemble.context.basis
     return Path(tuple(basis.unflat_a(int(z)) for z in steps_of(ensemble, path_id)))
@@ -87,7 +94,7 @@ def _validate_path(context, path: Path) -> list[int]:
         raise ValidationError("path length does not fit the layer stack")
     flat = []
     for loc, spin in path.steps:
-        flat.append(context.basis.flat_a(int(loc), int(spin)))
+        flat.append(flat_a(context.basis, int(loc), int(spin)))
     return flat
 
 
@@ -378,11 +385,12 @@ def _interp_time_lerp(row_a, row_b, mask_a, mask_b, x, wt, x_min, dx, n_sites, p
     return va + wt * (vb - va), bad
 
 
-def transport_time_lerp(values, masks, x0, x_min, dx, extent, periodic, dt, substeps, forward):
+def transport_time_lerp(values, masks, x0, x_min, dx, periodic, dt, substeps, forward):
     """The transport kernel's earlier arithmetic, one trajectory at a time:
     positions in x units, four corner values per stage and a time lerp
     between the two layer rows.  It rounds differently from the kernel, so
     it bounds the kernel's floating-point-order change, not its bits."""
+    extent = values.shape[1] * dx
     values = [[float(v) for v in row] for row in values]
     masks = [[bool(m) for m in row] for row in masks]
     n_layers = len(values) - 1

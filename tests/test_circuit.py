@@ -26,7 +26,7 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
-from oracles import dense_unitary, inverse_layers
+from oracles import dense_unitary, flat_a, inverse_layers
 
 
 def test_basis_flatten_round_trip():
@@ -34,7 +34,7 @@ def test_basis_flatten_round_trip():
     assert basis.dim_a == 6 and basis.dim_b == 8
     for mode in range(3):
         for spin in range(2):
-            assert basis.unflat_a(basis.flat_a(mode, spin)) == (mode, spin)
+            assert basis.unflat_a(flat_a(basis, mode, spin)) == (mode, spin)
 
 
 def test_layer_rejects_non_unitary():

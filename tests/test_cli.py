@@ -197,7 +197,7 @@ def test_only_round_trips_keep_every_substep(scenario_file, substeps, tmp_path, 
     def spy(*args, **kwargs):
         records, frozen = transport(*args, **kwargs)
         assert records.shape == (2000, 0)
-        calls.append((args[8], "substeps" if args[11] else "layers"))
+        calls.append((args[7], "substeps" if args[10] else "layers"))
         return records, frozen
 
     monkeypatch.setattr(kernels, "transport", spy)
@@ -313,7 +313,7 @@ def test_trajectory_csv_flags_each_freeze_from_the_layer_it_holds(forward, tmp_p
     masks = np.zeros((n_layers + 1, n_sites), dtype=bool)
     masks[0, 2] = masks[2, 6] = True
     x0 = x_min + np.array([2.5 + n_sites, 4.6, 6.5, 3.1]) * dx
-    args = (values, masks, x0, x_min, dx, n_sites * dx, True, 1.0, substeps, forward)
+    args = (values, masks, x0, x_min, dx, True, 1.0, substeps, forward)
     records, frozen = every_substep(kernels.transport, *args)
     assert frozen.tolist() == ([0, 4, -1, -1] if forward else [8, -1, 0, 8])
     density = np.linspace(1.0, 2.0, (n_layers + 1) * n_sites).reshape(n_layers + 1, n_sites)

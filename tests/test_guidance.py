@@ -12,7 +12,6 @@ from pilotpath.dirac import (
     run_walk,
     to_circuit_layers,
 )
-from pilotpath import kernels
 from pilotpath.errors import DegenerateDensityError, ValidationError
 from pilotpath.guidance import (
     VelocityStack,
@@ -73,17 +72,17 @@ def test_stack_from_tables_validates_shapes():
 
 def test_a_stack_is_built_only_if_its_transport_accepts_it():
     """Non-finite values never make a stack, nor, on a ring, values at which
-    a stage of the whole time step crosses more than MAX_STAGE_RINGS rings;
-    a bounded grid has no ring to cross."""
+    a substep of the whole time step could move a trajectory once round the
+    ring, dt * max|v| >= n_sites * dx; a bounded grid has no ring to cross."""
     masks = np.zeros((2, 8), dtype=bool)
     ring = LatticeGrid(8, 1.0, 0.5, 0.0, "periodic")
-    fastest = kernels.MAX_STAGE_RINGS * ring.extent / ring.dt
-    VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
-    for value, match in ((np.nan, "finite"), (np.inf, "finite"), (2 * fastest, "rings")):
+    limit = ring.n_sites * ring.dx / ring.dt
+    fastest = np.nextafter(limit, 0.0)
+    for value, match in ((np.nan, "finite"), (np.inf, "finite"), (limit, "ring")):
         with pytest.raises(ValidationError, match=match):
             VelocityStack(np.full((2, 8), value), masks, ring, 0.0)
-    VelocityStack(np.full((2, 8), 2 * fastest), masks, LatticeGrid(8, 1.0, 0.5, 0.0, "reflecting"), 0.0)
-    # The largest stack that is built moves, in one substep as in many.
+    VelocityStack(np.full((2, 8), 2 * limit), masks, LatticeGrid(8, 1.0, 0.5, 0.0, "reflecting"), 0.0)
+    # The largest stack that is built runs, in one substep as in four.
     stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
     for substeps in (1, 4):
         records, frozen = layer_records(integrate_batch, stack, np.array([3.0]), "forward", substeps)

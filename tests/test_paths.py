@@ -568,7 +568,8 @@ def test_single_coupling_overlap_has_the_hand_value():
     ctx = PathContext(layers, basis, psi1, psi2)
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
     table = overlap_table(ensemble)
-    group = table.group((0, 0), basis)
+    group = table.groups[0]
+    assert group.endpoint == (0, 0)
     routes = {tuple(steps_of(ensemble, int(i))): k for k, i in enumerate(group.path_ids)}
     a = routes[(0, 0, 0)]
     b = routes[(0, 1, 0)]
@@ -592,7 +593,8 @@ def test_opposite_phases_erase_the_cross_term():
     psi2 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
     ctx = PathContext(layers, basis, psi1, psi2)
     ensemble = enumerate_all(ctx, DEFAULT_CAPS)
-    group = overlap_table(ensemble).group((0, 0), basis)
+    group = overlap_table(ensemble).groups[0]
+    assert group.endpoint == (0, 0)
     off = ~np.eye(group.overlaps.shape[0], dtype=bool)
     assert np.max(np.abs(group.overlaps[off])) < 1e-14
     dens = path_sum_density(ensemble)
