@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import paths as pp
 from .errors import PilotPathError, ValidationError
 from .dirac import marginal_fields, run_walk
 from .guidance import equivariance_test
-from .protocols import anchored_runs, build_tracks, detect_crossings, superdet_replay
+from .protocols import anchored_runs, build_tracks, detect_crossings, joint_tracks, superdet_replay
 from .scenario import build_circuit, build_walk, read_scenario, resolve_scenario
 from .verify import run_verification
 
@@ -71,18 +72,26 @@ def load_scenario(arg: str, args: argparse.Namespace) -> dict:
     return resolve_scenario(raw)
 
 
-def _walk_history(system, record_joint=()):
-    return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint)
+def _walk_history(system, record_joint=(), fold=None):
+    return run_walk(system.state0, system.grid, system.layers, record_joint=record_joint, fold=fold)
 
 
-def _anchored_runs(scn: dict, history, direction: str, consume):
+def _anchored_walk(system, anchor: int):
+    """The walk and {anchor: its joint table}, the table an ensemble
+    anchored at that layer is drawn from."""
+    joint = {}
+    return _walk_history(system, {anchor}, joint.__setitem__), joint
+
+
+def _anchored_runs(scn: dict, history, joint, direction: str, consume):
     """{particle: consume(particle, transport)} over both particles'
     ensembles at the scenario's seed, count, substeps and node threshold,
-    anchored at layer 0 (forward) or the final layer (backward); see
-    anchored_runs."""
+    anchored at layer 0 (forward) or the final layer (backward), whose
+    joint table joint holds; see anchored_runs."""
     p = scn["protocol"]
     return anchored_runs(
         history,
+        joint,
         int(scn["seed"]),
         int(p["count"]),
         int(p["substeps"]),
@@ -93,9 +102,9 @@ def _anchored_runs(scn: dict, history, direction: str, consume):
 
 
 def retro_run(system):
-    """The walk with its final joint table, where `retro` and `superdet`
-    anchor their backward ensembles."""
-    return _walk_history(system, record_joint={system.n_layers})
+    """The walk and {final layer: its joint table}, where `retro` and
+    `superdet` anchor their backward ensembles."""
+    return _anchored_walk(system, system.n_layers)
 
 
 def _trajectory_summary(path: str, density, grid, count: int, substeps: int, forward: bool, transport) -> dict:
@@ -135,7 +144,7 @@ def _trajectory_summary(path: str, density, grid, count: int, substeps: int, for
     return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": flagged}
 
 
-def _ensemble_summary(scn: dict, out: str, history, direction: str):
+def _ensemble_summary(scn: dict, out: str, history, joint, direction: str):
     """Per-particle KS against the walk's marginals and flag counts, with each
     particle's trajectory CSV written where its run is transported; returns
     the summary and the worst layer KS over both particles."""
@@ -149,7 +158,7 @@ def _ensemble_summary(scn: dict, out: str, history, direction: str):
         return _trajectory_summary(path, densities[particle], history.grid, count, substeps, forward, transport)
 
     report = {"count": count, "substeps": substeps}
-    for particle, summary in _anchored_runs(scn, history, direction, summarise).items():
+    for particle, summary in _anchored_runs(scn, history, joint, direction, summarise).items():
         report[f"particle{particle}"] = summary
     return report, max(report["particle1"]["worst_ks"], report["particle2"]["worst_ks"])
 
@@ -231,14 +240,14 @@ def _currents(scn: dict, system, args, out: str):
 
 
 def _guide(scn: dict, system, args, out: str):
-    history = _walk_history(system, record_joint={0})
-    summary, worst = _ensemble_summary(scn, out, history, "forward")
+    history, joint = _anchored_walk(system, 0)
+    summary, worst = _ensemble_summary(scn, out, history, joint, "forward")
     return summary, f"forward ensembles transported; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
 def _retro(scn: dict, system, args, out: str):
-    history = retro_run(system)
-    summary, worst = _ensemble_summary(scn, out, history, "backward")
+    history, joint = retro_run(system)
+    summary, worst = _ensemble_summary(scn, out, history, joint, "backward")
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
@@ -246,7 +255,8 @@ def _superdet(scn: dict, system, args, out: str):
     p = scn["protocol"]
     count = int(p["count"])
     substeps = int(p["substeps"])
-    deviations = superdet_replay(retro_run(system), int(scn["seed"]), count, substeps, float(p["eps_node_rel"]))
+    history, joint = retro_run(system)
+    deviations = superdet_replay(history, joint, int(scn["seed"]), count, substeps, float(p["eps_node_rel"]))
     kept = {particle: dev[~np.isnan(dev)] for particle, dev in deviations.items()}
     top = max([0.0] + [float(dev.max()) for dev in kept.values() if dev.size])
     excluded = sum(count - dev.size for dev in kept.values())
@@ -262,12 +272,25 @@ def _superdet(scn: dict, system, args, out: str):
 
 
 def _tracks(scn: dict, system, args, out: str):
-    history = _walk_history(system, record_joint=range(system.n_layers + 1))
-    tracks = build_tracks(history, float(scn["protocol"]["track_threshold_rel"]))
-    crossings = detect_crossings(lambda consume: _anchored_runs(scn, history, "forward", consume), tracks, system.grid)
+    # One walk: every layer's joint table goes into the joint branch graph
+    # as the walk computes it, and only layer 0's, where the runs anchor,
+    # is kept.
+    threshold = float(scn["protocol"]["track_threshold_rel"])
+    graph = joint_tracks(threshold, system.grid)
+    anchor = {}
+
+    def fold(layer, table):
+        if layer == 0:
+            anchor[layer] = table
+        graph(layer, table)
+
+    history = _walk_history(system, range(system.n_layers + 1), fold)
+    tracks = build_tracks(history, graph)
+    runs = partial(_anchored_runs, scn, history, anchor, "forward")
+    crossings = detect_crossings(runs, tracks, system.grid)
     exports.write_branch_edges_csv(os.path.join(out, "branch_edges.csv"), tracks)
     report = {
-        "threshold_rel": float(scn["protocol"]["track_threshold_rel"]),
+        "threshold_rel": threshold,
         "joint": {
             "components_per_layer": [int(k) for k in tracks.joint.n_components],
             "loop_edges": len(tracks.joint.loop_edges),

@@ -19,8 +19,8 @@ layer; see run_walk.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,10 +325,7 @@ def continuity_residual(history: WalkHistory, layer: int) -> float:
 
 @dataclass
 class WalkHistory:
-    """Per-layer marginal tables of one run, plus the requested joint tables.
-
-    joint maps a recorded layer to its (n_sites, n_sites) joint density table.
-    """
+    """Per-layer marginal tables of one run."""
 
     grid: LatticeGrid
     n_layers: int
@@ -336,7 +333,6 @@ class WalkHistory:
     current1: np.ndarray
     density2: np.ndarray
     current2: np.ndarray
-    joint: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def run_walk(
@@ -344,6 +340,7 @@ def run_walk(
     grid: LatticeGrid,
     layers: list[CircuitLayer],
     record_joint: Iterable[int] = (),
+    fold: Callable[[int, np.ndarray], None] | None = None,
 ) -> WalkHistory:
     """Evolve a joint state through the layers and record per-layer marginal tables.
 
@@ -351,8 +348,10 @@ def run_walk(
     per uncoupled layer and goes on dense from its first coupling.  Every
     layer's steps must be WalkSteps on grid, which fixes the currents' dx/dt.
     Marginals are read from the factors at every layer.  record_joint names
-    the layers (0 through len(layers)) whose joint density tables the history
-    keeps, numbered from 0 at state0.
+    the layers (0 through len(layers)), numbered from 0 at state0, whose
+    (n_sites, n_sites) joint density tables are computed: each is handed to
+    fold(layer, table), layers ascending, as the walk reaches it, and the
+    history keeps none, so a caller holds only the tables it keeps itself.
     """
     if state0.basis != grid.basis():
         raise ValidationError("state basis does not match the step grid")
@@ -364,18 +363,19 @@ def run_walk(
     for k in record_joint:
         if not 0 <= k <= n_layers:
             raise ValidationError(f"joint table layer {k} out of range")
+    if record_joint and fold is None:
+        raise ValidationError("recorded joint tables need a fold to receive them")
     n = grid.n_sites
     density1 = np.empty((n_layers + 1, n))
     current1 = np.empty((n_layers + 1, n))
     density2 = np.empty((n_layers + 1, n))
     current2 = np.empty((n_layers + 1, n))
-    joint = {}
 
     state = state0
     for layer in range(n_layers + 1):
         (density1[layer], current1[layer]), (density2[layer], current2[layer]) = marginal_fields(state, grid)
         if layer in record_joint:
-            joint[layer] = _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx)
+            fold(layer, _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx))
         if layer < n_layers:
             state = apply_layer(state, layers[layer])
     return WalkHistory(
@@ -385,7 +385,6 @@ def run_walk(
         current1=current1,
         density2=density2,
         current2=current2,
-        joint=joint,
     )
 
 

@@ -65,11 +65,17 @@ def _cells(column) -> list[str]:
     return list(map(str, column.astype(np.int64).tolist()))
 
 
+# How many of a block's rows are formatted and written at once, so that a
+# block's text is never held whole.
+_SLICE_ROWS = 4096
+
+
 def _write_block(fh, block) -> None:
-    """The rows of a block, a list of equal-length columns."""
-    rows = list(map(",".join, zip(*map(_cells, block))))
-    if rows:
-        fh.write("\n".join(rows) + "\n")
+    """The rows of a block, a list of equal-length columns, _SLICE_ROWS at
+    a time."""
+    for lo in range(0, len(block[0]), _SLICE_ROWS):
+        rows = zip(*(_cells(column[lo : lo + _SLICE_ROWS]) for column in block))
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_table(path: str, header: list[str], blocks) -> None:
@@ -112,7 +118,7 @@ def write_trajectories_csv(path: str, count: int, fill):
     transport goes; flags is whether each trajectory had frozen at a masked
     node by the substep at which its run passed the layer.  Returns what
     fill returns."""
-    ids = [str(i) for i in range(count)]
+    ids = np.arange(count)
     with _open(path) as fh:
         fh.write("trajectory_id,layer,position,node_flag\n")
         return fill(lambda layer, positions, flags: _write_block(fh, [ids, [str(layer)] * count, positions, flags]))

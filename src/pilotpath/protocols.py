@@ -41,9 +41,13 @@ Three procedures built on the engine and guidance layers:
   graph descendant/ancestor of its previous one has crossed between worlds;
   such changes can only happen where two projections overlap on the
   particle's axis.  A trajectory's world at a layer is read from one code
-  per site: the component whose projection alone covers it, 0 or -1.  Each
-  run's crossing pass is the layer fold of its forward transport, so no
-  run's records are kept.
+  per site: the component whose projection alone covers it, 0 or -1.  The
+  joint graph is a fold of the walk (joint_tracks): each layer's joint
+  table is labelled, linked to the previous layer's labels and dropped as
+  the walk computes it, and only its two rows of world codes are kept, so
+  the analysis holds O(n_sites**2 + layers * n_sites), not a table per
+  layer.  Each run's crossing pass is the layer fold of its forward
+  transport, so no run's records are kept.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NoReturn
@@ -81,27 +86,36 @@ FORK_MIN_SUBSTEPS = 2**20
 
 
 def anchored_starts(
-    history: WalkHistory, seed: int, count: int, eps_rel: float, direction: str
+    history: WalkHistory, joint: Mapping[int, np.ndarray], seed: int, count: int, eps_rel: float, direction: str
 ) -> dict[int, tuple[VelocityStack, np.ndarray]]:
     """Each particle's velocity stack and its starts drawn from the anchor
     layer's joint density.
 
-    Forward runs anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs
-    at the final layer with STREAM_FINAL_SAMPLE.  Each particle follows the
-    velocity field of its own marginal flow, with sites below eps_rel times
-    the peak density masked as nodes.
+    joint maps layers to the joint tables that history's walk handed its
+    fold (see run_walk), and must hold the anchor layer's.  Forward runs
+    anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs at the final
+    layer with STREAM_FINAL_SAMPLE.  Each particle follows the velocity
+    field of its own marginal flow, with sites below eps_rel times the peak
+    density masked as nodes.
     """
     forward = check_direction(direction)
     anchor = 0 if forward else history.n_layers
-    if anchor not in history.joint:
+    if anchor not in joint:
         raise ValidationError(f"{direction} runs need the joint table of layer {anchor}; record it with record_joint")
     rng = stream_rng(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
-    x1, x2 = sample_joint_density(history.joint[anchor], history.grid, count, rng)
+    x1, x2 = sample_joint_density(joint[anchor], history.grid, count, rng)
     return {particle: (velocity_stack(history, particle, eps_rel), x0) for particle, x0 in ((1, x1), (2, x2))}
 
 
 def anchored_runs(
-    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float, direction: str, consume
+    history: WalkHistory,
+    joint: Mapping[int, np.ndarray],
+    seed: int,
+    count: int,
+    substeps: int,
+    eps_rel: float,
+    direction: str,
+    consume,
 ) -> dict:
     """Sample the anchor layer's joint density and return {particle:
     consume(particle, transport)}, where transport(fold) transports that
@@ -118,7 +132,7 @@ def anchored_runs(
     (see _per_particle), so consume's result must pickle.  The results,
     and any error a transport or consumer raises, are the same either way.
     """
-    starts = anchored_starts(history, seed, count, eps_rel, direction)
+    starts = anchored_starts(history, joint, seed, count, eps_rel, direction)
 
     def result(particle):
         return consume(particle, partial(integrate_batch, *starts[particle], direction, substeps))
@@ -270,7 +284,7 @@ def round_trip(stack: VelocityStack, x0: np.ndarray, direction: str, substeps: i
 
 
 def superdet_replay(
-    history: WalkHistory, seed: int, count: int, substeps: int, eps_rel: float
+    history: WalkHistory, joint: Mapping[int, np.ndarray], seed: int, count: int, substeps: int, eps_rel: float
 ) -> dict[int, np.ndarray]:
     """{particle: deviations} of the round trips (see round_trip) from
     backward-anchored starts (see anchored_starts): each particle's
@@ -279,7 +293,7 @@ def superdet_replay(
     anchored run would (see _per_particle), so where the work forks, the
     child holds particle 2's substep records and this process particle 1's.
     """
-    starts = anchored_starts(history, seed, count, eps_rel, "backward")
+    starts = anchored_starts(history, joint, seed, count, eps_rel, "backward")
 
     def deviations(particle):
         return round_trip(*starts[particle], "backward", substeps)[1]
@@ -374,7 +388,7 @@ def _label_with_wrap(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]
             uf.union(int(a), int(b))
     # Merged components are numbered in sorted-root order, from 1.
     roots, index = np.unique([uf.find(c) for c in range(1, n + 1)], return_inverse=True)
-    remap = np.zeros(n + 1, dtype=np.int64)
+    remap = np.zeros(n + 1, dtype=np.int32)
     remap[1:] = index + 1
     return remap[labels], len(roots)
 
@@ -390,81 +404,116 @@ class TrackGraph:
     """
 
     name: str
-    labels: list[np.ndarray]
     n_components: list[int]
     edges: list[tuple[tuple[int, int], tuple[int, int]]]
     loop_edges: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
 
     @property
     def n_layers(self) -> int:
-        return len(self.labels) - 1
+        return len(self.n_components) - 1
 
 
 @dataclass
 class TrackSet:
-    """Joint-support and marginal-support branch graphs of one run."""
+    """Joint-support and marginal-support branch graphs of one run, with the
+    joint world codes that crossing detection reads: world_codes[particle]
+    is a list of one int64 row per layer, that layer's codes along the
+    particle's axis (see _world_codes)."""
 
     joint: TrackGraph
     marginal: dict[int, TrackGraph]
+    world_codes: dict[int, list[np.ndarray]]
+
+
+_EVERY_LAYER = "track analysis needs the joint table of every layer; record them with record_joint"
+
+
+class TrackFold:
+    """A branch graph built one density table per layer as a walk computes
+    them: fold(t, table), t ascending from 0, labels the layer's support
+    above threshold_rel times its peak, links it by overlap to the previous
+    layer's labels and keeps those labels only until the next layer is
+    linked, so no table is kept.  With world_codes it also takes the layer's
+    world codes along both particles' axes (see _world_codes).
+    """
+
+    def __init__(self, name: str, threshold_rel: float, periodic: bool, world_codes: bool = False):
+        if not 0.0 < threshold_rel < 1.0:
+            raise ValidationError("track threshold must lie strictly between 0 and 1")
+        self.threshold_rel = threshold_rel
+        self.periodic = periodic
+        self.graph = TrackGraph(name=name, n_components=[], edges=[])
+        self.codes = ([], []) if world_codes else ()
+        self._joined = _UnionFind()
+        self._last = None
+
+    def __call__(self, t: int, table: np.ndarray) -> None:
+        graph = self.graph
+        if t != len(graph.n_components):
+            raise ValidationError(_EVERY_LAYER)
+        peak = float(table.max())
+        if peak <= 0.0:
+            raise DegenerateDensityError(f"{graph.name}: layer {t} density has no support")
+        labels, n = _label_with_wrap(table > self.threshold_rel * peak, self.periodic)
+        if n == 0:
+            raise DegenerateDensityError(f"{graph.name}: threshold leaves no components at layer {t}")
+        for axis, rows in enumerate(self.codes):
+            rows.append(_world_codes(labels, axis))
+        if t:
+            # Each cell coded a * (k_next + 1) + b: ascending codes are the
+            # overlapping pairs in the lexicographic order of (a, b).
+            width = n + 1
+            found = np.unique(self._last.astype(np.int64) * width + labels)
+            pa, pb = np.divmod(found, width)
+            both = (pa > 0) & (pb > 0)
+            for a, b in zip(pa[both].tolist(), pb[both].tolist()):
+                edge = ((t - 1, a), (t, b))
+                graph.edges.append(edge)
+                if self._joined.union(edge[0], edge[1]):
+                    graph.loop_edges.append(edge)
+        self._last = labels
+        graph.n_components.append(n)
+
+    def finish(self, n_layers: int) -> TrackGraph:
+        """The graph, once layers 0 through n_layers have been folded; the
+        last layer's labels and the graph's connectivity are dropped."""
+        if self.graph.n_layers != n_layers:
+            raise ValidationError(_EVERY_LAYER)
+        self._last = self._joined = None
+        return self.graph
+
+
+def joint_tracks(threshold_rel: float, grid: LatticeGrid) -> TrackFold:
+    """The joint branch graph's fold, for run_walk to hand every layer's
+    joint table (see TrackFold); build_tracks finishes it."""
+    return TrackFold("joint", threshold_rel, grid.boundary == "periodic", world_codes=True)
 
 
 def _build_graph(tables, name: str, threshold_rel: float, periodic: bool) -> TrackGraph:
     """Branch graph of one density table per layer (any sequence of arrays)."""
-    if not 0.0 < threshold_rel < 1.0:
-        raise ValidationError("track threshold must lie strictly between 0 and 1")
-    labels = []
-    counts = []
+    fold = TrackFold(name, threshold_rel, periodic)
     for t, table in enumerate(tables):
-        peak = float(table.max())
-        if peak <= 0.0:
-            raise DegenerateDensityError(f"{name}: layer {t} density has no support")
-        lab, n = _label_with_wrap(table > threshold_rel * peak, periodic)
-        if n == 0:
-            raise DegenerateDensityError(f"{name}: threshold leaves no components at layer {t}")
-        labels.append(lab)
-        counts.append(n)
-    edges = []
-    loop_edges = []
-    uf = _UnionFind()
-    for t in range(len(labels) - 1):
-        # Each cell coded a * (k_next + 1) + b: ascending codes are the
-        # overlapping pairs in the lexicographic order of (a, b).
-        width = counts[t + 1] + 1
-        found = np.unique(labels[t].astype(np.int64) * width + labels[t + 1])
-        pa, pb = np.divmod(found, width)
-        both = (pa > 0) & (pb > 0)
-        for a, b in zip(pa[both].tolist(), pb[both].tolist()):
-            edge = ((t, a), (t + 1, b))
-            edges.append(edge)
-            if uf.union(edge[0], edge[1]):
-                loop_edges.append(edge)
-    return TrackGraph(
-        name=name,
-        labels=labels,
-        n_components=counts,
-        edges=edges,
-        loop_edges=loop_edges,
-    )
+        fold(t, table)
+    return fold.finish(len(tables) - 1)
 
 
-def build_tracks(history: WalkHistory, threshold_rel: float) -> TrackSet:
+def build_tracks(history: WalkHistory, joint: TrackFold) -> TrackSet:
     """Branch graphs of the joint density and of both marginal densities.
 
-    Components are supports above threshold_rel times the layer's peak,
-    linked across layers by overlap.  Joint components live in the two-
-    particle configuration square; marginal components on each particle's
-    axis.
+    joint is the joint graph's fold (see joint_tracks), handed every layer's
+    joint table by the walk that made history.  Components are supports
+    above its threshold_rel times the layer's peak, linked across layers by
+    overlap.  Joint components live in the two-particle configuration
+    square; marginal components on each particle's axis.
     """
-    layers = range(history.n_layers + 1)
-    if any(t not in history.joint for t in layers):
-        raise ValidationError("track analysis needs the joint table of every layer; record them with record_joint")
+    graph = joint.finish(history.n_layers)
     periodic = history.grid.boundary == "periodic"
-    joint = _build_graph([history.joint[t] for t in layers], "joint", threshold_rel, periodic)
     marginal = {
-        1: _build_graph(history.density1, "marginal-1", threshold_rel, periodic),
-        2: _build_graph(history.density2, "marginal-2", threshold_rel, periodic),
+        1: _build_graph(history.density1, "marginal-1", joint.threshold_rel, periodic),
+        2: _build_graph(history.density2, "marginal-2", joint.threshold_rel, periodic),
     }
-    return TrackSet(joint=joint, marginal=marginal)
+    world_codes = {axis + 1: rows for axis, rows in enumerate(joint.codes)}
+    return TrackSet(joint=graph, marginal=marginal, world_codes=world_codes)
 
 
 # ----------------------------------------------------------------------------
@@ -488,18 +537,15 @@ class CrossingReport:
     flagged: dict[int, int]
 
 
-def _world_codes(joint: TrackGraph, axis: int) -> list[np.ndarray]:
-    """Per layer, per site of one particle's axis: the joint component whose
-    axis projection alone contains the site, 0 where no projection does and
-    -1 where several do."""
-    tables = []
-    for lab in joint.labels:
-        # One component covers a site exactly when its smallest and largest
-        # positive label across the other axis agree.
-        hi = lab.max(axis=1 - axis)
-        lo = np.where(lab > 0, lab, np.iinfo(lab.dtype).max).min(axis=1 - axis)
-        tables.append(np.where(lo == hi, hi, np.where(hi > 0, -1, 0)).astype(np.int64))
-    return tables
+def _world_codes(labels: np.ndarray, axis: int) -> np.ndarray:
+    """Per site of one particle's axis, from one layer's joint labels: the
+    joint component whose axis projection alone contains the site, 0 where
+    no projection does and -1 where several do."""
+    # One component covers a site exactly when its smallest and largest
+    # positive label across the other axis agree.
+    hi = labels.max(axis=1 - axis)
+    lo = np.where(labels > 0, labels, np.iinfo(labels.dtype).max).min(axis=1 - axis)
+    return np.where(lo == hi, hi, np.where(hi > 0, -1, 0)).astype(np.int64)
 
 
 def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -518,7 +564,7 @@ def _reachability(joint: TrackGraph) -> tuple[np.ndarray, np.ndarray]:
 _OTHER_LAYERS = "every run must pass the same layers as the branch graph"
 
 
-def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid: LatticeGrid):
+def _layer_pass(particle: int, transport, codes: list[np.ndarray], offset, reach, grid: LatticeGrid):
     """One run's pass over the layers, vectorised over trajectories and
     folded into its transport: its event rows, violations, crossing
     trajectories, ambiguous layers, trajectories and flagged trajectories.
@@ -526,13 +572,12 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
     transport(fold) must hand fold(t, block, frozen) each layer t's
     positions as a (1, n) block, t ascending from 0, and return the run's
     freeze indices, as a forward transport does (see anchored_runs).  Each
-    trajectory's world code is gathered from its layer's table at its
-    nearest site (the gather's wrap or clip is the site's % n_sites or
+    trajectory's world code is gathered from its layer's row of codes, the
+    particle's world codes, at its nearest site (the gather's wrap or clip is the site's % n_sites or
     clip), and each trajectory carries its last labeled layer and world,
     whether an ambiguous layer came since, and whether it ever crossed,
     from one layer to the next.
     """
-    tables = _world_codes(joint, particle - 1)
     mode = "wrap" if grid.boundary == "periodic" else "clip"
     events = []
     violations = ambiguous_counts = 0
@@ -540,7 +585,7 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
 
     def fold(t, block, _):
         nonlocal violations, ambiguous_counts, carried
-        if t >= len(tables):
+        if t >= len(codes):
             raise ValidationError(_OTHER_LAYERS)
         x = block[0]
         if t == 0:
@@ -548,7 +593,7 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
             carried = [np.zeros(n, dtype=np.int64) for _ in range(2)] + [np.zeros(n, dtype=bool) for _ in range(3)]
         last_node, last_c, labeled, bridged, crossed = carried
         site = np.floor((x - grid.x_min) / grid.dx + 0.5).astype(np.int64)
-        c = tables[t].take(site, mode=mode)
+        c = codes[t].take(site, mode=mode)
         ambiguous = c < 0
         ambiguous_counts += int(np.count_nonzero(ambiguous))
         bridged |= ambiguous
@@ -565,7 +610,7 @@ def _layer_pass(particle: int, transport, joint: TrackGraph, offset, reach, grid
         bridged &= ~single
 
     frozen = transport(fold)
-    if len(events) != len(tables):
+    if len(events) != len(codes):
         raise ValidationError(_OTHER_LAYERS)
     crossed = carried[-1]
     n_flagged = int(np.count_nonzero(frozen >= 0))
@@ -596,7 +641,8 @@ def detect_crossings(runs, tracks: TrackSet, grid: LatticeGrid) -> CrossingRepor
     # label integers from different layers.
     offset, reach = _reachability(joint)
 
-    passes = runs(lambda particle, transport: _layer_pass(particle, transport, joint, offset, reach, grid))
+    codes = tracks.world_codes
+    passes = runs(lambda particle, transport: _layer_pass(particle, transport, codes[particle], offset, reach, grid))
     rows, violations, crossed, ambiguous, trajectories, flagged = zip(*passes.values())
     events = np.concatenate(rows)
     events = events[np.lexsort((events[:, 0], events[:, 2], events[:, 1]))]

@@ -108,7 +108,8 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # so the alteration window shrinks accordingly.
     first_safe = max((t + 1 for t, layer in enumerate(system.layers) if layer.phases is not None), default=0)
     mid = n_layers // 2
-    history = run_walk(system.state0, grid, system.layers, record_joint={0})
+    joint = {}
+    history = run_walk(system.state0, grid, system.layers, record_joint={0}, fold=joint.__setitem__)
     norms = history.density1.sum(axis=1) * grid.dx
     report.add("unitarity_drift", float(np.abs(norms - 1.0).max()), 1e-10)
     norms2 = history.density2.sum(axis=1) * grid.dx
@@ -145,7 +146,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     # from layer 0's joint table on the forward-sample stream.
     substeps = int(scn["protocol"]["substeps"])
     count = min(int(scn["protocol"]["count"]), 2000)
-    stack, x0 = anchored_starts(history, int(scn["seed"]), count, scn["protocol"]["eps_node_rel"], "forward")[1]
+    stack, x0 = anchored_starts(history, joint, int(scn["seed"]), count, scn["protocol"]["eps_node_rel"], "forward")[1]
     # The round trip is run at a fixed fine substep count so the bound does
     # not depend on the scenario's protocol settings.  When the scenario's
     # own run is that fine, the round trip's outbound run is it, and the

@@ -19,10 +19,11 @@ from pilotpath.dirac import (
     build_dirac_step,
     gaussian_profile,
     phase_matrices,
+    run_walk,
     to_circuit_layers,
 )
 from pilotpath.paths import PathContext
-from pilotpath.protocols import anchored_runs
+from pilotpath.protocols import anchored_runs, build_tracks, joint_tracks
 from pilotpath.scenario import _DEFAULTS, _path_caps, build_potential, load_scenario
 
 from oracles import dense
@@ -56,12 +57,28 @@ def every_substep(transport, *args):
     return _gathered(transport, args, True)
 
 
-def anchored_layers(history, seed: int, count: int, substeps: int, eps_rel: float, direction: str) -> dict:
+def walk_tables(state0, grid, layers, record_joint):
+    """(history, {layer: joint table}) of run_walk, the tables of the layers
+    in record_joint gathered through its fold."""
+    joint = {}
+    return run_walk(state0, grid, layers, record_joint=record_joint, fold=joint.__setitem__), joint
+
+
+def tracks_of(history, joint: dict, threshold_rel: float = TRACK_THRESHOLD_REL):
+    """build_tracks of a walk whose every layer's joint table joint holds,
+    folded into the joint graph layer by layer as run_walk would."""
+    graph = joint_tracks(threshold_rel, history.grid)
+    for t in range(history.n_layers + 1):
+        graph(t, joint[t])
+    return build_tracks(history, graph)
+
+
+def anchored_layers(history, joint, seed: int, count: int, substeps: int, eps_rel: float, direction: str) -> dict:
     """{particle: (layers, frozen)} of anchored_runs: each run's layer
     records gathered through its layer fold, column t at layer t whichever
     way the run went, and its freeze indices."""
     runs = anchored_runs(
-        history, seed, count, substeps, eps_rel, direction, lambda particle, transport: layer_records(transport)
+        history, joint, seed, count, substeps, eps_rel, direction, lambda particle, transport: layer_records(transport)
     )
     if direction == "backward":
         runs = {particle: (records[:, ::-1], frozen) for particle, (records, frozen) in runs.items()}

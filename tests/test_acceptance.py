@@ -34,7 +34,7 @@ from pilotpath.paths import (
     path_sum_density,
     path_sum_marginal,
 )
-from pilotpath.protocols import build_tracks, detect_crossings, superdet_replay
+from pilotpath.protocols import detect_crossings, superdet_replay
 from pilotpath.scenario import build_walk, load_scenario
 
 from conftest import (
@@ -47,7 +47,9 @@ from conftest import (
     served,
     small_walk_context,
     spinor_field,
+    tracks_of,
     truncated_profile,
+    walk_tables,
 )
 from oracles import pair_overlap, scaled, to_path, two_body_continuity_residual
 
@@ -177,9 +179,10 @@ def bundled_runs():
         if name not in cache:
             scn = load_scenario(name)
             system = build_walk(scn)
-            history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
+            history, joint = walk_tables(system.state0, system.grid, system.layers, range(system.n_layers + 1))
             runs = anchored_layers(
                 history,
+                joint,
                 int(scn["seed"]),
                 10_000,
                 int(scn["protocol"]["substeps"]),
@@ -190,7 +193,7 @@ def bundled_runs():
                 p: equivariance_test(runs[p][0].T, density, system.grid)
                 for p, density in ((1, history.density1), (2, history.density2))
             }
-            cache[name] = (scn, system, history, runs, ks)
+            cache[name] = (scn, system, history, joint, runs, ks)
         return cache[name]
 
     return get
@@ -357,11 +360,11 @@ def test_continuity_residual_converges_first_order(capsys):
 
 
 def test_forward_transport_equivariance(bundled_runs, capsys):
-    scn, system, history, _, _ = bundled_runs("free-packet")
+    scn, system, history, joint, _, _ = bundled_runs("free-packet")
     grid = system.grid
     substeps = int(scn["protocol"]["substeps"])
     rng = stream_rng(int(scn["seed"]), STREAM_FORWARD_SAMPLE)
-    x1, x2 = sample_joint_density(history.joint[0], grid, 10_000, rng)
+    x1, x2 = sample_joint_density(joint[0], grid, 10_000, rng)
     worst = 0.0
     flagged = 0
     eps = float(scn["protocol"]["eps_node_rel"])
@@ -394,7 +397,7 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
     worst = 0.0
     worst_name = ""
     for name in names:
-        _, _, _, runs, ks_per_layer = bundled_runs(name)
+        _, _, _, _, runs, ks_per_layer = bundled_runs(name)
         for particle in (1, 2):
             assert np.all(runs[particle][1] < 0)
             ks = float(np.max(ks_per_layer[particle]))
@@ -415,8 +418,8 @@ def test_backward_marginal_preservation(bundled_runs, capsys):
 
 
 def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
-    scn, system, history, _, _ = bundled_runs("entangled-mirror")
-    deviations = superdet_replay(history, int(scn["seed"]), 1000, 32, float(scn["protocol"]["eps_node_rel"]))
+    scn, system, history, joint, _, _ = bundled_runs("entangled-mirror")
+    deviations = superdet_replay(history, joint, int(scn["seed"]), 1000, 32, float(scn["protocol"]["eps_node_rel"]))
     every = np.concatenate([deviations[1], deviations[2]])
     excluded = int(np.count_nonzero(np.isnan(every)))
     worst = float(np.nanmax(every)) if excluded < len(every) else 0.0
@@ -435,12 +438,12 @@ def test_forward_replay_of_backward_endpoints(bundled_runs, capsys):
 
 
 def test_branch_track_structure(bundled_runs, capsys):
-    scn_r, system_r, history_r, runs_r, ks_r = bundled_runs("recombination")
-    tracks_r = build_tracks(history_r, float(scn_r["protocol"]["track_threshold_rel"]))
+    scn_r, system_r, history_r, joint_r, runs_r, ks_r = bundled_runs("recombination")
+    tracks_r = tracks_of(history_r, joint_r, float(scn_r["protocol"]["track_threshold_rel"]))
     report_r = detect_crossings(served(runs_r), tracks_r, system_r.grid)
 
-    scn_n, system_n, history_n, runs_n, ks_n = bundled_runs("no-overlap")
-    tracks_n = build_tracks(history_n, float(scn_n["protocol"]["track_threshold_rel"]))
+    scn_n, system_n, history_n, joint_n, runs_n, ks_n = bundled_runs("no-overlap")
+    tracks_n = tracks_of(history_n, joint_n, float(scn_n["protocol"]["track_threshold_rel"]))
     report_n = detect_crossings(served(runs_n), tracks_n, system_n.grid)
 
     preserved = max(float(np.max(ks[p])) for ks in (ks_r, ks_n) for p in (1, 2)) < 0.02

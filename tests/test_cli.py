@@ -277,11 +277,42 @@ def test_tracks_memory_grows_with_count_alone(tmp_path, monkeypatch):
     assert per_trajectory < (scn["n_layers"] + 1) * 8 / 2
 
 
+def test_tracks_memory_grows_with_the_lattice_per_layer(tmp_path, monkeypatch):
+    """Serial tracks on recombination hands each layer's joint table to the
+    joint branch graph as the walk computes it, which keeps two rows of
+    world codes and drops the table and its labels.  From 52 to 104 layers
+    its peak grows by less than 32 * n_sites float64s per added layer, half
+    of one joint table's n_sites**2: what a layer adds is its marginal
+    tables, velocity fields and world codes, a few n_sites each, its branch
+    edges and the crossing events of its trajectories.  A first, untraced
+    run takes the process's one-time allocations out of the comparison."""
+    monkeypatch.setattr(protocols, "_can_fork", lambda: False)
+    scn = read_scenario("recombination")
+    n_sites = scn["grid"]["n_sites"]
+    peaks = {}
+    for run, n_layers in enumerate((52, 52, 104)):
+        scn["n_layers"] = n_layers
+        path = tmp_path / f"long{n_layers}.json"
+        path.write_text(json.dumps(scn), encoding="utf-8")
+        if run:
+            tracemalloc.start()
+        try:
+            code = run_cli(["tracks", "--scenario", str(path)], tmp_path / str(run))
+            if run:
+                _, peaks[n_layers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    per_layer = (peaks[104] - peaks[52]) / 52
+    assert per_layer < 32 * n_sites * 8
+
+
 def test_guide_memory_grows_with_count_alone(tmp_path, monkeypatch):
     """Serial guide on recombination folds each layer into its KS and its
-    trajectory CSV as the transport reaches it, so no run's layer records
-    are kept: from 20000 to 40000 trajectories its peak grows by less than
-    one run's layer records per added trajectory."""
+    trajectory CSV as the transport reaches it, and writes each layer's
+    rows a slice at a time, so neither a run's layer records nor a layer's
+    text is kept: from 20000 to 40000 trajectories its peak grows by less
+    than 128 bytes per added trajectory."""
     monkeypatch.setattr(protocols, "_can_fork", lambda: False)
     scn = read_scenario("recombination")
     peaks = {}
@@ -297,7 +328,7 @@ def test_guide_memory_grows_with_count_alone(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
     per_trajectory = (peaks[40000] - peaks[20000]) / 20000
-    assert per_trajectory < (scn["n_layers"] + 1) * 8
+    assert per_trajectory < 128
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["guide", "retro"])

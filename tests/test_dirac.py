@@ -457,7 +457,8 @@ def test_coupling_phases_entangle_a_product_start():
 # Currents
 
 
-def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, record_joint=()):
+def walk_case(n_sites=12, n_layers=6, mass=0.3, seed=61):
+    """(grid, state, layers) of a small two-packet walk."""
     rng = make_rng(seed)
     grid = LatticeGrid(n_sites, 1.0, 0.8, 0.0, "periodic")
     step1 = build_dirac_step(grid, mass, 0.0)
@@ -468,13 +469,20 @@ def walk_history(n_sites=12, n_layers=6, mass=0.3, seed=61, record_joint=()):
         spinor_field(gaussian_profile(grid, x[n_sites // 3], 1.4, 0.5), NAMED_SPINORS["chirality+"]),
         spinor_field(gaussian_profile(grid, x[2 * n_sites // 3], 1.4), NAMED_SPINORS["chirality-"]),
     )
-    layers = to_circuit_layers(step1, step2, n_layers)
-    return grid, run_walk(state, grid, layers, record_joint=record_joint)
+    return grid, state, to_circuit_layers(step1, step2, n_layers)
+
+
+def walk_history(n_layers=6, record_joint=()):
+    """(grid, history, {layer: joint table}) of walk_case's walk, the tables
+    of the layers in record_joint gathered through run_walk's fold."""
+    grid, state, layers = walk_case(n_layers=n_layers)
+    joint = {}
+    return grid, run_walk(state, grid, layers, record_joint=record_joint, fold=joint.__setitem__), joint
 
 
 def test_joint_density_normalization_and_positivity():
-    grid, hist = walk_history(record_joint=[6])
-    d = hist.joint[6]
+    grid, _, joint = walk_history(record_joint=[6])
+    d = joint[6]
     assert abs(np.sum(d) * grid.dx * grid.dx - 1.0) < 1e-10
     assert np.min(d) > -1e-12
 
@@ -506,7 +514,7 @@ def test_marginal_currents_match_direct_contraction():
 
 
 def test_current_speed_is_bounded_by_the_lattice_ratio():
-    grid, hist = walk_history()
+    grid, hist, _ = walk_history()
     vmax = grid.dx / grid.dt
     for j0, j1 in ((hist.density1, hist.current1), (hist.density2, hist.current2)):
         assert j0.shape == j1.shape == (hist.n_layers + 1, grid.n_sites)
@@ -632,15 +640,21 @@ def test_positive_energy_packet_moves_with_its_momentum():
 
 
 def test_run_walk_records_shapes_and_options():
-    grid, hist = walk_history(n_layers=5, record_joint=range(6))
+    """run_walk hands its fold the joint table of each recorded layer,
+    layers ascending, and refuses recorded layers out of range or without a
+    fold."""
+    grid, hist, joint = walk_history(n_layers=5, record_joint=[3, 0, 5, 1, 4, 2])
     assert hist.density1.shape == (6, 12)
-    assert sorted(hist.joint) == list(range(6))
-    assert all(table.shape == (12, 12) for table in hist.joint.values())
-    _, lean = walk_history(n_layers=5, record_joint=[5])
-    assert list(lean.joint) == [5]
-    assert np.array_equal(lean.joint[5], hist.joint[5])
-    _, bare = walk_history(n_layers=5)
-    assert bare.joint == {}
+    assert list(joint) == list(range(6))
+    assert all(table.shape == (12, 12) for table in joint.values())
+    _, _, lean = walk_history(n_layers=5, record_joint=[5])
+    assert list(lean) == [5]
+    assert np.array_equal(lean[5], joint[5])
+    _, _, bare = walk_history(n_layers=5)
+    assert bare == {}
+    _, state, layers = walk_case(n_layers=5)
+    with pytest.raises(ValidationError, match="fold"):
+        run_walk(state, grid, layers, record_joint=[0])
     with pytest.raises(ValidationError):
         walk_history(n_layers=5, record_joint=[6])
     with pytest.raises(ValidationError):
@@ -686,16 +700,17 @@ def test_branch_walk_matches_the_dense_oracle(case):
         CircuitLayer(s1, s2, couplings.get(t))
         for t, (s1, s2) in enumerate(zip(steps1, steps2))
     ]
-    hist = run_walk(state0, grid, layers, record_joint=record)
+    tables = {}
+    hist = run_walk(state0, grid, layers, record_joint=record, fold=tables.__setitem__)
     dense = dense_walk(JointState(grid.basis(), state0.left @ state0.right.T), steps1, steps2, couplings)
-    assert sorted(hist.joint) == sorted(record)
+    assert list(tables) == sorted(record)
     for t, state in enumerate(dense):
         (joint, _, _), marginals = currents_oracle(state, grid)
         got = (hist.density1[t], hist.current1[t], hist.density2[t], hist.current2[t])
         for g, want in zip(got, marginals):
             assert np.max(np.abs(g - want)) <= 1e-13
         if t in record:
-            assert np.max(np.abs(hist.joint[t] - joint)) <= 1e-13
+            assert np.max(np.abs(tables[t] - joint)) <= 1e-13
         assert np.max(np.abs(evolve_circuit(state0, layers[:t]).amps - state.amps)) <= 1e-13
     final = evolve_circuit(state0, layers)
     assert (final.right is None) == bool(couplings)
@@ -721,9 +736,10 @@ def test_uncoupled_bundled_walks_form_the_joint_matrix_only_where_asked(name, mo
     with monkeypatch.context() as patch:
         patch.setattr(JointState, "amps", property(amps))
         patch.setattr(dirac, "_site_probabilities", dense_table)
-        hist = run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1))
+        tables = {}
+        run_walk(system.state0, system.grid, system.layers, record_joint=range(n + 1), fold=tables.__setitem__)
         final = evolve_circuit(system.state0, system.layers)
-    assert sorted(hist.joint) == list(range(n + 1))
+    assert list(tables) == list(range(n + 1))
     shape = system.state0.right.shape
     assert final.left.shape == shape and final.right.shape == shape
 

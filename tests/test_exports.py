@@ -110,14 +110,15 @@ def test_overlap_csv_writes_each_upper_triangle_in_endpoint_order(tmp_path):
 
 def test_branch_edges_csv_marks_loops_and_skips_edgeless_graphs(tmp_path):
     def graph(name, edges, loop_edges=()):
-        return TrackGraph(name=name, labels=[], n_components=[], edges=edges, loop_edges=list(loop_edges))
+        return TrackGraph(name=name, n_components=[], edges=edges, loop_edges=list(loop_edges))
 
     joint = graph(
         "joint",
         [((0, 1), (1, 1)), ((0, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 1))],
         loop_edges=[((1, 2), (2, 1))],
     )
-    tracks = TrackSet(joint=joint, marginal={1: graph("marginal-1", []), 2: graph("marginal-2", [((3, 2), (4, 1))])})
+    marginal = {1: graph("marginal-1", []), 2: graph("marginal-2", [((3, 2), (4, 1))])}
+    tracks = TrackSet(joint=joint, marginal=marginal, world_codes={})
     text = _written(tmp_path, exports.write_branch_edges_csv, tracks)
     assert text == (
         "graph,layer_from,component_from,layer_to,component_to,loop\n"
@@ -127,3 +128,30 @@ def test_branch_edges_csv_marks_loops_and_skips_edgeless_graphs(tmp_path):
         "joint,1,2,2,1,1\n"
         "marginal-2,3,2,4,1,0\n"
     )
+
+
+def test_blocks_are_formatted_and_written_a_slice_at_a_time(tmp_path, monkeypatch):
+    """A block longer than a slice is formatted a slice of rows at a time,
+    the last slice short, and writes the bytes of the whole block at once:
+    trajectory ids from an integer array."""
+    positions = np.array([0.5, 1e-300, -0.0, 0.1, 1.0 / 3.0])
+    flags = np.array([False, True, False, False, True])
+
+    def fill(write):
+        for layer in range(2):
+            write(layer, positions + layer, flags)
+
+    path = tmp_path / "sliced.csv"
+    formatted = []
+    cells = exports._cells
+    monkeypatch.setattr(exports, "_cells", lambda column: formatted.append(len(column)) or cells(column))
+    monkeypatch.setattr(exports, "_SLICE_ROWS", 2)
+    exports.write_trajectories_csv(str(path), 5, fill)
+    # Four columns a slice, three slices a layer.
+    assert formatted == ([2] * 8 + [1] * 4) * 2
+    rows = [
+        f"{i},{layer},{x!r},{int(flag)}"
+        for layer in range(2)
+        for i, (x, flag) in enumerate(zip((positions + layer).tolist(), flags))
+    ]
+    assert path.read_bytes().decode("utf-8") == "trajectory_id,layer,position,node_flag\n" + "\n".join(rows) + "\n"

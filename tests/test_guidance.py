@@ -9,7 +9,6 @@ from pilotpath.dirac import (
     NAMED_SPINORS,
     build_dirac_step,
     gaussian_profile,
-    run_walk,
     to_circuit_layers,
 )
 from pilotpath.errors import DegenerateDensityError, ValidationError
@@ -23,7 +22,7 @@ from pilotpath.guidance import (
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, every_substep, layer_records, make_rng, spinor_field
+from conftest import EPS_NODE_REL, every_substep, layer_records, make_rng, spinor_field, walk_tables
 from oracles import sample_joint_density_gather, scaled
 
 
@@ -35,7 +34,7 @@ def smooth_history(n_sites=48, n_layers=10, mass=0.35, momentum=0.7, sigma=3.0):
     psi2 = spinor_field(gaussian_profile(grid, 16.0, sigma, -momentum), NAMED_SPINORS["chirality-"])
     amps = np.outer(psi1, psi2)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    return grid, run_walk(state, grid, to_circuit_layers(step, step, n_layers), record_joint={0, 3})
+    return grid, *walk_tables(state, grid, to_circuit_layers(step, step, n_layers), {0, 3})
 
 
 # ----------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_a_stack_is_built_only_if_its_transport_accepts_it():
 
 
 def test_velocity_stack_matches_per_layer_fields():
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     assert stack.n_layers == hist.n_layers
     for layer in (0, 3, hist.n_layers):
@@ -104,7 +103,7 @@ def test_velocity_stack_matches_per_layer_fields():
 
 
 def test_scaled_stack_only_scales_values():
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 2, EPS_NODE_REL)
     half = scaled(stack, 0.5)
     assert np.array_equal(half.masks, stack.masks)
@@ -116,7 +115,7 @@ def test_scaled_stack_only_scales_values():
 
 
 def test_transport_is_deterministic():
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 40)
     a = every_substep(integrate_batch, stack, x0, "forward", 4)
@@ -127,7 +126,7 @@ def test_transport_is_deterministic():
 
 def test_one_dimensional_flow_preserves_ordering():
     """Guidance trajectories of one particle cannot cross in one dimension."""
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.sort(make_rng(50).uniform(4.0, 10.0, 60))
     records, frozen = every_substep(integrate_batch, stack, x0, "forward", 8)
@@ -139,7 +138,7 @@ def test_one_dimensional_flow_preserves_ordering():
 
 
 def test_round_trip_returns_to_the_start():
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.5, 8.5, 25)
     forward, forward_frozen = layer_records(integrate_batch, stack, x0, "forward", 32)
@@ -149,7 +148,7 @@ def test_round_trip_returns_to_the_start():
 
 
 def test_trajectory_and_run_bookkeeping():
-    grid, hist = smooth_history(n_layers=4)
+    grid, hist, _ = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([6.0, 7.0])
     layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
@@ -160,7 +159,7 @@ def test_trajectory_and_run_bookkeeping():
 
 
 def test_backward_run_reads_layers_in_reverse():
-    grid, hist = smooth_history(n_layers=4)
+    grid, hist, _ = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.array([7.0, 8.0])
     seen = []
@@ -181,7 +180,7 @@ def test_integrate_batch_keeps_layer_records_unless_asked(direction):
     """Unless every substep is asked for, the fold is handed the substep
     run's layer-boundary records, bit for bit, with the run's freeze
     indices, and the run keeps none of them."""
-    grid, hist = smooth_history(n_layers=4)
+    grid, hist, _ = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     x0 = np.linspace(5.0, 9.0, 12)
     fine, fine_frozen = every_substep(integrate_batch, stack, x0, direction, 4)
@@ -192,7 +191,7 @@ def test_integrate_batch_keeps_layer_records_unless_asked(direction):
 
 
 def test_equivariance_rejects_a_stack_of_other_depth():
-    grid, hist = smooth_history(n_layers=4)
+    grid, hist, _ = smooth_history(n_layers=4)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     records, _ = layer_records(integrate_batch, stack, np.array([7.0, 8.0]), "backward", 4)
     layers = records.T[::-1]
@@ -205,7 +204,7 @@ def test_equivariance_rejects_a_stack_of_other_depth():
 
 
 def test_periodic_starts_are_canonicalized():
-    grid, hist = smooth_history()
+    grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     base, _ = every_substep(integrate_batch, stack, np.array([6.0]), "forward", 4)
     wrapped, _ = every_substep(integrate_batch, stack, np.array([6.0 + grid.extent]), "forward", 4)
@@ -213,7 +212,7 @@ def test_periodic_starts_are_canonicalized():
 
 
 def test_direction_argument_is_validated():
-    grid, hist = smooth_history(n_layers=3)
+    grid, hist, _ = smooth_history(n_layers=3)
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     with pytest.raises(ValidationError):
         layer_records(integrate_batch, stack, np.array([6.0]), "sideways", 4)
@@ -240,10 +239,10 @@ def test_joint_sampling_respects_correlations():
 
 
 def test_joint_sampling_marginal_agrees_with_row_sums():
-    grid, hist = smooth_history()
+    grid, hist, joint = smooth_history()
     rng = make_rng(64)
-    x1, _ = sample_joint_density(hist.joint[3], grid, 20_000, rng)
-    marg = hist.joint[3].sum(axis=1)
+    x1, _ = sample_joint_density(joint[3], grid, 20_000, rng)
+    marg = joint[3].sum(axis=1)
     marg = marg / (marg.sum() * grid.dx)
     assert ks_statistic(x1, marg, grid) < 0.012
 
@@ -254,9 +253,9 @@ def anchor_tables():
     tables = {}
     for name in ("recombination", "free-packet", "entangled-mirror", "spin-singlet"):
         system = build_walk(load_scenario(name))
-        history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
+        _, joint = walk_tables(system.state0, system.grid, system.layers, {0, system.n_layers})
         for layer in (0, system.n_layers):
-            tables[name, layer] = (history.joint[layer], system.grid)
+            tables[name, layer] = (joint[layer], system.grid)
     return tables
 
 
@@ -353,10 +352,10 @@ def test_ks_statistic_requires_samples():
 
 
 def test_transported_ensemble_tracks_the_density():
-    grid, hist = smooth_history()
+    grid, hist, joint = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     rng = make_rng(70)
-    x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
+    x0, _ = sample_joint_density(joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
     ks = equivariance_test(layers.T, hist.density1, grid)
     assert ks.shape == (hist.n_layers + 1,)
@@ -364,11 +363,11 @@ def test_transported_ensemble_tracks_the_density():
 
 
 def test_halved_velocities_fail_the_same_comparison():
-    grid, hist = smooth_history()
+    grid, hist, joint = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     half = scaled(stack, 0.5)
     rng = make_rng(71)
-    x0, _ = sample_joint_density(hist.joint[0], grid, 4000, rng)
+    x0, _ = sample_joint_density(joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, half, x0, "forward", 4)
     ks = equivariance_test(layers.T, hist.density1, grid)
     assert float(np.max(ks)) > 0.05

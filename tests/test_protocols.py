@@ -31,24 +31,35 @@ from pilotpath.protocols import (
     _build_graph,
     _label,
     _label_with_wrap,
+    _world_codes,
     anchored_runs,
     anchored_starts,
     build_tracks,
     detect_crossings,
+    joint_tracks,
     round_trip,
     superdet_replay,
 )
 from pilotpath.scenario import build_walk, load_scenario
 
-from conftest import EPS_NODE_REL, TRACK_THRESHOLD_REL, anchored_layers, every_substep, layer_records, served
+from conftest import (
+    EPS_NODE_REL,
+    TRACK_THRESHOLD_REL,
+    anchored_layers,
+    every_substep,
+    layer_records,
+    served,
+    tracks_of,
+    walk_tables,
+)
 from oracles import ndimage_label
 
 
 def scenario_history(name):
     scn = load_scenario(name)
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers + 1))
-    return scn, system, history
+    history, joint = walk_tables(system.state0, system.grid, system.layers, range(system.n_layers + 1))
+    return scn, system, history, joint
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +104,8 @@ def gathered(particle, transport):
     return layer_records(transport)
 
 
-def backward_runs(history, seed, count, substeps=4):
-    return anchored_layers(history, seed, count, substeps, EPS_NODE_REL, "backward")
+def backward_runs(history, joint, seed, count, substeps=4):
+    return anchored_layers(history, joint, seed, count, substeps, EPS_NODE_REL, "backward")
 
 
 def substep_runs(starts, direction, substeps):
@@ -107,18 +118,18 @@ def substep_runs(starts, direction, substeps):
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_retro_needs_recorded_joint_tables(no_overlap, direction):
-    scn, system, _ = no_overlap
+    scn, system, _, _ = no_overlap
     anchor = 0 if direction == "forward" else system.n_layers
     others = [t for t in range(system.n_layers + 1) if t != anchor]
-    history = run_walk(system.state0, system.grid, system.layers, record_joint=others)
+    history, joint = walk_tables(system.state0, system.grid, system.layers, others)
     with pytest.raises(ValidationError, match=f"joint table of layer {anchor}; record it with record_joint"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, direction, gathered)
+        anchored_runs(history, joint, scn["seed"], 10, 4, EPS_NODE_REL, direction, gathered)
 
 
 def test_anchored_runs_reject_an_unknown_direction(no_overlap):
-    scn, _, history = no_overlap
+    scn, _, history, joint = no_overlap
     with pytest.raises(ValidationError, match="direction"):
-        anchored_runs(history, scn["seed"], 10, 4, EPS_NODE_REL, "sideways", gathered)
+        anchored_runs(history, joint, scn["seed"], 10, 4, EPS_NODE_REL, "sideways", gathered)
 
 
 @pytest.mark.parametrize(
@@ -127,11 +138,11 @@ def test_anchored_runs_reject_an_unknown_direction(no_overlap):
     ids=["forward", "backward"],
 )
 def test_anchored_runs_start_from_the_anchor_draw(no_overlap, direction, stream):
-    scn, system, history = no_overlap
+    scn, system, history, joint = no_overlap
     anchor = 0 if direction == "forward" else history.n_layers
-    x1, x2 = sample_joint_density(history.joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
-    starts = anchored_starts(history, scn["seed"], 50, EPS_NODE_REL, direction)
-    runs = anchored_runs(history, scn["seed"], 50, 4, EPS_NODE_REL, direction, gathered)
+    x1, x2 = sample_joint_density(joint[anchor], system.grid, 50, stream_rng(scn["seed"], stream))
+    starts = anchored_starts(history, joint, scn["seed"], 50, EPS_NODE_REL, direction)
+    runs = anchored_runs(history, joint, scn["seed"], 50, 4, EPS_NODE_REL, direction, gathered)
     assert set(runs) == set(starts) == {1, 2}
     for particle, x0 in ((1, x1), (2, x2)):
         stack, start = starts[particle]
@@ -148,7 +159,7 @@ def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, mo
     """Serially, particle 1 is transported and consumed before particle 2
     is transported, and each particle's result is what its consumer
     returned."""
-    scn, _, history = no_overlap
+    scn, _, history, joint = no_overlap
     calls = []
 
     def counted(stack, x0, direction, substeps, fold):
@@ -161,7 +172,7 @@ def test_anchored_runs_consume_each_run_before_the_next_transport(no_overlap, mo
         return particle, len(frozen)
 
     monkeypatch.setattr(protocols, "integrate_batch", counted)
-    results = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
+    results = anchored_runs(history, joint, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
     assert calls == ["transport", 1, "transport", 2]
     assert results == {1: (1, 30), 2: (2, 30)}
 
@@ -207,13 +218,13 @@ def test_forked_runs_are_the_serial_runs(name, direction, eps_rel, forks):
     serial result bit for bit, forward through recombination's nodes
     (masked at 1e-3, where trajectories of particle 2 freeze) and backward
     at entangled-mirror's 32 substeps, and the child is reaped."""
-    scn, _, history = scenario_history(name)
+    scn, _, history, joint = scenario_history(name)
     count, substeps = scn["protocol"]["count"], scn["protocol"]["substeps"]
 
-    forked = anchored_runs(history, scn["seed"], count, substeps, eps_rel, direction, gathered)
+    forked = anchored_runs(history, joint, scn["seed"], count, substeps, eps_rel, direction, gathered)
     assert len(forks) == 1
     assert_no_child_left()
-    starts = anchored_starts(history, scn["seed"], count, eps_rel, direction)
+    starts = anchored_starts(history, joint, scn["seed"], count, eps_rel, direction)
     serial = {
         particle: layer_records(integrate_batch, stack, x0, direction, substeps)
         for particle, (stack, x0) in starts.items()
@@ -226,12 +237,12 @@ def test_forked_round_trips_are_the_serial_round_trips(forks):
     """superdet_replay with particle 2's round trip in a forked child gives
     each particle's serial round trip deviations bit for bit, backward on
     entangled-mirror at its 32 substeps, and the child is reaped."""
-    scn, _, history = scenario_history("entangled-mirror")
+    scn, _, history, joint = scenario_history("entangled-mirror")
     p = scn["protocol"]
-    forked = superdet_replay(history, scn["seed"], p["count"], p["substeps"], p["eps_node_rel"])
+    forked = superdet_replay(history, joint, scn["seed"], p["count"], p["substeps"], p["eps_node_rel"])
     assert len(forks) == 1
     assert_no_child_left()
-    starts = anchored_starts(history, scn["seed"], p["count"], p["eps_node_rel"], "backward")
+    starts = anchored_starts(history, joint, scn["seed"], p["count"], p["eps_node_rel"], "backward")
     assert list(forked) == [1, 2]
     for particle, (stack, x0) in starts.items():
         _, serial = round_trip(stack, x0, "backward", p["substeps"])
@@ -242,15 +253,15 @@ def test_anchored_runs_fork_once_the_transport_reaches_the_constant(no_overlap, 
     """A transport of count x n_layers x substeps trajectory-substeps forks
     when that reaches FORK_MIN_SUBSTEPS, and not below; so does a round
     trip of superdet_replay."""
-    scn, _, history = no_overlap
+    scn, _, history, joint = no_overlap
     work = 30 * history.n_layers * 4
     for constant, expected in ((work, 1), (work + 1, 0)):
         monkeypatch.setattr(protocols, "FORK_MIN_SUBSTEPS", constant)
         forks.clear()
-        runs = anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", gathered)
+        runs = anchored_runs(history, joint, scn["seed"], 30, 4, EPS_NODE_REL, "forward", gathered)
         assert len(forks) == expected
         assert [len(frozen) for _, frozen in runs.values()] == [30, 30]
-        deviations = superdet_replay(history, scn["seed"], 30, 4, EPS_NODE_REL)
+        deviations = superdet_replay(history, joint, scn["seed"], 30, 4, EPS_NODE_REL)
         assert len(forks) == 2 * expected
         assert [len(dev) for dev in deviations.values()] == [30, 30]
     assert_no_child_left()
@@ -261,8 +272,8 @@ def test_one_cpu_or_no_fork_runs_serially(cpus, no_overlap, forks, monkeypatch):
     """Where the process may use one CPU only, by its affinity or, without
     sched_getaffinity, by cpu_count, or where os.fork is missing, the runs
     are transported serially, and are the same."""
-    scn, _, history = no_overlap
-    args = (history, scn["seed"], 40, 4, EPS_NODE_REL, "forward", gathered)
+    scn, _, history, joint = no_overlap
+    args = (history, joint, scn["seed"], 40, 4, EPS_NODE_REL, "forward", gathered)
     forked = anchored_runs(*args)
     assert len(forks) == 1
     if cpus == "affinity":
@@ -281,7 +292,7 @@ def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks)
     """Particle 1's consumer raising in this process ends anchored_runs
     early: the error is raised, and the child, still consuming particle 2,
     is killed and reaped."""
-    scn, _, history = no_overlap
+    scn, _, history, joint = no_overlap
 
     def consume(particle, transport):
         if particle == 1:
@@ -289,7 +300,7 @@ def test_ending_a_forked_generator_early_leaves_no_child(end, no_overlap, forks)
         time.sleep(60)
 
     with pytest.raises(ZeroDivisionError, match="particle 1"):
-        anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
+        anchored_runs(history, joint, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -298,14 +309,14 @@ def test_a_result_that_does_not_pickle_raises_runtime_error(no_overlap, forks):
     """A forked child whose result does not pickle leaves with no result, so
     anchored_runs raises RuntimeError with the child's exit code, and no
     child is left."""
-    scn, _, history = no_overlap
+    scn, _, history, joint = no_overlap
 
     def consume(particle, transport):
         frozen = transport(lambda record, block, frozen: None)
         return len(frozen) if particle == 1 else (lambda: frozen)
 
     with pytest.raises(RuntimeError, match=r"^particle 2's run failed in its forked child \(exit code 1\)$"):
-        anchored_runs(history, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
+        anchored_runs(history, joint, scn["seed"], 30, 4, EPS_NODE_REL, "forward", consume)
     assert_no_child_left()
 
 
@@ -319,7 +330,8 @@ from pilotpath.dirac import run_walk
 from pilotpath.scenario import build_walk, load_scenario
 
 system = build_walk(load_scenario("no-overlap"))
-history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
+joint = {}
+history = run_walk(system.state0, system.grid, system.layers, record_joint={0}, fold=joint.__setitem__)
 fork = os.fork
 
 def announced():
@@ -335,7 +347,7 @@ protocols._can_fork = lambda: True
 def consume(particle, transport):
     transport(lambda record, block, frozen: None)
 
-protocols.anchored_runs(history, 5, 20, 20000, 1e-4, "forward", consume)
+protocols.anchored_runs(history, joint, 5, 20, 20000, 1e-4, "forward", consume)
 """
 
 
@@ -371,8 +383,8 @@ def test_a_killed_parent_takes_its_forked_child_with_it():
 
 
 def test_backward_ensembles_track_the_marginals(no_overlap):
-    scn, system, history = no_overlap
-    runs = backward_runs(history, scn["seed"], 2000)
+    scn, system, history, joint = no_overlap
+    runs = backward_runs(history, joint, scn["seed"], 2000)
     assert set(runs) == {1, 2}
     for particle, density in ((1, history.density1), (2, history.density2)):
         layers, frozen = runs[particle]
@@ -384,14 +396,14 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
 
 
 def test_same_seed_reproduces_the_whole_run(no_overlap):
-    scn, system, history = no_overlap
-    a = substep_runs(anchored_starts(history, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
-    b = substep_runs(anchored_starts(history, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
+    scn, system, history, joint = no_overlap
+    a = substep_runs(anchored_starts(history, joint, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
+    b = substep_runs(anchored_starts(history, joint, 31, 40, EPS_NODE_REL, "backward"), "backward", 4)
     assert np.array_equal(a[1][0][:, 0], b[1][0][:, 0])
     assert np.array_equal(a[2][0], b[2][0])
     assert a[2][0].shape == (40, 4 * history.n_layers + 1)
     # A backward run starts at the final layer.
-    c = backward_runs(history, 32, 40)
+    c = backward_runs(history, joint, 32, 40)
     assert not np.array_equal(a[1][0][:, 0], c[1][0][:, -1])
 
 
@@ -407,19 +419,19 @@ def test_motionless_state_replays_exactly():
     psi = np.kron(np.full(16, 0.25), NAMED_SPINORS["up"])
     amps = np.outer(psi, psi)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
-    history = run_walk(state, grid, to_circuit_layers(step, step, 6), record_joint={6})
+    history, joint = walk_tables(state, grid, to_circuit_layers(step, step, 6), {6})
     assert float(np.max(np.abs(history.current1))) == 0.0
-    deviations = superdet_replay(history, 99, 150, 4, EPS_NODE_REL)
+    deviations = superdet_replay(history, joint, 99, 150, 4, EPS_NODE_REL)
     for particle in (1, 2):
         assert np.array_equal(deviations[particle], np.zeros(150))
-    records, _ = substep_runs(anchored_starts(history, 99, 150, EPS_NODE_REL, "backward"), "backward", 4)[1]
+    records, _ = substep_runs(anchored_starts(history, joint, 99, 150, EPS_NODE_REL, "backward"), "backward", 4)[1]
     moved = np.abs(records - records[:, :1])
     assert float(np.max(moved)) == 0.0
 
 
 def test_moving_packets_replay_within_tolerance():
-    scn, system, history = scenario_history("entangled-mirror")
-    deviations = superdet_replay(history, scn["seed"], 200, 32, EPS_NODE_REL)
+    scn, system, history, joint = scenario_history("entangled-mirror")
+    deviations = superdet_replay(history, joint, scn["seed"], 200, 32, EPS_NODE_REL)
     assert set(deviations) == {1, 2}
     for particle in (1, 2):
         assert not np.any(np.isnan(deviations[particle]))
@@ -431,8 +443,8 @@ def test_forward_runs_replay_backward_within_tolerance():
     retrace it at every record."""
     scn = load_scenario("free-packet")
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    for stack, x0 in anchored_starts(history, scn["seed"], 200, EPS_NODE_REL, "forward").values():
+    history, joint = walk_tables(system.state0, system.grid, system.layers, {0})
+    for stack, x0 in anchored_starts(history, joint, scn["seed"], 200, EPS_NODE_REL, "forward").values():
         _, deviations = round_trip(stack, x0, "forward", 32)
         assert deviations.shape == (200,)
         assert not np.any(np.isnan(deviations))
@@ -452,8 +464,8 @@ def replay_case(name):
         branch["packet1"] = {"kind": "gaussian", "center": 16.0, "sigma": 4.0, "momentum": 0.6, "spinor": "chirality+"}
         branch["packet2"] = {"kind": "gaussian", "center": 44.0, "sigma": 4.0, "momentum": -0.6, "spinor": "chirality-"}
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
-    return scn, history, (0.05 if name == "no-overlap" else EPS_NODE_REL)
+    history, joint = walk_tables(system.state0, system.grid, system.layers, {0, system.n_layers})
+    return scn, history, joint, (0.05 if name == "no-overlap" else EPS_NODE_REL)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -464,12 +476,12 @@ def test_replay_deviation_is_the_largest_gap_over_every_record(name, direction, 
     full array does, with each segment split over several chunks.
     superdet_replay's backward round trips are these."""
     monkeypatch.setattr(kernels, "CHUNK", 64)
-    scn, history, eps_rel = replay_case(name)
-    starts = anchored_starts(history, scn["seed"], 200, eps_rel, direction)
+    scn, history, joint, eps_rel = replay_case(name)
+    starts = anchored_starts(history, joint, scn["seed"], 200, eps_rel, direction)
     opposite = "backward" if direction == "forward" else "forward"
     result = {particle: round_trip(stack, x0, direction, 8)[1] for particle, (stack, x0) in starts.items()}
     if direction == "backward":
-        replayed = superdet_replay(history, scn["seed"], 200, 8, eps_rel)
+        replayed = superdet_replay(history, joint, scn["seed"], 200, 8, eps_rel)
         assert all(np.array_equal(replayed[particle], result[particle], equal_nan=True) for particle in (1, 2))
     off_boundary = 0
     for particle, (stack, x0) in starts.items():
@@ -502,8 +514,8 @@ def test_round_trips_exclude_trajectories_that_reach_a_reflecting_wall(direction
     for key, center in (("packet1", 6.0), ("packet2", 44.0)):
         branch[key] = {"kind": "gaussian", "center": center, "sigma": 4.0, "momentum": -0.6, "spinor": "chirality-"}
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint={0, system.n_layers})
-    starts = anchored_starts(history, scn["seed"], 2000, EPS_NODE_REL, direction)
+    history, joint = walk_tables(system.state0, system.grid, system.layers, {0, system.n_layers})
+    starts = anchored_starts(history, joint, scn["seed"], 2000, EPS_NODE_REL, direction)
     opposite = "backward" if direction == "forward" else "forward"
     first, last = system.grid.positions()[[0, -1]]
     walled_worst = 0.0
@@ -541,8 +553,8 @@ def test_layer_runs_are_the_round_trips_layer_boundaries(no_overlap, direction):
     """With freezes at the start, inside segments and not at all, a run
     holds the substep run's layer-boundary records and freeze indices bit
     for bit, and a round trip's outbound run is that run."""
-    scn, _, history = no_overlap
-    starts = anchored_starts(history, scn["seed"], 200, 0.05, direction)
+    scn, _, history, joint = no_overlap
+    starts = anchored_starts(history, joint, scn["seed"], 200, 0.05, direction)
     for stack, x0 in starts.values():
         records, frozen = every_substep(integrate_batch, stack, x0, direction, 8)
         assert np.any(frozen == 0) and np.any((frozen > 0) & (frozen % 8 != 0)) and np.any(frozen < 0)
@@ -560,8 +572,8 @@ def test_round_trip_memory_stays_near_the_replays_records():
     replay array nor full-size gaps."""
     scn = load_scenario("free-packet")
     system = build_walk(scn)
-    history = run_walk(system.state0, system.grid, system.layers, record_joint={0})
-    starts = anchored_starts(history, scn["seed"], 2000, EPS_NODE_REL, "forward")
+    history, joint = walk_tables(system.state0, system.grid, system.layers, {0})
+    starts = anchored_starts(history, joint, scn["seed"], 2000, EPS_NODE_REL, "forward")
     one = 2000 * (system.n_layers * 32 + 1) * 8
     tracemalloc.start()
     try:
@@ -579,17 +591,24 @@ def test_round_trip_memory_stays_near_the_replays_records():
 
 
 def test_track_threshold_is_validated(no_overlap):
-    _, _, history = no_overlap
+    _, system, _, _ = no_overlap
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValidationError):
-            build_tracks(history, threshold_rel=bad)
+            joint_tracks(bad, system.grid)
 
 
 def test_tracks_need_recorded_joint_tables(no_overlap):
-    scn, system, _ = no_overlap
-    history = run_walk(system.state0, system.grid, system.layers, record_joint=range(1, system.n_layers + 1))
+    """The joint graph's fold rejects a walk that skips layer 0 when the
+    walk hands it layer 1, and build_tracks one whose walk stopped short of
+    the final layer."""
+    _, system, history, _ = no_overlap
+    graph = joint_tracks(TRACK_THRESHOLD_REL, system.grid)
     with pytest.raises(ValidationError, match="joint table of every layer"):
-        build_tracks(history, TRACK_THRESHOLD_REL)
+        run_walk(system.state0, system.grid, system.layers, record_joint=range(1, system.n_layers + 1), fold=graph)
+    graph = joint_tracks(TRACK_THRESHOLD_REL, system.grid)
+    run_walk(system.state0, system.grid, system.layers, record_joint=range(system.n_layers), fold=graph)
+    with pytest.raises(ValidationError, match="joint table of every layer"):
+        build_tracks(history, graph)
 
 
 def test_periodic_labels_merge_across_seams_in_root_order():
@@ -614,6 +633,18 @@ def test_periodic_labels_merge_across_seams_in_root_order():
     labels, n = _label_with_wrap(square, periodic=True)
     assert n == 2
     assert labels.tolist() == [[0, 1, 0, 0], [2, 0, 0, 2], [0, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def test_periodic_seam_merges_keep_int32_labels():
+    """Labels stay int32 where components merge across a periodic seam, as
+    they are where none do."""
+    line = np.array([1, 0, 1, 0, 1], dtype=bool)
+    square = np.zeros((4, 4), dtype=bool)
+    square[0, 1] = square[3, 1] = square[2, 3] = True
+    for mask in (line, square):
+        labels, n = _label_with_wrap(mask, periodic=True)
+        assert n == 2 and labels.dtype == np.int32
+        assert _label_with_wrap(mask, periodic=False)[0].dtype == np.int32
 
 
 def assert_labels_match_ndimage(mask):
@@ -649,16 +680,16 @@ def test_labels_match_scipy_ndimage(mask):
 
 @pytest.mark.parametrize("name", ["recombination", "free-packet", "entangled-mirror"])
 def test_labels_match_scipy_ndimage_on_every_track_mask(name):
-    scn, _, history = scenario_history(name)
+    scn, _, history, joint = scenario_history(name)
     threshold = scn["protocol"]["track_threshold_rel"]
-    tables = [history.joint[t] for t in range(history.n_layers + 1)]
+    tables = [joint[t] for t in range(history.n_layers + 1)]
     for table in tables + list(history.density1) + list(history.density2):
         assert_labels_match_ndimage(table > threshold * float(table.max()))
 
 
 def test_branch_graphs_on_a_recombining_run(recombination):
-    _, _, history = recombination
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
+    _, _, history, joint = recombination
+    tracks = tracks_of(history, joint)
     m1 = tracks.marginal[1]
     # particle 1 splits and reconverges twice; the joint support never loops
     assert len(m1.loop_edges) == 2
@@ -684,22 +715,23 @@ def test_branch_edges_are_the_overlapping_label_pairs_in_order(case, periodic, r
     lexicographic order, on recombination's joint layers and on a
     checkerboard of one-cell components."""
     if case == "recombination":
-        _, _, history = recombination
-        tables = [history.joint[t] for t in range(history.n_layers + 1)]
+        _, _, history, joint = recombination
+        tables = [joint[t] for t in range(history.n_layers + 1)]
     else:
         tables = checkerboard_tables(12, 3)
     graph = _build_graph(tables, "joint", TRACK_THRESHOLD_REL, periodic)
+    labels = [_label_with_wrap(table > TRACK_THRESHOLD_REL * table.max(), periodic)[0] for table in tables]
     expected = []
     for t in range(graph.n_layers):
-        a, b = graph.labels[t].ravel(), graph.labels[t + 1].ravel()
+        a, b = labels[t].ravel(), labels[t + 1].ravel()
         pairs = sorted({(int(x), int(y)) for x, y in zip(a, b) if x > 0 and y > 0})
         expected += [((t, x), (t + 1, y)) for x, y in pairs]
     assert graph.edges == expected and expected
 
 
 def test_graph_accessor_methods(recombination):
-    _, system, history = recombination
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
+    _, _, history, joint = recombination
+    tracks = tracks_of(history, joint)
     m1 = tracks.marginal[1]
     assert m1.n_layers == history.n_layers
 
@@ -715,8 +747,9 @@ def test_graph_accessor_methods(recombination):
     )
     assert successors(merge, 1) == {1}
     assert successors(merge, 2) == {1}
-    assert m1.labels[0].shape == (system.grid.n_sites,)
-    assert tracks.joint.labels[0].shape == (system.grid.n_sites, system.grid.n_sites)
+    assert tracks.joint.n_layers == history.n_layers
+    assert [len(codes) for codes in tracks.world_codes.values()] == [history.n_layers + 1] * 2
+    assert all(row.shape == (history.grid.n_sites,) for codes in tracks.world_codes.values() for row in codes)
 
 
 # ----------------------------------------------------------------------------
@@ -724,9 +757,9 @@ def test_graph_accessor_methods(recombination):
 
 
 def test_disjoint_branches_never_cross(no_overlap):
-    scn, system, history = no_overlap
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(served(backward_runs(history, scn["seed"], 400)), tracks, system.grid)
+    scn, system, history, joint = no_overlap
+    tracks = tracks_of(history, joint)
+    report = detect_crossings(served(backward_runs(history, joint, scn["seed"], 400)), tracks, system.grid)
     assert report.events.shape == (0, len(EVENT_COLUMNS))
     assert report.crossing_fraction == 0.0
     assert report.violations == 0
@@ -735,9 +768,9 @@ def test_disjoint_branches_never_cross(no_overlap):
 
 
 def test_reconverging_branches_are_crossed(recombination):
-    scn, system, history = recombination
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    report = detect_crossings(served(backward_runs(history, scn["seed"], 400)), tracks, system.grid)
+    scn, system, history, joint = recombination
+    tracks = tracks_of(history, joint)
+    report = detect_crossings(served(backward_runs(history, joint, scn["seed"], 400)), tracks, system.grid)
     assert report.crossing_fraction > 0.3
     assert report.violations == 0
     assert 0.0 < report.ambiguous_fraction < 1.0
@@ -762,9 +795,10 @@ def _reachable_ref(edges, start_layer, start_comp, end_layer, end_comp):
     return end_comp in frontier
 
 
-def crossings_reference(runs, tracks, grid):
+def crossings_reference(runs, tracks, layer_labels, grid):
     """Returns (events, violations, crossing_fraction, ambiguous_fraction,
-    n_trajectories) as detect_crossings defines them."""
+    n_trajectories) as detect_crossings defines them, from each layer's
+    joint labels."""
     joint = tracks.joint
     n_layers = joint.n_layers
     events = []
@@ -774,7 +808,7 @@ def crossings_reference(runs, tracks, grid):
         # column c: sites inside component c's projection; column 0 stays empty
         proj = [
             np.stack([(lab == c).any(axis=1 - axis) & (c > 0) for c in range(k + 1)], axis=1)
-            for lab, k in zip(joint.labels, joint.n_components)
+            for lab, k in zip(layer_labels, joint.n_components)
         ]
         for i in range(len(layers)):
             counts, labels = [], []
@@ -808,11 +842,11 @@ def crossings_reference(runs, tracks, grid):
     return events, violations, crossed / n_traj, ambiguous / total, n_traj
 
 
-def assert_matches_reference(runs, tracks, grid):
+def assert_matches_reference(runs, tracks, labels, grid):
     """detect_crossings, served the runs, against the reference."""
     report = detect_crossings(served(runs), tracks, grid)
     events, violations, crossing_fraction, ambiguous_fraction, n_traj = crossings_reference(
-        runs, tracks, grid
+        runs, tracks, labels, grid
     )
     assert report.events.dtype == np.int64
     assert np.array_equal(report.events, events)
@@ -824,19 +858,28 @@ def assert_matches_reference(runs, tracks, grid):
     return report
 
 
+def joint_labels(history, joint):
+    """Each layer's joint labels, labelled from its table as the joint
+    graph's fold labels it."""
+    periodic = history.grid.boundary == "periodic"
+    tables = (joint[t] for t in range(history.n_layers + 1))
+    return [_label_with_wrap(table > TRACK_THRESHOLD_REL * float(table.max()), periodic)[0] for table in tables]
+
+
 @pytest.mark.parametrize("seed", [4242, 1729, 7])
 def test_crossings_match_the_reference_on_forward_runs(recombination, seed):
-    _, system, history = recombination
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    runs = anchored_layers(history, seed, 300, 4, EPS_NODE_REL, "forward")
-    report = assert_matches_reference(runs, tracks, system.grid)
+    _, system, history, joint = recombination
+    tracks = tracks_of(history, joint)
+    runs = anchored_layers(history, joint, seed, 300, 4, EPS_NODE_REL, "forward")
+    report = assert_matches_reference(runs, tracks, joint_labels(history, joint), system.grid)
     assert len(report.events) > 0
 
 
 def test_crossings_match_the_reference_on_backward_runs(recombination):
-    scn, system, history = recombination
-    tracks = build_tracks(history, TRACK_THRESHOLD_REL)
-    assert_matches_reference(backward_runs(history, scn["seed"], 200), tracks, system.grid)
+    scn, system, history, joint = recombination
+    tracks = tracks_of(history, joint)
+    runs = backward_runs(history, joint, scn["seed"], 200)
+    assert_matches_reference(runs, tracks, joint_labels(history, joint), system.grid)
 
 
 def _blocks(n_sites, *blocks):
@@ -847,12 +890,13 @@ def _blocks(n_sites, *blocks):
     return lab
 
 
-def hand_built_tracks(n_sites=8):
-    """Splits at layer 1, keeps two branches through layer 5 and merges them
-    at layer 6.  Along particle 1's axis the branches overlap on sites 3-4 at
-    layer 2 (ambiguous) and leave sites 3-4 uncovered at layers 3-4."""
+def hand_built_labels(n_sites=8):
+    """Joint labels that split at layer 1, keep two branches through layer 5
+    and merge them at layer 6.  Along particle 1's axis the branches overlap
+    on sites 3-4 at layer 2 (ambiguous) and leave sites 3-4 uncovered at
+    layers 3-4."""
     lo, hi, every = slice(0, 4), slice(4, 8), slice(0, 8)
-    layers = [
+    return [
         _blocks(n_sites, (every, every)),
         _blocks(n_sites, (lo, lo), (hi, hi)),
         _blocks(n_sites, (slice(0, 5), slice(0, 3)), (slice(3, 8), slice(5, 8))),
@@ -862,17 +906,22 @@ def hand_built_tracks(n_sites=8):
         _blocks(n_sites, (every, every)),
         _blocks(n_sites, (every, every)),
     ]
+
+
+def hand_built_tracks():
+    """The branch graph of hand_built_labels, with their world codes."""
+    layers = hand_built_labels()
     edges = [((0, 1), (1, 1)), ((0, 1), (1, 2))]
     edges += [((t, c), (t + 1, c)) for t in range(1, 5) for c in (1, 2)]
     edges += [((5, 1), (6, 1)), ((5, 2), (6, 1)), ((6, 1), (7, 1))]
     joint = TrackGraph(
         name="joint",
-        labels=layers,
         n_components=[int(lab.max()) for lab in layers],
         edges=edges,
         loop_edges=[((5, 2), (6, 1))],
     )
-    return TrackSet(joint=joint, marginal={})
+    world_codes = {particle: [_world_codes(lab, particle - 1) for lab in layers] for particle in (1, 2)}
+    return TrackSet(joint=joint, marginal={}, world_codes=world_codes)
 
 
 def site_run(sites):
@@ -906,7 +955,7 @@ def test_crossings_on_a_hand_built_branch_graph():
             ],
         ),
     }
-    report = assert_matches_reference(runs, tracks, grid)
+    report = assert_matches_reference(runs, tracks, hand_built_labels(), grid)
     # columns: layer, particle, trajectory, from_branch, to_branch
     expected = [
         (3, 1, 1, 1, 2),
