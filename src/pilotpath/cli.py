@@ -5,9 +5,15 @@ one) and applies overrides in the order flag > environment > scenario file >
 built-in default, before its one schema validation.  One function,
 `run_command`, then builds the scenario's system once, runs the command's
 body from `COMMANDS` and writes the body's summary next to an echo of the
-fully resolved scenario.  Artifacts are deterministic: rerunning with the
-same scenario and seed reproduces every file byte for byte.  No command
-keeps a transported run (see `_trajectory_summary`).
+fully resolved scenario; a body builds its summary from JSON values
+alone, which are written as built.  Artifacts are deterministic: rerunning
+with the same scenario and seed reproduces every file byte for byte.  A
+transported run is held only where its reader needs it whole: `retro`'s
+consumer holds its layer positions until the transport returns, since its
+trajectory CSV starts at the layer it reaches last (see
+`_trajectory_summary`), and a round trip (`superdet`, `verify`) holds its
+outbound run's substep records while the replay runs (see
+`protocols.round_trip`).
 
 Failure modes map to distinct exit codes so callers can branch on them:
 2 for schema or input violations, 3 for resource-cap aborts, 4 for
@@ -141,7 +147,7 @@ def _trajectory_summary(path: str, density, grid, count: int, substeps: int, for
 
     frozen = exports.write_trajectories_csv(path, count, run)
     flagged = int(np.count_nonzero(frozen >= 0))
-    return {"ks_per_layer": [float(v) for v in ks], "worst_ks": float(np.max(ks)), "flagged": flagged}
+    return {"ks_per_layer": ks.tolist(), "worst_ks": float(np.max(ks)), "flagged": flagged}
 
 
 def _ensemble_summary(scn: dict, out: str, history, joint, direction: str):
@@ -150,12 +156,11 @@ def _ensemble_summary(scn: dict, out: str, history, joint, direction: str):
     the summary and the worst layer KS over both particles."""
     p = scn["protocol"]
     count, substeps = int(p["count"]), int(p["substeps"])
-    densities = {1: history.density1, 2: history.density2}
     forward = direction == "forward"
 
     def summarise(particle, transport):
         path = os.path.join(out, f"trajectories{particle}.csv")
-        return _trajectory_summary(path, densities[particle], history.grid, count, substeps, forward, transport)
+        return _trajectory_summary(path, history.density[particle], history.grid, count, substeps, forward, transport)
 
     report = {"count": count, "substeps": substeps}
     for particle, summary in _anchored_runs(scn, history, joint, direction, summarise).items():
@@ -171,16 +176,12 @@ def _ensemble_summary(scn: dict, out: str, history, joint, direction: str):
 def _evolve(scn: dict, system, args, out: str):
     history = _walk_history(system)
     x = system.grid.positions()
-    exports.write_currents_csv(os.path.join(out, "currents1.csv"), history.density1, history.current1, x)
-    exports.write_currents_csv(os.path.join(out, "currents2.csv"), history.density2, history.current2, x)
-    norms = history.density1.sum(axis=1) * system.grid.dx
-    summary = {
-        "n_layers": system.n_layers,
-        "n_sites": system.grid.n_sites,
-        "norm_drift": float(np.abs(norms - 1.0).max()),
-        "mean_x1_final": float((x * history.density1[-1]).sum() / history.density1[-1].sum()),
-        "mean_x2_final": float((x * history.density2[-1]).sum() / history.density2[-1].sum()),
-    }
+    summary = {"n_layers": system.n_layers, "n_sites": system.grid.n_sites}
+    for p, density in history.density.items():
+        exports.write_currents_csv(os.path.join(out, f"currents{p}.csv"), density, history.current[p], x)
+        summary[f"mean_x{p}_final"] = float((x * density[-1]).sum() / density[-1].sum())
+    norms = history.density[1].sum(axis=1) * system.grid.dx
+    summary["norm_drift"] = float(np.abs(norms - 1.0).max())
     return summary, f"evolved {system.n_layers} layers; artifacts in {out}"
 
 
@@ -291,10 +292,7 @@ def _tracks(scn: dict, system, args, out: str):
     exports.write_branch_edges_csv(os.path.join(out, "branch_edges.csv"), tracks)
     report = {
         "threshold_rel": threshold,
-        "joint": {
-            "components_per_layer": [int(k) for k in tracks.joint.n_components],
-            "loop_edges": len(tracks.joint.loop_edges),
-        },
+        "joint": {"components_per_layer": tracks.joint.n_components, "loop_edges": len(tracks.joint.loop_edges)},
         "crossings": {
             "events": len(crossings.events),
             "crossing_fraction": crossings.crossing_fraction,
@@ -303,12 +301,8 @@ def _tracks(scn: dict, system, args, out: str):
             "n_trajectories": crossings.n_trajectories,
         },
     }
-    for particle in (1, 2):
-        g = tracks.marginal[particle]
-        report[f"marginal{particle}"] = {
-            "components_per_layer": [int(k) for k in g.n_components],
-            "loop_edges": len(g.loop_edges),
-        }
+    for particle, g in tracks.marginal.items():
+        report[f"marginal{particle}"] = {"components_per_layer": g.n_components, "loop_edges": len(g.loop_edges)}
         report[f"particle{particle}"] = {"flagged": crossings.flagged[particle]}
     message = (
         f"joint loop edges {len(tracks.joint.loop_edges)}, marginal loop edges "

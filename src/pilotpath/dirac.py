@@ -313,9 +313,9 @@ def continuity_residual(history: WalkHistory, layer: int) -> float:
     if not 0 <= layer < history.n_layers:
         raise ValidationError(f"continuity layer {layer} outside 0..{history.n_layers - 1}")
     grid = history.grid
-    current = history.current1[layer]
+    density, current = history.density[1], history.current[1][layer]
     gradient = (np.roll(current, -1) - np.roll(current, 1)) / (2.0 * grid.dx)
-    resid = (history.density1[layer + 1] - history.density1[layer]) / grid.dt + gradient
+    resid = (density[layer + 1] - density[layer]) / grid.dt + gradient
     return float(np.max(np.abs(resid)))
 
 
@@ -325,14 +325,16 @@ def continuity_residual(history: WalkHistory, layer: int) -> float:
 
 @dataclass
 class WalkHistory:
-    """Per-layer marginal tables of one run."""
+    """Per-layer marginal tables of one run: density[p] and current[p] are
+    particle p's (n_layers + 1, n_sites) tables, for p in 1 and 2."""
 
     grid: LatticeGrid
-    n_layers: int
-    density1: np.ndarray
-    current1: np.ndarray
-    density2: np.ndarray
-    current2: np.ndarray
+    density: dict[int, np.ndarray]
+    current: dict[int, np.ndarray]
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.density[1]) - 1
 
 
 def run_walk(
@@ -365,27 +367,19 @@ def run_walk(
             raise ValidationError(f"joint table layer {k} out of range")
     if record_joint and fold is None:
         raise ValidationError("recorded joint tables need a fold to receive them")
-    n = grid.n_sites
-    density1 = np.empty((n_layers + 1, n))
-    current1 = np.empty((n_layers + 1, n))
-    density2 = np.empty((n_layers + 1, n))
-    current2 = np.empty((n_layers + 1, n))
+    shape = (n_layers + 1, grid.n_sites)
+    density = {p: np.empty(shape) for p in (1, 2)}
+    current = {p: np.empty(shape) for p in (1, 2)}
 
     state = state0
     for layer in range(n_layers + 1):
-        (density1[layer], current1[layer]), (density2[layer], current2[layer]) = marginal_fields(state, grid)
+        for p, fields in enumerate(marginal_fields(state, grid), 1):
+            density[p][layer], current[p][layer] = fields
         if layer in record_joint:
             fold(layer, _joint_table(state.left, state.right, grid) / (grid.dx * grid.dx))
         if layer < n_layers:
             state = apply_layer(state, layers[layer])
-    return WalkHistory(
-        grid=grid,
-        n_layers=n_layers,
-        density1=density1,
-        current1=current1,
-        density2=density2,
-        current2=current2,
-    )
+    return WalkHistory(grid, density, current)
 
 
 def to_circuit_layers(

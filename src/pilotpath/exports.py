@@ -3,7 +3,9 @@
 Every writer produces byte-identical output for identical inputs: floats
 are rendered with repr (shortest round-trip form), JSON keys are sorted,
 newlines are always "\\n", and iteration orders are fixed by the data
-structures, never by set or dict insertion accidents.
+structures, never by set or dict insertion accidents.  JSON is written as
+its caller built it, with no conversion pass, so a summary holds only
+dicts, lists, strings, ints, floats, booleans and None.
 """
 
 from __future__ import annotations
@@ -17,28 +19,8 @@ from .paths import OverlapTable, PathEnsemble
 from .protocols import TrackSet
 
 
-def _to_plain(obj):
-    """Recursively convert numpy scalars and arrays for JSON output."""
-    if isinstance(obj, dict):
-        return {str(k): _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_plain(v) for v in obj.tolist()]
-    # bool precedes int: bool subclasses int and must stay a JSON boolean
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(_to_plain(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _open(path: str):

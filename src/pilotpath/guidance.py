@@ -42,7 +42,6 @@ class VelocityStack:
     values: np.ndarray
     masks: np.ndarray
     grid: LatticeGrid
-    eps_node: float
 
     def __post_init__(self) -> None:
         if self.values.shape != self.masks.shape or self.values.ndim != 2:
@@ -73,17 +72,15 @@ class VelocityStack:
             raise DegenerateDensityError("a layer has every site below the node threshold")
         values = np.zeros_like(density)
         np.divide(current, density, out=values, where=~masks)
-        return cls(values=values, masks=masks, grid=grid, eps_node=eps_abs)
+        return cls(values=values, masks=masks, grid=grid)
 
 
 def velocity_stack(history: WalkHistory, particle: int, eps_rel: float) -> VelocityStack:
     """Field stack of one particle's marginal flow over a recorded run; sites
     below eps_rel times the run's peak density are masked as nodes."""
-    if particle == 1:
-        return VelocityStack.from_tables(history.density1, history.current1, history.grid, eps_rel)
-    if particle == 2:
-        return VelocityStack.from_tables(history.density2, history.current2, history.grid, eps_rel)
-    raise ValidationError("particle must be 1 or 2")
+    if particle not in history.density:
+        raise ValidationError("particle must be 1 or 2")
+    return VelocityStack.from_tables(history.density[particle], history.current[particle], history.grid, eps_rel)
 
 
 def check_direction(direction: str) -> bool:

@@ -509,8 +509,8 @@ def build_tracks(history: WalkHistory, joint: TrackFold) -> TrackSet:
     graph = joint.finish(history.n_layers)
     periodic = history.grid.boundary == "periodic"
     marginal = {
-        1: _build_graph(history.density1, "marginal-1", joint.threshold_rel, periodic),
-        2: _build_graph(history.density2, "marginal-2", joint.threshold_rel, periodic),
+        p: _build_graph(density, f"marginal-{p}", joint.threshold_rel, periodic)
+        for p, density in history.density.items()
     }
     world_codes = {axis + 1: rows for axis, rows in enumerate(joint.codes)}
     return TrackSet(joint=graph, marginal=marginal, world_codes=world_codes)
@@ -572,11 +572,11 @@ def _layer_pass(particle: int, transport, codes: list[np.ndarray], offset, reach
     transport(fold) must hand fold(t, block, frozen) each layer t's
     positions as a (1, n) block, t ascending from 0, and return the run's
     freeze indices, as a forward transport does (see anchored_runs).  Each
-    trajectory's world code is gathered from its layer's row of codes, the
-    particle's world codes, at its nearest site (the gather's wrap or clip is the site's % n_sites or
-    clip), and each trajectory carries its last labeled layer and world,
-    whether an ambiguous layer came since, and whether it ever crossed,
-    from one layer to the next.
+    trajectory's world code is gathered from codes[t], the particle's world
+    codes at layer t, at its nearest site, wrapped round a ring or clipped
+    to the edge sites, and each trajectory carries its last labeled layer
+    and world, whether an ambiguous layer came since, and whether it ever
+    crossed, from one layer to the next.
     """
     mode = "wrap" if grid.boundary == "periodic" else "clip"
     events = []

@@ -321,7 +321,7 @@ def expand_initial(initial: dict) -> list[dict]:
                 "packet2": _packet_defaults(initial["packet2"]),
             }
         ]
-    w = 1.0 / np.sqrt(2.0)
+    w = 1.0 / math.sqrt(2.0)
     if preset == "entangled-mirror":
         c1, c2 = initial["centers"]
         sigma = initial["sigma"]

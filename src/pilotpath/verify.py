@@ -110,9 +110,9 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
     mid = n_layers // 2
     joint = {}
     history = run_walk(system.state0, grid, system.layers, record_joint={0}, fold=joint.__setitem__)
-    norms = history.density1.sum(axis=1) * grid.dx
+    norms = history.density[1].sum(axis=1) * grid.dx
     report.add("unitarity_drift", float(np.abs(norms - 1.0).max()), 1e-10)
-    norms2 = history.density2.sum(axis=1) * grid.dx
+    norms2 = history.density[2].sum(axis=1) * grid.dx
     report.add("marginal_normalization", float(np.abs(norms2 - 1.0).max()), 1e-10)
 
     p2 = scn["particles"][1]
@@ -125,7 +125,7 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         # particle's own step.
         alt = CircuitLayer(system.layers[-1].u_a, alt_step2)
         alt_history = run_walk(system.state0, grid, system.layers[:first_safe] + [alt] * (n_layers - first_safe))
-        gap = float(np.abs(history.density1 - alt_history.density1).max())
+        gap = float(np.abs(history.density[1] - alt_history.density[1]).max())
         note = (
             "second particle's potential replaced on every layer"
             if first_safe == 0
@@ -156,12 +156,12 @@ def _verify_walk(scn: dict, system: WalkSystem, report: VerifyReport) -> None:
         ks = np.empty(history.n_layers + 1)
 
         def fold(t, block, _):
-            ks[t : t + 1] = equivariance_test(block, history.density1[t : t + 1], grid)
+            ks[t : t + 1] = equivariance_test(block, history.density[1][t : t + 1], grid)
 
         integrate_batch(stack, x0, "forward", substeps, fold)
     layers, deviations = round_trip(stack, x0, "forward", rev_sub)
     if rev_sub == substeps:
-        ks = equivariance_test(layers, history.density1, grid)
+        ks = equivariance_test(layers, history.density[1], grid)
     kept = int(np.count_nonzero(~np.isnan(deviations)))
     # Between reflecting walls, round trips that reach an edge site are
     # excluded as well.

@@ -331,7 +331,6 @@ def scaled(stack: VelocityStack, factor: float) -> VelocityStack:
         values=stack.values * factor,
         masks=stack.masks,
         grid=stack.grid,
-        eps_node=stack.eps_node,
     )
 
 

@@ -189,10 +189,7 @@ def bundled_runs():
                 float(scn["protocol"]["eps_node_rel"]),
                 "backward",
             )
-            ks = {
-                p: equivariance_test(runs[p][0].T, density, system.grid)
-                for p, density in ((1, history.density1), (2, history.density2))
-            }
+            ks = {p: equivariance_test(runs[p][0].T, density, system.grid) for p, density in history.density.items()}
             cache[name] = (scn, system, history, joint, runs, ks)
         return cache[name]
 
@@ -373,10 +370,9 @@ def test_forward_transport_equivariance(bundled_runs, capsys):
         stack = stack1 if particle == 1 else velocity_stack(history, 2, eps)
         layers, frozen = layer_records(integrate_batch, stack, x0, "forward", substeps)
         flagged += int(np.count_nonzero(frozen >= 0))
-        density = history.density1 if particle == 1 else history.density2
-        worst = max(worst, float(np.max(equivariance_test(layers.T, density, grid))))
+        worst = max(worst, float(np.max(equivariance_test(layers.T, history.density[particle], grid))))
     control_layers, _ = layer_records(integrate_batch, scaled(stack1, 0.5), x1, "forward", substeps)
-    control = float(np.max(equivariance_test(control_layers.T, history.density1, grid)))
+    control = float(np.max(equivariance_test(control_layers.T, history.density[1], grid)))
     ok = worst < 0.02 and control > 0.05 and flagged == 0
     announce(
         capsys,
@@ -491,10 +487,10 @@ def test_engine_no_signaling_under_entanglement(capsys):
         h_a, h_b = histories
         worst = max(
             worst,
-            float(np.abs(h_a.density1 - h_b.density1).max()),
-            float(np.abs(h_a.current1 - h_b.current1).max()),
+            float(np.abs(h_a.density[1] - h_b.density[1]).max()),
+            float(np.abs(h_a.current[1] - h_b.current[1]).max()),
         )
-        control = max(control, float(np.abs(h_a.density2 - h_b.density2).max()))
+        control = max(control, float(np.abs(h_a.density[2] - h_b.density[2]).max()))
     ok = worst <= 1e-12 and control > 1e-3
     announce(
         capsys,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pilotpath
-from pilotpath import cli, dirac, kernels, protocols, verify
+from pilotpath import cli, dirac, exports, kernels, protocols, verify
 from pilotpath.circuit import JointState
 from pilotpath.dirac import LatticeGrid
 from pilotpath.errors import DegenerateDensityError, PilotPathError, ValidationError
@@ -254,6 +254,29 @@ def test_tracks_holds_one_ensemble_at_a_time(tmp_path):
     assert peak < 2.25 * one
 
 
+def count_growth(command: str, scn: dict, tmp_path) -> float:
+    """Bytes per added trajectory by which a serial run of command on scn
+    raises its traced peak from 20000 to 40000 trajectories.  A first,
+    untraced run at 20000 takes the process's one-time allocations out of
+    the comparison, which would otherwise inflate the first traced peak and
+    hide growth."""
+    peaks = {}
+    for run, count in enumerate((20000, 20000, 40000)):
+        scn["protocol"]["count"] = count
+        path = tmp_path / f"crowd{count}.json"
+        path.write_text(json.dumps(scn), encoding="utf-8")
+        if run:
+            tracemalloc.start()
+        try:
+            code = run_cli([command, "--scenario", str(path)], tmp_path / str(run))
+            if run:
+                _, peaks[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    return (peaks[40000] - peaks[20000]) / 20000
+
+
 def test_tracks_memory_grows_with_count_alone(tmp_path, monkeypatch):
     """Serial tracks on recombination folds each layer into its crossing
     pass as the transport reaches it, so no run's layer records are kept:
@@ -261,20 +284,7 @@ def test_tracks_memory_grows_with_count_alone(tmp_path, monkeypatch):
     one run's layer records per added trajectory."""
     monkeypatch.setattr(protocols, "_can_fork", lambda: False)
     scn = read_scenario("recombination")
-    peaks = {}
-    for count in (20000, 40000):
-        scn["protocol"]["count"] = count
-        path = tmp_path / f"crowd{count}.json"
-        path.write_text(json.dumps(scn), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            code = run_cli(["tracks", "--scenario", str(path)], tmp_path / str(count))
-            _, peaks[count] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    per_trajectory = (peaks[40000] - peaks[20000]) / 20000
-    assert per_trajectory < (scn["n_layers"] + 1) * 8 / 2
+    assert count_growth("tracks", scn, tmp_path) < (scn["n_layers"] + 1) * 8 / 2
 
 
 def test_tracks_memory_grows_with_the_lattice_per_layer(tmp_path, monkeypatch):
@@ -312,23 +322,14 @@ def test_guide_memory_grows_with_count_alone(tmp_path, monkeypatch):
     trajectory CSV as the transport reaches it, and writes each layer's
     rows a slice at a time, so neither a run's layer records nor a layer's
     text is kept: from 20000 to 40000 trajectories its peak grows by less
-    than 128 bytes per added trajectory."""
+    than 128 bytes per added trajectory.  The run is cut to 16 layers, a
+    third of the rows whose text tracemalloc follows; growth per trajectory
+    does not depend on the layer count, and a run's kept layer records
+    would alone add 17 * 8 = 136 bytes."""
     monkeypatch.setattr(protocols, "_can_fork", lambda: False)
     scn = read_scenario("recombination")
-    peaks = {}
-    for count in (20000, 40000):
-        scn["protocol"]["count"] = count
-        path = tmp_path / f"crowd{count}.json"
-        path.write_text(json.dumps(scn), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            code = run_cli(["guide", "--scenario", str(path)], tmp_path / str(count))
-            _, peaks[count] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    per_trajectory = (peaks[40000] - peaks[20000]) / 20000
-    assert per_trajectory < 128
+    scn["n_layers"] = 16
+    assert count_growth("guide", scn, tmp_path) < 128
 
 
 @pytest.mark.parametrize("forward", [True, False], ids=["guide", "retro"])
@@ -395,6 +396,44 @@ def test_verify_runs_the_battery_by_name(scenario_file, tmp_path):
         report = read_json(tmp_path, name, "verify", "verify_report.json")
         assert [c["name"] for c in report["checks"]] == expected
         assert not any(c["skipped"] for c in report["checks"])
+
+
+JSON_TYPES = {dict, list, str, int, float, bool, type(None)}
+
+
+def non_json(obj, where="") -> list[str]:
+    """Where under obj a value's exact type, or a key's, is no JSON type."""
+    if type(obj) not in JSON_TYPES:
+        return [f"{where or '/'}: {type(obj).__name__}"]
+    if type(obj) is dict:
+        keys = [f"{where}/{k!r}: {type(k).__name__} key" for k in obj if type(k) is not str]
+        return keys + [bad for k, v in obj.items() for bad in non_json(v, f"{where}/{k}")]
+    if type(obj) is list:
+        return [bad for i, v in enumerate(obj) for bad in non_json(v, f"{where}/{i}")]
+    return []
+
+
+def test_every_command_hands_write_json_json_values(tmp_path, monkeypatch):
+    """write_json converts nothing, so every object a command hands it, its
+    summary and its scenario echo, is built of JSON values alone, checked by
+    exact type: no numpy scalar, tuple or non-string key.  recombination's
+    echo carries the 1/sqrt(2) weights its preset expands to; paths and
+    currents need a product start, so they run on free-packet."""
+    written = []
+    write_json = exports.write_json
+
+    def spy(path, obj):
+        written.append((os.path.basename(path), obj))
+        write_json(path, obj)
+
+    monkeypatch.setattr(exports, "write_json", spy)
+    for command in cli.COMMANDS:
+        name = "free-packet" if command in ("paths", "currents") else "recombination"
+        written.clear()
+        assert run_cli([command, "--scenario", name], tmp_path) == 0, command
+        assert [filename for filename, _ in written] == [cli.COMMANDS[command].summary, "scenario.resolved.json"]
+        for filename, obj in written:
+            assert non_json(obj) == [], (command, filename)
 
 
 # ----------------------------------------------------------------------------

@@ -516,7 +516,7 @@ def test_marginal_currents_match_direct_contraction():
 def test_current_speed_is_bounded_by_the_lattice_ratio():
     grid, hist, _ = walk_history()
     vmax = grid.dx / grid.dt
-    for j0, j1 in ((hist.density1, hist.current1), (hist.density2, hist.current2)):
+    for j0, j1 in zip(hist.density.values(), hist.current.values()):
         assert j0.shape == j1.shape == (hist.n_layers + 1, grid.n_sites)
         assert np.all(np.abs(j1) <= vmax * j0 + 1e-12)
 
@@ -644,7 +644,7 @@ def test_run_walk_records_shapes_and_options():
     layers ascending, and refuses recorded layers out of range or without a
     fold."""
     grid, hist, joint = walk_history(n_layers=5, record_joint=[3, 0, 5, 1, 4, 2])
-    assert hist.density1.shape == (6, 12)
+    assert hist.density[1].shape == (6, 12)
     assert list(joint) == list(range(6))
     assert all(table.shape == (12, 12) for table in joint.values())
     _, _, lean = walk_history(n_layers=5, record_joint=[5])
@@ -706,7 +706,7 @@ def test_branch_walk_matches_the_dense_oracle(case):
     assert list(tables) == sorted(record)
     for t, state in enumerate(dense):
         (joint, _, _), marginals = currents_oracle(state, grid)
-        got = (hist.density1[t], hist.current1[t], hist.density2[t], hist.current2[t])
+        got = (hist.density[1][t], hist.current[1][t], hist.density[2][t], hist.current[2][t])
         for g, want in zip(got, marginals):
             assert np.max(np.abs(g - want)) <= 1e-13
         if t in record:

@@ -66,7 +66,7 @@ def test_stack_from_tables_validates_shapes():
     with pytest.raises(ValidationError):
         VelocityStack.from_tables(np.ones((3, 8)), np.ones((4, 8)), grid, EPS_NODE_REL)
     with pytest.raises(ValidationError):
-        VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid, eps_node=0.0)
+        VelocityStack(values=np.ones((3, 7)), masks=np.zeros((3, 7), dtype=bool), grid=grid)
 
 
 def test_a_stack_is_built_only_if_its_transport_accepts_it():
@@ -79,10 +79,10 @@ def test_a_stack_is_built_only_if_its_transport_accepts_it():
     fastest = np.nextafter(limit, 0.0)
     for value, match in ((np.nan, "finite"), (np.inf, "finite"), (limit, "ring")):
         with pytest.raises(ValidationError, match=match):
-            VelocityStack(np.full((2, 8), value), masks, ring, 0.0)
-    VelocityStack(np.full((2, 8), 2 * limit), masks, LatticeGrid(8, 1.0, 0.5, 0.0, "reflecting"), 0.0)
+            VelocityStack(np.full((2, 8), value), masks, ring)
+    VelocityStack(np.full((2, 8), 2 * limit), masks, LatticeGrid(8, 1.0, 0.5, 0.0, "reflecting"))
     # The largest stack that is built runs, in one substep as in four.
-    stack = VelocityStack(np.full((2, 8), fastest), masks, ring, 0.0)
+    stack = VelocityStack(np.full((2, 8), fastest), masks, ring)
     for substeps in (1, 4):
         records, frozen = layer_records(integrate_batch, stack, np.array([3.0]), "forward", substeps)
         assert np.all(np.isfinite(records)) and frozen[0] == -1
@@ -92,10 +92,12 @@ def test_velocity_stack_matches_per_layer_fields():
     grid, hist, _ = smooth_history()
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     assert stack.n_layers == hist.n_layers
+    # Nodes are the sites below EPS_NODE_REL times the run's peak density.
+    eps_node = EPS_NODE_REL * float(np.max(hist.density[1]))
     for layer in (0, 3, hist.n_layers):
-        j0 = hist.density1[layer]
-        j1 = hist.current1[layer]
-        mask = j0 < stack.eps_node
+        j0 = hist.density[1][layer]
+        j1 = hist.current[1][layer]
+        mask = j0 < eps_node
         assert np.array_equal(stack.masks[layer], mask)
         expected = np.zeros_like(j0)
         expected[~mask] = j1[~mask] / j0[~mask]
@@ -195,12 +197,13 @@ def test_equivariance_rejects_a_stack_of_other_depth():
     stack = velocity_stack(hist, 1, EPS_NODE_REL)
     records, _ = layer_records(integrate_batch, stack, np.array([7.0, 8.0]), "backward", 4)
     layers = records.T[::-1]
-    assert equivariance_test(layers, hist.density1, grid).shape == (5,)
+    density = hist.density[1]
+    assert equivariance_test(layers, density, grid).shape == (5,)
     # A one-row block, as a layer fold is handed, pairs with its layer's row.
-    assert equivariance_test(layers[2:3], hist.density1[2:3], grid)[0] == ks_statistic(layers[2], hist.density1[2], grid)
+    assert equivariance_test(layers[2:3], density[2:3], grid)[0] == ks_statistic(layers[2], density[2], grid)
     # A shorter stack would otherwise pair its rows with the wrong records.
     with pytest.raises(ValidationError, match="rows"):
-        equivariance_test(layers, hist.density1[:3], grid)
+        equivariance_test(layers, density[:3], grid)
 
 
 def test_periodic_starts_are_canonicalized():
@@ -357,7 +360,7 @@ def test_transported_ensemble_tracks_the_density():
     rng = make_rng(70)
     x0, _ = sample_joint_density(joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, stack, x0, "forward", 4)
-    ks = equivariance_test(layers.T, hist.density1, grid)
+    ks = equivariance_test(layers.T, hist.density[1], grid)
     assert ks.shape == (hist.n_layers + 1,)
     assert float(np.max(ks)) < 0.05
 
@@ -369,5 +372,5 @@ def test_halved_velocities_fail_the_same_comparison():
     rng = make_rng(71)
     x0, _ = sample_joint_density(joint[0], grid, 4000, rng)
     layers, _ = layer_records(integrate_batch, half, x0, "forward", 4)
-    ks = equivariance_test(layers.T, hist.density1, grid)
+    ks = equivariance_test(layers.T, hist.density[1], grid)
     assert float(np.max(ks)) > 0.05

@@ -386,7 +386,7 @@ def test_backward_ensembles_track_the_marginals(no_overlap):
     scn, system, history, joint = no_overlap
     runs = backward_runs(history, joint, scn["seed"], 2000)
     assert set(runs) == {1, 2}
-    for particle, density in ((1, history.density1), (2, history.density2)):
+    for particle, density in history.density.items():
         layers, frozen = runs[particle]
         assert layers.shape[0] == 2000
         assert np.all(frozen < 0)
@@ -420,7 +420,7 @@ def test_motionless_state_replays_exactly():
     amps = np.outer(psi, psi)
     state = JointState(grid.basis(), amps / np.linalg.norm(amps))
     history, joint = walk_tables(state, grid, to_circuit_layers(step, step, 6), {6})
-    assert float(np.max(np.abs(history.current1))) == 0.0
+    assert float(np.max(np.abs(history.current[1]))) == 0.0
     deviations = superdet_replay(history, joint, 99, 150, 4, EPS_NODE_REL)
     for particle in (1, 2):
         assert np.array_equal(deviations[particle], np.zeros(150))
@@ -539,7 +539,7 @@ def test_a_replay_that_alone_reaches_a_wall_is_excluded():
     and back: the outbound run never reaches the edge, but its replay
     lands on it, and that round trip is excluded too."""
     grid = LatticeGrid(16, 1.0, 0.5, 0.0, "reflecting")
-    stack = VelocityStack(np.full((5, 16), 0.5), np.zeros((5, 16), dtype=bool), grid, 0.0)
+    stack = VelocityStack(np.full((5, 16), 0.5), np.zeros((5, 16), dtype=bool), grid)
     x0 = np.array([2.0**-60, 3.0])
     records, _ = every_substep(integrate_batch, stack, x0, "forward", 4)
     back, _ = every_substep(integrate_batch, stack, records[:, -1], "backward", 4)
@@ -683,7 +683,7 @@ def test_labels_match_scipy_ndimage_on_every_track_mask(name):
     scn, _, history, joint = scenario_history(name)
     threshold = scn["protocol"]["track_threshold_rel"]
     tables = [joint[t] for t in range(history.n_layers + 1)]
-    for table in tables + list(history.density1) + list(history.density2):
+    for table in tables + [*history.density[1], *history.density[2]]:
         assert_labels_match_ndimage(table > threshold * float(table.max()))
 
 
