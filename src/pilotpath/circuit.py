@@ -11,7 +11,10 @@ RNG policy: one scenario seed, expanded into independent counter-mode
 streams (stream index in the Philox counter), all listed below: final-layer
 configurations, layer-0 configurations (forward guidance and verify's
 ensemble), randomized circuit unitaries, and the alteration in the circuit
-no-signaling check.
+no-signaling check.  The two sampling streams are read through
+PhiloxStream, which computes numpy's Philox uniforms with uint64 array
+arithmetic, so the walk commands never load numpy.random; the two circuit
+streams draw Gaussian normals from stream_rng's numpy Generator.
 """
 
 from __future__ import annotations
@@ -305,6 +308,91 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=[int(seed), 0], counter=[0, 0, int(stream), 0])
     )
+
+
+# Philox4x64-10 (Salmon et al., SC'11): the round multipliers and the Weyl
+# increments of the key schedule.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+# Blocks of four words per pass of the block function.  A pass holds about
+# a dozen (blocks,) uint64 temporaries of 32 KiB each, below the count-long
+# arrays a sampler draws into once a draw fills a pass.  On a 2-vCPU Xeon VM
+# (numpy 2.4.6), four draws of 20000 took 6.4 ms at 1024 blocks per pass,
+# 4.2 ms at 4096 and 3.8 ms at 8192, against 0.45 ms for the Generator.
+_PHILOX_CHUNK = 4096
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * x, the high word
+    summed from 32-bit halves whose partial products fit in uint64."""
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, hi = x & low, x >> shift
+    carry = x_lo * m_lo
+    carry >>= shift
+    carry += hi * m_lo
+    mid = carry & low
+    carry >>= shift
+    mid += x_lo * m_hi
+    mid >>= shift
+    hi *= m_hi
+    hi += carry
+    hi += mid
+    return hi, x * np.uint64(m)
+
+
+class PhiloxStream:
+    """The uniforms of stream_rng(seed, stream) without numpy.random.
+
+    random(n) returns bit for bit what stream_rng(seed, stream).random(n)
+    returns, and successive calls continue the stream as the Generator's
+    do: numpy's Philox4x64-10 under key (seed, 0) numbers its blocks of four
+    words by counter (1, 0, stream, 0), (2, 0, stream, 0), ..., and a
+    uniform is a word's top 53 bits times 2**-53.  The key schedule is kept
+    in Python ints masked to 64 bits, where numpy's scalar uint64 overflow
+    would warn; array uint64 arithmetic wraps silently.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        seed = int(seed)
+        if not 0 <= seed <= _MASK64:
+            raise ValidationError(f"a Philox key word must be in [0, 2**64), got {seed}")
+        self._keys = [
+            (np.uint64((seed + r * _PHILOX_W[0]) & _MASK64), np.uint64(r * _PHILOX_W[1] & _MASK64))
+            for r in range(_PHILOX_ROUNDS)
+        ]
+        self._stream = np.uint64(int(stream))
+        self._drawn = 0
+
+    def _words(self, first: int, blocks: int) -> np.ndarray:
+        """The four words of each of blocks blocks from block index first,
+        in stream order."""
+        zeros = np.zeros(blocks, dtype=np.uint64)
+        c0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
+        c1, c2, c3 = zeros, zeros + self._stream, zeros
+        for k0, k1 in self._keys:
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        return np.stack((c0, c1, c2, c3), axis=1).ravel()
+
+    def random(self, n: int) -> np.ndarray:
+        """The stream's next n uniforms in [0, 1)."""
+        out = np.empty(n)
+        start, stop = self._drawn, self._drawn + n
+        end_block = -(-stop // 4)
+        for block in range(start // 4, end_block, _PHILOX_CHUNK):
+            words = self._words(block, min(_PHILOX_CHUNK, end_block - block))
+            lo, hi = max(start, 4 * block), min(stop, 4 * block + words.size)
+            out[lo - start : hi - start] = (words[lo - 4 * block : hi - 4 * block] >> np.uint64(11)) * 2.0**-53
+        self._drawn = stop
+        return out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -160,9 +160,13 @@ def _cell_masses(density: np.ndarray, grid: LatticeGrid) -> np.ndarray:
 
 
 def sample_joint_density(
-    joint: np.ndarray, grid: LatticeGrid, count: int, rng: np.random.Generator
+    joint: np.ndarray, grid: LatticeGrid, count: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw configuration pairs from a two-particle density table.
+
+    rng is any object whose random(n) returns n uniforms in [0, 1), such as
+    a circuit.PhiloxStream or a numpy Generator; the sampler draws nothing
+    else from it.
 
     First particle's cell from the row-summed marginal, second from the
     conditional row, then uniform placement within both cells.  Draw order:

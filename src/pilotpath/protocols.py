@@ -62,7 +62,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .circuit import STREAM_FINAL_SAMPLE, STREAM_FORWARD_SAMPLE, stream_rng
+from .circuit import STREAM_FINAL_SAMPLE, STREAM_FORWARD_SAMPLE, PhiloxStream
 from .dirac import LatticeGrid, WalkHistory
 from .errors import DegenerateDensityError, ValidationError
 from .guidance import VelocityStack, check_direction, integrate_batch
@@ -94,15 +94,16 @@ def anchored_starts(
     joint maps layers to the joint tables that history's walk handed its
     fold (see run_walk), and must hold the anchor layer's.  Forward runs
     anchor at layer 0 with STREAM_FORWARD_SAMPLE, backward runs at the final
-    layer with STREAM_FINAL_SAMPLE.  Each particle follows the velocity
-    field of its own marginal flow, with sites below eps_rel times the peak
-    density masked as nodes.
+    layer with STREAM_FINAL_SAMPLE, each read through PhiloxStream, which
+    draws stream_rng's uniforms without loading numpy.random.  Each particle
+    follows the velocity field of its own marginal flow, with sites below
+    eps_rel times the peak density masked as nodes.
     """
     forward = check_direction(direction)
     anchor = 0 if forward else history.n_layers
     if anchor not in joint:
         raise ValidationError(f"{direction} runs need the joint table of layer {anchor}; record it with record_joint")
-    rng = stream_rng(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
+    rng = PhiloxStream(seed, STREAM_FORWARD_SAMPLE if forward else STREAM_FINAL_SAMPLE)
     x1, x2 = sample_joint_density(joint[anchor], history.grid, count, rng)
     return {particle: (velocity_stack(history, particle, eps_rel), x0) for particle, x0 in ((1, x1), (2, x2))}
 

@@ -1036,11 +1036,20 @@ def test_seed_flag_beats_environment(scenario_file, tmp_path, monkeypatch):
     "flags, env, hint",
     [
         (["--seed", "-1"], {}, "seed"),
+        (["--seed", str(2**64)], {}, "greater than the maximum of 9223372036854775807"),
         ([], {"PILOTPATH_SEED": "abc"}, "PILOTPATH_SEED"),
+        ([], {"PILOTPATH_SEED": str(2**64 - 1)}, "greater than the maximum of 9223372036854775807"),
         ([], {"PILOTPATH_PATH_CAP": "1.5"}, "PILOTPATH_PATH_CAP"),
         (["--path-cap", "-3"], {}, "pair_cap"),
     ],
-    ids=["negative-seed-flag", "non-integer-seed-env", "non-integer-cap-env", "negative-cap-flag"],
+    ids=[
+        "negative-seed-flag",
+        "seed-flag-beyond-uint64",
+        "non-integer-seed-env",
+        "seed-env-beyond-int64",
+        "non-integer-cap-env",
+        "negative-cap-flag",
+    ],
 )
 def test_overrides_are_validated_like_the_scenario_file(flags, env, hint, scenario_file, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
@@ -1050,6 +1059,24 @@ def test_overrides_are_validated_like_the_scenario_file(flags, env, hint, scenar
     assert payload["error"] == "ValidationError"
     assert hint in payload["message"]
     assert not (tmp_path / "cli-unit").exists()
+
+
+def test_a_file_seed_beyond_int64_exits_2(scenario_file, tmp_path, capsys):
+    """numpy's Philox takes key [seed, 0] through float64 above 2**63 - 1,
+    so seeds 2**63 and 2**63 + 1 would write the same files; the schema
+    stops them, and the largest seed it takes runs."""
+    path = Path(scenario_file)
+    scn = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(scn, seed=2**63)), encoding="utf-8")
+    code, payload = expect_error(["guide", "--scenario", scenario_file], tmp_path, capsys)
+    assert code == 2
+    assert payload["message"] == (
+        f"scenario schema violation at 'seed': {2**63} is greater than the maximum of 9223372036854775807"
+    )
+    assert not (tmp_path / "cli-unit").exists()
+    path.write_text(json.dumps(dict(scn, seed=2**63 - 1)), encoding="utf-8")
+    assert run_cli(["guide", "--scenario", scenario_file], tmp_path) == 0
+    assert read_json(tmp_path, "cli-unit", "guide", "scenario.resolved.json")["seed"] == 2**63 - 1
 
 
 @pytest.mark.parametrize(
@@ -1150,3 +1177,27 @@ def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
         check=True,
     )
     assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0]"
+
+
+@pytest.mark.parametrize(
+    "command, name, loaded",
+    [("tracks", "recombination", False), ("verify", "free-packet", False), ("verify", "circuit-demo", True)],
+)
+def test_only_circuit_commands_load_numpy_random(command, name, loaded, tmp_path):
+    """A walk command's starts come from circuit.PhiloxStream, so a fresh
+    interpreter that runs one never imports numpy.random; the circuit
+    streams still draw their normals from stream_rng's Generator."""
+    probe = (
+        "import sys; from pilotpath import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, "--scenario", name, "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split("\n")[-2] == f"0 {loaded}"

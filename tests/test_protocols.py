@@ -6,19 +6,23 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pilotpath import kernels, protocols
+from pilotpath import circuit, kernels, protocols
 from pilotpath.circuit import (
     STREAM_CIRCUIT_ALTERATION,
     STREAM_FINAL_SAMPLE,
     STREAM_FORWARD_SAMPLE,
     STREAM_SCENARIO_BUILD,
     JointState,
+    PhiloxStream,
     stream_rng,
 )
 from pilotpath.dirac import LatticeGrid, NAMED_SPINORS, build_dirac_step, run_walk, to_circuit_layers
@@ -88,6 +92,31 @@ def test_streams_of_one_seed_are_independent():
         for j in range(i + 1, 4):
             assert not np.array_equal(draws[i], draws[j])
     assert not np.array_equal(stream_rng(7, 0).random(8), stream_rng(8, 0).random(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    stream=st.integers(0, 3),
+    counts=st.lists(st.integers(0, 9000), min_size=1, max_size=5),
+    chunk=st.sampled_from([1, 3, circuit._PHILOX_CHUNK]),
+)
+@example(seed=2**63 - 1, stream=3, counts=[1, 4, 9000], chunk=circuit._PHILOX_CHUNK)
+def test_philox_stream_draws_the_generators_uniforms(seed, stream, counts, chunk):
+    """Each call, including those that start mid-block and those that span
+    several passes of the block function, returns the Generator's bits."""
+    ours, theirs = PhiloxStream(seed, stream), stream_rng(seed, stream)
+    with warnings.catch_warnings(), mock.patch.object(circuit, "_PHILOX_CHUNK", chunk):
+        warnings.simplefilter("error")
+        for count in counts:
+            got, want = ours.random(count), theirs.random(count)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_philox_stream_rejects_a_key_beyond_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError):
+            PhiloxStream(seed, 0)
 
 
 def test_stream_constants_are_distinct():
