@@ -252,6 +252,16 @@ def _retro(scn: dict, system, args, out: str):
     return summary, f"backward ensembles anchored at the final layer; worst layer KS {worst:.4f}; artifacts in {out}"
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of NaN-free values, without np.median's NaN check, which
+    imports numpy.ma: the middle value, or the mean of the two middle ones."""
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _superdet(scn: dict, system, args, out: str):
     p = scn["protocol"]
     count = int(p["count"])
@@ -266,7 +276,7 @@ def _superdet(scn: dict, system, args, out: str):
         report[f"particle{particle}"] = {
             "excluded": count - dev.size,
             "max_deviation": float(dev.max()) if dev.size else None,
-            "median_deviation": float(np.median(dev)) if dev.size else None,
+            "median_deviation": _median(dev) if dev.size else None,
         }
     message = f"replayed {count} configurations; max deviation {top:.3e}, {excluded} excluded; artifacts in {out}"
     return report, message

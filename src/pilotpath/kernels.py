@@ -35,9 +35,9 @@ ring, a substep moves less than one ring, ``|h| * max|v| < n_sites * dx``.
 A substep from ``[0, n_sites]`` then ends in ``(-n_sites, 2 * n_sites)``,
 where the one-step wrap equals Python's modulo bit for bit.  Lattice
 velocities obey ``|v| <= dx/dt`` to rounding, so a walk's substep moves
-about one cell at most, and the smallest ring has two.  guidance.VelocityStack checks its
-tables with the whole time step, the longest substep, so a stack that is
-built is a stack its transport accepts.
+about one cell at most, and the smallest ring has two.
+guidance.VelocityStack checks its tables with the whole time step, the
+longest substep, so a stack that is built is a stack its transport accepts.
 """
 
 from __future__ import annotations

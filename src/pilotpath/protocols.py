@@ -462,10 +462,13 @@ class TrackFold:
             rows.append(_world_codes(labels, axis))
         if t:
             # Each cell coded a * (k_next + 1) + b: ascending codes are the
-            # overlapping pairs in the lexicographic order of (a, b).
+            # overlapping pairs in the lexicographic order of (a, b).  The
+            # distinct codes are the first of each run of equal sorted codes
+            # (a plain np.unique would import numpy.ma).
             width = n + 1
-            found = np.unique(self._last.astype(np.int64) * width + labels)
-            pa, pb = np.divmod(found, width)
+            codes = np.sort(self._last.astype(np.int64) * width + labels, axis=None)
+            distinct = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            pa, pb = np.divmod(distinct, width)
             both = (pa > 0) & (pb > 0)
             for a, b in zip(pa[both].tolist(), pb[both].tolist()):
                 edge = ((t - 1, a), (t, b))

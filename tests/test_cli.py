@@ -1180,24 +1180,41 @@ def test_commands_run_with_scipy_blocked(scenario_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, name, loaded",
-    [("tracks", "recombination", False), ("verify", "free-packet", False), ("verify", "circuit-demo", True)],
+    "name, commands",
+    [
+        ("free-packet", ("evolve", "paths", "currents", "guide", "retro", "superdet", "tracks", "verify")),
+        ("recombination", ("guide", "retro", "superdet", "tracks", "verify")),
+        ("circuit-demo", ("verify",)),
+    ],
+    ids=["free-packet", "recombination", "circuit-demo"],
 )
-def test_only_circuit_commands_load_numpy_random(command, name, loaded, tmp_path):
-    """A walk command's starts come from circuit.PhiloxStream, so a fresh
-    interpreter that runs one never imports numpy.random; the circuit
-    streams still draw their normals from stream_rng's Generator."""
+def test_no_command_loads_numpy_ma_and_only_circuits_load_numpy_random(name, commands, tmp_path):
+    """One fresh interpreter runs the commands in turn, at 1000 trajectories,
+    and reports after each which of numpy.random and numpy.ma it has
+    imported.  A walk command's starts come from circuit.PhiloxStream, so
+    only the circuit streams, which draw their normals from stream_rng's
+    Generator, import numpy.random.  No command uses a masked array, so
+    none imports numpy.ma: the branch graph's distinct codes and superdet's
+    median are computed without np.unique and np.median, which import it."""
+    scn = read_scenario(name)
+    if "protocol" in scn:
+        scn["protocol"]["count"] = 1000
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scn), encoding="utf-8")
     probe = (
-        "import sys; from pilotpath import cli; "
-        "code = cli.main(sys.argv[1:]); "
-        "print(code, 'numpy.random' in sys.modules)"
+        "import sys; from pilotpath import cli\n"
+        "for command in sys.argv[3:]:\n"
+        "    code = cli.main([command, '--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+        "    print('loaded', command, code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pilotpath.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", probe, command, "--scenario", name, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", probe, str(path), str(tmp_path / "out"), *commands],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.split("\n")[-2] == f"0 {loaded}"
+    circuit = name == "circuit-demo"
+    reports = [line for line in done.stdout.splitlines() if line.startswith("loaded ")]
+    assert reports == [f"loaded {command} 0 {circuit} False" for command in commands]

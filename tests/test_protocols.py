@@ -94,17 +94,21 @@ def test_streams_of_one_seed_are_independent():
     assert not np.array_equal(stream_rng(7, 0).random(8), stream_rng(8, 0).random(8))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    stream=st.integers(0, 3),
-    counts=st.lists(st.integers(0, 9000), min_size=1, max_size=5),
-    chunk=st.sampled_from([1, 3, circuit._PHILOX_CHUNK]),
+# (pass size, draw sizes): at pass sizes 1 and 3 each pass of the block
+# function is a Python loop step, so draws stop at 300 blocks (1200
+# uniforms), still hundreds of passes; the real pass size draws up to 9000.
+PHILOX_PASSES = st.sampled_from([(1, 1200), (3, 1200), (circuit._PHILOX_CHUNK, 9000)]).flatmap(
+    lambda plan: st.tuples(st.just(plan[0]), st.lists(st.integers(0, plan[1]), min_size=1, max_size=5))
 )
-@example(seed=2**63 - 1, stream=3, counts=[1, 4, 9000], chunk=circuit._PHILOX_CHUNK)
-def test_philox_stream_draws_the_generators_uniforms(seed, stream, counts, chunk):
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 3), passes=PHILOX_PASSES)
+@example(seed=2**63 - 1, stream=3, passes=(circuit._PHILOX_CHUNK, [1, 4, 9000]))
+def test_philox_stream_draws_the_generators_uniforms(seed, stream, passes):
     """Each call, including those that start mid-block and those that span
     several passes of the block function, returns the Generator's bits."""
+    chunk, counts = passes
     ours, theirs = PhiloxStream(seed, stream), stream_rng(seed, stream)
     with warnings.catch_warnings(), mock.patch.object(circuit, "_PHILOX_CHUNK", chunk):
         warnings.simplefilter("error")
